@@ -13,12 +13,15 @@ Nearby index points share long key prefixes, so Chord's successor mapping
 sends them to the same or neighbouring nodes — that is the locality the range
 queries exploit.
 
-This module also provides the inverse geometry (key/prefix → cuboid) and the
+This module also provides the inverse geometry (key/prefix → cuboid), the
 *smallest enclosing prefix* of a query rectangle, used to initialise the
-``(prefix_key, prefix_length)`` of a range query (§3.3, figure 1a).
+``(prefix_key, prefix_length)`` of a range query (§3.3, figure 1a), and the
+sibling decomposition SurrogateRefine forwards (:func:`walk_siblings`).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -32,6 +35,7 @@ __all__ = [
     "key_to_cuboid",
     "dimension_range",
     "smallest_enclosing_prefix",
+    "walk_siblings",
 ]
 
 
@@ -178,3 +182,63 @@ def smallest_enclosing_prefix(
             break
         length = i
     return key << (m - length), length
+
+
+def walk_siblings(
+    eff: int,
+    prefix_len: int,
+    rect_lows: np.ndarray,
+    rect_highs: np.ndarray,
+    bounds: IndexSpaceBounds,
+    m: int,
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The sibling cuboids SurrogateRefine forwards, in one descent (Algorithm 5).
+
+    Inside the cuboid spelled by the first ``prefix_len`` bits of ``eff``, the
+    keys above ``eff`` decompose into one *sibling* per zero bit ``i`` of
+    ``eff`` below the prefix: the first ``i - 1`` bits of ``eff`` followed by
+    a 1.  Yields ``(prefix_key, i, lows, highs)`` in ascending ``i`` for every
+    sibling whose closed cuboid meets the closed rectangle, ``lows``/``highs``
+    being that intersection.
+
+    Sibling ``i`` is the upper half, along dimension ``(i - 1) mod k``, of the
+    depth ``i - 1`` cuboid on the root-to-leaf path of ``eff``, so the path
+    cuboid is carried down and halved once per bit (the float sequence of
+    :func:`prefix_to_cuboid`, hence identical bounds) and only the halved
+    dimension is tested.  Every deeper sibling lies inside the path cuboid:
+    once that no longer meets the rectangle the walk is over.
+    """
+    tail = (1 << (m - prefix_len)) - 1
+    if eff & tail == tail:
+        return  # no zero bit below the prefix, so no sibling
+    lows, highs = prefix_to_cuboid(eff, prefix_len, bounds, m)
+    if not np.all(np.maximum(rect_lows, lows) <= np.minimum(rect_highs, highs)):
+        return
+    # From here on the path cuboid meets the rectangle in every dimension,
+    # and a halving can only break that in the dimension it halves.
+    k = bounds.k
+    lo: list[float] = lows.tolist()
+    hi: list[float] = highs.tolist()
+    rl: list[float] = rect_lows.tolist()
+    rh: list[float] = rect_highs.tolist()
+    for i in range(prefix_len + 1, m + 1):
+        j = (i - 1) % k
+        mid = (lo[j] + hi[j]) / 2.0
+        bit = 1 << (m - i)
+        if eff & bit:
+            if mid > rh[j]:
+                return
+            lo[j] = mid
+            continue
+        if mid <= rh[j]:
+            sib_lows = np.array(lo)
+            sib_lows[j] = mid
+            yield (
+                (eff & -bit) | bit,
+                i,
+                np.maximum(rect_lows, sib_lows),
+                np.minimum(rect_highs, np.array(hi)),
+            )
+        if rl[j] > mid:
+            return
+        hi[j] = mid

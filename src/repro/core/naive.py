@@ -26,7 +26,6 @@ from typing import Any
 
 from repro.core.query import RangeQuery, Rect
 from repro.core.routing import QueryProtocol
-from repro.core.lph import prefix_to_cuboid
 from repro.sim.messages import query_message_size
 
 __all__ = ["NaiveProtocol", "decompose_to_owner_cuboids"]
@@ -47,13 +46,18 @@ def decompose_to_owner_cuboids(
     be unusable.
     """
     m = index.m
+    k = index.bounds.k
     ring = index.ring
     mask = (1 << m) - 1
     out: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-    stack: list[tuple[int, int]] = [(0, 0)]  # (prefix_key, prefix_len)
+    # (prefix_key, prefix_len, cuboid lows, cuboid highs); a child halves one
+    # dimension of its parent's cuboid, the float sequence of prefix_to_cuboid.
+    # The arrays are shared between entries and never written after creation.
+    stack: list[tuple[int, int, np.ndarray, np.ndarray]] = [
+        (0, 0, index.bounds.lows, index.bounds.highs)
+    ]
     while stack:
-        prefix_key, prefix_len = stack.pop()
-        lows, highs = prefix_to_cuboid(prefix_key, prefix_len, index.bounds, m)
+        prefix_key, prefix_len, lows, highs = stack.pop()
         nl = np.maximum(rect.lows, lows)
         nh = np.minimum(rect.highs, highs)
         if np.any(nl > nh):
@@ -76,8 +80,14 @@ def decompose_to_owner_cuboids(
             continue
         child_len = prefix_len + 1
         high_child = prefix_key | (1 << (m - child_len))
-        stack.append((prefix_key, child_len))
-        stack.append((high_child, child_len))
+        j = prefix_len % k
+        mid = (lows[j] + highs[j]) / 2.0
+        low_highs = highs.copy()
+        low_highs[j] = mid
+        high_lows = lows.copy()
+        high_lows[j] = mid
+        stack.append((prefix_key, child_len, lows, low_highs))
+        stack.append((high_child, child_len, high_lows, highs))
     return out
 
 

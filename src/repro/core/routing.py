@@ -57,8 +57,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.lph import walk_siblings
 from repro.core.query import RangeQuery, Rect, query_split
-from repro.core.lph import prefix_to_cuboid
 from repro.sim.messages import ResultEntry, ResultMessage, query_message_size
 from repro.sim.transport import Protocol
 from repro.util.bits import first_zero_bit, prefix_of, same_prefix, set_bit_at
@@ -482,40 +482,33 @@ class QueryProtocol(Protocol):
                 self.checker.on_refine(q, eff, key_lo, key_hi, [])
             self._solve_local(node, q, hops, key_lo, key_hi)
             return
-        j = first_zero_bit(eff, q.prefix_len + 1, m)
-        if j is None:
-            # eff is the maximal key of the cuboid: full coverage again.
-            if self.checker is not None:
-                self.checker.on_refine(q, eff, key_lo, key_hi, [])
-            self._solve_local(node, q, hops, key_lo, key_hi)
-            return
         # Keys in (eff, key_hi] decompose into the canonical sibling cuboids
-        # at each zero bit of eff — the prefixes Algorithm 5 forwards.
-        siblings: list[tuple[int, int]] = []
-        jj: int | None = j
-        while jj is not None:
-            siblings.append((set_bit_at(prefix_of(eff, jj - 1, m), jj, m), jj))
-            jj = first_zero_bit(eff, jj + 1, m)
+        # at each zero bit of eff — the prefixes Algorithm 5 forwards.  (No
+        # zero bit: eff is the maximal key of the cuboid, full coverage.)
         if self.checker is not None:
+            siblings: list[tuple[int, int]] = []
+            jj = first_zero_bit(eff, q.prefix_len + 1, m)
+            while jj is not None:
+                siblings.append((set_bit_at(prefix_of(eff, jj - 1, m), jj, m), jj))
+                jj = first_zero_bit(eff, jj + 1, m)
             self.checker.on_refine(q, eff, key_lo, eff, siblings)
         # The node owns [key_lo, eff]; answer that slice of the rectangle.
         self._solve_local(node, q, hops, key_lo, eff)
-        for sib_prefix, jj in siblings:
-            lows, highs = prefix_to_cuboid(sib_prefix, jj, self.index.bounds, m)
-            nl = np.maximum(q.rect.lows, lows)
-            nh = np.minimum(q.rect.highs, highs)
-            if np.all(nl <= nh):
-                sq = RangeQuery(
-                    rect=Rect(nl, nh),
-                    prefix_key=sib_prefix,
-                    prefix_len=jj,
-                    qid=q.qid,
-                    source=q.source,
-                    index_name=q.index_name,
-                    payload=q.payload,
-                    radius=q.radius,
-                )
-                self._query_routing(node, sq, hops)
+        rect = q.rect
+        for sib_prefix, depth, lows, highs in walk_siblings(
+            eff, q.prefix_len, rect.lows, rect.highs, self.index.bounds, m
+        ):
+            sq = RangeQuery(
+                rect=Rect(lows, highs),
+                prefix_key=sib_prefix,
+                prefix_len=depth,
+                qid=q.qid,
+                source=q.source,
+                index_name=q.index_name,
+                payload=q.payload,
+                radius=q.radius,
+            )
+            self._query_routing(node, sq, hops)
 
     def _surrogate_refine_literal(self, node: Any, q: RangeQuery, hops: int) -> None:
         m = self.index.m

@@ -7,6 +7,7 @@ from repro.core.loadbalance import (
     hotspot_overlap,
     probe_neighbourhood,
 )
+from repro.core.lph import prefix_to_cuboid
 from repro.core.naive import NaiveProtocol, decompose_to_owner_cuboids
 from repro.core.platform import IndexPlatform
 from repro.dht.ring import ChordRing
@@ -144,6 +145,19 @@ class TestNaiveDecomposition:
         )
         for (a1, b1), (a2, b2) in zip(ranges, ranges[1:]):
             assert b1 < a2
+
+    def test_boxes_are_the_replayed_cuboids(self):
+        """The decomposition halves the parent's cuboid per child; every box
+        must still be, bit for bit, rect ∩ prefix_to_cuboid from the root."""
+        platform, data = _skewed_platform()
+        index = platform.indexes["idx"]
+        q = index.make_query(data[0], 10.0)
+        pieces = decompose_to_owner_cuboids(index, q.rect)
+        assert max(pl for _, pl, _, _ in pieces) > index.bounds.k  # dims revisited
+        for pk, pl, lo, hi in pieces:
+            clo, chi = prefix_to_cuboid(pk, pl, index.bounds, index.m)
+            assert lo.tobytes() == np.maximum(q.rect.lows, clo).tobytes()
+            assert hi.tobytes() == np.minimum(q.rect.highs, chi).tobytes()
 
     def test_single_owner_per_piece(self):
         platform, data = _skewed_platform()

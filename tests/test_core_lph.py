@@ -12,7 +12,9 @@ from repro.core.lph import (
     lp_hash_batch,
     prefix_to_cuboid,
     smallest_enclosing_prefix,
+    walk_siblings,
 )
+from repro.util.bits import bit_at, prefix_of, set_bit_at
 
 B2 = IndexSpaceBounds.uniform(2, 0.0, 1.0)
 
@@ -208,3 +210,114 @@ class TestSmallestEnclosingPrefix:
         shift = np.uint64(m - length)
         if length:
             assert np.all((keys >> shift) == np.uint64(key >> (m - length)))
+
+
+def _siblings_by_replay(eff, prefix_len, rect_lows, rect_highs, bounds, m):
+    """The per-sibling reference for :func:`walk_siblings`: one
+    ``prefix_to_cuboid`` replay from the root per zero bit of ``eff`` and a
+    closed-interval intersection with the rectangle (SurrogateRefine's loop
+    before the walk existed; kept here, and only here, as the oracle)."""
+    out = []
+    for i in range(prefix_len + 1, m + 1):
+        if bit_at(eff, i, m):
+            continue
+        sib = set_bit_at(prefix_of(eff, i - 1, m), i, m)
+        lows, highs = prefix_to_cuboid(sib, i, bounds, m)
+        nl = np.maximum(rect_lows, lows)
+        nh = np.minimum(rect_highs, highs)
+        if np.all(nl <= nh):
+            out.append((sib, i, nl, nh))
+    return out
+
+
+def _hexed(pieces):
+    return [
+        (key, depth, [x.hex() for x in lows.tolist()], [x.hex() for x in highs.tolist()])
+        for key, depth, lows, highs in pieces
+    ]
+
+
+def _split_planes(eff, bounds, m):
+    """Per dimension, every coordinate a cuboid on the root-to-leaf path of
+    ``eff`` (and hence any of its siblings) is bounded by."""
+    planes = [{float(lo), float(hi)} for lo, hi in zip(bounds.lows, bounds.highs)]
+    for depth in range(1, m + 1):
+        lows, highs = prefix_to_cuboid(eff, depth, bounds, m)
+        j = (depth - 1) % bounds.k
+        planes[j].update((float(lows[j]), float(highs[j])))
+    return [sorted(p) for p in planes]
+
+
+class TestWalkSiblings:
+    def test_whole_space_from_key_zero(self):
+        """eff = 0 under the empty prefix: every bit is zero, so the siblings
+        are the upper halves 1, 01, 001, ... — all of which meet the whole
+        space — in ascending depth."""
+        m = 6
+        got = list(walk_siblings(0, 0, B2.lows, B2.highs, B2, m))
+        assert [(key, depth) for key, depth, _, _ in got] == [
+            (1 << (m - i), i) for i in range(1, m + 1)
+        ]
+        assert _hexed(got) == _hexed(_siblings_by_replay(0, 0, B2.lows, B2.highs, B2, m))
+
+    def test_maximal_key_has_no_sibling(self):
+        m = 8
+        assert list(walk_siblings(0b01011111, 3, B2.lows, B2.highs, B2, m)) == []
+        assert list(walk_siblings(0b01000000, m, B2.lows, B2.highs, B2, m)) == []
+
+    def test_stops_once_the_path_leaves_the_rectangle(self):
+        """A rectangle in the top-right corner: the path of eff = 0 turns left
+        at depth 1 and never meets it again, so the right half is the only
+        sibling forwarded."""
+        lows, highs = np.array([0.8, 0.8]), np.array([0.9, 0.9])
+        got = list(walk_siblings(0, 0, lows, highs, B2, 16))
+        assert [(key >> 14, depth) for key, depth, _, _ in got] == [(0b10, 1)]
+        assert _hexed(got) == _hexed(_siblings_by_replay(0, 0, lows, highs, B2, 16))
+
+    @pytest.mark.parametrize(
+        "lows, highs",
+        [
+            ([0.6, 0.6], [0.9, 0.9]),    # disjoint from the claimed cuboid
+            ([0.1, 0.1], [0.9, 0.9]),    # sticks out of it on two sides
+            ([0.5, 0.25], [0.5, 0.25]),  # a point on its corner, on two planes
+            ([0.4, 0.1], [0.2, 0.3]),    # inverted in dimension 0: empty
+        ],
+    )
+    def test_rectangle_not_inside_the_claimed_cuboid(self, lows, highs):
+        """The caller claims prefix 00 = [0, .5] x [0, .5]; a rectangle that
+        is not contained in it is clipped (or dropped) as the reference does."""
+        m = 12
+        lows, highs = np.array(lows), np.array(highs)
+        for eff in (0, 0b000101100110, 0b001111111110):
+            got = list(walk_siblings(eff, 2, lows, highs, B2, m))
+            assert _hexed(got) == _hexed(_siblings_by_replay(eff, 2, lows, highs, B2, m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_sequence_as_per_sibling_replay(self, data):
+        k = data.draw(st.integers(1, 12), label="k")
+        m = data.draw(st.sampled_from([8, 16, 32, 64]), label="m")
+        finite = dict(allow_nan=False, allow_infinity=False)
+        blo = data.draw(st.lists(st.floats(-1e3, 1e3, **finite), min_size=k, max_size=k))
+        ext = data.draw(st.lists(st.floats(1e-3, 1e3, **finite), min_size=k, max_size=k))
+        bounds = IndexSpaceBounds(np.array(blo), np.array(blo) + np.array(ext))
+        eff = data.draw(st.integers(0, (1 << m) - 1), label="eff")
+        prefix_len = data.draw(st.integers(0, m), label="prefix_len")
+        # each rectangle bound is either anywhere in the dimension or exactly
+        # on one of the planes the descent splits at; equal draws make the
+        # rectangle zero-width in that dimension
+        planes = _split_planes(eff, bounds, m)
+        lows, highs = [], []
+        for j in range(k):
+            coord = st.one_of(
+                st.sampled_from(planes[j]),
+                st.floats(float(bounds.lows[j]), float(bounds.highs[j]), **finite),
+            )
+            a = data.draw(coord)
+            b = a if data.draw(st.booleans()) else data.draw(coord)
+            lows.append(min(a, b))
+            highs.append(max(a, b))
+        lows, highs = np.array(lows), np.array(highs)
+        got = list(walk_siblings(eff, prefix_len, lows, highs, bounds, m))
+        want = _siblings_by_replay(eff, prefix_len, lows, highs, bounds, m)
+        assert _hexed(got) == _hexed(want)

@@ -4,18 +4,22 @@ rotation-equivariance, and the fixed-vs-literal surrogate ablation."""
 import numpy as np
 import pytest
 
+import repro.core.lph as lph
+from repro.check.invariants import PartitionChecker
 from repro.core.platform import IndexPlatform
+from repro.core.routing import QueryProtocol
 from repro.dht.ring import ChordRing
 from repro.eval.ground_truth import exact_range, exact_top_k
 from repro.eval.metrics import merge_top_k
 from repro.metric.vector import EuclideanMetric
 from repro.sim.network import ConstantLatency
+from repro.util.bits import first_zero_bit, prefix_of, same_prefix, set_bit_at
 
 DIM = 5
 METRIC = EuclideanMetric(box=(0, 100), dim=DIM)
 
 
-def _make_platform(n_nodes=24, n_obj=600, seed=0, m=24, rotation=False, selection="kmeans"):
+def _make_platform(n_nodes=24, n_obj=600, seed=0, m=24, rotation=False, selection="kmeans", k=3):
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0, 100, size=(4, DIM))
     data = np.clip(
@@ -25,7 +29,7 @@ def _make_platform(n_nodes=24, n_obj=600, seed=0, m=24, rotation=False, selectio
     ring = ChordRing.build(n_nodes, m=m, seed=seed, latency=latency, pns=False)
     platform = IndexPlatform(ring)
     platform.create_index(
-        "idx", data, METRIC, k=3, selection=selection, sample_size=300,
+        "idx", data, METRIC, k=k, selection=selection, sample_size=300,
         rotation=rotation, seed=seed,
     )
     return platform, data
@@ -177,6 +181,87 @@ class TestSurrogateModes:
         platform, _ = _make_platform()
         with pytest.raises(ValueError):
             platform.protocol("idx", surrogate_mode="bogus")
+
+
+class _RecordingChecker(PartitionChecker):
+    """A collecting PartitionChecker that also keeps what on_refine was given."""
+
+    def __init__(self, index):
+        super().__init__(index, strict=False)
+        self.refines = []
+
+    def on_refine(self, q, eff, local_lo, local_hi, siblings):
+        self.refines.append((q.prefix_key, q.prefix_len, eff, local_lo, local_hi, list(siblings)))
+        super().on_refine(q, eff, local_lo, local_hi, siblings)
+
+
+class TestRefineWorkBound:
+    """SurrogateRefine ("fixed") on the paper's identifier size: one descent
+    per refine, and the partition checker is told what it always was."""
+
+    QUERIES = (0, 17, 300, 411)
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return _make_platform(n_nodes=64, m=64, k=10, selection="greedy", seed=2)
+
+    def _run(self, platform, data, **kwargs):
+        proto, stats = platform.protocol("idx", top_k=10**6, **kwargs)
+        index = platform.indexes["idx"]
+        platform.sim.reset()
+        for qid, qi in enumerate(self.QUERIES):
+            proto.issue(index.make_query(data[qi], 60.0, qid=qid), platform.ring.nodes()[qid])
+        platform.sim.run()
+        return stats
+
+    def test_at_most_one_cuboid_replay_per_refine(self, wide, monkeypatch):
+        """A regression to one prefix_to_cuboid replay per sibling (O(m^2)
+        halvings per refine) fails here without a timer."""
+        platform, data = wide
+        replays, per_refine = [], []
+        real_replay, real_refine = lph.prefix_to_cuboid, QueryProtocol._surrogate_refine_fixed
+
+        def counting_replay(*args):
+            replays.append(args[1])
+            return real_replay(*args)
+
+        def counting_refine(self, node, q, hops):
+            before = len(replays)
+            real_refine(self, node, q, hops)
+            per_refine.append(len(replays) - before)
+
+        monkeypatch.setattr(lph, "prefix_to_cuboid", counting_replay)
+        monkeypatch.setattr(QueryProtocol, "_surrogate_refine_fixed", counting_refine)
+        stats = self._run(platform, data)
+        assert len(per_refine) > 20
+        assert max(per_refine) == 1  # the patch is seen, and seen once
+        for qid, qi in enumerate(self.QUERIES):
+            got = sorted(e.object_id for e in stats.for_query(qid).entries)
+            assert got == sorted(exact_range(data, METRIC, data[qi], 60.0).tolist())
+
+    def test_checker_sees_every_zero_bit_sibling(self, wide):
+        platform, data = wide
+        index = platform.indexes["idx"]
+        m = index.m
+        checker = _RecordingChecker(index)
+        self._run(platform, data, checker=checker)
+        assert checker.violations == []
+        assert checker.checks["refine"] == len(checker.refines) > 20
+        forwarding = 0
+        for prefix_key, prefix_len, eff, local_lo, local_hi, siblings in checker.refines:
+            key_hi = prefix_key + (1 << (m - prefix_len)) - 1
+            assert local_lo == prefix_key
+            if not same_prefix(prefix_key, eff, prefix_len, m):
+                assert (local_hi, siblings) == (key_hi, [])
+                continue
+            want = []
+            j = first_zero_bit(eff, prefix_len + 1, m)
+            while j is not None:
+                want.append((set_bit_at(prefix_of(eff, j - 1, m), j, m), j))
+                j = first_zero_bit(eff, j + 1, m)
+            assert (local_hi, siblings) == (eff, want)
+            forwarding += bool(want)
+        assert forwarding > 0
 
 
 class TestSmallRings:
