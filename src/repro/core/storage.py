@@ -6,24 +6,37 @@ whose (rotated) keys fall in its ownership interval.  An entry is
 output) because query prefixes live in unrotated space — rotation is applied
 only when deciding ownership/routing.
 
-Shards hold columnar NumPy arrays **sorted by key**: the claimed-key-range
-filter of query resolution then reduces to two ``searchsorted`` calls and the
-rectangle mask runs only over the candidate slice — profiling the query loop
-showed the full-shard mask dominating local solve time on hot shards (see
-``bench_perf_microbench.py``).
+Shards hold their entries **sorted by key**, one NumPy array per field, and
+"columnar" goes one level further for the k-dimensional index points: they
+are stored **column-major**, a ``(k, capacity)`` block with one contiguous
+column per landmark dimension.  ``points`` stays the logical ``(n, k)`` view,
+which is also the shape the WAL, the snapshot and ``digest()`` use, so
+consumers and the disk format do not see the layout.  A subquery is then
+answered by
 
-Two storage shapes share that invariant:
+1. two ``searchsorted`` calls that cut the claimed key range to one
+   contiguous window (the sorted-key invariant), and
+2. a *progressive* rectangle filter (:func:`_rect_positions`): dimension 0 is
+   tested over the window and every further dimension only on the rows that
+   survived — the pivot-by-pivot discard of metric pivot tables.  Without
+   §3.4 balancing one node can hold most of the data set (65k of the 100k
+   Table-1 entries on 64 nodes), and testing all k coordinates of every row
+   in its window was the top line of the query ledger; with one row in six
+   passing a dimension the filter reads about 1.2 contiguous columns in
+   place of ten strided ones.
+
+Two storage shapes share that layout, invariant and kernel:
 
 * :class:`Shard` — one node's slice, grown with **amortised doubling** and
   sorted **lazily** on first read after a batch of appends.  A stable sort
-  of the appended batches in append order produces exactly the array the
-  old sort-on-every-``add`` produced (stable sorts compose), so the change
-  is value-identical while index distribution drops from O(n log n) *per
-  replica batch* to one deferred sort per shard.
+  of the appended batches in append order produces exactly the array a
+  sort on every ``add`` would (stable sorts compose), so index distribution
+  costs one deferred sort per shard, not O(n log n) *per replica batch*.
 * :class:`ShardStore` — the scale path: **all** nodes' entries of one index
-  in a single CSR-like columnar block (one global sort by ``(owner, key)``
-  plus an offsets array), so a 100k-node index costs three arrays instead
-  of 100k Python shard objects.  Used by :mod:`repro.core.scale`.
+  in a single CSR-like block (one global sort by ``(owner, key)`` plus an
+  offsets array; points column-major here too), so a 100k-node index costs
+  three arrays instead of 100k Python shard objects.  Used by
+  :mod:`repro.core.scale`.
 
 The live-deployment path (:mod:`repro.net`) adds durability on top:
 
@@ -51,23 +64,124 @@ from repro.util.arrays import decode_array, encode_array
 
 __all__ = ["Shard", "ShardStore", "WriteAheadLog", "PersistentShard"]
 
+#: Below this many candidate rows the filter tests all remaining dimensions
+#: in one block instead of one pass each.  A pass costs ~2 us of NumPy call
+#: overhead whatever it reads; a block test ~5 us plus ~15 ns per row.  Timed
+#: on windows of 10-d columns, the two cross at 130-200 rows when one row in
+#: six to twenty passes a dimension and near 2000 when half do, so under 128
+#: rows the block test is never the slower one.  The usual window of a
+#: many-node query holds a handful of rows; this keeps it at ~5 us, not ~15.
+_BLOCK_ROWS = 128
+
+
+def _coerce_batch(
+    k: int, keys: Any, points: Any, object_ids: Any
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One batch of entries as ``(m,)`` keys, ``(m, k)`` points, ``(m,)`` ids.
+
+    NumPy would broadcast a single point row or id across the batch on
+    assignment; a count mismatch is a caller bug and raises instead.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    points = np.asarray(points, dtype=np.float64)
+    object_ids = np.asarray(object_ids, dtype=np.int64)
+    m = keys.size
+    if keys.ndim != 1 or points.size != m * k or object_ids.size != m:
+        raise ValueError(
+            f"entry batch of keys {keys.shape} needs points ({m}, {k}) and "
+            f"object ids ({m},), got points {points.shape} and ids {object_ids.shape}"
+        )
+    return keys, points.reshape(m, k), object_ids.reshape(m)
+
+
+def _range_positions(
+    keys: np.ndarray,
+    cols: np.ndarray,
+    lows: Any,
+    highs: Any,
+    key_lo: int | None,
+    key_hi: int | None,
+) -> np.ndarray:
+    """Ascending positions of the rows of one sorted shard — ``keys`` of
+    shape ``(n,)``, points as ``cols`` of shape ``(k, n)`` — inside the
+    closed rectangle and, if given, the closed key range."""
+    k = len(cols)
+    lows = np.asarray(lows, dtype=np.float64)
+    highs = np.asarray(highs, dtype=np.float64)
+    if lows.shape != (k,) or highs.shape != (k,):
+        raise ValueError(
+            f"rectangle bounds must have shape ({k},), got lows {lows.shape} "
+            f"and highs {highs.shape}"
+        )
+    start, stop = 0, len(keys)
+    if key_lo is not None:
+        start = int(np.searchsorted(keys, np.uint64(key_lo), side="left"))
+    if key_hi is not None:
+        stop = int(np.searchsorted(keys, np.uint64(key_hi), side="right"))
+    if start >= stop:
+        return np.empty(0, dtype=np.int64)
+    return _rect_positions(cols, start, stop, lows, highs)
+
+
+def _rect_positions(
+    cols: np.ndarray, start: int, stop: int, lows: np.ndarray, highs: np.ndarray
+) -> np.ndarray:
+    """Progressive rectangle filter over the non-empty window ``[start, stop)``.
+
+    Dimension 0 is tested over the window, each further dimension only on
+    the positions that survived, until none do — or until fewer than
+    ``_BLOCK_ROWS`` do, which are finished in one block test.  Work is one
+    contiguous pass over the window plus a gather of the survivors per
+    further dimension; temporaries are two bytes per candidate for the masks
+    and eight per survivor.
+    """
+    k = len(cols)
+    pos: np.ndarray | None = None  # None: the whole window, not yet materialised
+    size = stop - start
+    d = 0
+    while d < k and size >= _BLOCK_ROWS:
+        col = cols[d, start:stop] if pos is None else cols[d].take(pos)
+        keep = col >= lows[d]
+        keep &= col <= highs[d]
+        pos = _narrow(pos, keep, start)
+        size = pos.size
+        d += 1
+    if d < k and size:
+        # fancy indexing, not take(): take() would first copy a strided block whole
+        block = cols[d:, start:stop] if pos is None else cols[d:, pos]
+        keep = ((block >= lows[d:, None]) & (block <= highs[d:, None])).all(axis=0)
+        pos = _narrow(pos, keep, start)
+    if pos is None:  # k == 0: nothing to test
+        return np.arange(start, stop)
+    return pos
+
+
+def _narrow(pos: np.ndarray | None, keep: np.ndarray, start: int) -> np.ndarray:
+    """The candidates (``pos``, or the window from ``start``) that ``keep`` marks."""
+    if pos is not None:
+        return pos[keep]
+    pos = np.flatnonzero(keep)
+    pos += start
+    return pos
+
 
 class Shard:
-    """Columnar store of the index entries held by one node for one index.
+    """Column-major store of the index entries held by one node for one index.
 
     Invariant: ``keys`` is non-decreasing; ``points``/``object_ids`` are
-    aligned with it.  The columns are exposed as read-only views of the
-    live prefix of preallocated capacity buffers; ``add`` appends in
-    amortised O(batch) and the key order is re-established lazily on the
-    next read.
+    aligned with it.  The fields are exposed as read-only views of the live
+    prefix of preallocated capacity buffers; ``points`` is the ``(n, k)``
+    transpose view of the ``(k, capacity)`` block, so ``points[pos]`` gathers
+    rows as from a row-major array.  ``add`` appends in amortised O(batch)
+    and the key order is re-established lazily on the next read.
     """
 
-    __slots__ = ("_k", "_keys", "_points", "_ids", "_n", "_dirty")
+    __slots__ = ("_k", "_keys", "_cols", "_ids", "_n", "_dirty")
 
     def __init__(self, k: int) -> None:
         self._k = int(k)
         self._keys = np.empty(0, dtype=np.uint64)
-        self._points = np.empty((0, self._k), dtype=np.float64)
+        self._cols = np.empty((self._k, 0), dtype=np.float64)
         self._ids = np.empty(0, dtype=np.int64)
         self._n = 0
         self._dirty = False
@@ -88,7 +202,7 @@ class Shard:
     @property
     def points(self) -> np.ndarray:
         self._ensure_sorted()
-        return self._points[: self._n]
+        return self._cols[:, : self._n].T
 
     @property
     def object_ids(self) -> np.ndarray:
@@ -102,13 +216,13 @@ class Shard:
             return
         new_cap = max(need, 2 * cap, 8)
         keys = np.empty(new_cap, dtype=np.uint64)
-        points = np.empty((new_cap, self._k), dtype=np.float64)
+        cols = np.empty((self._k, new_cap), dtype=np.float64)
         ids = np.empty(new_cap, dtype=np.int64)
         n = self._n
         keys[:n] = self._keys[:n]
-        points[:n] = self._points[:n]
+        cols[:, :n] = self._cols[:, :n]
         ids[:n] = self._ids[:n]
-        self._keys, self._points, self._ids = keys, points, ids
+        self._keys, self._cols, self._ids = keys, cols, ids
 
     def _ensure_sorted(self) -> None:
         if not self._dirty:
@@ -116,21 +230,25 @@ class Shard:
         n = self._n
         order = np.argsort(self._keys[:n], kind="stable")
         self._keys[:n] = self._keys[:n][order]
-        self._points[:n] = self._points[:n][order]
+        for col in self._cols:
+            col[:n] = col[:n][order]
         self._ids[:n] = self._ids[:n][order]
         self._dirty = False
 
     def add(self, keys: np.ndarray, points: np.ndarray, object_ids: np.ndarray) -> None:
-        """Append a batch of entries; key order is restored on next read."""
-        keys = np.asarray(keys, dtype=np.uint64)
+        """Append a batch of entries; key order is restored on next read.
+
+        Raises ``ValueError`` unless there is one point row and one id per key.
+        """
+        keys, points, object_ids = _coerce_batch(self._k, keys, points, object_ids)
         m = len(keys)
         if m == 0:
             return
         self._grow(m)
         n = self._n
         self._keys[n : n + m] = keys
-        self._points[n : n + m] = np.asarray(points, dtype=np.float64)
-        self._ids[n : n + m] = np.asarray(object_ids, dtype=np.int64)
+        self._cols[:, n : n + m] = points.T
+        self._ids[n : n + m] = object_ids
         self._n = n + m
         self._dirty = True
 
@@ -147,31 +265,23 @@ class Shard:
     ) -> np.ndarray:
         """Positions of entries inside the rectangle (and key range, if given).
 
-        The key-range filter restricts to the subquery's *claimed* cuboid key
-        interval, which both prevents double counting when one node is
-        surrogate for several sibling subqueries of the same query, and —
-        thanks to the sorted-key invariant — narrows the rectangle test to a
-        contiguous slice.
+        Bounds are closed on both sides and positions ascend.  The key-range
+        filter restricts to the subquery's *claimed* cuboid key interval,
+        which both prevents double counting when one node is surrogate for
+        several sibling subqueries of the same query, and — thanks to the
+        sorted-key invariant — narrows the rectangle test to a contiguous
+        window.  Raises ``ValueError`` unless ``lows``/``highs`` have shape
+        ``(k,)``.
         """
-        n = self._n
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
         self._ensure_sorted()
-        keys = self._keys[:n]
-        start, stop = 0, n
-        if key_lo is not None:
-            start = int(np.searchsorted(keys, np.uint64(key_lo), side="left"))
-        if key_hi is not None:
-            stop = int(np.searchsorted(keys, np.uint64(key_hi), side="right"))
-        if start >= stop:
-            return np.empty(0, dtype=np.int64)
-        pts = self._points[start:stop]
-        mask = np.all((pts >= lows) & (pts <= highs), axis=1)
-        return np.flatnonzero(mask) + start
+        n = self._n
+        return _range_positions(
+            self._keys[:n], self._cols[:, :n], lows, highs, key_lo, key_hi
+        )
 
 
 class ShardStore:
-    """All nodes' entries of one index in a single columnar block.
+    """All nodes' entries of one index in a single column-major block.
 
     Entries are held sorted by ``(owner_slot, key)``; ``offsets[s] :
     offsets[s+1]`` delimits node slot ``s``'s shard, within which keys are
@@ -179,9 +289,13 @@ class ShardStore:
     without a per-node Python object.  This is the storage half of the
     scale refactor: at 100k nodes the per-node dict-of-``Shard`` layout costs
     hundreds of MB of object headers before a single entry is stored.
+
+    Points are kept as one ``(k, n)`` block, a contiguous column per
+    landmark dimension, like :class:`Shard`; ``points`` and the second
+    array of :meth:`slice` are its ``(n, k)`` transpose views.
     """
 
-    __slots__ = ("n_slots", "keys", "points", "object_ids", "offsets")
+    __slots__ = ("n_slots", "keys", "_cols", "object_ids", "offsets")
 
     def __init__(
         self,
@@ -193,7 +307,8 @@ class ShardStore:
     ) -> None:
         self.n_slots = int(n_slots)
         self.keys = keys
-        self.points = points
+        # no copy when ``points`` already is the transpose of a (k, n) block
+        self._cols = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
         self.object_ids = object_ids
         self.offsets = offsets
 
@@ -218,16 +333,24 @@ class ShardStore:
         counts = np.bincount(owner_slots, minlength=n_slots)
         offsets = np.zeros(n_slots + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
+        points = np.asarray(points, dtype=np.float64)
+        cols = np.empty(points.shape[::-1], dtype=np.float64)
+        for d, col in enumerate(cols):  # a column at a time: no second (n, k) copy
+            col[:] = points[:, d][order]
         return cls(
             n_slots,
             keys[order],
-            np.asarray(points, dtype=np.float64)[order],
+            cols.T,
             np.asarray(object_ids, dtype=np.int64)[order],
             offsets,
         )
 
     def __len__(self) -> int:
         return len(self.keys)
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._cols.T
 
     def loads(self) -> np.ndarray:
         """Stored-entry count per node slot (the paper's load measure)."""
@@ -236,7 +359,7 @@ class ShardStore:
     def slice(self, slot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(keys, points, object_ids)`` views of one node's shard."""
         lo, hi = int(self.offsets[slot]), int(self.offsets[slot + 1])
-        return self.keys[lo:hi], self.points[lo:hi], self.object_ids[lo:hi]
+        return self.keys[lo:hi], self._cols[:, lo:hi].T, self.object_ids[lo:hi]
 
     def range_search(
         self,
@@ -251,20 +374,10 @@ class ShardStore:
         Same semantics as :meth:`Shard.range_search`, evaluated against one
         slot's slice of the block.
         """
-        keys, pts, _ = self.slice(slot)
-        n = len(keys)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        start, stop = 0, n
-        if key_lo is not None:
-            start = int(np.searchsorted(keys, np.uint64(key_lo), side="left"))
-        if key_hi is not None:
-            stop = int(np.searchsorted(keys, np.uint64(key_hi), side="right"))
-        if start >= stop:
-            return np.empty(0, dtype=np.int64)
-        window = pts[start:stop]
-        mask = np.all((window >= lows) & (window <= highs), axis=1)
-        return np.flatnonzero(mask) + start
+        lo, hi = int(self.offsets[slot]), int(self.offsets[slot + 1])
+        return _range_positions(
+            self.keys[lo:hi], self._cols[:, lo:hi], lows, highs, key_lo, key_hi
+        )
 
 
 class WriteAheadLog:
@@ -398,6 +511,8 @@ class PersistentShard:
         self._snapshot_seq = 0
         self._wal_records = 0
         self.meta: dict[str, Any] = {}
+        #: the state ``meta.json`` holds, as last written or recovered
+        self._meta_on_disk: str | None = None
         self._recover()
 
     # -- recovery ---------------------------------------------------------------
@@ -432,6 +547,7 @@ class PersistentShard:
         if meta_path.exists():
             with open(meta_path, encoding="utf-8") as fh:
                 self.meta = json.load(fh)
+            self._meta_on_disk = json.dumps(self.meta, sort_keys=True)
 
     # -- mutation ---------------------------------------------------------------
 
@@ -440,11 +556,10 @@ class PersistentShard:
 
         Returns the record's sequence number (0 for an empty batch).
         """
-        keys = np.asarray(keys, dtype=np.uint64)
+        # checked before the WAL sees it: a logged batch must replay
+        keys, points, object_ids = _coerce_batch(self.k, keys, points, object_ids)
         if len(keys) == 0:
             return 0
-        points = np.asarray(points, dtype=np.float64).reshape(len(keys), self.k)
-        object_ids = np.asarray(object_ids, dtype=np.int64)
         self._seq += 1
         self.wal.append({
             "seq": self._seq,
@@ -457,9 +572,18 @@ class PersistentShard:
         return self._seq
 
     def set_meta(self, **fields: Any) -> None:
-        """Merge and persist overlay state (successors, predecessor, ...)."""
+        """Merge and persist overlay state (successors, predecessor, ...).
+
+        Writes (and fsyncs) only when the merged state differs from what
+        ``meta.json`` already holds: a converged node calls this every
+        stabilise round with nothing new to say.
+        """
         self.meta.update(fields)
-        _atomic_write_json(self.dir / self.META, self.meta)
+        # compared as text: the caller's lists and dicts may change under us
+        text = json.dumps(self.meta, sort_keys=True)
+        if text != self._meta_on_disk:
+            _atomic_write_json(self.dir / self.META, self.meta)
+            self._meta_on_disk = text
 
     def snapshot(self) -> int:
         """Fold the WAL into a compacted snapshot; returns entries covered."""

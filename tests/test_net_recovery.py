@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.check.invariants import InvariantViolation, check_live_cluster
+from repro.core import storage
 from repro.core.index_space import IndexSpaceBounds
 from repro.core.lph import lp_hash_batch
 from repro.net.cluster import (
@@ -31,6 +32,7 @@ from repro.net.cluster import (
     run_cluster_demo,
     spawn_node_process,
 )
+from repro.net.node import NodeProcess
 from repro.net.transport import RpcError
 from tests.net_helpers import ephemeral_port
 
@@ -169,6 +171,56 @@ async def _local_cluster_scenario(tmp_path):
     finally:
         await client.close()
         await cluster.close()
+
+
+# -- an idle ring leaves its files alone -----------------------------------------
+
+
+@pytest.mark.timeout(60)
+def test_idle_stabilise_rounds_do_not_rewrite_meta_json(tmp_path, monkeypatch):
+    """Every stabilise round ends in ``set_meta``; on a converged ring the
+    overlay state it carries is the state on disk, so nothing is written
+    (each write is an fsync on the event loop's thread)."""
+    written: list[str] = []
+    rounds = [0]
+    write_json = storage._atomic_write_json
+    stabilize_once = NodeProcess._stabilize_once
+
+    def counting_write(path, payload):
+        written.append(path.name)
+        write_json(path, payload)
+
+    async def counting_round(self):
+        rounds[0] += 1
+        await stabilize_once(self)
+
+    monkeypatch.setattr(storage, "_atomic_write_json", counting_write)
+    monkeypatch.setattr(NodeProcess, "_stabilize_once", counting_round)
+
+    async def scenario():
+        cluster = LocalCluster(4, data_root=tmp_path, m=M, k=K, stabilize_interval=0.02)
+        client = ClusterClient()
+        try:
+            addrs = await cluster.start()
+            await client.start()
+            assert await client.wait_converged(addrs)
+            # successor lists keep filling for a few rounds after the ring closes
+            for _ in range(50):
+                seen = len(written)
+                await asyncio.sleep(0.1)
+                if len(written) == seen:
+                    break
+            assert written.count("meta.json") >= len(addrs)  # joining did persist
+            del written[:]
+            first = rounds[0]
+            while rounds[0] < first + 10 * len(addrs):
+                await asyncio.sleep(0.05)
+            assert written == []
+        finally:
+            await client.close()
+            await cluster.close()
+
+    asyncio.run(scenario())
 
 
 # -- OS-process SIGKILL (the real crash) ----------------------------------------

@@ -133,6 +133,41 @@ def test_meta_round_trip_and_merge(tmp_path):
     assert recovered.meta["predecessor"] is None
 
 
+def _meta_writes(tmp_path):
+    """Identity of ``meta.json`` on disk: every write renames a new file in."""
+    st = (tmp_path / "meta.json").stat()
+    return st.st_ino, st.st_mtime_ns
+
+
+def test_set_meta_with_unchanged_state_does_not_touch_the_file(tmp_path):
+    shard = PersistentShard(tmp_path, k=2)
+    state = {"successors": [{"id": 1, "addr": "127.0.0.1:9"}], "predecessor": None}
+    shard.set_meta(**state)
+    written = _meta_writes(tmp_path)
+    for _ in range(5):
+        shard.set_meta(**state)
+        shard.set_meta(predecessor=None)
+    assert _meta_writes(tmp_path) == written
+    shard.close()
+    recovered = PersistentShard(tmp_path, k=2)  # what was recovered counts as written
+    recovered.set_meta(**state)
+    assert _meta_writes(tmp_path) == written
+    recovered.set_meta(predecessor={"id": 2, "addr": "127.0.0.1:7"})
+    assert _meta_writes(tmp_path) != written
+    recovered.close()
+    assert PersistentShard(tmp_path, k=2).meta["predecessor"]["id"] == 2
+
+
+def test_set_meta_sees_a_change_made_inside_the_callers_objects(tmp_path):
+    shard = PersistentShard(tmp_path, k=2)
+    succ = [{"id": 1, "addr": "127.0.0.1:9"}]
+    shard.set_meta(successors=succ)
+    succ[0]["id"] = 5  # the dict the shard holds changed with it
+    shard.set_meta(successors=succ)
+    shard.close()
+    assert PersistentShard(tmp_path, k=2).meta["successors"][0]["id"] == 5
+
+
 def test_k_mismatch_rejected(tmp_path):
     shard = PersistentShard(tmp_path, k=2)
     shard.add(np.array([1], dtype=np.uint64), np.zeros((1, 2)), np.array([7]))
