@@ -14,8 +14,9 @@ Run:  python examples/timeseries_search.py
 import numpy as np
 
 from repro import ChordRing, IndexPlatform, ManhattanMetric
-from repro.core.trace import TracingProtocol
+from repro.core.routing import QueryProtocol
 from repro.datasets.timeseries import TimeSeriesFamilyConfig, generate_timeseries
+from repro.obs import Observability
 from repro.sim.king import king_latency_model
 from repro.sim.stats import StatsCollector
 
@@ -47,20 +48,26 @@ def main() -> None:
 
     # -- trace one query through the embedded tree -----------------------------
     stats = StatsCollector()
-    proto = TracingProtocol(
-        platform.sim, platform.indexes["series"], stats, latency=platform.latency
+    obs = Observability(tracing=True).bind(platform.sim)
+    proto = QueryProtocol(
+        platform.sim, platform.indexes["series"], stats,
+        latency=platform.latency, obs=obs,
     )
     platform.sim.reset()
     q = platform.indexes["series"].make_query(series[0], 0.03 * metric.upper_bound, qid=0)
     proto.issue(q, ring.nodes()[0])
     platform.sim.run()
-    trace = proto.traces[0]
-    print(
-        f"\ntraced query: {len(trace.routes())} routing steps, "
-        f"{len(trace.refines())} refinements, {len(trace.solves())} local solves "
-        f"on {len(trace.nodes_visited())} nodes"
+    obs.close()  # flushes the query's root span
+    routes, refines, solves = (
+        obs.span_memory.by_kind(kind) for kind in ("route", "refine", "solve")
     )
-    print(trace.render(m=28, limit=15))
+    visited = {s.node for s in routes + refines + solves}
+    print(
+        f"\ntraced query: {len(routes)} routing steps, "
+        f"{len(refines)} refinements, {len(solves)} local solves "
+        f"on {len(visited)} nodes"
+    )
+    print(obs.span_tree(0).render(max_spans=15))
 
 
 if __name__ == "__main__":

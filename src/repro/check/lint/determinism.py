@@ -58,11 +58,11 @@ _NUMPY_RANDOM_OK = {
     "numpy.random.Philox",
 }
 
-#: modules exempt from DET101 — benchmarking *measures* wall-clock by
-#: definition; nothing in repro.bench runs inside a simulation, and the
-#: live network backend (repro.net) runs on real sockets where the host's
-#: monotonic clock IS the transport clock.
-_WALLCLOCK_ALLOWED = ("repro.bench", "repro.net")
+#: modules exempt from DET101 — the scale-smoke check enforces wall-clock
+#: budgets around a simulation, never inside one, and the live network
+#: backend (repro.net) runs on real sockets where the host's monotonic
+#: clock IS the transport clock.
+_WALLCLOCK_ALLOWED = ("repro.check.scale_smoke", "repro.net")
 
 #: modules exempt from DET103 (the sanctioned hashing home)
 _HASH_ALLOWED = ("repro.dht.hashing",)

@@ -139,34 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tc.add_argument("--format", choices=("text", "json"), default="text")
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the performance suites, writing BENCH_perf.json / "
-             "BENCH_e2e.json (see docs/performance.md)",
-    )
-    bench.add_argument("--suite", choices=("perf", "e2e", "scale", "all"), default="all")
-    bench.add_argument("--quick", action="store_true",
-                       help="small sizes / few repeats (the CI smoke mode)")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="timing repeats per section (default: 3 quick, 5 full)")
-    bench.add_argument("--write", metavar="DIR", default=None,
-                       help="directory to write BENCH_<suite>.json into "
-                            "(default: current directory)")
-    bench.add_argument("--check-against", metavar="DIR", default=None,
-                       help="compare speedups against the BENCH_*.json baselines "
-                            "in DIR; exit 1 on regression")
-    bench.add_argument("--threshold", type=float, default=0.2,
-                       help="allowed fractional speedup regression for "
-                            "--check-against (default: 0.2 = 20%%)")
-    bench.add_argument("--convert", metavar="DIR", default=None,
-                       help="convert legacy benchmarks/results/*.txt tables in "
-                            "DIR to BenchResult JSON and exit")
-
     smoke = sub.add_parser(
         "scale-smoke",
         help="build a 10k-node compact ring, route 10k queries with invariant "
              "checks and health sampling, and fail over the wall-clock budget "
-             "(the CI scale-smoke job)",
+             "(the CI observability-at-scale job)",
     )
     smoke.add_argument("--nodes", type=int, default=10_000)
     smoke.add_argument("--queries", type=int, default=10_000)
@@ -584,68 +561,6 @@ def _run_typecheck(args) -> int:
     return proc.returncode
 
 
-def _run_bench(args) -> int:
-    import os
-
-    from repro.bench import (
-        BenchResult,
-        check_regression,
-        convert_results_dir,
-        run_e2e,
-        run_perf,
-        run_scale,
-    )
-
-    if args.convert:
-        written = convert_results_dir(args.convert, overwrite=True)
-        for path in written:
-            print(f"[converted {path}]")
-        if not written:
-            print(f"no .txt tables found in {args.convert}")
-        return 0
-
-    out_dir = args.write or "."
-    os.makedirs(out_dir, exist_ok=True)
-    suites = ("perf", "e2e", "scale") if args.suite == "all" else (args.suite,)
-    results: dict[str, BenchResult] = {}
-    for suite in suites:
-        print(f"[bench: running {suite} suite{' (quick)' if args.quick else ''}]")
-        if suite == "perf":
-            results[suite] = run_perf(quick=args.quick, repeats=args.repeats)
-        elif suite == "scale":
-            results[suite] = run_scale(quick=args.quick, repeats=args.repeats)
-        else:
-            results[suite] = run_e2e(quick=args.quick)
-        result = results[suite]
-        for sec in result.sections:
-            if sec.kind != "timing" or sec.speedup is None:
-                continue
-            print(f"  {sec.name}: {sec.baseline_s:.4f}s -> {sec.candidate_s:.4f}s "
-                  f"({sec.speedup:.2f}x, {sec.repeats} repeats)")
-        for key, val in result.summary.items():
-            print(f"  {key}: {val}")
-        path = os.path.join(out_dir, f"BENCH_{suite}.json")
-        result.write(path)
-        print(f"  [written to {path}]")
-
-    if args.check_against:
-        problems: list[str] = []
-        for suite, current in results.items():
-            base_path = os.path.join(args.check_against, f"BENCH_{suite}.json")
-            if not os.path.exists(base_path):
-                print(f"[no baseline {base_path}; skipping gate for {suite}]")
-                continue
-            baseline = BenchResult.load(base_path)
-            problems.extend(check_regression(current, baseline, args.threshold))
-        if problems:
-            print()
-            for p in problems:
-                print(f"REGRESSION: {p}")
-            return 1
-        print(f"[regression gate OK at {args.threshold:.0%} threshold]")
-    return 0
-
-
 def _run_top(args) -> int:
     import time
 
@@ -912,10 +827,8 @@ def main(argv: list[str] | None = None) -> int:
         return _run_replay(args)
     elif args.command == "fuzz":
         return _run_fuzz(args)
-    elif args.command == "bench":
-        return _run_bench(args)
     elif args.command == "scale-smoke":
-        from repro.bench import run_scale_smoke
+        from repro.check.scale_smoke import run_scale_smoke
 
         return run_scale_smoke(
             n_nodes=args.nodes,

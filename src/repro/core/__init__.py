@@ -51,7 +51,6 @@ from repro.core.query import QidAllocator, RangeQuery, Rect, query_split
 from repro.core.routing import QueryProtocol
 from repro.core.scale import ScaleConfig, ScaleReport, ScaleSimulation
 from repro.core.storage import Shard, ShardStore
-from repro.core.trace import QueryTrace, TraceEvent, TracingProtocol
 from repro.core.updates import UpdateProtocol, UpdateStats, entry_message_size
 
 __all__ = [
@@ -97,7 +96,4 @@ __all__ = [
     "UpdateProtocol",
     "UpdateStats",
     "entry_message_size",
-    "TracingProtocol",
-    "QueryTrace",
-    "TraceEvent",
 ]

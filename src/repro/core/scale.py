@@ -23,7 +23,7 @@ trace alongside the Fig. 4/6-analogue outputs: the per-node load vector
 (stored entries + forwarding visits, Gini/hotspot summarised) and the
 query hop/latency distributions, all recorded into the metrics registry.
 
-Wall-clock timing deliberately lives elsewhere (:mod:`repro.bench.scale`):
+Wall-clock timing deliberately lives elsewhere (:mod:`repro.check.scale_smoke`):
 this module is deterministic simulation state only.
 """
 

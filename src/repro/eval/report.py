@@ -12,7 +12,6 @@ __all__ = [
     "format_sweep",
     "format_load_distribution",
     "format_dict",
-    "read_result_file",
     "SWEEP_METRICS",
 ]
 
@@ -103,43 +102,3 @@ def format_dict(d: dict, title: str = "") -> str:
     for k, v in d.items():
         lines.append(f"  {k.ljust(width)} : {_fmt(v)}")
     return "\n".join(lines)
-
-
-def read_result_file(path: str) -> str:
-    """Render a saved benchmark result, whichever format it is in.
-
-    ``.txt`` files (the legacy fixed-width tables) pass through verbatim;
-    ``.json`` files in the ``repro-bench/1`` schema are re-rendered with
-    :func:`format_table`/:func:`format_dict`.  The JSON is parsed as a
-    plain dict on purpose: eval sits below bench in the layer order, so
-    this reader must not import :mod:`repro.bench`.
-    """
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if not path.endswith(".json"):
-        return text.rstrip("\n")
-    doc = json.loads(text)
-    if doc.get("schema") != "repro-bench/1":
-        raise ValueError(f"{path}: not a repro-bench/1 file")
-    blocks = [f"[suite {doc['suite']}]" + (" (quick)" if doc.get("quick") else "")]
-    for sec in doc.get("sections", ()):
-        if sec.get("kind") == "table":
-            blocks.append(format_table(
-                sec.get("headers", []), sec.get("rows", []),
-                title=sec.get("title") or f"[{sec['name']}]",
-            ))
-        else:
-            row = {
-                "baseline": f"{sec.get('baseline_s'):.4f}s  ({sec.get('baseline_label')})",
-                "candidate": f"{sec.get('candidate_s'):.4f}s  ({sec.get('candidate_label')})",
-                "speedup": f"{sec.get('speedup')}x over {sec.get('repeats')} repeats",
-            }
-            blocks.append(format_dict(row, title=f"[{sec['name']}]"))
-    if doc.get("summary"):
-        blocks.append(format_dict(
-            {k: v for k, v in doc["summary"].items() if not isinstance(v, dict)},
-            title="[summary]",
-        ))
-    return "\n\n".join(blocks)

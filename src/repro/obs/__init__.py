@@ -90,7 +90,6 @@ from .spans import (
     SpanSink,
     SpanTree,
     reconcile_with_stats,
-    spans_from_query_trace,
 )
 
 __all__ = [
@@ -101,7 +100,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS", "DEFAULT_HOP_BUCKETS",
     # spans
     "Span", "SpanSink", "MemorySpanSink", "JsonlSpanSink",
-    "SpanRecorder", "SpanTree", "spans_from_query_trace", "reconcile_with_stats",
+    "SpanRecorder", "SpanTree", "reconcile_with_stats",
     # health
     "HealthSample", "HealthSampler",
     # load

@@ -1,7 +1,7 @@
 """SLO declarations and burn-rate evaluation over recorded series.
 
-Speed regressions are gated by ``BENCH_*.json``; this module gates
-*behavior*.  An :class:`SLO` declares a target over one named series —
+Speed regressions are gated by the ledger (``BENCHMARK.json``); this module
+gates *behavior*.  An :class:`SLO` declares a target over one named series —
 per-chunk p99 routing latency, per-chunk hop p99, drop rate, final load
 Gini, health-sampler cadence, stabilization convergence time — and
 :func:`evaluate_slos` scores each against the series a run produced

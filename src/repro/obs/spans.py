@@ -1,10 +1,9 @@
 """Qid-correlated span tracing: one stream for a query's whole execution.
 
-Before this module the record of one query was scattered across three
-disjoint streams: the transport's :class:`~repro.sim.transport.MessageTrace`
-records (per-message, terminal state only), the lifecycle engine's branch
-counters, and :class:`~repro.core.trace.TraceEvent` routing-tree events
-(per-protocol, memory only).  A :class:`SpanRecorder` unifies them: every
+Without this module the record of one query is scattered: the transport's
+:class:`~repro.sim.transport.MessageTrace` records (per-message, terminal
+state only) and the lifecycle engine's branch counters say nothing about
+the routing tree between them.  A :class:`SpanRecorder` unifies them: every
 subsystem emits :class:`Span` records carrying the query id, a span id and a
 *parent* span id into one fan-out, so the full embedded-tree execution of a
 query — issue, message sends, retransmissions, drops, routing splits,
@@ -43,7 +42,6 @@ __all__ = [
     "JsonlSpanSink",
     "SpanRecorder",
     "SpanTree",
-    "spans_from_query_trace",
     "reconcile_with_stats",
 ]
 
@@ -430,39 +428,3 @@ def reconcile_with_stats(spans: list[Span], qstats: Any) -> list[str]:
             f"{retries} retry send spans vs retransmissions={qstats.retransmissions}"
         )
     return problems
-
-
-def spans_from_query_trace(
-    qtrace: Any, recorder: SpanRecorder | None = None
-) -> list[Span]:
-    """Convert a :class:`repro.core.trace.QueryTrace` into span records.
-
-    The legacy tracer keeps a flat event list without parent links; the
-    conversion parents every event to a synthetic per-query root so legacy
-    traces join the unified stream losslessly (ordering and payload
-    preserved in ``attrs``).  When ``recorder`` is given the spans are also
-    emitted through it.
-    """
-    spans: list[Span] = []
-    root = Span(sid=-1, qid=qtrace.qid, kind="query", start=0.0, status="legacy")
-    if qtrace.events:
-        root.start = qtrace.events[0].time
-        root.end = qtrace.events[-1].time
-    spans.append(root)
-    for i, e in enumerate(qtrace.events):
-        attrs = {
-            "prefix_key": e.prefix_key, "prefix_len": e.prefix_len,
-            "hops": e.hops, "node_name": e.node_name,
-        }
-        if e.kind == "solve":
-            attrs.update(key_lo=e.key_lo, key_hi=e.key_hi, results=e.results)
-        spans.append(
-            Span(
-                sid=-(i + 2), qid=qtrace.qid, kind=e.kind, parent=-1,
-                node=e.node_id, start=e.time, end=e.time, attrs=attrs,
-            )
-        )
-    if recorder is not None:
-        for s in spans:
-            recorder._emit(s)
-    return spans

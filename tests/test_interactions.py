@@ -6,11 +6,12 @@ import numpy as np
 from repro.core.knn import knn_search
 from repro.core.loadbalance import dynamic_load_migration
 from repro.core.platform import IndexPlatform
-from repro.core.trace import TracingProtocol
+from repro.core.routing import QueryProtocol
 from repro.core.updates import UpdateProtocol
 from repro.dht.ring import ChordRing
 from repro.eval.ground_truth import exact_range, exact_top_k
 from repro.metric.vector import EuclideanMetric
+from repro.obs import Observability
 from repro.sim.network import ConstantLatency
 from repro.sim.stats import StatsCollector
 
@@ -97,14 +98,18 @@ class TestTracePlusRotation:
     def test_trace_solve_ranges_disjoint_under_rotation(self):
         platform, data = _platform(rotation=True, seed=6)
         stats = StatsCollector()
-        proto = TracingProtocol(platform.sim, platform.indexes["idx"], stats,
-                                latency=platform.latency, top_k=10**6)
+        obs = Observability(tracing=True).bind(platform.sim)
+        proto = QueryProtocol(platform.sim, platform.indexes["idx"], stats,
+                              latency=platform.latency, top_k=10**6, obs=obs)
         platform.sim.reset()
         q = platform.indexes["idx"].make_query(data[0], 40.0, qid=0)
         proto.issue(q, platform.ring.nodes()[0])
         platform.sim.run()
-        trace = proto.traces[0]
-        ranges = sorted((e.key_lo, e.key_hi) for e in trace.solves())
+        ranges = sorted(
+            (s.attrs["key_lo"], s.attrs["key_hi"])
+            for s in obs.span_memory.by_kind("solve")
+        )
+        assert ranges
         for (a1, b1), (a2, b2) in zip(ranges, ranges[1:]):
             assert b1 < a2
         want = sorted(exact_range(data, METRIC, data[0], 40.0).tolist())

@@ -1,4 +1,4 @@
-"""Span recorder, sinks, tree reconstruction and the legacy-trace bridge."""
+"""Span recorder, sinks and tree reconstruction."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.obs.spans import (
     Span,
     SpanRecorder,
     SpanTree,
-    spans_from_query_trace,
 )
 from repro.sim.transport import MemoryTraceSink, MessageTrace
 
@@ -150,31 +149,6 @@ class TestSpanTree:
                 fh.write(json.dumps(r) + "\n")
         tree = SpanTree.from_jsonl(path, qid=2)
         assert len(tree) == 1
-
-
-class TestLegacyTraceBridge:
-    def test_query_trace_to_spans(self):
-        from repro.core.trace import QueryTrace, TraceEvent
-
-        qt = QueryTrace(qid=9)
-        qt.events.append(TraceEvent(
-            kind="route", node_id=1, node_name="n1", prefix_key=0,
-            prefix_len=0, hops=0, time=1.0))
-        qt.events.append(TraceEvent(
-            kind="solve", node_id=2, node_name="n2", prefix_key=4,
-            prefix_len=2, hops=1, time=2.0, key_lo=0, key_hi=8, results=5))
-        spans = qt.to_spans()
-        assert spans[0].kind == "query" and spans[0].qid == 9
-        assert all(s.parent == spans[0].sid for s in spans[1:])
-        solve = [s for s in spans if s.kind == "solve"][0]
-        assert solve.attrs["results"] == 5
-        # the converted records render with the same tooling
-        tree = SpanTree.from_records(spans, qid=9)
-        assert len(tree.roots()) == 1
-        # emitting through a recorder fans out to its sinks
-        sink = MemorySpanSink()
-        spans_from_query_trace(qt, recorder=SpanRecorder(sink))
-        assert len(sink) == 3
 
 
 class TestMemoryTraceSinkFilters:

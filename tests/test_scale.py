@@ -254,7 +254,7 @@ class TestScaleSimulation:
         assert reps[0].storage_load["gini"] == reps[1].storage_load["gini"]
 
     def test_smoke_entrypoint(self, capsys):
-        from repro.bench.scale import run_scale_smoke
+        from repro.check.scale_smoke import run_scale_smoke
 
         rc = run_scale_smoke(n_nodes=400, n_queries=400, budget_s=60.0)
         out = capsys.readouterr().out

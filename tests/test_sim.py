@@ -17,6 +17,37 @@ from repro.sim.network import ConstantLatency, EuclideanLatency, MatrixLatency
 from repro.sim.stats import QueryStats, StatsCollector
 
 
+def _storm_workload(sim, n_ops, fan_out=8):
+    """Retry-storm schedule: each operation arms ``fan_out`` cancelable
+    30-second deadline timers, then completes 1 ms later, cancelling them
+    all and starting the next operation — the lifecycle pattern that piles
+    up dead timers with due times ~30 simulated seconds away."""
+    completed = 0
+    timed_out = 0
+
+    def deadline():
+        nonlocal timed_out
+        timed_out += 1
+
+    def complete(handles):
+        nonlocal completed
+        completed += 1
+        for h in handles:
+            h.cancel()
+        if completed < n_ops:
+            start_op()
+
+    def start_op():
+        handles = [
+            sim.schedule_cancelable_in(30.0, deadline) for _ in range(fan_out)
+        ]
+        sim.schedule_in(0.001, complete, handles)
+
+    start_op()
+    sim.run()
+    assert (completed, timed_out) == (n_ops, 0)
+
+
 class TestEngine:
     def test_order(self):
         sim = Simulator()
@@ -120,6 +151,29 @@ class TestEngine:
 
         # the sanctioned periodic hook must not perturb replay fingerprints
         assert handrolled() == via_every()
+
+    def test_compaction_prunes_cancelled_timers(self):
+        """With digests off, the engine compacts cancelled deadline timers
+        out of the heap instead of dragging (nearly) all 8 * n_ops of them
+        to their due times."""
+        sim = Simulator()
+        n_ops, fan_out = 5_000, 8
+        _storm_workload(sim, n_ops, fan_out)
+        cancelled = n_ops * fan_out
+        assert sim.tombstones_skipped < cancelled * 0.05, (
+            f"compaction ineffective: {sim.tombstones_skipped}/{cancelled} "
+            "tombstones still popped"
+        )
+
+    def test_digest_mode_keeps_exact_tombstone_accounting(self):
+        """With digests on (replay), compaction must stay off: every
+        cancelled timer is popped, counted and folded into the digest."""
+        sim = Simulator()
+        sim.digest_enabled = True
+        n_ops, fan_out = 500, 8
+        _storm_workload(sim, n_ops, fan_out)
+        assert sim.tombstones_skipped == n_ops * fan_out
+        assert sim.events_processed == n_ops * (fan_out + 1)
 
 
 class TestLatencyModels:

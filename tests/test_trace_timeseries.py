@@ -1,12 +1,13 @@
-"""Tests for the time-series generator and the query tracer."""
+"""Tests for the time-series generator and the traced routing tree."""
 
 import numpy as np
 
 from repro.core.platform import IndexPlatform
-from repro.core.trace import TracingProtocol
+from repro.core.routing import QueryProtocol
 from repro.datasets.timeseries import TimeSeriesFamilyConfig, generate_timeseries
 from repro.dht.ring import ChordRing
 from repro.metric.vector import ManhattanMetric
+from repro.obs import Observability
 from repro.sim.stats import StatsCollector
 
 
@@ -42,8 +43,10 @@ class TestTimeSeries:
 
 
 class TestTracer:
+    """The embedded tree of one query (§3.3) as ``route`` / ``refine`` /
+    ``solve`` spans, in execution order."""
+
     def _traced_query(self, radius=20.0):
-        rng = np.random.default_rng(0)
         series, _ = generate_timeseries(
             TimeSeriesFamilyConfig(n_series=300, n_templates=4, length=16), 0
         )
@@ -52,46 +55,55 @@ class TestTracer:
         platform = IndexPlatform(ring)
         platform.create_index("s", series, metric, k=3, sample_size=150, seed=1)
         stats = StatsCollector()
-        proto = TracingProtocol(platform.sim, platform.indexes["s"], stats)
+        obs = Observability(tracing=True).bind(platform.sim)
+        proto = QueryProtocol(platform.sim, platform.indexes["s"], stats, obs=obs)
         q = platform.indexes["s"].make_query(series[0], radius, qid=0)
         proto.issue(q, ring.nodes()[0])
         platform.sim.run()
-        return proto.traces[0], stats, platform
+        obs.close()  # flushes the per-query root span
+        return obs, stats
 
     def test_trace_structure(self):
-        trace, stats, _ = self._traced_query()
-        assert trace.routes()  # at least the initial routing step
-        assert trace.solves()  # something got answered
+        obs, _ = self._traced_query()
+        spans = obs.span_memory
+        assert spans.by_kind("route")  # at least the initial routing step
+        assert spans.by_kind("solve")  # something got answered
         # the first event is the issuing node's QueryRouting at hop 0
-        assert trace.events[0].kind == "route"
-        assert trace.events[0].hops == 0
+        assert spans.records[0].kind == "route"
+        assert spans.records[0].attrs["hops"] == 0
 
     def test_prefix_never_shrinks_along_hops(self):
-        """Later hops refine prefixes; hops and time are non-decreasing in
-        trace order (event order == execution order)."""
-        trace, _, _ = self._traced_query()
-        times = [e.time for e in trace.events]
+        """Span times are non-decreasing in emission order (emission order
+        == execution order); the root ``query`` span is flushed last."""
+        obs, _ = self._traced_query()
+        spans = obs.span_memory
+        times = [s.start for s in spans.records if s.kind != "query"]
         assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
 
     def test_solve_key_ranges_disjoint(self):
         """Every local solve claims a key interval; intervals never overlap
         (this is what prevents duplicate results)."""
-        trace, _, _ = self._traced_query(radius=60.0)
-        ranges = sorted((e.key_lo, e.key_hi) for e in trace.solves())
+        obs, _ = self._traced_query(radius=60.0)
+        spans = obs.span_memory
+        ranges = sorted(
+            (s.attrs["key_lo"], s.attrs["key_hi"]) for s in spans.by_kind("solve")
+        )
         for (a1, b1), (a2, b2) in zip(ranges, ranges[1:]):
             assert b1 < a2, f"overlapping solve ranges {(a1, b1)} and {(a2, b2)}"
 
     def test_solved_nodes_match_stats(self):
-        trace, stats, _ = self._traced_query()
-        st = stats.for_query(0)
-        assert {e.node_id for e in trace.solves()} == st.index_nodes
+        obs, stats = self._traced_query()
+        spans, st = obs.span_memory, stats.for_query(0)
+        assert {s.node for s in spans.by_kind("solve")} == st.index_nodes
 
     def test_render(self):
-        trace, _, _ = self._traced_query()
-        text = trace.render(m=20, limit=5)
-        assert "query 0" in text
+        obs, _ = self._traced_query()
+        text = obs.span_tree(0).render(max_spans=5)
+        assert "query" in text
         assert "route" in text
 
     def test_nodes_visited_superset_of_solvers(self):
-        trace, _, _ = self._traced_query()
-        assert {e.node_id for e in trace.solves()} <= trace.nodes_visited()
+        obs, _ = self._traced_query()
+        spans = obs.span_memory
+        visited = {s.node for s in spans.for_query(0) if s.node is not None}
+        assert {s.node for s in spans.by_kind("solve")} <= visited
