@@ -15,8 +15,10 @@ queries exploit.
 
 This module also provides the inverse geometry (key/prefix → cuboid), the
 *smallest enclosing prefix* of a query rectangle, used to initialise the
-``(prefix_key, prefix_length)`` of a range query (§3.3, figure 1a), and the
-sibling decomposition SurrogateRefine forwards (:func:`walk_siblings`).
+``(prefix_key, prefix_length)`` of a range query (§3.3, figure 1a), the
+sibling decomposition SurrogateRefine forwards (:func:`walk_siblings`), and
+the two steps of a coordinator that walks the owners of a cuboid in key order
+instead of forwarding it (:func:`first_key_meeting`, :func:`next_key_meeting`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "dimension_range",
     "smallest_enclosing_prefix",
     "walk_siblings",
+    "first_key_meeting",
+    "next_key_meeting",
 ]
 
 
@@ -242,3 +246,109 @@ def walk_siblings(
         if rl[j] > mid:
             return
         hi[j] = mid
+
+
+def _path_cuboid(key: int, depth: int, bounds: IndexSpaceBounds,
+                 m: int) -> tuple[list[float], list[float]]:
+    """:func:`prefix_to_cuboid` in Python floats, for a descent to carry on
+    from (the same midpoint sequence, hence the same bounds bit for bit)."""
+    k = bounds.k
+    lo: list[float] = bounds.lows.tolist()
+    hi: list[float] = bounds.highs.tolist()
+    for i in range(1, depth + 1):
+        j = (i - 1) % k
+        mid = (lo[j] + hi[j]) / 2.0
+        if key >> (m - i) & 1:
+            lo[j] = mid
+        else:
+            hi[j] = mid
+    return lo, hi
+
+
+def _first_leaf_meeting(key: int, depth: int, lo: list[float], hi: list[float],
+                        rl: list[float], m: int) -> int:
+    """Descend from the cuboid ``(key, depth) = [lo, hi]``, which meets the
+    rectangle, taking the lower half wherever it still does."""
+    k = len(lo)
+    for i in range(depth + 1, m + 1):
+        j = (i - 1) % k
+        mid = (lo[j] + hi[j]) / 2.0
+        if rl[j] > mid:
+            lo[j] = mid
+            key |= 1 << (m - i)
+        else:
+            hi[j] = mid
+    return key
+
+
+def first_key_meeting(
+    prefix_key: int,
+    depth: int,
+    rect_lows: np.ndarray,
+    bounds: IndexSpaceBounds,
+    m: int,
+) -> int:
+    """Smallest key of the cuboid ``(prefix_key, depth)`` whose leaf cuboid meets the rectangle.
+
+    The closed cuboid must meet the closed, non-empty rectangle — true of a
+    :func:`smallest_enclosing_prefix`.  A halving can then only separate the
+    two in the dimension it halves: the lower half ``[lo, mid]`` still meets
+    the rectangle iff the rectangle's low end is ``<= mid``, and when it does
+    not the upper half must.  So the descent takes the lower half whenever it
+    may and reads only the rectangle's low corner.  Same closed test and float
+    midpoint sequence as :func:`walk_siblings`: against the hash's strict
+    ``>`` tie rule the leaf may hold no point of the rectangle, but no key
+    below it can.
+    """
+    lo, hi = _path_cuboid(prefix_key, depth, bounds, m)
+    return _first_leaf_meeting(prefix_key, depth, lo, hi, rect_lows.tolist(), m)
+
+
+def next_key_meeting(
+    eff: int,
+    prefix_len: int,
+    rect_lows: np.ndarray,
+    rect_highs: np.ndarray,
+    bounds: IndexSpaceBounds,
+    m: int,
+) -> int | None:
+    """Smallest key above ``eff`` whose leaf cuboid meets the rectangle, or ``None``.
+
+    Searched inside the cuboid spelled by the first ``prefix_len`` bits of
+    ``eff``.  The keys above ``eff`` in it are the siblings of
+    :func:`walk_siblings`, and a deeper sibling holds smaller keys than a
+    shallower one: the answer is the first such key of the deepest sibling
+    that walk would yield.  Only that one is wanted, so this is the walk's
+    descent along the path of ``eff`` — same tests, same order, same early
+    exits — remembering the last sibling that met the rectangle instead of
+    building every one of them.
+    """
+    tail = (1 << (m - prefix_len)) - 1
+    if eff & tail == tail:
+        return None  # no zero bit below the prefix, so no key above eff
+    lo, hi = _path_cuboid(eff, prefix_len, bounds, m)
+    rl: list[float] = rect_lows.tolist()
+    rh: list[float] = rect_highs.tolist()
+    if not all(max(a, c) <= min(b, d) for a, b, c, d in zip(lo, hi, rl, rh)):
+        return None
+    k = bounds.k
+    deepest: tuple[int, list[float], list[float]] | None = None
+    for i in range(prefix_len + 1, m + 1):
+        j = (i - 1) % k
+        mid = (lo[j] + hi[j]) / 2.0
+        if eff >> (m - i) & 1:
+            if mid > rh[j]:
+                break
+            lo[j] = mid
+            continue
+        if mid <= rh[j]:
+            deepest = i, lo.copy(), hi.copy()
+            deepest[1][j] = mid
+        if rl[j] > mid:
+            break
+        hi[j] = mid
+    if deepest is None:
+        return None
+    i, lo, hi = deepest
+    bit = 1 << (m - i)
+    return _first_leaf_meeting((eff & -bit) | bit, i, lo, hi, rl, m)

@@ -20,31 +20,37 @@ successor-list repair) expressed as request/response RPCs instead of the
 simulator's shared-memory callback sends — the message *pattern* matches
 :mod:`repro.dht.stabilize`, but each step awaits a real network round trip
 and treats :class:`~repro.net.transport.RpcTimeout` as a failure detector.
-Routing uses successor walks (plus full-ring snapshots for batch placement);
-finger tables are future work for live clusters beyond tens of nodes —
-docs/deployment.md discusses the trade-off.
+Routing is the paper's footnote-4 Chord table: a finger table refreshed one
+finger per stabilise round, ``closest_preceding`` over fingers and successor
+list, and an iterative :meth:`NodeProcess.find_successor` whose hops are leaf
+RPCs (with no finger yet it is the successor-list walk, and exact either way).
+A range query is SurrogateRefine driven from the coordinator
+(:meth:`NodeProcess.range_query`): it walks only the owners whose cuboids meet
+the rectangle, each of which proves its ownership before it answers.
+:meth:`NodeProcess.ring_snapshot` serves batch placement and ops only —
+docs/deployment.md has the RPC surface and the ownership contract.
 """
 
 from __future__ import annotations
 
 import asyncio
-import bisect
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.core.index_space import IndexSpaceBounds
-from repro.core.lph import smallest_enclosing_prefix
+from repro.core.lph import first_key_meeting, next_key_meeting, smallest_enclosing_prefix
 from repro.core.storage import PersistentShard
 from repro.dht.hashing import node_id, rotation_offset
-from repro.dht.idspace import in_interval_open, in_interval_open_closed
+from repro.dht.idspace import cw_distance, in_interval_open, in_interval_open_closed
 from repro.net.transport import RpcError, RpcTimeout, TcpTransport
 from repro.sim.transport import FaultConfig, TraceSink
 
 __all__ = ["NodeConfig", "NodeProcess", "MAX_ROUTE_HOPS"]
 
-#: routing-loop guard: a successor walk longer than this aborts loudly
+#: routing-loop guard: a lookup, successor walk or chain of predecessor
+#: pointers longer than this aborts loudly
 MAX_ROUTE_HOPS = 512
 
 
@@ -99,6 +105,10 @@ class NodeProcess:
         self.shard = PersistentShard(config.data_dir, config.k, fsync=config.fsync)
         self.predecessor: dict[str, Any] | None = None
         self.successors: list[dict[str, Any]] = []
+        #: finger ``i`` is the owner of ``id + 2**i``; only starts beyond the
+        #: successor are held (see :meth:`_fix_finger`)
+        self.fingers: dict[int, dict[str, Any]] = {}
+        self._next_finger = 0
         self._stabilize_task: asyncio.Task[None] | None = None
         self._running = False
 
@@ -168,9 +178,7 @@ class NodeProcess:
             if cand == self.addr:
                 continue
             try:
-                succ = await self.transport.rpc(
-                    cand, "find_successor", {"target": self.id})
-                self.successors = [succ]
+                self.successors = [await self.find_successor(self.id, via=cand)]
                 self._persist_overlay_state()
                 return
             except (RpcError, OSError):
@@ -188,6 +196,7 @@ class NodeProcess:
             try:
                 await self._stabilize_once()
                 await self._check_predecessor()
+                await self._fix_finger()
             except asyncio.CancelledError:
                 raise
             except (RpcError, OSError):  # transient; next round retries
@@ -203,7 +212,7 @@ class NodeProcess:
             await self.transport.rpc(pred["addr"], "ping", None)
         except RpcTimeout:
             self.predecessor = None
-            self._persist_overlay_state()
+            self._drop_peer(pred)
 
     async def _stabilize_once(self) -> None:
         succ = self.successor
@@ -215,7 +224,7 @@ class NodeProcess:
         try:
             pred = await self.transport.rpc(succ["addr"], "get_predecessor", None)
         except RpcTimeout:
-            self._drop_successor(succ)
+            self._drop_peer(succ)
             return
         if (
             isinstance(pred, dict)
@@ -228,7 +237,7 @@ class NodeProcess:
             await self.transport.rpc(succ["addr"], "notify", self.entry())
             succ_list = await self.transport.rpc(succ["addr"], "get_successor_list", None)
         except RpcTimeout:
-            self._drop_successor(succ)
+            self._drop_peer(succ)
             return
         chain = [succ] + [e for e in succ_list if e["addr"] != self.addr]
         deduped: list[dict[str, Any]] = []
@@ -240,28 +249,93 @@ class NodeProcess:
         self.successors = deduped[: self.config.succ_list_len]
         self._persist_overlay_state()
 
-    def _drop_successor(self, dead: dict[str, Any]) -> None:
-        """Failure detector fired: promote the next live successor."""
+    def _drop_peer(self, dead: dict[str, Any]) -> None:
+        """Failure detector fired: forget the peer as successor (the next live
+        one is promoted) and as finger."""
         self.successors = [e for e in self.successors if e["addr"] != dead["addr"]]
+        self.fingers = {i: e for i, e in self.fingers.items() if e["addr"] != dead["addr"]}
         self._persist_overlay_state()
+
+    async def _fix_finger(self) -> None:
+        """Refresh one finger (paper footnote 4; Chord's ``fix_fingers``).
+
+        A start inside ``(id, successor]`` is owned by the successor, which
+        :meth:`closest_preceding` consults anyway: such fingers are not held
+        and cost no RPC, so a round looks up the next start beyond it.
+        """
+        succ = self.successor
+        if succ["addr"] == self.addr:
+            self.fingers.clear()
+            return
+        # id + 2**i lies in (id, successor] iff i < bit_length(distance)
+        first = cw_distance(self.id, int(succ["id"]), self.m).bit_length()
+        self.fingers = {i: e for i, e in self.fingers.items() if i >= first}
+        if first >= self.m:
+            return
+        i = max(self._next_finger, first)
+        self._next_finger = (i + 1) % self.m
+        self.fingers[i] = await self.find_successor((self.id + (1 << i)) % (1 << self.m))
 
     # -- routing ----------------------------------------------------------------
 
-    async def find_successor(self, target: int) -> dict[str, Any]:
-        """Owner of ring position ``target`` via a successor walk."""
-        cur = self.entry()
+    def closest_preceding(self, target: int) -> dict[str, Any]:
+        """The known node closest before ``target`` on the ring (this node
+        when it knows none): the best of fingers and successor list."""
+        limit = cw_distance(self.id, target, self.m) or 1 << self.m
+        best, best_d = self.entry(), 0
+        for e in (*self.fingers.values(), *self.successors):
+            d = cw_distance(self.id, int(e["id"]), self.m)
+            if best_d < d < limit:
+                best, best_d = e, d
+        return best
+
+    def _lookup_step(self, target: int) -> dict[str, Any]:
+        """One hop of a lookup from local state alone: the owner of ``target``
+        when this node or its successor is, else whom to ask next — the
+        closest preceding node and, should that one be dead, the successor."""
         succ = self.successor
-        if succ["addr"] == self.addr:
-            return cur
+        pred = self.predecessor
+        if pred is not None and in_interval_open_closed(
+                target, int(pred["id"]), self.id, self.m):
+            return {"owner": self.entry()}
+        if in_interval_open_closed(target, self.id, int(succ["id"]), self.m):
+            return {"owner": succ}
+        best = self.closest_preceding(target)
+        return {"next": [best] if best["addr"] == succ["addr"] else [best, succ]}
+
+    async def find_successor(self, target: int, via: str | None = None) -> dict[str, Any]:
+        """Owner of ring position ``target``: Chord's lookup, iterated from here.
+
+        Every hop is one leaf ``lookup_step`` RPC — a handler never
+        waits on another node's handler, which could queue behind it on the
+        one-request-at-a-time connection until ``rpc_timeout``.  Hops move
+        strictly towards ``target`` and the last one decides by its own
+        ``(id, successor]``, so stale or missing fingers cost hops, never
+        exactness.  A hop that times out is forgotten here and the asked
+        node's successor tried instead.  ``via`` asks another node for the
+        first step (a joining node knows only its bootstrap).
+        """
+        step: dict[str, Any] = (
+            self._lookup_step(target) if via is None else
+            await self.transport.rpc(via, "lookup_step", {"target": target}))
         for _ in range(MAX_ROUTE_HOPS):
-            if in_interval_open_closed(target, int(cur["id"]), int(succ["id"]), self.m):
-                return succ
-            nxt = await self.transport.rpc(succ["addr"], "get_successor", None)
-            cur, succ = succ, nxt
+            if "owner" in step:
+                owner: dict[str, Any] = step["owner"]
+                return owner
+            for hop in step["next"]:
+                try:
+                    step = await self.transport.rpc(
+                        hop["addr"], "lookup_step", {"target": target})
+                    break
+                except RpcTimeout:
+                    self._drop_peer(hop)
+            else:
+                raise RpcTimeout(f"find_successor({target}): no next hop answered")
         raise RpcError(f"find_successor({target}) exceeded {MAX_ROUTE_HOPS} hops")
 
     async def ring_snapshot(self) -> list[dict[str, Any]]:
-        """All live ring members, by walking successors from this node."""
+        """All live ring members, by walking successors from this node (O(n)
+        RPCs: batch placement and ops, never the query path)."""
         members = [self.entry()]
         seen = {self.addr}
         cur = self.successor
@@ -274,12 +348,18 @@ class NodeProcess:
         members.sort(key=lambda e: int(e["id"]))
         return members
 
-    def owns(self, rotated_key: int) -> bool:
-        """Ownership test: rotated key in ``(predecessor, self]``."""
-        if self.predecessor is None:
-            return True
-        return in_interval_open_closed(
-            rotated_key, int(self.predecessor["id"]), self.id, self.m)
+    def _arc(self) -> tuple[int, int]:
+        """The ownership interval ``(predecessor, self]`` as ring ids.
+
+        A node alone on its ring owns all of it.  With the predecessor
+        unknown on a ring of several nodes any key may belong to a node in
+        between, so this raises instead of claiming the arc.
+        """
+        if self.predecessor is not None:
+            return int(self.predecessor["id"]), self.id
+        if self.successor["addr"] == self.addr:
+            return self.id, self.id
+        raise RpcError(f"node {self.config.name}: predecessor unknown, ownership unproven")
 
     # -- data plane -------------------------------------------------------------
 
@@ -318,34 +398,87 @@ class NodeProcess:
     async def range_query(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Distributed range query: object ids of entries inside the rect.
 
-        Coordinator side of the paper's pipeline: smallest enclosing prefix
-        → cuboid key interval → rotated ring arc → one ``range_solve`` RPC
-        per arc owner → union of locally solved ids.
+        SurrogateRefine ("fixed" mode) run by the coordinator: inside the
+        smallest enclosing cuboid, ``cur`` is the smallest key not yet
+        answered for whose leaf cuboid meets the rectangle.  Its owner — which
+        checks that it is the owner — solves ``[cur, key_hi]`` on its shard
+        and so covers the keys up to its own id; ``cur`` then jumps to the
+        next key beyond that id that can hold a match.  Only owners of such
+        keys are visited, in key order, and no key range is passed over
+        without an owner that vouched for it.
         """
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)
-        prefix_key, prefix_len = smallest_enclosing_prefix(
-            lows, highs, self.bounds, self.m)
-        key_lo = prefix_key
-        key_hi = prefix_key + (1 << (self.m - prefix_len)) - 1
-        size = 1 << self.m
-        rot_lo = (key_lo + self.rotation) % size
-        rot_hi = (key_hi + self.rotation) % size
-        ring = await self.ring_snapshot()
-        owners = _owners_for_arc(ring, rot_lo, rot_hi, self.m)
-        payload = {
-            "lows": lows,
-            "highs": highs,
-            "key_lo": key_lo,
-            "key_hi": key_hi,
-        }
+        m, size = self.m, 1 << self.m
+        prefix_key, prefix_len = smallest_enclosing_prefix(lows, highs, self.bounds, m)
+        key_hi = prefix_key + (1 << (m - prefix_len)) - 1
+        local = self._known_links()
+        links = local
+        first_arc: tuple[int, int] | None = None
         collected: list[np.ndarray] = []
-        for owner in owners:
-            reply = await self.transport.rpc(owner["addr"], "range_solve", payload)
+        cur: int | None = first_key_meeting(prefix_key, prefix_len, lows, self.bounds, m)
+        while cur is not None:
+            rot = (cur + self.rotation) % size
+            if first_arc is not None and in_interval_open_closed(rot, *first_arc, m):
+                # a cuboid spanning the ring ends where it began: in the arc
+                # of the first owner, whose solve already ran up to key_hi
+                break
+            reply = await self._solve_at_owner(rot, links, {
+                "lows": lows, "highs": highs, "key_lo": cur, "key_hi": key_hi})
             collected.append(reply["ids"])
+            pred_id, owner_id = (int(x) for x in reply["arc"])
+            if first_arc is None:
+                first_arc = pred_id, owner_id
+            covered = (owner_id - rot) % size
+            if covered >= key_hi - cur:
+                break
+            cur = next_key_meeting(cur + covered, prefix_len, lows, highs, self.bounds, m)
+            links = [[{"id": owner_id}, *reply["successors"]], *local]
         if not collected:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(collected)).astype(np.int64)
+
+    def _known_links(self) -> list[list[dict[str, Any]]]:
+        """What this node knows of who follows whom: its own neighbourhood,
+        and per finger the node that follows the finger's start."""
+        near = [self.entry(), *self.successors]
+        if self.predecessor is not None:
+            near.insert(0, self.predecessor)
+        return [near, *(
+            [{"id": self.id + (1 << i) - 1}, e] for i, e in self.fingers.items())]
+
+    async def _solve_at_owner(self, rot: int, links: list[list[dict[str, Any]]],
+                              payload: dict[str, Any]) -> dict[str, Any]:
+        """``range_solve`` at the owner of ring position ``rot``.
+
+        ``links`` are chains of ring entries, each followed by its successor
+        as some node last saw it: a link ``(a, b]`` holding ``rot`` names
+        ``b``.  That is a hint — the node asked decides by its own
+        predecessor — so a hint that times out is forgotten and the ring
+        asked instead (:meth:`find_successor`).
+        """
+        hint = next((b for chain in links for a, b in zip(chain, chain[1:])
+                     if in_interval_open_closed(rot, int(a["id"]), int(b["id"]), self.m)), None)
+        if hint is not None:
+            try:
+                return await self._solve_from(hint, payload)
+            except RpcTimeout:
+                self._drop_peer(hint)
+        return await self._solve_from(await self.find_successor(rot), payload)
+
+    async def _solve_from(self, entry: dict[str, Any],
+                          payload: dict[str, Any]) -> dict[str, Any]:
+        """``range_solve`` at ``entry``, then along predecessor pointers while
+        the node asked answers ``not_owner`` (a node joined before it)."""
+        for _ in range(MAX_ROUTE_HOPS):
+            reply: dict[str, Any] = await self.transport.rpc(
+                entry["addr"], "range_solve", payload)
+            if "ids" in reply:
+                return reply
+            entry = reply["predecessor"]
+        raise RpcError(
+            f"range_solve: no owner of key {payload['key_lo']} within "
+            f"{MAX_ROUTE_HOPS} predecessor pointers")
 
     # -- RPC surface ------------------------------------------------------------
 
@@ -356,7 +489,7 @@ class NodeProcess:
         t.register_rpc("get_successor_list", self._rpc_get_successor_list)
         t.register_rpc("get_predecessor", self._rpc_get_predecessor)
         t.register_rpc("notify", self._rpc_notify)
-        t.register_rpc("find_successor", self._rpc_find_successor)
+        t.register_rpc("lookup_step", self._rpc_lookup_step)
         t.register_rpc("insert", self._rpc_insert)
         t.register_rpc("route_insert", self._rpc_route_insert)
         t.register_rpc("range_solve", self._rpc_range_solve)
@@ -388,8 +521,8 @@ class NodeProcess:
             self._persist_overlay_state()
         return {"ok": True}
 
-    async def _rpc_find_successor(self, payload: Any, src: dict[str, Any]) -> Any:
-        return await self.find_successor(int(payload["target"]))
+    async def _rpc_lookup_step(self, payload: Any, src: dict[str, Any]) -> Any:
+        return self._lookup_step(int(payload["target"]))
 
     async def _rpc_insert(self, payload: Any, src: dict[str, Any]) -> Any:
         keys = payload["keys"]
@@ -402,11 +535,27 @@ class NodeProcess:
         return {"accepted": accepted}
 
     async def _rpc_range_solve(self, payload: Any, src: dict[str, Any]) -> Any:
+        """Solve ``[key_lo, key_hi]`` — as the owner of ``key_lo`` only.
+
+        The caller takes this node's id as the end of what was covered, so a
+        node that does not own ``key_lo`` answers ``not_owner`` with its
+        predecessor (the owner lies that way), and one that cannot tell
+        (:meth:`_arc`) refuses: a stale view at the coordinator must not turn
+        into a short answer.
+        """
+        key_lo, key_hi = int(payload["key_lo"]), int(payload["key_hi"])
+        pred_id, own_id = self._arc()
+        if not in_interval_open_closed(
+                (key_lo + self.rotation) % (1 << self.m), pred_id, own_id, self.m):
+            return {"not_owner": True, "predecessor": self.predecessor}
         pos = self.shard.shard.range_search(
-            payload["lows"], payload["highs"],
-            key_lo=int(payload["key_lo"]), key_hi=int(payload["key_hi"]))
+            payload["lows"], payload["highs"], key_lo=key_lo, key_hi=key_hi)
         ids = self.shard.shard.object_ids[pos]
-        return {"ids": np.asarray(ids, dtype=np.int64)}
+        return {
+            "ids": np.asarray(ids, dtype=np.int64),
+            "arc": [pred_id, own_id],
+            "successors": self.successors[: self.config.succ_list_len],
+        }
 
     async def _rpc_query(self, payload: Any, src: dict[str, Any]) -> Any:
         ids = await self.range_query(payload["lows"], payload["highs"])
@@ -433,34 +582,3 @@ class NodeProcess:
         self.shard.snapshot()
         return {"ok": True, "digest": self.shard.digest()}
 
-
-def _owners_for_arc(ring: list[dict[str, Any]], lo: int, hi: int,
-                    m: int) -> list[dict[str, Any]]:
-    """Ring members whose ownership arc intersects the rotated ``[lo, hi]``.
-
-    ``ring`` is sorted by id; member ``i`` owns ``(id[i-1], id[i]]``
-    (cyclically).  The arc may wrap.
-    """
-    if not ring:
-        return []
-    if len(ring) == 1:
-        return list(ring)
-    ids = [int(e["id"]) for e in ring]
-    n = len(ring)
-    size = 1 << m
-    lo %= size
-    hi %= size
-    # first owner: successor of lo on the ring
-    start = bisect.bisect_left(ids, lo) % n
-    # walk clockwise until an owner's id reaches hi's arc position; the
-    # membership test `hi in (pred, id]` is wrong here — a near-full arc can
-    # wrap past every node and end inside the *first* owner's interval
-    arc_len = (hi - lo) % size
-    owners = []
-    i = start
-    for _ in range(n):
-        owners.append(ring[i])
-        if (ids[i] - lo) % size >= arc_len:
-            break
-        i = (i + 1) % n
-    return owners

@@ -484,18 +484,18 @@ class TcpTransport:
         self._next_rid += 1
         fut: asyncio.Future[Any] = loop.create_future()
         self._pending[rid] = fut
-        frame = self.framer.encode({
-            "v": 1, "t": "req", "kind": kind, "rid": rid, "src": self._src_info(),
-            "qid": qid, "size": size, "sent_at": rec.sent_at, "payload": payload,
-        })
         if dst_addr == self.addr:
-            # keep the handle: the loop holds tasks weakly, and an
-            # unreferenced answer task can be collected before it resolves
-            # the future (its exception would surface only at exit)
+            # local hand-off, no frame.  Keep the handle: the loop holds tasks
+            # weakly, and an unreferenced answer task can be collected before
+            # it resolves the future (its exception would surface only at exit)
             task = loop.create_task(self._answer_local(kind, payload, rid))
             self._client_tasks.add(task)
             task.add_done_callback(self._client_tasks.discard)
         else:
+            frame = self.framer.encode({
+                "v": 1, "t": "req", "kind": kind, "rid": rid, "src": self._src_info(),
+                "qid": qid, "size": size, "sent_at": rec.sent_at, "payload": payload,
+            })
             self._conn(dst_addr).enqueue(frame, None, None)
         try:
             reply = await asyncio.wait_for(fut, timeout or self.rpc_timeout)

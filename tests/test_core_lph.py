@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.index_space import IndexSpaceBounds
 from repro.core.lph import (
     dimension_range,
+    first_key_meeting,
     key_to_cuboid,
     lp_hash,
     lp_hash_batch,
+    next_key_meeting,
     prefix_to_cuboid,
     smallest_enclosing_prefix,
     walk_siblings,
@@ -321,3 +323,152 @@ class TestWalkSiblings:
         got = list(walk_siblings(eff, prefix_len, lows, highs, bounds, m))
         want = _siblings_by_replay(eff, prefix_len, lows, highs, bounds, m)
         assert _hexed(got) == _hexed(want)
+
+
+def _meeting_keys(lows, highs, bounds, m):
+    """Brute force: every key whose closed leaf cuboid meets the closed rect."""
+    out = []
+    for key in range(1 << m):
+        clo, chi = key_to_cuboid(key, bounds, m)
+        if np.all(np.maximum(clo, lows) <= np.minimum(chi, highs)):
+            out.append(key)
+    return out
+
+
+def _some_key_meets(key_lo, key_hi, lows, highs, bounds, m):
+    """Does the leaf cuboid of any key in ``[key_lo, key_hi]`` meet the closed
+    rect?  Usable at any ``m``: the interval is cut into aligned prefix
+    cuboids, each tested whole."""
+    while key_lo <= key_hi:
+        span = (key_lo & -key_lo) or 1 << m
+        while span > key_hi - key_lo + 1:
+            span >>= 1
+        clo, chi = prefix_to_cuboid(key_lo, m - span.bit_length() + 1, bounds, m)
+        if np.all(np.maximum(clo, lows) <= np.minimum(chi, highs)):
+            return True
+        key_lo += span
+    return False
+
+
+@st.composite
+def _small_space_and_rect(draw):
+    """A k-d space (k 1-4) under a small m and a non-empty rectangle in it,
+    each edge either anywhere or exactly on a split plane of the first three
+    halvings of its dimension; equal draws give a zero-width side."""
+    k = draw(st.integers(1, 4), label="k")
+    m = draw(st.integers(1, 10), label="m")
+    bounds = IndexSpaceBounds.uniform(k, 0.0, 1.0)
+    coord = st.one_of(
+        st.sampled_from([i / 8 for i in range(9)]),
+        st.floats(0.0, 1.0, allow_nan=False),
+    )
+    lows, highs = [], []
+    for _ in range(k):
+        a = draw(coord)
+        b = a if draw(st.booleans()) else draw(coord)
+        lows.append(min(a, b))
+        highs.append(max(a, b))
+    return bounds, m, np.array(lows), np.array(highs)
+
+
+class TestOwnerWalkSteps:
+    """``first_key_meeting`` / ``next_key_meeting`` against enumeration."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_space_and_rect())
+    def test_first_key_is_the_minimum_meeting_key_of_the_enclosing_cuboid(self, case):
+        bounds, m, lows, highs = case
+        meeting = _meeting_keys(lows, highs, bounds, m)
+        prefix_key, depth = smallest_enclosing_prefix(lows, highs, bounds, m)
+        top = prefix_key + (1 << (m - depth)) - 1
+        want = min(key for key in meeting if prefix_key <= key <= top)
+        assert first_key_meeting(prefix_key, depth, lows, bounds, m) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_space_and_rect(), st.data())
+    def test_next_key_is_the_minimum_meeting_key_above_eff(self, case, data):
+        bounds, m, lows, highs = case
+        meeting = _meeting_keys(lows, highs, bounds, m)
+        eff = data.draw(st.integers(0, (1 << m) - 1), label="eff")
+        for prefix_len in {0, m, data.draw(st.integers(0, m), label="prefix_len")}:
+            span = 1 << (m - prefix_len)
+            top = eff // span * span + span - 1
+            above = [key for key in meeting if eff < key <= top]
+            got = next_key_meeting(eff, prefix_len, lows, highs, bounds, m)
+            assert got == (above[0] if above else None)
+            # eff = last key of the cuboid: nothing is above it
+            assert next_key_meeting(top, prefix_len, lows, highs, bounds, m) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small_space_and_rect(), st.data())
+    def test_walk_visits_every_meeting_key_and_skips_no_match(self, case, data):
+        """Stepping with ``eff = cur`` enumerates the meeting keys in order.
+        Against the hash's strict ``>`` tie rule that is a superset of the
+        keys that hold a point of the rectangle — never less: the hash of
+        every corner of the rectangle (edges on split planes included) and
+        of points drawn inside it is among the keys visited."""
+        bounds, m, lows, highs = case
+        prefix_key, depth = smallest_enclosing_prefix(lows, highs, bounds, m)
+        visited = []
+        cur = first_key_meeting(prefix_key, depth, lows, bounds, m)
+        while cur is not None:
+            visited.append(cur)
+            cur = next_key_meeting(cur, depth, lows, highs, bounds, m)
+        top = prefix_key + (1 << (m - depth)) - 1
+        assert visited == [
+            key for key in _meeting_keys(lows, highs, bounds, m) if prefix_key <= key <= top
+        ]
+        k = bounds.k
+        picks = [np.where(np.array(mask), highs, lows)
+                 for mask in data.draw(st.lists(
+                     st.lists(st.booleans(), min_size=k, max_size=k), max_size=6))]
+        fracs = data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k), max_size=6))
+        picks += [lows + np.array(f) * (highs - lows) for f in fracs]
+        for point in picks:
+            assert lp_hash(np.clip(point, lows, highs), bounds, m) in visited
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_at_ring_sized_m(self, data):
+        """Where no enumeration reaches: the result meets the rectangle, no
+        key passed over does, and ``next_key_meeting`` is the deepest sibling
+        :func:`walk_siblings` yields, descended to its first meeting leaf."""
+        k = data.draw(st.integers(1, 6), label="k")
+        m = data.draw(st.sampled_from([16, 32, 64]), label="m")
+        bounds = IndexSpaceBounds.uniform(k, 0.0, 1000.0)
+        centre = np.array(data.draw(st.lists(st.floats(0.0, 1000.0), min_size=k, max_size=k)))
+        half = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1e-6, 1.0, 62.5, 150.0, 400.0]), min_size=k, max_size=k)))
+        lows, highs = np.clip(centre - half, 0.0, 1000.0), np.clip(centre + half, 0.0, 1000.0)
+        prefix_key, depth = smallest_enclosing_prefix(lows, highs, bounds, m)
+        top = prefix_key + (1 << (m - depth)) - 1
+
+        first = first_key_meeting(prefix_key, depth, lows, bounds, m)
+        assert prefix_key <= first <= top
+        assert _some_key_meets(first, first, lows, highs, bounds, m)
+        assert not _some_key_meets(prefix_key, first - 1, lows, highs, bounds, m)
+
+        eff = data.draw(st.integers(prefix_key, top), label="eff")
+        nxt = next_key_meeting(eff, depth, lows, highs, bounds, m)
+        siblings = list(walk_siblings(eff, depth, lows, highs, bounds, m))
+        if nxt is None:
+            assert not siblings
+            assert not _some_key_meets(eff + 1, top, lows, highs, bounds, m)
+        else:
+            sib_key, sib_depth, _, _ = siblings[-1]
+            assert nxt == first_key_meeting(sib_key, sib_depth, lows, bounds, m)
+            assert eff < nxt <= top
+            assert _some_key_meets(nxt, nxt, lows, highs, bounds, m)
+            assert not _some_key_meets(eff + 1, nxt - 1, lows, highs, bounds, m)
+
+    def test_rect_edge_on_a_split_plane(self):
+        """A rectangle whose low edge lies on the first split plane of
+        dimension 0 touches the lower half in the plane only.  A point on the
+        plane hashes low (strict ``>``), so the walk must start there."""
+        m = 4
+        lows, highs = np.array([0.5, 0.1]), np.array([0.9, 0.2])
+        assert smallest_enclosing_prefix(lows, highs, B2, m) == (0, 0)
+        first = first_key_meeting(0, 0, lows, B2, m)
+        assert first == lp_hash(np.array([0.5, 0.1]), B2, m) == 0b0010
+        assert first == _meeting_keys(lows, highs, B2, m)[0]
