@@ -443,7 +443,7 @@ class InvariantChecker(_Reporter):
         """Reconcile recorded spans against per-query stats counters.
 
         Needs the platform's observability with a memory span sink.  Checks
-        terminal (or untracked-but-finished) queries only.
+        terminal queries only.
         """
         obs = self.platform.obs if self.platform is not None else None
         memory = obs.span_memory if obs is not None else None
@@ -454,7 +454,7 @@ class InvariantChecker(_Reporter):
         qids = [qid] if qid is not None else sorted(stats.queries)
         for q in qids:
             qs = stats.queries.get(q)
-            if qs is None or (qs.state not in ("complete", "timed_out", "untracked")):
+            if qs is None or not qs.terminal:
                 continue
             problems = reconcile_with_stats(memory.for_query(q), qs)
             if problems:

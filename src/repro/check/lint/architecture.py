@@ -5,8 +5,8 @@
   anything above ``util``, ...).
 * **ARCH202** — direct scheduler access: only the transport (and the
   engine itself) may put events on the discrete-event queue; protocol and
-  library code goes through ``Transport.send``/``timer``/``at`` so faults,
-  tracing and accounting cannot be bypassed.
+  library code goes through ``Transport.send``/``timer``/``at`` so faults
+  and accounting cannot be bypassed.
 * **ARCH203** — explicitly denied import edge (the ``[[deny]]`` entries),
   e.g. ``core`` reaching into ``repro.sim.engine`` internals instead of
   the ``repro.sim`` facade.  When the contract names a sanctioned facade
@@ -68,8 +68,8 @@ class SchedulerAccessRule(Rule):
     name = "scheduler-access"
     rationale = (
         "Only sim/transport.py touches scheduler delivery; everything "
-        "else uses Transport.send/control/timer so faults, tracing and "
-        "byte accounting can never be bypassed."
+        "else uses Transport.send/control/timer so faults and byte "
+        "accounting can never be bypassed."
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterable[Finding]:

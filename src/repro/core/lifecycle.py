@@ -6,7 +6,9 @@ the whole event queue drains.  That breaks down the moment faults are
 injected (messages lost to crashes, loss or partitions silently shrink the
 result set) and forbids concurrent queries (nothing separates one query's
 quiescence from another's).  This module gives every query an explicit
-lifecycle instead:
+lifecycle instead — every query of every protocol: a
+:class:`repro.core.routing.QueryProtocol` that is not handed an engine creates
+its own, so there is no second, untracked executor:
 
 ``issued → routing → resolving → complete | timed_out``
 
@@ -330,7 +332,7 @@ class LifecycleEngine:
     # -- branch accounting ------------------------------------------------------
 
     def open(self, qid: int) -> int | None:
-        """Open a branch; returns its id (None for untracked/finished qids)."""
+        """Open a branch; returns its id (None for unknown/finished qids)."""
         rec = self.records.get(qid)
         if rec is None or rec.terminal:
             return None
@@ -368,7 +370,7 @@ class LifecycleEngine:
         """
         rec = self.records.get(qid)
         if rec is None:
-            return True  # untracked query: nothing to suppress
+            return True  # not this engine's query: nothing to suppress
         if rec.terminal:
             return False
         if bid in rec.seen:
@@ -455,7 +457,7 @@ class LifecycleEngine:
         cannot happen for engine-tracked queries — every branch settles on
         delivery, drop or timeout).
         """
-        pending = [f for f in futures if f is not None and not f.done()]
+        pending = [f for f in futures if not f.done()]
         remaining = [len(pending)]
 
         def _one_done(_fut: Any) -> None:

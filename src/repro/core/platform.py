@@ -33,7 +33,7 @@ from repro.dht.ring import ChordRing
 from repro.metric.base import Metric
 from repro.sim import Simulator
 from repro.sim.stats import StatsCollector
-from repro.sim.transport import FaultConfig, Transport, TraceSink
+from repro.sim.transport import FaultConfig, Transport
 from repro.util.rng import as_rng
 
 __all__ = ["QueryPayload", "LandmarkIndex", "IndexPlatform", "take"]
@@ -358,19 +358,16 @@ class IndexPlatform:
         Optional :class:`repro.sim.transport.FaultConfig` — message loss,
         delay jitter and partitions applied to every protocol on the
         platform's shared transport.
-    trace:
-        Optional :class:`repro.sim.transport.TraceSink` receiving one record
-        per message the transport handles.
     transport:
         Pass an existing :class:`repro.sim.transport.Transport` to share it
-        (mutually exclusive with faults/trace, which configure a new one).
+        (mutually exclusive with faults, which configures a new one).
     obs:
         Optional :class:`repro.obs.Observability`.  Its metrics registry is
         attached to the transport and threaded into every protocol and
         lifecycle engine the platform creates; its span recorder (when
         tracing is on) is bound to the platform's simulator.  The platform
         is a context manager — ``with IndexPlatform(..., obs=obs) as p:``
-        guarantees trace sinks are flushed and closed on any exit path.
+        guarantees span sinks are flushed and closed on any exit path.
     """
 
     def __init__(
@@ -379,7 +376,6 @@ class IndexPlatform:
         latency: Any = None,
         sim: Simulator | None = None,
         faults: FaultConfig | None = None,
-        trace: TraceSink | None = None,
         transport: Transport | None = None,
         obs: Any = None,
     ) -> None:
@@ -388,8 +384,8 @@ class IndexPlatform:
         self.obs = obs
         registry = obs.registry if obs is not None else None
         if transport is not None:
-            if faults is not None or trace is not None:
-                raise ValueError("pass either transport= or faults=/trace=, not both")
+            if faults is not None:
+                raise ValueError("pass either transport= or faults=, not both")
             self.transport = transport
             self.sim = transport.sim
             if transport.latency is not None:
@@ -399,10 +395,8 @@ class IndexPlatform:
         else:
             self.sim = sim or Simulator()
             self.transport = Transport(
-                sim=self.sim, latency=self.latency, faults=faults, trace=trace,
-                metrics=registry,
+                sim=self.sim, latency=self.latency, faults=faults, metrics=registry,
             )
-        self.trace = self.transport.trace
         if obs is not None:
             obs.bind(self.sim)
         self.indexes: dict[str, LandmarkIndex] = {}
@@ -413,15 +407,13 @@ class IndexPlatform:
     # -- teardown --------------------------------------------------------------------
 
     def close(self) -> None:
-        """Flush and close the observability bundle and any trace sink.
+        """Flush and close the observability bundle.
 
         Idempotent; runs on ``with``-exit so an exception mid-run cannot
-        leave truncated JSONL trace files behind.
+        leave truncated JSONL span files behind.
         """
         if self.obs is not None:
             self.obs.close()
-        if self.trace is not None:
-            self.trace.close()
 
     def __enter__(self) -> IndexPlatform:
         return self
@@ -525,8 +517,8 @@ class IndexPlatform:
     ) -> tuple[QueryProtocol, StatsCollector]:
         """A query protocol bound to one index (kwargs forwarded to it).
 
-        All protocols from one platform share its transport, so faults,
-        traces and the latency model are configured once, on the platform.
+        All protocols from one platform share its transport, so faults and
+        the latency model are configured once, on the platform.
         """
         # note: an empty StatsCollector is falsy (len == 0), so test identity
         stats = stats if stats is not None else StatsCollector()
@@ -580,14 +572,14 @@ class IndexPlatform:
         and runs them concurrently — one pass over the event queue.
         ``pipelined=False`` issues and drains one query at a time (the
         serial baseline; with faults off both produce identical per-query
-        stats, the queries being causally independent).  ``policy`` attaches
-        a lifecycle engine: per-query deadlines, retransmission with backoff
-        and a terminal state per query — required for meaningful runs under
-        :class:`repro.sim.transport.FaultConfig` faults.
+        stats, the queries being causally independent).  The run's lifecycle
+        engine takes ``policy`` — per-query deadlines and retransmission with
+        backoff; the default arms no timer, so a lost branch settles as
+        failed and every query still ends in a terminal state.
         """
         if reset_sim:
             self.sim.reset()
-        engine = self.lifecycle(policy) if policy is not None else None
+        engine = self.lifecycle(policy)
         proto, stats = self.protocol(name, engine=engine, **protocol_kwargs)
         index = self.indexes[name]
         nodes = self.ring.nodes()
@@ -612,9 +604,8 @@ class IndexPlatform:
             return proto.issue(q, node, at_time=at)
 
         if pipelined:
-            # bulk injection: the clock does not advance while issuing, so
-            # the arrival clamp uses one fixed `now` — identical timestamps
-            # to the per-query loop, one heapify instead of n sift-ups
+            # the clock does not advance while issuing, so the arrival clamp
+            # uses one fixed `now`
             now = self.sim.now
             n_ring = len(nodes)
             futures = proto.issue_many(
@@ -622,17 +613,10 @@ class IndexPlatform:
                 [nodes[int(s) % n_ring] for s in workload.source_nodes],
                 [max(float(t), now) for t in workload.arrival_times],
             )
-            if engine is not None:
-                engine.run_until_complete(futures)
-            else:
-                self.sim.run()
+            engine.run_until_complete(futures)
         else:
             for i in range(len(workload)):
-                fut = issue_one(i)
-                if engine is not None:
-                    engine.run_until_complete([fut])
-                else:
-                    self.sim.run()
+                engine.run_until_complete([issue_one(i)])
         stats.maintenance_bytes += self.transport.stats.maintenance_bytes - maint_bytes0
         stats.maintenance_messages += (
             self.transport.stats.maintenance_messages - maint_msgs0

@@ -15,16 +15,18 @@
   the query the node's ownership interval covers from local storage, carve
   out the remainder and re-route it.
 
-All network delivery — latency lookup, liveness checks, drop accounting,
-fault injection and per-message tracing — goes through the shared
+All network delivery — latency lookup, liveness checks, drop accounting and
+fault injection — goes through the shared
 :class:`repro.sim.transport.Transport`; this module only decides *what* to
-send *where*.  When a :class:`repro.core.lifecycle.LifecycleEngine` is
-attached, every message additionally runs as one tracked *branch*: opened
-before the send, settled after the receiving side processed it, retried on
-drops/timeouts and deduplicated on retransmission races — which gives each
-query positive completion detection and a terminal state even under faults
-(see :mod:`repro.core.lifecycle`).  Without an engine the protocol behaves
-exactly as before: fire-and-forget sends, completion by quiescence.
+send *where*.  Every protocol runs under a
+:class:`repro.core.lifecycle.LifecycleEngine` (its own, with the default
+policy, when none is shared with it): each message is one tracked *branch* —
+opened before the send, settled after the receiving side processed it, retried
+on drops/timeouts when the policy allows and deduplicated on retransmission
+races — which gives each query positive completion detection and a terminal
+state even under faults (see :mod:`repro.core.lifecycle`).  The default policy
+arms no timer, so faults-off it adds no event to the schedule: draining the
+simulator to quiescence completes every query.
 
 Two surrogate modes are provided:
 
@@ -57,6 +59,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.lifecycle import LifecycleEngine, QueryFuture
 from repro.core.lph import walk_siblings
 from repro.core.query import RangeQuery, Rect, query_split
 from repro.sim.messages import ResultEntry, ResultMessage, query_message_size
@@ -101,10 +104,10 @@ class QueryProtocol(Protocol):
         A shared :class:`repro.sim.transport.Transport`; created from
         ``sim``/``latency`` when omitted.
     engine:
-        Optional :class:`repro.core.lifecycle.LifecycleEngine`.  When given,
-        :meth:`issue` registers the query with it and returns its
-        :class:`repro.core.lifecycle.QueryFuture`; every message becomes a
-        tracked, retryable branch.
+        The :class:`repro.core.lifecycle.LifecycleEngine` to register queries
+        with — pass one to share it between protocols or to set a
+        :class:`repro.core.lifecycle.RetryPolicy`; by default the protocol
+        creates its own on ``transport`` with the default policy.
     obs:
         Optional :class:`repro.obs.Observability`.  Routing counters and hop
         histograms land in its metrics registry; when its span recorder is
@@ -134,7 +137,7 @@ class QueryProtocol(Protocol):
         reply_empty: bool = True,
         maintenance: Any = None,
         transport: Any = None,
-        engine: Any = None,
+        engine: LifecycleEngine | None = None,
         obs: Any = None,
         checker: Any = None,
     ) -> None:
@@ -151,10 +154,13 @@ class QueryProtocol(Protocol):
         self.top_k = top_k
         self.range_filter = range_filter
         self.reply_empty = reply_empty
-        self.engine = engine
         self.checker = checker
         self.recorder = obs.recorder if obs is not None else None
         registry = obs.registry if obs is not None else None
+        if engine is None:
+            engine = LifecycleEngine(
+                self.transport, metrics=registry, recorder=self.recorder)
+        self.engine = engine
         if registry is not None and registry.enabled:
             from repro.obs.registry import DEFAULT_HOP_BUCKETS
 
@@ -197,20 +203,19 @@ class QueryProtocol(Protocol):
     # through _recv, so branch accounting, retransmission and duplicate
     # suppression live in exactly one place.
 
-    def _drop_cb(self, qid: int, bid: int | None = None,
-                 psid: int | None = None) -> Callable[[Any], None]:
+    def _drop_cb(self, qid: int, bid: int | None,
+                 psid: int | None) -> Callable[[str], None]:
         """A per-message drop callback: attribute the loss to ``qid`` and
         notify the lifecycle engine so the branch retries or settles."""
         st = self.stats.for_query(qid)
         engine = self.engine
         recorder = self.recorder
 
-        def on_drop(trace: Any) -> None:
+        def on_drop(status: str) -> None:
             st.dropped_messages += 1
             if recorder is not None:
-                recorder.event(qid, "drop", parent=psid, status=trace.status)
-            if engine is not None:
-                engine.notify_drop(qid, bid)
+                recorder.event(qid, "drop", parent=psid, status=status)
+            engine.notify_drop(qid, bid)
 
         return on_drop
 
@@ -229,8 +234,9 @@ class QueryProtocol(Protocol):
 
         ``record`` charges the message to the query's byte/message counters
         per transmission attempt (retries are real traffic); result replies
-        pass ``record=False`` and account on arrival instead.  Without an
-        engine this degrades to a plain transport send.
+        pass ``record=False`` and account on arrival instead.  A branch of an
+        already-terminal query is not tracked (``engine.open`` returns
+        ``None``) and goes out as a plain transport send.
 
         With a span recorder, each transmission attempt emits a ``send``
         span parented to the span that was current when the send was
@@ -239,7 +245,7 @@ class QueryProtocol(Protocol):
         with the message so processing at the receiver nests under it.
         """
         engine = self.engine
-        bid = engine.open(qid) if engine is not None else None
+        bid = engine.open(qid)
         recorder = self.recorder
         parent = recorder.context(qid) if recorder is not None else None
         charged = bool(record and size)
@@ -257,8 +263,7 @@ class QueryProtocol(Protocol):
                 )
             self.transport.send(
                 src, dst, self._recv, qid, bid, psid, fn, args,
-                kind=kind, size=size, qid=qid, attempt=attempt,
-                on_drop=self._drop_cb(qid, bid, psid),
+                kind=kind, size=size, on_drop=self._drop_cb(qid, bid, psid),
             )
 
         if bid is None:
@@ -278,16 +283,15 @@ class QueryProtocol(Protocol):
         if recorder is not None and psid is not None:
             recorder.push(psid)
         try:
-            engine = self.engine
-            if engine is None or bid is None:
+            if bid is None:
                 fn(*args)
                 return
-            if not engine.accept(qid, bid):
+            if not self.engine.accept(qid, bid):
                 return
             try:
                 fn(*args)
             finally:
-                engine.settle(qid, bid)
+                self.engine.settle(qid, bid)
         finally:
             if recorder is not None and psid is not None:
                 recorder.pop()
@@ -295,23 +299,15 @@ class QueryProtocol(Protocol):
     # -- entry points ----------------------------------------------------------
 
     def issue(self, query: RangeQuery, node: Any,
-              at_time: float | None = None) -> Any:
-        """Inject ``query`` at ``node`` (optionally at a future simulation time).
-
-        Returns the query's :class:`repro.core.lifecycle.QueryFuture` when a
-        lifecycle engine is attached, else ``None``.
+              at_time: float | None = None) -> QueryFuture:
+        """Inject ``query`` at ``node`` (optionally at a future simulation
+        time); returns the query's :class:`repro.core.lifecycle.QueryFuture`.
         """
         query.source = node
         st = self.stats.for_query(query.qid)
         st.issued_at = self.sim.now if at_time is None else at_time
         if self.recorder is not None:
             self.recorder.begin_query(query.qid, node=node.id)
-        if self.engine is None:
-            if at_time is None:
-                self._start(node, query)
-            else:
-                self.transport.at(at_time, self._start, node, query)
-            return None
         fut = self.engine.register(query.qid, stats=self.stats, issued_at=st.issued_at)
         # the injection itself is a branch: the query cannot look complete
         # before its first routing step has run
@@ -327,35 +323,22 @@ class QueryProtocol(Protocol):
         queries: list[RangeQuery],
         nodes: list[Any],
         at_times: list[float],
-    ) -> list[Any]:
-        """Inject a batch of queries at their arrival times (bulk workload path).
-
-        Equivalent to ``[self.issue(q, n, at_time=t) for ...]`` — same stats
-        records, same event times, same sequence-number order, hence the same
-        replay digest — but without a lifecycle engine the scheduling
-        collapses into one :meth:`Transport.at_batch` heapify instead of one
-        sift-up per query.  With an engine attached, registration itself
-        arms deadline timers whose sequence numbers interleave with the
-        starts, so the per-query path is kept to preserve that exact order.
-        """
-        if self.engine is not None:
-            return [
-                self.issue(q, node, at_time=float(at))
-                for q, node, at in zip(queries, nodes, at_times)
-            ]
-        entries = []
-        for query, node, at in zip(queries, nodes, at_times):
-            at = float(at)
-            query.source = node
-            st = self.stats.for_query(query.qid)
-            st.issued_at = at
-            if self.recorder is not None:
-                self.recorder.begin_query(query.qid, node=node.id)
-            entries.append((at, self._start, (node, query)))
-        self.transport.at_batch(entries)
-        return [None] * len(entries)
+    ) -> list[QueryFuture]:
+        """Inject a batch of queries at their arrival times: :meth:`issue`
+        per query, in order (registration arms the deadline timers, whose
+        sequence numbers interleave with the starts)."""
+        return [
+            self.issue(q, node, at_time=float(at))
+            for q, node, at in zip(queries, nodes, at_times)
+        ]
 
     def _start_root(self, node: Any, query: RangeQuery, root: int | None) -> None:
+        if not node.alive:
+            # the issuing node crashed before its scheduled query fired: the
+            # query ends complete with a known gap, like any other lost branch
+            self.stats.for_query(query.qid).dropped_messages += 1
+            self.engine.settle(query.qid, root, failed=True)
+            return
         try:
             self._start(node, query)
         finally:
@@ -368,10 +351,6 @@ class QueryProtocol(Protocol):
     # -- Algorithm 3: QueryRouting ---------------------------------------------
 
     def _query_routing(self, node: Any, q: RangeQuery, hops: int) -> None:
-        if not node.alive:
-            # the issuing node crashed before its scheduled query fired
-            self.stats.for_query(q.qid).dropped_messages += 1
-            return
         m = self.index.m
         if q.prefix_len == m:
             sublist = [q]
@@ -545,8 +524,7 @@ class QueryProtocol(Protocol):
         if self._m_solves is not None:
             self._m_solves.inc(self._proto_label)
             self._h_hops.observe(hops, self._proto_label)
-        if self.engine is not None:
-            self.engine.mark_resolving(q.qid)
+        self.engine.mark_resolving(q.qid)
         entries: list[ResultEntry] = []
         shard = self.index.shards.get(node)
         if shard is not None and len(shard):
@@ -594,8 +572,7 @@ class QueryProtocol(Protocol):
                     q.qid, "result", node=node.id,
                     results=len(entries), size=0, local=True,
                 )
-            if self.engine is not None:
-                self.engine.add_entries(q.qid, entries)
+            self.engine.add_entries(q.qid, entries)
             return
         self.note_traffic(node, q.source)
         # result bytes are charged on arrival (a dropped or duplicated reply
@@ -614,5 +591,4 @@ class QueryProtocol(Protocol):
                 qid, "result", node=msg.from_node,
                 results=len(msg.entries), size=msg.size, local=False,
             )
-        if self.engine is not None:
-            self.engine.add_entries(qid, msg.entries)
+        self.engine.add_entries(qid, msg.entries)

@@ -100,9 +100,9 @@ class ExperimentConfig:
     #: Optional transport fault model (loss / jitter / partitions) applied to
     #: every message of every scheme run; None = the paper's fault-free runs.
     faults: FaultConfig | None = None
-    #: Optional lifecycle policy (per-query deadline, retransmission with
-    #: exponential backoff).  Required for faulted runs to terminate with
-    #: explicit per-query states instead of silently losing results.
+    #: Lifecycle policy (per-query deadline, retransmission with exponential
+    #: backoff); None = the default policy: no deadline, no retransmission,
+    #: a lost branch settles as failed.
     policy: RetryPolicy | None = None
     #: Pipelined batch execution (all queries of a sweep point in flight
     #: concurrently, harvested as they complete) versus the serial
@@ -236,79 +236,72 @@ def run_scheme(
     ``obs`` is an optional :class:`repro.obs.Observability` shared across
     scheme runs; per-node load lands in its ``node_stored_entries`` gauge
     (labeled by scheme) and the figure benches read it back from the
-    registry.  The platform is torn down via ``close()`` on every exit path
-    so file-backed trace sinks can never be left truncated.
+    registry (the caller closes the shared bundle).
     """
     platform = _build_platform(cfg, seed_offset, obs=obs)
-    try:
-        platform.create_index(
-            scheme.label,
-            bundle.dataset,
-            bundle.metric,
-            k=scheme.k,
-            selection=scheme.selection,
-            sample_size=cfg.sample_size,
-            boundary=bundle.boundary,
-            rotation=cfg.rotation,
-            refine_mode=cfg.refine_mode,
-            seed=cfg.seed + 17 * seed_offset,
+    platform.create_index(
+        scheme.label,
+        bundle.dataset,
+        bundle.metric,
+        k=scheme.k,
+        selection=scheme.selection,
+        sample_size=cfg.sample_size,
+        boundary=bundle.boundary,
+        rotation=cfg.rotation,
+        refine_mode=cfg.refine_mode,
+        seed=cfg.seed + 17 * seed_offset,
+    )
+    result = SchemeResult(scheme=scheme)
+    if cfg.load_balance:
+        result.lb_report = dynamic_load_migration(
+            platform,
+            delta=cfg.lb_delta,
+            probe_level=cfg.lb_probe_level,
+            max_rounds=cfg.lb_max_rounds,
+            seed=cfg.seed + seed_offset,
         )
-        result = SchemeResult(scheme=scheme)
-        if cfg.load_balance:
-            result.lb_report = dynamic_load_migration(
-                platform,
-                delta=cfg.lb_delta,
-                probe_level=cfg.lb_probe_level,
-                max_rounds=cfg.lb_max_rounds,
-                seed=cfg.seed + seed_offset,
-            )
-        index = platform.indexes[scheme.label]
-        if obs is not None and obs.registry.enabled:
-            from repro.obs.load import STORED_ENTRIES_GAUGE, gauge_vector, record_load_vector
+    index = platform.indexes[scheme.label]
+    if obs is not None and obs.registry.enabled:
+        from repro.obs.load import STORED_ENTRIES_GAUGE, gauge_vector, record_load_vector
 
-            record_load_vector(
-                obs.registry, index.load_distribution(),
-                metric=STORED_ENTRIES_GAUGE,
-                extra_labels=("scheme",), extra_values=(scheme.label,),
-            )
-            loads = gauge_vector(
-                obs.registry, STORED_ENTRIES_GAUGE, match={"scheme": scheme.label}
-            )
-            result.load_distribution = np.sort(loads)[::-1]
-        else:
-            result.load_distribution = np.sort(index.load_distribution())[::-1]
-        result.load_stats = load_summary(result.load_distribution)
-        rng_workload = as_rng(cfg.seed + 1000 + seed_offset)
-        for rf in cfg.range_factors:
-            radius = rf * bundle.max_distance
-            workload = QueryWorkload.build(
-                bundle.query_objects,
-                radius,
-                n_nodes=len(platform.ring),
-                mean_interarrival=cfg.mean_interarrival,
-                seed=rng_workload,
-            )
-            stats = platform.run_workload(
-                scheme.label,
-                workload,
-                pipelined=cfg.pipelined,
-                policy=cfg.policy,
-                surrogate_mode=cfg.surrogate_mode,
-                top_k=cfg.top_k,
-                range_filter=cfg.range_filter,
-            )
-            recall, _ = workload_recall(stats, bundle.ground_truth, k=cfg.top_k)
-            row = stats.summary()
-            row["range_factor"] = rf
-            row["radius"] = radius
-            row["recall"] = recall
-            result.rows.append(row)
-        return result
-    finally:
-        # the obs bundle may be shared across scheme runs — the caller closes
-        # it; here we only flush the platform's own trace sink
-        if platform.trace is not None:
-            platform.trace.close()
+        record_load_vector(
+            obs.registry, index.load_distribution(),
+            metric=STORED_ENTRIES_GAUGE,
+            extra_labels=("scheme",), extra_values=(scheme.label,),
+        )
+        loads = gauge_vector(
+            obs.registry, STORED_ENTRIES_GAUGE, match={"scheme": scheme.label}
+        )
+        result.load_distribution = np.sort(loads)[::-1]
+    else:
+        result.load_distribution = np.sort(index.load_distribution())[::-1]
+    result.load_stats = load_summary(result.load_distribution)
+    rng_workload = as_rng(cfg.seed + 1000 + seed_offset)
+    for rf in cfg.range_factors:
+        radius = rf * bundle.max_distance
+        workload = QueryWorkload.build(
+            bundle.query_objects,
+            radius,
+            n_nodes=len(platform.ring),
+            mean_interarrival=cfg.mean_interarrival,
+            seed=rng_workload,
+        )
+        stats = platform.run_workload(
+            scheme.label,
+            workload,
+            pipelined=cfg.pipelined,
+            policy=cfg.policy,
+            surrogate_mode=cfg.surrogate_mode,
+            top_k=cfg.top_k,
+            range_filter=cfg.range_filter,
+        )
+        recall, _ = workload_recall(stats, bundle.ground_truth, k=cfg.top_k)
+        row = stats.summary()
+        row["range_factor"] = rf
+        row["radius"] = radius
+        row["recall"] = recall
+        result.rows.append(row)
+    return result
 
 
 def run_experiment(cfg: ExperimentConfig, bundle: DatasetBundle | None = None) -> ExperimentResult:

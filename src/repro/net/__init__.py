@@ -3,7 +3,7 @@
 The simulator's :class:`repro.sim.transport.Transport` delivers messages by
 scheduling callbacks on a virtual clock; this package is the second backend
 the ROADMAP calls for — the same contract (per-peer ordered delivery,
-cancelable timers, fault injection, trace sinks, byte accounting) carried by
+cancelable timers, fault injection, byte accounting) carried by
 real sockets on the host's monotonic clock:
 
 * :mod:`repro.net.codec` — length-prefixed JSON/msgpack framing with a

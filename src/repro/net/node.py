@@ -45,7 +45,7 @@ from repro.core.storage import PersistentShard
 from repro.dht.hashing import node_id, rotation_offset
 from repro.dht.idspace import cw_distance, in_interval_open, in_interval_open_closed
 from repro.net.transport import RpcError, RpcTimeout, TcpTransport
-from repro.sim.transport import FaultConfig, TraceSink
+from repro.sim.transport import FaultConfig
 
 __all__ = ["NodeConfig", "NodeProcess", "MAX_ROUTE_HOPS"]
 
@@ -85,8 +85,7 @@ class NodeConfig:
 class NodeProcess:
     """One live overlay node (see module docstring)."""
 
-    def __init__(self, config: NodeConfig, trace: TraceSink | None = None,
-                 metrics: Any = None) -> None:
+    def __init__(self, config: NodeConfig, metrics: Any = None) -> None:
         self.config = config
         self.m = config.m
         self.id = node_id(config.name, config.m)
@@ -96,7 +95,6 @@ class NodeProcess:
             node_id=self.id,
             host=config.host,
             faults=config.faults,
-            trace=trace,
             metrics=metrics,
             fmt=config.fmt,
             seed=config.seed,

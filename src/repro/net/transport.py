@@ -15,12 +15,12 @@ suite (``tests/test_transport_conformance.py``):
   probabilistic loss and host-set partitions are applied at send time from a
   seeded generator (drops are *local* — the bytes never reach the socket —
   so a partitioned live cluster behaves like a partitioned simulated one);
-* **tracing and accounting** — :class:`~repro.sim.transport.MessageTrace`
-  records into any :class:`~repro.sim.transport.TraceSink`; drops are
-  recorded by the sender, deliveries by the receiver (the only party that
-  can observe them over a real network); byte counters reuse
-  :class:`~repro.sim.transport.TransportStats` with the same traffic-class
-  split.
+* **accounting** — the class inherits
+  :class:`~repro.sim.transport.MessageAccounting`, so counters, metrics
+  instruments, the partition table and the loss gate are the simulator's own
+  code; drops are counted by the sender, deliveries by the receiver (the only
+  party that can observe them over a real network), and ``on_drop`` callbacks
+  receive the drop status string.
 
 On top of the one-way contract it adds what live deployments need:
 request/response RPC (responses ride the requesting connection, so pure
@@ -38,21 +38,12 @@ from collections.abc import Awaitable, Callable
 from typing import Any
 
 from repro.net.codec import CodecError, FrameDecoder, Framer
-from repro.sim.transport import (
-    DROPPED_DEAD,
-    DROPPED_LOSS,
-    DROPPED_PARTITION,
-    FaultConfig,
-    MessageTrace,
-    TraceSink,
-    TransportStats,
-    traffic_class,
-)
+from repro.sim.transport import DROPPED_DEAD, FaultConfig, MessageAccounting
 
 __all__ = ["NetTimerHandle", "RpcError", "RpcTimeout", "TcpTransport"]
 
 #: one clock origin per process so every transport's ``now`` is comparable
-#: (delivery latency = receiver.now - trace.sent_at within one host)
+#: (delivery latency = receiver.now - envelope sent_at within one host)
 _PROCESS_T0 = time.monotonic()
 
 
@@ -113,7 +104,9 @@ class _PeerConnection:
     def __init__(self, owner: TcpTransport, addr: str) -> None:
         self.owner = owner
         self.addr = addr
-        self.queue: deque[tuple[bytes, MessageTrace | None, Any]] = deque()
+        #: (frame, kind, on_drop); ``kind`` is None for RPC frames, whose loss
+        #: the caller's timeout reports
+        self.queue: deque[tuple[bytes, str | None, Any]] = deque()
         self.wake = asyncio.Event()
         self.task: asyncio.Task[None] | None = None
         self.reader: asyncio.StreamReader | None = None
@@ -121,8 +114,8 @@ class _PeerConnection:
         self.reader_task: asyncio.Task[None] | None = None
         self.closed = False
 
-    def enqueue(self, frame: bytes, rec: MessageTrace | None, on_drop: Any) -> None:
-        self.queue.append((frame, rec, on_drop))
+    def enqueue(self, frame: bytes, kind: str | None, on_drop: Any) -> None:
+        self.queue.append((frame, kind, on_drop))
         self.wake.set()
         if self.task is None or self.task.done():
             # the owner's loop, not get_running_loop(): sync callers (tests,
@@ -160,7 +153,7 @@ class _PeerConnection:
                 if not await self._connect():
                     self._drop_queued()
                     continue
-            frame, rec, on_drop = self.queue[0]
+            frame = self.queue[0][0]
             try:
                 assert self.writer is not None
                 self.writer.write(frame)
@@ -172,9 +165,9 @@ class _PeerConnection:
 
     def _drop_queued(self) -> None:
         while self.queue:
-            _, rec, on_drop = self.queue.popleft()
-            if rec is not None:
-                self.owner._drop(rec, DROPPED_DEAD, on_drop)
+            _, kind, on_drop = self.queue.popleft()
+            if kind is not None:
+                self.owner._drop(kind, DROPPED_DEAD, on_drop)
 
     def _teardown_socket(self) -> None:
         if self.reader_task is not None:
@@ -207,12 +200,12 @@ class _PeerConnection:
         return not self.queue
 
 
-class TcpTransport:
+class TcpTransport(MessageAccounting):
     """Live message transport over asyncio TCP (see module docstring).
 
     Parameters mirror the sim transport where the concept transfers:
-    ``faults``/``trace``/``metrics`` behave identically; ``node_id`` and
-    ``host`` identify this endpoint in traces and partition checks; ``fmt``
+    ``faults``/``metrics`` behave identically; ``node_id`` and ``host``
+    identify this endpoint on the wire and in partition checks; ``fmt``
     picks the frame body serialisation (``"json"`` or ``"msgpack"``).
     """
 
@@ -221,7 +214,6 @@ class TcpTransport:
         node_id: int = 0,
         host: int = 0,
         faults: FaultConfig | None = None,
-        trace: TraceSink | None = None,
         metrics: Any = None,
         fmt: str = "json",
         seed: int = 0,
@@ -230,11 +222,9 @@ class TcpTransport:
         max_connect_attempts: int = 8,
         rpc_timeout: float = 2.0,
     ) -> None:
+        super().__init__(faults, metrics)
         self.node_id = int(node_id)
         self.host = int(host)
-        self.faults = faults if faults is not None else FaultConfig()
-        self.trace = trace
-        self.stats = TransportStats()
         self.framer = Framer(fmt)
         self.reconnect_base = reconnect_base
         self.reconnect_max = reconnect_max
@@ -255,11 +245,6 @@ class TcpTransport:
         # must not shift when backoff jitter is consumed
         self._loss_rng = random.Random(self.faults.seed)
         self._backoff_rng = random.Random(seed ^ 0x5EED)
-        self._partition_of: dict[int, int] = {}
-        for gi, group in enumerate(self.faults.partitions):
-            for h in group:
-                self._partition_of[h] = gi
-        self.attach_metrics(metrics)
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -314,31 +299,6 @@ class TcpTransport:
         """Associate a peer address with its partition-host index."""
         self._peer_hosts[addr] = int(host)
 
-    def partitioned(self, a_host: int, b_host: int) -> bool:
-        if not self._partition_of:
-            return False
-        return self._partition_of.get(a_host, -1) != self._partition_of.get(b_host, -1)
-
-    # -- metrics ----------------------------------------------------------------
-
-    def attach_metrics(self, metrics: Any) -> None:
-        """Same instrument set as the sim transport (shared dashboards)."""
-        if metrics is not None and getattr(metrics, "enabled", False):
-            self._m_sent = metrics.counter(
-                "transport_sent_total", "Messages sent", ("proto",))
-            self._m_delivered = metrics.counter(
-                "transport_delivered_total", "Messages delivered", ("proto",))
-            self._m_dropped = metrics.counter(
-                "transport_dropped_total", "Messages dropped", ("proto", "reason"))
-            self._m_bytes = metrics.counter(
-                "transport_bytes_total", "Payload bytes sent", ("proto", "class"))
-            self._m_latency = metrics.histogram(
-                "transport_delivery_latency_seconds",
-                "Send-to-arrival delay of delivered messages")
-        else:
-            self._m_sent = self._m_delivered = None
-            self._m_dropped = self._m_bytes = self._m_latency = None
-
     # -- timers (the sim transport's cancelable-timer API) ----------------------
 
     def _require_loop(self) -> asyncio.AbstractEventLoop:
@@ -378,62 +338,11 @@ class TcpTransport:
     def _src_info(self) -> dict[str, Any]:
         return {"id": self.node_id, "host": self.host, "addr": self.addr}
 
-    def _trace_for(self, dst_addr: str, kind: str, size: int,
-                   qid: int | None, attempt: int) -> MessageTrace:
-        return MessageTrace(
-            kind=kind,
-            src=self.node_id,
-            dst=self._peer_hosts.get(dst_addr, -1),
-            src_host=self.host,
-            dst_host=self._peer_hosts.get(dst_addr, -1),
-            size=size,
-            sent_at=self.now,
-            qid=qid,
-            attempt=attempt,
-        )
-
-    def _account_send(self, kind: str, size: int) -> None:
-        self.stats.sent += 1
-        cls = traffic_class(kind)
-        if cls == "query":
-            self.stats.query_bytes += size
-        elif cls == "result":
-            self.stats.result_bytes += size
-        else:
-            self.stats.maintenance_bytes += size
-            self.stats.maintenance_messages += 1
-        if self._m_sent is not None:
-            proto = kind.split(":", 1)[0]
-            self._m_sent.inc((proto,))
-            self._m_bytes.add(size, (proto, cls))
-
-    def _drop(self, rec: MessageTrace, status: str, on_drop: Any) -> bool:
-        rec.status = status
-        if status == DROPPED_DEAD:
-            self.stats.dropped_dead += 1
-        elif status == DROPPED_LOSS:
-            self.stats.dropped_loss += 1
-        else:
-            self.stats.dropped_partition += 1
-        if self._m_dropped is not None:
-            self._m_dropped.inc((rec.kind.split(":", 1)[0], status))
-        if self.trace is not None:
-            self.trace.record(rec)
-        if on_drop is not None:
-            on_drop(rec)
-        return False
-
-    def _faulted(self, rec: MessageTrace, dst_addr: str, on_drop: Any) -> bool:
-        """Apply partition/loss at send time; True when the message dies."""
-        dst_host = self._peer_hosts.get(dst_addr)
-        if dst_host is not None and self.partitioned(self.host, dst_host):
-            self._drop(rec, DROPPED_PARTITION, on_drop)
-            return True
-        if self.faults.loss_rate:
-            if self._loss_rng.random() < self.faults.loss_rate:
-                self._drop(rec, DROPPED_LOSS, on_drop)
-                return True
-        return False
+    def _dropped_at_send(self, dst_addr: str, kind: str, on_drop: Any) -> bool:
+        """The shared partition-and-loss gate; a peer whose host was never
+        declared (:meth:`set_peer_host`) is never partitioned off."""
+        return self._faulted(
+            self.host, self._peer_hosts.get(dst_addr, self.host), kind, on_drop)
 
     def send(
         self,
@@ -444,7 +353,7 @@ class TcpTransport:
         size: int = 0,
         qid: int | None = None,
         attempt: int = 1,
-        on_drop: Callable[[MessageTrace], None] | None = None,
+        on_drop: Callable[[str], None] | None = None,
     ) -> bool:
         """One-way message to ``dst_addr`` (``"ip:port"``).
 
@@ -452,22 +361,20 @@ class TcpTransport:
         exactly like the sim transport; connection failures after send
         surface through ``on_drop`` with ``dropped:dead``.
         """
-        rec = self._trace_for(dst_addr, kind, size, qid, attempt)
         self._account_send(kind, size)
         if dst_addr == self.addr:
             # local hand-off: immediate, never faulted (sim parity)
-            envelope_payload = payload
             self._require_loop().call_soon(
-                self._dispatch_msg, kind, envelope_payload, self._src_info(), rec)
+                self._dispatch_msg, kind, payload, self._src_info(), self.now)
             return True
-        if self._faulted(rec, dst_addr, on_drop):
+        if self._dropped_at_send(dst_addr, kind, on_drop):
             return False
         frame = self.framer.encode({
             "v": 1, "t": "msg", "kind": kind, "src": self._src_info(),
             "qid": qid, "size": size, "attempt": attempt,
-            "sent_at": rec.sent_at, "payload": payload,
+            "sent_at": self.now, "payload": payload,
         })
-        self._conn(dst_addr).enqueue(frame, rec, on_drop)
+        self._conn(dst_addr).enqueue(frame, kind, on_drop)
         return True
 
     async def rpc(self, dst_addr: str, kind: str, payload: Any = None, *,
@@ -475,9 +382,8 @@ class TcpTransport:
                   timeout: float | None = None) -> Any:
         """Request/response to ``dst_addr``; raises :class:`RpcTimeout` when
         no reply arrives in time (dead, partitioned or lossy peer)."""
-        rec = self._trace_for(dst_addr, kind, size, qid, 1)
         self._account_send(kind, size)
-        if self._faulted(rec, dst_addr, None):
+        if self._dropped_at_send(dst_addr, kind, None):
             raise RpcTimeout(f"rpc {kind} to {dst_addr}: dropped by fault injection")
         loop = self._require_loop()
         rid = self._next_rid
@@ -494,7 +400,7 @@ class TcpTransport:
         else:
             frame = self.framer.encode({
                 "v": 1, "t": "req", "kind": kind, "rid": rid, "src": self._src_info(),
-                "qid": qid, "size": size, "sent_at": rec.sent_at, "payload": payload,
+                "qid": qid, "size": size, "sent_at": self.now, "payload": payload,
             })
             self._conn(dst_addr).enqueue(frame, None, None)
         try:
@@ -567,18 +473,8 @@ class TcpTransport:
         src = env.get("src") or {}
         t = env.get("t")
         if t == "msg":
-            rec = MessageTrace(
-                kind=kind,
-                src=int(src.get("id", -1)),
-                dst=self.node_id,
-                src_host=int(src.get("host", -1)),
-                dst_host=self.host,
-                size=int(env.get("size", 0)),
-                sent_at=float(env.get("sent_at", 0.0)),
-                qid=env.get("qid"),
-                attempt=int(env.get("attempt", 1)),
-            )
-            self._dispatch_msg(kind, env.get("payload"), src, rec)
+            self._dispatch_msg(
+                kind, env.get("payload"), src, float(env.get("sent_at", 0.0)))
         elif t == "req":
             reply = await self._handle_request(kind, env.get("payload"), src)
             frame = response_framer.encode({
@@ -591,15 +487,8 @@ class TcpTransport:
                 pass
 
     def _dispatch_msg(self, kind: str, payload: Any, src: dict[str, Any],
-                      rec: MessageTrace) -> None:
-        rec.arrived_at = self.now
-        rec.status = "delivered"
-        self.stats.delivered += 1
-        if self._m_delivered is not None:
-            self._m_delivered.inc((kind.split(":", 1)[0],))
-            self._m_latency.observe(max(0.0, rec.arrived_at - rec.sent_at))
-        if self.trace is not None:
-            self.trace.record(rec)
+                      sent_at: float) -> None:
+        self._account_delivery(kind, max(0.0, self.now - sent_at))
         handler = self._handlers.get(kind)
         if handler is not None:
             handler(payload, src)

@@ -1,9 +1,8 @@
 """Qid-correlated span tracing: one stream for a query's whole execution.
 
-Without this module the record of one query is scattered: the transport's
-:class:`~repro.sim.transport.MessageTrace` records (per-message, terminal
-state only) and the lifecycle engine's branch counters say nothing about
-the routing tree between them.  A :class:`SpanRecorder` unifies them: every
+Spans are the only per-message record of a run — the transport keeps
+counters, the lifecycle engine branch totals, and neither says anything about
+the routing tree between them.  A :class:`SpanRecorder` does: every
 subsystem emits :class:`Span` records carrying the query id, a span id and a
 *parent* span id into one fan-out, so the full embedded-tree execution of a
 query — issue, message sends, retransmissions, drops, routing splits,
@@ -18,8 +17,8 @@ is popped in a ``finally``.  Across the asynchronous send/deliver boundary
 the parent id rides along as an explicit message argument (see
 ``QueryProtocol._tracked_send``).
 
-Sinks mirror the transport's trace sinks: :class:`MemorySpanSink` for tests
-and notebooks, :class:`JsonlSpanSink` streaming one JSON object per span.
+Two sinks: :class:`MemorySpanSink` for tests and notebooks,
+:class:`JsonlSpanSink` streaming one JSON object per span.
 All file-backed sinks are context managers and flush on close, so a crashed
 run cannot leave a truncated trace file behind (use ``with`` or
 ``try/finally``).

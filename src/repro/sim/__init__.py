@@ -23,12 +23,9 @@ from repro.sim.network import ConstantLatency, EuclideanLatency, LatencyModel, M
 from repro.sim.stats import QueryStats, StatsCollector
 from repro.sim.transport import (
     FaultConfig,
-    JsonlTraceSink,
-    MemoryTraceSink,
-    MessageTrace,
+    MessageAccounting,
     Protocol,
     TimerHandle,
-    TraceSink,
     Transport,
     TransportStats,
     traffic_class,
@@ -57,9 +54,6 @@ __all__ = [
     "traffic_class",
     "Protocol",
     "FaultConfig",
-    "MessageTrace",
+    "MessageAccounting",
     "TimerHandle",
-    "TraceSink",
-    "MemoryTraceSink",
-    "JsonlTraceSink",
 ]

@@ -150,27 +150,6 @@ class Simulator:
 
         self.schedule_in(interval, tick)
 
-    def schedule_batch(self, entries: list[tuple[float, Callable[..., Any], tuple[Any, ...]]]) -> None:
-        """Schedule many ``(time, fn, args)`` entries with one heapify.
-
-        The bulk-injection path for workloads: pushing ``k`` events one by
-        one costs ``k`` sift-ups through an ever-deeper heap; extending the
-        array and re-heapifying once is O(n).  Replay-safe by construction —
-        sequence numbers are assigned in list order, exactly as a loop of
-        :meth:`schedule_at` calls would, and the pop order of a binary heap
-        depends only on the (unique) ``(time, seq)`` keys, never on the
-        internal array layout.
-        """
-        seq = self._seq
-        now = self.now
-        for time, _fn, _args in entries:
-            if time < now:
-                raise ValueError(f"cannot schedule into the past ({time} < {now})")
-        self._queue.extend(
-            (time, next(seq), fn, args) for time, fn, args in entries
-        )
-        heapq.heapify(self._queue)
-
     def schedule_cancelable_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Like :meth:`schedule_at`, returning a cancelable :class:`EventHandle`."""
         if time < self.now:

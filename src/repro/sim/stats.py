@@ -42,10 +42,9 @@ class QueryStats:
     dropped_messages: int = 0
     index_nodes: set[int] = field(default_factory=set)
     entries: list[Any] = field(default_factory=list)
-    #: lifecycle state mirror ("untracked" when no LifecycleEngine is wired;
-    #: otherwise issued/routing/resolving/complete/timed_out)
-    state: str = "untracked"
-    #: simulation time the query reached a terminal state (engine-tracked)
+    #: lifecycle state mirror: issued/routing/resolving/complete/timed_out
+    state: str = "issued"
+    #: simulation time the query reached a terminal state
     completed_at: float | None = None
     #: message branches re-sent by the lifecycle engine (retries are real
     #: traffic: their bytes land in query_bytes like any other send)
@@ -57,7 +56,7 @@ class QueryStats:
 
     @property
     def terminal(self) -> bool:
-        """True once an engine-tracked query completed or timed out."""
+        """True once the query completed or timed out."""
         return self.state in ("complete", "timed_out")
 
     @property

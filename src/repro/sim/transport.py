@@ -1,4 +1,4 @@
-"""Unified message transport: delivery, faults and per-message tracing.
+"""Unified message transport: delivery, faults and per-message accounting.
 
 Every message-passing protocol in the library (query routing, Chord
 stabilisation, the naive flooding baseline, SCRAP interval routing) delivers
@@ -21,9 +21,15 @@ On top of that it provides what the per-protocol implementations never had:
   draws come from one seeded generator, so a run with the same seed drops
   exactly the same messages (the simulator is deterministic, hence so is the
   message order the generator is consumed in);
-* **per-message tracing** (:class:`MessageTrace` fed to a :class:`TraceSink`)
-  — message kind, endpoints, size, send/arrive times and final status, for
-  observability and structural assertions in tests.
+* **one accounting core** (:class:`MessageAccounting`) — fault table, global
+  counters, metrics instruments and the drop bookkeeping, inherited by this
+  module's :class:`Transport` and by the live
+  :class:`repro.net.transport.TcpTransport`, so "one message" costs and counts
+  the same on both backends.
+
+The transport keeps no per-message record: the ``send`` / ``drop`` / ``result``
+spans of :mod:`repro.obs.spans` are the per-message trace (a ``drop`` span's
+parent ``send`` span carries source, destination, kind, size and attempt).
 
 :class:`Protocol` is the small base class protocols derive from: it wires
 ``sim``/``stats``/``latency``/``maintenance`` once instead of copy-pasting
@@ -32,10 +38,9 @@ the plumbing through every protocol constructor.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Any, Protocol as StructuralType, Self
+from typing import TYPE_CHECKING, Any, Protocol as StructuralType
 
 from repro.sim.engine import EventHandle, Simulator
 from repro.util.rng import spawn_rngs
@@ -56,17 +61,13 @@ __all__ = [
     "FaultConfig",
     "TransportStats",
     "traffic_class",
-    "MessageTrace",
     "TimerHandle",
-    "TraceSink",
-    "MemoryTraceSink",
-    "JsonlTraceSink",
+    "MessageAccounting",
     "Transport",
     "Protocol",
 ]
 
-#: terminal statuses of a message
-DELIVERED = "delivered"
+#: the drop statuses ``on_drop`` callbacks and ``drop`` spans carry
 DROPPED_DEAD = "dropped:dead"          # destination crashed before arrival
 DROPPED_LOSS = "dropped:loss"          # probabilistic fault-injected loss
 DROPPED_PARTITION = "dropped:partition"  # endpoints in different partitions
@@ -154,147 +155,27 @@ class TransportStats:
         return self.dropped_dead + self.dropped_loss + self.dropped_partition
 
 
-@dataclass
-class MessageTrace:
-    """One message's life, as recorded by the trace hooks.
-
-    ``arrived_at`` stays ``None`` for dropped messages; ``status`` is one of
-    ``"delivered"``, ``"dropped:dead"``, ``"dropped:loss"``,
-    ``"dropped:partition"``.  ``attempt`` is the transmission attempt the
-    record belongs to: 1 for the original send, 2+ for lifecycle-engine
-    retransmissions of the same logical message.
-    """
-
-    kind: str
-    src: int
-    dst: int
-    src_host: int
-    dst_host: int
-    size: int
-    sent_at: float
-    arrived_at: float | None = None
-    status: str = "sent"
-    qid: int | None = None
-    attempt: int = 1
-
-
 #: Cancelable timers are engine-level events now: cancellation tombstones
 #: the heap entry so the dispatch loop skips the callback entirely, instead
 #: of firing a no-op.  The old name stays exported for existing callers.
 TimerHandle = EventHandle
 
 
-class TraceSink:
-    """Receives one :class:`MessageTrace` per message at its terminal state.
+class MessageAccounting:
+    """What "one message" counts as, on either backend.
 
-    Sinks are context managers: ``with JsonlTraceSink(path) as sink`` (or a
-    ``try/finally`` around :meth:`close`) guarantees the underlying file is
-    flushed and closed even when the run raises, so a crashed simulation
-    cannot leave a truncated trace file behind.
+    Owns the fault table, the global :class:`TransportStats`, the metrics
+    instruments and the send-time partition-and-loss gate.  The simulator's
+    :class:`Transport` and the live :class:`repro.net.transport.TcpTransport`
+    inherit it and add only delivery; a subclass sets ``_loss_rng`` (anything
+    with a ``random()`` method) before its first send.
     """
 
-    def record(self, trace: MessageTrace) -> None:
-        raise NotImplementedError
+    _loss_rng: Any
 
-    def close(self) -> None:  # pragma: no cover - default no-op
-        pass
-
-    def __enter__(self) -> Self:
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-class MemoryTraceSink(TraceSink):
-    """Keeps traces in a list, with the filters tests and notebooks want."""
-
-    def __init__(self) -> None:
-        self.records: list[MessageTrace] = []
-
-    def record(self, trace: MessageTrace) -> None:
-        self.records.append(trace)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def by_kind(self, kind: str) -> list[MessageTrace]:
-        return [t for t in self.records if t.kind == kind]
-
-    def by_status(self, status: str) -> list[MessageTrace]:
-        return [t for t in self.records if t.status == status]
-
-    def dropped(self) -> list[MessageTrace]:
-        return [t for t in self.records if t.status.startswith("dropped")]
-
-    def for_query(self, qid: int) -> list[MessageTrace]:
-        return [t for t in self.records if t.qid == qid]
-
-
-class JsonlTraceSink(TraceSink):
-    """Streams traces as JSON lines to a path or file-like object.
-
-    :meth:`close` flushes before closing and is safe to call twice; a
-    file-like ``target`` is flushed but left open (the caller owns it).
-    """
-
-    def __init__(self, target: Any) -> None:
-        if hasattr(target, "write"):
-            self._fh = target
-            self._owns = False
-        else:
-            self._fh = open(target, "w")
-            self._owns = True
-        self._closed = False
-
-    def record(self, trace: MessageTrace) -> None:
-        self._fh.write(json.dumps(asdict(trace)) + "\n")
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._fh.flush()
-        if self._owns:
-            self._fh.close()
-
-
-class Transport:
-    """Message delivery between overlay nodes over the discrete-event engine.
-
-    Endpoints are duck-typed node objects exposing ``id``, ``host`` and
-    ``alive``.  ``latency`` may be ``None``, which makes all messages
-    instantaneous (structural tests).
-
-    The two delivery primitives:
-
-    * :meth:`send` — asynchronous: schedules ``handler(*args)`` at the
-      destination after the network delay, applying faults and the liveness
-      check at arrival time;
-    * :meth:`control` — synchronous RPC-hop accounting for the maintenance
-      protocol (stabilisation models request/response pairs as instantaneous
-      but countable and fault-droppable).
-
-    ``timer``/``at`` schedule local (non-network) callbacks so protocol code
-    never needs the simulator directly.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator | None = None,
-        latency: LatencyModel | None = None,
-        faults: FaultConfig | None = None,
-        trace: TraceSink | None = None,
-        metrics: Any = None,
-    ) -> None:
-        self.sim = sim if sim is not None else Simulator()
-        self.latency = latency
+    def __init__(self, faults: FaultConfig | None, metrics: Any) -> None:
         self.faults = faults if faults is not None else FaultConfig()
-        self.trace = trace
         self.stats = TransportStats()
-        self.attach_metrics(metrics)
-        # independent streams: toggling jitter must not re-order loss draws
-        self._loss_rng, self._jitter_rng = spawn_rngs(self.faults.seed, 2)
         #: when set (to a list), every fault-injection draw is appended as a
         #: ``(kind, value)`` pair — ``("loss", u)`` per loss coin flip,
         #: ``("jitter", j)`` per jitter delay.  Deterministic replay compares
@@ -305,6 +186,7 @@ class Transport:
         for gi, group in enumerate(self.faults.partitions):
             for host in group:
                 self._partition_of[host] = gi
+        self.attach_metrics(metrics)
 
     def attach_metrics(self, metrics: Any) -> None:
         """Resolve registry instruments for this transport (or disable them).
@@ -333,6 +215,98 @@ class Transport:
             self._m_sent = self._m_delivered = None
             self._m_dropped = self._m_bytes = self._m_latency = None
 
+    def partitioned(self, a_host: int, b_host: int) -> bool:
+        """Whether a partition separates the two hosts."""
+        if not self._partition_of:
+            return False
+        return self._partition_of.get(a_host, -1) != self._partition_of.get(b_host, -1)
+
+    def _account_send(self, kind: str, size: int) -> None:
+        self.stats.sent += 1
+        cls = traffic_class(kind)
+        if cls == "query":
+            self.stats.query_bytes += size
+        elif cls == "result":
+            self.stats.result_bytes += size
+        else:
+            self.stats.maintenance_bytes += size
+            self.stats.maintenance_messages += 1
+        if self._m_sent is not None:
+            proto = kind.split(":", 1)[0]
+            self._m_sent.inc((proto,))
+            self._m_bytes.add(size, (proto, cls))
+
+    def _account_delivery(self, kind: str, latency: float) -> None:
+        self.stats.delivered += 1
+        if self._m_delivered is not None:
+            self._m_delivered.inc((kind.split(":", 1)[0],))
+            self._m_latency.observe(latency)
+
+    def _drop(self, kind: str, status: str,
+              on_drop: Callable[[str], None] | None) -> None:
+        """Count one dropped message and hand ``status`` to ``on_drop``."""
+        if status == DROPPED_DEAD:
+            self.stats.dropped_dead += 1
+        elif status == DROPPED_LOSS:
+            self.stats.dropped_loss += 1
+        else:
+            self.stats.dropped_partition += 1
+        if self._m_dropped is not None:
+            self._m_dropped.inc((kind.split(":", 1)[0], status))
+        if on_drop is not None:
+            on_drop(status)
+
+    def _faulted(self, src_host: int, dst_host: int, kind: str,
+                 on_drop: Callable[[str], None] | None) -> bool:
+        """The send-time gate: partition first, then one loss draw.  True
+        when the message died (already counted and reported)."""
+        # the table test first: no call on the faults-off hot path
+        if self._partition_of and self.partitioned(src_host, dst_host):
+            self._drop(kind, DROPPED_PARTITION, on_drop)
+            return True
+        if self.faults.loss_rate:
+            u = float(self._loss_rng.random())
+            if self.draw_log is not None:
+                self.draw_log.append(("loss", u))
+            if u < self.faults.loss_rate:
+                self._drop(kind, DROPPED_LOSS, on_drop)
+                return True
+        return False
+
+
+class Transport(MessageAccounting):
+    """Message delivery between overlay nodes over the discrete-event engine.
+
+    Endpoints are duck-typed node objects exposing ``id``, ``host`` and
+    ``alive``.  ``latency`` may be ``None``, which makes all messages
+    instantaneous (structural tests).
+
+    The two delivery primitives:
+
+    * :meth:`send` — asynchronous: schedules ``handler(*args)`` at the
+      destination after the network delay, applying faults and the liveness
+      check at arrival time;
+    * :meth:`control` — synchronous RPC-hop accounting for the maintenance
+      protocol (stabilisation models request/response pairs as instantaneous
+      but countable and fault-droppable).
+
+    ``timer``/``at`` schedule local (non-network) callbacks so protocol code
+    never needs the simulator directly.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator | None = None,
+        latency: LatencyModel | None = None,
+        faults: FaultConfig | None = None,
+        metrics: Any = None,
+    ) -> None:
+        super().__init__(faults, metrics)
+        self.sim = sim if sim is not None else Simulator()
+        self.latency = latency
+        # independent streams: toggling jitter must not re-order loss draws
+        self._loss_rng, self._jitter_rng = spawn_rngs(self.faults.seed, 2)
+
     # -- scheduling helpers (local, non-network) -------------------------------
 
     def timer(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -343,16 +317,6 @@ class Transport:
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulation time ``time``."""
         self.sim.schedule_at(time, fn, *args)
-
-    def at_batch(self, entries: list[tuple[float, Callable[..., Any], tuple[Any, ...]]]) -> None:
-        """Schedule many ``(time, fn, args)`` callbacks with one heapify.
-
-        Bulk workload injection: equivalent to calling :meth:`at` per entry
-        (identical sequence-number assignment, hence identical replay
-        digests) but O(n) instead of n sift-ups — see
-        :meth:`repro.sim.engine.Simulator.schedule_batch`.
-        """
-        self.sim.schedule_batch(entries)
 
     def timer_cancelable(self, delay: float, fn: Callable[..., Any], *args: Any) -> TimerHandle:
         """Like :meth:`timer`, returning a handle that can cancel the firing
@@ -372,12 +336,6 @@ class Transport:
             return 0.0
         return self.latency.latency(src_host, dst_host)
 
-    def partitioned(self, a_host: int, b_host: int) -> bool:
-        """Whether a partition separates the two hosts."""
-        if not self._partition_of:
-            return False
-        return self._partition_of.get(a_host, -1) != self._partition_of.get(b_host, -1)
-
     # -- delivery --------------------------------------------------------------
 
     def send(
@@ -388,97 +346,40 @@ class Transport:
         *args: Any,
         kind: str = "message",
         size: int = 0,
-        qid: int | None = None,
-        attempt: int = 1,
-        on_drop: Callable[[MessageTrace], None] | None = None,
+        on_drop: Callable[[str], None] | None = None,
     ) -> bool:
         """Deliver ``handler(*args)`` at ``dst`` after the network delay.
 
         Returns ``False`` when the message is dropped at send time (fault
         loss or partition); in-flight drops (destination crashed before
-        arrival) surface through ``on_drop`` and the drop counters.  A send
-        to self is a local hand-off: immediate, never faulted, but still
-        liveness-checked at delivery.
+        arrival) surface through ``on_drop`` — called with the drop status
+        string — and the drop counters.  A send to self is a local hand-off:
+        immediate, never faulted, but still liveness-checked at delivery.
         """
-        rec = MessageTrace(
-            kind=kind,
-            src=src.id,
-            dst=dst.id,
-            src_host=src.host,
-            dst_host=dst.host,
-            size=size,
-            sent_at=self.sim.now,
-            qid=qid,
-            attempt=attempt,
-        )
         self._account_send(kind, size)
         if src is dst:
             delay = 0.0
         else:
-            if self.partitioned(src.host, dst.host):
-                return self._drop(rec, DROPPED_PARTITION, on_drop)
-            if self.faults.loss_rate:
-                u = float(self._loss_rng.random())
-                if self.draw_log is not None:
-                    self.draw_log.append(("loss", u))
-                if u < self.faults.loss_rate:
-                    return self._drop(rec, DROPPED_LOSS, on_drop)
+            if self._faulted(src.host, dst.host, kind, on_drop):
+                return False
             delay = self.delay(src.host, dst.host)
             if self.faults.jitter:
                 j = float(self._jitter_rng.exponential(self.faults.jitter))
                 if self.draw_log is not None:
                     self.draw_log.append(("jitter", j))
                 delay += j
-        self.sim.schedule_in(delay, self._deliver, dst, handler, args, rec, on_drop)
+        self.sim.schedule_in(
+            delay, self._deliver, dst, handler, args, kind, self.sim.now, on_drop)
         return True
 
-    def _account_send(self, kind: str, size: int) -> None:
-        self.stats.sent += 1
-        cls = traffic_class(kind)
-        if cls == "query":
-            self.stats.query_bytes += size
-        elif cls == "result":
-            self.stats.result_bytes += size
-        else:
-            self.stats.maintenance_bytes += size
-            self.stats.maintenance_messages += 1
-        if self._m_sent is not None:
-            proto = kind.split(":", 1)[0]
-            self._m_sent.inc((proto,))
-            self._m_bytes.add(size, (proto, cls))
-
     def _deliver(self, dst: Peer, handler: Callable[..., None],
-                 args: tuple[Any, ...], rec: MessageTrace,
-                 on_drop: Callable[[MessageTrace], None] | None) -> None:
+                 args: tuple[Any, ...], kind: str, sent_at: float,
+                 on_drop: Callable[[str], None] | None) -> None:
         if not getattr(dst, "alive", True):
-            self._drop(rec, DROPPED_DEAD, on_drop)
+            self._drop(kind, DROPPED_DEAD, on_drop)
             return
-        rec.arrived_at = self.sim.now
-        rec.status = DELIVERED
-        self.stats.delivered += 1
-        if self._m_delivered is not None:
-            self._m_delivered.inc((rec.kind.split(":", 1)[0],))
-            self._m_latency.observe(rec.arrived_at - rec.sent_at)
-        if self.trace is not None:
-            self.trace.record(rec)
+        self._account_delivery(kind, self.sim.now - sent_at)
         handler(*args)
-
-    def _drop(self, rec: MessageTrace, status: str,
-              on_drop: Callable[[MessageTrace], None] | None) -> bool:
-        rec.status = status
-        if status == DROPPED_DEAD:
-            self.stats.dropped_dead += 1
-        elif status == DROPPED_LOSS:
-            self.stats.dropped_loss += 1
-        else:
-            self.stats.dropped_partition += 1
-        if self._m_dropped is not None:
-            self._m_dropped.inc((rec.kind.split(":", 1)[0], status))
-        if self.trace is not None:
-            self.trace.record(rec)
-        if on_drop is not None:
-            on_drop(rec)
-        return False
 
     def control(self, src: Peer, dst: Peer, kind: str = "maintenance",
                 size: int = 0) -> bool:
@@ -489,36 +390,14 @@ class Transport:
         the transport still applies partitions and probabilistic loss so the
         maintenance loop degrades under the same faults queries do.
         """
-        rec = MessageTrace(
-            kind=kind,
-            src=src.id,
-            dst=dst.id,
-            src_host=src.host,
-            dst_host=dst.host,
-            size=size,
-            sent_at=self.sim.now,
-            qid=None,
-        )
         self._account_send(kind, size)
         if src is not dst:
-            if self.partitioned(src.host, dst.host):
-                return self._drop(rec, DROPPED_PARTITION, None)
-            if self.faults.loss_rate:
-                u = float(self._loss_rng.random())
-                if self.draw_log is not None:
-                    self.draw_log.append(("loss", u))
-                if u < self.faults.loss_rate:
-                    return self._drop(rec, DROPPED_LOSS, None)
+            if self._faulted(src.host, dst.host, kind, None):
+                return False
             if not getattr(dst, "alive", True):
-                return self._drop(rec, DROPPED_DEAD, None)
-        rec.arrived_at = self.sim.now
-        rec.status = DELIVERED
-        self.stats.delivered += 1
-        if self._m_delivered is not None:
-            self._m_delivered.inc((kind.split(":", 1)[0],))
-            self._m_latency.observe(0.0)
-        if self.trace is not None:
-            self.trace.record(rec)
+                self._drop(kind, DROPPED_DEAD, None)
+                return False
+        self._account_delivery(kind, 0.0)
         return True
 
 

@@ -15,12 +15,7 @@ import asyncio
 import socket
 from typing import Any
 
-from repro.sim.transport import (
-    FaultConfig,
-    MemoryTraceSink,
-    MessageTrace,
-    Transport,
-)
+from repro.sim.transport import FaultConfig, Transport
 
 
 def ephemeral_port() -> int:
@@ -47,19 +42,18 @@ class SimHarness:
     backend = "sim"
 
     def start(self, n: int, faults: FaultConfig | None = None) -> None:
-        self.sink = MemoryTraceSink()
-        self.transport = Transport(faults=faults, trace=self.sink)
+        self.transport = Transport(faults=faults)
         self.peers = [_SimPeer(i) for i in range(n)]
         self.inbox: list[list[tuple[str, Any]]] = [[] for _ in range(n)]
 
     def send(self, src: int, dst: int, kind: str = "message", payload: Any = None,
-             *, size: int = 0, qid: int | None = None, on_drop=None) -> bool:
+             *, size: int = 0, on_drop=None) -> bool:
         def handler(p: Any = payload, d: int = dst, k: str = kind) -> None:
             self.inbox[d].append((k, p))
 
         return self.transport.send(
             self.peers[src], self.peers[dst], handler,
-            kind=kind, size=size, qid=qid, on_drop=on_drop,
+            kind=kind, size=size, on_drop=on_drop,
         )
 
     def timer(self, peer: int, delay: float, fn) -> Any:
@@ -73,9 +67,6 @@ class SimHarness:
 
     def received(self, peer: int) -> list[tuple[str, Any]]:
         return self.inbox[peer]
-
-    def trace_records(self) -> list[MessageTrace]:
-        return self.sink.records
 
     def total_sent(self) -> int:
         return self.transport.stats.sent
@@ -110,13 +101,12 @@ class TcpHarness:
         if getattr(self, "transports", None):
             self.stop()  # restartable: reproducibility tests start twice
         self.loop = asyncio.new_event_loop()
-        self.sink = MemoryTraceSink()
         self.transports: list[TcpTransport] = []
         self.inbox: list[list[tuple[str, Any]]] = [[] for _ in range(n)]
 
         async def boot() -> None:
             for i in range(n):
-                t = TcpTransport(node_id=i, host=i, faults=faults, trace=self.sink)
+                t = TcpTransport(node_id=i, host=i, faults=faults)
                 await t.start()
                 for kind in ("message", "a", "b", "result", "maintenance:x"):
                     t.register_handler(kind, self._make_handler(i, kind))
@@ -134,10 +124,9 @@ class TcpHarness:
         return handler
 
     def send(self, src: int, dst: int, kind: str = "message", payload: Any = None,
-             *, size: int = 0, qid: int | None = None, on_drop=None) -> bool:
+             *, size: int = 0, on_drop=None) -> bool:
         return self.transports[src].send(
-            self.transports[dst].addr, kind, payload,
-            size=size, qid=qid, on_drop=on_drop,
+            self.transports[dst].addr, kind, payload, size=size, on_drop=on_drop,
         )
 
     def timer(self, peer: int, delay: float, fn) -> Any:
@@ -164,9 +153,6 @@ class TcpHarness:
 
     def received(self, peer: int) -> list[tuple[str, Any]]:
         return self.inbox[peer]
-
-    def trace_records(self) -> list[MessageTrace]:
-        return self.sink.records
 
     def total_sent(self) -> int:
         return sum(t.stats.sent for t in self.transports)

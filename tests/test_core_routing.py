@@ -38,8 +38,6 @@ def _make_platform(n_nodes=24, n_obj=600, seed=0, m=24, rotation=False, selectio
 def _run_query(platform, obj, radius, top_k=10**6, surrogate_mode="fixed", node_idx=0):
     proto, stats = platform.protocol("idx", top_k=top_k, surrogate_mode=surrogate_mode)
     index = platform.indexes["idx"]
-    q = index.make_query(obj, radius)
-    proto.issue(q, platform.ring.nodes()[node_idx])
     platform.sim.reset()
     proto.issue(index.make_query(obj, radius, qid=0), platform.ring.nodes()[node_idx])
     platform.sim.run()

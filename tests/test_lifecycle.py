@@ -8,6 +8,9 @@ batch execution path — across all three query protocols (tree, naive,
 SCRAP).
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,12 +32,14 @@ from repro.core.scrap import SfcIndex, SfcRangeProtocol
 from repro.datasets.queries import QueryWorkload
 from repro.dht.ring import ChordRing
 from repro.metric.vector import EuclideanMetric
+from repro.sim.king import king_latency_model
 from repro.sim.network import ConstantLatency
 from repro.sim.stats import StatsCollector
 from repro.sim.transport import FaultConfig, Transport
 
 DIM = 5
 FLAVORS = ("tree", "naive", "scrap")
+FIGURE_PATH_FIXTURE = Path(__file__).parent / "fixtures" / "quiescence_path_pr17.json"
 
 
 def _make_data(n_objects, seed):
@@ -147,6 +152,21 @@ class TestStateMachine:
         assert fut.result(top_k=5) == fut.entries()[:5]
         assert engine.counters.completed == 1
 
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_protocol_built_without_engine_tracks_its_queries(self, flavor):
+        # no engine= passed: the protocol runs under one of its own, and
+        # draining to quiescence completes the query
+        p, data = _make_platform()
+        proto, stats = _build_proto(p, flavor)
+        fut = proto.issue(p.indexes["t"].make_query(data[0], 12.0, qid=0), p.ring.nodes()[1])
+        assert not fut.done()
+        p.sim.run()
+        assert fut.done() and fut.state == COMPLETE
+        st = stats.for_query(0)
+        assert st.state == "complete" and st.completed_at == st.last_result_at
+        assert [e.object_id for e in fut.entries()] == _top_ids(st, k=10**9)
+        assert proto.engine.counters.completed == 1
+
     def test_duplicate_qid_rejected(self):
         p, _ = _make_platform()
         engine = LifecycleEngine(p.transport)
@@ -165,21 +185,6 @@ class TestStateMachine:
         assert seen == [fut]
         fut.add_done_callback(seen.append)  # already terminal: fires now
         assert seen == [fut, fut]
-
-    def test_tracked_results_match_untracked_quiescence(self):
-        # attaching the engine must not change what a fault-free query returns
-        p1, data = _make_platform(seed=29)
-        proto, stats = _build_proto(p1, "tree")
-        assert proto.issue(p1.indexes["t"].make_query(data[0], 15.0, qid=0), p1.ring.nodes()[0]) is None
-        p1.sim.run()
-        want = set(_top_ids(stats.for_query(0), k=10**9))
-
-        p2, data2 = _make_platform(seed=29)
-        engine = p2.lifecycle()
-        proto2, _ = _build_proto(p2, "tree", engine=engine)
-        fut = proto2.issue(p2.indexes["t"].make_query(data2[0], 15.0, qid=0), p2.ring.nodes()[0])
-        engine.run_until_complete([fut])
-        assert {e.object_id for e in fut.entries()} == want
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -200,6 +205,22 @@ class TestTerminationUnderFaults:
         assert stats.state_counts() == {"complete": 8}
         assert p.transport.stats.dropped_loss > 0
         assert engine.counters.branches_failed > 0
+
+    def test_source_dead_at_start_fails_the_root_branch(self, flavor):
+        # the source crashes between issue() and the scheduled start: the
+        # query must end complete *with a known gap*, not as a clean success
+        p, data = _make_platform()
+        engine = p.lifecycle()
+        proto, stats = _build_proto(p, flavor, engine=engine)
+        src = p.ring.nodes()[2]
+        fut = proto.issue(p.indexes["t"].make_query(data[0], 12.0, qid=0), src, at_time=5.0)
+        src.alive = False
+        assert engine.run_until_complete([fut])
+        st = stats.for_query(0)
+        assert fut.state == COMPLETE and fut.entries() == []
+        assert st.failed_branches == 1 and st.dropped_messages == 1
+        assert st.query_messages == 0 and not st.index_nodes
+        assert engine.counters.branches_failed == 1
 
     def test_partitioned_source_times_out(self, flavor):
         # retries keep rescheduling the dropped branches past the deadline,
@@ -318,15 +339,6 @@ class TestPipelinedVsSerial:
         for i in range(20):
             assert self._per_query(a, i) == self._per_query(b, i)
 
-    def test_engine_does_not_change_costs(self):
-        # lifecycle tracking is pure bookkeeping on a fault-free run
-        a = self._run(True, None)
-        b = self._run(True, RetryPolicy(deadline=500.0, max_retries=2, rto=5.0))
-        for i in range(20):
-            assert self._per_query(a, i) == self._per_query(b, i)
-        assert b.total_retransmissions() == 0
-        assert b.state_counts() == {"complete": 20}
-
     def test_pipelined_makespan_beats_serial(self):
         # arrivals ~10 ms apart against multi-hop query latencies: pipelined
         # keeps every query in flight at once, serial drains one at a time
@@ -338,6 +350,75 @@ class TestPipelinedVsSerial:
             assert stats.state_counts() == {"complete": 20}
             done[pipelined] = max(qs.completed_at for qs in stats.queries.values())
         assert done[True] < done[False]
+
+
+def figure_path_runs(policy=None):
+    """The run behind ``tests/fixtures/quiescence_path_pr17.json``.
+
+    The fixture was written by commit 61195d1 — the last one whose
+    ``run_workload(policy=None)`` drained the simulator to quiescence with no
+    lifecycle engine, the path every table in EXPERIMENTS.md was produced on
+    — by dumping this function's return value.
+    """
+    n_nodes = 32
+    data = _make_data(2000, 41)
+    latency = king_latency_model(n_hosts=n_nodes, seed=41)
+    ring = ChordRing.build(n_nodes, m=32, seed=41, latency=latency, pns=False)
+    p = IndexPlatform(ring)
+    p.create_index(
+        "t", data, EuclideanMetric(box=(0, 100), dim=DIM), k=4, sample_size=500,
+        rotation=True, seed=3,
+    )
+    p.sim.digest_enabled = True
+    runs = []
+    for range_factor in (0.03, 0.08):
+        workload = QueryWorkload.build(
+            data[:40], range_factor * 100.0 * DIM ** 0.5, n_nodes=n_nodes,
+            mean_interarrival=0.05, seed=7,
+        )
+        stats = p.run_workload("t", workload, policy=policy)
+        queries = []
+        for i in range(len(workload)):
+            qs = stats.for_query(i)
+            queries.append({
+                "state": qs.state,
+                "max_hops": qs.max_hops,
+                "query_messages": qs.query_messages,
+                "query_bytes": qs.query_bytes,
+                "result_messages": qs.result_messages,
+                "result_bytes": qs.result_bytes,
+                "index_nodes": sorted(qs.index_nodes),
+                "first_result_at": qs.first_result_at,
+                "last_result_at": qs.last_result_at,
+                "entries": sorted([e.object_id, e.distance] for e in qs.entries),
+            })
+        runs.append({
+            "range_factor": range_factor,
+            "schedule_digest": p.sim.schedule_digest,
+            "queries": queries,
+        })
+    return runs
+
+
+@pytest.mark.parametrize(
+    "policy", [None, RetryPolicy(deadline=500.0, max_retries=2, rto=5.0)],
+    ids=["default", "deadline"],
+)
+def test_figure_path_matches_the_quiescence_era_fixture(policy):
+    # the engine-less executor is gone; what it computed is pinned here, for
+    # the default policy (no timer: the same schedule, event for event) and
+    # for one whose deadline and RTO timers are pure bookkeeping faults-off
+    want = json.loads(FIGURE_PATH_FIXTURE.read_text())["runs"]
+    got = figure_path_runs(policy)
+    assert [r["range_factor"] for r in got] == [r["range_factor"] for r in want]
+    for run, ref in zip(got, want):
+        if policy is None:
+            assert run["schedule_digest"] == ref["schedule_digest"]
+        assert len(run["queries"]) == len(ref["queries"]) == 40
+        for q, q_ref in zip(run["queries"], ref["queries"]):
+            assert q.pop("state") == "complete"
+            assert q_ref.pop("state") == "untracked"
+            assert q == q_ref
 
 
 class TestKnnLiveSim:

@@ -11,7 +11,6 @@ from repro.obs.spans import (
     SpanRecorder,
     SpanTree,
 )
-from repro.sim.transport import MemoryTraceSink, MessageTrace
 
 
 class FakeSim:
@@ -149,28 +148,3 @@ class TestSpanTree:
                 fh.write(json.dumps(r) + "\n")
         tree = SpanTree.from_jsonl(path, qid=2)
         assert len(tree) == 1
-
-
-class TestMemoryTraceSinkFilters:
-    """The transport-level sink keeps its filter API (satellite check)."""
-
-    def _sink(self):
-        sink = MemoryTraceSink()
-        sink.record(MessageTrace(
-            kind="query:routing", src=1, dst=2, src_host=0, dst_host=1,
-            size=40, sent_at=0.0, arrived_at=0.1, status="delivered", qid=1))
-        sink.record(MessageTrace(
-            kind="result", src=2, dst=1, src_host=1, dst_host=0,
-            size=20, sent_at=0.2, status="dropped:loss", qid=1))
-        sink.record(MessageTrace(
-            kind="maintenance:ping", src=3, dst=4, src_host=2, dst_host=3,
-            size=8, sent_at=0.3, arrived_at=0.4, status="delivered"))
-        return sink
-
-    def test_filters(self):
-        sink = self._sink()
-        assert len(sink) == 3
-        assert len(sink.for_query(1)) == 2
-        assert [t.kind for t in sink.by_kind("result")] == ["result"]
-        assert [t.status for t in sink.dropped()] == ["dropped:loss"]
-        assert len(sink.by_status("delivered")) == 2

@@ -2,9 +2,8 @@
 
 CompactChordRing must reproduce ChordRing's greedy lookups hop-for-hop on
 identical membership (classic fingers, no PNS); ShardStore must hold exactly
-what per-node Shards would; schedule_batch must leave the engine digest
-bit-identical to per-event scheduling; and the ScaleSimulation harness must
-run end-to-end with its invariants intact.
+what per-node Shards would; and the ScaleSimulation harness must run
+end-to-end with its invariants intact.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.core.storage import Shard, ShardStore
 from repro.dht.compact import CompactChordRing
 from repro.dht.ring import ChordRing
 from repro.obs.registry import MetricsRegistry
-from repro.sim.engine import Simulator
 from repro.sim.king import king_coordinate_model
 
 
@@ -121,33 +119,6 @@ class TestShardStoreVsShards:
             ref_keys.append(ks)
         allk = np.concatenate(ref_keys)
         np.testing.assert_array_equal(s.keys, np.sort(allk, kind="stable"))
-
-
-class TestScheduleBatch:
-    def test_digest_identical_to_loop(self):
-        events = [(0.5, 0), (0.1, 1), (0.9, 2), (0.1, 3)]
-        log_a, log_b = [], []
-
-        sim_a = Simulator()
-        sim_a.digest_enabled = True
-        for t, tag in events:
-            sim_a.schedule_at(t, log_a.append, tag)
-        sim_a.run()
-
-        sim_b = Simulator()
-        sim_b.digest_enabled = True
-        sim_b.schedule_batch([(t, log_b.append, (tag,)) for t, tag in events])
-        sim_b.run()
-
-        assert log_a == log_b
-        assert sim_a.schedule_digest == sim_b.schedule_digest
-
-    def test_past_time_rejected(self):
-        sim = Simulator()
-        sim.schedule_at(1.0, lambda: None)
-        sim.run()
-        with pytest.raises(ValueError):
-            sim.schedule_batch([(0.5, lambda: None, ())])
 
 
 class TestGaugeSetMany:

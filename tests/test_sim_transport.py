@@ -1,10 +1,7 @@
-"""Transport layer: delivery semantics, fault injection, tracing, and
-parity between transport-level and per-query drop accounting."""
+"""Transport layer: delivery semantics, fault injection, and parity between
+transport-level, span-level and per-query accounting."""
 
 from __future__ import annotations
-
-import io
-import json
 
 import numpy as np
 import pytest
@@ -12,17 +9,10 @@ import pytest
 from repro.core.platform import IndexPlatform
 from repro.dht.ring import ChordRing
 from repro.metric.vector import EuclideanMetric
+from repro.obs import Observability
 from repro.sim.engine import Simulator
 from repro.sim.network import ConstantLatency
-from repro.sim.transport import (
-    DELIVERED,
-    DROPPED_DEAD,
-    DROPPED_LOSS,
-    FaultConfig,
-    JsonlTraceSink,
-    MemoryTraceSink,
-    Transport,
-)
+from repro.sim.transport import DROPPED_DEAD, FaultConfig, Transport
 
 
 class _Node:
@@ -34,9 +24,9 @@ class _Node:
         self.alive = alive
 
 
-def _pair(latency=None, faults=None, trace=None):
+def _pair(latency=None, faults=None):
     sim = Simulator()
-    tp = Transport(sim=sim, latency=latency, faults=faults, trace=trace)
+    tp = Transport(sim=sim, latency=latency, faults=faults)
     return sim, tp, _Node(1, 0), _Node(2, 1)
 
 
@@ -88,7 +78,7 @@ class TestDelivery:
         sim.run()
         assert got == []
         assert tp.stats.dropped_dead == 1
-        assert [d.status for d in drops] == [DROPPED_DEAD]
+        assert drops == [DROPPED_DEAD]
 
     def test_control_roundtrip_and_dead(self):
         _, tp, a, b = _pair()
@@ -158,37 +148,7 @@ class TestPartitions:
         assert tp.stats.dropped_partition == 1
 
 
-class TestTraceSinks:
-    def test_memory_sink_filters(self):
-        sink = MemoryTraceSink()
-        sim, tp, a, b = _pair(trace=sink)
-        tp.send(a, b, lambda: None, kind="query:forward", size=33, qid=5)
-        sim.run()  # deliver the first before crashing the destination
-        b.alive = False
-        tp.send(a, b, lambda: None, kind="query:forward", size=33, qid=6)
-        tp.control(a, a, kind="maintenance", size=28)
-        sim.run()
-        assert len(sink) == 3
-        assert len(sink.by_kind("query:forward")) == 2
-        assert len(sink.by_kind("maintenance")) == 1
-        assert [t.qid for t in sink.dropped()] == [6]
-        assert sink.by_status(DROPPED_DEAD)[0].arrived_at is None
-        (ok,) = sink.for_query(5)
-        assert ok.status == DELIVERED and ok.size == 33
-
-    def test_jsonl_sink(self):
-        buf = io.StringIO()
-        sink = JsonlTraceSink(buf)
-        sim, tp, a, b = _pair(trace=sink, faults=FaultConfig(loss_rate=1.0))
-        tp.send(a, b, lambda: None, kind="t", size=10)
-        sim.run()
-        (line,) = buf.getvalue().strip().splitlines()
-        rec = json.loads(line)
-        assert rec["status"] == DROPPED_LOSS
-        assert rec["kind"] == "t" and rec["size"] == 10
-
-
-def _tiny_platform(faults=None, trace=None, n_nodes=24, seed=11):
+def _tiny_platform(faults=None, obs=None, n_nodes=24, seed=11):
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0, 100, size=(3, 5))
     data = np.clip(
@@ -196,7 +156,7 @@ def _tiny_platform(faults=None, trace=None, n_nodes=24, seed=11):
     )
     latency = ConstantLatency(n_nodes, delay=0.02)
     ring = ChordRing.build(n_nodes, m=24, seed=seed, latency=latency, pns=False)
-    p = IndexPlatform(ring, faults=faults, trace=trace)
+    p = IndexPlatform(ring, faults=faults, obs=obs)
     p.create_index(
         "t", data, EuclideanMetric(box=(0, 100), dim=5), k=3, sample_size=200, seed=3
     )
@@ -208,23 +168,27 @@ class TestQueryIntegration:
 
     def test_trace_accounting_matches_query_stats(self):
         # every byte the per-query stats attribute to a query must appear in
-        # the transport trace, and vice versa (parity with the old direct
-        # accounting paths)
-        sink = MemoryTraceSink()
-        p, data = _tiny_platform(trace=sink)
+        # the transport's counters and in the query's send / result spans,
+        # and vice versa
+        obs = Observability(tracing=True)
+        p, data = _tiny_platform(obs=obs)
         proto, stats = p.protocol("t")
         index = p.indexes["t"]
         q = index.make_query(data[0], 12.0, qid=0)
         proto.issue(q, p.ring.nodes()[0])
         p.sim.run()
-        st = stats.for_query(0)
-        traced_bytes = sum(t.size for t in sink.records)
-        assert traced_bytes == st.query_bytes + st.result_bytes
-        assert traced_bytes == p.transport.stats.bytes
-        sized = [t for t in sink.records if t.size > 0]
-        assert len(sized) == st.query_messages + st.result_messages
-        assert all(t.status == DELIVERED for t in sink.records)
-        assert p.transport.stats.dropped == 0
+        st, ts = stats.for_query(0), p.transport.stats
+        sends = obs.span_memory.by_kind("send")
+        charged = [s for s in sends if s.attrs["charged"]]
+        results = obs.span_memory.by_kind("result")
+        assert sum(s.attrs["size"] for s in sends) == ts.bytes
+        assert ts.bytes == st.query_bytes + st.result_bytes
+        assert sum(s.attrs["size"] for s in charged) == st.query_bytes == ts.query_bytes
+        assert sum(s.attrs["size"] for s in results) == st.result_bytes == ts.result_bytes
+        assert len(charged) == st.query_messages
+        assert len(results) == st.result_messages
+        assert ts.sent == ts.delivered == len(sends)
+        assert not obs.span_memory.by_kind("drop") and ts.dropped == 0
 
     def test_dead_node_drop_parity(self):
         # messages arriving at crashed nodes: the transport's dropped_dead
