@@ -1,6 +1,6 @@
 """`repro lint` — AST static analysis for determinism, layering, contracts.
 
-Three rule families guard what the dynamic harness (replay fingerprints,
+Five rule families guard what the dynamic harness (replay fingerprints,
 differential fuzzing) can only detect after the fact:
 
 * **DET1xx** (:mod:`repro.check.lint.determinism`) — wall-clock reads,
@@ -10,15 +10,17 @@ differential fuzzing) can only detect after the fact:
   import-layering contract (``layers.toml``), scheduler-access
   containment, denied edges;
 * **CON3xx** (:mod:`repro.check.lint.contracts`) — Metric subclasses
-  implement the distance interface, message dataclasses are registered
-  with the transport trace schema.
+  implement the distance interface;
+* **ASY4xx** (:mod:`repro.check.lint.async_safety`) — blocking calls,
+  unawaited coroutines, dropped tasks and sync locks in the live backend;
+* **PRO5xx** (:mod:`repro.check.lint.protocol`) — every RPC kind requested
+  has a registered handler.
 
-Violations either get fixed or grandfathered into ``lint-baseline.json``
-with a justification; the gate is *zero unbaselined findings*.  See
-``docs/static-analysis.md`` for the rule catalogue and workflows.
+A violation gets fixed: the gate is *zero findings* and nothing is
+grandfathered.  See ``docs/static-analysis.md`` for the rule catalogue and
+workflows.
 """
 
-from repro.check.lint.baseline import Baseline, BaselineEntry
 from repro.check.lint.engine import (
     LintContext,
     LintResult,
@@ -33,8 +35,6 @@ from repro.check.lint.findings import Finding, FixEdit
 from repro.check.lint.layers import DEFAULT_LAYERS_PATH, DenyEdge, LayersConfig
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "DenyEdge",
     "DEFAULT_LAYERS_PATH",
     "Finding",

@@ -8,13 +8,12 @@ function over an AST:
   (finding line -> ``Class.method`` qualname);
 * :class:`LintContext` — the project-wide view: every scanned module plus
   the :class:`~repro.check.lint.layers.LayersConfig` contract;
-* :func:`run_lint` — discover, parse, run every registered rule, split
-  findings against the baseline;
+* :func:`run_lint` — discover, parse, run every registered rule;
 * :func:`apply_fixes` — apply the mechanical :class:`FixEdit` patches
   bottom-up, one rewrite per file.
 
 Rules self-register through the :func:`rule` decorator; importing
-:mod:`repro.check.lint` pulls in the three rule families.
+:mod:`repro.check.lint` pulls in the rule families.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterable, Iterator
 
-from repro.check.lint.baseline import Baseline
 from repro.check.lint.findings import Finding, FixEdit
 from repro.check.lint.layers import LayersConfig
 
@@ -247,27 +245,13 @@ def _load_rule_modules() -> None:
 class LintResult:
     """Outcome of one lint run over a set of paths."""
 
-    findings: list[Finding] = field(default_factory=list)  #: not in the baseline
-    baselined: list[Finding] = field(default_factory=list)
-    stale: list[Any] = field(default_factory=list)  #: baseline entries matching nothing
+    findings: list[Finding] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)  #: unparseable files
-    baseline_problems: list[str] = field(default_factory=list)  #: monotonicity gate
     files_scanned: int = 0
 
     @property
     def ok(self) -> bool:
-        return (
-            not self.findings
-            and not self.stale
-            and not self.errors
-            and not self.baseline_problems
-        )
-
-    @property
-    def all_findings(self) -> list[Finding]:
-        return sorted(
-            self.findings + self.baselined, key=lambda f: (f.path, f.line, f.col, f.rule)
-        )
+        return not self.findings and not self.errors
 
 
 def find_repo_root(start: Path) -> Path:
@@ -339,17 +323,14 @@ def run_lint(
     *,
     root: Path | None = None,
     layers: LayersConfig | None = None,
-    baseline: Baseline | None = None,
     select: Iterable[str] | None = None,
 ) -> LintResult:
-    """Lint ``paths`` and split the findings against the baseline."""
+    """Lint ``paths``; the gate is zero findings and zero parse errors."""
     files = discover_files(paths)
     if root is None:
         root = find_repo_root(files[0] if files else Path.cwd())
     if layers is None:
         layers = LayersConfig.load()
-    if baseline is None:
-        baseline = Baseline()
     ctx = LintContext(layers=layers)
     result = LintResult(files_scanned=len(files))
     modules: list[ModuleInfo] = []
@@ -363,22 +344,12 @@ def run_lint(
         if info.module is not None:
             ctx.modules[info.module] = info
     wanted = set(select) if select is not None else None
-    all_found: list[Finding] = []
     for r in all_rules():
         if wanted is not None and r.id not in wanted:
             continue
         for info in modules:
-            all_found.extend(r.check(info, ctx))
-    all_found.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    for f in all_found:
-        if baseline.match(f) is not None:
-            result.baselined.append(f)
-        else:
-            result.findings.append(f)
-    result.stale = baseline.stale_entries(
-        all_found, scanned_paths={m.relpath for m in modules}
-    )
-    result.baseline_problems = baseline.violations()
+            result.findings.extend(r.check(info, ctx))
+    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return result
 
 

@@ -1,10 +1,8 @@
 """Finding and fix-edit records shared by every lint rule.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-*fingerprint* deliberately excludes the line number: baselines match on
-``(rule, path, symbol, snippet)`` so grandfathered violations survive
-unrelated edits above them, yet go stale the moment the offending line
-itself changes or moves to another function.
+A :class:`Finding` is one rule violation at one source location, carrying
+the enclosing symbol and the offending source line so a report reads
+without opening the file.
 """
 
 from __future__ import annotations
@@ -40,16 +38,12 @@ class Finding:
     col: int
     message: str
     symbol: str = "<module>"  #: enclosing ``class.def`` qualname
-    snippet: str = ""  #: stripped source line, for baseline fingerprints
+    snippet: str = ""  #: stripped source line
     fix: FixEdit | None = field(default=None, compare=False)
 
     @property
     def fixable(self) -> bool:
         return self.fix is not None
-
-    def fingerprint(self) -> tuple[str, str, str, str]:
-        """Line-number-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.symbol, self.snippet)
 
     def to_json(self) -> dict[str, object]:
         d = asdict(self)

@@ -1,39 +1,24 @@
-"""Protocol-flow rules (PRO5xx): the wire contract, checked statically.
+"""Protocol-flow rule (PRO5xx): the wire contract, checked statically.
 
 The live backend's request/response protocol is stringly typed — RPC kinds
 are literals at both the call site (``transport.rpc(addr, "notify", ...)``)
-and the registration site (``transport.register_rpc("notify", fn)``) — and
-the wire codec hand-maintains two mappings the type checker cannot see:
-the ``_MESSAGE_CLASSES`` wire-constructor table and the per-type field
-literals of the tagged-object encoders.  Each of these drifts silently;
-these rules rebuild the message graph from the AST and verify it:
+and the registration site (``transport.register_rpc("notify", fn)``).  The
+``register_rpc`` table is the wire contract (payloads are plain values, see
+:mod:`repro.net.codec`) and no type checker sees either side of it; the
+rule rebuilds the message graph from the AST and verifies it:
 
-* **PRO501** — every ``@register_message`` dataclass in the scanned
-  project appears in the codec's ``_MESSAGE_CLASSES`` table, and every
-  table entry names a registered message.  A registered message without a
-  wire constructor encodes on one peer and raises ``CodecError`` on the
-  other; a stale table entry is an unreachable decoder arm hiding a
-  missing registration.
 * **PRO502** — every RPC kind *requested* in the net layer
   (``.rpc(addr, "kind", ...)``) has a ``register_rpc("kind", ...)``
   somewhere in the scanned project, and every one-way kind sent
   (``.send(addr, "kind", ...)``) has a ``register_handler``.  An
   unregistered request kind times out on every call — the dead peer and
   the missing handler are indistinguishable at runtime.
-* **PRO503** — a tagged-object encoder literal
-  (``{"__obj__": "Rect", ...}``) carries exactly the dataclass fields of
-  the type it names.  A field added to the dataclass but not the encoder
-  is silently dropped on the wire; a field removed from the dataclass but
-  not the encoder crashes the encoder.
 
-PRO501/PRO503 anchor on *structure* (the ``_MESSAGE_CLASSES`` assignment,
-the ``__obj__`` tag) rather than hard-coded module names, so fixtures can
-model the contract in miniature.  PRO502 is scoped to the ``net`` layer,
-whose transport carries the kind as the second positional argument.  All
-three are whole-project checks: they compare the scanned module against
-every other scanned module, so they are meaningful when linting ``src/``
-as a whole (the CI/pre-commit invocation), and under-approximate on
-single-file runs.
+PRO502 is scoped to the ``net`` layer, whose transport carries the kind as
+the second positional argument.  It is a whole-project check: it compares
+the scanned module against every other scanned module, so it is meaningful
+when linting ``src/`` as a whole (the CI/pre-commit invocation), and
+under-approximates on single-file runs.
 """
 
 from __future__ import annotations
@@ -44,13 +29,7 @@ from collections.abc import Iterable, Iterator
 from repro.check.lint.engine import LintContext, ModuleInfo, Rule, rule
 from repro.check.lint.findings import Finding
 
-__all__ = ["MessageWireTableRule", "RpcHandlerParityRule", "CodecFieldDriftRule"]
-
-#: the codec's message-name -> constructor mapping (by convention)
-_WIRE_TABLE_NAME = "_MESSAGE_CLASSES"
-
-#: the tagged-object marker key in codec value trees
-_OBJ_TAG = "__obj__"
+__all__ = ["RpcHandlerParityRule"]
 
 #: RPC request/registration call attribute names and the argument index
 #: carrying the kind literal
@@ -64,97 +43,6 @@ def _in_repro(module: ModuleInfo) -> bool:
     return module.module is not None and (
         module.module == "repro" or module.module.startswith("repro.")
     )
-
-
-def _decorated_with(cls: ast.ClassDef, module: ModuleInfo, name: str) -> bool:
-    for dec in cls.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        resolved = module.resolve(target)
-        if resolved is not None and resolved.rsplit(".", 1)[-1] == name:
-            return True
-        if isinstance(target, ast.Name) and target.id == name:
-            return True
-        if isinstance(target, ast.Attribute) and target.attr == name:
-            return True
-    return False
-
-
-def _registered_messages(ctx: LintContext) -> dict[str, str]:
-    """Registered message class name -> defining module, project-wide."""
-    cached = getattr(ctx, "_registered_messages", None)
-    if cached is None:
-        cached = {}
-        for mod_name, info in sorted(ctx.modules.items()):
-            for node in ast.walk(info.tree):
-                if isinstance(node, ast.ClassDef) and _decorated_with(
-                    node, info, "register_message"
-                ):
-                    cached.setdefault(node.name, mod_name)
-        ctx._registered_messages = cached  # type: ignore[attr-defined]
-    return cached
-
-
-def _wire_table(module: ModuleInfo) -> tuple[ast.AST, dict[str, ast.expr]] | None:
-    """The module's ``_MESSAGE_CLASSES = {...}`` literal, if it has one."""
-    for stmt in module.tree.body:
-        target: ast.expr | None = None
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            target, value = stmt.target, stmt.value
-        if (
-            isinstance(target, ast.Name)
-            and target.id == _WIRE_TABLE_NAME
-            and isinstance(value, ast.Dict)
-        ):
-            keys: dict[str, ast.expr] = {}
-            for k in value.keys:
-                if isinstance(k, ast.Constant) and isinstance(k.value, str):
-                    keys[k.value] = k
-            return stmt, keys
-    return None
-
-
-@rule
-class MessageWireTableRule(Rule):
-    id = "PRO501"
-    name = "message-wire-table-parity"
-    rationale = (
-        "The codec's _MESSAGE_CLASSES table must mirror the "
-        "register_message registry exactly: a registered message without "
-        "a wire constructor encodes on one peer and raises CodecError on "
-        "the other; a stale entry is dead decode code."
-    )
-
-    def check(self, module: ModuleInfo, ctx: LintContext) -> Iterable[Finding]:
-        if not _in_repro(module):
-            return
-        table = _wire_table(module)
-        if table is None:
-            return
-        stmt, keys = table
-        registered = _registered_messages(ctx)
-        if not registered:
-            # partial (single-file) run with no registration site scanned:
-            # under-approximate rather than flag every entry as stale
-            return
-        for name in sorted(registered):
-            if name not in keys:
-                yield module.finding(
-                    self.id, stmt,
-                    f"registered message `{name}` "
-                    f"({registered[name]}) is missing from "
-                    f"{_WIRE_TABLE_NAME} — it cannot be decoded off the wire",
-                )
-        for name in sorted(keys):
-            if name not in registered:
-                yield module.finding(
-                    self.id, keys[name],
-                    f"{_WIRE_TABLE_NAME} entry `{name}` does not name a "
-                    "@register_message dataclass in the scanned project — "
-                    "stale wire-constructor entry",
-                )
 
 
 def _kind_literal(call: ast.Call, index: int) -> str | None:
@@ -227,87 +115,3 @@ class RpcHandlerParityRule(Rule):
                     f"`{want}({kind!r}, ...)` in the scanned project — "
                     "the request can only ever time out",
                 )
-
-
-def _dataclass_fields_of(cls: ast.ClassDef) -> set[str] | None:
-    """Field names of an AST dataclass body (AnnAssign, minus ClassVar)."""
-    fields: set[str] = set()
-    for stmt in cls.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            ann = ast.unparse(stmt.annotation)
-            if "ClassVar" in ann:
-                continue
-            fields.add(stmt.target.id)
-    return fields or None
-
-
-def _find_class(ctx: LintContext, name: str) -> tuple[str, ast.ClassDef] | None:
-    cached = getattr(ctx, "_class_index", None)
-    if cached is None:
-        cached = {}
-        for mod_name, info in sorted(ctx.modules.items()):
-            for node in ast.walk(info.tree):
-                if isinstance(node, ast.ClassDef):
-                    cached.setdefault(node.name, (mod_name, node))
-        ctx._class_index = cached  # type: ignore[attr-defined]
-    return cached.get(name)
-
-
-@rule
-class CodecFieldDriftRule(Rule):
-    id = "PRO503"
-    name = "codec-field-drift"
-    rationale = (
-        "A tagged-object encoder literal must carry exactly the dataclass "
-        "fields of the type it names: a field added to the dataclass but "
-        "not the encoder is silently dropped on the wire, one removed "
-        "but not from the encoder crashes the encoder."
-    )
-
-    def check(self, module: ModuleInfo, ctx: LintContext) -> Iterable[Finding]:
-        if not _in_repro(module):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Dict):
-                continue
-            tagged = self._tagged_name(node)
-            if tagged is None:
-                continue
-            found = _find_class(ctx, tagged)
-            if found is None:
-                continue  # type not scanned: cannot verify
-            mod_name, cls = found
-            fields = _dataclass_fields_of(cls)
-            if fields is None:
-                continue
-            encoded = {
-                k.value for k in node.keys
-                if isinstance(k, ast.Constant) and isinstance(k.value, str)
-                and k.value != _OBJ_TAG
-            }
-            if encoded == fields:
-                continue
-            missing = sorted(fields - encoded)
-            extra = sorted(encoded - fields)
-            parts = []
-            if missing:
-                parts.append(f"missing {missing}")
-            if extra:
-                parts.append(f"unknown {extra}")
-            yield module.finding(
-                self.id, node,
-                f"encoder literal for `{tagged}` ({mod_name}) disagrees "
-                f"with its dataclass fields: {', '.join(parts)}",
-            )
-
-    @staticmethod
-    def _tagged_name(node: ast.Dict) -> str | None:
-        for k, v in zip(node.keys, node.values):
-            if (
-                isinstance(k, ast.Constant)
-                and k.value == _OBJ_TAG
-                and isinstance(v, ast.Constant)
-                and isinstance(v.value, str)
-            ):
-                return v.value
-        return None

@@ -118,17 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("paths", nargs="*", default=None,
                       help="files or directories to lint (default: src/)")
     lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument("--baseline", default=None,
-                      help="baseline file (default: lint-baseline.json at the repo root)")
     lint.add_argument("--layers", default=None,
                       help="layering contract (default: the packaged layers.toml)")
     lint.add_argument("--select", default=None,
                       help="comma-separated rule ids to run (default: all)")
     lint.add_argument("--fix", action="store_true",
                       help="apply mechanical fixes (seeding, facade import moves)")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline to cover current findings "
-                           "(keeps existing justifications)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
 
@@ -454,7 +449,6 @@ def _run_lint(args) -> int:
     from pathlib import Path
 
     from repro.check.lint import (
-        Baseline,
         LayersConfig,
         all_rules,
         apply_fixes,
@@ -472,53 +466,30 @@ def _run_lint(args) -> int:
         root = find_repo_root(Path.cwd())
         paths = [root / "src"] if (root / "src").is_dir() else [root]
     root = find_repo_root(paths[0])
-    baseline_path = Path(args.baseline) if args.baseline else root / "lint-baseline.json"
     layers = LayersConfig.load(args.layers) if args.layers else LayersConfig.load()
     select = args.select.split(",") if args.select else None
-    baseline = Baseline.load(baseline_path)
-    result = run_lint(paths, root=root, layers=layers, baseline=baseline, select=select)
+    result = run_lint(paths, root=root, layers=layers, select=select)
 
     if args.fix:
         applied = apply_fixes(result.findings, root)
         if applied:
             print(f"applied {applied} mechanical fix(es); re-linting")
-            result = run_lint(paths, root=root, layers=layers,
-                              baseline=baseline, select=select)
-
-    if args.update_baseline:
-        new = Baseline.from_findings(result.findings + result.baselined, old=baseline)
-        new.save(baseline_path)
-        print(f"baseline updated: {len(new)} entrie(s) -> {baseline_path}")
-        return 0
+            result = run_lint(paths, root=root, layers=layers, select=select)
 
     if args.format == "json":
         print(json.dumps({
             "files_scanned": result.files_scanned,
             "findings": [f.to_json() for f in result.findings],
-            "baselined": [f.to_json() for f in result.baselined],
-            "stale_baseline_entries": [
-                {"rule": e.rule, "path": e.path, "symbol": e.symbol,
-                 "justification": e.justification}
-                for e in result.stale
-            ],
             "errors": result.errors,
-            "baseline_problems": result.baseline_problems,
             "ok": result.ok,
         }, indent=2))
         return 0 if result.ok else 1
 
     for f in result.findings:
         print(f.render())
-    for e in result.stale:
-        print(f"stale baseline entry: {e.rule} {e.path} [{e.symbol}] — "
-              "violation is gone, delete the entry")
-    for problem in result.baseline_problems:
-        print(f"baseline: {problem}")
     for err in result.errors:
         print(f"parse error: {err}")
-    n, b = len(result.findings), len(result.baselined)
-    print(f"{result.files_scanned} files: {n} finding(s), {b} baselined, "
-          f"{len(result.stale)} stale baseline entrie(s)")
+    print(f"{result.files_scanned} files: {len(result.findings)} finding(s)")
     return 0 if result.ok else 1
 
 

@@ -94,9 +94,6 @@ class QueryProtocol(Protocol):
     range_filter:
         Refine candidates by true distance and drop those beyond the query
         radius (the paper's superset refinement).
-    reply_empty:
-        Whether index nodes owning no matching entries still send a (20-byte)
-        reply; needed for the *maximum latency* metric to be observable.
     maintenance:
         Optional :class:`repro.dht.stabilize.StabilizationProtocol`; query
         traffic is reported to it for §3.3 piggybacking.
@@ -134,7 +131,6 @@ class QueryProtocol(Protocol):
         surrogate_mode: str = "fixed",
         top_k: int = 10,
         range_filter: bool = True,
-        reply_empty: bool = True,
         maintenance: Any = None,
         transport: Any = None,
         engine: LifecycleEngine | None = None,
@@ -153,7 +149,6 @@ class QueryProtocol(Protocol):
         self.surrogate_mode = surrogate_mode
         self.top_k = top_k
         self.range_filter = range_filter
-        self.reply_empty = reply_empty
         self.checker = checker
         self.recorder = obs.recorder if obs is not None else None
         registry = obs.registry if obs is not None else None
@@ -544,20 +539,18 @@ class QueryProtocol(Protocol):
                     ResultEntry(int(oid), float(d)) for oid, d in zip(object_ids, dists)
                 ]
         recorder = self.recorder
-        sid = None
         if recorder is not None:
-            sid = recorder.event(
+            recorder.push(recorder.event(
                 q.qid, "solve", node=node.id, hops=hops,
                 results=len(entries), key_lo=key_lo, key_hi=key_hi,
-            )
-        if entries or self.reply_empty:
+            ))
+        # a node with no matching entry still sends its (20-byte) reply: the
+        # *maximum latency* metric is only observable that way
+        try:
+            self._reply(node, q, entries)
+        finally:
             if recorder is not None:
-                recorder.push(sid)
-            try:
-                self._reply(node, q, entries)
-            finally:
-                if recorder is not None:
-                    recorder.pop()
+                recorder.pop()
 
     def _reply(self, node: Any, q: RangeQuery, entries: list[ResultEntry]) -> None:
         msg = ResultMessage(q.qid, entries, from_node=node.id)

@@ -50,7 +50,6 @@ from repro.obs import (
     TraceSampler,
     gini_coefficient,
     hotspot_report,
-    load_summary,
     record_load_vector,
 )
 from repro.obs.registry import MetricsRegistry
@@ -489,10 +488,3 @@ class ScaleSimulation:
             idx = self.store.range_search(int(owner[i]), lows, highs)
             hits.append(int(len(idx)))
         return hits
-
-    def load_report(self) -> dict[str, Any]:
-        """Fig. 4-analogue summary of both load vectors."""
-        return {
-            "stored": load_summary(self.store.loads().astype(np.float64)),
-            "forwarding": load_summary(self.forward_visits.astype(np.float64)),
-        }

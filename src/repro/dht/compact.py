@@ -139,27 +139,6 @@ class CompactChordRing:
             idx[idx == n] = 0
             self.fingers[lo:hi] = idx.reshape(hi - lo, self.m).astype(np.int32)
 
-    def bulk_join(self, new_ids: np.ndarray, new_hosts: np.ndarray) -> np.ndarray:
-        """Admit a batch of nodes: one membership merge + one finger rebuild.
-
-        Returns the slots of the new members (post-merge identifier order).
-        The merge is a sorted-array union — O((n + k) log(n + k)) for the
-        whole batch, versus k full per-join rebuilds on the object ring.
-        """
-        new_ids = np.asarray(new_ids, dtype=np.uint64)
-        new_hosts = np.asarray(new_hosts, dtype=np.int64)
-        if new_ids.shape != new_hosts.shape:
-            raise ValueError("new_ids and new_hosts must be aligned")
-        merged = np.concatenate([self.ids, new_ids])
-        if len(np.unique(merged)) != len(merged):
-            raise ValueError("bulk join would duplicate an identifier")
-        order = np.argsort(merged)
-        self.ids = merged[order]
-        self.hosts = np.concatenate([self.hosts, new_hosts])[order]
-        self._rebuild_fingers()
-        slots = np.searchsorted(self.ids, new_ids, side="left")
-        return slots.astype(np.int64)
-
     # -- oracle views ----------------------------------------------------------
 
     def owners_of_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -169,19 +148,12 @@ class CompactChordRing:
         idx[idx == len(self.ids)] = 0
         return idx.astype(np.int64)
 
-    def successor_slots(self, slot: int) -> np.ndarray:
-        """The successor list of ``slot``: the next ``r`` slots clockwise."""
-        n = len(self.ids)
-        r = min(self.successor_list_len, n - 1) if n > 1 else 0
-        return (slot + 1 + np.arange(r, dtype=np.int64)) % n
-
     def check_invariants(self) -> None:
         """Structural self-check: sorted distinct ids, finger oracle equality.
 
         Raises ``AssertionError`` on violation.  The finger check recomputes
-        the classic-finger definition from scratch and compares — meaningful
-        after :meth:`bulk_join` merges, where an indexing slip would
-        silently misroute.
+        the classic-finger definition from scratch and compares, so an
+        indexing slip cannot silently misroute.
         """
         n = len(self.ids)
         if n == 0:

@@ -48,9 +48,7 @@ class ChordNode:
         "fingers",
         "successors",
         "predecessor",
-        "_load_hint",
         "alive",
-        "table_version",
         "_nh_cache",
     )
 
@@ -66,31 +64,16 @@ class ChordNode:
         self.fingers: list[ChordNode] = []
         self.successors: list[ChordNode] = []
         self.predecessor: ChordNode | None = None
-        # Both per-node dicts are allocated lazily: a node that never hears
-        # a load hint or routes a key pays nothing, which matters when a
-        # 100k-node ring is built in bulk (two dict headers per node add up
-        # to tens of MB of pure overhead before any traffic flows).
-        self._load_hint: dict[int, float] | None = None
         #: liveness flag used by the churn/stabilisation simulation.
         self.alive: bool = True
-        #: bumped by :meth:`invalidate_routing` whenever the routing table
-        #: (fingers / successor list / identifier) changes — churn hooks in
-        #: :mod:`repro.dht.ring` and :mod:`repro.dht.stabilize` call it after
-        #: every table mutation.
-        self.table_version: int = 0
-        #: key -> next_hop memo, valid for the current table_version only.
+        #: key -> next_hop memo, dropped by :meth:`invalidate_routing`.
+        #: Allocated lazily: a node that never routes a key pays nothing,
+        #: which matters when a 100k-node ring is built in bulk (a dict
+        #: header per node adds up to MBs before any traffic flows).
         self._nh_cache: dict[int, ChordNode] | None = None
 
     def __repr__(self) -> str:
         return f"ChordNode({self.name}, id={self.id:#x})"
-
-    @property
-    def load_hint(self) -> dict[int, float]:
-        """Piggybacked load information about neighbours (§3.4): node id ->
-        last load value heard.  Allocated on first access."""
-        if self._load_hint is None:
-            self._load_hint = {}
-        return self._load_hint
 
     # -- routing -------------------------------------------------------------
 
@@ -123,7 +106,6 @@ class ChordNode:
         a pure function of those inputs, so between invalidations the memo
         is exact.
         """
-        self.table_version += 1
         if self._nh_cache:
             self._nh_cache.clear()
 

@@ -133,40 +133,6 @@ class ChordRing:
             self.rebuild_tables()
         return node
 
-    def bulk_add_nodes(
-        self,
-        node_ids: Iterable[int],
-        hosts: Iterable[int] | None = None,
-        names: Iterable[str] | None = None,
-        rebuild: bool = True,
-    ) -> list[ChordNode]:
-        """Insert many nodes with **one** table rebuild (batched join).
-
-        Equivalent to a loop of :meth:`add_node` with ``rebuild=False``
-        followed by :meth:`rebuild_tables`, but with a single sort of the
-        merged membership instead of one bisect-insert per node — the
-        membership half of the scale refactor's bulk-join path.  Returns the
-        new nodes in the order given.
-        """
-        ids = [int(i) for i in node_ids]
-        host_list = [int(h) for h in hosts] if hosts is not None else [0] * len(ids)
-        name_list = list(names) if names is not None else [""] * len(ids)
-        if len(host_list) != len(ids) or len(name_list) != len(ids):
-            raise ValueError("hosts/names must align with node_ids")
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate identifiers in bulk join batch")
-        created: list[ChordNode] = []
-        for nid, host, name in zip(ids, host_list, name_list):
-            if nid in self.nodes_by_id:
-                raise ValueError(f"identifier {nid:#x} already on the ring")
-            node = ChordNode(nid, self.m, name=name, host=host)
-            self.nodes_by_id[nid] = node
-            created.append(node)
-        self._sorted_ids = sorted(self.nodes_by_id)
-        if rebuild:
-            self.rebuild_tables()
-        return created
-
     def remove_node(self, node: ChordNode, rebuild: bool = True) -> None:
         """Remove a node (leave)."""
         del self.nodes_by_id[node.id]

@@ -73,9 +73,6 @@ class MaintenanceStats:
     leaves: int = 0
     crashes: int = 0
 
-    def total_cost(self) -> int:
-        return self.bytes
-
 
 class StabilizationProtocol(Protocol):
     """Event-driven Chord maintenance over the discrete-event simulator.
@@ -383,51 +380,6 @@ class StabilizationProtocol(Protocol):
             self._schedule_node(node)
         return node
 
-    def bulk_join(
-        self,
-        node_ids: list[int],
-        bootstrap: ChordNode,
-        hosts: list[int] | None = None,
-        names: list[str] | None = None,
-    ) -> list[ChordNode]:
-        """Batched join: admit many nodes with one membership splice.
-
-        Each joiner still pays its protocol dues — one request/response
-        handshake with its successor (counted as control traffic, exactly as
-        :meth:`join` counts it) and a joins-counter tick — but the ring
-        membership is merged with a single sort instead of one
-        bisect-insert-plus-lookup per node, and each joiner's successor list
-        is seeded from the post-splice membership (the state a joiner ends
-        up with after its first successor-list copy).  Fingers start empty
-        and converge through the normal maintenance timers, as with
-        :meth:`join`.
-        """
-        if bootstrap.id not in self.ring.nodes_by_id:
-            raise ValueError("bootstrap node is not on the ring")
-        nodes = self.ring.bulk_add_nodes(node_ids, hosts=hosts, names=names, rebuild=False)
-        members = self.ring.nodes()
-        pos_of = {node.id: pos for pos, node in enumerate(members)}
-        n = len(members)
-        r = min(self.ring.successor_list_len, n - 1) if n > 1 else 0
-        for node in nodes:
-            pos = pos_of[node.id]
-            node.successors = (
-                [members[(pos + 1 + j) % n] for j in range(r)] or [node]
-            )
-            node.predecessor = None
-            node.fingers = []
-            node.invalidate_routing()
-            succ = node.successor
-            if succ is not node:
-                self._control_message(node, succ)
-                self._control_message(succ, node)
-            self.stats.joins += 1
-            if self._m_churn is not None:
-                self._m_churn.inc(("join",))
-            if self._running:
-                self._schedule_node(node)
-        return nodes
-
     def leave(self, node: ChordNode, graceful: bool = True) -> None:
         """Departure: graceful leaves hand pointers over; crashes just die.
 
@@ -473,23 +425,6 @@ class StabilizationProtocol(Protocol):
             expected = nodes[(pos + 1) % n]
             succ = self._first_live_successor(node)
             if succ is not expected:
-                return False
-        return True
-
-    def predecessors_consistent(self) -> bool:
-        """Every live node's predecessor pointer matches the oracle ring.
-
-        Weaker than :meth:`ring_consistent` right after churn (predecessors
-        repair one ``notify`` later than successors), but both must hold at
-        convergence; the invariant checker asserts them together.
-        """
-        nodes = self.ring.nodes()
-        n = len(nodes)
-        if n <= 1:
-            return True
-        for pos, node in enumerate(nodes):
-            pred = node.predecessor
-            if pred is None or not pred.alive or pred is not nodes[(pos - 1) % n]:
                 return False
         return True
 

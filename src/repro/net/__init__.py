@@ -3,15 +3,15 @@
 The simulator's :class:`repro.sim.transport.Transport` delivers messages by
 scheduling callbacks on a virtual clock; this package is the second backend
 the ROADMAP calls for — the same contract (per-peer ordered delivery,
-cancelable timers, fault injection, byte accounting) carried by
-real sockets on the host's monotonic clock:
+fault injection, byte accounting) carried by real sockets on the host's
+monotonic clock:
 
-* :mod:`repro.net.codec` — length-prefixed JSON/msgpack framing with a
-  versioned message codec derived from the ``register_message`` schema;
+* :mod:`repro.net.codec` — length-prefixed JSON/msgpack framing of a
+  versioned envelope whose payloads are plain values (JSON scalars, lists,
+  dicts, bytes, NumPy arrays); no class is built from network bytes;
 * :mod:`repro.net.transport` — :class:`TcpTransport`: asyncio server +
   per-peer connection pool (reconnect with exponential backoff), one-way
-  sends, request/response RPC, and the cancelable-timer API of the sim
-  transport on the monotonic clock;
+  sends and request/response RPC;
 * :mod:`repro.net.node` — :class:`NodeProcess`: one live Chord node per
   asyncio task (or OS process via ``repro node``), running stabilisation
   over RPC and persisting its shard + successor state through
@@ -34,7 +34,7 @@ from repro.net.codec import (
     decode_value,
     encode_value,
 )
-from repro.net.transport import NetTimerHandle, RpcError, RpcTimeout, TcpTransport
+from repro.net.transport import RpcError, RpcTimeout, TcpTransport
 from repro.net.node import NodeConfig, NodeProcess
 from repro.net.cluster import (
     ClusterClient,
@@ -50,7 +50,6 @@ __all__ = [
     "available_formats",
     "decode_value",
     "encode_value",
-    "NetTimerHandle",
     "RpcError",
     "RpcTimeout",
     "TcpTransport",

@@ -1,24 +1,26 @@
-"""Wire codec: length-prefixed framing + versioned message encoding.
+"""Wire codec: length-prefixed framing + the value encoding of the envelopes.
 
 Two layers, both independent of asyncio so they are unit-testable byte by
 byte (the Hypothesis round-trip suite splits encoded streams at arbitrary
 chunk boundaries):
 
 **Value codec** — :func:`encode_value` / :func:`decode_value` translate
-between Python objects and a JSON-safe tree.  Beyond the JSON scalars it
-carries, bit-exactly:
+between Python objects and a JSON-safe tree.  It carries exactly what the
+live node sends (``None``, ring-entry dicts, ``{"target": int}``, dicts of
+arrays): the JSON scalars, lists, ``str``-keyed dicts and, bit-exactly,
 
 * ``bytes`` — base64, tagged ``{"__bytes__": ...}``;
 * NumPy arrays and scalars — raw-buffer base64 via
-  :mod:`repro.util.arrays` (the same encoding the WAL uses on disk);
-* the routing value types ``Rect``, ``RangeQuery`` and ``ResultEntry`` —
-  tagged ``{"__obj__": name, ...}``;
-* every ``@register_message`` dataclass — tagged
-  ``{"__msg__": name, "__v__": WIRE_VERSION, <fields>}`` where the field
-  set is **derived from and validated against the registered trace schema**
-  (:func:`repro.sim.messages.message_schema`).  A decoder refuses a message
-  whose version or field set disagrees with its schema, so a stale peer
-  fails loudly instead of mis-parsing.
+  :mod:`repro.util.arrays` (the same encoding the WAL uses on disk).
+
+No class is ever constructed from network bytes: the most a frame can make
+the decoder do is build lists, dicts, arrays and scalars.  The tag keys —
+and ``__obj__`` / ``__msg__``, which tagged typed messages in earlier
+versions and stay reserved — are refused as payload dict keys on encode,
+and a value that carries one without being a well-formed tagged value is
+refused on decode, always as :class:`CodecError`.  The RPC kinds registered
+with ``register_rpc`` are the wire contract; :data:`WIRE_VERSION` is the
+version of the envelope they travel in.
 
 **Framing** — :class:`Framer` produces ``[u32 length][u8 format][body]``
 frames (big-endian length of format byte + body) and :class:`FrameDecoder`
@@ -37,8 +39,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.query import RangeQuery, Rect
-from repro.sim.messages import QueryMessage, ResultEntry, ResultMessage, message_schema
 from repro.util.arrays import decode_array, encode_array, is_encoded_array
 
 try:  # optional accelerator; JSON is the always-available baseline
@@ -60,8 +60,9 @@ __all__ = [
     "FrameDecoder",
 ]
 
-#: version stamped into every encoded registered message; decoders reject
-#: mismatches (bump on any schema-breaking change)
+#: version of the envelope (its ``v`` field): the transport stamps it on every
+#: frame and a listener ignores requests that carry another (bump on any
+#: change to the envelope fields or the value encoding)
 WIRE_VERSION = 1
 
 #: refuse frames longer than this (corrupt length prefix / resource abuse)
@@ -72,27 +73,19 @@ _FMT_JSON = 0x4A  # "J"
 _FMT_MSGPACK = 0x4D  # "M"
 _FORMATS = {"json": _FMT_JSON, "msgpack": _FMT_MSGPACK}
 
-#: registered message dataclasses constructible from the wire.  Keys must be
-#: registered in the ``register_message`` schema; the codec cross-checks at
-#: encode/decode time.
-_MESSAGE_CLASSES: dict[str, type[Any]] = {
-    "QueryMessage": QueryMessage,
-    "ResultMessage": ResultMessage,
-}
-
-#: plain tagged value types (not part of the message schema)
-_OBJ_TAG = "__obj__"
-_MSG_TAG = "__msg__"
-_VER_TAG = "__v__"
 _BYTES_TAG = "__bytes__"
 _SCALAR_TAG = "__npscalar__"
+#: tags of the retired typed-message vocabulary: still reserved, so a peer
+#: that sends one is refused instead of handed a dict that looks like data
+_OBJ_TAG = "__obj__"
+_MSG_TAG = "__msg__"
 
 #: dict keys user payloads may not use (they would be mistaken for tags)
 _RESERVED_KEYS = frozenset({_OBJ_TAG, _MSG_TAG, _BYTES_TAG, _SCALAR_TAG, "__nd__"})
 
 
 class CodecError(ValueError):
-    """Malformed frame, unknown tag, or schema/version mismatch."""
+    """Malformed frame, reserved tag, or a value the wire does not carry."""
 
 
 def available_formats() -> tuple[str, ...]:
@@ -125,39 +118,12 @@ def encode_value(obj: Any) -> Any:
                 raise CodecError(f"dict key {key!r} collides with a codec tag")
             out[key] = encode_value(val)
         return out
-    if isinstance(obj, ResultEntry):
-        return {_OBJ_TAG: "ResultEntry",
-                "object_id": int(obj.object_id), "distance": float(obj.distance)}
-    if isinstance(obj, Rect):
-        return {_OBJ_TAG: "Rect",
-                "lows": encode_array(obj.lows), "highs": encode_array(obj.highs)}
-    if isinstance(obj, RangeQuery):
-        return {
-            _OBJ_TAG: "RangeQuery",
-            "rect": encode_value(obj.rect),
-            "prefix_key": int(obj.prefix_key),
-            "prefix_len": int(obj.prefix_len),
-            "qid": int(obj.qid),
-            "source": encode_value(obj.source),
-            "index_name": obj.index_name,
-            "payload": encode_value(obj.payload),
-            "radius": None if obj.radius is None else float(obj.radius),
-        }
-    name = type(obj).__name__
-    schema = message_schema().get(name)
-    if schema is not None:
-        cls = _MESSAGE_CLASSES.get(name)
-        if cls is None or not isinstance(obj, cls):
-            raise CodecError(f"registered message {name} has no wire constructor")
-        encoded: dict[str, Any] = {_MSG_TAG: name, _VER_TAG: WIRE_VERSION}
-        for field in schema:
-            encoded[field] = encode_value(getattr(obj, field))
-        return encoded
     raise CodecError(f"{type(obj).__name__} is not wire-encodable")
 
 
 def decode_value(obj: Any) -> Any:
-    """Inverse of :func:`encode_value`, validating tags, schema and version."""
+    """Inverse of :func:`encode_value`; every undecodable tree is a
+    :class:`CodecError`."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, list):
@@ -170,70 +136,25 @@ def decode_value(obj: Any) -> Any:
         except (TypeError, ValueError) as exc:
             raise CodecError(f"malformed bytes payload: {exc}") from exc
     if is_encoded_array(obj):
-        try:
-            return decode_array(obj)
-        except ValueError as exc:
-            raise CodecError(str(exc)) from exc
+        return _decode_array(obj)
     if _SCALAR_TAG in obj:
-        arr = decode_value(obj["v"])
-        return arr[()]
-    if _OBJ_TAG in obj:
-        return _decode_obj(obj)
-    if _MSG_TAG in obj:
-        return _decode_message(obj)
+        inner = obj.get("v")
+        if not is_encoded_array(inner):
+            raise CodecError("malformed NumPy scalar payload: no encoded array under 'v'")
+        arr = _decode_array(inner)
+        if arr.size != 1:  # the encoder writes shape [1]: ascontiguousarray lifts 0-d
+            raise CodecError(f"malformed NumPy scalar payload: shape {arr.shape}")
+        return arr.reshape(())[()]
+    if _OBJ_TAG in obj or _MSG_TAG in obj:
+        raise CodecError(f"tags {_OBJ_TAG} / {_MSG_TAG} are reserved and carry no value")
     return {k: decode_value(v) for k, v in obj.items()}
 
 
-def _decode_obj(obj: dict[str, Any]) -> Any:
-    kind = obj[_OBJ_TAG]
+def _decode_array(payload: dict[str, Any]) -> np.ndarray:
     try:
-        if kind == "ResultEntry":
-            return ResultEntry(object_id=int(obj["object_id"]),
-                               distance=float(obj["distance"]))
-        if kind == "Rect":
-            return Rect(decode_value(obj["lows"]), decode_value(obj["highs"]))
-        if kind == "RangeQuery":
-            return RangeQuery(
-                rect=decode_value(obj["rect"]),
-                prefix_key=int(obj["prefix_key"]),
-                prefix_len=int(obj["prefix_len"]),
-                qid=int(obj["qid"]),
-                source=decode_value(obj["source"]),
-                index_name=obj["index_name"],
-                payload=decode_value(obj["payload"]),
-                radius=None if obj["radius"] is None else float(obj["radius"]),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CodecError(f"malformed {kind} payload: {exc}") from exc
-    raise CodecError(f"unknown tagged object {kind!r}")
-
-
-def _decode_message(obj: dict[str, Any]) -> Any:
-    name = obj[_MSG_TAG]
-    schema = message_schema().get(name)
-    if schema is None:
-        raise CodecError(f"{name!r} is not a registered message type")
-    version = obj.get(_VER_TAG)
-    if version != WIRE_VERSION:
-        raise CodecError(
-            f"{name}: wire version {version!r} != supported {WIRE_VERSION}"
-        )
-    got = set(obj) - {_MSG_TAG, _VER_TAG}
-    want = set(schema)
-    if got != want:
-        missing, extra = sorted(want - got), sorted(got - want)
-        raise CodecError(
-            f"{name}: field set disagrees with the registered schema "
-            f"(missing {missing}, unexpected {extra})"
-        )
-    cls = _MESSAGE_CLASSES.get(name)
-    if cls is None:
-        raise CodecError(f"registered message {name} has no wire constructor")
-    fields = {field: decode_value(obj[field]) for field in schema}
-    try:
-        return cls(**fields)
-    except TypeError as exc:
-        raise CodecError(f"{name}: {exc}") from exc
+        return decode_array(payload)
+    except ValueError as exc:
+        raise CodecError(str(exc)) from exc
 
 
 # -- framing --------------------------------------------------------------------
@@ -300,7 +221,7 @@ class FrameDecoder:
         if fmt_byte == _FMT_JSON:
             try:
                 tree = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as exc:
+            except (UnicodeDecodeError, ValueError, RecursionError) as exc:
                 raise CodecError(f"undecodable JSON frame: {exc}") from exc
         elif fmt_byte == _FMT_MSGPACK:
             if not _HAVE_MSGPACK:
@@ -311,4 +232,7 @@ class FrameDecoder:
                 raise CodecError(f"undecodable msgpack frame: {exc}") from exc
         else:
             raise CodecError(f"unknown frame format byte {fmt_byte:#x}")
-        return decode_value(tree)
+        try:
+            return decode_value(tree)
+        except RecursionError as exc:  # nested past what the parser refuses
+            raise CodecError(f"frame nests too deeply: {exc}") from exc

@@ -7,10 +7,6 @@ suite (``tests/test_transport_conformance.py``):
 * **per-peer in-order delivery** — one framed TCP connection per destination
   with a single writer coroutine, so messages to one peer arrive in send
   order (TCP then preserves it);
-* **cancelable timers** — :meth:`timer_cancelable` / :meth:`at_cancelable`
-  return a :class:`NetTimerHandle` with the ``active``/``cancel()``
-  semantics of the engine's ``EventHandle``, driven by the event loop on the
-  process-wide monotonic clock (:attr:`now`);
 * **fault injection** — the same :class:`~repro.sim.transport.FaultConfig`:
   probabilistic loss and host-set partitions are applied at send time from a
   seeded generator (drops are *local* — the bytes never reach the socket —
@@ -37,10 +33,10 @@ from collections import deque
 from collections.abc import Awaitable, Callable
 from typing import Any
 
-from repro.net.codec import CodecError, FrameDecoder, Framer
+from repro.net.codec import WIRE_VERSION, CodecError, FrameDecoder, Framer
 from repro.sim.transport import DROPPED_DEAD, FaultConfig, MessageAccounting
 
-__all__ = ["NetTimerHandle", "RpcError", "RpcTimeout", "TcpTransport"]
+__all__ = ["RpcError", "RpcTimeout", "TcpTransport"]
 
 #: one clock origin per process so every transport's ``now`` is comparable
 #: (delivery latency = receiver.now - envelope sent_at within one host)
@@ -57,37 +53,6 @@ class RpcError(ConnectionError):
 
 class RpcTimeout(RpcError):
     """No response within the deadline (peer dead, partitioned, or lossy)."""
-
-
-class NetTimerHandle:
-    """Cancelable timer with the engine ``EventHandle`` semantics.
-
-    ``active`` is True until the callback fires or :meth:`cancel` is called;
-    cancellation is idempotent and cancel-after-fire is a no-op.
-    """
-
-    __slots__ = ("_handle", "_cell")
-
-    def __init__(self, loop: asyncio.AbstractEventLoop, delay: float,
-                 fn: Callable[..., Any], args: tuple[Any, ...]) -> None:
-        cell = [True]
-        self._cell = cell
-
-        def fire() -> None:
-            cell[0] = False
-            fn(*args)
-
-        self._handle = loop.call_later(max(0.0, delay), fire)
-
-    @property
-    def active(self) -> bool:
-        return self._cell[0]
-
-    def cancel(self) -> None:
-        if not self._cell[0]:
-            return
-        self._cell[0] = False
-        self._handle.cancel()
 
 
 class _PeerConnection:
@@ -293,33 +258,17 @@ class TcpTransport(MessageAccounting):
         transports in one process, mirroring the sim's shared clock)."""
         return _now()
 
-    # -- peer table -------------------------------------------------------------
-
-    def set_peer_host(self, addr: str, host: int) -> None:
-        """Associate a peer address with its partition-host index."""
-        self._peer_hosts[addr] = int(host)
-
-    # -- timers (the sim transport's cancelable-timer API) ----------------------
-
     def _require_loop(self) -> asyncio.AbstractEventLoop:
         loop = self._loop
         if loop is None:
             raise RuntimeError("transport not started (call start() first)")
         return loop
 
-    def timer(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        self._require_loop().call_later(max(0.0, delay), fn, *args)
+    # -- peer table -------------------------------------------------------------
 
-    def at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
-        self.timer(when - self.now, fn, *args)
-
-    def timer_cancelable(self, delay: float, fn: Callable[..., Any],
-                         *args: Any) -> NetTimerHandle:
-        return NetTimerHandle(self._require_loop(), delay, fn, args)
-
-    def at_cancelable(self, when: float, fn: Callable[..., Any],
-                      *args: Any) -> NetTimerHandle:
-        return NetTimerHandle(self._require_loop(), when - self.now, fn, args)
+    def set_peer_host(self, addr: str, host: int) -> None:
+        """Associate a peer address with its partition-host index."""
+        self._peer_hosts[addr] = int(host)
 
     # -- handler registration ---------------------------------------------------
 
@@ -370,7 +319,7 @@ class TcpTransport(MessageAccounting):
         if self._dropped_at_send(dst_addr, kind, on_drop):
             return False
         frame = self.framer.encode({
-            "v": 1, "t": "msg", "kind": kind, "src": self._src_info(),
+            "v": WIRE_VERSION, "t": "msg", "kind": kind, "src": self._src_info(),
             "qid": qid, "size": size, "attempt": attempt,
             "sent_at": self.now, "payload": payload,
         })
@@ -399,7 +348,8 @@ class TcpTransport(MessageAccounting):
             task.add_done_callback(self._client_tasks.discard)
         else:
             frame = self.framer.encode({
-                "v": 1, "t": "req", "kind": kind, "rid": rid, "src": self._src_info(),
+                "v": WIRE_VERSION, "t": "req", "kind": kind, "rid": rid,
+                "src": self._src_info(),
                 "qid": qid, "size": size, "sent_at": self.now, "payload": payload,
             })
             self._conn(dst_addr).enqueue(frame, None, None)
@@ -467,7 +417,7 @@ class TcpTransport(MessageAccounting):
 
     async def _dispatch(self, env: Any, writer: asyncio.StreamWriter,
                         response_framer: Framer) -> None:
-        if not isinstance(env, dict) or env.get("v") != 1:
+        if not isinstance(env, dict) or env.get("v") != WIRE_VERSION:
             return
         kind = env.get("kind", "")
         src = env.get("src") or {}
@@ -478,7 +428,7 @@ class TcpTransport(MessageAccounting):
         elif t == "req":
             reply = await self._handle_request(kind, env.get("payload"), src)
             frame = response_framer.encode({
-                "v": 1, "t": "res", "rid": env.get("rid"), "payload": reply,
+                "v": WIRE_VERSION, "t": "res", "rid": env.get("rid"), "payload": reply,
             })
             try:
                 writer.write(frame)

@@ -13,7 +13,6 @@ from repro.sim.king import (
     synthetic_king_matrix,
 )
 from repro.sim.messages import (
-    QueryMessage,
     ResultEntry,
     ResultMessage,
     query_message_size,
@@ -42,7 +41,6 @@ __all__ = [
     "king_latency_model",
     "KING_N_HOSTS",
     "KING_MEAN_RTT",
-    "QueryMessage",
     "ResultMessage",
     "ResultEntry",
     "query_message_size",

@@ -17,57 +17,15 @@ hop; the routing layer groups them into a single message, which is what the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
-from collections.abc import Sequence
-from typing import Any, TypeVar
+from dataclasses import dataclass, field
+from typing import Any
 
 __all__ = [
     "query_message_size",
     "result_message_size",
-    "register_message",
-    "message_schema",
-    "message_record",
-    "QueryMessage",
     "ResultMessage",
     "ResultEntry",
 ]
-
-_T = TypeVar("_T")
-
-#: trace schema: message class name -> tuple of its dataclass field names.
-#: Trace consumers (replay diffing, span reconciliation, dashboards) treat
-#: this as the exhaustive catalogue of what can appear on the wire; the
-#: CON302 lint rule enforces that every `*Message` dataclass registers.
-_MESSAGE_SCHEMA: dict[str, tuple[str, ...]] = {}
-
-
-def register_message(cls: type[_T]) -> type[_T]:
-    """Class decorator adding a message dataclass to the trace schema."""
-    if not is_dataclass(cls):
-        raise TypeError(f"{cls.__name__} must be a dataclass to register")
-    _MESSAGE_SCHEMA[cls.__name__] = tuple(f.name for f in fields(cls))
-    return cls
-
-
-def message_schema() -> dict[str, tuple[str, ...]]:
-    """Snapshot of the registered message trace schema (name -> fields)."""
-    return dict(_MESSAGE_SCHEMA)
-
-
-def message_record(msg: Any) -> dict[str, Any]:
-    """Shallow field dict of a registered message instance.
-
-    The compat shim for trace consumers: message dataclasses are
-    ``slots=True`` (no ``__dict__``/``vars()``), so consumers that need a
-    field mapping — replay diffing, dashboards — read it through the
-    registered schema instead.  Shallow on purpose: nested values (e.g.
-    ``ResultEntry`` lists) are passed through unconverted, matching what
-    ``vars()`` used to return.
-    """
-    names = _MESSAGE_SCHEMA.get(type(msg).__name__)
-    if names is None:
-        raise TypeError(f"{type(msg).__name__} is not a registered message")
-    return {name: getattr(msg, name) for name in names}
 
 PACKET_HEADER_BYTES = 20
 SOURCE_IP_BYTES = 4
@@ -96,29 +54,6 @@ class ResultEntry:
     distance: float
 
 
-@register_message
-@dataclass(slots=True)
-class QueryMessage:
-    """A bundle of subqueries of one original query travelling one DHT link.
-
-    ``kind`` distinguishes the remote procedure being invoked at the
-    destination: ``"routing"`` (Algorithm 3) or ``"refine"`` (Algorithm 5 on
-    the surrogate/successor).  ``hops`` counts overlay hops travelled so far
-    — the paper's *hops* metric is the maximum over all delivery paths.
-    """
-
-    qid: int
-    subqueries: Sequence[Any]
-    kind: str
-    hops: int
-    k: int
-
-    @property
-    def size(self) -> int:
-        return query_message_size(len(self.subqueries), self.k)
-
-
-@register_message
 @dataclass(slots=True)
 class ResultMessage:
     """Results flowing from an index node back to the querying node."""

@@ -53,7 +53,7 @@ def decode_array(payload: dict[str, Any]) -> np.ndarray:
         dtype = np.dtype(payload[TAG])
         shape = tuple(int(s) for s in payload["shape"])
         raw = base64.b64decode(payload["data"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ValueError(f"malformed array payload: {exc}") from exc
     expected = dtype.itemsize * prod(shape)
     if len(raw) != expected:

@@ -129,12 +129,6 @@ class TcpHarness:
             self.transports[dst].addr, kind, payload, size=size, on_drop=on_drop,
         )
 
-    def timer(self, peer: int, delay: float, fn) -> Any:
-        return self.transports[peer].timer_cancelable(delay, fn)
-
-    def advance(self, seconds: float) -> None:
-        self.loop.run_until_complete(asyncio.sleep(seconds))
-
     def settle(self, quiet: float = 0.05, timeout: float = 10.0) -> None:
         async def drain() -> None:
             for t in self.transports:

@@ -1,26 +1,39 @@
-"""Wire-codec properties: round trips, framing, chunk splits, versioning.
+"""Wire-codec properties: round trips, framing, chunk splits, hostile frames.
 
-Hypothesis drives two invariants end to end:
+Hypothesis drives three invariants end to end:
 
 * **value round trip** — any encodable value tree (scalars, bytes, arrays,
-  registered messages, the routing value types) survives
-  encode → frame → decode bit-exactly;
+  NumPy scalars, lists, str-keyed dicts) survives encode → frame → decode
+  bit-exactly;
 * **chunk-boundary independence** — a frame stream split at *arbitrary*
   byte boundaries decodes to the same values in the same order (the
   property that makes the TCP receive path correct no matter how the
-  kernel slices the stream).
+  kernel slices the stream);
+* **one error type** — any JSON tree, salted with the codec's reserved tag
+  keys, either decodes or raises :class:`CodecError`; the receive loops of
+  ``TcpTransport`` catch nothing else.
 
-Plus directed tests for the failure modes: version mismatch, schema
-drift, reserved keys, corrupt length prefixes, and truncated arrays.
+Plus directed tests for the failure modes (reserved keys and tags, corrupt
+length prefixes, truncated arrays, malformed tagged values), the
+parent-written byte fixture ``tests/fixtures/wire_pr18.json`` that pins
+every frame the live node speaks, and two live cases: an envelope of
+another ``WIRE_VERSION`` gets no answer, and a hostile frame costs its own
+connection, nothing more.
 """
 
 from __future__ import annotations
+
+import asyncio
+import gc
+import json
+import warnings
+from pathlib import Path
+from typing import Any
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.query import RangeQuery, Rect
 from repro.net.codec import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
@@ -31,8 +44,11 @@ from repro.net.codec import (
     decode_value,
     encode_value,
 )
-from repro.sim.messages import QueryMessage, ResultEntry, ResultMessage, message_schema
+from repro.net.transport import TcpTransport
 from repro.util.arrays import decode_array, encode_array
+
+WIRE_FIXTURE = Path(__file__).parent / "fixtures" / "wire_pr18.json"
+RESERVED_KEYS = ("__msg__", "__obj__", "__bytes__", "__nd__", "__npscalar__")
 
 # -- strategies -----------------------------------------------------------------
 
@@ -43,6 +59,8 @@ scalars = st.one_of(
     st.floats(allow_nan=False),  # NaN != NaN breaks equality, not the codec
     st.text(max_size=40),
     st.binary(max_size=64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int64),
+    st.floats(allow_nan=False, width=32).map(np.float32),
 )
 
 small_arrays = st.one_of(
@@ -54,42 +72,8 @@ small_arrays = st.one_of(
         lambda v: np.asarray(v, dtype=np.int64)),
 )
 
-result_entries = st.builds(
-    ResultEntry,
-    object_id=st.integers(0, 2**31),
-    distance=st.floats(0, 1e9, allow_nan=False),
-)
-
-
-def _rects() -> st.SearchStrategy[Rect]:
-    return st.integers(1, 4).flatmap(lambda k: st.tuples(
-        st.lists(st.floats(0, 100, allow_nan=False), min_size=k, max_size=k),
-        st.lists(st.floats(0, 100, allow_nan=False), min_size=k, max_size=k),
-    ).map(lambda lh: Rect(
-        np.minimum(lh[0], lh[1]), np.maximum(lh[0], lh[1]) + 1.0)))
-
-
-query_messages = st.builds(
-    QueryMessage,
-    qid=st.integers(0, 2**31),
-    subqueries=st.lists(_rects().map(lambda r: RangeQuery(
-        rect=r, prefix_key=0, prefix_len=0, qid=0, source=None,
-        index_name="t", payload=None, radius=None)), max_size=3),
-    kind=st.sampled_from(["routing", "refine"]),
-    hops=st.integers(0, 30),
-    k=st.integers(0, 50),
-)
-
-result_messages = st.builds(
-    ResultMessage,
-    qid=st.integers(0, 2**31),
-    entries=st.lists(result_entries, max_size=6),
-    from_node=st.integers(0, 2**31),
-)
-
 trees = st.recursive(
-    st.one_of(scalars, small_arrays, result_entries, _rects(),
-              query_messages, result_messages),
+    st.one_of(scalars, small_arrays),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.dictionaries(
@@ -99,6 +83,30 @@ trees = st.recursive(
     max_leaves=12,
 )
 
+#: what a peer that ignores the encoder can put in a JSON frame: any JSON
+#: tree, its dicts keyed by the reserved tags and by the field names the
+#: tagged values use ("v", "shape", "data") as often as by anything else
+hostile_trees = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-(2**70), 2**70),
+        st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=12),
+        st.sampled_from(["<f8", "<u8", "|O", "V0", "AAAA", "AAAAAAAAAAA=", "i4,i4"]),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(
+            st.sampled_from(RESERVED_KEYS + ("v", "shape", "data")) | st.text(max_size=4),
+            children, max_size=5),
+    ),
+    max_leaves=16,
+)
+
+
+def json_frame(tree: Any) -> bytes:
+    """A JSON frame around ``tree`` as written, bypassing ``encode_value``."""
+    body = json.dumps(tree).encode("utf-8")
+    return (len(body) + 1).to_bytes(4, "big") + b"J" + body
+
 
 def assert_same(a, b) -> None:
     """Structural equality across the types the codec carries."""
@@ -106,24 +114,6 @@ def assert_same(a, b) -> None:
         assert isinstance(b, np.ndarray)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()  # bit-exact, not approx
-    elif isinstance(a, Rect):
-        assert isinstance(b, Rect)
-        assert_same(a.lows, b.lows)
-        assert_same(a.highs, b.highs)
-    elif isinstance(a, RangeQuery):
-        assert isinstance(b, RangeQuery)
-        assert_same(a.rect, b.rect)
-        for f in ("prefix_key", "prefix_len", "qid", "index_name", "radius"):
-            assert getattr(a, f) == getattr(b, f)
-        assert_same(a.source, b.source)
-        assert_same(a.payload, b.payload)
-    elif isinstance(a, (QueryMessage, ResultMessage)):
-        assert type(a) is type(b)
-        for f in message_schema()[type(a).__name__]:
-            assert_same(getattr(a, f), getattr(b, f))
-    elif isinstance(a, ResultEntry):
-        assert isinstance(b, ResultEntry)
-        assert a.object_id == b.object_id and a.distance == b.distance
     elif isinstance(a, (list, tuple)):
         assert isinstance(b, list)
         assert len(a) == len(b)
@@ -165,62 +155,138 @@ def test_frame_stream_survives_arbitrary_chunking(fmt, values, data):
         assert_same(want, got)
 
 
-@given(query_messages | result_messages)
-def test_every_registered_message_type_round_trips(msg):
-    # the schema registry is the source of truth: every registered type the
-    # codec claims to carry must round-trip through a framed stream
-    assert type(msg).__name__ in message_schema()
-    framer = Framer("json")
-    decoder = FrameDecoder()
-    (got,) = decoder.feed(framer.encode(msg))
-    assert_same(msg, got)
+@given(hostile_trees)
+def test_hostile_tree_decodes_or_raises_codec_error(tree):
+    with warnings.catch_warnings():
+        # NumPy deprecates dtype spellings by warning; the suite turns
+        # warnings into errors, a live node does not
+        warnings.simplefilter("ignore")
+        try:
+            FrameDecoder().feed(json_frame(tree))
+        except CodecError:
+            pass
 
 
 def test_byte_by_byte_feed():
     framer = Framer("json")
-    msg = QueryMessage(qid=7, subqueries=3, kind="range", hops=2, k=None)
+    msg = {"v": WIRE_VERSION, "t": "req", "kind": "lookup_step", "rid": 7,
+           "payload": {"target": 2**63 + 5}}
     stream = framer.encode(msg) + framer.encode({"tail": [1, 2, 3]})
     decoder = FrameDecoder()
     out = []
     for i in range(len(stream)):
         out.extend(decoder.feed(stream[i:i + 1]))
-    assert len(out) == 2
-    assert_same(msg, out[0])
-    assert_same({"tail": [1, 2, 3]}, out[1])
+    assert out == [msg, {"tail": [1, 2, 3]}]
+
+
+# -- the frames the live node speaks --------------------------------------------
+
+
+def _wire_envelopes() -> dict[str, dict[str, Any]]:
+    """One ``req`` and one ``res`` envelope per payload shape of
+    ``net/node.py`` and ``net/cluster.py``, field order as
+    ``TcpTransport.rpc`` / ``_dispatch`` write it.  The fixture holds the
+    bytes the parent commit's ``Framer("json").encode`` produced for these
+    (its ``recipe`` field says how)."""
+    entry = {"id": 2**63 + 5, "addr": "127.0.0.1:7001", "name": "n1"}
+    succ = {"id": 17, "addr": "127.0.0.1:7002", "name": "n2"}
+    batch = {
+        "keys": np.array([0, 1, 2**64 - 1], dtype=np.uint64),
+        "points": np.array([[0.1, -2.5], [1e-300, 3.0], [7.0, 1e300]], dtype=np.float64),
+        "ids": np.array([-1, 0, 2**62], dtype=np.int64),
+    }
+    rect = {"lows": np.array([0.0, 0.25]), "highs": np.array([0.5, 1.0])}
+    #: (fixture name, RPC kind, request payload, reply payload)
+    shapes: list[tuple[str, str, Any, Any]] = [
+        ("ping", "ping", None, entry),
+        ("get_successor", "get_successor", None, succ),
+        ("get_successor_list", "get_successor_list", None, [succ, entry]),
+        ("get_predecessor", "get_predecessor", None, None),
+        ("notify", "notify", entry, {"ok": True}),
+        ("lookup_step.next", "lookup_step", {"target": 2**64 - 3}, {"next": [succ, entry]}),
+        ("lookup_step.owner", "lookup_step", {"target": 0}, {"owner": entry}),
+        ("insert", "insert", batch, {"accepted": 3, "seq": 12}),
+        ("route_insert", "route_insert", batch, {"accepted": 3}),
+        ("range_solve", "range_solve",
+         {**rect, "key_lo": 2**40, "key_hi": 2**41 - 1},
+         {"ids": np.array([4, 9], dtype=np.int64), "arc": [17, 2**63 + 5],
+          "successors": [succ]}),
+        ("range_solve.not_owner", "range_solve",
+         {**rect, "key_lo": 0, "key_hi": 2**64 - 1},
+         {"not_owner": True, "predecessor": succ}),
+        ("query", "query", rect, {"ids": np.empty(0, dtype=np.int64)}),
+        ("status", "status", None, {
+            "id": 17, "name": "n2", "addr": "127.0.0.1:7002", "predecessor": entry,
+            "successors": [entry], "entries": 512, "digest": "9f2c" * 16,
+            "wal_records": 3, "stats": {"sent": 40, "delivered": 38}}),
+        ("snapshot", "snapshot", None, {"ok": True, "digest": "00ff" * 16}),
+        ("unknown_kind", "nope", None, {"__rpc_error__": "no handler for 'nope'"}),
+    ]
+    src = {"id": 17, "host": 2, "addr": "127.0.0.1:7002"}
+    out: dict[str, dict[str, Any]] = {}
+    for rid, (name, kind, request, reply) in enumerate(shapes, start=1):
+        out[f"{name}:req"] = {
+            "v": WIRE_VERSION, "t": "req", "kind": kind, "rid": rid, "src": src,
+            "qid": None, "size": 0, "sent_at": 12.345678, "payload": request}
+        out[f"{name}:res"] = {"v": WIRE_VERSION, "t": "res", "rid": rid, "payload": reply}
+    return out
+
+
+def test_wire_bytes_match_the_parent_written_fixture():
+    fixture = json.loads(WIRE_FIXTURE.read_text())
+    envelopes = _wire_envelopes()
+    assert set(fixture["frames"]) == set(envelopes)
+    framer = Framer("json")
+    for name, env in envelopes.items():
+        wire = bytes.fromhex(fixture["frames"][name])
+        assert framer.encode(env) == wire, name
+        (got,) = FrameDecoder().feed(wire)
+        assert_same(env, got)
 
 
 # -- directed failure modes -----------------------------------------------------
 
 
-def test_version_mismatch_rejected():
-    encoded = encode_value(QueryMessage(qid=1, subqueries=1, kind="range",
-                                        hops=0, k=None))
-    encoded["__v__"] = WIRE_VERSION + 1
-    with pytest.raises(CodecError, match="wire version"):
-        decode_value(encoded)
-
-
-def test_schema_field_drift_rejected():
-    encoded = encode_value(ResultMessage(qid=1, entries=[], from_node=2))
-    encoded["surprise"] = 1
-    with pytest.raises(CodecError, match="field set disagrees"):
-        decode_value(encoded)
-    del encoded["surprise"], encoded["qid"]
-    with pytest.raises(CodecError, match="field set disagrees"):
-        decode_value(encoded)
-
-
 def test_unknown_message_and_object_tags_rejected():
-    with pytest.raises(CodecError, match="not a registered message"):
-        decode_value({"__msg__": "NopeMessage", "__v__": WIRE_VERSION})
-    with pytest.raises(CodecError, match="unknown tagged object"):
-        decode_value({"__obj__": "Nope"})
+    # the typed vocabulary is gone: its tags build nothing, whatever they name
+    for tree in ({"__msg__": "ResultMessage", "__v__": 1, "qid": 1, "entries": 3,
+                  "from_node": None},
+                 {"__msg__": "NopeMessage", "__v__": 1},
+                 {"__obj__": "ResultEntry", "object_id": 1, "distance": 0.5},
+                 {"__obj__": "Nope"}):
+        with pytest.raises(CodecError, match="reserved"):
+            decode_value(tree)
+        with pytest.raises(CodecError, match="reserved"):
+            decode_value({"payload": [tree]})
 
 
 def test_reserved_payload_keys_rejected():
-    for key in ("__msg__", "__obj__", "__bytes__", "__nd__", "__npscalar__"):
+    for key in RESERVED_KEYS:
         with pytest.raises(CodecError, match="collides"):
             encode_value({"data": {key: 1}})
+
+
+@pytest.mark.parametrize("tree", [
+    {"__npscalar__": None},
+    {"__npscalar__": None, "v": 3},
+    {"__npscalar__": None, "v": [1]},
+    {"__npscalar__": None, "v": encode_array(np.arange(2))},  # two values
+    {"__nd__": "<f8", "shape": [float("inf")], "data": ""},
+    {"__bytes__": 7},
+], ids=["scalar-no-v", "scalar-int-v", "scalar-list-v", "scalar-2-values",
+        "array-inf-shape", "bytes-int"])
+def test_malformed_tagged_values_raise_codec_error(tree):
+    with pytest.raises(CodecError):
+        FrameDecoder().feed(json_frame(tree))
+    with pytest.raises(CodecError):
+        FrameDecoder().feed(json_frame({"v": WIRE_VERSION, "t": "req", "payload": [tree]}))
+
+
+def test_deeply_nested_frame_raises_codec_error():
+    for depth in (900, 100_000):  # past decode_value's recursion, past the parser's
+        body = b"[" * depth + b"]" * depth
+        with pytest.raises(CodecError):
+            FrameDecoder().feed((len(body) + 1).to_bytes(4, "big") + b"J" + body)
 
 
 def test_non_string_keys_rejected():
@@ -269,20 +335,69 @@ def test_array_disk_wire_encoding_is_shared():
     assert_same(arr, decode_value(encode_value(arr)))
 
 
-def test_rangequery_round_trip():
-    rq = RangeQuery(
-        rect=Rect(np.array([0.0, 1.0]), np.array([2.0, 3.0])),
-        prefix_key=0b1010 << 28,
-        prefix_len=4,
-        qid=77,
-        source=None,
-        index_name="t",
-        payload={"hops": 3},
-        radius=1.25,
-    )
-    got = decode_value(encode_value(rq))
-    assert isinstance(got, RangeQuery)
-    assert got.prefix_key == rq.prefix_key and got.prefix_len == rq.prefix_len
-    assert got.qid == rq.qid and got.index_name == "t"
-    assert got.payload == {"hops": 3} and got.radius == 1.25
-    assert_same(got.rect, rq.rect)
+# -- live: what a listener does with frames it will not serve --------------------
+
+
+async def _ping_server() -> tuple[TcpTransport, str, int]:
+    server = TcpTransport(node_id=1)
+
+    async def ping(payload: Any, src: dict[str, Any]) -> Any:
+        return {"pong": payload}
+
+    server.register_rpc("ping", ping)
+    host, _, port = (await server.start()).rpartition(":")
+    return server, host, int(port)
+
+
+@pytest.mark.timeout(30)
+def test_version_mismatch_rejected():
+    """A listener answers only envelopes stamped with its ``WIRE_VERSION``."""
+    async def scenario() -> None:
+        server, host, port = await _ping_server()
+        reader, writer = await asyncio.open_connection(host, port)
+        for rid, version in ((1, WIRE_VERSION + 1), (2, WIRE_VERSION)):
+            writer.write(json_frame({
+                "v": version, "t": "req", "kind": "ping", "rid": rid, "payload": rid}))
+        await writer.drain()
+        decoder = FrameDecoder()
+        replies: list[Any] = []
+        while not replies:
+            chunk = await reader.read(65536)
+            assert chunk, "connection closed without a reply"
+            replies = decoder.feed(chunk)
+        # one connection is served in order: rid 2 first means rid 1 got nothing
+        assert replies == [
+            {"v": WIRE_VERSION, "t": "res", "rid": 2, "payload": {"pong": 2}}]
+        writer.close()
+        await writer.wait_closed()
+        await server.close()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.timeout(30)
+def test_malformed_frame_drops_the_connection_not_the_listener():
+    async def scenario() -> None:
+        unhandled: list[dict[str, Any]] = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context))
+        server, host, port = await _ping_server()
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(json_frame({
+            "v": WIRE_VERSION, "t": "req", "kind": "ping", "rid": 1,
+            "payload": {"__npscalar__": None}}))
+        await writer.drain()
+        assert await reader.read() == b""  # dropped without a reply
+        writer.close()
+        await writer.wait_closed()
+
+        client = TcpTransport(node_id=2)
+        await client.start(listen=False)
+        assert await client.rpc(server.addr, "ping", 7) == {"pong": 7}
+        await client.close()
+        await server.close()
+        gc.collect()  # a task that died unhandled reports when collected
+        await asyncio.sleep(0)
+        assert unhandled == []
+
+    asyncio.run(scenario())

@@ -67,24 +67,6 @@ class TestCompactVsObjectRing:
         assert np.all(path_lat[hops > 0] > 0)
         assert np.all(path_lat[hops == 0] == 0)
 
-    def test_bulk_join_matches_fresh_build(self):
-        base = CompactChordRing.build(100, m=32, seed=1)
-        rng = np.random.default_rng(2)
-        new_ids = np.setdiff1d(
-            rng.integers(0, 1 << 32, size=40, dtype=np.uint64), base.ids
-        )
-        new_hosts = np.arange(100, 100 + len(new_ids), dtype=np.int64)
-        slots = base.bulk_join(new_ids, new_hosts)
-        base.check_invariants()
-        assert np.array_equal(base.ids[slots], new_ids)
-        fresh = CompactChordRing(base.ids, base.hosts, m=32)
-        assert np.array_equal(fresh.fingers, base.fingers)
-
-    def test_duplicate_join_rejected(self):
-        base = CompactChordRing.build(10, m=32, seed=1)
-        with pytest.raises(ValueError):
-            base.bulk_join(base.ids[:1], np.array([99], dtype=np.int64))
-
 
 class TestShardStoreVsShards:
     def test_matches_per_node_shards(self):

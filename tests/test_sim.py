@@ -7,7 +7,6 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.sim.king import synthetic_king_matrix, king_latency_model
 from repro.sim.messages import (
-    QueryMessage,
     ResultEntry,
     ResultMessage,
     query_message_size,
@@ -258,10 +257,10 @@ class TestMessageSizes:
         assert result_message_size(10) == 80
 
     def test_message_objects(self):
-        qm = QueryMessage(qid=1, subqueries=[None, None], kind="routing", hops=2, k=5)
-        assert qm.size == query_message_size(2, 5)
         rm = ResultMessage(qid=1, entries=[ResultEntry(3, 0.5)] * 4)
         assert rm.size == result_message_size(4)
+        # one per reply and one per hit: slotted, so no per-instance __dict__
+        assert not hasattr(rm, "__dict__") and not hasattr(rm.entries[0], "__dict__")
 
 
 class TestStats:

@@ -8,11 +8,12 @@ both execution backends:
 * ``tcp`` — :class:`repro.net.transport.TcpTransport` on real asyncio
   sockets (marked ``slow``; the CI live-backend job runs it).
 
-The contract under test: per-peer in-order delivery, cancelable-timer
-semantics, fault-injection drop behaviour (loss, partition, self-send
-exemption, the status handed to ``on_drop``), and stats/byte accounting.  A
-behaviour difference between the backends is a bug in the live backend, not
-in the test.
+The contract under test: per-peer in-order delivery, fault-injection drop
+behaviour (loss, partition, self-send exemption, the status handed to
+``on_drop``), and stats/byte accounting.  A behaviour difference between the
+backends is a bug in the live backend, not in the test.  Cancelable timers
+are the simulator's alone — the live node schedules with asyncio directly —
+so the two timer tests run on ``sim`` only.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ def test_in_order_delivery_interleaved_destinations(harness):
     assert got2 == [("to2", i) for i in range(32)]
 
 
+SIM_ONLY = pytest.mark.parametrize("harness", BACKENDS[:1], indirect=True)
+
+
+@SIM_ONLY
 def test_timer_fires_and_deactivates(harness):
     harness.start(1)
     fired = []
@@ -70,6 +75,7 @@ def test_timer_fires_and_deactivates(harness):
     assert not h.active
 
 
+@SIM_ONLY
 def test_timer_cancel_prevents_firing(harness):
     harness.start(1)
     fired = []
