@@ -632,9 +632,13 @@ def _run_flight(args) -> int:
     if not cfg_dict:
         print("\nrerun: bundle carries no replayable config")
         return 1
+    from dataclasses import fields
+
     from repro.core.scale import ScaleConfig, ScaleSimulation
 
-    cfg = ScaleConfig(**cfg_dict)
+    # a bundle written before a config field was retired still replays
+    known = {f.name for f in fields(ScaleConfig)}
+    cfg = ScaleConfig(**{k: v for k, v in cfg_dict.items() if k in known})
     print(f"\nrerun: {cfg.n_nodes} nodes, {cfg.n_queries} queries, "
           f"seed {cfg.seed}")
     sim = ScaleSimulation(cfg)

@@ -24,6 +24,7 @@ import numpy as np
 from typing import Any
 
 from repro.core.lifecycle import RetryPolicy
+from repro.sim.messages import ResultEntry, merge_entries
 from repro.sim.stats import StatsCollector
 
 __all__ = ["KnnResult", "knn_search"]
@@ -82,7 +83,7 @@ def knn_search(
     total_qbytes = 0
     total_rbytes = 0
     nodes_touched: set[int] = set()
-    best: dict[int, float] = {}
+    found: list[ResultEntry] = []  # merged over the rounds so far
     rounds = 0
     exact = False
     for rounds in range(1, max_rounds + 1):
@@ -95,11 +96,8 @@ def knn_search(
         total_qbytes += st.query_bytes
         total_rbytes += st.result_bytes
         nodes_touched |= st.index_nodes
-        for e in fut.entries():
-            if e.object_id not in best or e.distance < best[e.object_id]:
-                best[e.object_id] = e.distance
-        within = sorted(d for d in best.values() if d <= radius)
-        if len(within) >= k and within[k - 1] <= radius:
+        found = merge_entries(found + fut.entries())
+        if sum(e.distance <= radius for e in found) >= k:
             exact = True
             break
         if index.metric.is_bounded and radius >= index.metric.upper_bound:
@@ -109,9 +107,8 @@ def knn_search(
         if index.metric.is_bounded:
             radius = min(radius, index.metric.upper_bound)
 
-    ranked = sorted(best.items(), key=lambda kv: (kv[1], kv[0]))[:k]
-    ids = np.asarray([oid for oid, _ in ranked], dtype=np.int64)
-    dists = np.asarray([d for _, d in ranked])
+    ids = np.asarray([e.object_id for e in found[:k]], dtype=np.int64)
+    dists = np.asarray([e.distance for e in found[:k]])
     return KnnResult(
         object_ids=ids,
         distances=dists,

@@ -44,6 +44,9 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
+from repro.sim.messages import merge_entries
+from repro.sim.stats import QueryStats
+
 __all__ = [
     "ISSUED",
     "ROUTING",
@@ -148,18 +151,18 @@ class _Record:
 
     __slots__ = (
         "qid", "state", "outstanding", "branches", "seen", "next_bid",
-        "best", "stats", "deadline_timer", "callbacks", "future",
+        "stats", "deadline_timer", "callbacks", "future",
     )
 
-    def __init__(self, qid: int) -> None:
+    def __init__(self, qid: int, stats: QueryStats) -> None:
         self.qid = qid
         self.state = ISSUED
         self.outstanding = 0
         self.branches: dict[int, _Branch] = {}
         self.seen: set[int] = set()   # branch ids accepted at a receiver
         self.next_bid = 0
-        self.best: dict[int, float] = {}  # object id -> best distance
-        self.stats = None               # optional QueryStats mirror
+        #: mirrors the state and holds the result rows: there is no second copy
+        self.stats = stats
         self.deadline_timer = None
         self.callbacks: list[Callable[["QueryFuture"], None]] = []
         self.future: QueryFuture | None = None
@@ -203,11 +206,7 @@ class QueryFuture:
         """Merged result entries so far, deduplicated by object id (the best
         distance wins), sorted by (distance, object id).  Available on
         incomplete and timed-out queries — partial results are explicit."""
-        from repro.sim.messages import ResultEntry
-
-        merged = [ResultEntry(oid, d) for oid, d in self._rec.best.items()]
-        merged.sort(key=lambda e: (e.distance, e.object_id))
-        return merged
+        return merge_entries(self._rec.stats.entries)
 
     def result(self, top_k: int | None = None) -> list[Any]:
         """The merged entries of a *completed* query.
@@ -224,7 +223,7 @@ class QueryFuture:
         if self._rec.state == TIMED_OUT:
             raise QueryTimeout(
                 f"query {self.qid} timed out with "
-                f"{len(self._rec.best)} partial result(s)"
+                f"{len(self.entries())} partial result(s)"
             )
         out = self.entries()
         return out if top_k is None else out[:top_k]
@@ -294,24 +293,21 @@ class LifecycleEngine:
         qid: int,
         stats: Any = None,
         issued_at: float | None = None,
-        on_complete: Callable[["QueryFuture"], None] | None = None,
     ) -> QueryFuture:
         """Start tracking ``qid``; returns its future.
 
         ``stats`` is an optional :class:`repro.sim.stats.StatsCollector`
-        whose per-query record mirrors the lifecycle state.  ``issued_at``
-        anchors the deadline for queries scheduled into the future.
+        whose per-query record mirrors the lifecycle state and holds the
+        result rows (a query registered without one gets a record of its
+        own).  ``issued_at`` anchors the deadline for queries scheduled into
+        the future.
         """
         if qid in self.records:
             raise ValueError(f"query id {qid} already registered on this engine")
-        rec = _Record(qid)
+        rec = _Record(qid, stats.for_query(qid) if stats is not None else QueryStats(qid))
+        rec.stats.state = ISSUED
         self.records[qid] = rec
         rec.future = QueryFuture(qid, self, rec)
-        if stats is not None:
-            rec.stats = stats.for_query(qid)
-            rec.stats.state = ISSUED
-        if on_complete is not None:
-            rec.callbacks.append(on_complete)
         self.counters.registered += 1
         if self.policy.deadline is not None:
             start = issued_at if issued_at is not None else self.transport.sim.now
@@ -319,15 +315,6 @@ class LifecycleEngine:
                 start + self.policy.deadline, self._deadline, qid
             )
         return rec.future
-
-    def tracked(self, qid: int) -> bool:
-        """Whether ``qid`` is registered and still running."""
-        rec = self.records.get(qid)
-        return rec is not None and not rec.terminal
-
-    def future(self, qid: int) -> QueryFuture | None:
-        rec = self.records.get(qid)
-        return rec.future if rec is not None else None
 
     # -- branch accounting ------------------------------------------------------
 
@@ -377,8 +364,7 @@ class LifecycleEngine:
             self.counters.duplicates_suppressed += 1
             if self._m_dups is not None:
                 self._m_dups.inc()
-            if rec.stats is not None:
-                rec.stats.duplicate_messages += 1
+            rec.stats.duplicate_messages += 1
             return False
         rec.seen.add(bid)
         return True
@@ -398,8 +384,7 @@ class LifecycleEngine:
             br.timer = None
         if failed:
             self.counters.branches_failed += 1
-            if rec.stats is not None:
-                rec.stats.failed_branches += 1
+            rec.stats.failed_branches += 1
         self.counters.branches_settled += 1
         if self._m_settled is not None:
             self._m_settled.inc(("failed" if failed else "ok",))
@@ -435,15 +420,11 @@ class LifecycleEngine:
             self._set_state(rec, RESOLVING)
 
     def add_entries(self, qid: int, entries: Iterable[Any]) -> None:
-        """Merge result entries into the query's best-per-object-id set."""
+        """Append one reply's result rows to the query's answer (merged when
+        read, :meth:`QueryFuture.entries`)."""
         rec = self.records.get(qid)
-        if rec is None:
-            return
-        best = rec.best
-        for e in entries:
-            d = best.get(e.object_id)
-            if d is None or e.distance < d:
-                best[e.object_id] = e.distance
+        if rec is not None:
+            rec.stats.entries.extend(entries)
 
     # -- driving the simulator --------------------------------------------------
 
@@ -474,8 +455,7 @@ class LifecycleEngine:
 
     def _set_state(self, rec: _Record, state: str) -> None:
         rec.state = state
-        if rec.stats is not None:
-            rec.stats.state = state
+        rec.stats.state = state
 
     def _transmit(self, rec: _Record, br: _Branch) -> None:
         br.attempts += 1
@@ -486,8 +466,7 @@ class LifecycleEngine:
             if self.recorder is not None:
                 self.recorder.event(
                     rec.qid, "retransmit", bid=br.bid, attempt=br.attempts)
-            if rec.stats is not None:
-                rec.stats.retransmissions += 1
+            rec.stats.retransmissions += 1
         attempt = br.attempts
         br.send(attempt)
         # The branch may have settled synchronously (self-delivery at zero
@@ -500,20 +479,11 @@ class LifecycleEngine:
         if attempt <= self.policy.max_retries:
             delay = self.policy.rto * self.policy.backoff ** (attempt - 1)
             br.timer = self.transport.timer_cancelable(
-                delay, self._rto_expired, rec.qid, br.bid
+                delay, self._retransmit, rec.qid, br.bid
             )
 
-    def _rto_expired(self, qid: int, bid: int) -> None:
-        rec = self.records.get(qid)
-        if rec is None or rec.terminal:
-            return
-        br = rec.branches.get(bid)
-        if br is None:
-            return
-        br.timer = None
-        self._retransmit(qid, bid)
-
     def _retransmit(self, qid: int, bid: int) -> None:
+        """An RTO or a drop back-off ran out: send the branch again."""
         rec = self.records.get(qid)
         if rec is None or rec.terminal:
             return
@@ -554,8 +524,7 @@ class LifecycleEngine:
         if rec.deadline_timer is not None:
             rec.deadline_timer.cancel()
             rec.deadline_timer = None
-        if rec.stats is not None:
-            rec.stats.completed_at = self.transport.sim.now
+        rec.stats.completed_at = self.transport.sim.now
         if self.recorder is not None:
             self.recorder.finish_query(rec.qid, status=rec.state)
         callbacks, rec.callbacks = rec.callbacks, []

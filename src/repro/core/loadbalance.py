@@ -30,6 +30,7 @@ import numpy as np
 
 from typing import Any
 
+from repro.dht.idspace import rotate_keys
 from repro.util.rng import as_rng
 
 __all__ = ["LoadBalanceReport", "probe_neighbourhood", "dynamic_load_migration", "hotspot_overlap"]
@@ -88,8 +89,7 @@ def _split_point(platform: Any, node: Any) -> int | None:
     for index in platform.indexes.values():
         shard = index.shards.get(node)
         if shard is not None and len(shard):
-            mask = np.uint64((1 << index.m) - 1)
-            keys.append((shard.keys + np.uint64(index.rotation)) & mask)
+            keys.append(rotate_keys(shard.keys, index.rotation, index.m))
     if not keys:
         return None
     # Keys within (predecessor, node] may wrap zero; unwrap relative to the

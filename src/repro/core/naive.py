@@ -26,6 +26,7 @@ from typing import Any
 
 from repro.core.query import RangeQuery, Rect
 from repro.core.routing import QueryProtocol
+from repro.dht.idspace import cw_distance, rotate
 from repro.sim.messages import query_message_size
 
 __all__ = ["NaiveProtocol", "decompose_to_owner_cuboids"]
@@ -48,7 +49,6 @@ def decompose_to_owner_cuboids(
     m = index.m
     k = index.bounds.k
     ring = index.ring
-    mask = (1 << m) - 1
     out: list[tuple[int, int, np.ndarray, np.ndarray]] = []
     # (prefix_key, prefix_len, cuboid lows, cuboid highs); a child halves one
     # dimension of its parent's cuboid, the float sequence of prefix_to_cuboid.
@@ -63,14 +63,11 @@ def decompose_to_owner_cuboids(
         if np.any(nl > nh):
             continue
         span = 1 << (m - prefix_len)
-        key_lo = (prefix_key + index.rotation) & mask
-        key_hi = (prefix_key + span - 1 + index.rotation) & mask
-        lo_owner = ring.successor_of(key_lo)
-        hi_owner = ring.successor_of(key_hi)
-        # One owner covers the whole (non-wrapping in index space, possibly
-        # wrapping after rotation) key range iff both ends resolve to the
-        # same node and no other node id lies inside the range.
-        single = lo_owner is hi_owner and _no_node_inside(ring, key_lo, key_hi, m)
+        key_lo = rotate(prefix_key, index.rotation, m)
+        # One owner covers the whole (possibly wrapping, after rotation) key
+        # range iff the first node at or after its low end lies at or beyond
+        # its high end: no node id inside [key_lo, key_lo + span - 1).
+        single = cw_distance(key_lo, ring.successor_of(key_lo).id, m) >= span - 1
         if single or prefix_len == m:
             out.append((prefix_key, prefix_len, nl, nh))
             if len(out) > max_subqueries:
@@ -89,21 +86,6 @@ def decompose_to_owner_cuboids(
         stack.append((prefix_key, child_len, lows, low_highs))
         stack.append((high_child, child_len, high_lows, highs))
     return out
-
-
-def _no_node_inside(ring: Any, key_lo: int, key_hi: int, m: int) -> bool:
-    """True when no node identifier lies in the cyclic interval [key_lo, key_hi)."""
-    ids = ring._sorted_ids
-    import bisect
-
-    if key_lo <= key_hi:
-        i = bisect.bisect_left(ids, key_lo)
-        return i >= len(ids) or ids[i] >= key_hi
-    # wrapped interval [key_lo, 2^m) ∪ [0, key_hi)
-    i = bisect.bisect_left(ids, key_lo)
-    if i < len(ids):
-        return False
-    return not ids or ids[0] >= key_hi
 
 
 class NaiveProtocol(QueryProtocol):
@@ -131,7 +113,7 @@ class NaiveProtocol(QueryProtocol):
 
     def _route_lookup(self, node: Any, sq: RangeQuery) -> None:
         """Walk the Chord lookup path hop by hop, one message per hop."""
-        target = self._rotate(sq.prefix_key)
+        target = rotate(sq.prefix_key, self.index.rotation, self.index.m)
         path = self.index.ring.lookup_path(node, target)
         self._lookup_hop(path, 0, sq, 0)
 

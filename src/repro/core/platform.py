@@ -27,8 +27,9 @@ from repro.core.lifecycle import LifecycleEngine, QueryFuture, RetryPolicy
 from repro.core.lph import lp_hash_batch
 from repro.core.query import QidAllocator, RangeQuery
 from repro.core.routing import QueryProtocol
-from repro.core.storage import Shard
+from repro.core.storage import Shard, group_by_owner
 from repro.dht.hashing import rotation_offset
+from repro.dht.idspace import rotate_keys
 from repro.dht.ring import ChordRing
 from repro.metric.base import Metric
 from repro.sim import Simulator
@@ -129,8 +130,7 @@ class LandmarkIndex:
 
     def rotated_keys(self) -> np.ndarray:
         """Ring keys of all entries: LPH keys shifted by the rotation offset."""
-        mask = np.uint64((1 << self.m) - 1)
-        return (self._keys + np.uint64(self.rotation)) & mask
+        return rotate_keys(self._keys, self.rotation, self.m)
 
     def distribute(self) -> int:
         """(Re)assign all entries to their current owners.
@@ -150,14 +150,12 @@ class LandmarkIndex:
         else:
             moved = int(np.count_nonzero(new_owner_objs != self._owner_objs))
         self._owner_objs = new_owner_objs
-        order = np.argsort(owners, kind="stable")
-        sorted_owners = owners[order]
-        bounds_idx = np.searchsorted(sorted_owners, np.arange(len(nodes) + 1))
+        order, offsets = group_by_owner(owners, len(nodes))
         self.shards = {node: Shard(self.k) for node in nodes}
         n_nodes = len(nodes)
         copies = min(self.replication, n_nodes)
         for i, node in enumerate(nodes):
-            sel = order[bounds_idx[i] : bounds_idx[i + 1]]
+            sel = order[offsets[i] : offsets[i + 1]]
             if not len(sel):
                 continue
             for c in range(copies):

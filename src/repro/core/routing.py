@@ -62,6 +62,7 @@ import numpy as np
 from repro.core.lifecycle import LifecycleEngine, QueryFuture
 from repro.core.lph import walk_siblings
 from repro.core.query import RangeQuery, Rect, query_split
+from repro.dht.idspace import rotate, unrotate
 from repro.sim.messages import ResultEntry, ResultMessage, query_message_size
 from repro.sim.transport import Protocol
 from repro.util.bits import first_zero_bit, prefix_of, same_prefix, set_bit_at
@@ -180,16 +181,9 @@ class QueryProtocol(Protocol):
             self._proto_label = ()
             self._refine_label = ()
 
-    # -- key-space helpers ----------------------------------------------------
-
-    def _rotate(self, key: int) -> int:
-        return (key + self.index.rotation) % (1 << self.index.m)
-
-    def _effective_id(self, node: Any) -> int:
-        return (node.id - self.index.rotation) % (1 << self.index.m)
-
     def _next_hop(self, node: Any, prefix_key: int) -> Any:
-        return node.next_hop(self._rotate(prefix_key))
+        index = self.index
+        return node.next_hop(rotate(prefix_key, index.rotation, index.m))
 
     # -- lifecycle-tracked message plumbing ------------------------------------
     #
@@ -447,7 +441,7 @@ class QueryProtocol(Protocol):
 
     def _surrogate_refine_fixed(self, node: Any, q: RangeQuery, hops: int) -> None:
         m = self.index.m
-        eff = self._effective_id(node)
+        eff = unrotate(node.id, self.index.rotation, m)
         key_lo, key_hi = self._claimed_range(q)
         if not same_prefix(q.prefix_key, eff, q.prefix_len, m):
             # The node's identifier lies beyond the claimed cuboid, so its
@@ -486,7 +480,7 @@ class QueryProtocol(Protocol):
 
     def _surrogate_refine_literal(self, node: Any, q: RangeQuery, hops: int) -> None:
         m = self.index.m
-        eff = self._effective_id(node)
+        eff = unrotate(node.id, self.index.rotation, m)
         key_lo, key_hi = self._claimed_range(q)
         if not same_prefix(q.prefix_key, eff, q.prefix_len, m):
             self._solve_local(node, q, hops, key_lo, key_hi)  # lines 1-3
@@ -554,18 +548,10 @@ class QueryProtocol(Protocol):
 
     def _reply(self, node: Any, q: RangeQuery, entries: list[ResultEntry]) -> None:
         msg = ResultMessage(q.qid, entries, from_node=node.id)
-        st = self.stats.for_query(q.qid)
         if q.source is node:
-            st.record_result_message(0, self.sim.now)
-            st.entries.extend(entries)
-            # a local reply is still one "result" leaf in the span tree —
-            # span counts must match QueryStats.result_messages exactly
-            if self.recorder is not None:
-                self.recorder.event(
-                    q.qid, "result", node=node.id,
-                    results=len(entries), size=0, local=True,
-                )
-            self.engine.add_entries(q.qid, entries)
+            # a local reply costs no bytes but is still one "result" leaf in
+            # the span tree — span counts must match QueryStats.result_messages
+            self._arrive_result(q.qid, msg, local=True)
             return
         self.note_traffic(node, q.source)
         # result bytes are charged on arrival (a dropped or duplicated reply
@@ -575,13 +561,12 @@ class QueryProtocol(Protocol):
             kind="result", size=msg.size, qid=q.qid, record=False,
         )
 
-    def _arrive_result(self, qid: int, msg: ResultMessage) -> None:
-        st = self.stats.for_query(qid)
-        st.record_result_message(msg.size, self.sim.now)
-        st.entries.extend(msg.entries)
+    def _arrive_result(self, qid: int, msg: ResultMessage, local: bool = False) -> None:
+        size = 0 if local else msg.size
+        self.stats.for_query(qid).record_result_message(size, self.sim.now)
         if self.recorder is not None:
             self.recorder.event(
                 qid, "result", node=msg.from_node,
-                results=len(msg.entries), size=msg.size, local=False,
+                results=len(msg.entries), size=size, local=local,
             )
         self.engine.add_entries(qid, msg.entries)

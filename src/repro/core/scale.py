@@ -40,6 +40,7 @@ from repro.core.lph import lp_hash_batch
 from repro.core.storage import ShardStore
 from repro.dht.compact import CompactChordRing
 from repro.dht.hashing import rotation_offset
+from repro.dht.idspace import rotate_keys
 from repro.metric.vector import EuclideanMetric
 from repro.obs import (
     DEFAULT_HOP_BUCKETS,
@@ -62,6 +63,13 @@ __all__ = ["ScaleConfig", "ScaleReport", "ScaleSimulation"]
 #: 100k-label gauge would dwarf the simulation state it describes; the load
 #: vectors stay available on the report regardless.
 _LOAD_GAUGE_MAX_NODES = 20_000
+
+#: per-coordinate half-width of the sampled local range searches, as a
+#: fraction of the index-space span.
+QUERY_RANGE_FACTOR = 0.02
+#: a per-chunk dropped fraction above this triggers the run's one
+#: flight-recorder "deadline-storm" bundle dump.
+STORM_THRESHOLD = 0.05
 
 QUERY_LATENCY_HIST = "scale_query_latency_seconds"
 QUERY_HOPS_HIST = "scale_query_hops"
@@ -99,9 +107,6 @@ class ScaleConfig:
     #: queries routed per vectorised round-trip; each chunk advances the
     #: embedded simulator clock one virtual second (the health cadence).
     chunk: int = 100_000
-    #: per-coordinate half-width of the sampled local range searches,
-    #: as a fraction of the index-space span.
-    query_range_factor: float = 0.02
     #: how many queries additionally run the owner-side range search
     #: (Python-loop priced, so sampled rather than exhaustive).
     local_solve_sample: int = 2_048
@@ -111,11 +116,6 @@ class ScaleConfig:
     #: queries forwarded more than this many hops count as dropped
     #: (matches the top of :data:`~repro.obs.registry.DEFAULT_HOP_BUCKETS`).
     hop_deadline: int = 32
-    #: per-chunk dropped fraction above this triggers one flight-recorder
-    #: "deadline-storm" bundle dump for the run.
-    storm_threshold: float = 0.05
-    #: flight-recorder ring capacity (recent events kept for crash bundles).
-    flight_capacity: int = 4_096
 
 
 @dataclass
@@ -208,8 +208,8 @@ class ScaleSimulation:
             n_hosts=n_hosts,
             successor_list_len=cfg.successor_list_len,
         )
-        self.phi = np.uint64(rotation_offset(cfg.index_name, cfg.m))
-        owners = self.ring.owners_of_keys((keys + self.phi) & self.ring.mask)
+        self.phi = rotation_offset(cfg.index_name, cfg.m)
+        owners = self.ring.owners_of_keys(rotate_keys(keys, self.phi, cfg.m))
         self.store = ShardStore.build(
             owners, keys, proj, np.arange(cfg.n_objects, dtype=np.int64), cfg.n_nodes
         )
@@ -241,7 +241,6 @@ class ScaleSimulation:
         if recorder is not None:
             recorder.bind(self.sim)
         self.flight = flight if flight is not None else FlightRecorder(
-            capacity=cfg.flight_capacity,
             clock=lambda: self.sim.now,
             context={"scenario": "scale", "config": asdict(cfg)},
         )
@@ -291,7 +290,8 @@ class ScaleSimulation:
         assert np.all(np.diff(offsets) >= 0), "store offsets must be monotone"
         assert int(self.store.loads().sum()) == self.cfg.n_objects
         # every stored entry must live on the node owning its rotated key
-        owner_of = self.ring.owners_of_keys((self.store.keys + self.phi) & self.ring.mask)
+        owner_of = self.ring.owners_of_keys(
+            rotate_keys(self.store.keys, self.phi, self.cfg.m))
         slot_of_row = np.repeat(
             np.arange(self.store.n_slots, dtype=np.int64), self.store.loads()
         )
@@ -324,7 +324,7 @@ class ScaleSimulation:
             src = self._rng_query.integers(0, cfg.n_nodes, size=size)
             owner, hops, lat, visits = self.ring.route_batch(
                 src,
-                (qkeys + self.phi) & self.ring.mask,
+                rotate_keys(qkeys, self.phi, cfg.m),
                 latency=self.latency,
                 count_visits=True,
             )
@@ -353,7 +353,7 @@ class ScaleSimulation:
             self.chunk_stats.append(stats)
             self.flight.record("chunk", **{k: v for k, v in stats.items()})
             if (
-                stats["dropped_frac"] > cfg.storm_threshold
+                stats["dropped_frac"] > STORM_THRESHOLD
                 and not self._storm_dumped
             ):
                 # one bundle per run: the first storm captures the tail that
@@ -480,7 +480,7 @@ class ScaleSimulation:
         ``proj_q ± r`` per dimension on its shard slice.
         """
         span = self.bounds.highs - self.bounds.lows
-        radius = self.cfg.query_range_factor * span
+        radius = QUERY_RANGE_FACTOR * span
         hits: list[int] = []
         for i in range(len(qproj)):
             lows = qproj[i] - radius

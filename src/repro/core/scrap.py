@@ -35,7 +35,7 @@ from repro.core.sfc import (
     quantize,
 )
 from repro.core.routing import QueryProtocol
-from repro.core.storage import Shard
+from repro.core.storage import Shard, group_by_owner
 from repro.dht.idspace import in_interval_open_closed
 from repro.sim.messages import query_message_size
 
@@ -80,11 +80,10 @@ class SfcIndex:
         ring_keys = curve_keys << np.uint64(self.shift)
         owners = self.ring.owners_of_keys(ring_keys)
         nodes = self.ring.nodes()
-        order = np.argsort(owners, kind="stable")
-        bounds_idx = np.searchsorted(owners[order], np.arange(len(nodes) + 1))
+        order, offsets = group_by_owner(owners, len(nodes))
         self.shards = {}
         for i, node in enumerate(nodes):
-            sel = order[bounds_idx[i] : bounds_idx[i + 1]]
+            sel = order[offsets[i] : offsets[i + 1]]
             shard = Shard(self.k)
             if len(sel):
                 shard.add(ring_keys[sel], points[sel], self.base._object_ids[sel])

@@ -62,7 +62,7 @@ import numpy as np
 
 from repro.util.arrays import decode_array, encode_array
 
-__all__ = ["Shard", "ShardStore", "WriteAheadLog", "PersistentShard"]
+__all__ = ["Shard", "ShardStore", "WriteAheadLog", "PersistentShard", "group_by_owner"]
 
 #: Below this many candidate rows the filter tests all remaining dimensions
 #: in one block instead of one pass each.  A pass costs ~2 us of NumPy call
@@ -72,6 +72,17 @@ __all__ = ["Shard", "ShardStore", "WriteAheadLog", "PersistentShard"]
 #: rows the block test is never the slower one.  The usual window of a
 #: many-node query holds a handful of rows; this keeps it at ~5 us, not ~15.
 _BLOCK_ROWS = 128
+
+
+def group_by_owner(owner_slots: Any, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Placement's grouping step: cut a batch of entries, each with the slot
+    that owns it (the caller's business, :mod:`repro.dht.idspace`), into one
+    run per slot.  Returns ``(order, offsets)``: ``order[offsets[s] :
+    offsets[s + 1]]`` are the entries of slot ``s``, in input order."""
+    owner_slots = np.asarray(owner_slots, dtype=np.int64)
+    offsets = np.zeros(n_slots + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner_slots, minlength=n_slots), out=offsets[1:])
+    return np.argsort(owner_slots, kind="stable"), offsets
 
 
 def _coerce_batch(
@@ -323,16 +334,14 @@ class ShardStore:
     ) -> ShardStore:
         """Distribute ``(keys, points, object_ids)`` to their owners at once.
 
-        One stable lexicographic sort by ``(owner, key)`` replaces the
-        per-node append loop; ties within ``(owner, key)`` keep input order,
-        matching what per-shard stable sorts would produce.
+        Two stable sorts, by key and then by owner, replace the per-node
+        append loop; ties within ``(owner, key)`` keep input order, matching
+        what per-shard stable sorts would produce.
         """
-        owner_slots = np.asarray(owner_slots, dtype=np.int64)
         keys = np.asarray(keys, dtype=np.uint64)
-        order = np.lexsort((keys, owner_slots))
-        counts = np.bincount(owner_slots, minlength=n_slots)
-        offsets = np.zeros(n_slots + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        by_key = np.argsort(keys, kind="stable")
+        order, offsets = group_by_owner(np.asarray(owner_slots)[by_key], n_slots)
+        order = by_key[order]
         points = np.asarray(points, dtype=np.float64)
         cols = np.empty(points.shape[::-1], dtype=np.float64)
         for d, col in enumerate(cols):  # a column at a time: no second (n, k) copy

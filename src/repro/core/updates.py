@@ -22,6 +22,7 @@ from typing import Any
 
 from repro.core.lph import lp_hash_batch
 from repro.core.platform import take
+from repro.dht.idspace import rotate
 
 __all__ = ["UpdateStats", "UpdateProtocol", "entry_message_size"]
 
@@ -64,9 +65,11 @@ class UpdateProtocol:
         self.index = index
         self.stats = UpdateStats()
 
-    def _route_cost(self, source_node: Any, ring_key: int) -> None:
-        """Account the Chord lookup that carries one update entry."""
-        path = self.index.ring.lookup_path(source_node, ring_key)
+    def _route_cost(self, source_node: Any, key: int) -> None:
+        """Account the Chord lookup that carries one update entry to the
+        owner of its rotated key."""
+        index = self.index
+        path = index.ring.lookup_path(source_node, rotate(key, index.rotation, index.m))
         hops = len(path) - 1
         self.stats.hops_total += hops
         self.stats.messages += max(hops, 1)
@@ -83,8 +86,7 @@ class UpdateProtocol:
         obj = take(index.dataset, object_id)
         point = index.bounds.clip(index.space.project_one(obj))
         key = int(lp_hash_batch(point[None, :], index.bounds, index.m)[0])
-        mask = (1 << index.m) - 1
-        self._route_cost(source_node, (key + index.rotation) & mask)
+        self._route_cost(source_node, key)
         index.append_entry(object_id, point, key)
         self.stats.inserts += 1
         return key
@@ -96,8 +98,7 @@ class UpdateProtocol:
         key = index.remove_entry(object_id)
         if key is None:
             return False
-        mask = (1 << index.m) - 1
-        self._route_cost(source_node, (key + index.rotation) & mask)
+        self._route_cost(source_node, key)
         self.stats.deletes += 1
         return True
 
@@ -110,9 +111,8 @@ class UpdateProtocol:
         objs = take(index.dataset, object_ids)
         points = index.bounds.clip(index.space.landmark_set.project(objs))
         keys = lp_hash_batch(points, index.bounds, index.m)
-        mask = (1 << index.m) - 1
         for key in keys:
-            self._route_cost(source_node, (int(key) + index.rotation) & mask)
+            self._route_cost(source_node, int(key))
         index._keys = np.concatenate([index._keys, keys])
         index._points = np.vstack([index._points, points])
         index._object_ids = np.concatenate([index._object_ids, object_ids])

@@ -31,13 +31,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dht.hashing import random_ids
+from repro.dht.idspace import finger_slots, owner_slots
 from repro.util.rng import as_rng
 
 __all__ = ["CompactChordRing"]
-
-#: finger-table rebuild is chunked over node rows to bound the transient
-#: ``(rows, m)`` uint64 "starts" buffer (16384 rows × 64 levels ≈ 8 MB).
-_REBUILD_CHUNK = 16384
 
 
 class CompactChordRing:
@@ -72,14 +69,11 @@ class CompactChordRing:
             raise ValueError("node identifiers must be distinct")
         order = np.argsort(ids)
         self.m = int(m)
-        self.mask = np.uint64((1 << self.m) - 1) if self.m < 64 else np.uint64(
-            0xFFFFFFFFFFFFFFFF
-        )
+        self.mask = np.uint64((1 << self.m) - 1)
         self.successor_list_len = int(successor_list_len)
         self.ids = ids[order]
         self.hosts = hosts[order]
-        self.fingers = np.empty((0, 0), dtype=np.int32)
-        self._rebuild_fingers()
+        self.fingers = finger_slots(self.ids, self.m)
 
     # -- construction ----------------------------------------------------------
 
@@ -124,29 +118,11 @@ class CompactChordRing:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _rebuild_fingers(self) -> None:
-        """Classic fingers for every node: ``finger[s, i] = slot of
-        successor(ids[s] + 2^i)`` — one chunked searchsorted sweep."""
-        n = len(self.ids)
-        self.fingers = np.empty((n, self.m), dtype=np.int32)
-        if n == 0:
-            return
-        shifts = np.uint64(1) << np.arange(self.m, dtype=np.uint64)
-        for lo in range(0, n, _REBUILD_CHUNK):
-            hi = min(lo + _REBUILD_CHUNK, n)
-            starts = (self.ids[lo:hi, None] + shifts[None, :]) & self.mask
-            idx = np.searchsorted(self.ids, starts.ravel(), side="left")
-            idx[idx == n] = 0
-            self.fingers[lo:hi] = idx.reshape(hi - lo, self.m).astype(np.int32)
-
     # -- oracle views ----------------------------------------------------------
 
     def owners_of_keys(self, keys: np.ndarray) -> np.ndarray:
         """Slot of the owner (first node clockwise) of each key."""
-        keys = np.asarray(keys, dtype=np.uint64) & self.mask
-        idx = np.searchsorted(self.ids, keys, side="left")
-        idx[idx == len(self.ids)] = 0
-        return idx.astype(np.int64)
+        return owner_slots(self.ids, np.asarray(keys, dtype=np.uint64) & self.mask)
 
     def check_invariants(self) -> None:
         """Structural self-check: sorted distinct ids, finger oracle equality.
@@ -161,14 +137,8 @@ class CompactChordRing:
         assert np.all(np.diff(self.ids.astype(np.uint64)) > 0), "ids not sorted/unique"
         assert self.fingers.shape == (n, self.m), "finger table shape mismatch"
         assert np.all((self.fingers >= 0) & (self.fingers < n)), "finger slot range"
-        expect = CompactChordRing.__new__(CompactChordRing)
-        expect.m = self.m
-        expect.mask = self.mask
-        expect.successor_list_len = self.successor_list_len
-        expect.ids = self.ids
-        expect.hosts = self.hosts
-        expect._rebuild_fingers()
-        assert np.array_equal(expect.fingers, self.fingers), "fingers differ from oracle"
+        assert np.array_equal(
+            finger_slots(self.ids, self.m), self.fingers), "fingers differ from oracle"
         assert np.array_equal(
             self.owners_of_keys(self.ids), np.arange(n, dtype=np.int64)
         ), "each node must own its own identifier"
@@ -206,9 +176,7 @@ class CompactChordRing:
             raise RuntimeError("empty ring")
         keys = np.asarray(keys, dtype=np.uint64) & self.mask
         nq = len(keys)
-        owner = np.searchsorted(self.ids, keys, side="left")
-        owner[owner == n] = 0
-        owner = owner.astype(np.int64)
+        owner = owner_slots(self.ids, keys)
         hops = np.zeros(nq, dtype=np.int64)
         lat = np.zeros(nq, dtype=np.float64)
         visits = np.zeros(n, dtype=np.int64) if count_visits else None

@@ -5,7 +5,9 @@ finger table, a successor list and the current node itself", and the
 ``next_hop`` of a key is "the one from the routing table whose identifier is
 immediately before the prefix_key of the query on the ring" — i.e. the
 closest *preceding* table entry, which is exactly Chord's greedy forwarding
-rule.  When ``next_hop`` returns the node itself, the node is (in its view)
+rule.  The rule itself is :func:`repro.dht.idspace.closest_preceding`, shared
+with the live node; this class holds the table it runs over and memoises the
+answer.  When ``next_hop`` returns the node itself, the node is (in its view)
 the predecessor of the key and the key's owner is its successor — Algorithm 3
 then invokes ``SurrogateRefine`` on the successor.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.dht.idspace import cw_distance, in_interval_open_closed
+from repro.dht.idspace import closest_preceding
 
 __all__ = ["ChordNode"]
 
@@ -86,13 +88,8 @@ class ChordNode:
 
     def routing_table(self) -> Iterable[ChordNode]:
         """Finger table + successor list + self (footnote 4)."""
-        seen = {self.id}
-        yield self
-        for n in self.fingers:
-            if n.id not in seen:
-                seen.add(n.id)
-                yield n
-        for n in self.successors:
+        seen: set[int] = set()
+        for n in (self, *self.fingers, *self.successors):
             if n.id not in seen:
                 seen.add(n.id)
                 yield n
@@ -128,26 +125,10 @@ class ChordNode:
         hit = cache.get(key)
         if hit is not None:
             return hit
-        target = cw_distance(self.id, key, self.m)
-        if target == 0:
-            # key == self.id: route the full ring to reach our predecessor.
-            target = 1 << self.m
-        best = self
-        best_d = 0
-        for cand in self.routing_table():
-            if cand.id == key:
-                continue
-            d = cw_distance(self.id, cand.id, self.m)
-            if d < target and d > best_d:
-                best, best_d = cand, d
+        table = (*self.fingers, *self.successors)  # self never precedes a key
+        pos = closest_preceding(self.id, key, [n.id for n in table], self.m)
+        best = table[pos] if pos >= 0 else self
         if len(cache) >= self.NH_CACHE_MAX:
             cache.clear()
         cache[key] = best
         return best
-
-    def owns(self, key: int) -> bool:
-        """Whether ``key`` lies in this node's ownership interval
-        ``(predecessor, self]``."""
-        if self.predecessor is None or self.predecessor is self:
-            return True
-        return in_interval_open_closed(key, self.predecessor.id, self.id, self.m)

@@ -17,13 +17,13 @@ valid finger); lookup latency drops.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections.abc import Iterable
 
 import numpy as np
 
 from repro.dht.hashing import node_id, random_ids
-from repro.dht.idspace import in_interval_open_closed
+from repro.dht.idspace import finger_slots, owner_slot, owner_slots, slots_between
 from repro.dht.node import ChordNode
 from repro.sim.network import LatencyModel
 from repro.util.rng import as_rng
@@ -127,8 +127,7 @@ class ChordRing:
             raise ValueError(f"identifier {node_id_:#x} already on the ring")
         node = ChordNode(node_id_, self.m, name=name, host=host)
         self.nodes_by_id[node_id_] = node
-        idx = bisect_left(self._sorted_ids, node_id_)
-        self._sorted_ids.insert(idx, node_id_)
+        insort(self._sorted_ids, node_id_)
         if rebuild:
             self.rebuild_tables()
         return node
@@ -136,8 +135,7 @@ class ChordRing:
     def remove_node(self, node: ChordNode, rebuild: bool = True) -> None:
         """Remove a node (leave)."""
         del self.nodes_by_id[node.id]
-        idx = bisect_left(self._sorted_ids, node.id)
-        del self._sorted_ids[idx]
+        del self._sorted_ids[bisect_left(self._sorted_ids, node.id)]
         if rebuild:
             self.rebuild_tables()
 
@@ -149,12 +147,10 @@ class ChordRing:
         """
         if new_id in self.nodes_by_id:
             raise ValueError(f"identifier {new_id:#x} already on the ring")
-        del self.nodes_by_id[node.id]
-        idx = bisect_left(self._sorted_ids, node.id)
-        del self._sorted_ids[idx]
+        self.remove_node(node, rebuild=False)
         node.id = int(new_id)
         self.nodes_by_id[node.id] = node
-        self._sorted_ids.insert(bisect_left(self._sorted_ids, node.id), node.id)
+        insort(self._sorted_ids, node.id)
         self.rebuild_tables()
         return node
 
@@ -164,29 +160,8 @@ class ChordRing:
         """The node owning ``key`` (first node clockwise from ``key``)."""
         if not self._sorted_ids:
             raise RuntimeError("empty ring")
-        idx = bisect_left(self._sorted_ids, key % (1 << self.m))
-        if idx == len(self._sorted_ids):
-            idx = 0
-        return self.nodes_by_id[self._sorted_ids[idx]]
-
-    def predecessor_of(self, key: int) -> ChordNode:
-        """The last node strictly before ``key``."""
-        if not self._sorted_ids:
-            raise RuntimeError("empty ring")
-        idx = bisect_left(self._sorted_ids, key % (1 << self.m)) - 1
-        return self.nodes_by_id[self._sorted_ids[idx]]
-
-    def interval_of(self, node: ChordNode) -> tuple[int, int]:
-        """The ownership interval ``(predecessor_id, node_id]`` of a member.
-
-        These are exactly the keys :meth:`successor_of` maps to ``node``
-        (cyclic — ``lo > hi`` means the interval wraps through zero).  Used
-        by the invariant checker to prove every key has exactly one owner.
-        """
-        if node.id not in self.nodes_by_id:
-            raise ValueError(f"node {node.id:#x} not on the ring")
-        idx = bisect_left(self._sorted_ids, node.id)
-        return self._sorted_ids[idx - 1], node.id
+        ids = self._sorted_ids
+        return self.nodes_by_id[ids[owner_slot(ids, key % (1 << self.m))]]
 
     def owners_of_keys(self, keys: np.ndarray) -> np.ndarray:
         """Vectorised ``successor_of`` for bulk index loading.
@@ -194,11 +169,7 @@ class ChordRing:
         Returns, for each key, the position of the owning node within
         :meth:`nodes` (identifier order).
         """
-        ids = np.asarray(self._sorted_ids, dtype=np.uint64)
-        keys = np.asarray(keys, dtype=np.uint64)
-        idx = np.searchsorted(ids, keys, side="left")
-        idx[idx == len(ids)] = 0
-        return idx
+        return owner_slots(self._sorted_ids, keys)
 
     # -- table construction ------------------------------------------------------
 
@@ -212,69 +183,39 @@ class ChordRing:
         n = len(ids)
         if n == 0:
             return
-        nodes = [self.nodes_by_id[i] for i in ids]
-        two_m = 1 << self.m
-        id_arr = np.asarray(ids, dtype=np.uint64)
-        r = min(self.successor_list_len, n - 1) if n > 1 else 0
+        nodes = self.nodes()
+        r = min(self.successor_list_len, n - 1)
         for pos, node in enumerate(nodes):
             node.successors = [nodes[(pos + 1 + i) % n] for i in range(r)] or [node]
             node.predecessor = nodes[(pos - 1) % n]
-        if not self.pns:
-            # Vectorised classic fingers: finger i of node = successor(id + 2^i),
-            # one searchsorted over all (node, level) pairs.
-            mask = np.uint64(two_m - 1)
-            shifts = (np.uint64(1) << np.arange(self.m, dtype=np.uint64))
-            starts = (id_arr[:, None] + shifts[None, :]) & mask
-            idx = np.searchsorted(id_arr, starts.ravel(), side="left").reshape(n, self.m)
-            idx[idx == n] = 0
-            for pos, node in enumerate(nodes):
-                node.fingers = [nodes[i] for i in idx[pos]] if n > 1 else []
-                node.invalidate_routing()
-            return
+        if n == 1:
+            nodes[0].fingers = []
+        elif self.pns:
+            hosts = np.asarray([nd.host for nd in nodes], dtype=np.intp)
+            for node in nodes:
+                node.fingers = self._fingers_for(node, nodes, hosts)
+        else:
+            for node, slots in zip(nodes, finger_slots(ids, self.m)):
+                node.fingers = [nodes[i] for i in slots]
         for node in nodes:
-            node.fingers = self._fingers_for(node, id_arr, nodes, two_m)
             node.invalidate_routing()
 
-    def _fingers_for(
-        self,
-        node: ChordNode,
-        id_arr: np.ndarray,
-        nodes: list[ChordNode],
-        two_m: int,
-    ) -> list[ChordNode]:
-        n = len(nodes)
+    def _fingers_for(self, node: ChordNode, nodes: list[ChordNode],
+                     hosts: np.ndarray) -> list[ChordNode]:
+        """PNS: finger ``i`` = the lowest-latency member of ``[id + 2^i, id + 2^(i+1))``;
+        with no member there, classic Chord's ``successor(id + 2^i)``."""
+        ids = self._sorted_ids
+        size = 1 << self.m
         fingers: list[ChordNode] = []
-        if n == 1:
-            return fingers
-        hosts = np.asarray([nd.host for nd in nodes], dtype=np.intp)
         for i in range(self.m):
-            start = (node.id + (1 << i)) % two_m
-            end = (node.id + (1 << (i + 1))) % two_m
-            cand_pos = self._positions_in(id_arr, start, end)
-            if cand_pos.size == 0:
-                # No member in [start, end): classic Chord still points the
-                # finger at successor(start).
-                idx = int(np.searchsorted(id_arr, np.uint64(start), side="left"))
-                if idx == n:
-                    idx = 0
-                fingers.append(nodes[idx])
+            start = (node.id + (1 << i)) % size
+            cand = slots_between(ids, start, (node.id + (2 << i)) % size)
+            if cand.size == 0:
+                fingers.append(nodes[owner_slot(ids, start)])
                 continue
-            lat = self.latency.latency_row(node.host, hosts[cand_pos])
-            fingers.append(nodes[int(cand_pos[int(np.argmin(lat))])])
+            lat = self.latency.latency_row(node.host, hosts[cand])
+            fingers.append(nodes[int(cand[int(np.argmin(lat))])])
         return fingers
-
-    @staticmethod
-    def _positions_in(id_arr: np.ndarray, start: int, end: int) -> np.ndarray:
-        """Positions of sorted ids lying in the cyclic interval [start, end)."""
-        if start == end:
-            return np.arange(len(id_arr))
-        if start < end:
-            lo = np.searchsorted(id_arr, np.uint64(start), side="left")
-            hi = np.searchsorted(id_arr, np.uint64(end), side="left")
-            return np.arange(lo, hi)
-        lo = np.searchsorted(id_arr, np.uint64(start), side="left")
-        hi = np.searchsorted(id_arr, np.uint64(end), side="left")
-        return np.concatenate([np.arange(lo, len(id_arr)), np.arange(0, hi)])
 
     # -- iterative lookup (used by the naive baseline and tests) -----------------
 
@@ -287,13 +228,9 @@ class ChordRing:
         path = [start]
         current = start
         for _ in range(4 * self.m + len(self)):
-            if in_interval_open_closed(key, current.id, current.successor.id, self.m):
-                owner = current.successor
-                if owner is not current:
-                    path.append(owner)
-                return path
             nh = current.next_hop(key)
             if nh is current:
+                # no table entry precedes the key: the successor owns it
                 owner = current.successor
                 if owner is not current:
                     path.append(owner)

@@ -33,7 +33,7 @@ import numpy as np
 
 from typing import Any
 
-from repro.dht.idspace import in_interval_open, in_interval_open_closed
+from repro.dht.idspace import in_interval_open, lookup_step
 from repro.dht.node import ChordNode
 from repro.dht.ring import ChordRing
 from repro.sim.transport import Protocol
@@ -309,22 +309,18 @@ class StabilizationProtocol(Protocol):
             succ = self._first_live_successor(current)
             if succ is None:
                 return current, hops
-            if in_interval_open_closed(key, current.id, succ.id, current.m):
-                if succ is not current:
-                    hops += 1
-                    if not self._control_message(current, succ):
-                        return None, hops
+            table = (*current.fingers, *current.successors)
+            step = lookup_step(current.id, succ.id, key, (n.id for n in table), current.m)
+            if step == -1:  # nothing known precedes the key: the successor owns it
                 return succ, hops
-            nh = current.next_hop(key)
-            while nh is not current and not nh.alive:
-                # stale table entry: fall back toward the successor
-                nh = succ if succ.alive else current
-                break
-            if nh is current:
+            # the owner, or the next hop (a dead entry falls back to the successor)
+            nh = succ if step is None or not table[step].alive else table[step]
+            if nh is not current:
+                hops += 1
+                if not self._control_message(current, nh):
+                    return None, hops
+            if step is None:
                 return succ, hops
-            hops += 1
-            if not self._control_message(current, nh):
-                return None, hops
             current = nh
         return None, hops
 
@@ -354,9 +350,8 @@ class StabilizationProtocol(Protocol):
         *only* known successor crashes before the first successor-list copy
         tick would otherwise be stranded forever with an empty list.
         """
-        if node_id in self.ring.nodes_by_id:
-            raise ValueError(f"identifier {node_id:#x} already on the ring")
-        node = ChordNode(node_id, self.ring.m, name=name, host=host)
+        # oracle membership only (verification): no node's tables name it yet
+        node = self.ring.add_node(node_id, name=name, host=host, rebuild=False)
         owner, _ = self.local_lookup(bootstrap, node_id)
         if owner is not None:
             if self._control_message(node, owner) and self._control_message(owner, node):
@@ -365,14 +360,6 @@ class StabilizationProtocol(Protocol):
                 node.successors = [owner]
         else:
             node.successors = [node]
-        node.predecessor = None
-        node.fingers = []
-        node.invalidate_routing()
-        # register in the ring's membership (oracle views used for verification)
-        self.ring.nodes_by_id[node.id] = node
-        import bisect
-
-        self.ring._sorted_ids.insert(bisect.bisect_left(self.ring._sorted_ids, node.id), node.id)
         self.stats.joins += 1
         if self._m_churn is not None:
             self._m_churn.inc(("join",))
@@ -407,11 +394,7 @@ class StabilizationProtocol(Protocol):
             self.stats.crashes += 1
             if self._m_churn is not None:
                 self._m_churn.inc(("crash",))
-        del self.ring.nodes_by_id[node.id]
-        import bisect
-
-        idx = bisect.bisect_left(self.ring._sorted_ids, node.id)
-        del self.ring._sorted_ids[idx]
+        self.ring.remove_node(node, rebuild=False)
 
     # -- verification ------------------------------------------------------------------------
 

@@ -28,7 +28,6 @@ def run_demo(
     dim: int = 8,
     loss: float = 0.05,
     seed: int = 0,
-    health_interval: float = 100.0,
     mean_interarrival: float = 20.0,
 ) -> dict:
     """Run the demo workload; returns the live objects plus written paths.
@@ -76,7 +75,7 @@ def run_demo(
             qpoints, radius=0.05 * cfg.max_distance, n_nodes=len(ring),
             mean_interarrival=mean_interarrival, seed=seed + 4,
         )
-        sampler = platform.health_sampler(interval=health_interval)
+        sampler = platform.health_sampler(interval=100.0)
         sampler.start()
         stats = platform.run_workload(
             "demo", workload, reset_sim=False,

@@ -14,6 +14,7 @@ import numpy as np
 # load-vector statistics live with the per-node gauges in repro.obs.load
 # (obs is below eval in layers.toml); re-exported here for report code
 from repro.obs.load import gini_coefficient, load_summary
+from repro.sim.messages import merge_entries
 
 __all__ = [
     "merge_top_k",
@@ -30,12 +31,8 @@ def merge_top_k(entries, k: int = 10) -> np.ndarray:
     Deduplicates by object id (keeping the best distance) and returns object
     ids sorted by ascending distance, at most ``k``.
     """
-    best: dict[int, float] = {}
-    for e in entries:
-        if e.object_id not in best or e.distance < best[e.object_id]:
-            best[e.object_id] = e.distance
-    ranked = sorted(best.items(), key=lambda kv: (kv[1], kv[0]))
-    return np.asarray([oid for oid, _ in ranked[:k]], dtype=np.int64)
+    return np.asarray(
+        [e.object_id for e in merge_entries(entries)[:k]], dtype=np.int64)
 
 
 def recall_at_k(true_ids: np.ndarray, retrieved_ids: np.ndarray) -> float:

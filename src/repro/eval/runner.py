@@ -88,13 +88,6 @@ class ExperimentConfig:
     range_filter: bool = False
     top_k: int = 10
     mean_interarrival: float = 150.0
-    mean_rtt: float = 0.180
-    #: Latency model: ``"matrix"`` samples the O(n²) King RTT matrix,
-    #: ``"coordinate"`` fits lazy synthetic coordinates to the King
-    #: distribution (O(n) memory, any ring size), ``"auto"`` picks matrix up
-    #: to the King trace size (1740 hosts — bit-identical to the historical
-    #: default) and coordinate beyond it.
-    latency_model: str = "auto"
     seed: int = 0
     corpus_scale: float = 0.1  # trec only: fraction of the full AP corpus
     #: Optional transport fault model (loss / jitter / partitions) applied to
@@ -200,19 +193,14 @@ def build_bundle(cfg: ExperimentConfig) -> DatasetBundle:
 
 
 def _build_platform(cfg: ExperimentConfig, seed_offset: int = 0, obs=None):
-    """Fresh latency model + ring + platform for one scheme run."""
+    """Fresh latency model + ring + platform for one scheme run: the O(n²)
+    King RTT matrix up to the size of the King trace (1740 hosts), beyond it
+    lazy coordinates fitted to the same distribution (O(n) memory)."""
     from repro.sim.king import KING_N_HOSTS, king_coordinate_model, king_latency_model
 
     n_hosts = max(cfg.n_nodes, 64)
-    mode = cfg.latency_model
-    if mode == "auto":
-        mode = "matrix" if n_hosts <= KING_N_HOSTS else "coordinate"
-    if mode == "matrix":
-        latency = king_latency_model(n_hosts=n_hosts, seed=cfg.seed + seed_offset)
-    elif mode == "coordinate":
-        latency = king_coordinate_model(n_hosts=n_hosts, seed=cfg.seed + seed_offset)
-    else:
-        raise ValueError(f"unknown latency_model {cfg.latency_model!r}")
+    model = king_latency_model if n_hosts <= KING_N_HOSTS else king_coordinate_model
+    latency = model(n_hosts=n_hosts, seed=cfg.seed + seed_offset)
     ring = ChordRing.build(
         cfg.n_nodes,
         m=cfg.m,

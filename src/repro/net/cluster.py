@@ -296,7 +296,6 @@ async def run_cluster_demo(
     k: int = 2,
     seed: int = 0,
     data_root: str | Path | None = None,
-    kill_index: int = 2,
 ) -> DemoReport:
     """Insert → query → kill a node → rejoin → re-query (the issue's demo).
 
@@ -304,6 +303,7 @@ async def run_cluster_demo(
     before the kill and after the rejoin, and the restarted node's shard
     digest must equal its pre-kill digest (WAL/snapshot recovery).
     """
+    kill_index = 2  # neither the node that takes the inserts nor the first one queried
     bounds = IndexSpaceBounds.uniform(k, 0.0, 1000.0)
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, 1000.0, size=(n_entries, k))

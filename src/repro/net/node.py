@@ -4,9 +4,10 @@ One :class:`NodeProcess` hosts one overlay node — as an asyncio task inside a
 test or :class:`~repro.net.cluster.LocalCluster`, or as an OS process via
 ``repro node``.  It reuses the repository's algorithm layers unchanged:
 
-* ring arithmetic and ownership — :mod:`repro.dht.idspace` /
-  :mod:`repro.dht.hashing` (same ``(pred, self]`` intervals and rotation
-  offsets the simulator uses, so placement agrees with the simulated ring);
+* the key space — :mod:`repro.dht.idspace` / :mod:`repro.dht.hashing`: the
+  ``(pred, self]`` intervals, the rotation, the lookup step and the owner of
+  each key of a batch are the functions the simulator's rings call, so
+  lookups and placement agree with the simulated ring by construction;
 * index hashing and local solving — :mod:`repro.core.lph` and
   :meth:`repro.core.storage.Shard.range_search` (the exact code path the
   simulator's query protocol executes per node);
@@ -21,9 +22,10 @@ simulator's shared-memory callback sends — the message *pattern* matches
 :mod:`repro.dht.stabilize`, but each step awaits a real network round trip
 and treats :class:`~repro.net.transport.RpcTimeout` as a failure detector.
 Routing is the paper's footnote-4 Chord table: a finger table refreshed one
-finger per stabilise round, ``closest_preceding`` over fingers and successor
-list, and an iterative :meth:`NodeProcess.find_successor` whose hops are leaf
-RPCs (with no finger yet it is the successor-list walk, and exact either way).
+finger per stabilise round, :func:`~repro.dht.idspace.lookup_step` over
+fingers and successor list, and an iterative
+:meth:`NodeProcess.find_successor` whose hops are leaf RPCs (with no finger
+yet it is the successor-list walk, and exact either way).
 A range query is SurrogateRefine driven from the coordinator
 (:meth:`NodeProcess.range_query`): it walks only the owners whose cuboids meet
 the rectangle, each of which proves its ownership before it answers.
@@ -41,9 +43,17 @@ import numpy as np
 
 from repro.core.index_space import IndexSpaceBounds
 from repro.core.lph import first_key_meeting, next_key_meeting, smallest_enclosing_prefix
-from repro.core.storage import PersistentShard
+from repro.core.storage import PersistentShard, group_by_owner
 from repro.dht.hashing import node_id, rotation_offset
-from repro.dht.idspace import cw_distance, in_interval_open, in_interval_open_closed
+from repro.dht.idspace import (
+    cw_distance,
+    in_interval_open,
+    in_interval_open_closed,
+    lookup_step,
+    owner_slots,
+    rotate,
+    rotate_keys,
+)
 from repro.net.transport import RpcError, RpcTimeout, TcpTransport
 from repro.sim.transport import FaultConfig
 
@@ -258,7 +268,7 @@ class NodeProcess:
         """Refresh one finger (paper footnote 4; Chord's ``fix_fingers``).
 
         A start inside ``(id, successor]`` is owned by the successor, which
-        :meth:`closest_preceding` consults anyway: such fingers are not held
+        :meth:`_lookup_step` consults anyway: such fingers are not held
         and cost no RPC, so a round looks up the next start beyond it.
         """
         succ = self.successor
@@ -276,29 +286,22 @@ class NodeProcess:
 
     # -- routing ----------------------------------------------------------------
 
-    def closest_preceding(self, target: int) -> dict[str, Any]:
-        """The known node closest before ``target`` on the ring (this node
-        when it knows none): the best of fingers and successor list."""
-        limit = cw_distance(self.id, target, self.m) or 1 << self.m
-        best, best_d = self.entry(), 0
-        for e in (*self.fingers.values(), *self.successors):
-            d = cw_distance(self.id, int(e["id"]), self.m)
-            if best_d < d < limit:
-                best, best_d = e, d
-        return best
-
     def _lookup_step(self, target: int) -> dict[str, Any]:
         """One hop of a lookup from local state alone: the owner of ``target``
         when this node or its successor is, else whom to ask next — the
-        closest preceding node and, should that one be dead, the successor."""
+        closest preceding of fingers and successor list
+        (:func:`~repro.dht.idspace.lookup_step`) and, were it dead, the successor."""
         succ = self.successor
         pred = self.predecessor
         if pred is not None and in_interval_open_closed(
                 target, int(pred["id"]), self.id, self.m):
             return {"owner": self.entry()}
-        if in_interval_open_closed(target, self.id, int(succ["id"]), self.m):
+        table = (*self.fingers.values(), *self.successors)
+        step = lookup_step(
+            self.id, int(succ["id"]), target, (int(e["id"]) for e in table), self.m)
+        if step is None:
             return {"owner": succ}
-        best = self.closest_preceding(target)
+        best = table[step] if step >= 0 else self.entry()
         return {"next": [best] if best["addr"] == succ["addr"] else [best, succ]}
 
     async def find_successor(self, target: int, via: str | None = None) -> dict[str, Any]:
@@ -361,11 +364,6 @@ class NodeProcess:
 
     # -- data plane -------------------------------------------------------------
 
-    def _rotate(self, keys: np.ndarray) -> np.ndarray:
-        size = np.uint64(1 << self.m) if self.m < 64 else None
-        rot = keys.astype(np.uint64) + np.uint64(self.rotation)
-        return rot % size if size is not None else rot
-
     async def route_insert(self, keys: np.ndarray, points: np.ndarray,
                            object_ids: np.ndarray) -> int:
         """Place a batch on its owners (one ``insert`` RPC per owner).
@@ -375,19 +373,17 @@ class NodeProcess:
         the cluster demo and tests await first.
         """
         ring = await self.ring_snapshot()
-        rotated = self._rotate(np.asarray(keys, dtype=np.uint64))
-        ids_ring = np.asarray([int(e["id"]) for e in ring], dtype=np.uint64)
-        # owner of key t = first ring id >= t, cyclically
-        slot = np.searchsorted(ids_ring, rotated, side="left") % len(ring)
+        keys = np.asarray(keys, dtype=np.uint64)
+        owners = owner_slots(
+            [int(e["id"]) for e in ring], rotate_keys(keys, self.rotation, self.m))
+        order, offsets = group_by_owner(owners, len(ring))
         accepted = 0
-        for s in range(len(ring)):
-            mask = slot == s
-            if not mask.any():
-                continue
+        for s in np.flatnonzero(np.diff(offsets)):
+            sel = order[offsets[s] : offsets[s + 1]]
             payload = {
-                "keys": np.asarray(keys, dtype=np.uint64)[mask],
-                "points": np.asarray(points, dtype=np.float64)[mask],
-                "ids": np.asarray(object_ids, dtype=np.int64)[mask],
+                "keys": keys[sel],
+                "points": np.asarray(points, dtype=np.float64)[sel],
+                "ids": np.asarray(object_ids, dtype=np.int64)[sel],
             }
             reply = await self.transport.rpc(ring[s]["addr"], "insert", payload)
             accepted += int(reply["accepted"])
@@ -407,7 +403,7 @@ class NodeProcess:
         """
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)
-        m, size = self.m, 1 << self.m
+        m = self.m
         prefix_key, prefix_len = smallest_enclosing_prefix(lows, highs, self.bounds, m)
         key_hi = prefix_key + (1 << (m - prefix_len)) - 1
         local = self._known_links()
@@ -416,7 +412,7 @@ class NodeProcess:
         collected: list[np.ndarray] = []
         cur: int | None = first_key_meeting(prefix_key, prefix_len, lows, self.bounds, m)
         while cur is not None:
-            rot = (cur + self.rotation) % size
+            rot = rotate(cur, self.rotation, m)
             if first_arc is not None and in_interval_open_closed(rot, *first_arc, m):
                 # a cuboid spanning the ring ends where it began: in the arc
                 # of the first owner, whose solve already ran up to key_hi
@@ -427,7 +423,7 @@ class NodeProcess:
             pred_id, owner_id = (int(x) for x in reply["arc"])
             if first_arc is None:
                 first_arc = pred_id, owner_id
-            covered = (owner_id - rot) % size
+            covered = cw_distance(rot, owner_id, m)
             if covered >= key_hi - cur:
                 break
             cur = next_key_meeting(cur + covered, prefix_len, lows, highs, self.bounds, m)
@@ -544,7 +540,7 @@ class NodeProcess:
         key_lo, key_hi = int(payload["key_lo"]), int(payload["key_hi"])
         pred_id, own_id = self._arc()
         if not in_interval_open_closed(
-                (key_lo + self.rotation) % (1 << self.m), pred_id, own_id, self.m):
+                rotate(key_lo, self.rotation, self.m), pred_id, own_id, self.m):
             return {"not_owner": True, "predecessor": self.predecessor}
         pos = self.shard.shard.range_search(
             payload["lows"], payload["highs"], key_lo=key_lo, key_hi=key_hi)

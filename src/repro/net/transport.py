@@ -97,7 +97,7 @@ class _PeerConnection:
                 if self.reader_task is not None:
                     self.reader_task.cancel()
                 self.reader_task = self.owner._require_loop().create_task(
-                    self.owner._read_responses(self.reader))
+                    self.owner._read_responses(self.reader, self.writer))
                 return True
             except OSError:
                 attempts += 1
@@ -338,7 +338,6 @@ class TcpTransport(MessageAccounting):
         rid = self._next_rid
         self._next_rid += 1
         fut: asyncio.Future[Any] = loop.create_future()
-        self._pending[rid] = fut
         if dst_addr == self.addr:
             # local hand-off, no frame.  Keep the handle: the loop holds tasks
             # weakly, and an unreferenced answer task can be collected before
@@ -353,6 +352,7 @@ class TcpTransport(MessageAccounting):
                 "qid": qid, "size": size, "sent_at": self.now, "payload": payload,
             })
             self._conn(dst_addr).enqueue(frame, None, None)
+        self._pending[rid] = fut
         try:
             reply = await asyncio.wait_for(fut, timeout or self.rpc_timeout)
         except TimeoutError:
@@ -370,6 +370,8 @@ class TcpTransport(MessageAccounting):
             fut.set_result(reply)
 
     def _conn(self, addr: str) -> _PeerConnection:
+        if self._closed:  # close() emptied the pool: nothing would close a new socket
+            raise RpcError(f"transport closed: nothing is sent to {addr}")
         conn = self._pool.get(addr)
         if conn is None or conn.closed:
             conn = self._pool[addr] = _PeerConnection(self, addr)
@@ -392,7 +394,6 @@ class TcpTransport(MessageAccounting):
         if task is not None:
             self._client_tasks.add(task)
         decoder = FrameDecoder()
-        response_framer = self.framer
         try:
             while not self._closed:
                 chunk = await reader.read(65536)
@@ -403,7 +404,8 @@ class TcpTransport(MessageAccounting):
                 except CodecError:
                     break  # framing is unrecoverable: drop the connection
                 for env in envelopes:
-                    await self._dispatch(env, writer, response_framer)
+                    if not await self._dispatch(env, writer):
+                        return  # a bad envelope, like a bad frame
         except (OSError, asyncio.CancelledError):
             pass
         finally:
@@ -415,26 +417,33 @@ class TcpTransport(MessageAccounting):
             except (OSError, asyncio.CancelledError):
                 pass
 
-    async def _dispatch(self, env: Any, writer: asyncio.StreamWriter,
-                        response_framer: Framer) -> None:
+    async def _dispatch(self, env: Any, writer: asyncio.StreamWriter) -> bool:
+        """Act on one decoded envelope.  False when a field read here has the
+        wrong type (the bytes came from the network): drop the connection."""
         if not isinstance(env, dict) or env.get("v") != WIRE_VERSION:
-            return
-        kind = env.get("kind", "")
-        src = env.get("src") or {}
-        t = env.get("t")
+            return True
+        t, kind, src = env.get("t"), env.get("kind", ""), env.get("src") or {}
+        if not (isinstance(t, str) and isinstance(kind, str) and isinstance(src, dict)):
+            return False
         if t == "msg":
-            self._dispatch_msg(
-                kind, env.get("payload"), src, float(env.get("sent_at", 0.0)))
+            sent_at = env.get("sent_at", 0.0)
+            if not isinstance(sent_at, (int, float)):
+                return False
+            self._dispatch_msg(kind, env.get("payload"), src, float(sent_at))
         elif t == "req":
+            rid = env.get("rid")
+            if not isinstance(rid, int):
+                return False
             reply = await self._handle_request(kind, env.get("payload"), src)
-            frame = response_framer.encode({
-                "v": WIRE_VERSION, "t": "res", "rid": env.get("rid"), "payload": reply,
+            frame = self.framer.encode({
+                "v": WIRE_VERSION, "t": "res", "rid": rid, "payload": reply,
             })
             try:
                 writer.write(frame)
                 await writer.drain()
             except OSError:
                 pass
+        return True
 
     def _dispatch_msg(self, kind: str, payload: Any, src: dict[str, Any],
                       sent_at: float) -> None:
@@ -453,23 +462,27 @@ class TcpTransport(MessageAccounting):
         except Exception as exc:  # propagate as a structured error, not a hang
             return {"__rpc_error__": f"{type(exc).__name__}: {exc}"}
 
-    async def _read_responses(self, reader: asyncio.StreamReader) -> None:
-        """Consume ``res`` frames arriving on an outgoing connection."""
+    async def _read_responses(self, reader: asyncio.StreamReader,
+                              writer: asyncio.StreamWriter) -> None:
+        """Consume ``res`` frames arriving on an outgoing connection.  A bad
+        frame or a ``rid`` that is no integer drops it as on a listener: the
+        writer is closed, so the next send reconnects."""
         decoder = FrameDecoder()
         try:
             while True:
                 chunk = await reader.read(65536)
                 if not chunk:
                     return
-                try:
-                    envelopes = decoder.feed(chunk)
-                except CodecError:
-                    return
-                for env in envelopes:
+                for env in decoder.feed(chunk):
                     if not isinstance(env, dict) or env.get("t") != "res":
                         continue
-                    fut = self._pending.get(env.get("rid"))
+                    rid = env.get("rid")
+                    if not isinstance(rid, int):
+                        raise CodecError(f"bad envelope: rid={rid!r}")
+                    fut = self._pending.get(rid)
                     if fut is not None and not fut.done():
                         fut.set_result(env.get("payload"))
+        except CodecError:
+            writer.close()
         except (OSError, asyncio.CancelledError):
             return

@@ -132,7 +132,7 @@ class Observability:
     ``metrics=False`` swaps in the shared :data:`NULL_REGISTRY` so
     instrument calls are no-ops; ``tracing=True`` creates a
     :class:`SpanRecorder` with an in-memory sink (plus a JSONL sink when
-    ``trace_path`` is given, or any extra ``span_sink``).  The object is a
+    ``trace_path`` is given).  The object is a
     context manager; closing flushes open spans and closes file-backed
     sinks, so ``with Observability(...) as obs:`` can never leave a
     truncated trace file.
@@ -143,21 +143,16 @@ class Observability:
         metrics: bool = True,
         tracing: bool = False,
         trace_path: Any = None,
-        span_sink: SpanSink | None = None,
-        memory_spans: bool = True,
     ) -> None:
         self.registry: MetricsRegistry = MetricsRegistry() if metrics else NULL_REGISTRY
         self.recorder: SpanRecorder | None = None
         self.span_memory: MemorySpanSink | None = None
-        if tracing or trace_path is not None or span_sink is not None:
+        if tracing or trace_path is not None:
             self.recorder = SpanRecorder()
-            if memory_spans:
-                self.span_memory = MemorySpanSink()
-                self.recorder.add_sink(self.span_memory)
+            self.span_memory = MemorySpanSink()
+            self.recorder.add_sink(self.span_memory)
             if trace_path is not None:
                 self.recorder.add_sink(JsonlSpanSink(trace_path))
-            if span_sink is not None:
-                self.recorder.add_sink(span_sink)
         self.samplers: list[HealthSampler] = []
         self._closed = False
 

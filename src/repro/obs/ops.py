@@ -68,16 +68,17 @@ def read_health_jsonl(target: Any) -> list[dict[str, Any]]:
     return rows
 
 
-def throughput_series(samples: list[dict[str, Any]], counter: str = "routed_total") -> list[float]:
-    """Per-interval rate from a cumulative ``extra`` probe on the sim clock.
+def throughput_series(samples: list[dict[str, Any]]) -> list[float]:
+    """Per-interval routing rate from the cumulative ``routed_total`` probe
+    (an ``extra`` of the health samples) on the sim clock.
 
-    ``rate[i] = (counter[i] - counter[i-1]) / (t[i] - t[i-1])`` — one value
+    ``rate[i] = (routed[i] - routed[i-1]) / (t[i] - t[i-1])`` — one value
     per consecutive sample pair carrying the probe.
     """
     pts = [
-        (float(s["time"]), float(s["extra"][counter]))
+        (float(s["time"]), float(s["extra"]["routed_total"]))
         for s in samples
-        if counter in (s.get("extra") or {})
+        if "routed_total" in (s.get("extra") or {})
     ]
     rates: list[float] = []
     for (t0, c0), (t1, c1) in zip(pts, pts[1:]):

@@ -37,6 +37,8 @@ __all__ = [
 KING_N_HOSTS = 1740
 #: The paper's mean simulated round-trip time, seconds.
 KING_MEAN_RTT = 0.180
+#: Seeded ordered host pairs :func:`king_coordinate_model` calibrates on.
+CALIBRATION_PAIRS = 8192
 
 
 def synthetic_king_matrix(
@@ -88,7 +90,6 @@ def king_coordinate_model(
     seed: int | np.random.Generator | None = 0,
     jitter_sigma: float = 0.35,
     floor: float = 0.002,
-    calibration_pairs: int = 8192,
 ) -> CoordinateLatency:
     """A lazy :class:`CoordinateLatency` fitted to the King RTT distribution.
 
@@ -104,7 +105,7 @@ def king_coordinate_model(
     * delays are **directional** (the matrix symmetrises them) — the RTT
       ``latency(a,b) + latency(b,a)`` is what the calibration targets;
     * the global scale is **calibrated on a seeded sample** of
-      ``calibration_pairs`` ordered pairs rather than the exact off-diagonal
+      ``CALIBRATION_PAIRS`` ordered pairs rather than the exact off-diagonal
       mean (which would require the full matrix): the sample mean RTT is
       exactly ``mean_rtt``, the population mean lands well inside ±1%.
     """
@@ -114,8 +115,8 @@ def king_coordinate_model(
     model = CoordinateLatency(
         coords, 1.0, jitter_sigma=jitter_sigma, floor=0.0, seed=jitter_seed
     )
-    a = rng.integers(0, n_hosts, size=calibration_pairs)
-    b = rng.integers(0, n_hosts, size=calibration_pairs)
+    a = rng.integers(0, n_hosts, size=CALIBRATION_PAIRS)
+    b = rng.integers(0, n_hosts, size=CALIBRATION_PAIRS)
     ok = a != b
     if np.any(ok):
         # spu=1, floor=0: the sampled values are dist·jitter both ways

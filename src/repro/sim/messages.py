@@ -17,6 +17,7 @@ hop; the routing layer groups them into a single message, which is what the
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -25,6 +26,7 @@ __all__ = [
     "result_message_size",
     "ResultMessage",
     "ResultEntry",
+    "merge_entries",
 ]
 
 PACKET_HEADER_BYTES = 20
@@ -52,6 +54,21 @@ class ResultEntry:
 
     object_id: int
     distance: float
+
+
+def merge_entries(entries: Iterable[ResultEntry]) -> list[ResultEntry]:
+    """A query's answer from the result rows its index nodes sent: one entry
+    per object id, at its best distance, sorted by (distance, object id).
+    Replicas make one object arrive more than once; rows are kept as received
+    and merged here, when read."""
+    best: dict[int, float] = {}
+    for e in entries:
+        d = best.get(e.object_id)
+        if d is None or e.distance < d:
+            best[e.object_id] = e.distance
+    merged = [ResultEntry(oid, d) for oid, d in best.items()]
+    merged.sort(key=lambda e: (e.distance, e.object_id))
+    return merged
 
 
 @dataclass(slots=True)

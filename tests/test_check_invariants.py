@@ -59,11 +59,11 @@ class TestRingInvariants:
         assert checker.violations[0].name == "ring.predecessor"
 
     def test_intervals_partition_id_space(self, small_ring):
-        # interval_of agrees with successor_of on sampled keys
+        # (predecessor, owner] agrees with successor_of on sampled keys
         rng = np.random.default_rng(0)
         for key in rng.integers(0, 1 << small_ring.m, size=64):
             owner = small_ring.successor_of(int(key))
-            lo, hi = small_ring.interval_of(owner)
+            lo, hi = owner.predecessor.id, owner.id
             if lo < hi:
                 assert lo < int(key) <= hi
             else:  # wrapping interval

@@ -96,8 +96,8 @@ class TestRingStructure:
         assert ring.successor_of(10).id == 10
         assert ring.successor_of(11).id == 100
         assert ring.successor_of(60000).id == 10  # wrap
-        assert ring.predecessor_of(10).id == 30000
-        assert ring.predecessor_of(101).id == 100
+        assert ring.successor_of(10).predecessor.id == 30000
+        assert ring.successor_of(101).predecessor.id == 100
 
     def test_successor_lists_ordered(self):
         ring = _line_ring([10, 100, 1000, 30000])
@@ -173,7 +173,7 @@ class TestNextHop:
             seen += 1
             assert seen < 64
         # terminal node is the true predecessor
-        assert cur is ring.predecessor_of(key)
+        assert cur is ring.successor_of(key).predecessor
 
     def test_next_hop_never_returns_key_owner_id(self):
         ring = _line_ring([10, 100, 1000])
@@ -187,7 +187,7 @@ class TestNextHop:
         n = ring.nodes_by_id[42]
         assert n.next_hop(7) is n
         assert n.successor is n
-        assert n.owns(7)
+        assert ring.successor_of(7) is n
 
 
 class TestLookup:

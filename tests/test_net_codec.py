@@ -16,8 +16,9 @@ Hypothesis drives three invariants end to end:
 Plus directed tests for the failure modes (reserved keys and tags, corrupt
 length prefixes, truncated arrays, malformed tagged values), the
 parent-written byte fixture ``tests/fixtures/wire_pr18.json`` that pins
-every frame the live node speaks, and two live cases: an envelope of
-another ``WIRE_VERSION`` gets no answer, and a hostile frame costs its own
+every frame the live node speaks, and the live cases: an envelope of
+another ``WIRE_VERSION`` gets no answer, and a hostile frame — or a frame
+that decodes to an envelope with a field of the wrong type — costs its own
 connection, nothing more.
 """
 
@@ -44,7 +45,7 @@ from repro.net.codec import (
     decode_value,
     encode_value,
 )
-from repro.net.transport import TcpTransport
+from repro.net.transport import RpcTimeout, TcpTransport
 from repro.util.arrays import decode_array, encode_array
 
 WIRE_FIXTURE = Path(__file__).parent / "fixtures" / "wire_pr18.json"
@@ -396,6 +397,93 @@ def test_malformed_frame_drops_the_connection_not_the_listener():
         assert await client.rpc(server.addr, "ping", 7) == {"pong": 7}
         await client.close()
         await server.close()
+        gc.collect()  # a task that died unhandled reports when collected
+        await asyncio.sleep(0)
+        assert unhandled == []
+
+    asyncio.run(scenario())
+
+
+BAD_ENVELOPES = [
+    pytest.param({"t": "msg", "kind": "note", "sent_at": "x"}, id="msg-sent_at-str"),
+    pytest.param({"t": "msg", "kind": "note", "sent_at": [1]}, id="msg-sent_at-list"),
+    pytest.param({"t": "req", "kind": [1], "rid": 1}, id="req-kind-list"),
+    pytest.param({"t": "req", "kind": "ping", "rid": [1]}, id="req-rid-list"),
+    pytest.param({"t": "req", "kind": "ping", "rid": 1, "src": "x"}, id="req-src-str"),
+    pytest.param({"t": "res", "rid": [1]}, id="res-rid-list"),
+]
+
+
+async def _bad_envelope_at_listener(bad: bytes) -> None:
+    server, host, port = await _ping_server()
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(bad)
+    await writer.drain()
+    assert await reader.read() == b""  # dropped without a reply
+    writer.close()
+    await writer.wait_closed()
+
+    client = TcpTransport(node_id=2)
+    await client.start(listen=False)
+    assert await client.rpc(server.addr, "ping", 7) == {"pong": 7}
+    await client.close()
+    await server.close()
+
+
+async def _bad_envelope_on_outgoing_connection(bad: bytes) -> None:
+    """A peer answers the first request it ever reads with ``bad`` and every
+    later one properly, on whichever connection it arrives."""
+    requests = 0
+    served: list[asyncio.Task[None]] = []
+
+    async def peer(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        nonlocal requests
+        served.append(asyncio.current_task())
+        decoder = FrameDecoder()
+        try:
+            while chunk := await reader.read(65536):
+                for env in decoder.feed(chunk):
+                    requests += 1
+                    writer.write(bad if requests == 1 else json_frame({
+                        "v": WIRE_VERSION, "t": "res", "rid": env["rid"],
+                        "payload": {"pong": env["payload"]}}))
+                await writer.drain()
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    listener = await asyncio.start_server(peer, "127.0.0.1", 0)
+    addr = f"127.0.0.1:{listener.sockets[0].getsockname()[1]}"
+    client = TcpTransport(node_id=2, rpc_timeout=0.5)
+    await client.start(listen=False)
+    with pytest.raises(RpcTimeout):
+        await client.rpc(addr, "ping", 1)
+    # the connection that carried the bad envelope is gone: this one reconnects
+    assert await client.rpc(addr, "ping", 2) == {"pong": 2}
+    await client.close()
+    listener.close()
+    await listener.wait_closed()
+    # both connections saw EOF: let their handlers close their sockets
+    await asyncio.wait_for(asyncio.gather(*served), timeout=5.0)
+    assert len(served) == 2
+
+
+@pytest.mark.timeout(30)
+@pytest.mark.parametrize("fields", BAD_ENVELOPES)
+def test_malformed_envelope_drops_the_connection_not_the_listener(fields: dict[str, Any]):
+    """A frame that decodes, but to an envelope with a field of the wrong
+    type, is treated like a bad frame: its connection is dropped, the
+    transport lives on and no task dies unhandled."""
+    bad = json_frame({"v": WIRE_VERSION, **fields})
+
+    async def scenario() -> None:
+        unhandled: list[dict[str, Any]] = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context))
+        if fields["t"] == "res":
+            await _bad_envelope_on_outgoing_connection(bad)
+        else:
+            await _bad_envelope_at_listener(bad)
         gc.collect()  # a task that died unhandled reports when collected
         await asyncio.sleep(0)
         assert unhandled == []

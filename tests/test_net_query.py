@@ -4,7 +4,8 @@ In-process :class:`LocalCluster` rings over loopback TCP, every answer
 compared with a brute-force scan of the inserted points.  The rings are
 *frozen* once converged (stabilisation cancelled) so that a test can break a
 node's view by hand and have it stay broken for the length of a query; the
-finger-routing tests at the bottom keep their ring alive.
+finger-routing tests at the bottom keep their ring alive, but for the hop
+bound, which holds of settled finger tables.
 """
 
 from __future__ import annotations
@@ -440,8 +441,10 @@ def _lookups(r: Ring, rpc_log: list, n: int, seed: int) -> int:
     return worst
 
 
-def test_finger_routed_lookups_are_exact_and_logarithmic(ring32, rpc_log):
-    assert _lookups(ring32, rpc_log, 200, seed=5) <= math.ceil(math.log2(32)) + 2
+def test_finger_routed_lookups_are_exact_and_logarithmic(frozen_rings, rpc_log):
+    # frozen: the bound is a property of settled finger tables, and a finger
+    # refreshed mid-lookup by a stabilise round on the same loop can cost a hop
+    assert _lookups(frozen_rings(32), rpc_log, 200, seed=5) <= math.ceil(math.log2(32)) + 2
 
 
 def test_lookups_without_fingers_walk_successor_lists_and_stay_exact(ring32, rpc_log):

@@ -55,8 +55,12 @@ def _line_ring(ids):
 def _proto(index, mode="fixed"):
     sim = Simulator()
     stats = StatsCollector()
-    return QueryProtocol(sim, index, stats, latency=None, surrogate_mode=mode,
-                         top_k=100, range_filter=False), sim, stats
+    proto = QueryProtocol(sim, index, stats, latency=None, surrogate_mode=mode,
+                          top_k=100, range_filter=False)
+    # the tests enter below issue(): the engine keeps a query's result rows,
+    # so the one qid they use is registered as issue() would
+    proto.engine.register(0, stats=stats)
+    return proto, sim, stats
 
 
 class TestClaimedRange:

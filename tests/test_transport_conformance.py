@@ -183,3 +183,35 @@ def test_local_rpc_answer_task_handle_is_kept():
         await transport.close()
 
     asyncio.run(scenario())
+
+
+def test_closed_transport_opens_no_connection():
+    """Regression: ``asyncio.wait_for`` (3.11) swallows a cancellation that
+    lands as the awaited reply arrives, so a stabilise round cancelled by
+    ``NodeProcess.close()`` could run on and issue its next RPC on the closed
+    transport — which pooled a fresh connection nothing would ever close
+    (a ResourceWarning in whichever later test the collector ran)."""
+    import asyncio
+
+    from repro.net.transport import RpcError, TcpTransport
+
+    async def scenario():
+        served = []
+        server = TcpTransport(node_id=1)
+
+        async def ping(payload, src):
+            served.append(payload)
+            return {"pong": payload}
+
+        server.register_rpc("ping", ping)
+        addr = await server.start()
+        client = TcpTransport(node_id=2)
+        await client.start(listen=False)
+        assert await client.rpc(addr, "ping", 1) == {"pong": 1}
+        await client.close()
+        with pytest.raises(RpcError, match="transport closed"):
+            await client.rpc(addr, "ping", 2)
+        assert not client._pool and not client._pending and served == [1]
+        await server.close()
+
+    asyncio.run(scenario())
