@@ -7,10 +7,12 @@ up as tail latency, a never-awaited coroutine as a warning nobody reads,
 a dropped task as an exception nobody sees.  These rules make them loud
 at lint time:
 
-* **ASY401** — blocking call inside ``async def``.  ``time.sleep``,
-  synchronous ``socket``/``subprocess``/``urllib`` entry points and bare
-  ``open()`` stall the entire event loop: every peer connection, timer
-  and RPC in the process waits behind one call.
+* **ASY401** — blocking call inside ``async def``, or inside a plain
+  function the transport runs on the loop (a ``register_rpc`` handler, a
+  protocol's ``data_received``).  ``time.sleep``, synchronous
+  ``socket``/``subprocess``/``urllib`` entry points and bare ``open()``
+  stall the entire event loop: every peer connection, timer and RPC in the
+  process waits behind one call.
 * **ASY402** — coroutine called but never awaited.  Calling an
   ``async def`` without ``await`` builds a coroutine object and throws it
   away; the body never runs.  Python only warns at garbage-collection
@@ -31,7 +33,9 @@ Scope tracking is syntactic: a call is "in async context" when its
 innermost enclosing function is an ``async def``.  A nested synchronous
 ``def`` resets the context — such callbacks often run off-loop (thread
 pools, ``call_soon`` from sync code), and flagging them would punish the
-escape hatches.
+escape hatches.  ASY401 alone also reads as loop context the two kinds of
+``def`` that are known to run on it: one named ``data_received``, and one
+passed to ``register_rpc`` in the same module.
 """
 
 from __future__ import annotations
@@ -100,7 +104,24 @@ def _async_function_bodies(tree: ast.Module) -> Iterator[ast.AsyncFunctionDef]:
             yield node
 
 
-def _walk_same_async_scope(fn: ast.AsyncFunctionDef) -> Iterator[ast.AST]:
+def _loop_functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """Every function the event loop runs: each ``async def``, each ``def
+    data_received`` and each ``def`` registered as an RPC handler here."""
+    handlers = {"data_received"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "register_rpc" and len(node.args) > 1):
+            fn = node.args[1]
+            if isinstance(fn, (ast.Name, ast.Attribute)):
+                handlers.add(fn.id if isinstance(fn, ast.Name) else fn.attr)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AsyncFunctionDef) or (
+                isinstance(node, ast.FunctionDef) and node.name in handlers):
+            yield node
+
+
+def _walk_same_async_scope(
+        fn: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[ast.AST]:
     """Walk ``fn``'s body without descending into nested function defs.
 
     Nested ``async def`` bodies are visited when the outer iteration over
@@ -121,7 +142,8 @@ class BlockingCallRule(Rule):
     id = "ASY401"
     name = "blocking-call-in-async"
     rationale = (
-        "A blocking call inside `async def` stalls the whole event loop — "
+        "A blocking call inside `async def` (or a plain RPC handler, which "
+        "runs on the loop) stalls the whole event loop — "
         "every connection, timer and RPC in the process waits behind it; "
         "use the asyncio equivalent (asyncio.sleep, open_connection, "
         "create_subprocess_exec, to_thread)."
@@ -140,7 +162,8 @@ class BlockingCallRule(Rule):
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterable[Finding]:
         if not _in_repro(module):
             return
-        for fn in _async_function_bodies(module.tree):
+        for fn in _loop_functions(module.tree):
+            how = "async def" if isinstance(fn, ast.AsyncFunctionDef) else "loop-run def"
             for node in _walk_same_async_scope(fn):
                 if not isinstance(node, ast.Call):
                     continue
@@ -150,7 +173,7 @@ class BlockingCallRule(Rule):
                                            "or asyncio.to_thread(...)")
                     yield module.finding(
                         self.id, node,
-                        f"blocking call `{target}(...)` inside `async def "
+                        f"blocking call `{target}(...)` inside `{how} "
                         f"{fn.name}` stalls the event loop — use {hint}",
                     )
 

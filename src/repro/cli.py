@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--bounds-high", type=float, default=1000.0)
     node.add_argument("--index-name", default="index")
     node.add_argument("--stabilize-interval", type=float, default=0.25)
-    node.add_argument("--fmt", choices=("json", "msgpack"), default="json")
+    node.add_argument("--fmt", choices=("json",), default="json")
     node.add_argument("--fsync", action="store_true",
                       help="fsync every WAL append (power-loss durability; "
                            "SIGKILL durability needs only the default flush)")

@@ -6,12 +6,12 @@ the ROADMAP calls for — the same contract (per-peer ordered delivery,
 fault injection, byte accounting) carried by real sockets on the host's
 monotonic clock:
 
-* :mod:`repro.net.codec` — length-prefixed JSON/msgpack framing of a
+* :mod:`repro.net.codec` — length-prefixed JSON framing of a
   versioned envelope whose payloads are plain values (JSON scalars, lists,
   dicts, bytes, NumPy arrays); no class is built from network bytes;
-* :mod:`repro.net.transport` — :class:`TcpTransport`: asyncio server +
-  per-peer connection pool (reconnect with exponential backoff), one-way
-  sends and request/response RPC;
+* :mod:`repro.net.transport` — :class:`TcpTransport`: asyncio protocol
+  links, a listener + per-peer connection pool (reconnect with exponential
+  backoff), one-way sends and request/response RPC;
 * :mod:`repro.net.node` — :class:`NodeProcess`: one live Chord node per
   asyncio task (or OS process via ``repro node``), running stabilisation
   over RPC and persisting its shard + successor state through
@@ -25,15 +25,7 @@ Both backends pass the same conformance suite
 architecture and the persistence format.
 """
 
-from repro.net.codec import (
-    CodecError,
-    FrameDecoder,
-    Framer,
-    WIRE_VERSION,
-    available_formats,
-    decode_value,
-    encode_value,
-)
+from repro.net.codec import CodecError, FrameDecoder, Framer, WIRE_VERSION
 from repro.net.transport import RpcError, RpcTimeout, TcpTransport
 from repro.net.node import NodeConfig, NodeProcess
 from repro.net.cluster import (
@@ -47,9 +39,6 @@ __all__ = [
     "FrameDecoder",
     "Framer",
     "WIRE_VERSION",
-    "available_formats",
-    "decode_value",
-    "encode_value",
     "RpcError",
     "RpcTimeout",
     "TcpTransport",

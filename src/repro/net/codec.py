@@ -1,34 +1,33 @@
 """Wire codec: length-prefixed framing + the value encoding of the envelopes.
 
-Two layers, both independent of asyncio so they are unit-testable byte by
-byte (the Hypothesis round-trip suite splits encoded streams at arbitrary
-chunk boundaries):
+Independent of asyncio, so it is unit-testable byte by byte (the Hypothesis
+round-trip suite splits encoded streams at arbitrary chunk boundaries).
 
-**Value codec** — :func:`encode_value` / :func:`decode_value` translate
-between Python objects and a JSON-safe tree.  It carries exactly what the
-live node sends (``None``, ring-entry dicts, ``{"target": int}``, dicts of
-arrays): the JSON scalars, lists, ``str``-keyed dicts and, bit-exactly,
+**Values** — a frame body is JSON.  It carries exactly what the live node
+sends (``None``, ring-entry dicts, ``{"target": int}``, dicts of arrays): the
+JSON scalars, lists, ``str``-keyed dicts and, bit-exactly,
 
 * ``bytes`` — base64, tagged ``{"__bytes__": ...}``;
 * NumPy arrays and scalars — raw-buffer base64 via
   :mod:`repro.util.arrays` (the same encoding the WAL uses on disk).
 
-No class is ever constructed from network bytes: the most a frame can make
-the decoder do is build lists, dicts, arrays and scalars.  The tag keys —
-and ``__obj__`` / ``__msg__``, which tagged typed messages in earlier
-versions and stay reserved — are refused as payload dict keys on encode,
-and a value that carries one without being a well-formed tagged value is
-refused on decode, always as :class:`CodecError`.  The RPC kinds registered
-with ``register_rpc`` are the wire contract; :data:`WIRE_VERSION` is the
-version of the envelope they travel in.
+The walk over a value runs inside the C JSON encoder and parser: the encoder
+calls back into Python only for those three kinds of leaf, the parser once
+per JSON object, innermost first.  No class is ever constructed from network
+bytes: the most a frame can make the decoder do is build lists, dicts,
+arrays and scalars.  The tag keys — and ``__obj__`` / ``__msg__``, which
+tagged typed messages in earlier versions and stay reserved — are refused as
+payload dict keys on encode, and an object that carries one without being a
+well-formed tagged value is refused on decode, always as
+:class:`CodecError`.  The RPC kinds registered with ``register_rpc`` are the
+wire contract; :data:`WIRE_VERSION` is the version of the envelope they
+travel in.
 
 **Framing** — :class:`Framer` produces ``[u32 length][u8 format][body]``
-frames (big-endian length of format byte + body) and :class:`FrameDecoder`
-incrementally reassembles them from arbitrary chunk boundaries, with a
-maximum-frame guard against corrupt or hostile length prefixes.  The body is
-the serialised value tree: JSON (always available) or msgpack (when the
-optional ``msgpack`` package is installed; negotiated per frame by the
-format byte, so mixed-format peers interoperate).
+frames (big-endian length of format byte + body; the format byte is ``J``)
+and :class:`FrameDecoder` incrementally reassembles them from arbitrary
+chunk boundaries, with a maximum-frame guard against corrupt or hostile
+length prefixes.
 """
 
 from __future__ import annotations
@@ -39,23 +38,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.util.arrays import decode_array, encode_array, is_encoded_array
-
-try:  # optional accelerator; JSON is the always-available baseline
-    import msgpack  # type: ignore[import-not-found]
-
-    _HAVE_MSGPACK = True
-except ImportError:  # pragma: no cover - exercised on hosts without msgpack
-    msgpack = None
-    _HAVE_MSGPACK = False
+from repro.util.arrays import TAG as _ND_TAG, decode_array, encode_array
 
 __all__ = [
     "WIRE_VERSION",
     "MAX_FRAME_BYTES",
     "CodecError",
-    "available_formats",
-    "encode_value",
-    "decode_value",
     "Framer",
     "FrameDecoder",
 ]
@@ -68,10 +56,8 @@ WIRE_VERSION = 1
 #: refuse frames longer than this (corrupt length prefix / resource abuse)
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: format byte -> name
-_FMT_JSON = 0x4A  # "J"
-_FMT_MSGPACK = 0x4D  # "M"
-_FORMATS = {"json": _FMT_JSON, "msgpack": _FMT_MSGPACK}
+#: the format byte of a JSON body (the only format)
+_FMT_JSON = b"J"
 
 _BYTES_TAG = "__bytes__"
 _SCALAR_TAG = "__npscalar__"
@@ -81,80 +67,76 @@ _OBJ_TAG = "__obj__"
 _MSG_TAG = "__msg__"
 
 #: dict keys user payloads may not use (they would be mistaken for tags)
-_RESERVED_KEYS = frozenset({_OBJ_TAG, _MSG_TAG, _BYTES_TAG, _SCALAR_TAG, "__nd__"})
+_RESERVED_KEYS = frozenset({_OBJ_TAG, _MSG_TAG, _BYTES_TAG, _SCALAR_TAG, _ND_TAG})
 
 
 class CodecError(ValueError):
     """Malformed frame, reserved tag, or a value the wire does not carry."""
 
 
-def available_formats() -> tuple[str, ...]:
-    """Wire formats usable in this environment (JSON always; msgpack if
-    the optional dependency is installed)."""
-    return ("json", "msgpack") if _HAVE_MSGPACK else ("json",)
+# -- values ---------------------------------------------------------------------
 
 
-# -- value codec ----------------------------------------------------------------
+_CONTAINERS = (dict, list, tuple)
 
 
-def encode_value(obj: Any) -> Any:
-    """Translate ``obj`` into a JSON-safe tree (see module docstring)."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
+def _check_keys(obj: Any) -> None:
+    """Refuse, in the container ``obj``, the dict keys the JSON encoder would
+    coerce to strings or the decoder mistake for a tag.  Visits containers
+    only: the leaves are the encoder's."""
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise CodecError(f"non-string dict key {key!r} cannot cross the wire")
+            if key in _RESERVED_KEYS:
+                raise CodecError(f"dict key {key!r} collides with a codec tag")
+        obj = obj.values()
+    for val in obj:
+        if isinstance(val, _CONTAINERS):
+            _check_keys(val)
+
+
+def _encode_leaf(obj: Any) -> Any:
+    """``default`` of the JSON encoder: the leaves JSON has no spelling for."""
     if isinstance(obj, bytes):
         return {_BYTES_TAG: base64.b64encode(obj).decode("ascii")}
     if isinstance(obj, np.ndarray):
         return encode_array(obj)
     if isinstance(obj, np.generic):
         return {_SCALAR_TAG: None, "v": encode_array(np.asarray(obj))}
-    if isinstance(obj, (list, tuple)):
-        return [encode_value(v) for v in obj]
-    if isinstance(obj, dict):
-        out: dict[str, Any] = {}
-        for key, val in obj.items():
-            if not isinstance(key, str):
-                raise CodecError(f"non-string dict key {key!r} cannot cross the wire")
-            if key in _RESERVED_KEYS:
-                raise CodecError(f"dict key {key!r} collides with a codec tag")
-            out[key] = encode_value(val)
-        return out
     raise CodecError(f"{type(obj).__name__} is not wire-encodable")
 
 
-def decode_value(obj: Any) -> Any:
-    """Inverse of :func:`encode_value`; every undecodable tree is a
-    :class:`CodecError`."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+def _decode_object(obj: dict[str, Any]) -> Any:
+    """``object_hook`` of the JSON parser: called per object, innermost first,
+    so the values of ``obj`` are decoded already."""
+    if _RESERVED_KEYS.isdisjoint(obj):
         return obj
-    if isinstance(obj, list):
-        return [decode_value(v) for v in obj]
-    if not isinstance(obj, dict):
-        raise CodecError(f"undecodable wire value of type {type(obj).__name__}")
     if _BYTES_TAG in obj:
+        data = obj[_BYTES_TAG]
+        if not isinstance(data, str):
+            raise CodecError(f"malformed bytes payload: {type(data).__name__} for base64 text")
         try:
-            return base64.b64decode(obj[_BYTES_TAG])
-        except (TypeError, ValueError) as exc:
+            return base64.b64decode(data)
+        except ValueError as exc:
             raise CodecError(f"malformed bytes payload: {exc}") from exc
-    if is_encoded_array(obj):
-        return _decode_array(obj)
+    if _ND_TAG in obj:
+        try:
+            return decode_array(obj)
+        except ValueError as exc:
+            raise CodecError(str(exc)) from exc
     if _SCALAR_TAG in obj:
-        inner = obj.get("v")
-        if not is_encoded_array(inner):
+        arr = obj.get("v")
+        if not isinstance(arr, np.ndarray):
             raise CodecError("malformed NumPy scalar payload: no encoded array under 'v'")
-        arr = _decode_array(inner)
         if arr.size != 1:  # the encoder writes shape [1]: ascontiguousarray lifts 0-d
             raise CodecError(f"malformed NumPy scalar payload: shape {arr.shape}")
         return arr.reshape(())[()]
-    if _OBJ_TAG in obj or _MSG_TAG in obj:
-        raise CodecError(f"tags {_OBJ_TAG} / {_MSG_TAG} are reserved and carry no value")
-    return {k: decode_value(v) for k, v in obj.items()}
+    raise CodecError(f"tags {_OBJ_TAG} / {_MSG_TAG} are reserved and carry no value")
 
 
-def _decode_array(payload: dict[str, Any]) -> np.ndarray:
-    try:
-        return decode_array(payload)
-    except ValueError as exc:
-        raise CodecError(str(exc)) from exc
+_ENCODE = json.JSONEncoder(separators=(",", ":"), default=_encode_leaf).encode
+_DECODE = json.JSONDecoder(object_hook=_decode_object).decode
 
 
 # -- framing --------------------------------------------------------------------
@@ -164,23 +146,21 @@ class Framer:
     """Serialises values into ``[u32 length][u8 format][body]`` frames."""
 
     def __init__(self, fmt: str = "json") -> None:
-        if fmt not in _FORMATS:
+        if fmt != "json":
             raise CodecError(f"unknown wire format {fmt!r}")
-        if fmt == "msgpack" and not _HAVE_MSGPACK:
-            raise CodecError("msgpack format requested but msgpack is not installed")
         self.fmt = fmt
-        self._fmt_byte = _FORMATS[fmt]
 
     def encode(self, obj: Any) -> bytes:
-        tree = encode_value(obj)
-        if self.fmt == "msgpack":
-            body = msgpack.packb(tree, use_bin_type=True)
-        else:
-            body = json.dumps(tree, separators=(",", ":")).encode("utf-8")
+        try:
+            if isinstance(obj, _CONTAINERS):
+                _check_keys(obj)
+            body = _ENCODE(obj).encode("utf-8")
+        except RecursionError as exc:  # a cycle, or nesting past the interpreter's limit
+            raise CodecError(f"value nests too deeply: {exc}") from exc
         length = len(body) + 1
         if length > MAX_FRAME_BYTES:
             raise CodecError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-        return length.to_bytes(4, "big") + bytes((self._fmt_byte,)) + body
+        return length.to_bytes(4, "big") + _FMT_JSON + body
 
 
 class FrameDecoder:
@@ -206,10 +186,9 @@ class FrameDecoder:
                 raise CodecError(f"invalid frame length {length}")
             if len(self._buf) < 4 + length:
                 return out
-            fmt_byte = self._buf[4]
-            body = bytes(self._buf[5 : 4 + length])
+            fmt, body = self._buf[4:5], self._buf[5 : 4 + length]
             del self._buf[: 4 + length]
-            out.append(self._decode_body(fmt_byte, body))
+            out.append(self._decode_body(fmt, body))
 
     @property
     def pending_bytes(self) -> int:
@@ -217,22 +196,12 @@ class FrameDecoder:
         return len(self._buf)
 
     @staticmethod
-    def _decode_body(fmt_byte: int, body: bytes) -> Any:
-        if fmt_byte == _FMT_JSON:
-            try:
-                tree = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError, RecursionError) as exc:
-                raise CodecError(f"undecodable JSON frame: {exc}") from exc
-        elif fmt_byte == _FMT_MSGPACK:
-            if not _HAVE_MSGPACK:
-                raise CodecError("received a msgpack frame but msgpack is not installed")
-            try:
-                tree = msgpack.unpackb(body, raw=False)
-            except Exception as exc:
-                raise CodecError(f"undecodable msgpack frame: {exc}") from exc
-        else:
-            raise CodecError(f"unknown frame format byte {fmt_byte:#x}")
+    def _decode_body(fmt: bytearray, body: bytearray) -> Any:
+        if fmt != _FMT_JSON:
+            raise CodecError(f"unknown frame format byte {fmt[0]:#x}")
         try:
-            return decode_value(tree)
-        except RecursionError as exc:  # nested past what the parser refuses
-            raise CodecError(f"frame nests too deeply: {exc}") from exc
+            return _DECODE(body.decode("utf-8"))
+        except CodecError:
+            raise
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+            raise CodecError(f"undecodable JSON frame: {exc}") from exc

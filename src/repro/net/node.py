@@ -307,9 +307,9 @@ class NodeProcess:
     async def find_successor(self, target: int, via: str | None = None) -> dict[str, Any]:
         """Owner of ring position ``target``: Chord's lookup, iterated from here.
 
-        Every hop is one leaf ``lookup_step`` RPC — a handler never
-        waits on another node's handler, which could queue behind it on the
-        one-request-at-a-time connection until ``rpc_timeout``.  Hops move
+        Every hop is one leaf ``lookup_step`` RPC — a plain function the
+        asked node answers in the loop iteration that read the request, so a
+        lookup never waits on another node's coroutines.  Hops move
         strictly towards ``target`` and the last one decides by its own
         ``(id, successor]``, so stale or missing fingers cost hops, never
         exactness.  A hop that times out is forgotten here and the asked
@@ -475,6 +475,8 @@ class NodeProcess:
             f"{MAX_ROUTE_HOPS} predecessor pointers")
 
     # -- RPC surface ------------------------------------------------------------
+    # ``query`` and ``route_insert`` await other nodes and get a task each; the
+    # other ten are leaves: plain functions, answered on the spot.
 
     def _register_rpcs(self) -> None:
         t = self.transport
@@ -491,19 +493,19 @@ class NodeProcess:
         t.register_rpc("status", self._rpc_status)
         t.register_rpc("snapshot", self._rpc_snapshot)
 
-    async def _rpc_ping(self, payload: Any, src: dict[str, Any]) -> Any:
+    def _rpc_ping(self, payload: Any, src: dict[str, Any]) -> Any:
         return self.entry()
 
-    async def _rpc_get_successor(self, payload: Any, src: dict[str, Any]) -> Any:
+    def _rpc_get_successor(self, payload: Any, src: dict[str, Any]) -> Any:
         return self.successor
 
-    async def _rpc_get_successor_list(self, payload: Any, src: dict[str, Any]) -> Any:
+    def _rpc_get_successor_list(self, payload: Any, src: dict[str, Any]) -> Any:
         return self.successors[: self.config.succ_list_len]
 
-    async def _rpc_get_predecessor(self, payload: Any, src: dict[str, Any]) -> Any:
+    def _rpc_get_predecessor(self, payload: Any, src: dict[str, Any]) -> Any:
         return self.predecessor
 
-    async def _rpc_notify(self, payload: Any, src: dict[str, Any]) -> Any:
+    def _rpc_notify(self, payload: Any, src: dict[str, Any]) -> Any:
         cand = payload
         if (
             self.predecessor is None
@@ -515,10 +517,10 @@ class NodeProcess:
             self._persist_overlay_state()
         return {"ok": True}
 
-    async def _rpc_lookup_step(self, payload: Any, src: dict[str, Any]) -> Any:
+    def _rpc_lookup_step(self, payload: Any, src: dict[str, Any]) -> Any:
         return self._lookup_step(int(payload["target"]))
 
-    async def _rpc_insert(self, payload: Any, src: dict[str, Any]) -> Any:
+    def _rpc_insert(self, payload: Any, src: dict[str, Any]) -> Any:
         keys = payload["keys"]
         seq = self.shard.add(keys, payload["points"], payload["ids"])
         return {"accepted": int(len(keys)), "seq": int(seq)}
@@ -528,7 +530,7 @@ class NodeProcess:
             payload["keys"], payload["points"], payload["ids"])
         return {"accepted": accepted}
 
-    async def _rpc_range_solve(self, payload: Any, src: dict[str, Any]) -> Any:
+    def _rpc_range_solve(self, payload: Any, src: dict[str, Any]) -> Any:
         """Solve ``[key_lo, key_hi]`` — as the owner of ``key_lo`` only.
 
         The caller takes this node's id as the end of what was covered, so a
@@ -555,7 +557,7 @@ class NodeProcess:
         ids = await self.range_query(payload["lows"], payload["highs"])
         return {"ids": ids}
 
-    async def _rpc_status(self, payload: Any, src: dict[str, Any]) -> Any:
+    def _rpc_status(self, payload: Any, src: dict[str, Any]) -> Any:
         return {
             "id": self.id,
             "name": self.config.name,
@@ -571,7 +573,7 @@ class NodeProcess:
             },
         }
 
-    async def _rpc_snapshot(self, payload: Any, src: dict[str, Any]) -> Any:
+    def _rpc_snapshot(self, payload: Any, src: dict[str, Any]) -> Any:
         """Fold the WAL into the snapshot (compaction; also an ops hook)."""
         self.shard.snapshot()
         return {"ok": True, "digest": self.shard.digest()}

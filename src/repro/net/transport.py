@@ -5,8 +5,9 @@ the same observable contract, asserted by the backend-agnostic conformance
 suite (``tests/test_transport_conformance.py``):
 
 * **per-peer in-order delivery** — one framed TCP connection per destination
-  with a single writer coroutine, so messages to one peer arrive in send
-  order (TCP then preserves it);
+  and one writer (the peer's task, or the caller itself when nothing is
+  queued), so messages to one peer arrive in send order (TCP then preserves
+  it);
 * **fault injection** — the same :class:`~repro.sim.transport.FaultConfig`:
   probabilistic loss and host-set partitions are applied at send time from a
   seeded generator (drops are *local* — the bytes never reach the socket —
@@ -22,6 +23,12 @@ On top of the one-way contract it adds what live deployments need:
 request/response RPC (responses ride the requesting connection, so pure
 clients need no listener) and a per-peer connection pool with exponential
 reconnect backoff.
+
+Both ends of a connection are a :class:`_Link`, an :class:`asyncio.Protocol`
+that acts on each envelope in the loop iteration that read it.  A request
+handler that returns a plain value is answered there and then; one that
+returns an awaitable gets a task, so requests on one connection may complete
+out of order.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import random
 import time
 from collections import deque
 from collections.abc import Awaitable, Callable
+from functools import partial
 from typing import Any
 
 from repro.net.codec import WIRE_VERSION, CodecError, FrameDecoder, Framer
@@ -55,15 +63,119 @@ class RpcTimeout(RpcError):
     """No response within the deadline (peer dead, partitioned, or lossy)."""
 
 
+#: what an RPC's deadline timer resolves its future with
+_NO_RESPONSE: Any = object()
+
+
+def _rpc_error(exc: Exception) -> dict[str, str]:
+    """A failure on the answering side as a reply: a structured error, not a hang."""
+    return {"__rpc_error__": f"{type(exc).__name__}: {exc}"}
+
+
+class _Link(asyncio.Protocol):
+    """One framed TCP connection, in either direction.
+
+    An outgoing link (``peer`` set) accepts only ``res`` envelopes, a
+    listener's link only ``msg`` and ``req``: a peer that dials in cannot
+    answer this transport's requests.  A bad frame, or an envelope with a
+    field of the wrong type (the bytes came from the network), closes this
+    link and nothing else.
+    """
+
+    def __init__(self, owner: TcpTransport, peer: _PeerConnection | None = None) -> None:
+        self.owner = owner
+        self.peer = peer
+        self.decoder = FrameDecoder()
+        self.transport: asyncio.Transport  # from connection_made on
+        #: False while the write buffer is above its high-water mark
+        self.writable = True
+
+    @property
+    def up(self) -> bool:
+        return not self.transport.is_closing()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]  # TCP: a full Transport
+        if self.owner._closed:  # nothing would close it later
+            transport.abort()
+        else:
+            self.owner._links.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.owner._links.discard(self)
+        if self.peer is not None:
+            self.peer.wake.set()
+
+    def pause_writing(self) -> None:
+        self.writable = False
+        if self.peer is None:
+            # a client that does not read its replies gets no more requests
+            # served until it does
+            self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.writable = True
+        if self.peer is None:
+            self.transport.resume_reading()
+        else:
+            self.peer.wake.set()
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for env in self.decoder.feed(data):
+                if isinstance(env, dict) and not self._dispatch(env):
+                    raise CodecError("bad envelope")
+        except CodecError:
+            self.transport.close()  # framing is unrecoverable: drop the connection
+
+    def _dispatch(self, env: dict[str, Any]) -> bool:
+        """Act on one envelope; False when a field read here has the wrong type."""
+        owner = self.owner
+        t = env.get("t")
+        if self.peer is not None:
+            if t == "res":
+                rid = env.get("rid")
+                if not isinstance(rid, int):
+                    return False
+                owner._resolve(rid, env.get("payload"))
+            return True
+        if env.get("v") != WIRE_VERSION:
+            return True
+        kind, src = env.get("kind", ""), env.get("src") or {}
+        if not (isinstance(t, str) and isinstance(kind, str) and isinstance(src, dict)):
+            return False
+        if t == "msg":
+            sent_at = env.get("sent_at", 0.0)
+            if not isinstance(sent_at, (int, float)):
+                return False
+            owner._dispatch_msg(kind, env.get("payload"), src, float(sent_at))
+        elif t == "req":
+            rid = env.get("rid")
+            if not isinstance(rid, int):
+                return False
+            owner._serve(kind, env.get("payload"), src, partial(self._reply, rid))
+        return True
+
+    def _reply(self, rid: int, payload: Any) -> None:
+        encode = self.owner.framer.encode
+        try:
+            frame = encode({"v": WIRE_VERSION, "t": "res", "rid": rid, "payload": payload})
+        except CodecError as exc:  # the handler returned what the wire does not carry
+            frame = encode({"v": WIRE_VERSION, "t": "res", "rid": rid,
+                            "payload": _rpc_error(exc)})
+        if self.up:
+            self.transport.write(frame)
+
+
 class _PeerConnection:
     """One outgoing framed connection: FIFO queue, writer task, reconnect.
 
     The queue preserves send order across reconnects: a message is popped
-    only after it was written and drained, so a connection dropped mid-queue
-    resumes with the oldest unsent message.  After ``max_attempts``
-    consecutive connection failures the queued messages are dropped as
-    ``dropped:dead`` (the live analogue of the simulator's crashed-node
-    drop) and the backoff resets for future sends.
+    only after it was written and the link's buffer drained, so a connection
+    dropped mid-queue resumes with the oldest unsent message.  After
+    ``max_attempts`` consecutive connection failures the queued messages are
+    dropped as ``dropped:dead`` (the live analogue of the simulator's
+    crashed-node drop) and the backoff resets for future sends.
     """
 
     def __init__(self, owner: TcpTransport, addr: str) -> None:
@@ -74,12 +186,15 @@ class _PeerConnection:
         self.queue: deque[tuple[bytes, str | None, Any]] = deque()
         self.wake = asyncio.Event()
         self.task: asyncio.Task[None] | None = None
-        self.reader: asyncio.StreamReader | None = None
-        self.writer: asyncio.StreamWriter | None = None
-        self.reader_task: asyncio.Task[None] | None = None
+        self.link: _Link | None = None
         self.closed = False
 
     def enqueue(self, frame: bytes, kind: str | None, on_drop: Any) -> None:
+        link = self.link
+        if kind is None and not self.queue and link is not None and link.up and link.writable:
+            # nothing is queued before it, so order is kept without waking the task
+            link.transport.write(frame)
+            return
         self.queue.append((frame, kind, on_drop))
         self.wake.set()
         if self.task is None or self.task.done():
@@ -93,11 +208,8 @@ class _PeerConnection:
         delay = self.owner.reconnect_base
         while not self.closed:
             try:
-                self.reader, self.writer = await asyncio.open_connection(host, int(port))
-                if self.reader_task is not None:
-                    self.reader_task.cancel()
-                self.reader_task = self.owner._require_loop().create_task(
-                    self.owner._read_responses(self.reader, self.writer))
+                _, self.link = await self.owner._require_loop().create_connection(
+                    lambda: _Link(self.owner, self), host, int(port))
                 return True
             except OSError:
                 attempts += 1
@@ -114,19 +226,17 @@ class _PeerConnection:
                 self.wake.clear()
                 await self.wake.wait()
                 continue
-            if self.writer is None or self.writer.is_closing():
+            link = self.link
+            if link is None or not link.up:
                 if not await self._connect():
                     self._drop_queued()
-                    continue
-            frame = self.queue[0][0]
-            try:
-                assert self.writer is not None
-                self.writer.write(frame)
-                await self.writer.drain()
-            except OSError:
-                self._teardown_socket()
-                continue  # retry the same message on a fresh connection
-            self.queue.popleft()
+                continue
+            link.transport.write(self.queue[0][0])
+            while link.up and not link.writable:
+                self.wake.clear()
+                await self.wake.wait()
+            if link.up:  # else: retry the same message on a fresh connection
+                self.queue.popleft()
 
     def _drop_queued(self) -> None:
         while self.queue:
@@ -134,31 +244,11 @@ class _PeerConnection:
             if kind is not None:
                 self.owner._drop(kind, DROPPED_DEAD, on_drop)
 
-    def _teardown_socket(self) -> None:
-        if self.reader_task is not None:
-            self.reader_task.cancel()
-            self.reader_task = None
-        if self.writer is not None:
-            self.writer.close()
-            self.writer = None
-        self.reader = None
-
-    async def close(self) -> None:
+    def close(self) -> None:
+        """Stop writing; the owner aborts the link with all its others."""
         self.closed = True
-        self.wake.set()
         if self.task is not None:
             self.task.cancel()
-        if self.reader_task is not None:
-            self.reader_task.cancel()
-            self.reader_task = None
-        if self.writer is not None:
-            self.writer.close()
-            try:
-                await self.writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
-            self.writer = None
-        self.reader = None
 
     @property
     def idle(self) -> bool:
@@ -171,7 +261,7 @@ class TcpTransport(MessageAccounting):
     Parameters mirror the sim transport where the concept transfers:
     ``faults``/``metrics`` behave identically; ``node_id`` and ``host``
     identify this endpoint on the wire and in partition checks; ``fmt``
-    picks the frame body serialisation (``"json"`` or ``"msgpack"``).
+    names the frame body serialisation (``"json"``, the only one).
     """
 
     def __init__(
@@ -201,10 +291,13 @@ class TcpTransport(MessageAccounting):
         self._pool: dict[str, _PeerConnection] = {}
         self._peer_hosts: dict[str, int] = {}
         self._handlers: dict[str, Callable[[Any, dict[str, Any]], None]] = {}
-        self._rpc_handlers: dict[str, Callable[[Any, dict[str, Any]], Awaitable[Any]]] = {}
+        self._rpc_handlers: dict[str, Callable[[Any, dict[str, Any]], Any]] = {}
         self._pending: dict[int, asyncio.Future[Any]] = {}
         self._next_rid = 1
         self._closed = False
+        #: every open link, both directions
+        self._links: set[_Link] = set()
+        #: one task per request whose handler returned an awaitable
         self._client_tasks: set[asyncio.Task[None]] = set()
         # independent seeded streams, as in the sim transport: loss draws
         # must not shift when backoff jitter is consumed
@@ -222,7 +315,7 @@ class TcpTransport(MessageAccounting):
         """
         self._loop = asyncio.get_running_loop()
         if listen:
-            self._server = await asyncio.start_server(self._serve_client, bind, port)
+            self._server = await self._loop.create_server(lambda: _Link(self), bind, port)
             actual = self._server.sockets[0].getsockname()[1]
             self.addr = f"{bind}:{actual}"
         else:
@@ -230,23 +323,26 @@ class TcpTransport(MessageAccounting):
         return self.addr
 
     async def close(self) -> None:
-        """Abrupt shutdown: stop listening, drop every pooled connection."""
+        """Abrupt shutdown: stop listening, drop every connection."""
         self._closed = True
         if self._server is not None:
             self._server.close()
-            try:
-                await self._server.wait_closed()
-            except (OSError, asyncio.CancelledError):  # pragma: no cover
-                pass
-            self._server = None
         for task in list(self._client_tasks):
             task.cancel()
         if self._client_tasks:
             await asyncio.gather(*self._client_tasks, return_exceptions=True)
         self._client_tasks.clear()
-        for conn in list(self._pool.values()):
-            await conn.close()
+        for conn in self._pool.values():
+            conn.close()
         self._pool.clear()
+        for link in list(self._links):
+            link.transport.abort()
+        # an aborted link closes its socket on the next loop iteration, and
+        # Server.wait_closed() (3.12) returns once every accepted one did
+        await asyncio.sleep(0)
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         for fut in self._pending.values():
             if not fut.done():
                 fut.set_exception(RpcError("transport closed"))
@@ -277,9 +373,11 @@ class TcpTransport(MessageAccounting):
         """One-way message handler: ``fn(payload, src_info)``."""
         self._handlers[kind] = fn
 
-    def register_rpc(self, kind: str,
-                     fn: Callable[[Any, dict[str, Any]], Awaitable[Any]]) -> None:
-        """Request handler: ``await fn(payload, src_info)`` returns the reply."""
+    def register_rpc(self, kind: str, fn: Callable[[Any, dict[str, Any]], Any]) -> None:
+        """Request handler: ``fn(payload, src_info)`` returns the reply, or an
+        awaitable of it.  A plain ``def`` runs on the event loop, inside the
+        iteration that read the request, and is answered with no task; a
+        coroutine function gets a task per request."""
         self._rpc_handlers[kind] = fn
 
     # -- send path --------------------------------------------------------------
@@ -338,33 +436,32 @@ class TcpTransport(MessageAccounting):
         rid = self._next_rid
         self._next_rid += 1
         fut: asyncio.Future[Any] = loop.create_future()
-        if dst_addr == self.addr:
-            # local hand-off, no frame.  Keep the handle: the loop holds tasks
-            # weakly, and an unreferenced answer task can be collected before
-            # it resolves the future (its exception would surface only at exit)
-            task = loop.create_task(self._answer_local(kind, payload, rid))
-            self._client_tasks.add(task)
-            task.add_done_callback(self._client_tasks.discard)
-        else:
-            frame = self.framer.encode({
-                "v": WIRE_VERSION, "t": "req", "kind": kind, "rid": rid,
-                "src": self._src_info(),
-                "qid": qid, "size": size, "sent_at": self.now, "payload": payload,
-            })
-            self._conn(dst_addr).enqueue(frame, None, None)
         self._pending[rid] = fut
+        # the deadline: one timer that resolves the future, not a wait_for task
+        timer = loop.call_later(
+            timeout or self.rpc_timeout, self._resolve, rid, _NO_RESPONSE)
         try:
-            reply = await asyncio.wait_for(fut, timeout or self.rpc_timeout)
-        except TimeoutError:
-            raise RpcTimeout(f"rpc {kind} to {dst_addr}: no response") from None
+            if dst_addr == self.addr:
+                # local hand-off, no frame
+                self._serve(kind, payload, self._src_info(), partial(self._resolve, rid))
+            else:
+                frame = self.framer.encode({
+                    "v": WIRE_VERSION, "t": "req", "kind": kind, "rid": rid,
+                    "src": self._src_info(),
+                    "qid": qid, "size": size, "sent_at": self.now, "payload": payload,
+                })
+                self._conn(dst_addr).enqueue(frame, None, None)
+            reply = await fut
         finally:
+            timer.cancel()
             self._pending.pop(rid, None)
+        if reply is _NO_RESPONSE:
+            raise RpcTimeout(f"rpc {kind} to {dst_addr}: no response")
         if isinstance(reply, dict) and reply.get("__rpc_error__"):
             raise RpcError(f"rpc {kind} to {dst_addr}: {reply['__rpc_error__']}")
         return reply
 
-    async def _answer_local(self, kind: str, payload: Any, rid: int) -> None:
-        reply = await self._handle_request(kind, payload, self._src_info())
+    def _resolve(self, rid: int, reply: Any) -> None:
         fut = self._pending.get(rid)
         if fut is not None and not fut.done():
             fut.set_result(reply)
@@ -388,63 +485,6 @@ class TcpTransport(MessageAccounting):
 
     # -- receive path -----------------------------------------------------------
 
-    async def _serve_client(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._client_tasks.add(task)
-        decoder = FrameDecoder()
-        try:
-            while not self._closed:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                try:
-                    envelopes = decoder.feed(chunk)
-                except CodecError:
-                    break  # framing is unrecoverable: drop the connection
-                for env in envelopes:
-                    if not await self._dispatch(env, writer):
-                        return  # a bad envelope, like a bad frame
-        except (OSError, asyncio.CancelledError):
-            pass
-        finally:
-            if task is not None:
-                self._client_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
-
-    async def _dispatch(self, env: Any, writer: asyncio.StreamWriter) -> bool:
-        """Act on one decoded envelope.  False when a field read here has the
-        wrong type (the bytes came from the network): drop the connection."""
-        if not isinstance(env, dict) or env.get("v") != WIRE_VERSION:
-            return True
-        t, kind, src = env.get("t"), env.get("kind", ""), env.get("src") or {}
-        if not (isinstance(t, str) and isinstance(kind, str) and isinstance(src, dict)):
-            return False
-        if t == "msg":
-            sent_at = env.get("sent_at", 0.0)
-            if not isinstance(sent_at, (int, float)):
-                return False
-            self._dispatch_msg(kind, env.get("payload"), src, float(sent_at))
-        elif t == "req":
-            rid = env.get("rid")
-            if not isinstance(rid, int):
-                return False
-            reply = await self._handle_request(kind, env.get("payload"), src)
-            frame = self.framer.encode({
-                "v": WIRE_VERSION, "t": "res", "rid": rid, "payload": reply,
-            })
-            try:
-                writer.write(frame)
-                await writer.drain()
-            except OSError:
-                pass
-        return True
-
     def _dispatch_msg(self, kind: str, payload: Any, src: dict[str, Any],
                       sent_at: float) -> None:
         self._account_delivery(kind, max(0.0, self.now - sent_at))
@@ -452,37 +492,32 @@ class TcpTransport(MessageAccounting):
         if handler is not None:
             handler(payload, src)
 
-    async def _handle_request(self, kind: str, payload: Any,
-                              src: dict[str, Any]) -> Any:
+    def _serve(self, kind: str, payload: Any, src: dict[str, Any],
+               answer: Callable[[Any], None]) -> None:
+        """Run the handler of ``kind`` and hand its reply to ``answer``: before
+        this returns when the handler returned a plain value, from a task when
+        it returned an awaitable.  Keep the task's handle: the loop holds
+        tasks weakly, and an unreferenced one can be collected before it
+        answers (its exception would surface only at exit)."""
         handler = self._rpc_handlers.get(kind)
         if handler is None:
-            return {"__rpc_error__": f"no handler for {kind!r}"}
-        try:
-            return await handler(payload, src)
-        except Exception as exc:  # propagate as a structured error, not a hang
-            return {"__rpc_error__": f"{type(exc).__name__}: {exc}"}
-
-    async def _read_responses(self, reader: asyncio.StreamReader,
-                              writer: asyncio.StreamWriter) -> None:
-        """Consume ``res`` frames arriving on an outgoing connection.  A bad
-        frame or a ``rid`` that is no integer drops it as on a listener: the
-        writer is closed, so the next send reconnects."""
-        decoder = FrameDecoder()
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    return
-                for env in decoder.feed(chunk):
-                    if not isinstance(env, dict) or env.get("t") != "res":
-                        continue
-                    rid = env.get("rid")
-                    if not isinstance(rid, int):
-                        raise CodecError(f"bad envelope: rid={rid!r}")
-                    fut = self._pending.get(rid)
-                    if fut is not None and not fut.done():
-                        fut.set_result(env.get("payload"))
-        except CodecError:
-            writer.close()
-        except (OSError, asyncio.CancelledError):
+            answer({"__rpc_error__": f"no handler for {kind!r}"})
             return
+        try:
+            reply = handler(payload, src)
+        except Exception as exc:
+            reply = _rpc_error(exc)
+        if hasattr(reply, "__await__"):
+            task = self._require_loop().create_task(self._serve_later(reply, answer))
+            self._client_tasks.add(task)
+            task.add_done_callback(self._client_tasks.discard)
+        else:
+            answer(reply)
+
+    @staticmethod
+    async def _serve_later(reply: Awaitable[Any], answer: Callable[[Any], None]) -> None:
+        try:
+            reply = await reply
+        except Exception as exc:
+            reply = _rpc_error(exc)
+        answer(reply)

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["encode_array", "decode_array", "is_encoded_array"]
+__all__ = ["TAG", "encode_array", "decode_array"]
 
 #: marker key of an encoded array payload
 TAG = "__nd__"
@@ -40,11 +40,6 @@ def encode_array(arr: np.ndarray) -> dict[str, Any]:
         "shape": list(a.shape),
         "data": base64.b64encode(a.tobytes()).decode("ascii"),
     }
-
-
-def is_encoded_array(obj: Any) -> bool:
-    """Whether ``obj`` is a dict produced by :func:`encode_array`."""
-    return isinstance(obj, dict) and TAG in obj
 
 
 def decode_array(payload: dict[str, Any]) -> np.ndarray:

@@ -12,6 +12,7 @@ Payloads are kept JSON-simple so both backends carry them unchanged.
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 from typing import Any
 
@@ -25,6 +26,12 @@ def ephemeral_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return int(s.getsockname()[1])
+
+
+def json_frame(tree: Any) -> bytes:
+    """A JSON frame around ``tree`` as written, bypassing ``Framer.encode``."""
+    body = json.dumps(tree).encode("utf-8")
+    return (len(body) + 1).to_bytes(4, "big") + b"J" + body
 
 
 class _SimPeer:

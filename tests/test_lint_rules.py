@@ -162,6 +162,24 @@ class TestAsyncSafetyRules:
         assert "backoff" in finding.message
         assert finding.line == 8
 
+    def test_asy401_reads_a_registered_leaf_handler_as_loop_context(self):
+        # the leaf handlers are plain functions the transport runs on the loop
+        (finding,) = lint_one(FIXTURES / "asy401_handler_trip.py")
+        assert finding.rule == "ASY401" and finding.symbol == "Node._rpc_ping"
+        assert "loop-run def _rpc_ping" in finding.message
+        assert lint_one(FIXTURES / "asy401_handler_clean.py") == []
+
+    def test_asy401_reads_data_received_as_loop_context(self, tmp_path):
+        p = tmp_path / "m.py"
+        p.write_text(
+            "# lint-fixture-module: repro.net.fixture_link\n"
+            "import time\n"
+            "class Link:\n"
+            "    def data_received(self, data):\n"
+            "        time.sleep(1)\n"
+        )
+        assert [f.rule for f in run_lint([p], root=tmp_path).findings] == ["ASY401"]
+
     def test_asy402_cross_module_call(self, tmp_path):
         (tmp_path / "a.py").write_text(
             "# lint-fixture-module: repro.net.fixture_a\n"

@@ -10,7 +10,7 @@ Hypothesis drives three invariants end to end:
   property that makes the TCP receive path correct no matter how the
   kernel slices the stream);
 * **one error type** — any JSON tree, salted with the codec's reserved tag
-  keys, either decodes or raises :class:`CodecError`; the receive loops of
+  keys, either decodes or raises :class:`CodecError`; the links of
   ``TcpTransport`` catch nothing else.
 
 Plus directed tests for the failure modes (reserved keys and tags, corrupt
@@ -41,12 +41,11 @@ from repro.net.codec import (
     CodecError,
     FrameDecoder,
     Framer,
-    available_formats,
-    decode_value,
-    encode_value,
 )
 from repro.net.transport import RpcTimeout, TcpTransport
 from repro.util.arrays import decode_array, encode_array
+
+from tests.net_helpers import json_frame
 
 WIRE_FIXTURE = Path(__file__).parent / "fixtures" / "wire_pr18.json"
 RESERVED_KEYS = ("__msg__", "__obj__", "__bytes__", "__nd__", "__npscalar__")
@@ -103,10 +102,9 @@ hostile_trees = st.recursive(
 )
 
 
-def json_frame(tree: Any) -> bytes:
-    """A JSON frame around ``tree`` as written, bypassing ``encode_value``."""
-    body = json.dumps(tree).encode("utf-8")
-    return (len(body) + 1).to_bytes(4, "big") + b"J" + body
+def round_trip(value: Any) -> Any:
+    (out,) = FrameDecoder().feed(Framer("json").encode(value))
+    return out
 
 
 def assert_same(a, b) -> None:
@@ -134,10 +132,10 @@ def assert_same(a, b) -> None:
 
 @given(trees)
 def test_value_round_trip(value):
-    assert_same(value, decode_value(encode_value(value)))
+    assert_same(value, round_trip(value))
 
 
-@pytest.mark.parametrize("fmt", available_formats())
+@pytest.mark.parametrize("fmt", ["json"])
 @given(values=st.lists(trees, min_size=1, max_size=5), data=st.data())
 def test_frame_stream_survives_arbitrary_chunking(fmt, values, data):
     framer = Framer(fmt)
@@ -256,15 +254,15 @@ def test_unknown_message_and_object_tags_rejected():
                  {"__obj__": "ResultEntry", "object_id": 1, "distance": 0.5},
                  {"__obj__": "Nope"}):
         with pytest.raises(CodecError, match="reserved"):
-            decode_value(tree)
+            FrameDecoder().feed(json_frame(tree))
         with pytest.raises(CodecError, match="reserved"):
-            decode_value({"payload": [tree]})
+            FrameDecoder().feed(json_frame({"payload": [tree]}))
 
 
 def test_reserved_payload_keys_rejected():
     for key in RESERVED_KEYS:
         with pytest.raises(CodecError, match="collides"):
-            encode_value({"data": {key: 1}})
+            Framer("json").encode({"data": [{key: 1}]})
 
 
 @pytest.mark.parametrize("tree", [
@@ -283,21 +281,77 @@ def test_malformed_tagged_values_raise_codec_error(tree):
         FrameDecoder().feed(json_frame({"v": WIRE_VERSION, "t": "req", "payload": [tree]}))
 
 
-def test_deeply_nested_frame_raises_codec_error():
-    for depth in (900, 100_000):  # past decode_value's recursion, past the parser's
-        body = b"[" * depth + b"]" * depth
+def test_tagged_value_with_a_malformed_sibling_raises_codec_error():
+    # objects are decoded innermost first, so a tag does not hide what sits beside it
+    good = {"__bytes__": "AAAA"}
+    (value,) = FrameDecoder().feed(json_frame({**good, "note": [1, "x"]}))
+    assert value == b"\x00\x00\x00"
+    for sibling in ({"__npscalar__": None}, {"__bytes__": 7}, {"__obj__": "X"}):
         with pytest.raises(CodecError):
-            FrameDecoder().feed((len(body) + 1).to_bytes(4, "big") + b"J" + body)
+            FrameDecoder().feed(json_frame({**good, "note": sibling}))
+    with pytest.raises(CodecError):  # nor is a tagged value accepted where base64 text goes
+        FrameDecoder().feed(json_frame({"__bytes__": good}))
+
+
+def test_deeply_nested_frame_decodes_or_raises_codec_error():
+    """Whatever the interpreter's recursion limit makes of the depth, ``feed``
+    returns a value or raises ``CodecError`` — never ``RecursionError``."""
+    for depth in (900, 100_000):  # nothing recurses in Python; the C parser gives up in between
+        body = b"[" * depth + b"]" * depth
+        try:
+            (value,) = FrameDecoder().feed((len(body) + 1).to_bytes(4, "big") + b"J" + body)
+        except CodecError:
+            continue
+        for _ in range(depth - 1):
+            (value,) = value
+        assert value == []
+
+
+def test_value_nested_past_the_recursion_limit_is_a_codec_error_on_encode():
+    value: list[Any] = []
+    for _ in range(100_000):
+        value = [value]
+    cycle: list[Any] = []
+    cycle.append({"again": cycle})
+    for hostile in (value, cycle):
+        with pytest.raises(CodecError, match="nests too deeply"):
+            Framer("json").encode(hostile)
 
 
 def test_non_string_keys_rejected():
-    with pytest.raises(CodecError, match="non-string"):
-        encode_value({1: "x"})
+    for value in ({1: "x"}, {"a": [{None: 1}]}, {"a": ({2.5: 1},)}):
+        with pytest.raises(CodecError, match="non-string"):
+            Framer("json").encode(value)
 
 
 def test_unencodable_type_rejected():
-    with pytest.raises(CodecError, match="not wire-encodable"):
-        encode_value(object())
+    for value in (object(), {"a": [{1, 2}]}, {"a": 1j}):
+        with pytest.raises(CodecError, match="not wire-encodable"):
+            Framer("json").encode(value)
+
+
+def test_only_the_json_format_exists():
+    for fmt in ("msgpack", "", "JSON"):
+        with pytest.raises(CodecError, match="unknown wire format"):
+            Framer(fmt)
+    with pytest.raises(CodecError, match="unknown frame format byte 0x4d"):
+        FrameDecoder().feed((2).to_bytes(4, "big") + b"M\x80")
+
+
+def test_float_subclass_tuple_and_bytes_encode_as_at_the_parent_commit():
+    # np.float64 is a float to the encoder (no tag, comes back a float), a tuple
+    # a list; the hex is what Framer("json").encode returned at 0268814
+    value = {"x": np.float64(1.5), "t": (1, (2, "a")), "b": b"ab\xff",
+             "n": np.float64("nan"), "i": np.int64(-3)}
+    wire = bytes.fromhex(
+        "0000008c4a7b2278223a312e352c2274223a5b312c5b322c2261225d5d2c2262223a7b225f5f627974"
+        "65735f5f223a2259574c2f227d2c226e223a4e614e2c2269223a7b225f5f6e707363616c61725f5f22"
+        "3a6e756c6c2c2276223a7b225f5f6e645f5f223a223c6938222c227368617065223a5b315d2c226461"
+        "7461223a222f662f2f2f2f2f2f2f2f383d227d7d7d")
+    assert Framer("json").encode(value) == wire
+    (got,) = FrameDecoder().feed(wire)
+    assert type(got["x"]) is float and got["t"] == [1, [2, "a"]] and got["b"] == b"ab\xff"
+    assert got["n"] != got["n"] and type(got["i"]) is np.int64 and got["i"] == -3
 
 
 def test_invalid_frame_length_rejected():
@@ -325,7 +379,7 @@ def test_truncated_array_payload_rejected():
     payload = encode_array(np.arange(4, dtype=np.float64))
     payload["shape"] = [8]  # claims more elements than the buffer holds
     with pytest.raises(CodecError, match="bytes"):
-        decode_value(payload)
+        FrameDecoder().feed(json_frame(payload))
 
 
 def test_array_disk_wire_encoding_is_shared():
@@ -333,7 +387,7 @@ def test_array_disk_wire_encoding_is_shared():
     # batch can move between them without re-encoding
     arr = np.array([0.1, 0.2, -1.5e300], dtype=np.float64)
     assert decode_array(encode_array(arr)).tobytes() == arr.tobytes()
-    assert_same(arr, decode_value(encode_value(arr)))
+    assert_same(arr, round_trip(arr))
 
 
 # -- live: what a listener does with frames it will not serve --------------------
