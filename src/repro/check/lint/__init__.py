@@ -1,6 +1,6 @@
-"""`repro lint` — AST static analysis for determinism, layering, contracts.
+"""`repro lint` — AST static analysis for determinism, layering, async safety.
 
-Five rule families guard what the dynamic harness (replay fingerprints,
+Four rule families guard what the dynamic harness (replay fingerprints,
 differential fuzzing) can only detect after the fact:
 
 * **DET1xx** (:mod:`repro.check.lint.determinism`) — wall-clock reads,
@@ -9,8 +9,6 @@ differential fuzzing) can only detect after the fact:
 * **ARCH2xx** (:mod:`repro.check.lint.architecture`) — the declarative
   import-layering contract (``layers.toml``), scheduler-access
   containment, denied edges;
-* **CON3xx** (:mod:`repro.check.lint.contracts`) — Metric subclasses
-  implement the distance interface;
 * **ASY4xx** (:mod:`repro.check.lint.async_safety`) — blocking calls,
   unawaited coroutines, dropped tasks and sync locks in the live backend;
 * **PRO5xx** (:mod:`repro.check.lint.protocol`) — every RPC kind requested

@@ -235,7 +235,6 @@ def _load_rule_modules() -> None:
     from repro.check.lint import (  # noqa: F401
         architecture,
         async_safety,
-        contracts,
         determinism,
         protocol,
     )

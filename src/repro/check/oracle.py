@@ -12,18 +12,47 @@ bit-identical distances — and any divergence is a real bug, not noise.
 The oracle tracks the set of currently-indexed object ids so inserts,
 deletes and crash-induced entry loss keep it in lockstep with the index
 (see :mod:`repro.check.replay` and :mod:`repro.check.fuzz`).
+
+:func:`owners_meeting` is the reference for *where* a range query must be
+solved: it pins the two formulations of Algorithm 5 — the event sim's sibling
+forwarding and the live coordinator's owner walk — to each other.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import Any
 
 import numpy as np
 
+from repro.core.index_space import IndexSpaceBounds
+from repro.core.lph import key_to_cuboid, smallest_enclosing_prefix
 from repro.core.platform import take
+from repro.core.query import Rect
+from repro.dht.idspace import owner_slots, rotate_keys
 
-__all__ = ["LinearScanOracle"]
+__all__ = ["LinearScanOracle", "owners_meeting"]
+
+
+def owners_meeting(
+    lows: np.ndarray, highs: np.ndarray, sorted_ids: Sequence[int],
+    rotation: int, bounds: IndexSpaceBounds, m: int,
+) -> set[int]:
+    """Ids of the nodes SurrogateRefine must solve at, by brute force.
+
+    Every leaf key of the rectangle's smallest enclosing cuboid (where a query
+    starts, figure 1a: by the hash's tie rule no point of the rectangle hashes
+    outside it) whose closed cuboid meets the closed rectangle — Algorithm 5's
+    test, by :func:`~repro.core.lph.key_to_cuboid` — then the owner of each
+    such key after rotation.  Exhaustive, so for small ``m`` only.
+    """
+    prefix_key, prefix_len = smallest_enclosing_prefix(lows, highs, bounds, m)
+    rect = Rect(lows, highs)
+    keys = [key for key in range(prefix_key, prefix_key + (1 << (m - prefix_len)))
+            if rect.intersects_box(*key_to_cuboid(key, bounds, m))]
+    ids = np.asarray(sorted_ids, dtype=np.uint64)
+    slots = owner_slots(ids, rotate_keys(np.array(keys, dtype=np.uint64), rotation, m))
+    return {int(i) for i in ids[np.unique(slots)]}
 
 
 class LinearScanOracle:
@@ -85,9 +114,7 @@ class LinearScanOracle:
         reference rejects) and ``distance_errors`` (ids whose reported
         distance is not bit-identical to the reference computation).
         """
-        expected = dict(
-            (oid, d) for oid, d in ((o, dd) for o, dd in self.range(obj, radius))
-        )
+        expected = dict(self.range(obj, radius))
         got: dict[int, float] = {}
         for e in entries:
             got[int(e.object_id)] = float(e.distance)

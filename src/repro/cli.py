@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the determinism/architecture/contract static analysis "
-             "(AST rules DET1xx/ARCH2xx/CON3xx; see docs/static-analysis.md)",
+        help="run the determinism/architecture/async-safety static analysis "
+             "(AST rules DET1xx/ARCH2xx/ASY4xx/PRO5xx; see docs/static-analysis.md)",
     )
     lint.add_argument("paths", nargs="*", default=None,
                       help="files or directories to lint (default: src/)")
@@ -126,13 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="apply mechanical fixes (seeding, facade import moves)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
-
-    tc = sub.add_parser(
-        "typecheck",
-        help="run mypy --strict on the gated packages (repro.core, "
-             "repro.dht, repro.util)",
-    )
-    tc.add_argument("--format", choices=("text", "json"), default="text")
 
     smoke = sub.add_parser(
         "scale-smoke",
@@ -493,45 +486,6 @@ def _run_lint(args) -> int:
     return 0 if result.ok else 1
 
 
-#: packages under the strict typing gate (mypy --strict must pass)
-TYPECHECK_PACKAGES = (
-    "repro.core", "repro.dht", "repro.util",
-    "repro.sim", "repro.obs", "repro.net", "repro.check",
-)
-
-
-def _run_typecheck(args) -> int:
-    import importlib.util
-    import json
-    import subprocess
-
-    cmd = [sys.executable, "-m", "mypy", "--strict"]
-    for p in TYPECHECK_PACKAGES:
-        cmd += ["-p", p]
-    if importlib.util.find_spec("mypy") is None:
-        msg = ("mypy is not installed in this environment; "
-               "`pip install mypy` (the CI typecheck job runs it)")
-        if args.format == "json":
-            print(json.dumps({"tool": "mypy", "available": False, "note": msg}))
-        else:
-            print(f"typecheck skipped: {msg}")
-        return 2
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if args.format == "json":
-        print(json.dumps({
-            "tool": "mypy",
-            "available": True,
-            "packages": list(TYPECHECK_PACKAGES),
-            "returncode": proc.returncode,
-            "output": proc.stdout.splitlines(),
-        }, indent=2))
-    else:
-        print(proc.stdout, end="")
-        if proc.stderr:
-            print(proc.stderr, end="", file=sys.stderr)
-    return proc.returncode
-
-
 def _run_top(args) -> int:
     import time
 
@@ -792,8 +746,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if result.ok else 1
     elif args.command == "lint":
         return _run_lint(args)
-    elif args.command == "typecheck":
-        return _run_typecheck(args)
     elif args.command == "metrics":
         _run_metrics(args)
     elif args.command == "trace":

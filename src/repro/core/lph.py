@@ -18,7 +18,8 @@ This module also provides the inverse geometry (key/prefix → cuboid), the
 ``(prefix_key, prefix_length)`` of a range query (§3.3, figure 1a), the
 sibling decomposition SurrogateRefine forwards (:func:`walk_siblings`), and
 the two steps of a coordinator that walks the owners of a cuboid in key order
-instead of forwarding it (:func:`first_key_meeting`, :func:`next_key_meeting`).
+instead of forwarding it (:func:`first_key_meeting`, :func:`next_key_meeting`)
+— two consumers of one descent along the path of a key.
 """
 
 from __future__ import annotations
@@ -188,6 +189,44 @@ def smallest_enclosing_prefix(
     return key << (m - length), length
 
 
+def _siblings_meeting(
+    eff: int, prefix_len: int, lo: list[float], hi: list[float],
+    rl: list[float], rh: list[float], m: int,
+) -> Iterator[tuple[int, list[float], list[float]]]:
+    """Algorithm 5's descent along the path of ``eff``, the one both walks run.
+
+    ``[lo, hi]`` is the cuboid of the first ``prefix_len`` bits of ``eff``
+    (consumed: carried down and halved once per bit), ``[rl, rh]`` the
+    rectangle.  The keys above ``eff`` in that cuboid decompose into one
+    *sibling* per zero bit ``i`` of ``eff`` below the prefix — the first
+    ``i - 1`` bits of ``eff`` followed by a 1, the upper half along dimension
+    ``(i - 1) mod k`` of the depth ``i - 1`` path cuboid.  Yields ``(i, lows,
+    highs)``, fresh lists, in ascending ``i`` for every sibling whose closed
+    cuboid meets the closed rectangle.  The path cuboid meets the rectangle in
+    every dimension or the descent never starts, and a halving can only break
+    that in the dimension it halves, so only that one is tested; every deeper
+    sibling lies inside the path cuboid, so once that misses the walk is over.
+    """
+    if not all(max(a, c) <= min(b, d) for a, b, c, d in zip(lo, hi, rl, rh)):
+        return
+    k = len(lo)
+    for i in range(prefix_len + 1, m + 1):
+        j = (i - 1) % k
+        mid = (lo[j] + hi[j]) / 2.0
+        if eff >> (m - i) & 1:
+            if mid > rh[j]:
+                return
+            lo[j] = mid
+            continue
+        if mid <= rh[j]:
+            sib_lo = lo.copy()
+            sib_lo[j] = mid
+            yield i, sib_lo, hi.copy()
+        if rl[j] > mid:
+            return
+        hi[j] = mid
+
+
 def walk_siblings(
     eff: int,
     prefix_len: int,
@@ -198,54 +237,22 @@ def walk_siblings(
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """The sibling cuboids SurrogateRefine forwards, in one descent (Algorithm 5).
 
-    Inside the cuboid spelled by the first ``prefix_len`` bits of ``eff``, the
-    keys above ``eff`` decompose into one *sibling* per zero bit ``i`` of
-    ``eff`` below the prefix: the first ``i - 1`` bits of ``eff`` followed by
-    a 1.  Yields ``(prefix_key, i, lows, highs)`` in ascending ``i`` for every
-    sibling whose closed cuboid meets the closed rectangle, ``lows``/``highs``
-    being that intersection.
-
-    Sibling ``i`` is the upper half, along dimension ``(i - 1) mod k``, of the
-    depth ``i - 1`` cuboid on the root-to-leaf path of ``eff``, so the path
-    cuboid is carried down and halved once per bit (the float sequence of
-    :func:`prefix_to_cuboid`, hence identical bounds) and only the halved
-    dimension is tested.  Every deeper sibling lies inside the path cuboid:
-    once that no longer meets the rectangle the walk is over.
+    Yields ``(prefix_key, i, lows, highs)`` in ascending ``i`` for every
+    sibling of ``eff`` below the prefix (:func:`_siblings_meeting`) whose
+    closed cuboid meets the closed rectangle, ``lows``/``highs`` being that
+    intersection.  The descent starts from :func:`prefix_to_cuboid` and
+    repeats its float sequence, hence identical bounds.
     """
     tail = (1 << (m - prefix_len)) - 1
     if eff & tail == tail:
-        return  # no zero bit below the prefix, so no sibling
+        return  # no zero bit below the prefix, so no sibling: build no cuboid
     lows, highs = prefix_to_cuboid(eff, prefix_len, bounds, m)
-    if not np.all(np.maximum(rect_lows, lows) <= np.minimum(rect_highs, highs)):
-        return
-    # From here on the path cuboid meets the rectangle in every dimension,
-    # and a halving can only break that in the dimension it halves.
-    k = bounds.k
-    lo: list[float] = lows.tolist()
-    hi: list[float] = highs.tolist()
-    rl: list[float] = rect_lows.tolist()
-    rh: list[float] = rect_highs.tolist()
-    for i in range(prefix_len + 1, m + 1):
-        j = (i - 1) % k
-        mid = (lo[j] + hi[j]) / 2.0
+    for i, sib_lo, sib_hi in _siblings_meeting(
+            eff, prefix_len, lows.tolist(), highs.tolist(),
+            rect_lows.tolist(), rect_highs.tolist(), m):
         bit = 1 << (m - i)
-        if eff & bit:
-            if mid > rh[j]:
-                return
-            lo[j] = mid
-            continue
-        if mid <= rh[j]:
-            sib_lows = np.array(lo)
-            sib_lows[j] = mid
-            yield (
-                (eff & -bit) | bit,
-                i,
-                np.maximum(rect_lows, sib_lows),
-                np.minimum(rect_highs, np.array(hi)),
-            )
-        if rl[j] > mid:
-            return
-        hi[j] = mid
+        yield ((eff & -bit) | bit, i,
+               np.maximum(rect_lows, np.array(sib_lo)), np.minimum(rect_highs, np.array(sib_hi)))
 
 
 def _path_cuboid(key: int, depth: int, bounds: IndexSpaceBounds,
@@ -318,35 +325,14 @@ def next_key_meeting(
     ``eff``.  The keys above ``eff`` in it are the siblings of
     :func:`walk_siblings`, and a deeper sibling holds smaller keys than a
     shallower one: the answer is the first such key of the deepest sibling
-    that walk would yield.  Only that one is wanted, so this is the walk's
-    descent along the path of ``eff`` — same tests, same order, same early
-    exits — remembering the last sibling that met the rectangle instead of
-    building every one of them.
+    that walk would yield — the last yield of the one descent both run
+    (:func:`_siblings_meeting`), entered here from a float cuboid.
     """
-    tail = (1 << (m - prefix_len)) - 1
-    if eff & tail == tail:
-        return None  # no zero bit below the prefix, so no key above eff
     lo, hi = _path_cuboid(eff, prefix_len, bounds, m)
     rl: list[float] = rect_lows.tolist()
-    rh: list[float] = rect_highs.tolist()
-    if not all(max(a, c) <= min(b, d) for a, b, c, d in zip(lo, hi, rl, rh)):
-        return None
-    k = bounds.k
     deepest: tuple[int, list[float], list[float]] | None = None
-    for i in range(prefix_len + 1, m + 1):
-        j = (i - 1) % k
-        mid = (lo[j] + hi[j]) / 2.0
-        if eff >> (m - i) & 1:
-            if mid > rh[j]:
-                break
-            lo[j] = mid
-            continue
-        if mid <= rh[j]:
-            deepest = i, lo.copy(), hi.copy()
-            deepest[1][j] = mid
-        if rl[j] > mid:
-            break
-        hi[j] = mid
+    for deepest in _siblings_meeting(eff, prefix_len, lo, hi, rl, rect_highs.tolist(), m):
+        pass
     if deepest is None:
         return None
     i, lo, hi = deepest

@@ -64,6 +64,17 @@ __all__ = ["ScaleConfig", "ScaleReport", "ScaleSimulation"]
 #: vectors stay available on the report regardless.
 _LOAD_GAUGE_MAX_NODES = 20_000
 
+#: the data model: the paper's Table 1 clustered-Gaussian family — this many
+#: clusters of this deviation inside the box ``[DATA_LOW, DATA_HIGH]^dim``
+N_CLUSTERS = 10
+DEVIATION = 20.0
+DATA_LOW = 0.0
+DATA_HIGH = 100.0
+#: identifier bits and successor-list length of the compact ring, and the
+#: index name the static rotation (§3.4) is hashed from
+ID_BITS = 64
+SUCCESSOR_LIST_LEN = 16
+INDEX_NAME = "scale-index"
 #: per-coordinate half-width of the sampled local range searches, as a
 #: fraction of the index-space span.
 QUERY_RANGE_FACTOR = 0.02
@@ -85,24 +96,17 @@ TRACE_SAMPLES_TOTAL = "scale_trace_samples_total"
 class ScaleConfig:
     """Knobs of a scale run (defaults: the 100k-node / 1M-query target).
 
-    The data model is the paper's Table 1 clustered-Gaussian family, scaled
-    down in dimensionality so a 100k-object projection stays cheap; queries
-    are drawn from the same cluster structure ("the corresponding query sets
-    are generated with the same method").
+    The data model is the paper's Table 1 clustered-Gaussian family (module
+    constants above), scaled down in dimensionality so a 100k-object
+    projection stays cheap; queries are drawn from the same cluster structure
+    ("the corresponding query sets are generated with the same method").
     """
 
     n_nodes: int = 100_000
     n_objects: int = 100_000
     n_queries: int = 1_000_000
     dim: int = 16
-    n_clusters: int = 10
-    deviation: float = 20.0
-    low: float = 0.0
-    high: float = 100.0
     n_landmarks: int = 4
-    m: int = 64
-    successor_list_len: int = 16
-    index_name: str = "scale-index"
     seed: int = 0
     #: queries routed per vectorised round-trip; each chunk advances the
     #: embedded simulator clock one virtual second (the health cadence).
@@ -140,27 +144,6 @@ class ScaleReport:
     sampled_spans: int = 0
     counters: dict[str, float] = field(default_factory=dict)
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "n_nodes": self.n_nodes,
-            "n_objects": self.n_objects,
-            "n_queries": self.n_queries,
-            "mean_hops": self.mean_hops,
-            "hops_p50": self.hops_p50,
-            "hops_p99": self.hops_p99,
-            "latency_mean_s": self.latency_mean_s,
-            "latency_p50_s": self.latency_p50_s,
-            "latency_p99_s": self.latency_p99_s,
-            "storage_load": self.storage_load,
-            "forwarding_load": self.forwarding_load,
-            "health_samples": self.health_samples,
-            "local_solves": self.local_solves,
-            "local_hits_mean": self.local_hits_mean,
-            "dropped": self.dropped,
-            "sampled_spans": self.sampled_spans,
-            "counters": self.counters,
-        }
-
 
 class ScaleSimulation:
     """Build once, route millions: the scale-path end-to-end harness."""
@@ -186,9 +169,7 @@ class ScaleSimulation:
         self._rng_ring = derive_rng(rng, "scale-ring")
 
         # -- data + landmark projection (Table 1 family, inline) --------------
-        self._centers = self._rng_data.uniform(
-            cfg.low, cfg.high, size=(cfg.n_clusters, cfg.dim)
-        )
+        self._centers = self._rng_data.uniform(DATA_LOW, DATA_HIGH, size=(N_CLUSTERS, cfg.dim))
         objects = self._draw_points(self._rng_data, cfg.n_objects)
         metric = EuclideanMetric()
         sample_n = min(2_048, cfg.n_objects)
@@ -197,19 +178,19 @@ class ScaleSimulation:
         )
         proj = self.landmarks.project(objects)
         self.bounds = IndexSpaceBounds.from_sample(proj, pad=0.05)
-        keys = lp_hash_batch(self.bounds.clip(proj), self.bounds, cfg.m)
+        keys = lp_hash_batch(self.bounds.clip(proj), self.bounds, ID_BITS)
 
         # -- membership + distribution ----------------------------------------
         n_hosts = latency.n_hosts if latency is not None else cfg.n_nodes
         self.ring = CompactChordRing.build(
             cfg.n_nodes,
-            m=cfg.m,
+            m=ID_BITS,
             seed=self._rng_ring,
             n_hosts=n_hosts,
-            successor_list_len=cfg.successor_list_len,
+            successor_list_len=SUCCESSOR_LIST_LEN,
         )
-        self.phi = rotation_offset(cfg.index_name, cfg.m)
-        owners = self.ring.owners_of_keys(rotate_keys(keys, self.phi, cfg.m))
+        self.phi = rotation_offset(INDEX_NAME, ID_BITS)
+        owners = self.ring.owners_of_keys(rotate_keys(keys, self.phi, ID_BITS))
         self.store = ShardStore.build(
             owners, keys, proj, np.arange(cfg.n_objects, dtype=np.int64), cfg.n_nodes
         )
@@ -263,12 +244,9 @@ class ScaleSimulation:
         )
 
     def _draw_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        cfg = self.cfg
-        assignment = rng.integers(0, cfg.n_clusters, size=n)
-        pts = self._centers[assignment] + rng.normal(
-            0.0, cfg.deviation, size=(n, cfg.dim)
-        )
-        np.clip(pts, cfg.low, cfg.high, out=pts)
+        assignment = rng.integers(0, N_CLUSTERS, size=n)
+        pts = self._centers[assignment] + rng.normal(0.0, DEVIATION, size=(n, self.cfg.dim))
+        np.clip(pts, DATA_LOW, DATA_HIGH, out=pts)
         return pts
 
     # -- invariants ---------------------------------------------------------------
@@ -290,8 +268,7 @@ class ScaleSimulation:
         assert np.all(np.diff(offsets) >= 0), "store offsets must be monotone"
         assert int(self.store.loads().sum()) == self.cfg.n_objects
         # every stored entry must live on the node owning its rotated key
-        owner_of = self.ring.owners_of_keys(
-            rotate_keys(self.store.keys, self.phi, self.cfg.m))
+        owner_of = self.ring.owners_of_keys(rotate_keys(self.store.keys, self.phi, ID_BITS))
         slot_of_row = np.repeat(
             np.arange(self.store.n_slots, dtype=np.int64), self.store.loads()
         )
@@ -320,11 +297,11 @@ class ScaleSimulation:
             size = min(cfg.chunk, nq - routed)
             qpts = self._draw_points(self._rng_query, size)
             qproj = self.bounds.clip(self.landmarks.project(qpts))
-            qkeys = lp_hash_batch(qproj, self.bounds, cfg.m)
+            qkeys = lp_hash_batch(qproj, self.bounds, ID_BITS)
             src = self._rng_query.integers(0, cfg.n_nodes, size=size)
             owner, hops, lat, visits = self.ring.route_batch(
                 src,
-                rotate_keys(qkeys, self.phi, cfg.m),
+                rotate_keys(qkeys, self.phi, ID_BITS),
                 latency=self.latency,
                 count_visits=True,
             )

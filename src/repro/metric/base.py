@@ -15,6 +15,7 @@ hpc-parallel guide: vectorise the hot path, keep the scalar path legible).
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import Any
@@ -24,11 +25,11 @@ import numpy as np
 __all__ = ["Metric", "MetricSpace", "MetricAxiomViolation", "check_metric_axioms"]
 
 
-class Metric:
+class Metric(ABC):
     """A black-box distance function over some data domain.
 
-    Subclasses must implement :meth:`distance`.  ``is_bounded`` /
-    ``upper_bound`` describe the metric's range and drive the paper's two
+    Subclasses must implement :meth:`distance` (abstract: one without it
+    cannot be instantiated).  ``is_bounded`` / ``upper_bound`` describe the metric's range and drive the paper's two
     index-space boundary strategies (§3.1): a bounded metric can bound the
     index space directly, an unbounded one is either transformed with
     ``d' = d/(1+d)`` (:class:`repro.metric.transforms.BoundedMetric`) or
@@ -40,9 +41,9 @@ class Metric:
     #: The finite upper bound (only meaningful when ``is_bounded``).
     upper_bound: float = math.inf
 
+    @abstractmethod
     def distance(self, x: Any, y: Any) -> float:
         """Distance between two objects of the domain. Must satisfy Definition 1."""
-        raise NotImplementedError
 
     # -- bulk kernels -------------------------------------------------------
 

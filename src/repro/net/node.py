@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, TypeGuard
 
 import numpy as np
 
@@ -62,6 +62,14 @@ __all__ = ["NodeConfig", "NodeProcess", "MAX_ROUTE_HOPS"]
 #: routing-loop guard: a lookup, successor walk or chain of predecessor
 #: pointers longer than this aborts loudly
 MAX_ROUTE_HOPS = 512
+
+
+def _is_ring_entry(value: Any, m: int) -> TypeGuard[dict[str, Any]]:
+    """Whether ``value`` is a ring entry: ``{"id": int in [0, 2**m), "addr": str, …}``.
+    Every entry a peer (or ``meta.json``) supplies is held to this once, where
+    it enters node state."""
+    return (isinstance(value, dict) and type(value.get("id")) is int
+            and 0 <= value["id"] < 1 << m and isinstance(value.get("addr"), str))
 
 
 @dataclass
@@ -157,14 +165,24 @@ class NodeProcess:
         self.shard.close()
 
     def _recover_overlay_state(self) -> None:
-        meta = self.shard.meta
-        succ = meta.get("successors")
-        if isinstance(succ, list):
-            # stale addresses are fine: stabilisation times out and repairs
-            self.successors = [e for e in succ if e.get("addr") != self.addr]
-        pred = meta.get("predecessor")
-        if isinstance(pred, dict):
+        # stale addresses are fine: stabilisation times out and repairs; an
+        # entry that is not one (a torn or hand-edited file) is dropped
+        succ, pred = self.shard.meta.get("successors"), self.shard.meta.get("predecessor")
+        self.successors = [e for e in (succ if isinstance(succ, list) else [])
+                           if _is_ring_entry(e, self.m) and e["addr"] != self.addr]
+        if _is_ring_entry(pred, self.m):
             self.predecessor = pred
+
+    def _entry(self, value: Any) -> dict[str, Any]:
+        """``value``, a ring entry a peer supplied — else :class:`RpcError`."""
+        if not _is_ring_entry(value, self.m):
+            raise RpcError(f"malformed ring entry: {str(value)[:80]}")
+        return value
+
+    def _entries(self, value: Any) -> list[dict[str, Any]]:
+        if not isinstance(value, list):
+            raise RpcError(f"malformed ring entry list: {str(value)[:80]}")
+        return [self._entry(e) for e in value]
 
     def _persist_overlay_state(self) -> None:
         self.shard.set_meta(
@@ -235,15 +253,16 @@ class NodeProcess:
             self._drop_peer(succ)
             return
         if (
-            isinstance(pred, dict)
-            and pred.get("addr") != self.addr
-            and in_interval_open(int(pred["id"]), self.id, int(succ["id"]), self.m)
+            pred is not None
+            and self._entry(pred)["addr"] != self.addr
+            and in_interval_open(pred["id"], self.id, int(succ["id"]), self.m)
         ):
             succ = pred
             self.successors = [succ] + self.successors
         try:
             await self.transport.rpc(succ["addr"], "notify", self.entry())
-            succ_list = await self.transport.rpc(succ["addr"], "get_successor_list", None)
+            succ_list = self._entries(
+                await self.transport.rpc(succ["addr"], "get_successor_list", None))
         except RpcTimeout:
             self._drop_peer(succ)
             return
@@ -316,23 +335,31 @@ class NodeProcess:
         node's successor tried instead.  ``via`` asks another node for the
         first step (a joining node knows only its bootstrap).
         """
-        step: dict[str, Any] = (
-            self._lookup_step(target) if via is None else
-            await self.transport.rpc(via, "lookup_step", {"target": target}))
+        step = (self._lookup_step(target) if via is None else
+                await self._ask_lookup_step(via, target))
         for _ in range(MAX_ROUTE_HOPS):
             if "owner" in step:
                 owner: dict[str, Any] = step["owner"]
                 return owner
             for hop in step["next"]:
                 try:
-                    step = await self.transport.rpc(
-                        hop["addr"], "lookup_step", {"target": target})
+                    step = await self._ask_lookup_step(hop["addr"], target)
                     break
                 except RpcTimeout:
                     self._drop_peer(hop)
             else:
                 raise RpcTimeout(f"find_successor({target}): no next hop answered")
         raise RpcError(f"find_successor({target}) exceeded {MAX_ROUTE_HOPS} hops")
+
+    async def _ask_lookup_step(self, addr: str, target: int) -> dict[str, Any]:
+        """One ``lookup_step`` RPC, its reply's ring entries validated."""
+        step = await self.transport.rpc(addr, "lookup_step", {"target": target})
+        if isinstance(step, dict):
+            if "owner" in step:
+                return {"owner": self._entry(step["owner"])}
+            if step.get("next"):
+                return {"next": self._entries(step["next"])}
+        raise RpcError(f"malformed lookup_step reply: {str(step)[:80]}")
 
     async def ring_snapshot(self) -> list[dict[str, Any]]:
         """All live ring members, by walking successors from this node (O(n)
@@ -345,7 +372,7 @@ class NodeProcess:
                 break
             members.append(dict(cur))
             seen.add(cur["addr"])
-            cur = await self.transport.rpc(cur["addr"], "get_successor", None)
+            cur = self._entry(await self.transport.rpc(cur["addr"], "get_successor", None))
         members.sort(key=lambda e: int(e["id"]))
         return members
 
@@ -427,7 +454,7 @@ class NodeProcess:
             if covered >= key_hi - cur:
                 break
             cur = next_key_meeting(cur + covered, prefix_len, lows, highs, self.bounds, m)
-            links = [[{"id": owner_id}, *reply["successors"]], *local]
+            links = [[{"id": owner_id}, *self._entries(reply["successors"])], *local]
         if not collected:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(collected)).astype(np.int64)
@@ -465,11 +492,12 @@ class NodeProcess:
         """``range_solve`` at ``entry``, then along predecessor pointers while
         the node asked answers ``not_owner`` (a node joined before it)."""
         for _ in range(MAX_ROUTE_HOPS):
-            reply: dict[str, Any] = await self.transport.rpc(
-                entry["addr"], "range_solve", payload)
+            reply = await self.transport.rpc(entry["addr"], "range_solve", payload)
+            if not isinstance(reply, dict):
+                raise RpcError(f"malformed range_solve reply: {str(reply)[:80]}")
             if "ids" in reply:
                 return reply
-            entry = reply["predecessor"]
+            entry = self._entry(reply.get("predecessor"))
         raise RpcError(
             f"range_solve: no owner of key {payload['key_lo']} within "
             f"{MAX_ROUTE_HOPS} predecessor pointers")
@@ -506,12 +534,12 @@ class NodeProcess:
         return self.predecessor
 
     def _rpc_notify(self, payload: Any, src: dict[str, Any]) -> Any:
-        cand = payload
+        cand = self._entry(payload)
         if (
             self.predecessor is None
             or self.predecessor["addr"] == self.addr
             or in_interval_open(
-                int(cand["id"]), int(self.predecessor["id"]), self.id, self.m)
+                cand["id"], int(self.predecessor["id"]), self.id, self.m)
         ):
             self.predecessor = dict(cand)
             self._persist_overlay_state()

@@ -63,6 +63,13 @@ class RpcTimeout(RpcError):
     """No response within the deadline (peer dead, partitioned, or lossy)."""
 
 
+#: reconnect backoff: the first delay and the cap it doubles up to (seconds,
+#: each stretched by a seeded jitter of up to 2x), and how many consecutive
+#: connection failures drop what is queued for the peer as ``dropped:dead``
+RECONNECT_BASE = 0.05
+RECONNECT_MAX = 2.0
+MAX_CONNECT_ATTEMPTS = 8
+
 #: what an RPC's deadline timer resolves its future with
 _NO_RESPONSE: Any = object()
 
@@ -173,7 +180,7 @@ class _PeerConnection:
     The queue preserves send order across reconnects: a message is popped
     only after it was written and the link's buffer drained, so a connection
     dropped mid-queue resumes with the oldest unsent message.  After
-    ``max_attempts`` consecutive connection failures the queued messages are
+    :data:`MAX_CONNECT_ATTEMPTS` consecutive connection failures the queued messages are
     dropped as ``dropped:dead`` (the live analogue of the simulator's
     crashed-node drop) and the backoff resets for future sends.
     """
@@ -205,7 +212,7 @@ class _PeerConnection:
     async def _connect(self) -> bool:
         host, _, port = self.addr.rpartition(":")
         attempts = 0
-        delay = self.owner.reconnect_base
+        delay = RECONNECT_BASE
         while not self.closed:
             try:
                 _, self.link = await self.owner._require_loop().create_connection(
@@ -213,11 +220,11 @@ class _PeerConnection:
                 return True
             except OSError:
                 attempts += 1
-                if attempts >= self.owner.max_connect_attempts:
+                if attempts >= MAX_CONNECT_ATTEMPTS:
                     return False
                 # seeded jitter keeps concurrent reconnects from thundering
                 await asyncio.sleep(delay * (1.0 + self.owner._backoff_rng.random()))
-                delay = min(delay * 2.0, self.owner.reconnect_max)
+                delay = min(delay * 2.0, RECONNECT_MAX)
         return False
 
     async def _run(self) -> None:
@@ -272,18 +279,12 @@ class TcpTransport(MessageAccounting):
         metrics: Any = None,
         fmt: str = "json",
         seed: int = 0,
-        reconnect_base: float = 0.05,
-        reconnect_max: float = 2.0,
-        max_connect_attempts: int = 8,
         rpc_timeout: float = 2.0,
     ) -> None:
         super().__init__(faults, metrics)
         self.node_id = int(node_id)
         self.host = int(host)
         self.framer = Framer(fmt)
-        self.reconnect_base = reconnect_base
-        self.reconnect_max = reconnect_max
-        self.max_connect_attempts = max_connect_attempts
         self.rpc_timeout = rpc_timeout
         self.addr = ""
         self._server: asyncio.base_events.Server | None = None

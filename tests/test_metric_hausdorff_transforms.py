@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.metric.base import check_metric_axioms
+from repro.metric.base import Metric, check_metric_axioms
 from repro.metric.discrete import DiscreteMetric
 from repro.metric.hausdorff import HausdorffMetric
 from repro.metric.strings import EditDistanceMetric
@@ -134,3 +134,18 @@ class TestDiscreteMetric:
     def test_one_to_many(self):
         out = DiscreteMetric().one_to_many("a", ["a", "b", "a"])
         np.testing.assert_array_equal(out, [0.0, 1.0, 0.0])
+
+
+class TestMetricInterface:
+    def test_subclass_without_distance_cannot_be_instantiated(self):
+        """`distance` is abstract: the incomplete metric fails where it is
+        built, not at query time (what lint rule CON301 used to look for)."""
+
+        class Incomplete(Metric):
+            is_bounded = True
+            upper_bound = 1.0
+
+        with pytest.raises(TypeError, match="distance"):
+            Incomplete()
+        with pytest.raises(TypeError, match="distance"):
+            Metric()

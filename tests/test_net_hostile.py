@@ -1,0 +1,168 @@
+"""What a peer supplies is checked before a live node acts on it.
+
+Frames and envelopes are covered by ``test_net_codec`` / ``test_net_transport``;
+here the bytes decode and the *payload* is wrong: a reply or a ``notify`` that
+is no ring entry, and every RPC kind fed shapes its handler does not expect.
+The node answers with a structured :class:`RpcError`, keeps its stabilise task,
+its shard and its ring, and goes on answering exactly.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+from typing import Any
+
+import numpy as np
+import pytest
+
+from repro.net.cluster import ClusterClient
+from repro.net.node import NodeConfig, NodeProcess
+from repro.net.transport import RpcError, RpcTimeout, TcpTransport
+from tests.test_net_query import Ring
+
+pytestmark = pytest.mark.timeout(60)
+
+
+def _config(tmp_path, name: str, bootstrap: str | None = None) -> NodeConfig:
+    return NodeConfig(name=name, data_dir=str(tmp_path / name), bootstrap=bootstrap,
+                      stabilize_interval=0.02, rpc_timeout=0.2)
+
+
+# -- ring entries --------------------------------------------------------------------
+
+
+def test_stabilise_survives_a_predecessor_reply_without_id(tmp_path):
+    """A successor that answers ``get_predecessor`` with ``{"addr": …}`` costs
+    rounds, not the stabilise task; once it is gone the node converges again."""
+
+    async def scenario() -> None:
+        bad = TcpTransport(node_id=1)
+        await bad.start()
+        me = {"id": 1, "addr": bad.addr}
+        asked: list[Any] = []
+        bad.register_rpc("lookup_step", lambda payload, src: {"owner": me})
+        bad.register_rpc("get_predecessor",
+                         lambda payload, src: asked.append(1) or {"addr": "127.0.0.1:1"})
+        a = NodeProcess(_config(tmp_path, "a", bootstrap=bad.addr))
+        client = ClusterClient()
+        b = None
+        try:
+            await a.start()
+            await client.start()
+            assert a.successor["addr"] == bad.addr
+            await asyncio.sleep(0.3)
+            assert len(asked) > 1, "the bad reply was never retried"
+            assert not a._stabilize_task.done()
+            await bad.close()
+            while a.successor["addr"] != a.addr:  # the failure detector's job now
+                await asyncio.sleep(0.02)
+            b = NodeProcess(_config(tmp_path, "b", bootstrap=a.addr))
+            await b.start()
+            assert await client.wait_converged([a.addr, b.addr], timeout=10.0, poll=0.02)
+            assert a.successor["addr"] == b.addr and a.predecessor["addr"] == b.addr
+        finally:
+            await client.close()
+            await bad.close()
+            await a.close()
+            if b is not None:
+                await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_notify_without_addr_is_refused(tmp_path):
+    async def scenario() -> None:
+        node = NodeProcess(_config(tmp_path, "a"))
+        client = ClusterClient()
+        try:
+            addr = await node.start()
+            await client.start()
+            with pytest.raises(RpcError, match="malformed ring entry") as err:
+                await client.transport.rpc(addr, "notify", {"id": 7})
+            assert not isinstance(err.value, RpcTimeout)
+            assert node.predecessor is None
+            assert not node._stabilize_task.done()
+        finally:
+            await client.close()
+            await node.close()
+
+    asyncio.run(scenario())
+
+
+def test_invalid_entries_in_meta_json_are_dropped_at_boot(tmp_path):
+    async def scenario() -> None:
+        first = NodeProcess(_config(tmp_path, "a"))
+        await first.start()
+        await first.close()
+        meta_path = tmp_path / "a" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        good = {"id": 5, "addr": "127.0.0.1:1", "name": "gone"}
+        meta["successors"] = [{"addr": "127.0.0.1:2"}, good, "x", {"id": -1, "addr": "y"}]
+        meta["predecessor"] = {"id": "7", "addr": "127.0.0.1:3"}
+        meta_path.write_text(json.dumps(meta))
+        again = NodeProcess(_config(tmp_path, "a"))
+        try:
+            again._recover_overlay_state()
+            assert again.successors == [good] and again.predecessor is None
+            await again.start()  # nobody answers: a ring of one
+            assert again.successor["addr"] == again.addr
+        finally:
+            await again.close()
+
+    asyncio.run(scenario())
+
+
+# -- hostile payloads at every RPC kind ----------------------------------------------
+
+KINDS = ["ping", "get_successor", "get_successor_list", "get_predecessor", "notify",
+         "lookup_step", "insert", "route_insert", "range_solve", "query", "status",
+         "snapshot"]
+
+HUGE = 2**70
+PAYLOADS = {
+    "none": None,
+    "list": [],
+    "dict": {},
+    "missing-keys": {"keys": [1, 2], "lows": [0.0, 0.0], "key_lo": 0},
+    "id-str": {"id": "seven", "addr": "127.0.0.1:1"},
+    "id-only": {"id": 7},
+    "target-str": {"target": "abc"},
+    "key-lo-str": {"lows": [0.0, 0.0], "highs": [1000.0, 1000.0], "key_lo": "x", "key_hi": 5},
+    "lengths": {"keys": [1, 2, 3], "points": [[1.0, 2.0]], "ids": [1, 2]},
+    "huge": {"id": HUGE, "addr": "127.0.0.1:1", "target": HUGE, "key_lo": HUGE,
+             "key_hi": HUGE, "lows": [0.0, 0.0], "highs": [1000.0, 1000.0],
+             "keys": [HUGE], "points": [[1.0, 2.0]], "ids": [HUGE]},
+    "nested": {"id": [[1]], "addr": [["a"]], "target": [[1]], "key_lo": [[1]],
+               "key_hi": [[2]], "lows": [[0.0], [0.0]], "highs": [[[1.0]]],
+               "keys": [[1, 2]], "points": [[[1.0, 2.0]]], "ids": [[1]]},
+}
+
+
+@pytest.fixture(scope="module")
+def pair():
+    ring = Ring(2, n_points=200, freeze=False)
+    yield ring
+    ring.close()
+
+
+def test_every_registered_kind_is_swept(pair):
+    assert sorted(pair.nodes[0].transport._rpc_handlers) == sorted(KINDS)
+
+
+@pytest.mark.parametrize("shape", PAYLOADS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_hostile_payload_is_answered_and_changes_nothing(pair, kind, shape):
+    digests = [node.shard.digest() for node in pair.nodes]
+    ring_before = [(n.successor["addr"], n.predecessor["addr"]) for n in pair.nodes]
+    try:
+        pair.run(pair.client.transport.rpc(pair.nodes[0].addr, kind, PAYLOADS[shape]))
+    except RpcError as refusal:
+        assert not isinstance(refusal, RpcTimeout), "answered with silence"
+    # no payload above is a well-formed batch or ring entry: nothing may stick
+    assert [node.shard.digest() for node in pair.nodes] == digests
+    assert [(n.successor["addr"], n.predecessor["addr"]) for n in pair.nodes] == ring_before
+    assert not any(node._stabilize_task.done() for node in pair.nodes)
+    lows, highs = np.array([100.0, 0.0]), np.array([900.0, 1000.0])
+    got = pair.run(pair.client.query(pair.nodes[1].addr, lows, highs))
+    assert np.sort(got).tolist() == pair.brute_force(lows, highs).tolist()
