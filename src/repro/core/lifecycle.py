@@ -20,13 +20,15 @@ its own, so there is no second, untracked executor:
 * **Deadlines** — an optional per-query deadline forces the ``timed_out``
   terminal state, so lossy or partitioned runs terminate loudly instead of
   hanging or silently under-reporting.
-* **Retransmission** — each message branch keeps its send thunk; an RTO
-  timer (exponential backoff, :class:`RetryPolicy`) re-invokes it until the
-  branch settles or retries are exhausted.  The simulator's deterministic
-  drop notifications double as fast-path NACKs.  Because a jittered original
-  and its retransmission can both arrive, branch ids are idempotent: the
-  receiver accepts each branch once and suppresses duplicates, and result
-  entries are deduplicated by object id at merge time.
+* **Retransmission** — the branch carries its message: :meth:`arm` stores
+  the protocol's bound ``send`` and the message tuple it built once, and an
+  RTO timer (exponential backoff, :class:`RetryPolicy`) repeats
+  ``send(msg, bid, attempt)`` until the branch settles or retries are
+  exhausted.  The simulator's deterministic drop notifications double as
+  fast-path NACKs.  Because a jittered original and its retransmission can
+  both arrive, branch ids are idempotent: the receiver accepts each branch
+  once and suppresses duplicates, and result entries are deduplicated by
+  object id at merge time.
 * **Futures** — :meth:`register` returns a :class:`QueryFuture` with the
   terminal state, merged results and completion callbacks, which is what
   lets ``knn_search`` ride completion on a live simulator and the eval
@@ -137,13 +139,15 @@ class LifecycleCounters:
 class _Branch:
     """One outstanding unit of work of a query."""
 
-    __slots__ = ("bid", "attempts", "timer", "send")
+    __slots__ = ("bid", "attempts", "timer", "send", "msg")
 
     def __init__(self, bid: int) -> None:
         self.bid = bid
         self.attempts = 0
         self.timer = None  # TimerHandle of the pending RTO, if any
-        self.send: Callable[[int], None] | None = None
+        #: ``send(msg, bid, attempt)``; both ``None`` on a query's root branch
+        self.send: Callable[[Any, int, int], None] | None = None
+        self.msg: Any = None
 
 
 class _Record:
@@ -321,7 +325,7 @@ class LifecycleEngine:
     def open(self, qid: int) -> int | None:
         """Open a branch; returns its id (None for unknown/finished qids)."""
         rec = self.records.get(qid)
-        if rec is None or rec.terminal:
+        if rec is None or rec.state in TERMINAL_STATES:
             return None
         bid = rec.next_bid
         rec.next_bid += 1
@@ -334,19 +338,22 @@ class LifecycleEngine:
             self._set_state(rec, ROUTING)
         return bid
 
-    def arm(self, qid: int, bid: int, send: Callable[[int], None]) -> None:
-        """Attach the send thunk of a message branch and transmit attempt 1.
+    def arm(self, qid: int, bid: int,
+            send: Callable[[Any, int, int], None], msg: Any) -> None:
+        """Hand a message branch its message and transmit attempt 1.
 
-        ``send(attempt)`` must perform the actual transport send; the engine
-        re-invokes it on retransmission with the incremented attempt number.
+        ``send(msg, bid, attempt)`` must perform the actual transport send;
+        a retransmission calls it again with the same ``msg`` and ``bid`` and
+        the incremented attempt number.
         """
         rec = self.records.get(qid)
-        if rec is None or rec.terminal:
+        if rec is None or rec.state in TERMINAL_STATES:
             return
         br = rec.branches.get(bid)
         if br is None:
             return
         br.send = send
+        br.msg = msg
         self._transmit(rec, br)
 
     def accept(self, qid: int, bid: int) -> bool:
@@ -358,7 +365,7 @@ class LifecycleEngine:
         rec = self.records.get(qid)
         if rec is None:
             return True  # not this engine's query: nothing to suppress
-        if rec.terminal:
+        if rec.state in TERMINAL_STATES:
             return False
         if bid in rec.seen:
             self.counters.duplicates_suppressed += 1
@@ -374,7 +381,7 @@ class LifecycleEngine:
         if bid is None:
             return
         rec = self.records.get(qid)
-        if rec is None or rec.terminal:
+        if rec is None or rec.state in TERMINAL_STATES:
             return
         br = rec.branches.pop(bid, None)
         if br is None:
@@ -439,17 +446,23 @@ class LifecycleEngine:
         delivery, drop or timeout).
         """
         pending = [f for f in futures if not f.done()]
-        remaining = [len(pending)]
+        if not pending:
+            return True
+        remaining = len(pending)
+        sim = self.transport.sim
 
         def _one_done(_fut: Any) -> None:
-            remaining[0] -= 1
+            nonlocal remaining
+            remaining -= 1
+            if remaining == 0:
+                sim.stop()
 
         for f in pending:
             f.add_done_callback(_one_done)
-        sim = self.transport.sim
-        while remaining[0] > 0 and sim.pending():
-            sim.run(max_events=1)
-        return remaining[0] == 0
+        sim.run()
+        finished = remaining == 0
+        remaining = -1  # a straggler ending in some later run must not stop it
+        return finished
 
     # -- internals --------------------------------------------------------------
 
@@ -458,29 +471,30 @@ class LifecycleEngine:
         rec.stats.state = state
 
     def _transmit(self, rec: _Record, br: _Branch) -> None:
-        br.attempts += 1
-        if br.attempts > 1:
+        attempt = br.attempts = br.attempts + 1
+        if attempt > 1:
             self.counters.retransmissions += 1
             if self._m_retrans is not None:
                 self._m_retrans.inc()
             if self.recorder is not None:
                 self.recorder.event(
-                    rec.qid, "retransmit", bid=br.bid, attempt=br.attempts)
+                    rec.qid, "retransmit", bid=br.bid, attempt=attempt)
             rec.stats.retransmissions += 1
-        attempt = br.attempts
-        br.send(attempt)
+        br.send(br.msg, br.bid, attempt)
+        policy = self.policy
+        if attempt > policy.max_retries:
+            return  # no retry left: no RTO to arm
         # The branch may have settled synchronously (self-delivery at zero
         # delay) or been dropped at send time (loss/partition -> notify_drop
         # already rescheduled or failed it); only arm an RTO when it is
         # still plainly in flight.
-        br2 = rec.branches.get(br.bid)
-        if br2 is not br or br.timer is not None or rec.terminal:
+        if (rec.branches.get(br.bid) is not br or br.timer is not None
+                or rec.state in TERMINAL_STATES):
             return
-        if attempt <= self.policy.max_retries:
-            delay = self.policy.rto * self.policy.backoff ** (attempt - 1)
-            br.timer = self.transport.timer_cancelable(
-                delay, self._retransmit, rec.qid, br.bid
-            )
+        br.timer = self.transport.timer_cancelable(
+            policy.rto * policy.backoff ** (attempt - 1),
+            self._retransmit, rec.qid, br.bid,
+        )
 
     def _retransmit(self, qid: int, bid: int) -> None:
         """An RTO or a drop back-off ran out: send the branch again."""

@@ -99,16 +99,8 @@ class NaiveProtocol(QueryProtocol):
     def _start(self, node: Any, query: RangeQuery) -> None:
         pieces = decompose_to_owner_cuboids(self.index, query.rect)
         for prefix_key, prefix_len, nl, nh in pieces:
-            sq = RangeQuery(
-                rect=Rect(nl.copy(), nh.copy()),
-                prefix_key=prefix_key,
-                prefix_len=prefix_len,
-                qid=query.qid,
-                source=query.source,
-                index_name=query.index_name,
-                payload=query.payload,
-                radius=query.radius,
-            )
+            # nl / nh are np.maximum / np.minimum outputs over float64 bounds
+            sq = query._child(nl.copy(), nh.copy(), prefix_key, prefix_len)
             self._route_lookup(node, sq)
 
     def _route_lookup(self, node: Any, sq: RangeQuery) -> None:

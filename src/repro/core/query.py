@@ -133,16 +133,22 @@ class RangeQuery:
     radius: float | None = None
 
     def copy(self) -> RangeQuery:
+        rect = self.rect
+        return self._child(
+            rect.lows.copy(), rect.highs.copy(), self.prefix_key, self.prefix_len)
+
+    def _child(self, lows: np.ndarray, highs: np.ndarray,
+               prefix_key: int, prefix_len: int) -> RangeQuery:
+        """A subquery of this query over ``[lows, highs]``, which it takes
+        ownership of.  The arrays must already be what :class:`Rect` coerces
+        to (float64, 1-D, equal length — a ``.copy()`` of validated bounds or
+        an elementwise min/max with them) and are not checked again."""
+        rect = Rect.__new__(Rect)
+        rect.lows = lows
+        rect.highs = highs
         return RangeQuery(
-            rect=self.rect.copy(),
-            prefix_key=self.prefix_key,
-            prefix_len=self.prefix_len,
-            qid=self.qid,
-            source=self.source,
-            index_name=self.index_name,
-            payload=self.payload,
-            radius=self.radius,
-        )
+            rect, prefix_key, prefix_len, self.qid, self.source,
+            self.index_name, self.payload, self.radius)
 
     @classmethod
     def from_point(
@@ -200,22 +206,19 @@ def query_split(
     # p-1 prefix bits (the while-loop of Algorithm 4).
     lo, hi = dimension_range(q.prefix_key, p - 1, j, bounds, m)
     mid = (lo + hi) / 2.0
-    if q.rect.lows[j] > mid:
-        nq = q.copy()
-        nq.prefix_key = set_bit_at(nq.prefix_key, p, m)
-        nq.prefix_len = p
-        return [nq]
-    if q.rect.highs[j] < mid:
-        nq = q.copy()
-        nq.prefix_len = p
-        return [nq]
+    lows, highs, key = q.rect.lows, q.rect.highs, q.prefix_key
+    # every subquery owns fresh copies of the bounds: nothing aliases q
+    if lows[j] > mid:
+        return [q._child(lows.copy(), highs.copy(), set_bit_at(key, p, m), p)]
+    if highs[j] < mid:
+        return [q._child(lows.copy(), highs.copy(), key, p)]
     # Straddles the midpoint: split into higher (bit 1) and lower (bit 0)
     # halves; Algorithm 4 line 22 assigns mid to both new boundaries.
-    nq1 = q.copy()
-    nq2 = q.copy()
-    nq1.rect.lows[j] = mid
-    nq2.rect.highs[j] = mid
-    nq1.prefix_key = set_bit_at(nq1.prefix_key, p, m)
-    nq1.prefix_len = p
-    nq2.prefix_len = p
-    return [nq1, nq2]
+    upper_lows = lows.copy()
+    upper_lows[j] = mid
+    lower_highs = highs.copy()
+    lower_highs[j] = mid
+    return [
+        q._child(upper_lows, highs.copy(), set_bit_at(key, p, m), p),
+        q._child(lows.copy(), lower_highs, key, p),
+    ]

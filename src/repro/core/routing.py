@@ -24,7 +24,10 @@ policy, when none is shared with it): each message is one tracked *branch* —
 opened before the send, settled after the receiving side processed it, retried
 on drops/timeouts when the policy allows and deduplicated on retransmission
 races — which gives each query positive completion detection and a terminal
-state even under faults (see :mod:`repro.core.lifecycle`).  The default policy
+state even under faults (see :mod:`repro.core.lifecycle`).  The branch carries
+its message: ``_tracked_send`` builds one tuple and the engine calls the bound
+``_transmit(msg, bid, attempt)`` for the first send and every retry, so no
+closure is made per message.  The default policy
 arms no timer, so faults-off it adds no event to the schedule: draining the
 simulator to quiescence completes every query.
 
@@ -55,19 +58,24 @@ reasoning is unchanged.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 from typing import Any
 
 import numpy as np
 
-from repro.core.lifecycle import LifecycleEngine, QueryFuture
+from repro.core.lifecycle import RESOLVING, LifecycleEngine, QueryFuture
 from repro.core.lph import walk_siblings
-from repro.core.query import RangeQuery, Rect, query_split
+from repro.core.query import RangeQuery, query_split
 from repro.dht.idspace import rotate, unrotate
 from repro.sim.messages import ResultEntry, ResultMessage, query_message_size
 from repro.sim.transport import Protocol
 from repro.util.bits import first_zero_bit, prefix_of, same_prefix, set_bit_at
 
 __all__ = ["QueryProtocol"]
+
+#: the two message kinds a query bundle travels as
+_ROUTING = "query:routing"
+_REFINE = "query:refine"
 
 
 class QueryProtocol(Protocol):
@@ -181,10 +189,6 @@ class QueryProtocol(Protocol):
             self._proto_label = ()
             self._refine_label = ()
 
-    def _next_hop(self, node: Any, prefix_key: int) -> Any:
-        index = self.index
-        return node.next_hop(rotate(prefix_key, index.rotation, index.m))
-
     # -- lifecycle-tracked message plumbing ------------------------------------
     #
     # All three query protocols (this one, NaiveProtocol, SfcRangeProtocol)
@@ -192,21 +196,14 @@ class QueryProtocol(Protocol):
     # through _recv, so branch accounting, retransmission and duplicate
     # suppression live in exactly one place.
 
-    def _drop_cb(self, qid: int, bid: int | None,
-                 psid: int | None) -> Callable[[str], None]:
-        """A per-message drop callback: attribute the loss to ``qid`` and
+    def _on_drop(self, st: Any, qid: int, bid: int | None,
+                 psid: int | None, status: str) -> None:
+        """The transport dropped a message: attribute the loss to ``qid`` and
         notify the lifecycle engine so the branch retries or settles."""
-        st = self.stats.for_query(qid)
-        engine = self.engine
-        recorder = self.recorder
-
-        def on_drop(status: str) -> None:
-            st.dropped_messages += 1
-            if recorder is not None:
-                recorder.event(qid, "drop", parent=psid, status=status)
-            engine.notify_drop(qid, bid)
-
-        return on_drop
+        st.dropped_messages += 1
+        if self.recorder is not None:
+            self.recorder.event(qid, "drop", parent=psid, status=status)
+        self.engine.notify_drop(qid, bid)
 
     def _tracked_send(
         self,
@@ -233,32 +230,36 @@ class QueryProtocol(Protocol):
         when the context stack is long gone).  The send span's id travels
         with the message so processing at the receiver nests under it.
         """
+        recorder = self.recorder
+        msg = (src, dst, fn, args, kind, size, bool(record and size),
+               recorder.context(qid) if recorder is not None else None, qid)
         engine = self.engine
         bid = engine.open(qid)
-        recorder = self.recorder
-        parent = recorder.context(qid) if recorder is not None else None
-        charged = bool(record and size)
-
-        def transmit(attempt: int = 1) -> None:
-            if record and size:
-                self.stats.for_query(qid).record_query_message(size)
-                self.note_traffic(src, dst)
-            psid = None
-            if recorder is not None:
-                psid = recorder.event(
-                    qid, "send", parent=parent, node=src.id,
-                    msg_kind=kind, size=size, dst=dst.id,
-                    attempt=attempt, charged=charged,
-                )
-            self.transport.send(
-                src, dst, self._recv, qid, bid, psid, fn, args,
-                kind=kind, size=size, on_drop=self._drop_cb(qid, bid, psid),
-            )
-
         if bid is None:
-            transmit()
+            self._transmit(msg, None, 1)
         else:
-            engine.arm(qid, bid, transmit)
+            engine.arm(qid, bid, self._transmit, msg)
+
+    def _transmit(self, msg: tuple[Any, ...], bid: int | None, attempt: int) -> None:
+        """One transmission attempt of the message a branch carries (the
+        ``send`` the lifecycle engine calls, first send and retries alike)."""
+        src, dst, fn, args, kind, size, charged, parent, qid = msg
+        st = self.stats.for_query(qid)
+        if charged:
+            st.record_query_message(size)
+            if self.maintenance is not None:
+                self.note_traffic(src, dst)
+        psid = None
+        if self.recorder is not None:
+            psid = self.recorder.event(
+                qid, "send", parent=parent, node=src.id,
+                msg_kind=kind, size=size, dst=dst.id,
+                attempt=attempt, charged=charged,
+            )
+        self.transport.send(
+            src, dst, self._recv, qid, bid, psid, fn, args, kind=kind, size=size,
+            on_drop=partial(self._on_drop, st, qid, bid, psid),
+        )
 
     def _recv(self, qid: int, bid: int | None, psid: int | None,
               fn: Callable[..., None], args: tuple[Any, ...]) -> None:
@@ -340,18 +341,21 @@ class QueryProtocol(Protocol):
     # -- Algorithm 3: QueryRouting ---------------------------------------------
 
     def _query_routing(self, node: Any, q: RangeQuery, hops: int) -> None:
-        m = self.index.m
+        index = self.index
+        m = index.m
         if q.prefix_len == m:
             sublist = [q]
         else:
-            subs = query_split(q, q.prefix_len + 1, self.index.bounds, m)
-            if len(subs) == 1:
-                sublist = subs
-            else:
-                n1 = self._next_hop(node, subs[0].prefix_key)
-                n2 = self._next_hop(node, subs[1].prefix_key)
-                # Same next hop for both halves: deliver unsplit (line 8-9).
-                sublist = [q] if n1 is n2 else subs
+            sublist = query_split(q, q.prefix_len + 1, index.bounds, m)
+        # each subquery's next hop, decided once and reused by the grouping loop
+        rotation = index.rotation
+        next_hop = node.next_hop
+        nexts = [next_hop(rotate(sq.prefix_key, rotation, m)) for sq in sublist]
+        if len(sublist) == 2 and nexts[0] is nexts[1]:
+            # Same next hop for both halves: deliver unsplit (line 8-9); the
+            # lower half kept q's prefix key, so q goes that way too.
+            sublist = [q]
+            del nexts[1]
         if len(sublist) > 1:
             if self._m_splits is not None:
                 self._m_splits.inc(self._proto_label)
@@ -368,8 +372,7 @@ class QueryProtocol(Protocol):
         try:
             routing_groups: dict[Any, list[RangeQuery]] = {}
             refine_groups: dict[Any, list[RangeQuery]] = {}
-            for sq in sublist:
-                n = self._next_hop(node, sq.prefix_key)
+            for sq, n in zip(sublist, nexts):
                 if n is node:
                     # This node is the predecessor of the prefix key; the
                     # owner is its successor — the surrogate (lines 16-17).
@@ -377,9 +380,9 @@ class QueryProtocol(Protocol):
                 else:
                     routing_groups.setdefault(n, []).append(sq)
             for dest, sqs in routing_groups.items():
-                self._send(node, dest, "routing", sqs, hops)
+                self._send(node, dest, _ROUTING, sqs, hops)
             for dest, sqs in refine_groups.items():
-                self._send(node, dest, "refine", sqs, hops)
+                self._send(node, dest, _REFINE, sqs, hops)
         finally:
             if recorder is not None:
                 recorder.pop()
@@ -388,29 +391,22 @@ class QueryProtocol(Protocol):
 
     def _send(self, src: Any, dest: Any, kind: str,
               sqs: list[RangeQuery], hops: int) -> None:
-        """Bundle subqueries sharing a next hop into one message (§4.1 size model)."""
-        qid = sqs[0].qid
-        if dest is src:
-            # Local hand-off (single-node ring): no network message.
-            self._tracked_send(
-                src, dest, self._open_bundle, dest, kind, sqs, hops,
-                kind=f"query:{kind}", size=0, qid=qid,
-            )
-            return
-        size = query_message_size(len(sqs), self.index.k)
+        """Bundle subqueries sharing a next hop into one message (§4.1 size
+        model); ``kind`` is the message kind, ``_ROUTING`` or ``_REFINE``."""
+        # a local hand-off (single-node ring) is no message: no bytes, no hop
+        local = dest is src
         self._tracked_send(
-            src, dest, self._open_bundle, dest, kind, sqs, hops + 1,
-            kind=f"query:{kind}", size=size, qid=qid,
+            src, dest, self._open_bundle, dest, kind, sqs, hops if local else hops + 1,
+            kind=kind, qid=sqs[0].qid,
+            size=0 if local else query_message_size(len(sqs), self.index.k),
         )
 
     def _open_bundle(self, dest: Any, kind: str,
                      sqs: list[RangeQuery], hops: int) -> None:
         """Unpack an arrived bundle (liveness already checked by transport)."""
+        step = self._query_routing if kind == _ROUTING else self._surrogate_refine
         for sq in sqs:
-            if kind == "routing":
-                self._query_routing(dest, sq, hops)
-            else:
-                self._surrogate_refine(dest, sq, hops)
+            step(dest, sq, hops)
 
     # -- Algorithm 5: SurrogateRefine ----------------------------------------------
 
@@ -466,17 +462,8 @@ class QueryProtocol(Protocol):
         for sib_prefix, depth, lows, highs in walk_siblings(
             eff, q.prefix_len, rect.lows, rect.highs, self.index.bounds, m
         ):
-            sq = RangeQuery(
-                rect=Rect(lows, highs),
-                prefix_key=sib_prefix,
-                prefix_len=depth,
-                qid=q.qid,
-                source=q.source,
-                index_name=q.index_name,
-                payload=q.payload,
-                radius=q.radius,
-            )
-            self._query_routing(node, sq, hops)
+            # lows/highs are fresh np.maximum / np.minimum outputs
+            self._query_routing(node, q._child(lows, highs, sib_prefix, depth), hops)
 
     def _surrogate_refine_literal(self, node: Any, q: RangeQuery, hops: int) -> None:
         m = self.index.m
@@ -513,7 +500,8 @@ class QueryProtocol(Protocol):
         if self._m_solves is not None:
             self._m_solves.inc(self._proto_label)
             self._h_hops.observe(hops, self._proto_label)
-        self.engine.mark_resolving(q.qid)
+        if st.state != RESOLVING:  # the engine mirrors its state into st
+            self.engine.mark_resolving(q.qid)
         entries: list[ResultEntry] = []
         shard = self.index.shards.get(node)
         if shard is not None and len(shard):
@@ -530,7 +518,8 @@ class QueryProtocol(Protocol):
                     object_ids = object_ids[nearest]
                     dists = dists[nearest]
                 entries = [
-                    ResultEntry(int(oid), float(d)) for oid, d in zip(object_ids, dists)
+                    ResultEntry(oid, d)
+                    for oid, d in zip(object_ids.tolist(), dists.tolist())
                 ]
         recorder = self.recorder
         if recorder is not None:
@@ -541,32 +530,37 @@ class QueryProtocol(Protocol):
         # a node with no matching entry still sends its (20-byte) reply: the
         # *maximum latency* metric is only observable that way
         try:
-            self._reply(node, q, entries)
+            self._reply(node, q, entries, st)
         finally:
             if recorder is not None:
                 recorder.pop()
 
-    def _reply(self, node: Any, q: RangeQuery, entries: list[ResultEntry]) -> None:
+    def _reply(self, node: Any, q: RangeQuery, entries: list[ResultEntry],
+               st: Any) -> None:
         msg = ResultMessage(q.qid, entries, from_node=node.id)
-        if q.source is node:
+        source = q.source
+        if source is node:
             # a local reply costs no bytes but is still one "result" leaf in
             # the span tree — span counts must match QueryStats.result_messages
-            self._arrive_result(q.qid, msg, local=True)
+            self._arrive_result(st, msg, 0)
             return
-        self.note_traffic(node, q.source)
+        if self.maintenance is not None:
+            self.note_traffic(node, source)
         # result bytes are charged on arrival (a dropped or duplicated reply
         # must not count), hence record=False here
+        size = msg.size
         self._tracked_send(
-            node, q.source, self._arrive_result, q.qid, msg,
-            kind="result", size=msg.size, qid=q.qid, record=False,
+            node, source, self._arrive_result, st, msg, size,
+            kind="result", size=size, qid=q.qid, record=False,
         )
 
-    def _arrive_result(self, qid: int, msg: ResultMessage, local: bool = False) -> None:
-        size = 0 if local else msg.size
-        self.stats.for_query(qid).record_result_message(size, self.sim.now)
+    def _arrive_result(self, st: Any, msg: ResultMessage, size: int) -> None:
+        """A reply reached the querying node: bill it to the query's record
+        ``st`` and hand over its rows.  Only a local reply has ``size`` 0."""
+        st.record_result_message(size, self.sim.now)
         if self.recorder is not None:
             self.recorder.event(
-                qid, "result", node=msg.from_node,
-                results=len(msg.entries), size=size, local=local,
+                msg.qid, "result", node=msg.from_node,
+                results=len(msg.entries), size=size, local=size == 0,
             )
-        self.engine.add_entries(qid, msg.entries)
+        self.engine.add_entries(msg.qid, msg.entries)

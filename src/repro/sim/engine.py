@@ -113,6 +113,8 @@ class Simulator:
         #: Tombstones fold too: cancellation may not perturb the digest.
         self.digest_enabled: bool = False
         self._digest: int = 0
+        #: set by :meth:`stop`; the innermost :meth:`run` returns on seeing it
+        self._stopping: bool = False
 
     @property
     def schedule_digest(self) -> int:
@@ -168,21 +170,31 @@ class Simulator:
         """Number of events still queued (tombstones included)."""
         return len(self._queue)
 
+    def stop(self) -> None:
+        """Make the innermost :meth:`run` return once the event in progress
+        has finished (``asyncio``'s ``loop.stop()``); the rest stays queued.
+        A call outside any run is forgotten when the next one starts."""
+        self._stopping = True
+
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Drain the queue, advancing :attr:`now`.
 
         ``until`` stops before any event later than the given time (that
-        event stays queued); ``max_events`` caps the number of events popped
-        (a runaway-protocol guard used by the tests).  Tombstones count
-        toward both the cap and :attr:`events_processed` so replay under a
-        cap truncates at exactly the same point as the recording.
+        event stays queued); :meth:`stop`, called from an event, ends the run
+        after that event.  ``max_events`` caps the number of events popped:
+        the tests' runaway-protocol guard, which nothing in ``src/`` passes.
+        Tombstones count toward both the cap and :attr:`events_processed` so
+        replay under a cap truncates at exactly the same point as the recording.
         """
         queue = self._queue
         pop = heapq.heappop
         crc32 = zlib.crc32
         pack = struct.pack
         executed = 0
+        self._stopping = False
         while queue:
+            if max_events is not None and executed >= max_events:
+                break
             entry = queue[0]
             time = entry[0]
             if until is not None and time > until:
@@ -210,7 +222,8 @@ class Simulator:
                         self._cancelled_pending -= 1
             self.events_processed += 1
             executed += 1
-            if max_events is not None and executed >= max_events:
+            if self._stopping:
+                self._stopping = False
                 break
         if until is not None and (not queue or queue[0][0] > until):
             self.now = max(self.now, until)

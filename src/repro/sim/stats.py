@@ -19,6 +19,7 @@ The paper's evaluation metrics:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 

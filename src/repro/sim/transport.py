@@ -182,6 +182,8 @@ class MessageAccounting:
         #: the logs of two runs to prove the fault streams were consumed
         #: identically (see :mod:`repro.check.replay`).
         self.draw_log: list[tuple[str, float]] | None = None
+        #: :func:`traffic_class` of every message kind sent so far
+        self._class_of: dict[str, str] = {}
         self._partition_of: dict[int, int] = {}
         for gi, group in enumerate(self.faults.partitions):
             for host in group:
@@ -222,15 +224,18 @@ class MessageAccounting:
         return self._partition_of.get(a_host, -1) != self._partition_of.get(b_host, -1)
 
     def _account_send(self, kind: str, size: int) -> None:
-        self.stats.sent += 1
-        cls = traffic_class(kind)
+        stats = self.stats
+        stats.sent += 1
+        cls = self._class_of.get(kind)
+        if cls is None:
+            cls = self._class_of[kind] = traffic_class(kind)
         if cls == "query":
-            self.stats.query_bytes += size
+            stats.query_bytes += size
         elif cls == "result":
-            self.stats.result_bytes += size
+            stats.result_bytes += size
         else:
-            self.stats.maintenance_bytes += size
-            self.stats.maintenance_messages += 1
+            stats.maintenance_bytes += size
+            stats.maintenance_messages += 1
         if self._m_sent is not None:
             proto = kind.split(":", 1)[0]
             self._m_sent.inc((proto,))
@@ -328,14 +333,6 @@ class Transport(MessageAccounting):
         """Like :meth:`at`, returning a cancelable :class:`TimerHandle`."""
         return self.sim.schedule_cancelable_at(time, fn, *args)
 
-    # -- network model ---------------------------------------------------------
-
-    def delay(self, src_host: int, dst_host: int) -> float:
-        """One-way network delay between two hosts (0 without a model)."""
-        if self.latency is None:
-            return 0.0
-        return self.latency.latency(src_host, dst_host)
-
     # -- delivery --------------------------------------------------------------
 
     def send(
@@ -357,19 +354,27 @@ class Transport(MessageAccounting):
         immediate, never faulted, but still liveness-checked at delivery.
         """
         self._account_send(kind, size)
-        if src is dst:
-            delay = 0.0
-        else:
-            if self._faulted(src.host, dst.host, kind, on_drop):
+        sim = self.sim
+        now = due = sim.now
+        if src is not dst:
+            faults = self.faults
+            src_host = src.host
+            dst_host = dst.host
+            # gate only when a fault is configured: partition, then one loss draw
+            if (self._partition_of or faults.loss_rate) and self._faulted(
+                    src_host, dst_host, kind, on_drop):
                 return False
-            delay = self.delay(src.host, dst.host)
-            if self.faults.jitter:
-                j = float(self._jitter_rng.exponential(self.faults.jitter))
+            latency = self.latency
+            delay = latency.latency(src_host, dst_host) if latency is not None else 0.0
+            if faults.jitter:
+                j = float(self._jitter_rng.exponential(faults.jitter))
                 if self.draw_log is not None:
                     self.draw_log.append(("jitter", j))
                 delay += j
-        self.sim.schedule_in(
-            delay, self._deliver, dst, handler, args, kind, self.sim.now, on_drop)
+            if delay < 0:
+                raise ValueError(f"negative delay {delay}")
+            due = now + delay
+        sim.schedule_at(due, self._deliver, dst, handler, args, kind, now, on_drop)
         return True
 
     def _deliver(self, dst: Peer, handler: Callable[..., None],
@@ -378,7 +383,10 @@ class Transport(MessageAccounting):
         if not getattr(dst, "alive", True):
             self._drop(kind, DROPPED_DEAD, on_drop)
             return
-        self._account_delivery(kind, self.sim.now - sent_at)
+        self.stats.delivered += 1
+        if self._m_delivered is not None:
+            self._m_delivered.inc((kind.split(":", 1)[0],))
+            self._m_latency.observe(self.sim.now - sent_at)
         handler(*args)
 
     def control(self, src: Peer, dst: Peer, kind: str = "maintenance",

@@ -1,0 +1,93 @@
+"""A deterministic gate on the event simulator's per-message Python cost.
+
+A timing cannot gate on a shared CI runner; a count of Python ``call`` events
+(``sys.setprofile``) repeats exactly for a fixed workload and moves whenever a
+function call is added to — or taken off — the send → deliver → settle path.
+
+Readings, calls ÷ (query + result messages), on the workload below:
+
+* parent ``ef21743`` (per-message ``transmit`` / ``on_drop`` closures, one
+  ``Simulator.run`` per event, subqueries re-validated): 62.56 (67,499 / 1,079)
+* this change: 42.60 (45,969 / 1,079)
+"""
+
+import sys
+from functools import partial
+
+import numpy as np
+
+from repro.core.lifecycle import RetryPolicy
+from repro.core.platform import IndexPlatform
+from repro.core.routing import QueryProtocol
+from repro.datasets.queries import QueryWorkload
+from repro.datasets.synthetic import generate_clustered, paper_table1_config
+from repro.dht.ring import ChordRing
+from repro.metric.vector import EuclideanMetric
+from repro.sim.king import king_latency_model
+
+#: the measured reading + 10 %
+CALLS_PER_MESSAGE_BUDGET = 46.9
+
+
+def _platform():
+    rng = np.random.default_rng(17)
+    cfg = paper_table1_config(2000)
+    data, _ = generate_clustered(cfg, rng)
+    latency = king_latency_model(n_hosts=64, seed=rng)
+    ring = ChordRing.build(64, m=64, seed=rng, latency=latency, pns=True,
+                           successor_list_len=16)
+    platform = IndexPlatform(ring, latency=latency)  # obs=None
+    platform.create_index(
+        "t", data, EuclideanMetric(box=(cfg.low, cfg.high), dim=cfg.dim), k=10,
+        selection="greedy", sample_size=500, seed=rng)
+    workload = QueryWorkload.build(
+        data[:16], 0.05 * cfg.max_distance, n_nodes=64, mean_interarrival=0.01,
+        seed=rng)
+    return platform, workload
+
+
+def test_python_calls_per_message_stay_within_budget():
+    platform, workload = _platform()
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        stats = platform.run_workload(
+            "t", workload, policy=RetryPolicy(deadline=500.0), top_k=10**6)
+    finally:
+        sys.setprofile(None)
+    assert stats.state_counts() == {"complete": 16}
+    messages = sum(
+        q.query_messages + q.result_messages for q in stats.queries.values())
+    assert messages > 500  # a fan-out workload, not a handful of hops
+    per_message = calls / messages
+    print(f"calls={calls} messages={messages} calls/message={per_message:.2f}")
+    assert per_message <= CALLS_PER_MESSAGE_BUDGET
+
+
+def test_an_open_branch_carries_its_message_not_a_closure():
+    platform, workload = _platform()
+    engine = platform.lifecycle(RetryPolicy(max_retries=2, rto=50.0))
+    proto, _ = platform.protocol("t", engine=engine)
+    index = platform.indexes["t"]
+    query = index.make_queries(workload.points[:1], workload.radii[:1], qids=[0])[0]
+    fut = proto.issue(query, platform.ring.nodes()[0])
+    branches = list(engine.records[0].branches.values())
+    assert branches and not fut.done()
+    for br in branches:
+        assert br.send.__self__ is proto
+        assert br.send.__func__ is QueryProtocol._transmit
+        assert type(br.msg) is tuple
+        src, dst, fn, args, kind, size, charged, parent_span, qid = br.msg
+        assert qid == 0 and parent_span is None and kind.startswith("query:")
+    # the drop hook handed to the transport is a partial of one bound method
+    queued = [e[3] for e in platform.sim._queue if e[2] is not None]
+    hooks = [args[-1] for args in queued if isinstance(args[-1], partial)]
+    assert hooks and all(h.func.__self__ is proto for h in hooks)
+    engine.run_until_complete([fut])
+    assert fut.state == "complete"
