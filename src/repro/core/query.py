@@ -1,4 +1,4 @@
-"""Range-query objects and query splitting (paper §3.3, Algorithm 4).
+"""Range-query objects and the decisions of Algorithms 3-5 (paper §3.3).
 
 A near-neighbour query ``(q, r)`` in the metric space becomes the range query
 over the hypercube of side ``2r`` centred at the query's index point, clipped
@@ -10,20 +10,48 @@ completely holds its region; routing progressively extends the prefix.
 dimension ``j = (p-1) mod k`` from the prefix bits, computes the midpoint,
 and either advances the query wholly into one half (extending the prefix by
 one bit) or splits it into two subqueries, one per half.
+
+Beside it live the other decisions a node takes from local state alone, with
+no simulator, socket or span in sight — each driver moves the messages and
+keeps its own books:
+
+* :func:`query_routing` — Algorithm 3: split one level deeper, rotate, ask the
+  node's table for each half's next hop, keep the query whole when both halves
+  leave by the same link;
+* :func:`surrogate_refine` / :func:`surrogate_refine_literal` — Algorithm 5 in
+  its ``fixed`` and ``literal`` mode: in execution order, the key range to
+  solve locally and the subqueries to route on;
+* :class:`OwnerWalk` — Algorithm 5 driven from the coordinator: which key to
+  ask the ring about next, given the arc each owner proved.
+
+The event simulator (:class:`repro.core.routing.QueryProtocol`) executes the
+first three and the live node (:meth:`repro.net.node.NodeProcess.range_query`)
+the last; ``tests/test_bare_ring.py`` drives all of them over sorted id lists.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.core.index_space import IndexSpaceBounds
-from repro.core.lph import dimension_range, smallest_enclosing_prefix
-from repro.util.bits import set_bit_at
+from repro.core.lph import (
+    dimension_range,
+    first_key_meeting,
+    next_key_meeting,
+    smallest_enclosing_prefix,
+    walk_siblings,
+)
+from repro.dht.idspace import cw_distance, in_interval_open_closed, rotate
+from repro.util.bits import first_zero_bit, prefix_of, same_prefix, set_bit_at
 
-__all__ = ["Rect", "RangeQuery", "QidAllocator", "query_split"]
+__all__ = [
+    "Rect", "RangeQuery", "QidAllocator", "query_split", "claimed_range",
+    "query_routing", "surrogate_refine", "surrogate_refine_literal", "OwnerWalk",
+]
 
 
 class QidAllocator:
@@ -222,3 +250,170 @@ def query_split(
         q._child(upper_lows, highs.copy(), set_bit_at(key, p, m), p),
         q._child(lows.copy(), lower_highs, key, p),
     ]
+
+
+def claimed_range(q: RangeQuery, m: int) -> tuple[int, int]:
+    """The key interval of the cuboid a subquery claims."""
+    return q.prefix_key, q.prefix_key + (1 << (m - q.prefix_len)) - 1
+
+
+def query_routing(
+    node: Any,
+    q: RangeQuery,
+    bounds: IndexSpaceBounds,
+    rotation: int,
+    m: int,
+) -> tuple[list[RangeQuery], list[Any]]:
+    """Algorithm 3 (QueryRouting): what ``node`` does with ``q``, from local state.
+
+    ``node`` is a *node view* — ``id``, ``successor`` and ``next_hop(ring_key)``,
+    the closest table entry strictly preceding a ring position or the view
+    itself when it knows none (:meth:`repro.dht.node.ChordNode.next_hop`; a
+    finger row of a ``CompactChordRing`` slot serves as well).  The query is
+    split one level deeper (Algorithm 4) and each half's prefix key rotated
+    (§3.4) and looked up; two halves that would leave by the same link travel
+    on unsplit (lines 8-9: the lower half kept ``q``'s prefix key, so ``q``
+    goes that way too).  Returns the subqueries and, aligned, their next
+    hops.  A next hop that *is* ``node`` means the node is the predecessor of
+    that prefix key: its ``successor`` owns the key and is the surrogate that
+    refines the subquery (lines 16-17).
+    """
+    if q.prefix_len == m:
+        sublist = [q]
+    else:
+        sublist = query_split(q, q.prefix_len + 1, bounds, m)
+    next_hop = node.next_hop
+    nexts = [next_hop(rotate(sq.prefix_key, rotation, m)) for sq in sublist]
+    if len(sublist) == 2 and nexts[0] is nexts[1]:
+        sublist = [q]
+        del nexts[1]
+    return sublist, nexts
+
+
+def surrogate_refine(
+    q: RangeQuery,
+    eff: int,
+    bounds: IndexSpaceBounds,
+    m: int,
+) -> Iterator[tuple[RangeQuery, tuple[int, int] | None]]:
+    """Algorithm 5 (SurrogateRefine), ``fixed`` mode, at the owner of ``q``'s prefix key.
+
+    ``eff`` is the node's *effective* identifier, ``unrotate(node.id)``.
+    Yields ``(subquery, key_range)`` steps in execution order: ``(key_lo,
+    key_hi)`` is a key range to answer from local storage against the
+    subquery's rectangle, ``None`` a subquery to route on from this node
+    (:func:`query_routing`).  The local solve comes first and always exists:
+    the whole claimed range when ``eff`` lies beyond the claimed cuboid (the
+    ownership interval swallows it), else ``[prefix_key, eff]`` — and then the
+    keys in ``(eff, key_hi]`` decompose into the sibling cuboid at each zero
+    bit of ``eff``, the prefixes the printed recursion forwards, each
+    intersected with the rectangle (:func:`~repro.core.lph.walk_siblings`;
+    with no zero bit ``eff`` is the cuboid's last key and nothing travels).
+    """
+    key_lo, key_hi = claimed_range(q, m)
+    if not same_prefix(q.prefix_key, eff, q.prefix_len, m):
+        yield q, (key_lo, key_hi)
+        return
+    yield q, (key_lo, eff)
+    rect = q.rect
+    for sib_prefix, depth, lows, highs in walk_siblings(
+            eff, q.prefix_len, rect.lows, rect.highs, bounds, m):
+        # lows/highs are fresh np.maximum / np.minimum outputs
+        yield q._child(lows, highs, sib_prefix, depth), None
+
+
+def surrogate_refine_literal(
+    q: RangeQuery,
+    eff: int,
+    bounds: IndexSpaceBounds,
+    m: int,
+) -> Iterator[tuple[RangeQuery, tuple[int, int] | None]]:
+    """Algorithm 5 exactly as printed; the steps of :func:`surrogate_refine`.
+
+    Re-prefixing ``q`` with the node's 1-bits (line 10) can drop the slivers
+    of a rectangle that still straddles a partition plane between
+    ``prefix_len + 1`` and the first zero bit (DESIGN.md §4b); kept for the
+    fidelity ablation.
+    """
+    if not same_prefix(q.prefix_key, eff, q.prefix_len, m):
+        yield q, claimed_range(q, m)  # lines 1-3
+        return
+    j = first_zero_bit(eff, q.prefix_len + 1, m)
+    if j is None:
+        yield q, claimed_range(q, m)  # lines 6-8
+        return
+    nq = q.copy()
+    nq.prefix_key = prefix_of(eff, j - 1, m)  # line 10
+    nq.prefix_len = j - 1  # line 11
+    for sq in query_split(nq, j, bounds, m):  # line 12
+        if same_prefix(sq.prefix_key, eff, sq.prefix_len, m):
+            yield from surrogate_refine_literal(sq, eff, bounds, m)  # line 15
+        else:
+            yield sq, None  # line 17
+
+
+class OwnerWalk:
+    """Algorithm 5 driven from the coordinator: which key to ask about next.
+
+    Inside the rectangle's smallest enclosing cuboid, :attr:`key_lo` is the
+    smallest key not yet answered for whose leaf cuboid meets the rectangle
+    (``None`` once everything is covered) and :attr:`key_hi` the cuboid's
+    last key.  The driver finds the owner of :attr:`ring_key`, has it solve
+    ``[key_lo, key_hi]`` on its shard, and tells the walk the ``(pred, id]``
+    arc that owner proved (:meth:`answered`): the solve covered the keys up to
+    the owner's id, so ``key_lo`` jumps to the next key beyond it that can
+    hold a match.  Only owners of such keys are asked, in key order, and no
+    key range is passed over without an owner that vouched for it — the same
+    places :func:`surrogate_refine` solves at, found without forwarding.
+    """
+
+    def __init__(self, lows: np.ndarray, highs: np.ndarray,
+                 bounds: IndexSpaceBounds, rotation: int, m: int) -> None:
+        prefix_key, prefix_len = smallest_enclosing_prefix(lows, highs, bounds, m)
+        self.key_hi = prefix_key + (1 << (m - prefix_len)) - 1
+        self.key_lo: int | None = first_key_meeting(prefix_key, prefix_len, lows, bounds, m)
+        self._prefix_len = prefix_len
+        self._lows, self._highs = lows, highs
+        self._bounds = bounds
+        self._rotation = rotation
+        self._m = m
+        self._first_arc: tuple[int, int] | None = None
+
+    @property
+    def ring_key(self) -> int:
+        """Ring position of :attr:`key_lo`: its owner is the node to ask."""
+        assert self.key_lo is not None, "the walk is over"
+        return rotate(self.key_lo, self._rotation, self._m)
+
+    def answered(self, pred_id: int, owner_id: int) -> None:
+        """The owner of :attr:`ring_key` solved ``[key_lo, key_hi]`` and
+        proved the arc ``(pred_id, owner_id]``; advance :attr:`key_lo`.
+
+        The arc decides how much of the key range counts as answered, and it
+        comes from outside: unless both ids are ints in ``[0, 2**m)`` and the
+        arc holds the position asked about, ``ValueError`` (a stale, buggy or
+        hostile owner must not end the walk early).
+        """
+        m = self._m
+        cur = self.key_lo
+        assert cur is not None, "the walk is over"
+        rot = rotate(cur, self._rotation, m)
+        if not (type(pred_id) is int and type(owner_id) is int
+                and 0 <= pred_id < 1 << m and 0 <= owner_id < 1 << m
+                and in_interval_open_closed(rot, pred_id, owner_id, m)):
+            raise ValueError(
+                f"arc ({pred_id!r}, {owner_id!r}] does not hold ring position {rot}")
+        if self._first_arc is None:
+            self._first_arc = pred_id, owner_id
+        covered = cw_distance(rot, owner_id, m)
+        if covered >= self.key_hi - cur:
+            self.key_lo = None
+            return
+        nxt = next_key_meeting(
+            cur + covered, self._prefix_len, self._lows, self._highs, self._bounds, m)
+        if nxt is not None and in_interval_open_closed(
+                rotate(nxt, self._rotation, m), *self._first_arc, m):
+            # a cuboid spanning the ring ends where it began: in the arc of
+            # the first owner, whose solve already ran up to key_hi
+            nxt = None
+        self.key_lo = nxt

@@ -1,19 +1,25 @@
 """Distributed range-query resolving and routing (paper §3.3, Algorithms 3 & 5).
 
-``QueryProtocol`` drives queries through the simulated Chord overlay:
+``QueryProtocol`` is the event-simulator driver of the algorithms: the
+decisions themselves are the sans-IO functions of :mod:`repro.core.query`,
+and this module moves the messages they call for through the simulated Chord
+overlay and keeps the books (spans, metrics, checker callbacks, lifecycle
+branches, local solves and replies):
 
-* **QueryRouting** (Algorithm 3) runs at every node on the propagation path:
-  split the query one partition level deeper (Algorithm 4 via
-  :func:`repro.core.query.query_split`); if both halves would take the same
-  DHT link, keep the query whole — "a query splits into multiple subqueries
-  only when these subqueries need to take different ways on the distributed
-  embedded tree".  Subqueries whose ``next_hop`` is the current node have
-  reached the predecessor of their prefix key and are handed to the
-  *surrogate* (the successor, i.e. the key's owner) for refinement.
+* **QueryRouting** (Algorithm 3, :func:`repro.core.query.query_routing`) runs
+  at every node on the propagation path: split the query one partition level
+  deeper (Algorithm 4); if both halves would take the same DHT link, keep the
+  query whole — "a query splits into multiple subqueries only when these
+  subqueries need to take different ways on the distributed embedded tree".
+  Subqueries whose ``next_hop`` is the current node have reached the
+  predecessor of their prefix key and are handed to the *surrogate* (the
+  successor, i.e. the key's owner) for refinement.  Subqueries that share a
+  destination travel in one message.
 
-* **SurrogateRefine** (Algorithm 5) runs at owner nodes: answer the part of
-  the query the node's ownership interval covers from local storage, carve
-  out the remainder and re-route it.
+* **SurrogateRefine** (Algorithm 5, :func:`repro.core.query.surrogate_refine`
+  / :func:`~repro.core.query.surrogate_refine_literal`) runs at owner nodes:
+  answer the part of the query the node's ownership interval covers from
+  local storage, carve out the remainder and re-route it.
 
 All network delivery — latency lookup, liveness checks, drop accounting and
 fault injection — goes through the shared
@@ -64,12 +70,17 @@ from typing import Any
 import numpy as np
 
 from repro.core.lifecycle import RESOLVING, LifecycleEngine, QueryFuture
-from repro.core.lph import walk_siblings
-from repro.core.query import RangeQuery, query_split
-from repro.dht.idspace import rotate, unrotate
+from repro.core.query import (
+    RangeQuery,
+    claimed_range,
+    query_routing,
+    surrogate_refine,
+    surrogate_refine_literal,
+)
+from repro.dht.idspace import unrotate
 from repro.sim.messages import ResultEntry, ResultMessage, query_message_size
 from repro.sim.transport import Protocol
-from repro.util.bits import first_zero_bit, prefix_of, same_prefix, set_bit_at
+from repro.util.bits import first_zero_bit, prefix_of, set_bit_at
 
 __all__ = ["QueryProtocol"]
 
@@ -342,20 +353,7 @@ class QueryProtocol(Protocol):
 
     def _query_routing(self, node: Any, q: RangeQuery, hops: int) -> None:
         index = self.index
-        m = index.m
-        if q.prefix_len == m:
-            sublist = [q]
-        else:
-            sublist = query_split(q, q.prefix_len + 1, index.bounds, m)
-        # each subquery's next hop, decided once and reused by the grouping loop
-        rotation = index.rotation
-        next_hop = node.next_hop
-        nexts = [next_hop(rotate(sq.prefix_key, rotation, m)) for sq in sublist]
-        if len(sublist) == 2 and nexts[0] is nexts[1]:
-            # Same next hop for both halves: deliver unsplit (line 8-9); the
-            # lower half kept q's prefix key, so q goes that way too.
-            sublist = [q]
-            del nexts[1]
+        sublist, nexts = query_routing(node, q, index.bounds, index.rotation, index.m)
         if len(sublist) > 1:
             if self._m_splits is not None:
                 self._m_splits.inc(self._proto_label)
@@ -432,58 +430,35 @@ class QueryProtocol(Protocol):
 
     def _claimed_range(self, q: RangeQuery) -> tuple[int, int]:
         """The key interval of the cuboid a subquery claims."""
-        span = 1 << (self.index.m - q.prefix_len)
-        return q.prefix_key, q.prefix_key + span - 1
+        return claimed_range(q, self.index.m)
 
     def _surrogate_refine_fixed(self, node: Any, q: RangeQuery, hops: int) -> None:
-        m = self.index.m
-        eff = unrotate(node.id, self.index.rotation, m)
-        key_lo, key_hi = self._claimed_range(q)
-        if not same_prefix(q.prefix_key, eff, q.prefix_len, m):
-            # The node's identifier lies beyond the claimed cuboid, so its
-            # ownership interval swallows the whole claimed key range.
+        index = self.index
+        m = index.m
+        eff = unrotate(node.id, index.rotation, m)
+        for sq, keys in surrogate_refine(q, eff, index.bounds, m):
+            if keys is None:
+                self._query_routing(node, sq, hops)
+                continue
             if self.checker is not None:
-                self.checker.on_refine(q, eff, key_lo, key_hi, [])
-            self._solve_local(node, q, hops, key_lo, key_hi)
-            return
-        # Keys in (eff, key_hi] decompose into the canonical sibling cuboids
-        # at each zero bit of eff — the prefixes Algorithm 5 forwards.  (No
-        # zero bit: eff is the maximal key of the cuboid, full coverage.)
-        if self.checker is not None:
-            siblings: list[tuple[int, int]] = []
-            jj = first_zero_bit(eff, q.prefix_len + 1, m)
-            while jj is not None:
-                siblings.append((set_bit_at(prefix_of(eff, jj - 1, m), jj, m), jj))
-                jj = first_zero_bit(eff, jj + 1, m)
-            self.checker.on_refine(q, eff, key_lo, eff, siblings)
-        # The node owns [key_lo, eff]; answer that slice of the rectangle.
-        self._solve_local(node, q, hops, key_lo, eff)
-        rect = q.rect
-        for sib_prefix, depth, lows, highs in walk_siblings(
-            eff, q.prefix_len, rect.lows, rect.highs, self.index.bounds, m
-        ):
-            # lows/highs are fresh np.maximum / np.minimum outputs
-            self._query_routing(node, q._child(lows, highs, sib_prefix, depth), hops)
+                # the sibling at each zero bit of eff below the prefix, from
+                # bits alone (nothing when the node answers the whole claim)
+                siblings: list[tuple[int, int]] = []
+                jj = first_zero_bit(eff, q.prefix_len + 1, m) if keys[1] == eff else None
+                while jj is not None:
+                    siblings.append((set_bit_at(prefix_of(eff, jj - 1, m), jj, m), jj))
+                    jj = first_zero_bit(eff, jj + 1, m)
+                self.checker.on_refine(q, eff, *keys, siblings)
+            self._solve_local(node, sq, hops, *keys)
 
     def _surrogate_refine_literal(self, node: Any, q: RangeQuery, hops: int) -> None:
-        m = self.index.m
-        eff = unrotate(node.id, self.index.rotation, m)
-        key_lo, key_hi = self._claimed_range(q)
-        if not same_prefix(q.prefix_key, eff, q.prefix_len, m):
-            self._solve_local(node, q, hops, key_lo, key_hi)  # lines 1-3
-            return
-        j = first_zero_bit(eff, q.prefix_len + 1, m)
-        if j is None:
-            self._solve_local(node, q, hops, key_lo, key_hi)  # lines 6-8
-            return
-        nq = q.copy()
-        nq.prefix_key = prefix_of(eff, j - 1, m)  # line 10
-        nq.prefix_len = j - 1  # line 11
-        for sq in query_split(nq, j, self.index.bounds, m):  # line 12
-            if same_prefix(sq.prefix_key, eff, sq.prefix_len, m):
-                self._surrogate_refine_literal(node, sq, hops)  # line 15
+        index = self.index
+        eff = unrotate(node.id, index.rotation, index.m)
+        for sq, keys in surrogate_refine_literal(q, eff, index.bounds, index.m):
+            if keys is None:
+                self._query_routing(node, sq, hops)
             else:
-                self._query_routing(node, sq, hops)  # line 17
+                self._solve_local(node, sq, hops, *keys)
 
     # -- local resolution ------------------------------------------------------------
 

@@ -7,7 +7,9 @@ for all three drivers (``ChordRing``, ``CompactChordRing``, the live
 
 * **rotation** (§3.4) — :func:`rotate` / :func:`unrotate` / :func:`rotate_keys`
   shift an index's keys by its offset ``φ``, modulo ``2**m``;
-* **ownership** — :func:`owner_slot` / :func:`owner_slots` find the first id
+* **ownership** — :func:`in_interval_open_closed` (one key) and
+  :func:`keys_in_interval_open_closed` (an array) test ``(pred, id]``,
+  :func:`owner_slot` / :func:`owner_slots` find the first id
   ``>= key`` cyclically, :func:`slots_between` the members of a cyclic id
   interval, :func:`finger_slots` the owner of every ``id + 2**i``;
 * **the lookup step** (footnote 4) — :func:`closest_preceding` picks "the one
@@ -30,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "cw_distance", "in_interval_open", "in_interval_open_closed", "in_interval_closed_open",
+    "keys_in_interval_open_closed",
     "rotate", "unrotate", "rotate_keys",
     "owner_slot", "owner_slots", "slots_between", "finger_slots",
     "closest_preceding", "lookup_step",
@@ -57,6 +60,17 @@ def in_interval_open(x: int, a: int, b: int, m: int) -> bool:
 def in_interval_open_closed(x: int, a: int, b: int, m: int) -> bool:
     """``x ∈ (a, b]`` on the ring (ownership interval: successor owns it)."""
     return (cw_distance(a, x, m) or 1 << m) <= (cw_distance(a, b, m) or 1 << m)
+
+
+def keys_in_interval_open_closed(xs: np.ndarray, a: int, b: int, m: int) -> np.ndarray:
+    """:func:`in_interval_open_closed` over a ``uint64`` array of ring keys
+    in ``[0, 2**m)`` (``m <= 64``): a boolean mask.  Decided as the closed
+    interval ``[a + 1, b]``, whose length less one always fits ``m`` bits —
+    the full ring ``(a, a]`` included, where ``2**m`` itself would not."""
+    mask = (1 << m) - 1
+    first = (a + 1) & mask
+    ahead = (np.asarray(xs, dtype=np.uint64) - np.uint64(first)) & np.uint64(mask)
+    return ahead <= np.uint64((b - first) & mask)
 
 
 def in_interval_closed_open(x: int, a: int, b: int, m: int) -> bool:

@@ -8,9 +8,10 @@ test or :class:`~repro.net.cluster.LocalCluster`, or as an OS process via
   ``(pred, self]`` intervals, the rotation, the lookup step and the owner of
   each key of a batch are the functions the simulator's rings call, so
   lookups and placement agree with the simulated ring by construction;
-* index hashing and local solving — :mod:`repro.core.lph` and
-  :meth:`repro.core.storage.Shard.range_search` (the exact code path the
-  simulator's query protocol executes per node);
+* which key to ask about next and local solving —
+  :class:`repro.core.query.OwnerWalk` (Algorithm 5's descent, the one the
+  simulator's refinement runs) and :meth:`repro.core.storage.Shard.range_search`
+  (the exact code path the simulator's query protocol executes per node);
 * durability — :class:`repro.core.storage.PersistentShard`: every accepted
   insert batch is WAL-logged before it is acknowledged, and overlay state
   (successor list, predecessor) is checkpointed to ``meta.json``, so a
@@ -42,13 +43,14 @@ from typing import Any, TypeGuard
 import numpy as np
 
 from repro.core.index_space import IndexSpaceBounds
-from repro.core.lph import first_key_meeting, next_key_meeting, smallest_enclosing_prefix
+from repro.core.query import OwnerWalk
 from repro.core.storage import PersistentShard, group_by_owner
 from repro.dht.hashing import node_id, rotation_offset
 from repro.dht.idspace import (
     cw_distance,
     in_interval_open,
     in_interval_open_closed,
+    keys_in_interval_open_closed,
     lookup_step,
     owner_slots,
     rotate,
@@ -397,7 +399,10 @@ class NodeProcess:
 
         Returns the number of entries durably accepted.  Placement uses a
         ring snapshot: correct whenever stabilisation has converged, which
-        the cluster demo and tests await first.
+        the cluster demo and tests await first.  An owner refuses a batch
+        holding a key outside its arc (the snapshot was stale), and that
+        :class:`RpcError`, naming the count, ends the call: batches placed
+        before it stay placed.
         """
         ring = await self.ring_snapshot()
         keys = np.asarray(keys, dtype=np.uint64)
@@ -419,41 +424,29 @@ class NodeProcess:
     async def range_query(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Distributed range query: object ids of entries inside the rect.
 
-        SurrogateRefine ("fixed" mode) run by the coordinator: inside the
-        smallest enclosing cuboid, ``cur`` is the smallest key not yet
-        answered for whose leaf cuboid meets the rectangle.  Its owner — which
-        checks that it is the owner — solves ``[cur, key_hi]`` on its shard
-        and so covers the keys up to its own id; ``cur`` then jumps to the
-        next key beyond that id that can hold a match.  Only owners of such
-        keys are visited, in key order, and no key range is passed over
-        without an owner that vouched for it.
+        SurrogateRefine ("fixed" mode) run by the coordinator.  Which key to
+        ask about next is :class:`~repro.core.query.OwnerWalk`'s decision;
+        this loop moves the messages: it finds the owner of that key — which
+        checks that it is the owner — has it solve ``[key_lo, key_hi]`` on its
+        shard, and reports the arc the owner proved.  An arc that does not
+        hold the position asked about is an :class:`RpcError`, never a
+        shorter walk.
         """
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)
-        m = self.m
-        prefix_key, prefix_len = smallest_enclosing_prefix(lows, highs, self.bounds, m)
-        key_hi = prefix_key + (1 << (m - prefix_len)) - 1
+        walk = OwnerWalk(lows, highs, self.bounds, self.rotation, self.m)
         local = self._known_links()
         links = local
-        first_arc: tuple[int, int] | None = None
         collected: list[np.ndarray] = []
-        cur: int | None = first_key_meeting(prefix_key, prefix_len, lows, self.bounds, m)
-        while cur is not None:
-            rot = rotate(cur, self.rotation, m)
-            if first_arc is not None and in_interval_open_closed(rot, *first_arc, m):
-                # a cuboid spanning the ring ends where it began: in the arc
-                # of the first owner, whose solve already ran up to key_hi
-                break
-            reply = await self._solve_at_owner(rot, links, {
-                "lows": lows, "highs": highs, "key_lo": cur, "key_hi": key_hi})
+        while walk.key_lo is not None:
+            reply = await self._solve_at_owner(walk.ring_key, links, {
+                "lows": lows, "highs": highs, "key_lo": walk.key_lo, "key_hi": walk.key_hi})
             collected.append(reply["ids"])
-            pred_id, owner_id = (int(x) for x in reply["arc"])
-            if first_arc is None:
-                first_arc = pred_id, owner_id
-            covered = cw_distance(rot, owner_id, m)
-            if covered >= key_hi - cur:
-                break
-            cur = next_key_meeting(cur + covered, prefix_len, lows, highs, self.bounds, m)
+            try:
+                pred_id, owner_id = reply["arc"]
+                walk.answered(pred_id, owner_id)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RpcError(f"range_solve for key {walk.key_lo}: bad arc: {exc}") from exc
             links = [[{"id": owner_id}, *self._entries(reply["successors"])], *local]
         if not collected:
             return np.empty(0, dtype=np.int64)
@@ -549,7 +542,21 @@ class NodeProcess:
         return self._lookup_step(int(payload["target"]))
 
     def _rpc_insert(self, payload: Any, src: dict[str, Any]) -> Any:
-        keys = payload["keys"]
+        """Store a batch — as the owner of every key in it only.
+
+        A later query asks the owner of a key for it, so an entry accepted
+        anywhere else (placed off a stale :meth:`ring_snapshot`) would be
+        silently missing from every answer: unless each rotated key lies in
+        the arc :meth:`_arc` proves, the whole batch is refused — nothing
+        logged, nothing added.
+        """
+        keys = np.asarray(payload["keys"], dtype=np.uint64)
+        foreign = len(keys) - int(np.count_nonzero(keys_in_interval_open_closed(
+            rotate_keys(keys, self.rotation, self.m), *self._arc(), self.m)))
+        if foreign:
+            raise RpcError(
+                f"node {self.config.name}: insert refused, {foreign} of {len(keys)} "
+                f"keys outside its arc")
         seq = self.shard.add(keys, payload["points"], payload["ids"])
         return {"accepted": int(len(keys)), "seq": int(seq)}
 

@@ -26,6 +26,7 @@ from repro.dht.idspace import (
     finger_slots,
     in_interval_closed_open,
     in_interval_open_closed,
+    keys_in_interval_open_closed,
     lookup_step,
     owner_slot,
     owner_slots,
@@ -93,6 +94,20 @@ def test_owner_slots_is_owner_slot_per_key(m):
         got = owner_slots(np.asarray(ids, dtype=np.uint64), np.asarray(keys, dtype=np.uint64))
         assert got.tolist() == [owner_slot(ids, key) for key in keys]
         assert got.dtype == np.int64
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, *BIG_M])
+def test_keys_in_interval_open_closed_is_the_scalar_predicate_per_key(m):
+    """Every arc a ring has (a node alone included: ``(a, a]`` is the full
+    ring, which at ``m = 64`` is one more than ``uint64`` holds)."""
+    for ids in rings(m)[-6:]:
+        keys = keys_for(ids, m)
+        for s in range(len(ids)):
+            got = keys_in_interval_open_closed(
+                np.asarray(keys, dtype=np.uint64), ids[s - 1], ids[s], m)
+            assert got.dtype == np.bool_
+            assert got.tolist() == [
+                in_interval_open_closed(key, ids[s - 1], ids[s], m) for key in keys]
 
 
 @pytest.mark.parametrize("m", [2, 5, 8, *BIG_M])

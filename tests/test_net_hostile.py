@@ -2,9 +2,11 @@
 
 Frames and envelopes are covered by ``test_net_codec`` / ``test_net_transport``;
 here the bytes decode and the *payload* is wrong: a reply or a ``notify`` that
-is no ring entry, and every RPC kind fed shapes its handler does not expect.
-The node answers with a structured :class:`RpcError`, keeps its stabilise task,
-its shard and its ring, and goes on answering exactly.
+is no ring entry, every RPC kind fed shapes its handler does not expect, an
+owner that reports an arc it was not asked about, and a batch placed on a node
+that does not own its keys.  The node answers with a structured
+:class:`RpcError`, keeps its stabilise task, its shard and its ring, and goes
+on answering exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 from repro.net.cluster import ClusterClient
 from repro.net.node import NodeConfig, NodeProcess
 from repro.net.transport import RpcError, RpcTimeout, TcpTransport
-from tests.test_net_query import Ring
+from tests.test_net_query import SIZE, K, Ring
 
 pytestmark = pytest.mark.timeout(60)
 
@@ -166,3 +168,98 @@ def test_hostile_payload_is_answered_and_changes_nothing(pair, kind, shape):
     lows, highs = np.array([100.0, 0.0]), np.array([900.0, 1000.0])
     got = pair.run(pair.client.query(pair.nodes[1].addr, lows, highs))
     assert np.sort(got).tolist() == pair.brute_force(lows, highs).tolist()
+
+
+# -- ownership is proved at both ends, never taken on trust --------------------------
+
+
+@pytest.fixture(scope="module")
+def trio():
+    """A frozen 3-node ring; the tests below leave it as they found it."""
+    ring = Ring(3, n_points=200, seed=4)
+    yield ring
+    ring.close()
+
+
+def _state(ring: Ring) -> list[tuple[int, int, int]]:
+    return [(n.shard.digest(), n.shard.wal_records, len(n.shard.shard)) for n in ring.nodes]
+
+
+@pytest.mark.parametrize("arc", [
+    lambda rot: [(rot - 2) % SIZE, (rot - 1) % SIZE],
+    lambda rot: [(rot - 1) % SIZE, rot, rot],
+    lambda rot: [str((rot - 1) % SIZE), str(rot)],
+    lambda rot: None,
+], ids=["far-farther", "three-ids", "strings", "none"])
+def test_an_arc_that_does_not_hold_the_position_asked_is_an_rpc_error(trio, arc):
+    """The coordinator counts keys as answered up to the id the owner reports:
+    an owner reporting an arc it was not asked about used to end the walk
+    early, with a silently short answer."""
+    def liar(node):
+        def range_solve(payload, src):
+            rot = (int(payload["key_lo"]) + node.rotation) % SIZE
+            return {"ids": np.empty(0, dtype=np.int64), "arc": arc(rot), "successors": []}
+        return range_solve
+
+    whole = (np.zeros(K), np.full(K, 1000.0))
+    assert len(trio.brute_force(*whole)) == 200
+    for node in trio.nodes:
+        node.transport.register_rpc("range_solve", liar(node))
+    try:
+        for node in trio.nodes:
+            with pytest.raises(RpcError, match="bad arc"):
+                trio.query(node, *whole)
+        with pytest.raises(RpcError, match="bad arc"):
+            trio.run(trio.client.query(trio.cluster.addrs[0], *whole))
+    finally:
+        for node in trio.nodes:
+            node.transport.register_rpc("range_solve", node._rpc_range_solve)
+    assert trio.query(trio.nodes[0], *whole).tolist() == trio.brute_force(*whole).tolist()
+
+
+def test_insert_refuses_a_batch_holding_one_foreign_key(trio):
+    node = trio.nodes[0]
+    own = (node.id - node.rotation) % SIZE
+    foreign = (node.predecessor["id"] - node.rotation) % SIZE  # the predecessor's own id
+    before = _state(trio)
+    payload = {"keys": np.array([own, foreign, own], dtype=np.uint64),
+               "points": np.full((3, K), 5.0), "ids": np.array([9001, 9002, 9003])}
+    with pytest.raises(RpcError, match="1 of 3 keys outside its arc"):
+        trio.run(trio.client.transport.rpc(node.addr, "insert", payload))
+    assert _state(trio) == before
+
+
+def test_insert_with_no_predecessor_on_a_ring_of_several_is_refused(trio):
+    node = trio.nodes[1]
+    own = (node.id - node.rotation) % SIZE
+    payload = {"keys": np.array([own], dtype=np.uint64),
+               "points": np.full((1, K), 5.0), "ids": np.array([9001])}
+    before = _state(trio)
+    pred, node.predecessor = node.predecessor, None
+    try:
+        with pytest.raises(RpcError, match="predecessor unknown"):
+            trio.run(trio.client.transport.rpc(node.addr, "insert", payload))
+    finally:
+        node.predecessor = pred
+    assert _state(trio) == before
+
+
+def test_route_insert_off_a_stale_snapshot_names_the_refused_count(trio, monkeypatch):
+    """A coordinator whose snapshot misses a member places that member's keys
+    on its successor — which refuses them instead of hiding them from every
+    later query."""
+    coordinator, missing = trio.nodes[0], trio.nodes[2]
+
+    async def stale_snapshot():
+        return sorted((n.entry() for n in trio.nodes if n is not missing),
+                      key=lambda e: e["id"])
+
+    monkeypatch.setattr(coordinator, "ring_snapshot", stale_snapshot)
+    key = (missing.id - missing.rotation) % SIZE
+    batch = (np.array([key, key], dtype=np.uint64), np.full((2, K), 5.0), np.array([9001, 9002]))
+    before = _state(trio)
+    with pytest.raises(RpcError, match="2 of 2 keys outside its arc"):
+        trio.run(coordinator.route_insert(*batch))
+    with pytest.raises(RpcError, match="2 of 2 keys outside its arc"):
+        trio.run(trio.client.insert(coordinator.addr, *batch))
+    assert _state(trio) == before

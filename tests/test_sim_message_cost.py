@@ -8,7 +8,10 @@ Readings, calls ÷ (query + result messages), on the workload below:
 
 * parent ``ef21743`` (per-message ``transmit`` / ``on_drop`` closures, one
   ``Simulator.run`` per event, subqueries re-validated): 62.56 (67,499 / 1,079)
-* this change: 42.60 (45,969 / 1,079)
+* PR 23: 42.60 (45,969 / 1,079)
+* PR 24 (the decisions of Algorithms 3-5 called in ``core/query.py``: one call
+  per routing step, one generator resume per refine step): 44.20
+  (47,692 / 1,079)
 """
 
 import sys
