@@ -29,14 +29,18 @@ fingers and successor list, and an iterative
 yet it is the successor-list walk, and exact either way).
 A range query is SurrogateRefine driven from the coordinator
 (:meth:`NodeProcess.range_query`): it walks only the owners whose cuboids meet
-the rectangle, each of which proves its ownership before it answers.
-:meth:`NodeProcess.ring_snapshot` serves batch placement and ops only —
-docs/deployment.md has the RPC surface and the ownership contract.
+the rectangle, each of which proves its ownership before it answers.  What
+the owners prove, the coordinator remembers in a bounded *ring view* of hints
+(:class:`_RingView`), so a warm walk needs no lookup and batch placement no
+ring walk; :meth:`NodeProcess.ring_snapshot` refills it when it does not tile
+the ring, and serves ops — docs/deployment.md has the RPC surface and the
+ownership contract.
 """
 
 from __future__ import annotations
 
 import asyncio
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Any, TypeGuard
 
@@ -52,6 +56,7 @@ from repro.dht.idspace import (
     in_interval_open_closed,
     keys_in_interval_open_closed,
     lookup_step,
+    owner_slot,
     owner_slots,
     rotate,
     rotate_keys,
@@ -59,11 +64,19 @@ from repro.dht.idspace import (
 from repro.net.transport import RpcError, RpcTimeout, TcpTransport
 from repro.sim.transport import FaultConfig
 
-__all__ = ["NodeConfig", "NodeProcess", "MAX_ROUTE_HOPS"]
+__all__ = ["NodeConfig", "NodeProcess", "MAX_ROUTE_HOPS", "RING_VIEW_CAP"]
 
 #: routing-loop guard: a lookup, successor walk or chain of predecessor
 #: pointers longer than this aborts loudly
 MAX_ROUTE_HOPS = 512
+
+#: most owners a ring view holds; learning one more clears it (a hint lost
+#: costs a lookup or a snapshot, never an answer)
+RING_VIEW_CAP = 4096
+
+#: what an owner's refusal of an ``insert`` batch says; ``route_insert``
+#: re-places a refused batch once, and nothing after any other error
+_INSERT_REFUSED = "insert refused"
 
 
 def _is_ring_entry(value: Any, m: int) -> TypeGuard[dict[str, Any]]:
@@ -72,6 +85,74 @@ def _is_ring_entry(value: Any, m: int) -> TypeGuard[dict[str, Any]]:
     it enters node state."""
     return (isinstance(value, dict) and type(value.get("id")) is int
             and 0 <= value["id"] < 1 << m and isinstance(value.get("addr"), str))
+
+
+class _RingView:
+    """The arcs a node has learned of its ring: hints, never proof.
+
+    ``arcs`` maps an owner's id to ``(pred id, entry)`` — the arc ``(pred,
+    id]`` it proved in a ``range_solve`` reply (:meth:`prove`), or that a
+    successor list or a ring snapshot implies (:meth:`fill`) — and ``ids``
+    holds the same ids sorted, so :func:`~repro.dht.idspace.owner_slot` finds
+    the candidate owner of a ring position in O(log n).  The node asked still
+    decides by its own predecessor: a stale arc costs a ``not_owner`` detour
+    or a refused ``insert``, never an answer.
+    """
+
+    def __init__(self, m: int) -> None:
+        self.m = m
+        self.arcs: dict[int, tuple[int, dict[str, Any]]] = {}
+        self.ids: list[int] = []
+
+    def _put(self, pred_id: int, entry: dict[str, Any]) -> None:
+        if entry["id"] not in self.arcs:
+            if len(self.ids) >= RING_VIEW_CAP:
+                self.clear()
+            insort(self.ids, entry["id"])
+        self.arcs[entry["id"]] = pred_id, entry
+
+    def prove(self, pred_id: int, entry: dict[str, Any]) -> None:
+        """``entry`` proved its arc ``(pred_id, id]``: that replaces what the
+        view held for the id, and ids held inside the arc are forgotten (the
+        owner says no node is there)."""
+        self._put(pred_id, entry)
+        ids, owner_id = self.ids, entry["id"]
+        i = bisect_left(ids, owner_id)
+        while len(ids) > 1 and in_interval_open(ids[i - 1], pred_id, owner_id, self.m):
+            del self.arcs[ids.pop(i - 1)]  # i == 0: the last id, before it cyclically
+            i = max(i - 1, 0)
+
+    def fill(self, chain: list[dict[str, Any]]) -> None:
+        """Each entry of ``chain`` follows the one before it, as some node
+        last saw the ring: the arcs of ids the view does not hold yet.  A
+        successor list may lag behind a join, so it overrides nothing."""
+        for a, b in zip(chain, chain[1:]):
+            if b["id"] not in self.arcs:
+                self._put(a["id"], b)
+
+    def owner(self, ring_key: int) -> dict[str, Any] | None:
+        """The entry whose arc holds ``ring_key``, if the view has one."""
+        if not self.ids:
+            return None
+        owner_id = self.ids[owner_slot(self.ids, ring_key)]
+        pred_id, entry = self.arcs[owner_id]
+        return entry if in_interval_open_closed(ring_key, pred_id, owner_id, self.m) else None
+
+    def tiling(self) -> list[dict[str, Any]] | None:
+        """The owners in id order when each arc begins where the one before
+        it ends — the whole ring, gap-free — else ``None``."""
+        ids = self.ids
+        if not ids or any(self.arcs[b][0] != a for a, b in zip([ids[-1], *ids], ids)):
+            return None
+        return [self.arcs[i][1] for i in ids]
+
+    def forget(self, addr: str) -> None:
+        self.arcs = {i: arc for i, arc in self.arcs.items() if arc[1]["addr"] != addr}
+        self.ids = [i for i in self.ids if i in self.arcs]
+
+    def clear(self) -> None:
+        self.arcs.clear()
+        self.ids.clear()
 
 
 @dataclass
@@ -126,6 +207,8 @@ class NodeProcess:
         #: finger ``i`` is the owner of ``id + 2**i``; only starts beyond the
         #: successor are held (see :meth:`_fix_finger`)
         self.fingers: dict[int, dict[str, Any]] = {}
+        #: the arcs owners proved to this node as coordinator (hints only)
+        self.ring_view = _RingView(config.m)
         self._next_finger = 0
         self._stabilize_task: asyncio.Task[None] | None = None
         self._running = False
@@ -280,9 +363,10 @@ class NodeProcess:
 
     def _drop_peer(self, dead: dict[str, Any]) -> None:
         """Failure detector fired: forget the peer as successor (the next live
-        one is promoted) and as finger."""
+        one is promoted), as finger and in the ring view."""
         self.successors = [e for e in self.successors if e["addr"] != dead["addr"]]
         self.fingers = {i: e for i, e in self.fingers.items() if e["addr"] != dead["addr"]}
+        self.ring_view.forget(dead["addr"])
         self._persist_overlay_state()
 
     async def _fix_finger(self) -> None:
@@ -365,7 +449,8 @@ class NodeProcess:
 
     async def ring_snapshot(self) -> list[dict[str, Any]]:
         """All live ring members, by walking successors from this node (O(n)
-        RPCs: batch placement and ops, never the query path)."""
+        RPCs: batch placement when the ring view does not tile the ring, and
+        ops — never the query path).  The members replace the ring view."""
         members = [self.entry()]
         seen = {self.addr}
         cur = self.successor
@@ -376,6 +461,8 @@ class NodeProcess:
             seen.add(cur["addr"])
             cur = self._entry(await self.transport.rpc(cur["addr"], "get_successor", None))
         members.sort(key=lambda e: int(e["id"]))
+        self.ring_view.clear()
+        self.ring_view.fill([members[-1], *members])
         return members
 
     def _arc(self) -> tuple[int, int]:
@@ -397,29 +484,54 @@ class NodeProcess:
                            object_ids: np.ndarray) -> int:
         """Place a batch on its owners (one ``insert`` RPC per owner).
 
-        Returns the number of entries durably accepted.  Placement uses a
-        ring snapshot: correct whenever stabilisation has converged, which
-        the cluster demo and tests await first.  An owner refuses a batch
-        holding a key outside its arc (the snapshot was stale), and that
-        :class:`RpcError`, naming the count, ends the call: batches placed
-        before it stay placed.
+        Returns the number of entries durably accepted.  Placement is
+        :func:`~repro.dht.idspace.owner_slots` over the ring view when its
+        arcs tile the ring, else over a :meth:`ring_snapshot`, which refills
+        the view.  Either is a hint: an owner refuses a batch holding a key
+        outside its arc.  Refused entries are placed once more, over a fresh
+        snapshot; a second refusal is the owner's :class:`RpcError`, naming
+        the count.  Any other error ends the call with nothing retried (an
+        ``insert`` that timed out may have been applied).  Batches placed
+        before an error stay placed.
         """
-        ring = await self.ring_snapshot()
-        keys = np.asarray(keys, dtype=np.uint64)
+        batch = (np.asarray(keys, dtype=np.uint64), np.asarray(points, dtype=np.float64),
+                 np.asarray(object_ids, dtype=np.int64))
+        ring = self.ring_view.tiling() or await self.ring_snapshot()
+        accepted, refused, refusal = await self._place(ring, *batch)
+        if refusal is not None:
+            more, _, refusal = await self._place(
+                await self.ring_snapshot(), *(a[refused] for a in batch))
+            accepted += more
+            if refusal is not None:
+                raise refusal
+        return accepted
+
+    async def _place(self, ring: list[dict[str, Any]], keys: np.ndarray, points: np.ndarray,
+                     object_ids: np.ndarray) -> tuple[int, np.ndarray, RpcError | None]:
+        """One ``insert`` per owner that ``ring`` (sorted entries) names:
+        the count accepted, the positions of the entries refused and the last
+        refusal.  An insert that times out is the failure detector firing."""
         owners = owner_slots(
             [int(e["id"]) for e in ring], rotate_keys(keys, self.rotation, self.m))
         order, offsets = group_by_owner(owners, len(ring))
-        accepted = 0
+        accepted, refused = 0, [order[:0]]
+        refusal: RpcError | None = None
         for s in np.flatnonzero(np.diff(offsets)):
             sel = order[offsets[s] : offsets[s + 1]]
-            payload = {
-                "keys": keys[sel],
-                "points": np.asarray(points, dtype=np.float64)[sel],
-                "ids": np.asarray(object_ids, dtype=np.int64)[sel],
-            }
-            reply = await self.transport.rpc(ring[s]["addr"], "insert", payload)
+            payload = {"keys": keys[sel], "points": points[sel], "ids": object_ids[sel]}
+            try:
+                reply = await self.transport.rpc(ring[s]["addr"], "insert", payload)
+            except RpcTimeout:
+                self._drop_peer(ring[s])
+                raise
+            except RpcError as exc:
+                if _INSERT_REFUSED not in str(exc):
+                    raise
+                refused.append(sel)
+                refusal = exc
+                continue
             accepted += int(reply["accepted"])
-        return accepted
+        return accepted, np.concatenate(refused), refusal
 
     async def range_query(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Distributed range query: object ids of entries inside the rect.
@@ -429,8 +541,10 @@ class NodeProcess:
         this loop moves the messages: it finds the owner of that key — which
         checks that it is the owner — has it solve ``[key_lo, key_hi]`` on its
         shard, and reports the arc the owner proved.  An arc that does not
-        hold the position asked about is an :class:`RpcError`, never a
-        shorter walk.
+        hold the position asked about, or ids that are not a 1-D signed
+        integer array, are an :class:`RpcError`, never a shorter or a
+        coerced answer.  The arc and the owner's successors go into the ring
+        view.
         """
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)
@@ -439,15 +553,23 @@ class NodeProcess:
         links = local
         collected: list[np.ndarray] = []
         while walk.key_lo is not None:
-            reply = await self._solve_at_owner(walk.ring_key, links, {
+            entry, reply = await self._solve_at_owner(walk.ring_key, links, {
                 "lows": lows, "highs": highs, "key_lo": walk.key_lo, "key_hi": walk.key_hi})
-            collected.append(reply["ids"])
+            ids = reply["ids"]
+            if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind == "i"):
+                raise RpcError(
+                    f"range_solve for key {walk.key_lo}: ids not a 1-D integer array: "
+                    f"{str(ids)[:80]}")
+            collected.append(ids)
             try:
                 pred_id, owner_id = reply["arc"]
                 walk.answered(pred_id, owner_id)
             except (KeyError, TypeError, ValueError) as exc:
                 raise RpcError(f"range_solve for key {walk.key_lo}: bad arc: {exc}") from exc
-            links = [[{"id": owner_id}, *self._entries(reply["successors"])], *local]
+            successors = self._entries(reply["successors"])
+            self.ring_view.prove(pred_id, {**entry, "id": owner_id})
+            self.ring_view.fill([{"id": owner_id}, *successors])
+            links = [[{"id": owner_id}, *successors], *local]
         if not collected:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(collected)).astype(np.int64)
@@ -462,17 +584,20 @@ class NodeProcess:
             [{"id": self.id + (1 << i) - 1}, e] for i, e in self.fingers.items())]
 
     async def _solve_at_owner(self, rot: int, links: list[list[dict[str, Any]]],
-                              payload: dict[str, Any]) -> dict[str, Any]:
-        """``range_solve`` at the owner of ring position ``rot``.
+                              payload: dict[str, Any]) -> tuple[dict[str, Any], dict[str, Any]]:
+        """``range_solve`` at the owner of ring position ``rot``: the entry
+        that answered, and its reply.
 
         ``links`` are chains of ring entries, each followed by its successor
         as some node last saw it: a link ``(a, b]`` holding ``rot`` names
-        ``b``.  That is a hint — the node asked decides by its own
-        predecessor — so a hint that times out is forgotten and the ring
-        asked instead (:meth:`find_successor`).
+        ``b``; when none does, the ring view may name an owner.  Either is a
+        hint — the node asked decides by its own predecessor — so a hint that
+        times out is forgotten and the ring asked instead
+        (:meth:`find_successor`).
         """
         hint = next((b for chain in links for a, b in zip(chain, chain[1:])
-                     if in_interval_open_closed(rot, int(a["id"]), int(b["id"]), self.m)), None)
+                     if in_interval_open_closed(rot, int(a["id"]), int(b["id"]), self.m)),
+                    None) or self.ring_view.owner(rot)
         if hint is not None:
             try:
                 return await self._solve_from(hint, payload)
@@ -481,15 +606,16 @@ class NodeProcess:
         return await self._solve_from(await self.find_successor(rot), payload)
 
     async def _solve_from(self, entry: dict[str, Any],
-                          payload: dict[str, Any]) -> dict[str, Any]:
+                          payload: dict[str, Any]) -> tuple[dict[str, Any], dict[str, Any]]:
         """``range_solve`` at ``entry``, then along predecessor pointers while
-        the node asked answers ``not_owner`` (a node joined before it)."""
+        the node asked answers ``not_owner`` (a node joined before it): the
+        entry that answered, and its reply."""
         for _ in range(MAX_ROUTE_HOPS):
             reply = await self.transport.rpc(entry["addr"], "range_solve", payload)
             if not isinstance(reply, dict):
                 raise RpcError(f"malformed range_solve reply: {str(reply)[:80]}")
             if "ids" in reply:
-                return reply
+                return entry, reply
             entry = self._entry(reply.get("predecessor"))
         raise RpcError(
             f"range_solve: no owner of key {payload['key_lo']} within "
@@ -545,7 +671,7 @@ class NodeProcess:
         """Store a batch — as the owner of every key in it only.
 
         A later query asks the owner of a key for it, so an entry accepted
-        anywhere else (placed off a stale :meth:`ring_snapshot`) would be
+        anywhere else (placed off a stale ring view or snapshot) would be
         silently missing from every answer: unless each rotated key lies in
         the arc :meth:`_arc` proves, the whole batch is refused — nothing
         logged, nothing added.
@@ -555,7 +681,7 @@ class NodeProcess:
             rotate_keys(keys, self.rotation, self.m), *self._arc(), self.m)))
         if foreign:
             raise RpcError(
-                f"node {self.config.name}: insert refused, {foreign} of {len(keys)} "
+                f"node {self.config.name}: {_INSERT_REFUSED}, {foreign} of {len(keys)} "
                 f"keys outside its arc")
         seq = self.shard.add(keys, payload["points"], payload["ids"])
         return {"accepted": int(len(keys)), "seq": int(seq)}

@@ -3,10 +3,10 @@
 Frames and envelopes are covered by ``test_net_codec`` / ``test_net_transport``;
 here the bytes decode and the *payload* is wrong: a reply or a ``notify`` that
 is no ring entry, every RPC kind fed shapes its handler does not expect, an
-owner that reports an arc it was not asked about, and a batch placed on a node
-that does not own its keys.  The node answers with a structured
-:class:`RpcError`, keeps its stabilise task, its shard and its ring, and goes
-on answering exactly.
+owner that reports an arc it was not asked about or ids that are no integer
+array, and a batch placed on a node that does not own its keys.  The node
+answers with a structured :class:`RpcError`, keeps its stabilise task, its
+shard and its ring, and goes on answering exactly.
 """
 
 from __future__ import annotations
@@ -217,6 +217,40 @@ def test_an_arc_that_does_not_hold_the_position_asked_is_an_rpc_error(trio, arc)
     assert trio.query(trio.nodes[0], *whole).tolist() == trio.brute_force(*whole).tolist()
 
 
+@pytest.mark.parametrize("ids", [
+    [1.5],
+    np.array([1.5]),
+    ["x"],
+    np.array([[1]], dtype=np.int64),
+    np.array([1], dtype=np.uint64),
+    np.int64(1),
+    None,
+], ids=["float-list", "float-array", "strings", "2-d", "unsigned", "scalar", "none"])
+def test_ids_that_are_not_a_1d_integer_array_are_an_rpc_error(trio, ids):
+    """The coordinator used to concatenate whatever an owner sent as ``ids``
+    and cast the lot to int64: ``[1.5]`` put object 1 in the answer without a
+    word, and strings escaped as a bare ``ValueError``."""
+    def liar(node):
+        def range_solve(payload, src):
+            reply = node._rpc_range_solve(payload, src)
+            return {**reply, "ids": ids} if "ids" in reply else reply
+        return range_solve
+
+    whole = (np.zeros(K), np.full(K, 1000.0))
+    for node in trio.nodes:
+        node.transport.register_rpc("range_solve", liar(node))
+    try:
+        for node in trio.nodes:
+            with pytest.raises(RpcError, match="ids not a 1-D integer array"):
+                trio.query(node, *whole)
+        with pytest.raises(RpcError, match="ids not a 1-D integer array"):
+            trio.run(trio.client.query(trio.cluster.addrs[0], *whole))
+    finally:
+        for node in trio.nodes:
+            node.transport.register_rpc("range_solve", node._rpc_range_solve)
+    assert trio.query(trio.nodes[0], *whole).tolist() == trio.brute_force(*whole).tolist()
+
+
 def test_insert_refuses_a_batch_holding_one_foreign_key(trio):
     node = trio.nodes[0]
     own = (node.id - node.rotation) % SIZE
@@ -245,21 +279,28 @@ def test_insert_with_no_predecessor_on_a_ring_of_several_is_refused(trio):
 
 
 def test_route_insert_off_a_stale_snapshot_names_the_refused_count(trio, monkeypatch):
-    """A coordinator whose snapshot misses a member places that member's keys
-    on its successor — which refuses them instead of hiding them from every
-    later query."""
+    """A coordinator whose ring view and snapshot both miss a member places
+    that member's keys on its successor — which refuses them, twice (once
+    off the view, once off the fresh snapshot), instead of hiding them from
+    every later query."""
     coordinator, missing = trio.nodes[0], trio.nodes[2]
+    stale = sorted((n.entry() for n in trio.nodes if n is not missing), key=lambda e: e["id"])
 
     async def stale_snapshot():
-        return sorted((n.entry() for n in trio.nodes if n is not missing),
-                      key=lambda e: e["id"])
+        return stale
 
     monkeypatch.setattr(coordinator, "ring_snapshot", stale_snapshot)
+    coordinator.ring_view.clear()
+    coordinator.ring_view.fill([stale[-1], *stale])
+    assert coordinator.ring_view.tiling() == stale
     key = (missing.id - missing.rotation) % SIZE
     batch = (np.array([key, key], dtype=np.uint64), np.full((2, K), 5.0), np.array([9001, 9002]))
     before = _state(trio)
-    with pytest.raises(RpcError, match="2 of 2 keys outside its arc"):
-        trio.run(coordinator.route_insert(*batch))
-    with pytest.raises(RpcError, match="2 of 2 keys outside its arc"):
-        trio.run(trio.client.insert(coordinator.addr, *batch))
+    try:
+        with pytest.raises(RpcError, match="2 of 2 keys outside its arc"):
+            trio.run(coordinator.route_insert(*batch))
+        with pytest.raises(RpcError, match="2 of 2 keys outside its arc"):
+            trio.run(trio.client.insert(coordinator.addr, *batch))
+    finally:
+        coordinator.ring_view.clear()
     assert _state(trio) == before

@@ -1,0 +1,312 @@
+"""The coordinator's ring view: what owners prove is remembered, never trusted.
+
+Every ``range_solve`` reply proves its owner's arc ``(pred, id]`` and names
+the owner's successors; ``NodeProcess.ring_view`` keeps them, and a
+``ring_snapshot`` refills it.  A warm coordinator therefore walks a query with
+no Chord lookup and places a batch with no ring walk — and when the view has
+gone stale (a node joined, a node died) the owners' own checks still make the
+answer exact: ``not_owner`` and predecessor pointers, a timeout and a lookup,
+a refused ``insert`` and one re-placement over a fresh snapshot.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.net.node as node_module
+from repro.core.lph import key_to_cuboid, lp_hash_batch
+from repro.dht.hashing import node_id, rotation_offset
+from repro.dht.idspace import keys_in_interval_open_closed, owner_slots, rotate_keys, unrotate
+from repro.net.node import NodeProcess, _RingView
+from repro.net.transport import RpcError, RpcTimeout, TcpTransport
+from tests.test_net_query import BOUNDS, SIZE, K, M, Ring
+
+pytestmark = pytest.mark.timeout(60)
+
+WHOLE = (np.zeros(K), np.full(K, 1000.0))
+
+
+@pytest.fixture
+def rpcs(monkeypatch):
+    """Every RPC of the process as ``(src_addr, dst_addr, kind, reply or RpcError)``."""
+    log: list[tuple] = []
+    original = TcpTransport.rpc
+
+    async def recording(self, dst_addr, kind, payload=None, **kw):
+        try:
+            reply = await original(self, dst_addr, kind, payload, **kw)
+        except RpcError as exc:
+            log.append((self.addr, dst_addr, kind, exc))
+            raise
+        log.append((self.addr, dst_addr, kind, reply))
+        return reply
+
+    monkeypatch.setattr(TcpTransport, "rpc", recording)
+    return log
+
+
+def _kinds(log: list[tuple]) -> list[str]:
+    return [rec[2] for rec in log]
+
+
+def _point_at(ring_key: int, rotation: int) -> np.ndarray:
+    """A point whose key lies at ring position ``ring_key``: the centre of
+    that key's leaf cuboid."""
+    key = unrotate(ring_key, rotation, M)
+    lo, hi = key_to_cuboid(key, BOUNDS, M)
+    point = (lo + hi) / 2.0
+    assert int(lp_hash_batch(point[None], BOUNDS, M)[0]) == key
+    return point
+
+
+def _add(ring: Ring, node: NodeProcess, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insert ``points`` under fresh ids through ``node``; returns ``(keys, ids)``."""
+    ids = np.arange(len(ring.ids), len(ring.ids) + len(points), dtype=np.int64) + 10_000
+    keys = lp_hash_batch(points, BOUNDS, M)
+    assert ring.run(node.route_insert(keys, points, ids)) == len(ids)
+    ring.points = np.vstack([ring.points, points])
+    ring.ids = np.concatenate([ring.ids, ids])
+    return keys, ids
+
+
+def _holders(ring: Ring, ids: np.ndarray) -> list[list[int]]:
+    """Per object id, the ids of the nodes whose shard holds it."""
+    held = [(n.id, set(n.shard.shard.object_ids.tolist())) for n in ring.nodes]
+    return [[nid for nid, oids in held if oid in oids] for oid in ids.tolist()]
+
+
+def _true_owners(ring: Ring, keys: np.ndarray) -> list[int]:
+    ring_ids = np.array(ring.ring_ids, dtype=np.uint64)
+    rotation = ring.nodes[0].rotation
+    return ring_ids[owner_slots(ring_ids, rotate_keys(keys, rotation, M))].tolist()
+
+
+# -- the view itself ---------------------------------------------------------------
+
+
+def _entry(i: int) -> dict:
+    return {"id": i, "addr": f"127.0.0.1:{i}"}
+
+
+def test_a_view_tiles_once_every_arc_meets_the_next():
+    view = _RingView(M)
+    a, b, c = _entry(10), _entry(20), _entry(30)
+    view.fill([a, b, c])
+    assert view.tiling() is None                      # nobody vouched for (30, 10]
+    assert view.owner(15) == b and view.owner(25) == c and view.owner(5) is None
+    view.fill([c, a])
+    assert view.tiling() == [a, b, c]
+    assert view.owner(5) == a and view.owner(SIZE - 1) == a
+    view.fill([_entry(15), b])                        # a successor list overrides nothing
+    assert view.arcs[20] == (10, b) and view.ids == [10, 20, 30]
+    view.forget(b["addr"])
+    assert view.ids == [10, 30] and view.tiling() is None and view.owner(15) is None
+
+
+def test_a_proved_arc_replaces_the_old_one_and_evicts_the_ids_inside_it():
+    view = _RingView(M)
+    view.fill([_entry(40), _entry(10), _entry(20), _entry(30), _entry(40)])
+    view.prove(10, _entry(30))                        # 20 left the ring
+    assert view.ids == [10, 30, 40] and view.tiling() is not None
+    view.prove(30, _entry(30))                        # a ring of one owns it all
+    assert view.ids == [30] and view.tiling() == [_entry(30)]
+    view.fill([_entry(30), _entry(5), _entry(7)])
+    view.fill([_entry(30), _entry(SIZE - 1)])
+    assert view.ids == [5, 7, 30, SIZE - 1]
+    view.prove(SIZE - 2, _entry(6))                   # wraps past 0: SIZE - 1 and 5 go
+    assert view.ids == [6, 7, 30] and view.arcs[6] == (SIZE - 2, _entry(6))
+
+
+def test_the_view_is_cleared_when_it_would_outgrow_its_cap(monkeypatch):
+    monkeypatch.setattr(node_module, "RING_VIEW_CAP", 4)
+    view = _RingView(M)
+    view.fill([_entry(i) for i in range(0, 50, 10)])
+    assert view.ids == [10, 20, 30, 40]
+    view.fill([_entry(40), _entry(50)])
+    assert view.ids == [50] and view.arcs == {50: (40, _entry(50))}
+    view.prove(50, _entry(50))
+    assert view.arcs == {50: (50, _entry(50))}
+
+
+# -- a warm coordinator: exact RPC counts ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def ring8():
+    r = Ring(8, n_points=400, seed=12)
+    yield r
+    r.close()
+
+
+def test_a_warm_coordinator_asks_no_lookup_and_walks_no_ring(ring8, rpcs):
+    x = ring8.nodes[3]
+    x.ring_view.clear()
+    assert ring8.query(x, *WHOLE).tolist() == ring8.brute_force(*WHOLE).tolist()
+    assert [e["id"] for e in x.ring_view.tiling()] == ring8.ring_ids
+    assert {e["addr"] for e in x.ring_view.tiling()} == set(ring8.cluster.addrs)
+
+    rng = np.random.default_rng(3)
+    del rpcs[:]
+    for _ in range(40):
+        centre, half = rng.uniform(0.0, 1000.0, size=K), rng.uniform(5.0, 300.0, size=K)
+        lows, highs = centre - half, centre + half
+        assert ring8.query(x, lows, highs).tolist() == ring8.brute_force(lows, highs).tolist()
+    assert set(_kinds(rpcs)) == {"range_solve"} and len(rpcs) >= 40
+
+    for warm in (False, True):
+        if not warm:
+            x.ring_view.clear()                       # the first placement walks the ring once
+        del rpcs[:]
+        keys, ids = _add(ring8, x, rng.uniform(0.0, 1000.0, size=(300, K)))
+        assert _kinds(rpcs).count("get_successor") == (0 if warm else len(ring8.nodes) - 1)
+        assert set(_kinds(rpcs)) <= {"get_successor", "insert"}
+        assert _holders(ring8, ids) == [[owner] for owner in _true_owners(ring8, keys)]
+    assert ring8.query(x, *WHOLE).tolist() == ring8.brute_force(*WHOLE).tolist()
+
+
+# -- a stale view stays exact ----------------------------------------------------------
+
+
+class Joined(Ring):
+    """Eight nodes; coordinators ``x`` (by a whole-space query) and ``y`` (by
+    a snapshot) learn them, then node-8 — ``j`` — joins between ``p`` and
+    ``s``, and stabilisation stops, so what each node knows stays put.  No
+    point is stored in ``j``'s arc before it joins (nothing hands entries over
+    on a join), and ``x``'s own links miss that arc."""
+
+    async def _boot(self, freeze: bool) -> None:
+        old = sorted(node_id(f"node-{i}", M) for i in range(8))
+        j_id = node_id("node-8", M)
+        p_id = max((i for i in old if i < j_id), default=old[-1])
+        ring_keys = rotate_keys(
+            lp_hash_batch(self.points, BOUNDS, M), rotation_offset("index", M), M)
+        keep = ~keys_in_interval_open_closed(ring_keys, p_id, j_id, M)
+        self.points, self.ids = self.points[keep], self.ids[keep]
+        await super()._boot(freeze=False)
+
+        by_id = {n.id: n for n in self.nodes}
+        new = sorted([*old, j_id])
+        at = new.index(j_id)
+        self.p, self.s = by_id[p_id], by_id[new[(at + 1) % 9]]
+        # x's successor list (4 long) and predecessor leave j's arc uncovered
+        self.x = by_id[new[(at + 3) % 9]]
+        self.y = next(n for n in self.nodes if n is not self.x)
+        await self.y.ring_snapshot()
+        await self.x.range_query(*WHOLE)
+        assert len(self.x.ring_view.tiling()) == 8 and len(self.y.ring_view.tiling()) == 8
+
+        self.j = NodeProcess(self.cluster._config(8, self.cluster.addrs[0]))
+        await self.j.start()
+        self.cluster.nodes.append(self.j)
+        assert await self.client.wait_converged(self.cluster.addrs, poll=0.02)
+        assert self.j.id == j_id and self.j.successor["addr"] == self.s.addr
+        for node in self.nodes:
+            node._stabilize_task.cancel()
+        self.x.fingers.clear()
+
+
+@pytest.fixture(scope="module")
+def joined():
+    r = Joined(8, n_points=300, seed=21)
+    yield r
+    r.close()
+
+
+def test_a_node_that_joined_is_reached_through_not_owner_and_learned(joined, rpcs):
+    r, x = joined, joined.x
+    assert x.ring_view.arcs[r.s.id][0] == r.p.id      # stale: s's arc still reaches p
+    point = _point_at(r.j.id, r.j.rotation)
+    _add(r, r.j, point[None])                         # j's view is cold: it snapshots
+    lows, highs = point - 1e-7, point + 1e-7
+    del rpcs[:]
+    assert r.query(x, lows, highs).tolist() == r.brute_force(lows, highs).tolist() != []
+    solves = [rec for rec in rpcs if rec[2] == "range_solve"]
+    assert [(rec[1], "not_owner" in rec[3]) for rec in solves] == [
+        (r.s.addr, True), (r.j.addr, False)]
+    assert "lookup_step" not in _kinds(rpcs)
+    assert x.ring_view.arcs[r.j.id][0] == r.p.id      # j proved its arc
+    assert x.ring_view.owner(r.j.id)["addr"] == r.j.addr
+    assert r.query(x, *WHOLE).tolist() == r.brute_force(*WHOLE).tolist()
+    assert x.ring_view.arcs[r.s.id][0] == r.j.id      # and s its narrower one
+    assert [e["id"] for e in x.ring_view.tiling()] == r.ring_ids
+
+
+def test_route_insert_off_a_stale_tiling_re_places_the_refused_entries(joined, rpcs):
+    r, y = joined, joined.y
+    assert r.j.id not in y.ring_view.arcs and y.ring_view.tiling() is not None
+    rng = np.random.default_rng(5)
+    span = (r.j.id - r.p.id) % SIZE
+    in_j = [_point_at((r.p.id + 1 + int(rng.integers(span))) % SIZE, y.rotation)
+            for _ in range(6)]
+    points = np.vstack([rng.uniform(0.0, 1000.0, size=(60, K)), *in_j])
+    del rpcs[:]
+    keys, ids = _add(r, y, points)                    # accepted == len(batch), or _add fails
+    kinds, walk = _kinds(rpcs), len(r.nodes) - 1
+    snap = kinds.index("get_successor")
+    assert kinds[snap : snap + walk] == ["get_successor"] * walk   # one fresh snapshot
+    first, second = rpcs[:snap], rpcs[snap + walk :]
+    # s, the owner of j's arc in the stale view, refuses once; the refused
+    # entries alone go out again, to j and to s
+    refusals = [rec for rec in first if isinstance(rec[3], RpcError)]
+    assert [rec[1] for rec in refusals] == [r.s.addr] and "insert refused" in str(refusals[0][3])
+    assert {rec[1] for rec in second} == {r.j.addr, r.s.addr}
+    assert set(_kinds(second)) == {"insert"}
+    assert not any(isinstance(rec[3], RpcError) for rec in second)
+    assert _holders(r, ids) == [[owner] for owner in _true_owners(r, keys)]
+    assert sum(owner == r.j.id for owner in _true_owners(r, keys)) >= len(in_j)
+    assert [e["id"] for e in y.ring_view.tiling()] == r.ring_ids
+    assert r.query(y, *WHOLE).tolist() == r.brute_force(*WHOLE).tolist()
+
+
+def test_a_node_the_view_names_is_stopped_and_forgotten(rpcs):
+    """A query that runs into the dead node falls back to a lookup; an
+    ``insert`` that does fails its ``route_insert`` (it may have been applied,
+    so nothing is retried), and the next one places off a fresh snapshot."""
+    r = Ring(8, n_points=300, seed=23, freeze=False)
+    try:
+        ids = r.ring_ids
+        by_id = {n.id: n for n in r.nodes}
+        at = ids.index(r.nodes[0].id)
+        # x and y hold the dead node as neither predecessor nor first
+        # successor, and stop stabilising: only what they are asked to do
+        # can tell them it died
+        x, y, dead = (by_id[ids[(at + d) % 8]] for d in (0, 2, 5))
+        r.run(x.range_query(*WHOLE))
+        r.run(y.ring_snapshot())
+        for node in (x, y):
+            assert dead.id in node.ring_view.arcs
+            node._stabilize_task.cancel()
+            node.fingers.clear()
+            node.transport.rpc_timeout = 0.3
+        lost = set(dead.shard.shard.object_ids.tolist())
+        r.run(r.cluster.stop_node(r.nodes.index(dead)))
+        r.cluster.nodes.remove(dead)
+        assert r.run(r.client.wait_converged(r.cluster.addrs, poll=0.02))
+
+        def surviving(lows, highs):
+            return [i for i in r.brute_force(lows, highs).tolist() if i not in lost]
+
+        # a query that starts in the dead node's arc asks it first, off the view
+        point = _point_at(dead.id, x.rotation)
+        lows, highs = point - 1e-7, point + 1e-7
+        del rpcs[:]
+        assert r.query(x, lows, highs).tolist() == surviving(lows, highs)
+        assert dead.id not in x.ring_view.arcs
+        assert all(e["addr"] != dead.addr for _, e in x.ring_view.arcs.values())
+        assert "lookup_step" in _kinds(rpcs)          # the timeout fell back to the ring
+
+        # a batch y's view places on the dead node alone
+        before = [n.shard.digest() for n in r.nodes]
+        with pytest.raises(RpcTimeout):
+            r.run(y.route_insert(lp_hash_batch(point[None], BOUNDS, M), point[None], [99_999]))
+        assert dead.id not in y.ring_view.arcs and y.ring_view.tiling() is None
+        assert [n.shard.digest() for n in r.nodes] == before
+        del rpcs[:]
+        _add(r, y, point[None])
+        assert _kinds(rpcs).count("get_successor") == len(r.nodes) - 1
+
+        assert lost and r.query(x, *WHOLE).tolist() == surviving(*WHOLE)
+        assert [e["id"] for e in x.ring_view.tiling()] == r.ring_ids
+    finally:
+        r.close()
