@@ -12,6 +12,8 @@ for all three drivers (``ChordRing``, ``CompactChordRing``, the live
   :func:`owner_slot` / :func:`owner_slots` find the first id
   ``>= key`` cyclically, :func:`slots_between` the members of a cyclic id
   interval, :func:`finger_slots` the owner of every ``id + 2**i``;
+* **adoption** — :func:`adopts_successor` / :func:`adopts_predecessor`, the
+  rules by which stabilise and notify move a node's ring pointers;
 * **the lookup step** (footnote 4) — :func:`closest_preceding` picks "the one
   from the routing table whose identifier is immediately before" a key, and
   :func:`lookup_step` ends the lookup at the successor when it owns the key.
@@ -32,7 +34,7 @@ import numpy as np
 
 __all__ = [
     "cw_distance", "in_interval_open", "in_interval_open_closed", "in_interval_closed_open",
-    "keys_in_interval_open_closed",
+    "keys_in_interval_open_closed", "adopts_successor", "adopts_predecessor",
     "rotate", "unrotate", "rotate_keys",
     "owner_slot", "owner_slots", "slots_between", "finger_slots",
     "closest_preceding", "lookup_step",
@@ -76,6 +78,22 @@ def keys_in_interval_open_closed(xs: np.ndarray, a: int, b: int, m: int) -> np.n
 def in_interval_closed_open(x: int, a: int, b: int, m: int) -> bool:
     """``x ∈ [a, b)`` on the ring (finger-candidate interval)."""
     return cw_distance(a, x, m) < (cw_distance(a, b, m) or 1 << m)
+
+
+# -- adoption rules (Chord's stabilize / notify) -------------------------------
+
+
+def adopts_successor(cand: int, self_id: int, succ_id: int, m: int) -> bool:
+    """Stabilise's rule: node ``self_id`` takes ``cand`` as its successor iff
+    ``cand ∈ (self, successor)`` — a node alone (``succ_id == self_id``)
+    takes anyone else."""
+    return in_interval_open(cand, self_id, succ_id, m)
+
+
+def adopts_predecessor(cand: int, self_id: int, pred_id: int | None, m: int) -> bool:
+    """Notify's rule: node ``self_id`` takes ``cand`` as its predecessor iff it
+    knows none or ``cand ∈ (predecessor, self)``."""
+    return pred_id is None or in_interval_open(cand, pred_id, self_id, m)
 
 
 # -- rotation (§3.4) -----------------------------------------------------------

@@ -22,11 +22,14 @@ successor-list repair) expressed as request/response RPCs instead of the
 simulator's shared-memory callback sends — the message *pattern* matches
 :mod:`repro.dht.stabilize`, but each step awaits a real network round trip
 and treats :class:`~repro.net.transport.RpcTimeout` as a failure detector.
-Routing is the paper's footnote-4 Chord table: a finger table refreshed one
-finger per stabilise round, :func:`~repro.dht.idspace.lookup_step` over
-fingers and successor list, and an iterative
-:meth:`NodeProcess.find_successor` whose hops are leaf RPCs (with no finger
-yet it is the successor-list walk, and exact either way).
+A joining node does not wait for the periodic rounds: it walks stabilise to
+its true successor, notifies it, and tells the node before it in one
+``splice`` RPC that it now follows it, so sequential joins leave a consistent
+ring.  Routing is the paper's footnote-4 Chord table: a finger table
+refreshed one finger per stabilise round,
+:func:`~repro.dht.idspace.lookup_step` over fingers and successor list, and
+an iterative :meth:`NodeProcess.find_successor` whose hops are leaf RPCs
+(with no finger yet it is the successor-list walk, and exact either way).
 A range query is SurrogateRefine driven from the coordinator
 (:meth:`NodeProcess.range_query`): it walks only the owners whose cuboids meet
 the rectangle, each of which proves its ownership before it answers.  What
@@ -51,6 +54,8 @@ from repro.core.query import OwnerWalk
 from repro.core.storage import PersistentShard, group_by_owner
 from repro.dht.hashing import node_id, rotation_offset
 from repro.dht.idspace import (
+    adopts_predecessor,
+    adopts_successor,
     cw_distance,
     in_interval_open,
     in_interval_open_closed,
@@ -67,7 +72,8 @@ from repro.sim.transport import FaultConfig
 __all__ = ["NodeConfig", "NodeProcess", "MAX_ROUTE_HOPS", "RING_VIEW_CAP"]
 
 #: routing-loop guard: a lookup, successor walk or chain of predecessor
-#: pointers longer than this aborts loudly
+#: pointers longer than this aborts loudly (a stabilise walk stops there and
+#: goes on from that node next round)
 MAX_ROUTE_HOPS = 512
 
 #: most owners a ring view holds; learning one more clears it (a hint lost
@@ -230,11 +236,16 @@ class NodeProcess:
     # -- lifecycle --------------------------------------------------------------
 
     async def start(self) -> str:
-        """Bind, recover persisted state, join the ring, start stabilising."""
+        """Bind, recover persisted state, join the ring, start stabilising.
+
+        The first stabilise round runs before this returns: it walks to the
+        true successor and splices this node in behind the node before it, so
+        sequential joins leave a consistent ring with no periodic round."""
         await self.transport.start(self.config.bind, self.config.port)
         self._register_rpcs()
         self._recover_overlay_state()
         await self._join()
+        await self._stabilize_round()
         self._running = True
         self._stabilize_task = asyncio.get_running_loop().create_task(
             self._stabilize_loop())
@@ -304,15 +315,16 @@ class NodeProcess:
     async def _stabilize_loop(self) -> None:
         interval = self.config.stabilize_interval
         while self._running:
-            try:
-                await self._stabilize_once()
-                await self._check_predecessor()
-                await self._fix_finger()
-            except asyncio.CancelledError:
-                raise
-            except (RpcError, OSError):  # transient; next round retries
-                pass
             await asyncio.sleep(interval)
+            await self._stabilize_round()
+
+    async def _stabilize_round(self) -> None:
+        try:
+            await self._stabilize_once()
+            await self._check_predecessor()
+            await self._fix_finger()
+        except (RpcError, OSError):  # transient; next round retries
+            pass
 
     async def _check_predecessor(self) -> None:
         """Clear a dead predecessor so its live one can re-notify us."""
@@ -326,6 +338,12 @@ class NodeProcess:
             self._drop_peer(pred)
 
     async def _stabilize_once(self) -> None:
+        """One Chord ``stabilize``, walked to a fixed point: while the
+        successor's predecessor lies in ``(self, successor)`` it is adopted
+        and asked in turn.  The successor is notified and its list merged.
+        When it named another node as predecessor — or none — this node
+        splices itself in behind that node (:meth:`_splice`).  On a stable
+        ring the successor names this node: a round sends what it always sent."""
         succ = self.successor
         if succ["addr"] == self.addr:
             # single-node ring: adopt anyone who notified us
@@ -333,33 +351,62 @@ class NodeProcess:
                 self.successors = [self.predecessor]
             return
         try:
-            pred = await self.transport.rpc(succ["addr"], "get_predecessor", None)
-        except RpcTimeout:
-            self._drop_peer(succ)
-            return
-        if (
-            pred is not None
-            and self._entry(pred)["addr"] != self.addr
-            and in_interval_open(pred["id"], self.id, int(succ["id"]), self.m)
-        ):
-            succ = pred
-            self.successors = [succ] + self.successors
-        try:
+            for _ in range(MAX_ROUTE_HOPS):
+                pred = await self.transport.rpc(succ["addr"], "get_predecessor", None)
+                if pred is None or not adopts_successor(
+                        self._entry(pred)["id"], self.id, int(succ["id"]), self.m):
+                    break
+                succ = pred
             await self.transport.rpc(succ["addr"], "notify", self.entry())
             succ_list = self._entries(
                 await self.transport.rpc(succ["addr"], "get_successor_list", None))
         except RpcTimeout:
             self._drop_peer(succ)
             return
-        chain = [succ] + [e for e in succ_list if e["addr"] != self.addr]
+        chain = [succ, *succ_list]
+        head = self.successor
+        if adopts_successor(int(head["id"]), self.id, int(succ["id"]), self.m):
+            chain.insert(0, head)  # a splice landed while this round awaited
+        self._set_successors(chain)
+        if pred is None or pred["id"] != self.id:
+            await self._splice(succ if pred is None else pred)
+        self._persist_overlay_state()
+
+    async def _splice(self, before: dict[str, Any]) -> None:
+        """Tell ``before`` — the node the successor named as its predecessor,
+        or the successor itself when it named none (it may be alone) — that
+        this node now follows it, in one leaf ``splice`` RPC.  Its answer is
+        its own entry when this node is now its successor, and is then taken
+        as predecessor under notify's rule."""
+        try:
+            reply = await self.transport.rpc(before["addr"], "splice", self.entry())
+        except RpcTimeout:
+            self._drop_peer(before)
+            return
+        if reply is not None:
+            self._adopt_predecessor(self._entry(reply))
+
+    def _set_successors(self, chain: list[dict[str, Any]]) -> None:
+        """The successor list: ``chain`` without this node and repeats, cut
+        to ``succ_list_len``."""
         deduped: list[dict[str, Any]] = []
-        seen: set[str] = set()
+        seen = {self.addr}
         for e in chain:
             if e["addr"] not in seen:
                 seen.add(e["addr"])
                 deduped.append(e)
         self.successors = deduped[: self.config.succ_list_len]
-        self._persist_overlay_state()
+
+    def _adopt_predecessor(self, cand: dict[str, Any]) -> bool:
+        """Notify's rule (:func:`~repro.dht.idspace.adopts_predecessor`): take
+        ``cand`` as predecessor if it is closer than the one held; whether it
+        was (the caller persists)."""
+        pred = self.predecessor
+        if not adopts_predecessor(
+                cand["id"], self.id, None if pred is None else int(pred["id"]), self.m):
+            return False
+        self.predecessor = dict(cand)
+        return True
 
     def _drop_peer(self, dead: dict[str, Any]) -> None:
         """Failure detector fired: forget the peer as successor (the next live
@@ -623,7 +670,7 @@ class NodeProcess:
 
     # -- RPC surface ------------------------------------------------------------
     # ``query`` and ``route_insert`` await other nodes and get a task each; the
-    # other ten are leaves: plain functions, answered on the spot.
+    # other eleven are leaves: plain functions, answered on the spot.
 
     def _register_rpcs(self) -> None:
         t = self.transport
@@ -632,6 +679,7 @@ class NodeProcess:
         t.register_rpc("get_successor_list", self._rpc_get_successor_list)
         t.register_rpc("get_predecessor", self._rpc_get_predecessor)
         t.register_rpc("notify", self._rpc_notify)
+        t.register_rpc("splice", self._rpc_splice)
         t.register_rpc("lookup_step", self._rpc_lookup_step)
         t.register_rpc("insert", self._rpc_insert)
         t.register_rpc("route_insert", self._rpc_route_insert)
@@ -653,16 +701,30 @@ class NodeProcess:
         return self.predecessor
 
     def _rpc_notify(self, payload: Any, src: dict[str, Any]) -> Any:
+        """``payload`` believes it precedes this node.  A node alone also takes
+        it as successor at once, so its next lookup answer is right."""
         cand = self._entry(payload)
-        if (
-            self.predecessor is None
-            or self.predecessor["addr"] == self.addr
-            or in_interval_open(
-                cand["id"], int(self.predecessor["id"]), self.id, self.m)
-        ):
-            self.predecessor = dict(cand)
+        succ = self.successor
+        changed = self._adopt_predecessor(cand)
+        if succ["addr"] == self.addr and adopts_successor(
+                cand["id"], self.id, int(succ["id"]), self.m):
+            self.successors = [dict(cand)]
+            changed = True
+        if changed:
             self._persist_overlay_state()
         return {"ok": True}
+
+    def _rpc_splice(self, payload: Any, src: dict[str, Any]) -> Any:
+        """``payload`` says it now follows this node (it has just become its
+        successor's predecessor).  Stabilise's rule
+        (:func:`~repro.dht.idspace.adopts_successor`) decides whether it
+        becomes the successor; the reply is this node's entry when it is the
+        successor, else ``None``."""
+        cand = self._entry(payload)
+        if adopts_successor(cand["id"], self.id, int(self.successor["id"]), self.m):
+            self._set_successors([cand, *self.successors])
+            self._persist_overlay_state()
+        return self.entry() if self.successor["addr"] == cand["addr"] else None
 
     def _rpc_lookup_step(self, payload: Any, src: dict[str, Any]) -> Any:
         return self._lookup_step(int(payload["target"]))

@@ -364,7 +364,8 @@ def test_step_function_on_a_compact_ring_at_m_64(capsys):
     """2,000 slots of a ``CompactChordRing`` at ``m = 64``, node views from its
     ``finger_slots`` rows plus the successor list, entries in a ``ShardStore``:
     ids equal brute force and every solve lands on the slot ``owner_slots``
-    names for its ``key_lo``.  Prints what ``scale_range`` will later gate."""
+    names for its ``key_lo``.  Prints messages and index nodes per query at
+    ``m = 64`` for the reader; no benchmark workload reads or gates them."""
     m, k = 64, 3
     rng = np.random.default_rng(64)
     compact = CompactChordRing.build(2000, m=m, seed=7, successor_list_len=16)

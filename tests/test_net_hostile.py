@@ -1,12 +1,12 @@
 """What a peer supplies is checked before a live node acts on it.
 
 Frames and envelopes are covered by ``test_net_codec`` / ``test_net_transport``;
-here the bytes decode and the *payload* is wrong: a reply or a ``notify`` that
-is no ring entry, every RPC kind fed shapes its handler does not expect, an
-owner that reports an arc it was not asked about or ids that are no integer
-array, and a batch placed on a node that does not own its keys.  The node
-answers with a structured :class:`RpcError`, keeps its stabilise task, its
-shard and its ring, and goes on answering exactly.
+here the bytes decode and the *payload* is wrong: a reply, a ``notify`` or a
+``splice`` that is no ring entry, every RPC kind fed shapes its handler does
+not expect, an owner that reports an arc it was not asked about or ids that
+are no integer array, and a batch placed on a node that does not own its
+keys.  The node answers with a structured :class:`RpcError`, keeps its
+stabilise task, its shard and its ring, and goes on answering exactly.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ def test_invalid_entries_in_meta_json_are_dropped_at_boot(tmp_path):
 # -- hostile payloads at every RPC kind ----------------------------------------------
 
 KINDS = ["ping", "get_successor", "get_successor_list", "get_predecessor", "notify",
-         "lookup_step", "insert", "route_insert", "range_solve", "query", "status",
-         "snapshot"]
+         "splice", "lookup_step", "insert", "route_insert", "range_solve", "query",
+         "status", "snapshot"]
 
 HUGE = 2**70
 PAYLOADS = {
@@ -150,6 +150,30 @@ def pair():
 
 def test_every_registered_kind_is_swept(pair):
     assert sorted(pair.nodes[0].transport._rpc_handlers) == sorted(KINDS)
+
+
+def _pointers(ring: Ring) -> list[tuple[Any, Any, int]]:
+    return [(n.successors, n.predecessor, n.shard.digest()) for n in ring.nodes]
+
+
+@pytest.mark.parametrize("shape", ["id-only", "id-str", "huge", "nested", "none"])
+def test_splice_with_a_malformed_entry_is_an_rpc_error(pair, shape):
+    before = _pointers(pair)
+    with pytest.raises(RpcError, match="malformed ring entry") as err:
+        pair.run(pair.client.transport.rpc(pair.nodes[0].addr, "splice", PAYLOADS[shape]))
+    assert not isinstance(err.value, RpcTimeout)
+    assert _pointers(pair) == before
+
+
+def test_splice_from_outside_the_arc_to_the_successor_moves_nothing(pair):
+    """A well-formed entry that does not lie strictly between the node and
+    its successor — here one claiming the successor's id — is not adopted,
+    and the reply does not name the node as its predecessor."""
+    node = pair.nodes[0]
+    before = _pointers(pair)
+    impostor = {"id": node.successor["id"], "addr": "127.0.0.1:1"}
+    assert pair.run(pair.client.transport.rpc(node.addr, "splice", impostor)) is None
+    assert _pointers(pair) == before
 
 
 @pytest.mark.parametrize("shape", PAYLOADS)
