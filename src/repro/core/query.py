@@ -21,12 +21,12 @@ keeps its own books:
 * :func:`surrogate_refine` / :func:`surrogate_refine_literal` — Algorithm 5 in
   its ``fixed`` and ``literal`` mode: in execution order, the key range to
   solve locally and the subqueries to route on;
-* :class:`OwnerWalk` — Algorithm 5 driven from the coordinator: which key to
-  ask the ring about next, given the arc each owner proved.
+* :class:`OwnerWalk` — Algorithm 5 driven from the querying peer: which key
+  to ask the ring about next, given the arc each owner proved.
 
 The event simulator (:class:`repro.core.routing.QueryProtocol`) executes the
-first three and the live node (:meth:`repro.net.node.NodeProcess.range_query`)
-the last; ``tests/test_bare_ring.py`` drives all of them over sorted id lists.
+first three and the live walk (:class:`repro.net.node.RingWalker`, run by
+nodes and clients) the last; ``tests/test_bare_ring.py`` drives all of them over sorted id lists.
 """
 
 from __future__ import annotations
@@ -353,7 +353,7 @@ def surrogate_refine_literal(
 
 
 class OwnerWalk:
-    """Algorithm 5 driven from the coordinator: which key to ask about next.
+    """Algorithm 5 driven from the querying peer: which key to ask about next.
 
     Inside the rectangle's smallest enclosing cuboid, :attr:`key_lo` is the
     smallest key not yet answered for whose leaf cuboid meets the rectangle

@@ -71,8 +71,12 @@ def _rects(rotation: int, node_ids: list[int]) -> dict[str, tuple[np.ndarray, np
 
 
 async def _live_answers(points, object_ids, keys):
-    """Every rectangle from every entry node on a converged ``LocalCluster``:
-    ``(node ids, rotation, {(rect, entry): (owners that answered, ids)})``."""
+    """Every rectangle on a converged ``LocalCluster``, walked from every
+    entry node and by a client, cold and warm: ``(node ids, rotation,
+    {(rect, caller): (owners that answered, ids)}, {rect: (addr, kind) of each
+    RPC the warm client sent}, {addr: node id})``.  A caller is an entry
+    node's position, ``"client-cold"`` (a client that has asked nothing
+    before) or ``"client-warm"`` (one whose view a whole-space query tiled)."""
     cluster = LocalCluster(N_NODES, m=M, k=K)
     client = ClusterClient()
     try:
@@ -90,13 +94,40 @@ async def _live_answers(points, object_ids, keys):
             node.transport.register_rpc("range_solve", recording)
         rotation = cluster.nodes[0].rotation
         node_ids = [node.id for node in cluster.nodes]
+        rects = _rects(rotation, node_ids)
         out = {}
-        for name, (lows, highs) in _rects(rotation, node_ids).items():
+        for name, (lows, highs) in rects.items():
             for entry in ENTRY_NODES:
                 answered.clear()
                 ids = await cluster.nodes[entry].range_query(lows, highs)
                 out[name, entry] = (set(answered), np.sort(ids))
-        return node_ids, rotation, out
+
+        await client.query(addrs[0], *rects["whole-space"])
+        assert client.walker is not None and client.walker.view.tiling() is not None
+        sent: list[tuple[str, str]] = []
+        rpc = client.transport.rpc
+
+        async def logged(dst_addr, kind, payload=None, **kw):
+            sent.append((dst_addr, kind))
+            return await rpc(dst_addr, kind, payload, **kw)
+
+        client.transport.rpc = logged
+        warm_sent = {}
+        for name, (lows, highs) in rects.items():
+            cold = ClusterClient()
+            try:
+                await cold.start()
+                answered.clear()
+                ids = await cold.query(addrs[ENTRY_NODES[-1]], lows, highs)
+                out[name, "client-cold"] = (set(answered), ids)
+            finally:
+                await cold.close()
+            answered.clear()
+            del sent[:]
+            ids = await client.query(addrs[ENTRY_NODES[-1]], lows, highs)
+            out[name, "client-warm"] = (set(answered), ids)
+            warm_sent[name] = list(sent)
+        return node_ids, rotation, out, warm_sent, {n.addr: n.id for n in cluster.nodes}
     finally:
         await client.close()
         await cluster.close()
@@ -128,7 +159,8 @@ def drivers():
     points = _points()
     object_ids = np.arange(len(points), dtype=np.int64)
     keys = lp_hash_batch(points, BOUNDS, M)
-    node_ids, rotation, live = asyncio.run(_live_answers(points, object_ids, keys))
+    node_ids, rotation, live, warm_sent, id_of = asyncio.run(
+        _live_answers(points, object_ids, keys))
     assert len(set(node_ids)) == N_NODES, "node ids collide at this m"
     assert rotation != 0
     ring = ChordRing(m=M, successor_list_len=4)
@@ -137,7 +169,8 @@ def drivers():
     ring.rebuild_tables()
     index = _SimIndex(ring, rotation, points, object_ids, keys)
     return SimpleNamespace(points=points, object_ids=object_ids, node_ids=node_ids,
-                           rotation=rotation, live=live, ring=ring, index=index)
+                           rotation=rotation, live=live, warm_sent=warm_sent, id_of=id_of,
+                           ring=ring, index=index)
 
 
 def _sim_answer(ring, index, entry_id, lows, highs):
@@ -158,9 +191,11 @@ def _sim_answer(ring, index, entry_id, lows, highs):
     return solved, ids
 
 
+RECTS = ["whole-space", "on-plane", "plane-sliver", "one-arc", "rotation-wrap"]
+
+
 @pytest.mark.parametrize("entry", ENTRY_NODES, ids=lambda e: f"entry-{e}")
-@pytest.mark.parametrize(
-    "name", ["whole-space", "on-plane", "plane-sliver", "one-arc", "rotation-wrap"])
+@pytest.mark.parametrize("name", RECTS)
 def test_both_walks_solve_where_the_oracle_says(drivers, name, entry):
     d = drivers
     lows, highs = _rects(d.rotation, d.node_ids)[name]
@@ -174,6 +209,37 @@ def test_both_walks_solve_where_the_oracle_says(drivers, name, entry):
     assert all(solved[n] == 0 for n in set(solved) - oracle)
     assert live_ids.tolist() == brute.tolist()
     assert sim_ids.tolist() == brute.tolist()
+
+
+def _oracle_and_brute(d, name):
+    lows, highs = _rects(d.rotation, d.node_ids)[name]
+    oracle = owners_meeting(lows, highs, sorted(d.node_ids), d.rotation, BOUNDS, M)
+    return oracle, d.object_ids[np.all((d.points >= lows) & (d.points <= highs), axis=1)]
+
+
+@pytest.mark.parametrize("view", ["cold", "warm"])
+@pytest.mark.parametrize("name", RECTS)
+def test_the_client_walk_solves_where_the_oracle_says(drivers, name, view):
+    """``ClusterClient.query`` is the third caller of the walk: with an empty
+    view (its owners found by lookups from the node it was handed) and with
+    one a whole-space query tiled, the owners that answered are the oracle's
+    and the ids brute force's."""
+    oracle, brute = _oracle_and_brute(drivers, name)
+    owners, ids = drivers.live[name, f"client-{view}"]
+    assert owners == oracle
+    assert ids.dtype == np.int64
+    assert ids.tolist() == brute.tolist()
+
+
+@pytest.mark.parametrize("name", RECTS)
+def test_a_warm_client_sends_one_range_solve_per_owner_and_nothing_else(drivers, name):
+    """No ``lookup_step``, no ``status`` and no ``query`` RPC: each RPC of a
+    warm client's query is a ``range_solve`` at an owner the oracle names,
+    one per owner — the client is the querying peer, no node relays for it."""
+    oracle, _ = _oracle_and_brute(drivers, name)
+    sent = drivers.warm_sent[name]
+    assert [kind for _, kind in sent] == ["range_solve"] * len(oracle)
+    assert sorted(drivers.id_of[addr] for addr, _ in sent) == sorted(oracle)
 
 
 def test_rectangles_are_the_shapes_they_claim(drivers):

@@ -14,15 +14,17 @@ import asyncio
 import bisect
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 
+import repro.net.cluster as cluster_module
 import repro.net.node as node_module
 from repro.core.index_space import IndexSpaceBounds
 from repro.core.lph import key_to_cuboid, lp_hash_batch, smallest_enclosing_prefix
 from repro.net.cluster import ClusterClient, LocalCluster
-from repro.net.node import NodeProcess
+from repro.net.node import NodeProcess, RingWalker
 from repro.net.transport import RpcError, TcpTransport
 from tests.test_core_lph import _some_key_meets
 
@@ -244,10 +246,18 @@ def test_range_query_never_takes_a_ring_snapshot(ring16, monkeypatch):
 
 def test_query_path_source_has_no_snapshot_call_and_tracer_targets_resolve():
     for name in ("range_query", "_solve_at_owner", "_solve_from", "find_successor"):
-        assert "ring_snapshot" not in inspect.getsource(getattr(NodeProcess, name))
+        assert "ring_snapshot" not in inspect.getsource(getattr(RingWalker, name))
+    assert "ring_snapshot" not in inspect.getsource(NodeProcess.range_query)
+    # one owner walk and one iterative lookup, which nodes and clients share
+    source = "".join(inspect.getsource(m) for m in (node_module, cluster_module))
+    assert len(re.findall(r"\bOwnerWalk\(", source)) == 1
+    assert len(re.findall(r'\.rpc\([^)]*"range_solve"', source)) == 1
+    assert len(re.findall(r'\.rpc\([^)]*"lookup_step"', source)) == 1
     # the ledger tracer patches these through the class's own namespace
     for name in ("range_query", "ring_snapshot", "route_insert"):
         assert name in NodeProcess.__dict__
+    for name in ("wait_converged", "insert"):
+        assert name in ClusterClient.__dict__
 
 
 # -- pruning ------------------------------------------------------------------------
@@ -368,7 +378,7 @@ def test_predecessor_pointers_that_lead_nowhere_end_in_rpc_error(ring3, monkeypa
     key = (b.id + 5 - b.rotation) % SIZE
     payload = {"lows": np.zeros(K), "highs": np.full(K, 1000.0), "key_lo": key, "key_hi": key}
     with pytest.raises(RpcError, match="predecessor pointers"):
-        ring3.run(a._solve_from(b.entry(), payload))
+        ring3.run(a.walker._solve_from(b.entry(), payload))
     assert [rec[2] for rec in rpc_log] == ["range_solve"] * 6
 
 
@@ -434,7 +444,7 @@ def _lookups(r: Ring, rpc_log: list, n: int, seed: int) -> int:
         node = r.nodes[int(rng.integers(len(r.nodes)))]
         target = int(rng.integers(SIZE))
         del rpc_log[:]
-        owner = r.run(node.find_successor(target))
+        owner = r.run(node.walker.find_successor(target))
         assert owner["id"] == r.true_successor(target)
         hops = [rec for rec in rpc_log if rec[0] == node.addr and rec[2] == "lookup_step"]
         worst = max(worst, len(hops))
@@ -512,7 +522,7 @@ def test_dead_finger_is_dropped_and_lookups_recover(rpc_log):
         target = (dead.id + 1) % SIZE
         for node, i in held:
             node.fingers[i] = dead.entry()   # whether or not a refresh found out already
-            owner = r.run(node.find_successor(target))
+            owner = r.run(node.walker.find_successor(target))
             assert owner["id"] == r.true_successor(target) != dead.id
             assert all(e["addr"] != dead.addr for e in node.fingers.values())
         _lookups(r, rpc_log, 50, seed=8)
