@@ -45,7 +45,7 @@ def _run_config(stabilize: bool, replication: int, data, metric, truth, query_id
     index = platform.indexes["idx"]
     maint = StabilizationProtocol(
         ring, platform.sim,
-        config=MaintenanceConfig(stabilize_interval=15.0, fix_finger_interval=10.0),
+        config=MaintenanceConfig(stabilize_interval=15.0),
         seed=0,
     )
     proto, stats = platform.protocol("idx", top_k=10, range_filter=False)

@@ -1,0 +1,344 @@
+"""Chord maintenance, sans-IO: the one join, stabilise, check-predecessor,
+fix-finger, graceful leave and iterative lookup every driver runs.
+
+A :class:`ChordState` holds one node's ring pointers as ring entries
+(``{"id", "addr", …}`` dicts).  Each operation on it is a generator that
+yields ``(entry, kind, payload)`` — one request to that peer — and is sent
+the reply, or has :exc:`Unreachable` thrown in when the peer did not answer;
+what the asked node answers is its own state's :meth:`ChordState.serve`.  The
+rules are :mod:`repro.dht.idspace`'s.  Drivers only move the requests: the
+live node over ``TcpTransport.rpc`` (:mod:`repro.net.node`), the simulator as
+accounted control messages (:mod:`repro.dht.stabilize`), and the bare-ring
+tests in whatever order Hypothesis picks.  What a peer sends is validated
+where it enters, by :func:`ring_entry` and :func:`key_field`.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Generator
+from typing import Any, TypeGuard
+
+from repro.dht.idspace import (
+    adopts_predecessor,
+    adopts_successor,
+    cw_distance,
+    in_interval_open_closed,
+    lookup_step,
+)
+
+__all__ = [
+    "ChordState", "Op", "ProtocolError", "Unreachable", "MAX_ROUTE_HOPS",
+    "is_ring_entry", "ring_entry", "ring_entries", "key_field", "lookup",
+]
+
+#: routing-loop guard: a lookup, stabilise walk or chain of predecessor
+#: pointers longer than this aborts loudly (a stabilise walk stops there and
+#: goes on from that node next round)
+MAX_ROUTE_HOPS = 512
+
+Entry = dict[str, Any]
+#: an operation: yields ``(peer entry, kind, payload)``, is sent the reply
+Op = Generator[tuple[Entry, str, Any], Any, Any]
+
+
+class Unreachable(Exception):
+    """A peer did not answer (a timeout, a dead or a partitioned node)."""
+
+
+class ProtocolError(ValueError):
+    """A malformed request or reply, an error reply, or a route longer than
+    :data:`MAX_ROUTE_HOPS`."""
+
+
+def is_ring_entry(value: Any, m: int) -> TypeGuard[Entry]:
+    """Whether ``value`` is a ring entry: ``{"id": int in [0, 2**m), "addr": str, …}``.
+    Every entry a peer (or ``meta.json``) supplies is held to this once, where
+    it enters node state."""
+    return (isinstance(value, dict) and type(value.get("id")) is int
+            and 0 <= value["id"] < 1 << m and isinstance(value.get("addr"), str))
+
+
+def ring_entry(value: Any, m: int) -> Entry:
+    """``value``, a ring entry a peer supplied — else :exc:`ProtocolError`."""
+    if not is_ring_entry(value, m):
+        raise ProtocolError(f"malformed ring entry: {str(value)[:80]}")
+    return value
+
+
+def ring_entries(value: Any, m: int) -> list[Entry]:
+    if not isinstance(value, list):
+        raise ProtocolError(f"malformed ring entry list: {str(value)[:80]}")
+    return [ring_entry(e, m) for e in value]
+
+
+def key_field(payload: Any, name: str, m: int) -> int:
+    """``payload[name]`` if it is an int in ``[0, 2**m)`` — as a ring entry's
+    id is — else :exc:`ProtocolError`: a float is not truncated, nor a key
+    wrapped."""
+    value = payload.get(name) if isinstance(payload, dict) else None
+    if type(value) is not int or not 0 <= value < 1 << m:
+        raise ProtocolError(f"malformed {name}: {str(value)[:80]}")
+    return value
+
+
+def lookup(m: int, target: int, step: dict[str, Any], forget: Callable[[Entry], None],
+           max_hops: int = MAX_ROUTE_HOPS) -> Op:
+    """Owner of ring position ``target``: Chord's lookup, iterated by the
+    node that asks.  ``step`` is the first step — the asker's own
+    :meth:`ChordState.lookup_step`, or ``{"next": [{"addr": a}]}`` to start
+    at a node known by address only — and every further hop one
+    ``lookup_step`` request.  Hops move strictly towards ``target`` and the
+    last one decides by its own ``(id, successor]``, so stale fingers cost
+    hops, never exactness.  A hop that does not answer is ``forget``-ten and
+    the next one tried."""
+    for _ in range(max_hops):
+        if "owner" in step:
+            owner: Entry = step["owner"]
+            return owner
+        for hop in step["next"]:
+            try:
+                reply = yield hop, "lookup_step", {"target": target}
+                break
+            except Unreachable:
+                forget(hop)
+        else:
+            raise Unreachable(f"lookup({target}): no next hop answered")
+        if isinstance(reply, dict) and "owner" in reply:
+            step = {"owner": ring_entry(reply["owner"], m)}
+        elif isinstance(reply, dict) and reply.get("next"):
+            step = {"next": ring_entries(reply["next"], m)}
+        else:
+            raise ProtocolError(f"malformed lookup_step reply: {str(reply)[:80]}")
+    raise ProtocolError(f"lookup({target}) exceeded {max_hops} hops")
+
+
+class ChordState:
+    """One node's ring pointers, the operations that repair them, and what
+    the node answers when asked."""
+
+    def __init__(self, node_id: int, addr: str, m: int, succ_list_len: int,
+                 bootstrap: str | None = None) -> None:
+        self.id = node_id
+        self.addr = addr
+        self.m = m
+        self.succ_list_len = succ_list_len
+        #: where this node joins — and, having lost the ring, re-joins
+        self.bootstrap = bootstrap
+        self.predecessor: Entry | None = None
+        self.successors: list[Entry] = []
+        #: finger ``i`` is the owner of ``id + 2**i``; only starts beyond the
+        #: successor are held (see :meth:`fix_finger`)
+        self.fingers: dict[int, Entry] = {}
+        self.next_finger = 0
+
+    def entry(self) -> Entry:
+        return {"id": self.id, "addr": self.addr}
+
+    @property
+    def successor(self) -> Entry:
+        return self.successors[0] if self.successors else self.entry()
+
+    def arc(self) -> tuple[int, int]:
+        """The ownership interval ``(predecessor, self]`` as ring ids.
+
+        A node alone on its ring owns all of it.  With the predecessor
+        unknown on a ring of several nodes any key may belong to a node in
+        between, so this raises instead of claiming the arc.
+        """
+        if self.predecessor is not None:
+            return self.predecessor["id"], self.id
+        if self.successor["addr"] == self.addr:
+            return self.id, self.id
+        raise ProtocolError(f"node {self.id}: predecessor unknown, ownership unproven")
+
+    def set_successors(self, chain: list[Entry]) -> None:
+        """``chain`` without this node — an entry with its id is its old
+        incarnation — and repeats, cut to ``succ_list_len``."""
+        kept: list[Entry] = []
+        seen = {self.id}
+        for e in chain:
+            if e["id"] not in seen and e["addr"] != self.addr:
+                seen.add(e["id"])
+                kept.append(e)
+        self.successors = kept[: self.succ_list_len]
+
+    def adopt_predecessor(self, cand: Entry) -> None:
+        """Notify's rule (:func:`~repro.dht.idspace.adopts_predecessor`)."""
+        pred = self.predecessor
+        if adopts_predecessor(cand["id"], self.id, None if pred is None else pred["id"], self.m):
+            self.predecessor = dict(cand)
+
+    def drop(self, dead: Entry) -> None:
+        """The failure detector fired: forget ``dead`` as successor (the
+        next one is promoted) and as finger."""
+        self.successors = [e for e in self.successors if e["addr"] != dead["addr"]]
+        self.fingers = {i: e for i, e in self.fingers.items() if e["addr"] != dead["addr"]}
+
+    def lookup_step(self, target: int) -> dict[str, Any]:
+        """One hop of a lookup from local state alone: the owner of ``target``
+        when this node or its successor is, else whom to ask next — the
+        closest preceding of fingers and successor list
+        (:func:`~repro.dht.idspace.lookup_step`) and, were it dead, the successor."""
+        succ, pred = self.successor, self.predecessor
+        if pred is not None and in_interval_open_closed(target, pred["id"], self.id, self.m):
+            return {"owner": self.entry()}
+        table = (*self.fingers.values(), *self.successors)
+        step = lookup_step(self.id, succ["id"], target, (e["id"] for e in table), self.m)
+        if step is None:
+            return {"owner": succ}
+        best = table[step] if step >= 0 else self.entry()
+        return {"next": [best] if best["addr"] == succ["addr"] else [best, succ]}
+
+    def serve(self, kind: str, payload: Any) -> Any:
+        """The answer to a request: the seven maintenance kinds the wire
+        carries, and ``leave``, which only the simulator and the bare-ring
+        tests send.  A malformed payload is a :exc:`ProtocolError` and changes
+        nothing."""
+        if kind == "ping":
+            return self.entry()
+        if kind == "get_successor":
+            return self.successor
+        if kind == "get_successor_list":
+            return self.successors[: self.succ_list_len]
+        if kind == "get_predecessor":
+            return self.predecessor
+        if kind == "lookup_step":
+            return self.lookup_step(key_field(payload, "target", self.m))
+        if kind == "notify":  # the sender believes it precedes this node
+            cand = ring_entry(payload, self.m)
+            alone = self.successor["addr"] == self.addr
+            self.adopt_predecessor(cand)
+            if alone and adopts_successor(cand["id"], self.id, self.id, self.m):
+                self.successors = [dict(cand)]  # so the next lookup answer is right
+            return {"ok": True}
+        if kind == "splice":  # the sender follows this node if stabilise's rule says so
+            cand = ring_entry(payload, self.m)
+            if adopts_successor(cand["id"], self.id, self.successor["id"], self.m):
+                self.set_successors([cand, *self.successors])
+            return self.entry() if self.successor["addr"] == cand["addr"] else None
+        if kind == "leave":  # a neighbour leaves: its predecessor becomes ours if it was
+            gone = ring_entry(payload["node"], self.m)
+            if self.predecessor is not None and self.predecessor["addr"] == gone["addr"]:
+                heir = payload["predecessor"] and ring_entry(payload["predecessor"], self.m)
+                self.predecessor = heir if heir and heir["addr"] != self.addr else None
+            self.drop(gone)
+            return None
+        raise ProtocolError(f"no maintenance request {kind!r}")
+
+    # -- operations -----------------------------------------------------------------
+
+    def join(self) -> Op:
+        """Find this node's successor through the bootstrap or, restarting,
+        any successor it remembers; returns whether one answered.
+
+        An owner with this node's own id is its old incarnation, which the
+        ring has not noticed yet: the recovered successor list is then kept,
+        so the first stabilise dials the true successor, not the old address.
+        """
+        vias = [self.bootstrap] if self.bootstrap else []
+        for via in vias + [e["addr"] for e in self.successors]:
+            if via == self.addr:
+                continue
+            try:
+                owner = yield from lookup(self.m, self.id, {"next": [{"addr": via}]}, self.drop)
+            except (Unreachable, ProtocolError):
+                continue
+            if owner["id"] != self.id or not self.successors:
+                self.successors = [owner]
+            return True
+        return False
+
+    def stabilize(self) -> Op:
+        """One Chord ``stabilize``, walked to a fixed point: while the
+        successor's predecessor lies in ``(self, successor)`` it is adopted
+        and asked in turn.  The successor is notified and its list merged.
+        When it named another node as predecessor — or none — this node tells
+        that node (or the successor), in one ``splice``, that it now follows
+        it, and takes the reply as predecessor under notify's rule.  On a
+        stable ring the successor names this node: no ``splice``.  A successor
+        that does not answer is dropped; the next round asks the one after."""
+        succ = self.successor
+        if succ["addr"] == self.addr:
+            # alone: re-enter through a predecessor that notified us, else
+            # through the bootstrap (a join may have found a dead owner)
+            if self.predecessor is not None and self.predecessor["addr"] != self.addr:
+                self.successors = [self.predecessor]
+            elif self.predecessor is None:
+                yield from self.join()
+            return
+        try:
+            for _ in range(MAX_ROUTE_HOPS):
+                pred = yield succ, "get_predecessor", None
+                if pred is None or not adopts_successor(
+                        ring_entry(pred, self.m)["id"], self.id, succ["id"], self.m):
+                    break
+                succ = pred
+            yield succ, "notify", self.entry()
+            succ_list = ring_entries((yield succ, "get_successor_list", None), self.m)
+        except Unreachable:
+            self.drop(succ)
+            return
+        head = self.successor
+        ahead = [head] if adopts_successor(head["id"], self.id, succ["id"], self.m) else []
+        self.set_successors([*ahead, succ, *succ_list])  # ahead: a splice landed meanwhile
+        if pred is not None and pred["id"] == self.id:
+            return
+        before = succ if pred is None else pred
+        try:
+            reply = yield before, "splice", self.entry()
+        except Unreachable:
+            self.drop(before)
+            return
+        if reply is not None:
+            self.adopt_predecessor(ring_entry(reply, self.m))
+
+    def check_predecessor(self) -> Op:
+        """Clear a predecessor that does not answer, so its live one can
+        notify this node."""
+        pred = self.predecessor
+        if pred is None or pred["addr"] == self.addr:
+            return
+        try:
+            yield pred, "ping", None
+        except Unreachable:
+            if self.predecessor is pred:
+                self.predecessor = None
+            self.drop(pred)
+
+    def fix_finger(self) -> Op:
+        """Refresh one finger (paper footnote 4).  A start inside ``(id,
+        successor]`` is the successor's, which :meth:`lookup_step` consults
+        anyway: such fingers are neither held nor looked up."""
+        succ = self.successor
+        if succ["addr"] == self.addr:
+            self.fingers.clear()
+            return
+        # id + 2**i lies in (id, successor] iff i < bit_length(distance)
+        first = cw_distance(self.id, succ["id"], self.m).bit_length()
+        self.fingers = {i: e for i, e in self.fingers.items() if i >= first}
+        if first >= self.m:
+            return
+        i = max(self.next_finger, first)
+        self.next_finger = (i + 1) % self.m
+        target = (self.id + (1 << i)) % (1 << self.m)
+        self.fingers[i] = yield from lookup(self.m, target, self.lookup_step(target), self.drop)
+
+    def round(self) -> Op:
+        """A node's periodic round: stabilise, check the predecessor,
+        refresh one finger."""
+        yield from self.stabilize()
+        yield from self.check_predecessor()
+        yield from self.fix_finger()
+
+    def leave(self) -> Op:
+        """Graceful departure: the successor and the predecessor are each
+        told in one ``leave``; one that does not answer finds out by its
+        failure detector."""
+        note = {"node": self.entry(), "predecessor": self.predecessor}
+        peers = {e["addr"]: e for e in (self.predecessor, self.successor) if e is not None}
+        for addr, peer in peers.items():
+            if addr != self.addr:
+                try:
+                    yield peer, "leave", note
+                except Unreachable:
+                    pass

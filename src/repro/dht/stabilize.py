@@ -2,12 +2,12 @@
 
 The rest of the library builds rings *structurally* (oracle tables — the
 steady state the protocol converges to), because the paper measures queries
-"after system stabilization".  This module supplies the protocol itself, for
+"after system stabilization".  This module runs the protocol itself, for
 three purposes:
 
-1. **Fidelity** — joins, graceful leaves and crashes repaired by the actual
-   Chord maintenance loop (``stabilize``/``notify``, ``fix_fingers``,
-   successor-list copying), with convergence verifiable against the oracle;
+1. **Fidelity** — joins, graceful leaves and crashes repaired by the live
+   node's maintenance step (:mod:`repro.dht.maintenance`), with convergence
+   verifiable against the oracle;
 2. **Maintenance cost** — every control message is counted in bytes, so the
    background cost of keeping the overlay alive is measurable;
 3. **Piggybacking** (§3.3) — the paper claims "the maintenance messages for
@@ -18,22 +18,23 @@ three purposes:
    own.  The ablation benchmark quantifies the saving under a live query
    workload.
 
-Control messages flow through the shared
-:class:`repro.sim.transport.Transport` (as synchronous, accounted hops —
-their latencies are negligible against the maintenance intervals), so
-injected faults degrade maintenance the same way they degrade queries: a
-lost stabilize request simply skips that round's repair.
+:class:`StabilizationProtocol` only moves the step's messages: it maps a
+``ChordNode``'s tables to ring entries and back, and carries each request and
+its reply as one control message each way through the shared
+:class:`repro.sim.transport.Transport` (synchronous, accounted hops).  A dead
+or faulted hop is :exc:`~repro.dht.maintenance.Unreachable`, so injected
+faults degrade maintenance the way they degrade queries.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from typing import Any
-
-from repro.dht.idspace import in_interval_open, lookup_step
+from repro.dht.maintenance import ChordState, Op, ProtocolError, Unreachable, lookup
 from repro.dht.node import ChordNode
 from repro.dht.ring import ChordRing
 from repro.sim.transport import Protocol
@@ -51,9 +52,8 @@ PIGGYBACK_PAYLOAD_BYTES = 4
 class MaintenanceConfig:
     """Timer settings of the maintenance loop (p2psim-like defaults)."""
 
+    #: seconds between a node's rounds (stabilise, check-predecessor, fix one finger)
     stabilize_interval: float = 30.0
-    fix_finger_interval: float = 30.0
-    successor_list_interval: float = 60.0
     #: enable the §3.3 piggybacking optimisation
     piggyback: bool = False
     #: a control message piggybacks when the same directed link carried a
@@ -75,13 +75,9 @@ class MaintenanceStats:
 
 
 class StabilizationProtocol(Protocol):
-    """Event-driven Chord maintenance over the discrete-event simulator.
-
-    The protocol operates purely on node-local state (``successors``,
-    ``predecessor``, ``fingers``); the ring's oracle views are used only by
-    callers to verify convergence.  Dead nodes are detected by liveness
-    checks on contact (a timeout in a real deployment).
-    """
+    """The simulator's driver of :mod:`repro.dht.maintenance`, over
+    node-local state (``successors``, ``predecessor``, ``fingers``); the
+    ring's oracle views only verify convergence."""
 
     def __init__(
         self,
@@ -114,10 +110,15 @@ class StabilizationProtocol(Protocol):
         else:
             self._m_control = self._m_saved = self._m_churn = None
         self._running = False
-        #: next finger level to fix, per node id
-        self._finger_cursor: dict[int, int] = {}
+        #: next finger level to fix, per node
+        self._finger_cursor: dict[ChordNode, int] = {}
         #: last time a query message used the directed link (src_host, dst_host)
         self._link_query_time: dict[tuple[int, int], float] = {}
+        #: the ring entry of every node met, the node of every entry's
+        #: address, and the address each joiner joined through
+        self._entries: dict[ChordNode, dict[str, Any]] = {}
+        self._nodes: dict[str, ChordNode] = {}
+        self._bootstraps: dict[ChordNode, str] = {}
 
     def default_stats(self) -> MaintenanceStats:
         return MaintenanceStats()
@@ -131,8 +132,8 @@ class StabilizationProtocol(Protocol):
     def _control_message(self, src: ChordNode, dst: ChordNode) -> bool:
         """Account one control message from ``src`` to ``dst``.
 
-        Returns whether it was delivered; without injected faults that is
-        always True, so callers' early-outs are dead code in clean runs.
+        Returns whether it was delivered: False when ``dst`` is dead or a
+        fault dropped it.
         """
         if src is dst:
             return True
@@ -153,6 +154,69 @@ class StabilizationProtocol(Protocol):
                 self._m_saved.add(CONTROL_MESSAGE_BYTES - PIGGYBACK_PAYLOAD_BYTES)
         return self.transport.control(src, dst, kind="maintenance", size=size)
 
+    # -- moving the step's messages ------------------------------------------------
+
+    def _entry(self, node: ChordNode) -> dict[str, Any]:
+        entry = self._entries.get(node)
+        if entry is None or entry["id"] != node.id:  # new, or moved by load balancing
+            entry = self._entries[node] = {"id": node.id, "addr": f"sim:{len(self._nodes)}"}
+            self._nodes[entry["addr"]] = node
+        return entry
+
+    def _state(self, node: ChordNode) -> ChordState:
+        state = ChordState(node.id, self._entry(node)["addr"], self.ring.m,
+                           self.ring.successor_list_len, self._bootstraps.get(node))
+        state.successors = [self._entry(n) for n in node.successors if n is not node]
+        if node.predecessor is not None:
+            state.predecessor = self._entry(node.predecessor)
+        state.fingers = {i: self._entry(f) for i, f in enumerate(node.fingers)}
+        state.next_finger = self._finger_cursor.get(node, 0)
+        return state
+
+    def _store(self, node: ChordNode, state: ChordState) -> None:
+        """Write ``state`` back.  A finger level the step does not hold (a
+        start up to the successor, or one not looked up yet) is the
+        successor, which the lookup step falls back to."""
+        nodes = self._nodes
+        node.successors = [nodes[e["addr"]] for e in state.successors]
+        node.predecessor = None if state.predecessor is None else nodes[state.predecessor["addr"]]
+        succ, held = node.successor, state.fingers
+        node.fingers = [] if succ is node else [
+            nodes[held[i]["addr"]] if i in held else succ for i in range(self.ring.m)]
+        self._finger_cursor[node] = state.next_finger
+        node.invalidate_routing()
+
+    def _run(self, node: ChordNode, op_of: Callable[[ChordState], Op]) -> tuple[Any, int]:
+        """Run ``node``'s operation ``op_of(state)``: what it returned
+        (``None`` when it failed) and how many requests it sent."""
+        state = self._state(node)
+        op = op_of(state)
+        reply: Any = None
+        error: Exception | None = None
+        sent = 0
+        try:
+            while True:
+                peer, kind, payload = op.send(reply) if error is None else op.throw(error)
+                sent += 1
+                dst = self._nodes[peer["addr"]]
+                reply, error = None, Unreachable(peer["addr"])
+                if self._control_message(node, dst):
+                    answer = self._serve(dst, kind, payload)
+                    if self._control_message(dst, node):
+                        reply, error = answer, None
+        except StopIteration as done:
+            return done.value, sent
+        except (Unreachable, ProtocolError):
+            return None, sent
+        finally:
+            self._store(node, state)
+
+    def _serve(self, node: ChordNode, kind: str, payload: Any) -> Any:
+        state = self._state(node)
+        reply = state.serve(kind, payload)
+        self._store(node, state)
+        return reply
+
     # -- lifecycle -----------------------------------------------------------------
 
     def start(self, duration: float) -> None:
@@ -167,199 +231,46 @@ class StabilizationProtocol(Protocol):
         jitter = float(self.rng.uniform(0.0, 1.0))
         self.transport.timer(
             jitter + float(self.rng.uniform(0, self.config.stabilize_interval)),
-            self._stabilize_tick, node,
-        )
-        self.transport.timer(
-            jitter + float(self.rng.uniform(0, self.config.fix_finger_interval)),
-            self._fix_finger_tick, node,
-        )
-        self.transport.timer(
-            jitter + float(self.rng.uniform(0, self.config.successor_list_interval)),
-            self._successor_list_tick, node,
+            self._round_tick, node,
         )
 
-    def _active(self, node: ChordNode) -> bool:
-        return self._running and node.alive and self.sim.now <= self._deadline
-
-    # -- periodic tasks ----------------------------------------------------------------
-
-    def _stabilize_tick(self, node: ChordNode) -> None:
-        if not self._active(node):
+    def _round_tick(self, node: ChordNode) -> None:
+        if not (self._running and node.alive and self.sim.now <= self._deadline):
             return
-        self.stabilize(node)
-        self.transport.timer(self.config.stabilize_interval, self._stabilize_tick, node)
+        self._run(node, ChordState.round)
+        self.transport.timer(self.config.stabilize_interval, self._round_tick, node)
 
-    def _fix_finger_tick(self, node: ChordNode) -> None:
-        if not self._active(node):
-            return
-        self.fix_next_finger(node)
-        self.transport.timer(self.config.fix_finger_interval, self._fix_finger_tick, node)
-
-    def _successor_list_tick(self, node: ChordNode) -> None:
-        if not self._active(node):
-            return
-        self.copy_successor_list(node)
-        self.transport.timer(
-            self.config.successor_list_interval, self._successor_list_tick, node
-        )
-
-    # -- the Chord maintenance operations -------------------------------------------------
-
-    def _first_live_successor(self, node: ChordNode) -> ChordNode | None:
-        pruned = False
-        while node.successors and not node.successors[0].alive:
-            node.successors.pop(0)
-            pruned = True
-        if pruned:
-            node.invalidate_routing()
-        return node.successors[0] if node.successors else None
-
-    def _recover_successor(self, node: ChordNode) -> ChordNode | None:
-        """Emergency re-entry when the whole successor list died.
-
-        A node whose every known successor crashed can never repair through
-        the normal stabilize round (it has nobody to ask), so it falls back
-        to any live contact — its predecessor or a live finger — and lets
-        stabilisation walk from there back to the true successor.  This is
-        the Chord paper's "rejoin through any known live node".
-        """
-        pred = node.predecessor
-        if pred is not None and pred.alive and pred is not node:
-            return pred
-        for f in node.fingers:
-            if f.alive and f is not node:
-                return f
-        return None
+    # -- the step's operations, on simulated nodes ------------------------------------
 
     def stabilize(self, node: ChordNode) -> None:
-        """``n.stabilize()``: verify the immediate successor, adopt a closer
-        one learned from it, and notify it of our existence."""
-        succ = self._first_live_successor(node)
-        if succ is None:
-            succ = self._recover_successor(node)
-            if succ is None:
-                return
-            node.successors = [succ]
-            node.invalidate_routing()
-        # ask successor for its predecessor (request + response)
-        if not self._control_message(node, succ):
-            return
-        if not self._control_message(succ, node):
-            return
-        x = succ.predecessor
-        if (
-            x is not None
-            and x.alive
-            and x is not node
-            and in_interval_open(x.id, node.id, succ.id, node.m)
-        ):
-            node.successors.insert(0, x)
-            del node.successors[self.ring.successor_list_len :]
-            node.invalidate_routing()
-            succ = x
-        # notify
-        if self._control_message(node, succ):
-            self.notify(succ, node)
+        self._run(node, ChordState.stabilize)
 
     def notify(self, node: ChordNode, candidate: ChordNode) -> None:
-        """``n.notify(c)``: ``c`` believes it is our predecessor."""
-        pred = node.predecessor
-        if (
-            pred is None
-            or not pred.alive
-            or in_interval_open(candidate.id, pred.id, node.id, node.m)
-        ):
-            node.predecessor = candidate
-
-    def copy_successor_list(self, node: ChordNode) -> None:
-        """Refresh the successor list from the immediate successor."""
-        succ = self._first_live_successor(node)
-        if succ is None or succ is node:
-            return
-        if not self._control_message(node, succ):
-            return
-        if not self._control_message(succ, node):
-            return
-        node.successors = self._merged_successors(node, succ)
-        node.invalidate_routing()
-
-    def _merged_successors(self, node: ChordNode, succ: ChordNode) -> list[ChordNode]:
-        """``[succ] + succ.successors``, live, deduplicated, length-capped."""
-        merged: list[ChordNode] = [succ]
-        for s in succ.successors:
-            if s is node or not s.alive:
-                continue
-            if all(s is not t for t in merged):
-                merged.append(s)
-            if len(merged) >= self.ring.successor_list_len:
-                break
-        return merged
+        """``candidate`` tells ``node`` it believes it is its predecessor."""
+        self._serve(node, "notify", self._entry(candidate))
 
     def local_lookup(self, start: ChordNode, key: int, max_hops: int | None = None) -> tuple[ChordNode | None, int]:
-        """Greedy lookup using only node-local (possibly stale) tables.
+        """Lookup from ``start`` using only node-local (possibly stale) tables.
 
-        Returns ``(owner_or_None, hops)``; each hop costs one control
-        message.  Dead next-hops are skipped (their entries are stale); a
-        fault-dropped hop fails the lookup (a timeout in a real deployment).
+        Returns ``(owner_or_None, hops)``; each hop is one request.  A next
+        hop that does not answer is dropped and the one after it tried; a
+        lookup none of whose hops answer, or longer than ``max_hops``, fails.
         """
         limit = max_hops if max_hops is not None else 4 * self.ring.m + len(self.ring)
-        current = start
-        hops = 0
-        for _ in range(limit):
-            succ = self._first_live_successor(current)
-            if succ is None:
-                return current, hops
-            table = (*current.fingers, *current.successors)
-            step = lookup_step(current.id, succ.id, key, (n.id for n in table), current.m)
-            if step == -1:  # nothing known precedes the key: the successor owns it
-                return succ, hops
-            # the owner, or the next hop (a dead entry falls back to the successor)
-            nh = succ if step is None or not table[step].alive else table[step]
-            if nh is not current:
-                hops += 1
-                if not self._control_message(current, nh):
-                    return None, hops
-            if step is None:
-                return succ, hops
-            current = nh
-        return None, hops
-
-    def fix_next_finger(self, node: ChordNode) -> None:
-        """Refresh one finger level per firing (round-robin)."""
-        if len(self.ring) <= 1:
-            return
-        level = self._finger_cursor.get(node.id, 0)
-        self._finger_cursor[node.id] = (level + 1) % node.m
-        target = (node.id + (1 << level)) % (1 << node.m)
-        owner, _ = self.local_lookup(node, target)
-        if owner is None:
-            return
-        while len(node.fingers) <= level:
-            node.fingers.append(node)
-        node.fingers[level] = owner
-        node.invalidate_routing()
+        owner, hops = self._run(start, lambda s: lookup(
+            s.m, key, s.lookup_step(key), s.drop, limit))
+        return owner and self._nodes[owner["addr"]], hops
 
     # -- membership under churn ---------------------------------------------------------------
 
     def join(self, node_id: int, bootstrap: ChordNode, name: str = "", host: int = 0) -> ChordNode:
-        """Protocol-level join: find the successor via lookup, splice in, and
-        start maintenance timers.  Tables converge via stabilisation.
-
-        The joiner copies its successor's successor list in the same
-        handshake (one request/response pair): a freshly joined node whose
-        *only* known successor crashes before the first successor-list copy
-        tick would otherwise be stranded forever with an empty list.
-        """
+        """Protocol-level join, as a live node starts: find the successor
+        through ``bootstrap`` and run a first round (it splices the node in)."""
         # oracle membership only (verification): no node's tables name it yet
         node = self.ring.add_node(node_id, name=name, host=host, rebuild=False)
-        owner, _ = self.local_lookup(bootstrap, node_id)
-        if owner is not None:
-            if self._control_message(node, owner) and self._control_message(owner, node):
-                node.successors = self._merged_successors(node, owner)
-            else:
-                node.successors = [owner]
-        else:
-            node.successors = [node]
+        self._bootstraps[node] = self._entry(bootstrap)["addr"]
+        self._run(node, ChordState.join)
+        self._run(node, ChordState.round)
         self.stats.joins += 1
         if self._m_churn is not None:
             self._m_churn.inc(("join",))
@@ -373,27 +284,16 @@ class StabilizationProtocol(Protocol):
         Idempotent: leaving a node that already left is a no-op (a scheduled
         departure may race with an earlier crash of the same node).
         """
-        if node.id not in self.ring.nodes_by_id or self.ring.nodes_by_id[node.id] is not node:
+        if self.ring.nodes_by_id.get(node.id) is not node:
             return
-        node.alive = False
         if graceful:
-            succ = self._first_live_successor(node)
-            if succ is not None and node.predecessor is not None and node.predecessor.alive:
-                self._control_message(node, succ)
-                self._control_message(node, node.predecessor)
-                pred = node.predecessor
-                pred.successors.insert(0, succ)
-                del pred.successors[self.ring.successor_list_len :]
-                pred.invalidate_routing()
-                if succ.predecessor is node:
-                    succ.predecessor = pred
+            self._run(node, ChordState.leave)
             self.stats.leaves += 1
-            if self._m_churn is not None:
-                self._m_churn.inc(("leave",))
         else:
             self.stats.crashes += 1
-            if self._m_churn is not None:
-                self._m_churn.inc(("crash",))
+        if self._m_churn is not None:
+            self._m_churn.inc(("leave" if graceful else "crash",))
+        node.alive = False
         self.ring.remove_node(node, rebuild=False)
 
     # -- verification ------------------------------------------------------------------------
@@ -402,14 +302,8 @@ class StabilizationProtocol(Protocol):
         """Every live node's immediate successor matches the oracle ring."""
         nodes = self.ring.nodes()
         n = len(nodes)
-        if n <= 1:
-            return True
-        for pos, node in enumerate(nodes):
-            expected = nodes[(pos + 1) % n]
-            succ = self._first_live_successor(node)
-            if succ is not expected:
-                return False
-        return True
+        return n <= 1 or all(node.successor is nodes[(pos + 1) % n]
+                             for pos, node in enumerate(nodes))
 
     def finger_accuracy(self) -> float:
         """Fraction of finger entries matching the oracle successor of their

@@ -15,21 +15,14 @@ test or :class:`~repro.net.cluster.LocalCluster`, or as an OS process via
 * durability — :class:`repro.core.storage.PersistentShard`: every accepted
   insert batch is WAL-logged before it is acknowledged, and overlay state
   (successor list, predecessor) is checkpointed to ``meta.json``, so a
-  SIGKILLed node restarts with a bit-identical shard and warm ring hints.
+  SIGKILLed node restarts with a bit-identical shard and warm ring hints;
+* Chord maintenance — :mod:`repro.dht.maintenance`, the sans-IO step the
+  simulator runs too: a :class:`NodeProcess` *is* a ``ChordState``, answers
+  the seven maintenance RPCs with its ``serve`` and drives its operations
+  over RPC, an :class:`~repro.net.transport.RpcTimeout` being the failure
+  detector.  :meth:`NodeProcess.start` joins and runs the first round, which
+  splices the node in, so sequential joins leave a consistent ring.
 
-Stabilisation is the classic Chord triad (``stabilize`` / ``notify`` /
-successor-list repair) expressed as request/response RPCs instead of the
-simulator's shared-memory callback sends — the message *pattern* matches
-:mod:`repro.dht.stabilize`, but each step awaits a real network round trip
-and treats :class:`~repro.net.transport.RpcTimeout` as a failure detector.
-A joining node does not wait for the periodic rounds: it walks stabilise to
-its true successor, notifies it, and tells the node before it in one
-``splice`` RPC that it now follows it, so sequential joins leave a consistent
-ring.  Routing is the paper's footnote-4 Chord table: a finger table
-refreshed one finger per stabilise round,
-:func:`~repro.dht.idspace.lookup_step` over fingers and successor list, and
-an iterative :meth:`RingWalker.find_successor` whose hops are leaf RPCs
-(with no finger yet it is the successor-list walk, and exact either way).
 A range query is SurrogateRefine driven from the querying peer
 (:class:`RingWalker`, run by :meth:`NodeProcess.range_query` and by
 :meth:`repro.net.cluster.ClusterClient.query`): it walks only the owners whose
@@ -47,7 +40,8 @@ import asyncio
 from bisect import bisect_left, insort
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any, TypeGuard
+from functools import partial
+from typing import Any
 
 import numpy as np
 
@@ -56,27 +50,30 @@ from repro.core.query import OwnerWalk
 from repro.core.storage import PersistentShard, group_by_owner
 from repro.dht.hashing import node_id, rotation_offset
 from repro.dht.idspace import (
-    adopts_predecessor,
-    adopts_successor,
-    cw_distance,
     in_interval_open,
     in_interval_open_closed,
     keys_in_interval_open_closed,
-    lookup_step,
     owner_slot,
     owner_slots,
     rotate,
     rotate_keys,
 )
+from repro.dht.maintenance import (
+    MAX_ROUTE_HOPS,
+    ChordState,
+    Op,
+    ProtocolError,
+    Unreachable,
+    is_ring_entry,
+    key_field,
+    lookup,
+    ring_entries,
+    ring_entry,
+)
 from repro.net.transport import RpcError, RpcTimeout, TcpTransport
 from repro.sim.transport import FaultConfig
 
 __all__ = ["NodeConfig", "NodeProcess", "RingWalker", "MAX_ROUTE_HOPS", "RING_VIEW_CAP"]
-
-#: routing-loop guard: a lookup, successor walk or chain of predecessor
-#: pointers longer than this aborts loudly (a stabilise walk stops there and
-#: goes on from that node next round)
-MAX_ROUTE_HOPS = 512
 
 #: most owners a ring view holds; learning one more clears it (a hint lost
 #: costs a lookup or a snapshot, never an answer)
@@ -87,25 +84,28 @@ RING_VIEW_CAP = 4096
 _INSERT_REFUSED = "insert refused"
 
 
-def _is_ring_entry(value: Any, m: int) -> TypeGuard[dict[str, Any]]:
-    """Whether ``value`` is a ring entry: ``{"id": int in [0, 2**m), "addr": str, …}``.
-    Every entry a peer (or ``meta.json``) supplies is held to this once, where
-    it enters node state."""
-    return (isinstance(value, dict) and type(value.get("id")) is int
-            and 0 <= value["id"] < 1 << m and isinstance(value.get("addr"), str))
-
-
-def _ring_entry(value: Any, m: int) -> dict[str, Any]:
-    """``value``, a ring entry a peer supplied — else :class:`RpcError`."""
-    if not _is_ring_entry(value, m):
-        raise RpcError(f"malformed ring entry: {str(value)[:80]}")
-    return value
-
-
-def _ring_entries(value: Any, m: int) -> list[dict[str, Any]]:
-    if not isinstance(value, list):
-        raise RpcError(f"malformed ring entry list: {str(value)[:80]}")
-    return [_ring_entry(e, m) for e in value]
+async def _drive(transport: TcpTransport, op: Op) -> Any:
+    """Run a maintenance operation, each request one ``transport.rpc``: an
+    :class:`RpcTimeout` goes in as ``Unreachable``, any other
+    :class:`RpcError` as ``ProtocolError``, and what the operation does not
+    handle comes back out the same way round."""
+    reply: Any = None
+    error: Exception | None = None
+    try:
+        while True:
+            peer, kind, payload = op.send(reply) if error is None else op.throw(error)
+            try:
+                reply, error = await transport.rpc(peer["addr"], kind, payload), None
+            except RpcTimeout as exc:
+                reply, error = None, Unreachable(str(exc))
+            except RpcError as exc:
+                reply, error = None, ProtocolError(str(exc))
+    except StopIteration as done:
+        return done.value
+    except Unreachable as exc:
+        raise RpcTimeout(str(exc)) from exc
+    except ProtocolError as exc:
+        raise RpcError(str(exc)) from exc
 
 
 class _RingView:
@@ -182,8 +182,8 @@ class _RingView:
 
 
 class RingWalker:
-    """The querying peer's side of Chord's lookup and of the owner walk: the
-    one loop a :class:`NodeProcess` and a
+    """The querying peer's side of Chord's lookup (the maintenance step's,
+    driven over RPC) and of the owner walk: what a :class:`NodeProcess` and a
     :class:`~repro.net.cluster.ClusterClient` both run.  It sends the RPCs,
     holds every reply to the contract before acting on it, and keeps the arcs
     owners prove in :attr:`view`.  A node also passes ``links`` (chains of
@@ -217,50 +217,21 @@ class RingWalker:
             return
         node = {"id": status.get("id"), "addr": status.get("addr")}
         pred = status.get("predecessor")
-        if _is_ring_entry(node, self.m) and _is_ring_entry(pred, self.m):
+        if is_ring_entry(node, self.m) and is_ring_entry(pred, self.m):
             self.view.fill([pred, node])
 
     async def find_successor(self, target: int, via: str | None = None) -> dict[str, Any]:
-        """Owner of ring position ``target``: Chord's lookup, iterated here.
-
-        Every hop is one leaf ``lookup_step`` RPC — a plain function the
-        asked node answers in the loop iteration that read the request, so a
-        lookup never waits on another node's coroutines.  Hops move
-        strictly towards ``target`` and the last one decides by its own
-        ``(id, successor]``, so stale or missing fingers cost hops, never
-        exactness.  A hop that times out is dropped and the asked node's
-        successor tried instead.  ``via`` asks that node for the first step
-        (a joining node knows only its bootstrap, a client the node it was
-        handed).
-        """
+        """Owner of ring position ``target`` (:func:`~repro.dht.maintenance.lookup`):
+        each hop a leaf ``lookup_step`` RPC, the first one at ``via`` (the
+        node a client was handed) or, without it, this node's own step."""
         if via is None:
             assert self._local_step is not None, "a peer without local state names a node"
             step = self._local_step(target)
         else:
-            step = await self._ask_lookup_step(via, target)
-        for _ in range(MAX_ROUTE_HOPS):
-            if "owner" in step:
-                owner: dict[str, Any] = step["owner"]
-                return owner
-            for hop in step["next"]:
-                try:
-                    step = await self._ask_lookup_step(hop["addr"], target)
-                    break
-                except RpcTimeout:
-                    self._drop(hop)
-            else:
-                raise RpcTimeout(f"find_successor({target}): no next hop answered")
-        raise RpcError(f"find_successor({target}) exceeded {MAX_ROUTE_HOPS} hops")
-
-    async def _ask_lookup_step(self, addr: str, target: int) -> dict[str, Any]:
-        """One ``lookup_step`` RPC, its reply's ring entries validated."""
-        step = await self.transport.rpc(addr, "lookup_step", {"target": target})
-        if isinstance(step, dict):
-            if "owner" in step:
-                return {"owner": _ring_entry(step["owner"], self.m)}
-            if step.get("next"):
-                return {"next": _ring_entries(step["next"], self.m)}
-        raise RpcError(f"malformed lookup_step reply: {str(step)[:80]}")
+            step = {"next": [{"addr": via}]}
+        owner: dict[str, Any] = await _drive(
+            self.transport, lookup(self.m, target, step, self._drop))
+        return owner
 
     async def range_query(self, lows: Any, highs: Any, via: str | None = None) -> np.ndarray:
         """Distributed range query: object ids of entries inside the rect.
@@ -289,24 +260,27 @@ class RingWalker:
         known = self._links()
         links = known
         collected: list[np.ndarray] = []
-        while walk.key_lo is not None:
-            entry, reply = await self._solve_at_owner(walk.ring_key, links, {
-                "lows": lows, "highs": highs, "key_lo": walk.key_lo, "key_hi": walk.key_hi}, via)
-            ids = reply["ids"]
-            if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind == "i"):
-                raise RpcError(
-                    f"range_solve for key {walk.key_lo}: ids not a 1-D integer array: "
-                    f"{str(ids)[:80]}")
-            collected.append(ids)
-            try:
-                pred_id, owner_id = reply["arc"]
-                walk.answered(pred_id, owner_id)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RpcError(f"range_solve for key {walk.key_lo}: bad arc: {exc}") from exc
-            successors = _ring_entries(reply.get("successors"), self.m)
-            self.view.prove(pred_id, {**entry, "id": owner_id})
-            self.view.fill([{"id": owner_id}, *successors])
-            links = [[{"id": owner_id}, *successors], *known]
+        try:
+            while walk.key_lo is not None:
+                entry, reply = await self._solve_at_owner(walk.ring_key, links, {
+                    "lows": lows, "highs": highs, "key_lo": walk.key_lo, "key_hi": walk.key_hi}, via)
+                ids = reply["ids"]
+                if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind == "i"):
+                    raise RpcError(
+                        f"range_solve for key {walk.key_lo}: ids not a 1-D integer array: "
+                        f"{str(ids)[:80]}")
+                collected.append(ids)
+                try:
+                    pred_id, owner_id = reply["arc"]
+                    walk.answered(pred_id, owner_id)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise RpcError(f"range_solve for key {walk.key_lo}: bad arc: {exc}") from exc
+                successors = ring_entries(reply.get("successors"), self.m)
+                self.view.prove(pred_id, {**entry, "id": owner_id})
+                self.view.fill([{"id": owner_id}, *successors])
+                links = [[{"id": owner_id}, *successors], *known]
+        except ProtocolError as exc:  # a malformed ring entry in a reply
+            raise RpcError(str(exc)) from exc
         if not collected:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(collected)).astype(np.int64)
@@ -343,7 +317,7 @@ class RingWalker:
                 raise RpcError(f"malformed range_solve reply: {str(reply)[:80]}")
             if "ids" in reply:
                 return entry, reply
-            entry = _ring_entry(reply.get("predecessor"), self.m)
+            entry = ring_entry(reply.get("predecessor"), self.m)
         raise RpcError(
             f"range_solve: no owner of key {payload['key_lo']} within "
             f"{MAX_ROUTE_HOPS} predecessor pointers")
@@ -377,13 +351,14 @@ class NodeConfig:
         return IndexSpaceBounds.uniform(self.k, self.bounds_low, self.bounds_high)
 
 
-class NodeProcess:
-    """One live overlay node (see module docstring)."""
+class NodeProcess(ChordState):
+    """One live overlay node (see module docstring): a
+    :class:`~repro.dht.maintenance.ChordState` whose operations run over RPC."""
 
     def __init__(self, config: NodeConfig, metrics: Any = None) -> None:
+        super().__init__(node_id(config.name, config.m), "", config.m, config.succ_list_len,
+                         config.bootstrap)
         self.config = config
-        self.m = config.m
-        self.id = node_id(config.name, config.m)
         self.rotation = rotation_offset(config.index_name, config.m)
         self.bounds = config.bounds
         self.transport = TcpTransport(
@@ -396,41 +371,25 @@ class NodeProcess:
             rpc_timeout=config.rpc_timeout,
         )
         self.shard = PersistentShard(config.data_dir, config.k, fsync=config.fsync)
-        self.predecessor: dict[str, Any] | None = None
-        self.successors: list[dict[str, Any]] = []
-        #: finger ``i`` is the owner of ``id + 2**i``; only starts beyond the
-        #: successor are held (see :meth:`_fix_finger`)
-        self.fingers: dict[int, dict[str, Any]] = {}
         self.walker = RingWalker(
             self.transport, self.m, self.bounds, self.rotation,
-            links=self._known_links, local_step=self._lookup_step, drop=self._drop_peer)
-        self._next_finger = 0
+            links=self._known_links, local_step=self.lookup_step, drop=self.drop)
         self._stabilize_task: asyncio.Task[None] | None = None
         self._running = False
-
-    # -- identity ---------------------------------------------------------------
-
-    @property
-    def addr(self) -> str:
-        return self.transport.addr
 
     def entry(self) -> dict[str, Any]:
         """This node as a ring entry (``{"id", "addr", "name"}``)."""
         return {"id": self.id, "addr": self.addr, "name": self.config.name}
-
-    @property
-    def successor(self) -> dict[str, Any]:
-        return self.successors[0] if self.successors else self.entry()
 
     # -- lifecycle --------------------------------------------------------------
 
     async def start(self) -> str:
         """Bind, recover persisted state, join the ring, start stabilising.
 
-        The first stabilise round runs before this returns: it walks to the
-        true successor and splices this node in behind the node before it, so
+        The first round runs before this returns: it walks to the true
+        successor and splices this node in behind the node before it, so
         sequential joins leave a consistent ring with no periodic round."""
-        await self.transport.start(self.config.bind, self.config.port)
+        self.addr = await self.transport.start(self.config.bind, self.config.port)
         self._register_rpcs()
         self._recover_overlay_state()
         await self._join()
@@ -460,41 +419,24 @@ class NodeProcess:
         # entry that is not one (a torn or hand-edited file) is dropped
         succ, pred = self.shard.meta.get("successors"), self.shard.meta.get("predecessor")
         self.successors = [e for e in (succ if isinstance(succ, list) else [])
-                           if _is_ring_entry(e, self.m) and e["addr"] != self.addr]
-        if _is_ring_entry(pred, self.m):
+                           if is_ring_entry(e, self.m) and e["addr"] != self.addr]
+        if is_ring_entry(pred, self.m):
             self.predecessor = pred
 
     def _persist_overlay_state(self) -> None:
         self.shard.set_meta(
-            successors=self.successors[: self.config.succ_list_len],
+            successors=self.successors[: self.succ_list_len],
             predecessor=self.predecessor,
             node_id=self.id,
             name=self.config.name,
             addr=self.addr,
         )
 
-    async def _join(self) -> None:
-        bootstrap = self.config.bootstrap
-        candidates: list[str] = []
-        if bootstrap:
-            candidates.append(bootstrap)
-        # a restarting node can rejoin through any peer it remembers
-        candidates.extend(e["addr"] for e in self.successors)
-        for cand in candidates:
-            if cand == self.addr:
-                continue
-            try:
-                self.successors = [await self.walker.find_successor(self.id, via=cand)]
-                self._persist_overlay_state()
-                return
-            except (RpcError, OSError):
-                continue
-        # nobody reachable: start (or continue) as a one-node ring
-        self.successors = []
-        self.predecessor = None
-        self._persist_overlay_state()
+    # -- maintenance: the step's operations over RPC -----------------------------
 
-    # -- stabilisation (Chord stabilize/notify over RPC) ------------------------
+    async def _join(self) -> None:
+        await _drive(self.transport, self.join())
+        self._persist_overlay_state()
 
     async def _stabilize_loop(self) -> None:
         interval = self.config.stabilize_interval
@@ -504,141 +446,17 @@ class NodeProcess:
 
     async def _stabilize_round(self) -> None:
         try:
-            await self._stabilize_once()
-            await self._check_predecessor()
-            await self._fix_finger()
-        except (RpcError, OSError):  # transient; next round retries
+            await _drive(self.transport, self.round())
+        except OSError:  # an RpcError included: transient, the next round retries
             pass
-
-    async def _check_predecessor(self) -> None:
-        """Clear a dead predecessor so its live one can re-notify us."""
-        pred = self.predecessor
-        if pred is None or pred["addr"] == self.addr:
-            return
-        try:
-            await self.transport.rpc(pred["addr"], "ping", None)
-        except RpcTimeout:
-            self.predecessor = None
-            self._drop_peer(pred)
-
-    async def _stabilize_once(self) -> None:
-        """One Chord ``stabilize``, walked to a fixed point: while the
-        successor's predecessor lies in ``(self, successor)`` it is adopted
-        and asked in turn.  The successor is notified and its list merged.
-        When it named another node as predecessor — or none — this node
-        splices itself in behind that node (:meth:`_splice`).  On a stable
-        ring the successor names this node: a round sends what it always sent."""
-        succ = self.successor
-        if succ["addr"] == self.addr:
-            # single-node ring: adopt anyone who notified us
-            if self.predecessor is not None and self.predecessor["addr"] != self.addr:
-                self.successors = [self.predecessor]
-            return
-        try:
-            for _ in range(MAX_ROUTE_HOPS):
-                pred = await self.transport.rpc(succ["addr"], "get_predecessor", None)
-                if pred is None or not adopts_successor(
-                        _ring_entry(pred, self.m)["id"], self.id, int(succ["id"]), self.m):
-                    break
-                succ = pred
-            await self.transport.rpc(succ["addr"], "notify", self.entry())
-            succ_list = _ring_entries(
-                await self.transport.rpc(succ["addr"], "get_successor_list", None), self.m)
-        except RpcTimeout:
-            self._drop_peer(succ)
-            return
-        chain = [succ, *succ_list]
-        head = self.successor
-        if adopts_successor(int(head["id"]), self.id, int(succ["id"]), self.m):
-            chain.insert(0, head)  # a splice landed while this round awaited
-        self._set_successors(chain)
-        if pred is None or pred["id"] != self.id:
-            await self._splice(succ if pred is None else pred)
         self._persist_overlay_state()
 
-    async def _splice(self, before: dict[str, Any]) -> None:
-        """Tell ``before`` — the node the successor named as its predecessor,
-        or the successor itself when it named none (it may be alone) — that
-        this node now follows it, in one leaf ``splice`` RPC.  Its answer is
-        its own entry when this node is now its successor, and is then taken
-        as predecessor under notify's rule."""
-        try:
-            reply = await self.transport.rpc(before["addr"], "splice", self.entry())
-        except RpcTimeout:
-            self._drop_peer(before)
-            return
-        if reply is not None:
-            self._adopt_predecessor(_ring_entry(reply, self.m))
-
-    def _set_successors(self, chain: list[dict[str, Any]]) -> None:
-        """The successor list: ``chain`` without this node and repeats, cut
-        to ``succ_list_len``."""
-        deduped: list[dict[str, Any]] = []
-        seen = {self.addr}
-        for e in chain:
-            if e["addr"] not in seen:
-                seen.add(e["addr"])
-                deduped.append(e)
-        self.successors = deduped[: self.config.succ_list_len]
-
-    def _adopt_predecessor(self, cand: dict[str, Any]) -> bool:
-        """Notify's rule (:func:`~repro.dht.idspace.adopts_predecessor`): take
-        ``cand`` as predecessor if it is closer than the one held; whether it
-        was (the caller persists)."""
-        pred = self.predecessor
-        if not adopts_predecessor(
-                cand["id"], self.id, None if pred is None else int(pred["id"]), self.m):
-            return False
-        self.predecessor = dict(cand)
-        return True
-
-    def _drop_peer(self, dead: dict[str, Any]) -> None:
-        """Failure detector fired: forget the peer as successor (the next live
-        one is promoted), as finger and in the ring view."""
-        self.successors = [e for e in self.successors if e["addr"] != dead["addr"]]
-        self.fingers = {i: e for i, e in self.fingers.items() if e["addr"] != dead["addr"]}
+    def drop(self, dead: dict[str, Any]) -> None:
+        """The failure detector fired: forget the peer as successor, as
+        finger and in the ring view."""
+        super().drop(dead)
         self.walker.view.forget(dead["addr"])
         self._persist_overlay_state()
-
-    async def _fix_finger(self) -> None:
-        """Refresh one finger (paper footnote 4; Chord's ``fix_fingers``).
-
-        A start inside ``(id, successor]`` is owned by the successor, which
-        :meth:`_lookup_step` consults anyway: such fingers are not held
-        and cost no RPC, so a round looks up the next start beyond it.
-        """
-        succ = self.successor
-        if succ["addr"] == self.addr:
-            self.fingers.clear()
-            return
-        # id + 2**i lies in (id, successor] iff i < bit_length(distance)
-        first = cw_distance(self.id, int(succ["id"]), self.m).bit_length()
-        self.fingers = {i: e for i, e in self.fingers.items() if i >= first}
-        if first >= self.m:
-            return
-        i = max(self._next_finger, first)
-        self._next_finger = (i + 1) % self.m
-        self.fingers[i] = await self.walker.find_successor((self.id + (1 << i)) % (1 << self.m))
-
-    # -- routing ----------------------------------------------------------------
-
-    def _lookup_step(self, target: int) -> dict[str, Any]:
-        """One hop of a lookup from local state alone: the owner of ``target``
-        when this node or its successor is, else whom to ask next — the
-        closest preceding of fingers and successor list
-        (:func:`~repro.dht.idspace.lookup_step`) and, were it dead, the successor."""
-        succ = self.successor
-        pred = self.predecessor
-        if pred is not None and in_interval_open_closed(
-                target, int(pred["id"]), self.id, self.m):
-            return {"owner": self.entry()}
-        table = (*self.fingers.values(), *self.successors)
-        step = lookup_step(
-            self.id, int(succ["id"]), target, (int(e["id"]) for e in table), self.m)
-        if step is None:
-            return {"owner": succ}
-        best = table[step] if step >= 0 else self.entry()
-        return {"next": [best] if best["addr"] == succ["addr"] else [best, succ]}
 
     async def ring_snapshot(self) -> list[dict[str, Any]]:
         """All live ring members, by walking successors from this node (O(n)
@@ -652,24 +470,11 @@ class NodeProcess:
                 break
             members.append(dict(cur))
             seen.add(cur["addr"])
-            cur = _ring_entry(await self.transport.rpc(cur["addr"], "get_successor", None), self.m)
+            cur = ring_entry(await self.transport.rpc(cur["addr"], "get_successor", None), self.m)
         members.sort(key=lambda e: int(e["id"]))
         self.walker.view.clear()
         self.walker.view.fill([members[-1], *members])
         return members
-
-    def _arc(self) -> tuple[int, int]:
-        """The ownership interval ``(predecessor, self]`` as ring ids.
-
-        A node alone on its ring owns all of it.  With the predecessor
-        unknown on a ring of several nodes any key may belong to a node in
-        between, so this raises instead of claiming the arc.
-        """
-        if self.predecessor is not None:
-            return int(self.predecessor["id"]), self.id
-        if self.successor["addr"] == self.addr:
-            return self.id, self.id
-        raise RpcError(f"node {self.config.name}: predecessor unknown, ownership unproven")
 
     # -- data plane -------------------------------------------------------------
 
@@ -715,7 +520,7 @@ class NodeProcess:
             try:
                 reply = await self.transport.rpc(ring[s]["addr"], "insert", payload)
             except RpcTimeout:
-                self._drop_peer(ring[s])
+                self.drop(ring[s])
                 raise
             except RpcError as exc:
                 if _INSERT_REFUSED not in str(exc):
@@ -747,59 +552,27 @@ class NodeProcess:
 
     def _register_rpcs(self) -> None:
         t = self.transport
-        t.register_rpc("ping", self._rpc_ping)
-        t.register_rpc("get_successor", self._rpc_get_successor)
-        t.register_rpc("get_successor_list", self._rpc_get_successor_list)
-        t.register_rpc("get_predecessor", self._rpc_get_predecessor)
-        t.register_rpc("notify", self._rpc_notify)
-        t.register_rpc("splice", self._rpc_splice)
-        t.register_rpc("lookup_step", self._rpc_lookup_step)
+        t.register_rpc("ping", partial(self._rpc_maintenance, "ping"))
+        t.register_rpc("get_successor", partial(self._rpc_maintenance, "get_successor"))
+        t.register_rpc("get_successor_list", partial(self._rpc_maintenance, "get_successor_list"))
+        t.register_rpc("get_predecessor", partial(self._rpc_maintenance, "get_predecessor"))
+        t.register_rpc("notify", partial(self._rpc_maintenance, "notify"))
+        t.register_rpc("splice", partial(self._rpc_maintenance, "splice"))
+        t.register_rpc("lookup_step", partial(self._rpc_maintenance, "lookup_step"))
         t.register_rpc("insert", self._rpc_insert)
         t.register_rpc("route_insert", self._rpc_route_insert)
         t.register_rpc("range_solve", self._rpc_range_solve)
         t.register_rpc("status", self._rpc_status)
         t.register_rpc("snapshot", self._rpc_snapshot)
 
-    def _rpc_ping(self, payload: Any, src: dict[str, Any]) -> Any:
-        return self.entry()
-
-    def _rpc_get_successor(self, payload: Any, src: dict[str, Any]) -> Any:
-        return self.successor
-
-    def _rpc_get_successor_list(self, payload: Any, src: dict[str, Any]) -> Any:
-        return self.successors[: self.config.succ_list_len]
-
-    def _rpc_get_predecessor(self, payload: Any, src: dict[str, Any]) -> Any:
-        return self.predecessor
-
-    def _rpc_notify(self, payload: Any, src: dict[str, Any]) -> Any:
-        """``payload`` believes it precedes this node.  A node alone also takes
-        it as successor at once, so its next lookup answer is right."""
-        cand = _ring_entry(payload, self.m)
-        succ = self.successor
-        changed = self._adopt_predecessor(cand)
-        if succ["addr"] == self.addr and adopts_successor(
-                cand["id"], self.id, int(succ["id"]), self.m):
-            self.successors = [dict(cand)]
-            changed = True
-        if changed:
+    def _rpc_maintenance(self, kind: str, payload: Any, src: dict[str, Any]) -> Any:
+        """The step's answer (:meth:`~repro.dht.maintenance.ChordState.serve`);
+        ring pointers it moved are persisted."""
+        pred, succs = self.predecessor, self.successors
+        reply = self.serve(kind, payload)
+        if self.predecessor is not pred or self.successors is not succs:
             self._persist_overlay_state()
-        return {"ok": True}
-
-    def _rpc_splice(self, payload: Any, src: dict[str, Any]) -> Any:
-        """``payload`` says it now follows this node (it has just become its
-        successor's predecessor).  Stabilise's rule
-        (:func:`~repro.dht.idspace.adopts_successor`) decides whether it
-        becomes the successor; the reply is this node's entry when it is the
-        successor, else ``None``."""
-        cand = _ring_entry(payload, self.m)
-        if adopts_successor(cand["id"], self.id, int(self.successor["id"]), self.m):
-            self._set_successors([cand, *self.successors])
-            self._persist_overlay_state()
-        return self.entry() if self.successor["addr"] == cand["addr"] else None
-
-    def _rpc_lookup_step(self, payload: Any, src: dict[str, Any]) -> Any:
-        return self._lookup_step(int(payload["target"]))
+        return reply
 
     def _rpc_insert(self, payload: Any, src: dict[str, Any]) -> Any:
         """Store a batch — as the owner of every key in it only.
@@ -807,12 +580,12 @@ class NodeProcess:
         A later query asks the owner of a key for it, so an entry accepted
         anywhere else (placed off a stale ring view or snapshot) would be
         silently missing from every answer: unless each rotated key lies in
-        the arc :meth:`_arc` proves, the whole batch is refused — nothing
+        the arc :meth:`arc` proves, the whole batch is refused — nothing
         logged, nothing added.
         """
         keys = np.asarray(payload["keys"], dtype=np.uint64)
         foreign = len(keys) - int(np.count_nonzero(keys_in_interval_open_closed(
-            rotate_keys(keys, self.rotation, self.m), *self._arc(), self.m)))
+            rotate_keys(keys, self.rotation, self.m), *self.arc(), self.m)))
         if foreign:
             raise RpcError(
                 f"node {self.config.name}: {_INSERT_REFUSED}, {foreign} of {len(keys)} "
@@ -831,11 +604,13 @@ class NodeProcess:
         The caller takes this node's id as the end of what was covered, so a
         node that does not own ``key_lo`` answers ``not_owner`` with its
         predecessor (the owner lies that way), and one that cannot tell
-        (:meth:`_arc`) refuses: a stale view at the querying peer must not
-        turn into a short answer.
+        (:meth:`arc`) refuses: a stale view at the querying peer must not
+        turn into a short answer.  A key that is not an integer in
+        ``[0, 2**m)`` is refused too, never truncated or wrapped.
         """
-        key_lo, key_hi = int(payload["key_lo"]), int(payload["key_hi"])
-        pred_id, own_id = self._arc()
+        key_lo = key_field(payload, "key_lo", self.m)
+        key_hi = key_field(payload, "key_hi", self.m)
+        pred_id, own_id = self.arc()
         if not in_interval_open_closed(
                 rotate(key_lo, self.rotation, self.m), pred_id, own_id, self.m):
             return {"not_owner": True, "predecessor": self.predecessor}
@@ -845,7 +620,7 @@ class NodeProcess:
         return {
             "ids": np.asarray(ids, dtype=np.int64),
             "arc": [pred_id, own_id],
-            "successors": self.successors[: self.config.succ_list_len],
+            "successors": self.successors[: self.succ_list_len],
         }
 
     def _rpc_status(self, payload: Any, src: dict[str, Any]) -> Any:
@@ -859,7 +634,7 @@ class NodeProcess:
             "name": self.config.name,
             "addr": self.addr,
             "predecessor": self.predecessor,
-            "successors": self.successors[: self.config.succ_list_len],
+            "successors": self.successors[: self.succ_list_len],
             "entries": int(len(self.shard.shard)),
             "digest": self.shard.digest(),
             "wal_records": self.shard.wal_records,

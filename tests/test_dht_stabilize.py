@@ -75,7 +75,7 @@ class TestJoin:
         assert proto.stats.joins == 8
 
     def test_fingers_converge_after_join(self):
-        ring, sim, proto = _setup(n=12, m=16, config=MaintenanceConfig(fix_finger_interval=5.0))
+        ring, sim, proto = _setup(n=12, m=16, config=MaintenanceConfig(stabilize_interval=5.0))
         proto.start(duration=5000.0)
         proto.join(54321 % (1 << 16), ring.nodes()[0], host=0)
         sim.run(until=3000.0)

@@ -147,6 +147,12 @@ PAYLOADS = {
     "nested": {"id": [[1]], "addr": [["a"]], "target": [[1]], "key_lo": [[1]],
                "key_hi": [[2]], "lows": [[0.0], [0.0]], "highs": [[[1.0]]],
                "keys": [[1, 2]], "points": [[[1.0, 2.0]]], "ids": [[1]]},
+    # integer fields that are not an int in [0, 2**32): never truncated or wrapped
+    "float": {"target": 1.5, "key_lo": 5.9, "key_hi": 7,
+              "lows": [0.0, 0.0], "highs": [1000.0, 1000.0]},
+    **{f"wraps{name}": {"target": key, "key_lo": key, "key_hi": key,
+                        "lows": [0.0, 0.0], "highs": [1000.0, 1000.0]}
+       for name, key in (("-32", 2**32 + 1), ("-70", HUGE + 1), ("-negative", -(2**32) + 1))},
 }
 
 
@@ -203,6 +209,22 @@ def test_hostile_payload_is_answered_and_changes_nothing(pair, kind, shape):
     lows, highs = np.array([100.0, 0.0]), np.array([900.0, 1000.0])
     got = pair.run(pair.client.query(pair.nodes[1].addr, lows, highs))
     assert np.sort(got).tolist() == pair.brute_force(lows, highs).tolist()
+
+
+@pytest.mark.parametrize("shape", ["float", "wraps-32", "wraps-70", "wraps-negative"])
+@pytest.mark.parametrize("kind", ["lookup_step", "range_solve"])
+def test_a_key_that_is_no_int_on_the_ring_is_refused(pair, kind, shape):
+    """``lookup_step`` used to answer a ``target`` of 1.5 as 1, and one past
+    ``2**32`` (or below 0) as the key it wraps to; ``range_solve`` solved
+    from ``key_lo: 5.9`` as from 5.  Each is refused; the same request with
+    in-range integers is answered."""
+    node = pair.nodes[0]
+    with pytest.raises(RpcError, match="malformed (target|key_lo|key_hi)") as err:
+        pair.run(pair.client.transport.rpc(node.addr, kind, PAYLOADS[shape]))
+    assert not isinstance(err.value, RpcTimeout)
+    keys = {"target": 1, "key_lo": 5, "key_hi": 7}
+    assert isinstance(pair.run(pair.client.transport.rpc(
+        node.addr, kind, {**PAYLOADS[shape], **keys})), dict)
 
 
 # -- ownership is proved at both ends, never taken on trust --------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import time
 from collections import Counter
 
 import pytest
@@ -70,16 +71,16 @@ def test_concurrent_joins_are_consistent_within_two_rounds(tmp_path, monkeypatch
     interval = 0.05
     started: Counter[int] = Counter()
     finished: Counter[int] = Counter()
-    stabilize_once = NodeProcess._stabilize_once
+    stabilize_round = NodeProcess._stabilize_round
 
     async def counting_round(self):
         started[self.id] += 1
         try:
-            await stabilize_once(self)
+            await stabilize_round(self)
         finally:
             finished[self.id] += 1
 
-    monkeypatch.setattr(NodeProcess, "_stabilize_once", counting_round)
+    monkeypatch.setattr(NodeProcess, "_stabilize_round", counting_round)
 
     async def scenario() -> None:
         cluster = LocalCluster(8, data_root=tmp_path, m=M, stabilize_interval=interval)
@@ -94,6 +95,36 @@ def test_concurrent_joins_are_consistent_within_two_rounds(tmp_path, monkeypatch
             while any(finished[n.id] < base[n.id] + 2 for n in cluster.nodes):
                 await asyncio.sleep(0.005)
             assert _ring_errors(cluster.nodes) == []
+        finally:
+            await cluster.close()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("position", [0, 3, 7])
+def test_a_node_restarted_right_after_it_stopped_is_back_within_a_tenth_of_a_timeout(
+        tmp_path, position):
+    """A node stopped and restarted at once comes back under its old id on a
+    new port before the ring noticed it left, so the lookup of its own id
+    answers its old incarnation.  The join keeps the successor list it
+    recovered from ``meta.json`` instead: ``start()`` dials no dead address
+    (it used to wait out one ``rpc_timeout`` on the old one, and come back
+    with an empty successor list)."""
+    async def scenario() -> None:
+        cluster = LocalCluster(8, data_root=tmp_path, m=M, stabilize_interval=3600)
+        try:
+            await cluster.start()
+            ids = sorted(node.id for node in cluster.nodes)
+            old = cluster.nodes[position]
+            await cluster.stop_node(position)
+            t0 = time.monotonic()
+            new_addr = await cluster.restart_node(position)
+            elapsed = time.monotonic() - t0
+            node = cluster.nodes[position]
+            assert node.id == old.id and new_addr != old.addr
+            assert elapsed < node.config.rpc_timeout / 10
+            assert node.successors
+            assert node.successors[0]["id"] == ids[(ids.index(node.id) + 1) % len(ids)]
         finally:
             await cluster.close()
 
@@ -137,9 +168,7 @@ def test_idle_stable_ring_sends_what_it_always_sent(tmp_path, monkeypatch):
         return await rpc(self, dst_addr, kind, payload, **kw)
 
     async def round_of(node: NodeProcess) -> None:
-        await node._stabilize_once()
-        await node._check_predecessor()
-        await node._fix_finger()
+        await node._stabilize_round()
 
     async def scenario() -> None:
         cluster = LocalCluster(8, data_root=tmp_path, m=M, stabilize_interval=3600)
@@ -152,7 +181,7 @@ def test_idle_stable_ring_sends_what_it_always_sent(tmp_path, monkeypatch):
             assert _ring_errors(cluster.nodes) == []
             before = [(n.successors, n.predecessor, dict(n.fingers)) for n in cluster.nodes]
             for node in cluster.nodes:
-                node._next_finger = 0   # the same finger starts whatever came before
+                node.next_finger = 0   # the same finger starts whatever came before
             monkeypatch.setattr(TcpTransport, "rpc", counting_rpc)
             for _ in range(20):
                 for node in cluster.nodes:

@@ -19,6 +19,7 @@ import re
 import numpy as np
 import pytest
 
+import repro.dht.maintenance as maintenance
 import repro.net.cluster as cluster_module
 import repro.net.node as node_module
 from repro.core.index_space import IndexSpaceBounds
@@ -248,11 +249,13 @@ def test_query_path_source_has_no_snapshot_call_and_tracer_targets_resolve():
     for name in ("range_query", "_solve_at_owner", "_solve_from", "find_successor"):
         assert "ring_snapshot" not in inspect.getsource(getattr(RingWalker, name))
     assert "ring_snapshot" not in inspect.getsource(NodeProcess.range_query)
-    # one owner walk and one iterative lookup, which nodes and clients share
+    # one owner walk, which nodes and clients share, and one iterative
+    # lookup: the maintenance step's, which they and the simulator drive
     source = "".join(inspect.getsource(m) for m in (node_module, cluster_module))
     assert len(re.findall(r"\bOwnerWalk\(", source)) == 1
     assert len(re.findall(r'\.rpc\([^)]*"range_solve"', source)) == 1
-    assert len(re.findall(r'\.rpc\([^)]*"lookup_step"', source)) == 1
+    assert '"lookup_step", {' not in source
+    assert len(re.findall(r'"lookup_step", \{"target"', inspect.getsource(maintenance))) == 1
     # the ledger tracer patches these through the class's own namespace
     for name in ("range_query", "ring_snapshot", "route_insert"):
         assert name in NodeProcess.__dict__
@@ -474,7 +477,7 @@ def test_join_through_bootstrap_iterates_from_the_joiner(ring32, rpc_log):
     on the joiner's behalf, the joiner follows the hops itself."""
     async def join():
         node = NodeProcess(ring32.cluster._config(99, ring32.cluster.addrs[7]))
-        await node.transport.start()
+        node.addr = await node.transport.start()
         try:
             await node._join()   # no stabilise loop: the ring never hears of it
             return node
@@ -489,10 +492,10 @@ def test_join_through_bootstrap_iterates_from_the_joiner(ring32, rpc_log):
 
 
 def test_convergence_and_queries_need_no_finger(monkeypatch):
-    async def no_fingers(self):
-        return None
+    def no_fingers(self):
+        yield from ()
 
-    monkeypatch.setattr(NodeProcess, "_fix_finger", no_fingers)
+    monkeypatch.setattr(NodeProcess, "fix_finger", no_fingers)
     r = Ring(5, n_points=200, seed=9, freeze=False)   # boot asserts wait_converged
     try:
         assert all(not node.fingers for node in r.nodes)

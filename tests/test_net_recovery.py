@@ -184,7 +184,7 @@ def test_idle_stabilise_rounds_do_not_rewrite_meta_json(tmp_path, monkeypatch):
     written: list[str] = []
     rounds = [0]
     write_json = storage._atomic_write_json
-    stabilize_once = NodeProcess._stabilize_once
+    stabilize_round = NodeProcess._stabilize_round
 
     def counting_write(path, payload):
         written.append(path.name)
@@ -192,10 +192,10 @@ def test_idle_stabilise_rounds_do_not_rewrite_meta_json(tmp_path, monkeypatch):
 
     async def counting_round(self):
         rounds[0] += 1
-        await stabilize_once(self)
+        await stabilize_round(self)
 
     monkeypatch.setattr(storage, "_atomic_write_json", counting_write)
-    monkeypatch.setattr(NodeProcess, "_stabilize_once", counting_round)
+    monkeypatch.setattr(NodeProcess, "_stabilize_round", counting_round)
 
     async def scenario():
         cluster = LocalCluster(4, data_root=tmp_path, m=M, k=K, stabilize_interval=0.02)

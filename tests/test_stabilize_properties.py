@@ -29,9 +29,9 @@ from repro.sim.network import ConstantLatency
 )
 # Regression: a node joins with successors=[owner] only, and the owner
 # crashes before the first successor-list copy tick — the joiner's list
-# drained permanently and stabilisation stalled.  Fixed by copying the
-# owner's successor list in the join handshake plus an emergency
-# re-adoption path in stabilize() when every successor is dead.
+# drained permanently and stabilisation stalled.  A join now runs its first
+# round at once, as a live node's start() does: that round merges the
+# owner's successor list and splices the joiner in.
 @example(seed=221, n_start=10, events=[("join", 0), ("crash", 0)])
 def test_churn_converges(seed, n_start, events):
     m = 20
@@ -40,7 +40,7 @@ def test_churn_converges(seed, n_start, events):
     sim = Simulator()
     proto = StabilizationProtocol(
         ring, sim,
-        config=MaintenanceConfig(stabilize_interval=10.0, fix_finger_interval=5.0),
+        config=MaintenanceConfig(stabilize_interval=10.0),
         seed=seed,
     )
     proto.start(duration=5000.0)
@@ -54,8 +54,11 @@ def test_churn_converges(seed, n_start, events):
             while nid in scheduled_ids:
                 nid = (nid + 1) % (1 << m)
             scheduled_ids.add(nid)
-            bootstrap = ring.nodes()[int(rng.integers(0, len(ring)))]
-            sim.schedule_at(t, proto.join, nid, bootstrap, f"j{val}", 0)
+            # a joiner contacts a node that is alive when it joins: the
+            # step's join dials its bootstrap and reads no dead node's tables
+            pick = int(rng.integers(0, len(ring)))
+            sim.schedule_at(t, lambda nid=nid, pick=pick, name=f"j{val}": proto.join(
+                nid, ring.nodes()[pick % len(ring)], name, 0))
         else:
             # keep crash bursts within the successor-list tolerance and the
             # ring large enough to stay connected
