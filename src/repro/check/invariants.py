@@ -27,10 +27,12 @@ collect violations for inspection with ``strict=False``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
+from repro.dht.maintenance import Links, ring_violations, status_links
 from repro.util.bits import same_prefix, set_bit_at
 
 __all__ = [
@@ -82,6 +84,14 @@ class _Reporter:
             raise violation
         self.violations.append(violation)
 
+    def _check_links(self, links: Sequence[Links | None]) -> bool:
+        """Hold ``links`` to the ring rule (:func:`ring_violations`): the
+        first violation is reported; whether there was none."""
+        violations = ring_violations(links)
+        for name, details in violations[:1]:
+            self._fail(name, details)
+        return not violations
+
     @property
     def ok(self) -> bool:
         return not self.violations
@@ -98,57 +108,21 @@ def check_live_cluster(
 
     The live backend (:mod:`repro.net`) has no shared-memory oracle, so the
     structural promises are asserted over the data every node reports about
-    itself: sorted by id, each node's first successor and its predecessor
-    must be its ring neighbours, the ownership intervals must tile the
-    ``2**m`` identifier space exactly, and (when ``expected_entries`` is
+    itself: each status, read by :func:`~repro.dht.maintenance.status_links`,
+    must pass the ring rule (:func:`~repro.dht.maintenance.ring_violations`,
+    a malformed one is ``ring.malformed``), and (when ``expected_entries`` is
     given) the shards together must hold every inserted entry exactly once.
 
     Same strict-or-collect semantics as the simulator checkers; returns the
     reporter so callers can inspect ``checks`` / ``violations``.
     """
     rep = _Reporter(strict, flight=flight)
-    if not statuses:
-        rep._fail("ring.empty", "no live members")
+    if not rep._check_links([status_links(s, m) for s in statuses]):
         return rep
-    by_id = {int(s["id"]): s for s in statuses}
-    if len(by_id) != len(statuses):
-        rep._fail("ring.membership", "duplicate node ids in status set")
-        return rep
-    ids = sorted(by_id)
-    n = len(ids)
-    for pos, nid in enumerate(ids):
-        s = by_id[nid]
-        if n == 1:
-            break
-        succ = s["successors"][0] if s["successors"] else None
-        expected_succ = ids[(pos + 1) % n]
-        if succ is None or int(succ["id"]) != expected_succ:
-            got = "None" if succ is None else hex(int(succ["id"]))
-            rep._fail(
-                "ring.successor",
-                f"node {nid:#x}: successor {got} != oracle {expected_succ:#x}",
-            )
-            return rep
-        pred = s["predecessor"]
-        expected_pred = ids[(pos - 1) % n]
-        if pred is None or int(pred["id"]) != expected_pred:
-            got = "None" if pred is None else hex(int(pred["id"]))
-            rep._fail(
-                "ring.predecessor",
-                f"node {nid:#x}: predecessor {got} != oracle {expected_pred:#x}",
-            )
-            return rep
-    if n > 1:
-        total = sum((b - a) % (1 << m) for a, b in zip(ids, ids[1:] + ids[:1]))
-        if total != (1 << m):
-            rep._fail(
-                "ring.intervals",
-                f"ownership intervals cover {total} keys, expected {1 << m}",
-            )
-            return rep
     rep._passed("ring")
     if expected_entries is not None:
-        held = sum(int(s["entries"]) for s in statuses)
+        counts = [s.get("entries") for s in statuses]
+        held = sum(counts) if all(type(c) is int for c in counts) else counts
         if held != expected_entries:
             rep._fail(
                 "ownership.conservation",
@@ -325,39 +299,29 @@ class InvariantChecker(_Reporter):
     # -- Chord ring consistency ------------------------------------------------
 
     def check_ring(self) -> None:
-        """Successor/predecessor agreement with the oracle membership, and
-        finger reachability versus live members."""
+        """No dead member; the ring rule (:func:`ring_violations`) over each
+        member's first live successor and live predecessor; every finger a
+        live member."""
         ring = self.ring
         nodes = ring.nodes()
-        n = len(nodes)
-        if n == 0:
-            self._fail("ring.empty", "no live members")
+        dead = next((node for node in nodes if not node.alive), None)
+        if dead is not None:
+            self._fail("ring.membership", f"dead node {dead.id:#x} still a member")
             return
-        for pos, node in enumerate(nodes):
-            if not node.alive:
-                self._fail("ring.membership", f"dead node {node.id:#x} still a member")
-                return
-            if n == 1:
-                break
-            expected_succ = nodes[(pos + 1) % n]
+
+        def entry(node: Any) -> dict[str, Any]:
+            # a ChordNode has no address: its identity is one, unique per node
+            return {"id": node.id, "addr": f"@{id(node):x}"}
+
+        links: list[Links] = []
+        for node in nodes:
             succ = next((s for s in node.successors if s.alive), None)
-            if succ is not expected_succ:
-                got = "None" if succ is None else hex(succ.id)
-                self._fail(
-                    "ring.successor",
-                    f"node {node.id:#x}: first live successor "
-                    f"{got} != oracle {expected_succ.id:#x}",
-                )
-                return
             pred = node.predecessor
-            expected_pred = nodes[(pos - 1) % n]
-            if pred is None or not pred.alive or pred is not expected_pred:
-                self._fail(
-                    "ring.predecessor",
-                    f"node {node.id:#x}: predecessor "
-                    f"{'None' if pred is None else hex(pred.id)} != oracle {expected_pred.id:#x}",
-                )
-                return
+            links.append((entry(node), None if succ is None else entry(succ),
+                          entry(pred) if pred is not None and pred.alive else None))
+        if not self._check_links(links):
+            return
+        for node in nodes:
             for i, f in enumerate(node.fingers):
                 if ring.nodes_by_id.get(f.id) is not f:
                     self._fail(
@@ -365,16 +329,6 @@ class InvariantChecker(_Reporter):
                         f"node {node.id:#x} finger {i} -> {f.id:#x} is not a live member",
                     )
                     return
-        # ownership intervals partition the identifier space exactly once
-        if n > 1:
-            ids = sorted(nd.id for nd in nodes)
-            total = sum((b - a) % (1 << ring.m) for a, b in zip(ids, ids[1:] + ids[:1]))
-            if total != (1 << ring.m):
-                self._fail(
-                    "ring.intervals",
-                    f"ownership intervals cover {total} keys, expected {1 << ring.m}",
-                )
-                return
         self._passed("ring")
 
     # -- exactly-one-owner coverage ---------------------------------------------

@@ -10,12 +10,13 @@ rules are :mod:`repro.dht.idspace`'s.  Drivers only move the requests: the
 live node over ``TcpTransport.rpc`` (:mod:`repro.net.node`), the simulator as
 accounted control messages (:mod:`repro.dht.stabilize`), and the bare-ring
 tests in whatever order Hypothesis picks.  What a peer sends is validated
-where it enters, by :func:`ring_entry` and :func:`key_field`.
+where it enters, by :func:`ring_entry` and :func:`key_field`.  Whether the
+pointers form the ring is one rule, :func:`ring_violations`, for every check.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator
+from collections.abc import Callable, Generator, Sequence
 from typing import Any, TypeGuard
 
 from repro.dht.idspace import (
@@ -28,7 +29,8 @@ from repro.dht.idspace import (
 
 __all__ = [
     "ChordState", "Op", "ProtocolError", "Unreachable", "MAX_ROUTE_HOPS",
-    "is_ring_entry", "ring_entry", "ring_entries", "key_field", "lookup",
+    "is_ring_entry", "ring_entry", "ring_entries", "key_field", "lookup", "Links",
+    "status_links", "ring_violations",
 ]
 
 #: routing-loop guard: a lookup, stabilise walk or chain of predecessor
@@ -69,6 +71,55 @@ def ring_entries(value: Any, m: int) -> list[Entry]:
     if not isinstance(value, list):
         raise ProtocolError(f"malformed ring entry list: {str(value)[:80]}")
     return [ring_entry(e, m) for e in value]
+
+
+#: a member as :func:`ring_violations` reads it: its entry, then the entries
+#: its first successor and its predecessor name (``None`` when unknown)
+Links = tuple[Entry, Entry | None, Entry | None]
+
+
+def status_links(status: Any, m: int) -> Links | None:
+    """A node's ``status`` reply as :data:`Links`, or ``None`` unless the
+    node, each successor it lists and its predecessor (if any) are ring
+    entries."""
+    if not is_ring_entry(status, m):
+        return None
+    succs, pred = status.get("successors"), status.get("predecessor")
+    if not (isinstance(succs, list) and all(is_ring_entry(e, m) for e in succs)
+            and (pred is None or is_ring_entry(pred, m))):
+        return None
+    return status, succs[0] if succs else None, pred
+
+
+def ring_violations(links: Sequence[Links | None]) -> list[tuple[str, str]]:
+    """The ring-consistency rule every ring check calls: an ``(invariant,
+    details)`` pair for each way ``links`` differ from the ring of their
+    members sorted by id; none when they do not.  Entries match when id and
+    address do, so a node's old address is not the node.  A successor that
+    is not the next member is ``ring.successor``, a predecessor that is not
+    the previous one ``ring.predecessor``; a lone member may name itself or
+    nothing.  No member is ``ring.empty``, a ``None`` in ``links`` (a
+    malformed status) ``ring.malformed``, a repeated id ``ring.membership``."""
+    if not links:
+        return [("ring.empty", "no live members")]
+    malformed = [i for i, link in enumerate(links) if link is None]
+    if malformed:
+        return [("ring.malformed", f"members {malformed} of {len(links)}: malformed status")]
+    ring = sorted((link for link in links if link is not None), key=lambda link: link[0]["id"])
+    if len({me["id"] for me, _, _ in ring}) != len(ring):
+        return [("ring.membership", "duplicate node ids")]
+    n = len(ring)
+    out = []
+    for pos, (me, succ, pred) in enumerate(ring):
+        for name, got, want in (("successor", succ, ring[(pos + 1) % n][0]),
+                                ("predecessor", pred, ring[pos - 1][0])):
+            if got is None and n == 1 or got is not None and (
+                    got["id"], got["addr"]) == (want["id"], want["addr"]):
+                continue
+            shown = "None" if got is None else f"{got['id']:#x} at {got['addr']}"
+            out.append((f"ring.{name}", f"node {me['id']:#x}: {name} {shown} != "
+                                        f"oracle {want['id']:#x} at {want['addr']}"))
+    return out
 
 
 def key_field(payload: Any, name: str, m: int) -> int:

@@ -38,7 +38,8 @@ import numpy as np
 from repro.core.index_space import IndexSpaceBounds
 from repro.core.lph import lp_hash_batch
 from repro.dht.hashing import rotation_offset
-from repro.net.node import NodeConfig, NodeProcess, RingWalker
+from repro.dht.maintenance import ring_violations, status_links
+from repro.net.node import NodeConfig, NodeProcess, RingWalker, accepted_count
 from repro.net.transport import RpcError, TcpTransport
 
 __all__ = [
@@ -89,7 +90,7 @@ class ClusterClient:
             "points": np.asarray(points, dtype=np.float64),
             "ids": np.asarray(object_ids, dtype=np.int64),
         })
-        return int(reply["accepted"])
+        return accepted_count(reply, len(keys))
 
     async def query(self, addr: str, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Distributed range query, walked by this client: the object ids
@@ -133,45 +134,23 @@ class ClusterClient:
 
     async def wait_converged(self, addrs: list[str], timeout: float = 30.0,
                              poll: float = 0.1) -> bool:
-        """Wait until the live nodes form one consistent ring.
-
-        Converged means: every node has a predecessor and successor among
-        the live set, and following successors from any node visits all
-        live nodes exactly once (the closed-ring check the simulator's
-        invariant suite runs on shared memory, done over RPC).
-        """
+        """Wait until the nodes at ``addrs`` form one consistent ring:
+        their ``status`` replies, read as :func:`status_links`, pass
+        :func:`ring_violations` — by id and address, a lone node included.
+        A node that does not answer, or answers with a malformed status
+        (its ``m`` taken from the first node's index), is not converged."""
         deadline = self.transport.now + timeout
-        live = list(addrs)
         while self.transport.now < deadline:
-            if await self._converged_once(live):
+            try:
+                statuses = [await self.status(a) for a in addrs]
+            except RpcError:
+                statuses = []
+            index = statuses[0].get("index") if statuses and isinstance(statuses[0], dict) else None
+            if _is_index(index) and not ring_violations(
+                    [status_links(s, index["m"]) for s in statuses]):
                 return True
             await asyncio.sleep(poll)
         return False
-
-    async def _converged_once(self, addrs: list[str]) -> bool:
-        try:
-            statuses = [await self.status(a) for a in addrs]
-        except RpcError:
-            return False
-        live_addrs = {s["addr"] for s in statuses}
-        succ_of = {}
-        for s in statuses:
-            if s["predecessor"] is None or s["predecessor"]["addr"] not in live_addrs:
-                return False
-            succs = s["successors"]
-            if not succs or succs[0]["addr"] not in live_addrs:
-                return False
-            succ_of[s["addr"]] = succs[0]["addr"]
-        # the successor pointers must form a single cycle over all nodes
-        start = statuses[0]["addr"]
-        seen = set()
-        cur = start
-        for _ in range(len(addrs) + 1):
-            if cur in seen:
-                break
-            seen.add(cur)
-            cur = succ_of[cur]
-        return cur == start and seen == live_addrs
 
 
 class LocalCluster:

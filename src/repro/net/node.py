@@ -84,6 +84,15 @@ RING_VIEW_CAP = 4096
 _INSERT_REFUSED = "insert refused"
 
 
+def accepted_count(reply: Any, batch: int) -> int:
+    """The ``accepted`` of an ``insert`` or ``route_insert`` reply to a
+    batch of ``batch`` entries: an int in ``[0, batch]``, else :class:`RpcError`."""
+    value = reply.get("accepted") if isinstance(reply, dict) else None
+    if type(value) is not int or not 0 <= value <= batch:
+        raise RpcError(f"malformed accepted count: {str(reply)[:80]}")
+    return value
+
+
 async def _drive(transport: TcpTransport, op: Op) -> Any:
     """Run a maintenance operation, each request one ``transport.rpc``: an
     :class:`RpcTimeout` goes in as ``Unreachable``, any other
@@ -528,7 +537,7 @@ class NodeProcess(ChordState):
                 refused.append(sel)
                 refusal = exc
                 continue
-            accepted += int(reply["accepted"])
+            accepted += accepted_count(reply, len(sel))
         return accepted, np.concatenate(refused), refusal
 
     async def range_query(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:

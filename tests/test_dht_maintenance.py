@@ -13,9 +13,10 @@ against the oracle ring (the sorted ids of the live nodes):
 * no node that knows a peer ever claims the whole ring (an owner that did
   answered every key — the defect the live node's ownership proof fixed);
 * after quiet rounds the ring converges: every successor and predecessor is
-  the oracle's, lookups from any node name the oracle's owner, no node claims
-  the whole ring while peers live, and the arcs ``(pred, id]`` tile the
-  ring, so every key has exactly one owner.
+  the oracle's (:func:`ring_violations`, the rule every ring check calls,
+  unit-tested at the bottom), lookups from any node name the oracle's
+  owner, no node claims the whole ring while peers live, and the arcs
+  ``(pred, id]`` tile the ring, so every key has exactly one owner.
 
 Failures stay within what Chord tolerates: each live node keeps a live entry
 in its successor list, nobody fails while a node is still finding the ring,
@@ -36,7 +37,15 @@ from hypothesis.stateful import (
 )
 
 from repro.dht.idspace import cw_distance, owner_slot
-from repro.dht.maintenance import ChordState, Op, ProtocolError, Unreachable, lookup
+from repro.dht.maintenance import (
+    ChordState,
+    Op,
+    ProtocolError,
+    Unreachable,
+    lookup,
+    ring_violations,
+    status_links,
+)
 
 M = 16
 #: short successor lists, so that the crash tolerance bites
@@ -193,24 +202,20 @@ class BareChordRing(RuleBasedStateMachine):
     def _ring(self) -> list[ChordState]:
         return sorted((self.nodes[a] for a in self.up), key=lambda s: s.id)
 
-    def _consistent(self, ring: list[ChordState]) -> bool:
-        n = len(ring)
-        return all(
-            s.successor["addr"] == ring[(i + 1) % n].addr
-            and (s.predecessor["addr"] == ring[i - 1].addr if s.predecessor else n == 1)
-            for i, s in enumerate(ring))
+    @staticmethod
+    def _violations(ring: list[ChordState]) -> list[tuple[str, str]]:
+        return ring_violations([(s.entry(), s.successor, s.predecessor) for s in ring])
 
     def _quiet_rounds(self) -> None:
         while self.pending:
             self._deliver(0)
         ring = self._ring()
         for _ in range(2 * len(ring) + 4):
-            if self._consistent(ring):
+            if not self._violations(ring):
                 return
             for state in ring:
                 self._run(state.addr, state.round())
-        assert self._consistent(ring), [
-            (s.id, s.successor["id"], s.predecessor and s.predecessor["id"]) for s in ring]
+        assert not self._violations(ring), self._violations(ring)
 
     @rule(keys=st.lists(ids, min_size=1, max_size=4))
     def quiet_rounds_converge(self, keys: list[int]) -> None:
@@ -236,3 +241,34 @@ TestBareChordRing = BareChordRing.TestCase
 TestBareChordRing.settings = settings(
     stateful_step_count=40, deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+def _names(links) -> list[str]:
+    return [name for name, _ in ring_violations(links)]
+
+
+def test_the_ring_rule_matches_entries_by_id_and_address():
+    """The one rule every ring check calls, on hand-built links."""
+    a, b, c = ({"id": i, "addr": f"n{i}"} for i in (5, 70, 900))
+    ring = [(a, b, c), (b, c, a), (c, a, b)]
+    assert _names(ring) == _names(ring[::-1]) == []
+    # a lone member may name itself or nothing, not another node
+    assert _names([(a, None, None)]) == _names([(a, a, a)]) == []
+    assert _names([(a, b, None)]) == ["ring.successor"]
+    # a neighbour at a restarted node's old address is not the node
+    assert _names([(a, {**b, "addr": "old"}, c), *ring[1:]]) == ["ring.successor"]
+    # a live member, but not the previous one
+    assert _names([ring[0], (b, c, c), ring[2]]) == ["ring.predecessor"]
+    assert _names([ring[0], (b, None, None), ring[2]]) == ["ring.successor", "ring.predecessor"]
+    assert _names([]) == ["ring.empty"]
+    assert _names([ring[0], None, ring[2]]) == ["ring.malformed"]
+    assert _names([(a, b, b), ({**a, "addr": "x"}, a, a)]) == ["ring.membership"]
+    # a status reply is read into links only when every entry in it is one
+    status = {"id": 70, "addr": "n70", "successors": [c, a], "predecessor": a}
+    assert status_links(status, M) == (status, c, a)
+    alone = {**status, "successors": [], "predecessor": None}
+    assert status_links(alone, M) == (alone, None, None)
+    for bad in (None, [], {"addr": "a"}, {**status, "predecessor": "x"},
+                {**status, "successors": "bb"}, {**status, "successors": [c, {"id": 7}]},
+                {**status, "id": 1 << M}):
+        assert status_links(bad, M) is None

@@ -5,7 +5,8 @@ here the bytes decode and the *payload* is wrong: a reply, a ``notify`` or a
 ``splice`` that is no ring entry, every RPC kind fed shapes its handler does
 not expect, an owner that reports an arc it was not asked about, ids that
 are no integer array or ring entries that are none, a status reply with no
-usable index, and a batch placed on a node that does not own its keys.  The
+usable index, a batch placed on a node that does not own its keys, and an
+insert reply whose ``accepted`` is no count of the batch sent.  The
 node answers with a structured :class:`RpcError`, keeps its stabilise task,
 its shard and its ring, and goes on answering exactly; a querying peer —
 node or client — fails the query with an :class:`RpcError` and answers the
@@ -422,6 +423,58 @@ def test_insert_with_no_predecessor_on_a_ring_of_several_is_refused(trio):
     assert _state(trio) == before
 
 
+#: ``accepted`` replies to a two-entry batch that are no int in [0, 2]
+MALFORMED_ACCEPTED = {
+    "none": None, "dict": {}, "str": {"accepted": "x"}, "list": [1],
+    "bool": {"accepted": True}, "float": {"accepted": 2.0},
+    "negative": {"accepted": -1}, "too-many": {"accepted": 3},
+}
+
+
+def _two_entries_for(owner: NodeProcess) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    key = (owner.id - owner.rotation) % SIZE
+    return np.array([key, key], dtype=np.uint64), np.full((2, K), 5.0), np.array([9001, 9002])
+
+
+@pytest.mark.parametrize("reply", MALFORMED_ACCEPTED.values(), ids=MALFORMED_ACCEPTED)
+def test_a_malformed_insert_reply_is_an_rpc_error_at_the_coordinator(trio, reply):
+    """``route_insert`` used to add up ``int(reply["accepted"])``: ``None``
+    escaped as a ``TypeError``, ``"x"`` as a ``ValueError``, and ``True`` or
+    ``3`` counted entries the owner never took."""
+    coordinator, owner = trio.nodes[0], trio.nodes[2]
+    before = _state(trio)
+    owner.transport.register_rpc("insert", lambda payload, src: reply)
+    try:
+        with pytest.raises(RpcError, match="malformed accepted count"):
+            trio.run(coordinator.route_insert(*_two_entries_for(owner)))
+    finally:
+        owner.transport.register_rpc("insert", owner._rpc_insert)
+    assert _state(trio) == before
+
+
+@pytest.mark.parametrize("reply", MALFORMED_ACCEPTED.values(), ids=MALFORMED_ACCEPTED)
+def test_a_malformed_route_insert_reply_is_an_rpc_error_at_the_client(reply):
+    async def scenario() -> None:
+        fake = TcpTransport(node_id=1)
+        await fake.start()
+        answer = {"reply": reply}
+        fake.register_rpc("route_insert", lambda payload, src: answer["reply"])
+        client = ClusterClient()
+        batch = (np.array([1, 2], dtype=np.uint64), np.full((2, K), 5.0), np.array([1, 2]))
+        try:
+            await client.start()
+            with pytest.raises(RpcError, match="malformed accepted count") as err:
+                await client.insert(fake.addr, *batch)
+            assert not isinstance(err.value, RpcTimeout)
+            answer["reply"] = {"accepted": 2}   # the control
+            assert await client.insert(fake.addr, *batch) == 2
+        finally:
+            await client.close()
+            await fake.close()
+
+    asyncio.run(scenario())
+
+
 def test_route_insert_off_a_stale_snapshot_names_the_refused_count(trio, monkeypatch):
     """A coordinator whose ring view and snapshot both miss a member places
     that member's keys on its successor — which refuses them, twice (once
@@ -437,8 +490,7 @@ def test_route_insert_off_a_stale_snapshot_names_the_refused_count(trio, monkeyp
     coordinator.walker.view.clear()
     coordinator.walker.view.fill([stale[-1], *stale])
     assert coordinator.walker.view.tiling() == stale
-    key = (missing.id - missing.rotation) % SIZE
-    batch = (np.array([key, key], dtype=np.uint64), np.full((2, K), 5.0), np.array([9001, 9002]))
+    batch = _two_entries_for(missing)
     before = _state(trio)
     try:
         with pytest.raises(RpcError, match="2 of 2 keys outside its arc"):

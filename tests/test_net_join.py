@@ -19,6 +19,7 @@ from collections import Counter
 import pytest
 
 from repro.check.invariants import check_live_cluster
+from repro.dht.maintenance import ring_violations
 from repro.net.cluster import ClusterClient, LocalCluster
 from repro.net.node import NodeProcess
 from repro.net.transport import TcpTransport
@@ -28,25 +29,18 @@ M = 32
 pytestmark = pytest.mark.timeout(60)
 
 
-def _ring_errors(nodes: list[NodeProcess]) -> list[str]:
-    """Each node's successor and predecessor against the sorted ids."""
-    ids = sorted(node.id for node in nodes)
-    errors = []
-    for node in nodes:
-        pos = ids.index(node.id)
-        succ, pred = ids[(pos + 1) % len(ids)], ids[pos - 1]
-        if node.successor["id"] != succ:
-            errors.append(f"{node.config.name}: successor {node.successor['id']} != {succ}")
-        if node.predecessor is None or node.predecessor["id"] != pred:
-            errors.append(f"{node.config.name}: predecessor {node.predecessor} != {pred}")
-    return errors
+def _ring_errors(nodes: list[NodeProcess]) -> list[tuple[str, str]]:
+    """Each node's successor and predecessor against the sorted ring."""
+    return ring_violations([(node.entry(), node.successor, node.predecessor) for node in nodes])
 
 
-@pytest.mark.parametrize("n_nodes", [2, 16], ids=lambda n: f"{n}-nodes")
+@pytest.mark.parametrize("n_nodes", [1, 2, 16], ids=lambda n: f"{n}-nodes")
 def test_sequential_joins_are_consistent_when_start_returns(tmp_path, n_nodes):
     """At two nodes the bootstrap is alone when the joiner asks it, and used
     to answer "owner = self" until its next round; at sixteen the parent
-    needed fifteen rounds, one link fixed per round."""
+    needed fifteen rounds, one link fixed per round.  The client agrees on
+    its first poll; a lone node, which names no predecessor, used to wait out
+    the whole timeout."""
     async def scenario() -> None:
         cluster = LocalCluster(n_nodes, data_root=tmp_path, m=M, stabilize_interval=3600)
         client = ClusterClient()
@@ -56,7 +50,7 @@ def test_sequential_joins_are_consistent_when_start_returns(tmp_path, n_nodes):
             await client.start()
             statuses = [await client.status(a) for a in addrs]
             assert check_live_cluster(statuses, M).ok
-            assert await client.wait_converged(addrs, timeout=0.5)
+            assert await client.wait_converged(addrs, timeout=0.5, poll=0.5)
         finally:
             await client.close()
             await cluster.close()

@@ -59,8 +59,7 @@ class Ring:
     async def _boot(self, freeze: bool) -> None:
         addrs = await self.cluster.start()
         await self.client.start()
-        # a node alone has no predecessor to report, which is as converged as it gets
-        assert len(addrs) == 1 or await self.client.wait_converged(addrs, poll=0.02)
+        assert await self.client.wait_converged(addrs, poll=0.02)
         keys = lp_hash_batch(self.points, BOUNDS, M)
         assert await self.client.insert(addrs[0], keys, self.points, self.ids) == len(self.ids)
         if freeze:

@@ -79,6 +79,7 @@ def _fake_statuses(ids, entries_each=0):
         succ = ordered[(pos + 1) % len(ordered)]
         pred = ordered[(pos - 1) % len(ordered)]
         out.append({
+            "index": {"name": "index", "m": M, "k": K, "bounds_low": 0.0, "bounds_high": 1000.0},
             "id": nid,
             "addr": f"a{nid}",
             "name": f"n{nid}",
@@ -87,6 +88,34 @@ def _fake_statuses(ids, entries_each=0):
             "entries": entries_each,
         })
     return out
+
+
+def _wait_converged(statuses, timeout=0.2):
+    """``ClusterClient.wait_converged`` over ``statuses``, each served as
+    the ``status`` reply of one address, with no socket."""
+    client = ClusterClient()
+
+    async def status(addr):
+        return statuses[int(addr)]
+
+    client.status = status
+    addrs = [str(i) for i in range(len(statuses))]
+    return asyncio.run(client.wait_converged(addrs, timeout=timeout, poll=0.05))
+
+
+MALFORMED_STATUSES = {
+    "none": lambda s: None,
+    "list": lambda s: [],
+    "addr-only": lambda s: {"addr": "a"},
+    "predecessor-str": lambda s: {**s, "predecessor": "x"},
+    "successors-str": lambda s: {**s, "successors": "bb"},
+}
+
+
+def _with_malformed(shape, pos=1):
+    statuses = _fake_statuses([10, 900, 2**20])
+    statuses[pos] = MALFORMED_STATUSES[shape](statuses[pos])
+    return statuses
 
 
 def test_check_live_cluster_accepts_consistent_ring():
@@ -117,10 +146,46 @@ def test_check_live_cluster_detects_lost_entries():
     statuses = _fake_statuses([10, 900], entries_each=5)
     rep = check_live_cluster(statuses, M, strict=False, expected_entries=11)
     assert not rep.ok and rep.violations[0].name == "ownership.conservation"
+    statuses[0]["entries"] = "5"   # no count: never cast, never a TypeError
+    rep = check_live_cluster(statuses, M, strict=False, expected_entries=10)
+    assert [v.name for v in rep.violations] == ["ownership.conservation"]
 
 
 def test_check_live_cluster_single_node_ring():
     assert check_live_cluster(_fake_statuses([42]), M).ok
+
+
+def test_check_live_cluster_detects_a_stale_address():
+    """A neighbour named under the right id at a restarted node's old
+    address is not the node: ids alone used to pass it."""
+    statuses = _fake_statuses([10, 900, 2**20])
+    statuses[0]["successors"][0]["addr"] = "old"
+    rep = check_live_cluster(statuses, M, strict=False)
+    assert [v.name for v in rep.violations] == ["ring.successor"]
+
+
+@pytest.mark.parametrize("shape", MALFORMED_STATUSES)
+def test_check_live_cluster_reports_a_malformed_status(shape):
+    rep = check_live_cluster(_with_malformed(shape), M, strict=False, expected_entries=0)
+    assert [v.name for v in rep.violations] == ["ring.malformed"]
+    with pytest.raises(InvariantViolation, match="ring.malformed"):
+        check_live_cluster(_with_malformed(shape), M)
+
+
+@pytest.mark.parametrize("shape", MALFORMED_STATUSES)
+def test_a_malformed_status_is_not_converged(shape):
+    """Such replies used to escape ``wait_converged`` as a ``TypeError`` or
+    ``KeyError``, which only caught ``RpcError``.  The first status also
+    names the index, whose ``m`` the entries are checked against."""
+    for pos in (0, 1):
+        assert _wait_converged(_with_malformed(shape, pos)) is False
+
+
+def test_a_live_but_wrong_predecessor_is_not_converged():
+    statuses = _fake_statuses([10, 900, 2**20])
+    assert _wait_converged(statuses) is True
+    statuses[1]["predecessor"] = dict(statuses[0]["predecessor"])   # 2**20: live, two back
+    assert _wait_converged(statuses) is False
 
 
 # -- in-process kill/restart cycle ----------------------------------------------
