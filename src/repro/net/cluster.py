@@ -39,7 +39,7 @@ from repro.core.index_space import IndexSpaceBounds
 from repro.core.lph import lp_hash_batch
 from repro.dht.hashing import rotation_offset
 from repro.dht.maintenance import ring_violations, status_links
-from repro.net.node import NodeConfig, NodeProcess, RingWalker, accepted_count
+from repro.net.node import NodeConfig, NodeProcess, RingWalker, accepted_count, entry_batch
 from repro.net.transport import RpcError, TcpTransport
 
 __all__ = [
@@ -84,12 +84,14 @@ class ClusterClient:
 
     async def insert(self, addr: str, keys: np.ndarray, points: np.ndarray,
                      object_ids: np.ndarray) -> int:
-        """Route a batch into the ring through the node at ``addr``."""
-        reply = await self.transport.rpc(addr, "route_insert", {
-            "keys": np.asarray(keys, dtype=np.uint64),
-            "points": np.asarray(points, dtype=np.float64),
-            "ids": np.asarray(object_ids, dtype=np.int64),
-        })
+        """Route a batch into the ring through the node at ``addr``.  A
+        batch that is not uint64-range integer keys, int64 ids and one row
+        of real numbers per key is an :class:`RpcError` before any frame is
+        sent (:func:`~repro.net.node.entry_batch`; the node holds the keys
+        to its ``m`` and the rows to its ``k``)."""
+        keys, points, object_ids = entry_batch(keys, points, object_ids, 64, None)
+        reply = await self.transport.rpc(
+            addr, "route_insert", {"keys": keys, "points": points, "ids": object_ids})
         return accepted_count(reply, len(keys))
 
     async def query(self, addr: str, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:

@@ -13,9 +13,10 @@ JSON scalars, lists, ``str``-keyed dicts and, bit-exactly,
 
 The walk over a value runs inside the C JSON encoder and parser: the encoder
 calls back into Python only for those three kinds of leaf, the parser once
-per JSON object, innermost first.  No class is ever constructed from network
-bytes: the most a frame can make the decoder do is build lists, dicts,
-arrays and scalars.  The tag keys — and ``__obj__`` / ``__msg__``, which
+per JSON object, innermost first — and not at all for a body that holds
+neither ``"__`` nor ``\\u``, where no tag can be.  No class is ever
+constructed from network bytes: the most a frame can make the decoder do is
+build lists, dicts, arrays and scalars.  The tag keys — and ``__obj__`` / ``__msg__``, which
 tagged typed messages in earlier versions and stay reserved — are refused as
 payload dict keys on encode, and an object that carries one without being a
 well-formed tagged value is refused on decode, always as
@@ -137,6 +138,8 @@ def _decode_object(obj: dict[str, Any]) -> Any:
 
 _ENCODE = json.JSONEncoder(separators=(",", ":"), default=_encode_leaf).encode
 _DECODE = json.JSONDecoder(object_hook=_decode_object).decode
+#: what :data:`_DECODE` does to a body that can hold no reserved key
+_DECODE_PLAIN = json.JSONDecoder().decode
 
 
 # -- framing --------------------------------------------------------------------
@@ -200,7 +203,11 @@ class FrameDecoder:
         if fmt != _FMT_JSON:
             raise CodecError(f"unknown frame format byte {fmt[0]:#x}")
         try:
-            return _DECODE(body.decode("utf-8"))
+            text = body.decode("utf-8")
+            # every reserved key starts with "__", which raw JSON can only
+            # spell as "__ or with a \u escape: without either, the hook
+            # would hand every object back unchanged
+            return (_DECODE if '"__' in text or "\\u" in text else _DECODE_PLAIN)(text)
         except CodecError:
             raise
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError

@@ -93,6 +93,74 @@ def accepted_count(reply: Any, batch: int) -> int:
     return value
 
 
+#: what a list from the wire may hold as an integer, and as a real number
+#: (by exact type: ``bool`` is an ``int``)
+_INT = frozenset({int})
+_REAL = frozenset({int, float})
+
+
+def _ints(value: Any, name: str, lo: int, hi: int, dtype: type) -> np.ndarray:
+    """``value`` — a list of ints or a 1-D integer array, each in ``[lo,
+    hi]`` — as ``dtype``, else :class:`RpcError`: nothing is truncated or
+    wrapped."""
+    if isinstance(value, list):
+        ok = _INT.issuperset(map(type, value)) and (
+            not value or lo <= min(value) and max(value) <= hi)
+    else:
+        value = np.asarray(value)
+        ok = (value.ndim == 1 and value.dtype.kind in "iu"
+              and (value.size == 0 or lo <= value.min() and value.max() <= hi))
+    if not ok:
+        raise RpcError(f"malformed {name}: {str(value)[:80]}")
+    return np.asarray(value, dtype=dtype)
+
+
+def _reals(value: Any, name: str, ndim: int) -> np.ndarray:
+    """``value`` — an int or float array, or a list (of lists, for ``ndim``
+    2) of ints and floats — as float64 of rank ``ndim``, else
+    :class:`RpcError`: no bool, string or ``None`` is read as a number."""
+    if isinstance(value, list):
+        ok = _REAL.issuperset(map(type, value)) if ndim == 1 else all(
+            isinstance(row, list) and _REAL.issuperset(map(type, row)) for row in value)
+    else:
+        value = np.asarray(value)
+        ok = value.dtype.kind in "iuf"
+    try:
+        array = np.asarray(value, dtype=np.float64) if ok else None
+    except (ValueError, OverflowError):  # ragged rows; an int past float64
+        array = None
+    if array is None or array.ndim != ndim:
+        raise RpcError(f"malformed {name}: {str(value)[:80]}")
+    return array
+
+
+def rectangle(lows: Any, highs: Any, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A query rectangle held to the contract: ``lows`` and ``highs`` two
+    vectors of ``k`` ints or floats (as :func:`_reals` reads them), as
+    float64; else :class:`RpcError` "malformed rectangle"."""
+    lows, highs = _reals(lows, "rectangle", 1), _reals(highs, "rectangle", 1)
+    if lows.shape != (k,) or highs.shape != (k,):
+        raise RpcError(f"malformed rectangle: lows {lows.shape}, highs {highs.shape}, "
+                       f"the index has k = {k}")
+    return lows, highs
+
+
+def entry_batch(keys: Any, points: Any, object_ids: Any, m: int,
+                k: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An ``insert`` batch held to the contract before anything acts on it:
+    keys ints in ``[0, 2**m)`` (uint64), object ids ints that fit int64, and
+    one row of ``k`` real numbers per key (float64; any width when ``k`` is
+    ``None``).  Anything else is an :class:`RpcError`."""
+    keys = _ints(keys, "keys", 0, (1 << m) - 1, np.uint64)
+    object_ids = _ints(object_ids, "ids", -(1 << 63), (1 << 63) - 1, np.int64)
+    points = _reals(points, "points", 2)
+    if (len(object_ids) != len(keys) or len(points) != len(keys)
+            or k is not None and points.shape[1] != k):
+        raise RpcError(f"malformed batch: keys {keys.shape}, points {points.shape}, "
+                       f"ids {object_ids.shape}, k = {k}")
+    return keys, points, object_ids
+
+
 async def _drive(transport: TcpTransport, op: Op) -> Any:
     """Run a maintenance operation, each request one ``transport.rpc``: an
     :class:`RpcTimeout` goes in as ``Unreachable``, any other
@@ -126,13 +194,16 @@ class _RingView:
     holds the same ids sorted, so :func:`~repro.dht.idspace.owner_slot` finds
     the candidate owner of a ring position in O(log n).  The node asked still
     decides by its own predecessor: a stale arc costs a ``not_owner`` detour
-    or a refused ``insert``, never an answer.
+    or a refused ``insert``, never an answer.  :meth:`tiling` is kept until
+    an arc, an id or an address changes, so a warm walk asks it in O(1).
     """
 
     def __init__(self, m: int) -> None:
         self.m = m
         self.arcs: dict[int, tuple[int, dict[str, Any]]] = {}
         self.ids: list[int] = []
+        self._tiling: list[dict[str, Any]] | None = None
+        self._tiling_stale = False
 
     def _put(self, pred_id: int, entry: dict[str, Any]) -> None:
         if entry["id"] not in self.arcs:
@@ -140,17 +211,20 @@ class _RingView:
                 self.clear()
             insort(self.ids, entry["id"])
         self.arcs[entry["id"]] = pred_id, entry
+        self._tiling_stale = True
 
     def prove(self, pred_id: int, entry: dict[str, Any]) -> None:
         """``entry`` proved its arc ``(pred_id, id]``: that replaces what the
         view held for the id, and ids held inside the arc are forgotten (the
-        owner says no node is there)."""
-        self._put(pred_id, entry)
+        owner says no node is there).  Restating a held arc changes nothing."""
         ids, owner_id = self.ids, entry["id"]
+        if self.arcs.get(owner_id) != (pred_id, entry):
+            self._put(pred_id, entry)
         i = bisect_left(ids, owner_id)
         while len(ids) > 1 and in_interval_open(ids[i - 1], pred_id, owner_id, self.m):
             del self.arcs[ids.pop(i - 1)]  # i == 0: the last id, before it cyclically
             i = max(i - 1, 0)
+            self._tiling_stale = True
 
     def fill(self, chain: list[dict[str, Any]]) -> None:
         """Each entry of ``chain`` follows the one before it, as some node
@@ -163,7 +237,7 @@ class _RingView:
             if held is None:
                 self._put(a["id"], b)
             elif held[1]["addr"] != b["addr"]:
-                self.arcs[b["id"]] = held[0], b
+                self._put(held[0], b)
 
     def owner(self, ring_key: int) -> dict[str, Any] | None:
         """The entry whose arc holds ``ring_key``, if the view has one."""
@@ -175,19 +249,26 @@ class _RingView:
 
     def tiling(self) -> list[dict[str, Any]] | None:
         """The owners in id order when each arc begins where the one before
-        it ends — the whole ring, gap-free — else ``None``."""
-        ids = self.ids
-        if not ids or any(self.arcs[b][0] != a for a, b in zip([ids[-1], *ids], ids)):
-            return None
-        return [self.arcs[i][1] for i in ids]
+        it ends — the whole ring, gap-free — else ``None``.  The list is
+        shared until the view changes: read it, do not modify it."""
+        if self._tiling_stale:
+            ids = self.ids
+            self._tiling = None if not ids or any(
+                self.arcs[b][0] != a for a, b in zip([ids[-1], *ids], ids)
+            ) else [self.arcs[i][1] for i in ids]
+            self._tiling_stale = False
+        return self._tiling
 
     def forget(self, addr: str) -> None:
-        self.arcs = {i: arc for i, arc in self.arcs.items() if arc[1]["addr"] != addr}
-        self.ids = [i for i in self.ids if i in self.arcs]
+        if any(arc[1]["addr"] == addr for arc in self.arcs.values()):
+            self.arcs = {i: arc for i, arc in self.arcs.items() if arc[1]["addr"] != addr}
+            self.ids = [i for i in self.ids if i in self.arcs]
+            self._tiling_stale = True
 
     def clear(self) -> None:
         self.arcs.clear()
         self.ids.clear()
+        self._tiling_stale = True
 
 
 class RingWalker:
@@ -250,29 +331,29 @@ class RingWalker:
         this loop moves the messages: it finds the owner of that key — which
         checks that it is the owner — has it solve ``[key_lo, key_hi]`` on its
         shard, and reports the arc the owner proved.  A rectangle that is not
-        two vectors of ``k`` floats is an :class:`RpcError` before any frame
-        is sent.  An arc that does not hold the position asked about, ids
-        that are not a 1-D signed integer array, or malformed ring entries are
-        an :class:`RpcError`, never a shorter or a coerced answer.  The arc
-        and the owner's successors go into the ring view.  ``via`` is the node
-        a lookup starts at (see :meth:`find_successor`).
+        two vectors of ``k`` ints or floats is an :class:`RpcError` before any
+        frame is sent; it travels as two lists of JSON numbers.  An arc that
+        does not hold the position asked about, ids that are not a 1-D signed
+        integer array, or malformed ring entries are an :class:`RpcError`,
+        never a shorter or a coerced answer.  The arc goes into the ring
+        view.  While the view tiles the ring a request says ``tiled`` and the
+        owner sends no successor list; otherwise the owner's successors go
+        into the view and name the next owner.  ``via`` is the node a lookup
+        starts at (see :meth:`find_successor`).
         """
-        try:
-            lows = np.asarray(lows, dtype=np.float64)
-            highs = np.asarray(highs, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise RpcError(f"malformed rectangle: {exc}") from exc
-        if lows.shape != (self.bounds.k,) or highs.shape != lows.shape:
-            raise RpcError(f"malformed rectangle: lows {lows.shape}, highs {highs.shape}, "
-                           f"the index has k = {self.bounds.k}")
+        lows, highs = rectangle(np.asarray(lows), np.asarray(highs), self.bounds.k)
         walk = OwnerWalk(lows, highs, self.bounds, self.rotation, self.m)
+        rect = {"lows": lows.tolist(), "highs": highs.tolist()}
         known = self._links()
         links = known
         collected: list[np.ndarray] = []
         try:
             while walk.key_lo is not None:
-                entry, reply = await self._solve_at_owner(walk.ring_key, links, {
-                    "lows": lows, "highs": highs, "key_lo": walk.key_lo, "key_hi": walk.key_hi}, via)
+                payload = {**rect, "key_lo": walk.key_lo, "key_hi": walk.key_hi}
+                tiled = self.view.tiling() is not None
+                if tiled:
+                    payload["tiled"] = True
+                entry, reply = await self._solve_at_owner(walk.ring_key, links, payload, via)
                 ids = reply["ids"]
                 if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind == "i"):
                     raise RpcError(
@@ -284,10 +365,15 @@ class RingWalker:
                     walk.answered(pred_id, owner_id)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise RpcError(f"range_solve for key {walk.key_lo}: bad arc: {exc}") from exc
-                successors = ring_entries(reply.get("successors"), self.m)
+                # the owner and its successors, unless the request said tiled
+                # and the owner left them out (an owner that predates the
+                # field sends them anyway)
+                chain = None if tiled and "successors" not in reply else [
+                    {"id": owner_id}, *ring_entries(reply.get("successors"), self.m)]
                 self.view.prove(pred_id, {**entry, "id": owner_id})
-                self.view.fill([{"id": owner_id}, *successors])
-                links = [[{"id": owner_id}, *successors], *known]
+                if chain is not None:
+                    self.view.fill(chain)
+                links = known if chain is None else [chain, *known]
         except ProtocolError as exc:  # a malformed ring entry in a reply
             raise RpcError(str(exc)) from exc
         if not collected:
@@ -499,10 +585,10 @@ class NodeProcess(ChordState):
         snapshot; a second refusal is the owner's :class:`RpcError`, naming
         the count.  Any other error ends the call with nothing retried (an
         ``insert`` that timed out may have been applied).  Batches placed
-        before an error stay placed.
+        before an error stay placed.  A batch that breaks the contract of
+        :func:`entry_batch` is an :class:`RpcError` before anything is placed.
         """
-        batch = (np.asarray(keys, dtype=np.uint64), np.asarray(points, dtype=np.float64),
-                 np.asarray(object_ids, dtype=np.int64))
+        batch = entry_batch(keys, points, object_ids, self.m, self.bounds.k)
         ring = self.walker.view.tiling() or await self.ring_snapshot()
         accepted, refused, refusal = await self._place(ring, *batch)
         if refusal is not None:
@@ -590,16 +676,18 @@ class NodeProcess(ChordState):
         anywhere else (placed off a stale ring view or snapshot) would be
         silently missing from every answer: unless each rotated key lies in
         the arc :meth:`arc` proves, the whole batch is refused — nothing
-        logged, nothing added.
+        logged, nothing added.  So is a batch that breaks the contract of
+        :func:`entry_batch`.
         """
-        keys = np.asarray(payload["keys"], dtype=np.uint64)
+        keys, points, object_ids = entry_batch(
+            payload["keys"], payload["points"], payload["ids"], self.m, self.bounds.k)
         foreign = len(keys) - int(np.count_nonzero(keys_in_interval_open_closed(
             rotate_keys(keys, self.rotation, self.m), *self.arc(), self.m)))
         if foreign:
             raise RpcError(
                 f"node {self.config.name}: {_INSERT_REFUSED}, {foreign} of {len(keys)} "
                 f"keys outside its arc")
-        seq = self.shard.add(keys, payload["points"], payload["ids"])
+        seq = self.shard.add(keys, points, object_ids)
         return {"accepted": int(len(keys)), "seq": int(seq)}
 
     async def _rpc_route_insert(self, payload: Any, src: dict[str, Any]) -> Any:
@@ -615,22 +703,27 @@ class NodeProcess(ChordState):
         predecessor (the owner lies that way), and one that cannot tell
         (:meth:`arc`) refuses: a stale view at the querying peer must not
         turn into a short answer.  A key that is not an integer in
-        ``[0, 2**m)`` is refused too, never truncated or wrapped.
+        ``[0, 2**m)`` is refused too, never truncated or wrapped, and so is
+        a rectangle that is not two vectors of ``k`` ints or floats
+        (:func:`rectangle`) or a ``tiled`` that is not a bool.  A caller
+        that says ``tiled`` gets no successor list.
         """
         key_lo = key_field(payload, "key_lo", self.m)
         key_hi = key_field(payload, "key_hi", self.m)
+        lows, highs = rectangle(payload.get("lows"), payload.get("highs"), self.bounds.k)
+        tiled = payload.get("tiled", False)
+        if type(tiled) is not bool:
+            raise RpcError(f"malformed tiled: {str(tiled)[:80]}")
         pred_id, own_id = self.arc()
         if not in_interval_open_closed(
                 rotate(key_lo, self.rotation, self.m), pred_id, own_id, self.m):
             return {"not_owner": True, "predecessor": self.predecessor}
-        pos = self.shard.shard.range_search(
-            payload["lows"], payload["highs"], key_lo=key_lo, key_hi=key_hi)
-        ids = self.shard.shard.object_ids[pos]
-        return {
-            "ids": np.asarray(ids, dtype=np.int64),
-            "arc": [pred_id, own_id],
-            "successors": self.successors[: self.succ_list_len],
-        }
+        pos = self.shard.shard.range_search(lows, highs, key_lo=key_lo, key_hi=key_hi)
+        reply = {"ids": np.asarray(self.shard.shard.object_ids[pos], dtype=np.int64),
+                 "arc": [pred_id, own_id]}
+        if not tiled:
+            reply["successors"] = self.successors[: self.succ_list_len]
+        return reply
 
     def _rpc_status(self, payload: Any, src: dict[str, Any]) -> Any:
         """This node's ops state, and the index the ring serves: what a

@@ -11,12 +11,18 @@ Hypothesis drives three invariants end to end:
   kernel slices the stream);
 * **one error type** — any JSON tree, salted with the codec's reserved tag
   keys, either decodes or raises :class:`CodecError`; the links of
-  ``TcpTransport`` catch nothing else.
+  ``TcpTransport`` catch nothing else;
+* **no hook, same value** — a body the decoder parses without its tag hook
+  (no ``"__``, no ``\\u``) decodes to what the hooked parser makes of it;
+* **floats as JSON numbers** — a rectangle sent as lists of floats comes
+  back bit-exact.
 
 Plus directed tests for the failure modes (reserved keys and tags, corrupt
-length prefixes, truncated arrays, malformed tagged values), the
-parent-written byte fixture ``tests/fixtures/wire_pr18.json`` that pins
-every frame the live node speaks, and the live cases: an envelope of
+length prefixes, truncated arrays, malformed tagged values), the byte
+fixtures that pin every frame the live node speaks
+(``tests/fixtures/wire_pr18.json``, written by an earlier commit, and
+``wire_tiled.json`` for the list-rectangle and ``tiled`` shapes of
+``range_solve`` that came after it), and the live cases: an envelope of
 another ``WIRE_VERSION`` gets no answer, and a hostile frame — or a frame
 that decodes to an envelope with a field of the wrong type — costs its own
 connection, nothing more.
@@ -27,14 +33,18 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import math
+import struct
 import warnings
 from pathlib import Path
 from typing import Any
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.net import codec
 from repro.net.codec import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
@@ -48,6 +58,7 @@ from repro.util.arrays import decode_array, encode_array
 from tests.net_helpers import json_frame
 
 WIRE_FIXTURE = Path(__file__).parent / "fixtures" / "wire_pr18.json"
+WIRE_TILED_FIXTURE = Path(__file__).parent / "fixtures" / "wire_tiled.json"
 RESERVED_KEYS = ("__msg__", "__obj__", "__bytes__", "__nd__", "__npscalar__")
 
 # -- strategies -----------------------------------------------------------------
@@ -154,6 +165,74 @@ def test_frame_stream_survives_arbitrary_chunking(fmt, values, data):
         assert_same(want, got)
 
 
+def _canonical(value: Any) -> Any:
+    """``value`` as plain data that ``==`` compares exactly: arrays by dtype,
+    shape and bytes, floats by their bits (so NaN equals NaN and -0.0 is not
+    0.0), and every other scalar with its type."""
+    if isinstance(value, np.ndarray):
+        return ("nd", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, list):
+        return [_canonical(v) for v in value]
+    if isinstance(value, dict):
+        return [(k, _canonical(v)) for k, v in value.items()]
+    if isinstance(value, float):
+        return (type(value), struct.pack("<d", value))
+    return (type(value), value)
+
+
+def _decoded(frame: bytes) -> Any:
+    try:
+        (value,) = FrameDecoder().feed(frame)
+    except CodecError as exc:
+        return ("CodecError", str(exc))
+    return _canonical(value)
+
+
+@given(hostile_trees, st.data())
+def test_a_body_with_no_tag_spelling_decodes_as_with_the_hook(tree, data):
+    """``FrameDecoder`` skips the tag hook on a body that holds neither
+    ``"__`` nor ``\\u``.  For any JSON tree — its keys drawn from the
+    reserved tags as often as not, and each ``"__`` of the text spelled
+    ``"\\u005f_`` at random — the frame decodes to what the hooked parser
+    makes of it, or fails with the same :class:`CodecError`."""
+    body = json.dumps(tree)
+    escape = data.draw(st.lists(st.booleans(), min_size=body.count('"__'),
+                                max_size=body.count('"__')))
+    parts = body.split('"__')
+    body = parts[0] + "".join(('"\\u005f_' if e else '"__') + p
+                              for e, p in zip(escape, parts[1:]))
+    frame = (len(body.encode()) + 1).to_bytes(4, "big") + b"J" + body.encode()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # NumPy's dtype-spelling deprecations
+        got = _decoded(frame)
+        with mock.patch.object(codec, "_DECODE_PLAIN", codec._DECODE):
+            assert _decoded(frame) == got
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=8))
+def test_a_rectangle_as_json_numbers_round_trips_bit_exactly(values):
+    """A rectangle travels as lists of Python floats: ``repr`` spells every
+    float64 so that it parses back to the same bits, ±inf, -0.0 and
+    subnormals included; NaN comes back as the one NaN float64 NumPy and
+    Python make."""
+    bound = np.array(values, dtype=np.float64)
+    bound[np.isnan(bound)] = np.nan
+    payload = {"lows": bound.tolist(), "highs": bound[::-1].tolist(), "key_lo": 1, "key_hi": 2}
+    got = round_trip(payload)
+    assert np.asarray(got["lows"], dtype=np.float64).tobytes() == bound.tobytes()
+    assert np.asarray(got["highs"], dtype=np.float64).tobytes() == bound[::-1].tobytes()
+
+
+def test_the_special_floats_of_a_rectangle_cross_the_wire():
+    bound = np.array([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
+                      2.2250738585072009e-308, 1.7976931348623157e308, 0.1])
+    wire = Framer("json").encode({"lows": bound.tolist()})
+    assert b"Infinity" in wire and b"NaN" in wire and b"-0.0" in wire
+    (got,) = FrameDecoder().feed(wire)
+    assert np.asarray(got["lows"]).tobytes() == bound.tobytes()
+
+
 @given(hostile_trees)
 def test_hostile_tree_decodes_or_raises_codec_error(tree):
     with warnings.catch_warnings():
@@ -184,9 +263,9 @@ def test_byte_by_byte_feed():
 def _wire_envelopes() -> dict[str, dict[str, Any]]:
     """One ``req`` and one ``res`` envelope per payload shape of
     ``net/node.py`` and ``net/cluster.py``, field order as
-    ``TcpTransport.rpc`` / ``_dispatch`` write it.  The fixture holds the
-    bytes the parent commit's ``Framer("json").encode`` produced for these
-    (its ``recipe`` field says how)."""
+    ``TcpTransport.rpc`` / ``_dispatch`` write it.  The two fixtures hold
+    the bytes ``Framer("json").encode`` produced for these at the commit
+    named in each one's ``written_by`` (its ``recipe`` field says how)."""
     entry = {"id": 2**63 + 5, "addr": "127.0.0.1:7001", "name": "n1"}
     succ = {"id": 17, "addr": "127.0.0.1:7002", "name": "n2"}
     batch = {
@@ -220,6 +299,17 @@ def _wire_envelopes() -> dict[str, dict[str, Any]]:
             "wal_records": 3, "stats": {"sent": 40, "delivered": 38}}),
         ("snapshot", "snapshot", None, {"ok": True, "digest": "00ff" * 16}),
         ("unknown_kind", "nope", None, {"__rpc_error__": "no handler for 'nope'"}),
+        # newer than wire_pr18.json, so their rids come last: a querying peer
+        # sends the rectangle as JSON numbers, and says "tiled" once its ring
+        # view tiles the ring (no successors come back)
+        ("range_solve.lists", "range_solve",
+         {"lows": [0.0, 0.25], "highs": [0.5, 1.0], "key_lo": 2**40, "key_hi": 2**41 - 1},
+         {"ids": np.array([4, 9], dtype=np.int64), "arc": [17, 2**63 + 5],
+          "successors": [succ]}),
+        ("range_solve.tiled", "range_solve",
+         {"lows": [-0.0, float("-inf"), 5e-324], "highs": [0.1, float("inf"), 1e300],
+          "key_lo": 0, "key_hi": 2**64 - 1, "tiled": True},
+         {"ids": np.array([4, 9], dtype=np.int64), "arc": [17, 2**63 + 5]}),
     ]
     src = {"id": 17, "host": 2, "addr": "127.0.0.1:7002"}
     out: dict[str, dict[str, Any]] = {}
@@ -231,16 +321,32 @@ def _wire_envelopes() -> dict[str, dict[str, Any]]:
     return out
 
 
-def test_wire_bytes_match_the_parent_written_fixture():
-    fixture = json.loads(WIRE_FIXTURE.read_text())
+def _assert_fixture_frames(path: Path) -> set[str]:
+    """Each frame of the fixture at ``path`` is what ``Framer`` writes for
+    its envelope and decodes back to it; returns the names it pins."""
+    frames = json.loads(path.read_text())["frames"]
     envelopes = _wire_envelopes()
-    assert set(fixture["frames"]) == set(envelopes)
+    assert set(frames) <= set(envelopes)
     framer = Framer("json")
-    for name, env in envelopes.items():
-        wire = bytes.fromhex(fixture["frames"][name])
-        assert framer.encode(env) == wire, name
+    for name, hexed in frames.items():
+        wire = bytes.fromhex(hexed)
+        assert framer.encode(envelopes[name]) == wire, name
         (got,) = FrameDecoder().feed(wire)
-        assert_same(env, got)
+        assert_same(envelopes[name], got)
+    return set(frames)
+
+
+def test_wire_bytes_match_the_parent_written_fixture():
+    assert len(_assert_fixture_frames(WIRE_FIXTURE)) == 30
+
+
+def test_wire_bytes_of_the_list_rectangle_and_tiled_shapes_match_their_fixture():
+    """The shapes ``wire_pr18.json`` predates are pinned by a fixture of
+    their own; between them the two pin every envelope above."""
+    new = _assert_fixture_frames(WIRE_TILED_FIXTURE)
+    assert new | _assert_fixture_frames(WIRE_FIXTURE) == set(_wire_envelopes())
+    assert new == {f"range_solve.{shape}:{t}" for shape in ("lists", "tiled")
+                   for t in ("req", "res")}
 
 
 # -- directed failure modes -----------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from collections.abc import Callable
 from functools import partial
 from typing import Any
@@ -24,10 +25,11 @@ from typing import Any
 import numpy as np
 import pytest
 
+from repro.dht.idspace import rotate_keys
 from repro.net.cluster import ClusterClient
 from repro.net.node import NodeConfig, NodeProcess
 from repro.net.transport import RpcError, RpcTimeout, TcpTransport
-from tests.test_net_query import SIZE, K, Ring
+from tests.test_net_query import SIZE, K, M, Ring
 
 pytestmark = pytest.mark.timeout(60)
 
@@ -154,6 +156,16 @@ PAYLOADS = {
     **{f"wraps{name}": {"target": key, "key_lo": key, "key_hi": key,
                         "lows": [0.0, 0.0], "highs": [1000.0, 1000.0]}
        for name, key in (("-32", 2**32 + 1), ("-70", HUGE + 1), ("-negative", -(2**32) + 1))},
+    # range_solve's optional field and its rectangle as lists: each is refused
+    **{f"tiled-{name}": {"lows": [0.0, 0.0], "highs": [1000.0, 1000.0], "key_lo": 5,
+                         "key_hi": 7, "tiled": value}
+       for name, value in (("str", "yes"), ("int", 1), ("none", None), ("list", [True]))},
+    **{f"rect-{name}": {"lows": lows, "highs": highs, "key_lo": 5, "key_hi": 7}
+       for name, lows, highs in (("bools", [False, False], [True, True]),
+                                 ("strs", ["0", "0"], ["1000", "1000"]),
+                                 ("mixed", [0.0, True], [1000.0, 1000.0]),
+                                 ("short", [0.0], [1000.0]),
+                                 ("none", None, [1000.0, 1000.0]))},
 }
 
 
@@ -226,6 +238,144 @@ def test_a_key_that_is_no_int_on_the_ring_is_refused(pair, kind, shape):
     keys = {"target": 1, "key_lo": 5, "key_hi": 7}
     assert isinstance(pair.run(pair.client.transport.rpc(
         node.addr, kind, {**PAYLOADS[shape], **keys})), dict)
+
+
+@pytest.mark.parametrize("shape", [name for name in PAYLOADS
+                                   if name.startswith(("tiled-", "rect-"))])
+def test_a_range_solve_with_a_malformed_rectangle_or_tiled_is_refused(pair, shape):
+    """The owner used to hand ``lows`` / ``highs`` to its shard as it found
+    them, so ``["0", "0"]`` and ``[false, false]`` were read as numbers and
+    answered; a ``tiled`` that is not a bool would have been read as one.
+    Each is refused; the same request with two lists of ``k`` floats is
+    answered."""
+    node = pair.nodes[0]
+    with pytest.raises(RpcError, match="malformed (rectangle|tiled)") as err:
+        pair.run(pair.client.transport.rpc(node.addr, "range_solve", PAYLOADS[shape]))
+    assert not isinstance(err.value, RpcTimeout)
+    good = {**PAYLOADS[shape], "lows": [0.0, 0.0], "highs": [1000.0, 1000.0], "tiled": True}
+    assert isinstance(pair.run(pair.client.transport.rpc(node.addr, "range_solve", good)), dict)
+
+
+@pytest.mark.parametrize("lows", [
+    np.array([0.0, 0.0], dtype=object), np.zeros((1, K)), np.zeros(K + 1),
+    np.array([False, False]), np.array(["0", "0"]), [b"0", b"0"], [[0.0], [0.0]],
+    [np.float64(0.0), 0.0], [2**1100, 0], "00", 0.0,
+], ids=["object", "2-d", "k+1", "bool-array", "str-array", "bytes", "nested",
+        "numpy-scalars", "int-past-float", "str", "scalar"])
+def test_the_owner_reads_a_rectangle_as_k_numbers_or_refuses_it(pair, lows):
+    """The rule itself, at the handler (so values the wire would not carry
+    reach it too): a list of ``k`` ints and floats, or a 1-D int or float
+    array of ``k``; anything else is "malformed rectangle"."""
+    node = pair.nodes[0]
+    request = {"lows": lows, "highs": [1000.0] * K, "key_lo": 5, "key_hi": 7}
+    with pytest.raises(RpcError, match="malformed rectangle"):
+        node._rpc_range_solve(request, {})
+    for good in ([0, 0.0], np.zeros(K, dtype=np.int32), np.zeros(K, dtype=np.float32),
+                 [-math.inf, -0.0], [math.nan, 5e-324]):
+        assert isinstance(node._rpc_range_solve({**request, "lows": good}, {}), dict)
+
+
+@pytest.mark.parametrize("lows, highs", [
+    (["0", "0"], ["1000", "1000"]),
+    ([False, False], [True, True]),
+    ([b"1", b"2"], [b"3", b"4"]),
+    (np.array([0, 0], dtype=object), np.array([1000, 1000], dtype=object)),
+], ids=["strs", "bools", "bytes", "objects"])
+def test_a_client_refuses_a_rectangle_that_is_not_numbers_before_sending_it(
+        pair, monkeypatch, lows, highs):
+    """``ClusterClient.query`` used to cast whatever it was handed to
+    float64: ``["0", "0"]`` to ``["1000", "1000"]`` was walked and answered,
+    against the rectangle rule of the deployment guide."""
+    client, addr = pair.client, pair.nodes[1].addr
+    assert len(pair.run(client.query(addr, *WHOLE))) == len(pair.ids)   # warm: index known
+    sent: list[str] = []
+    rpc = client.transport.rpc
+    monkeypatch.setattr(client.transport, "rpc",
+                        lambda dst, kind, payload=None, **kw: sent.append(kind) or rpc(
+                            dst, kind, payload, **kw))
+    with pytest.raises(RpcError, match="malformed rectangle"):
+        pair.run(client.query(addr, lows, highs))
+    assert sent == []
+
+
+def _own_key(node: NodeProcess) -> int:
+    return (node.id - node.rotation) % SIZE
+
+
+def _owner_of(ring: Ring, key: int) -> NodeProcess:
+    """The node whose arc holds ``key`` (read as uint64, as an insert used
+    to cast it)."""
+    rot = int(rotate_keys(np.array([key % 2**64], dtype=np.uint64), ring.nodes[0].rotation, M)[0])
+    return next(n for n in ring.nodes if n.id == ring.true_successor(rot))
+
+
+#: per malformed batch: what replaces the fields of a one-entry batch, and
+#: the key an insert used to store it under (``None``: the first node's own)
+MALFORMED_BATCHES = {
+    "float-id-list": ({"ids": [1.5]}, None),
+    "float-id": ({"ids": np.array([1.5])}, None),
+    "bool-id-list": ({"ids": [True]}, None),
+    "bool-id": ({"ids": np.array([True])}, None),
+    "id-past-int64": ({"ids": np.array([2**63], dtype=np.uint64)}, None),
+    "float-key-list": ({"keys": [5.7]}, 5),
+    "float-key": ({"keys": np.array([5.7])}, 5),
+    "negative-key": ({"keys": np.array([-1])}, 2**64 - 1),
+    "key-past-m": ({"keys": np.array([SIZE + 5], dtype=np.uint64)}, SIZE + 5),
+    "str-points-list": ({"points": [["1", "2"]]}, None),
+    "str-points": ({"points": np.array([["1", "2"]])}, None),
+    "bool-points-list": ({"points": [[True, 5.0]]}, None),
+    "points-wrong-k": ({"points": np.full((1, K + 1), 5.0)}, None),
+}
+
+
+@pytest.mark.parametrize("kind", ["insert", "route_insert"])
+@pytest.mark.parametrize("shape", MALFORMED_BATCHES)
+def test_a_malformed_batch_is_refused_and_nothing_is_stored(trio, kind, shape):
+    """Both RPCs used to cast a batch to uint64 keys, float64 points and
+    int64 ids and store it: ``ids: [1.5]`` and ``[true]`` as object 1, key
+    5.7 as 5, key -1 as ``2**64 - 1`` (outside the ring, so no query could
+    return it), points ``[["1", "2"]]`` as floats.  Each is now refused —
+    by the owner the cast key would have gone to, and by a coordinator —
+    with nothing logged and nothing added."""
+    override, stored_under = MALFORMED_BATCHES[shape]
+    owner = trio.nodes[0] if stored_under is None else _owner_of(trio, stored_under)
+    batch = {"keys": [_own_key(owner)], "points": [[5.0, 5.0]], "ids": [9001], **override}
+    target = owner if kind == "insert" else trio.nodes[1]
+    before = _state(trio)
+    with pytest.raises(RpcError, match="malformed (keys|ids|points|batch)") as err:
+        trio.run(trio.client.transport.rpc(target.addr, kind, batch))
+    assert not isinstance(err.value, RpcTimeout)
+    assert _state(trio) == before
+
+
+@pytest.mark.parametrize("shape", [s for s in MALFORMED_BATCHES
+                                   if s not in ("key-past-m", "points-wrong-k")])
+def test_a_client_refuses_a_malformed_batch_before_sending_it(shape):
+    """``ClusterClient.insert`` used to cast with ``np.asarray``: a float key
+    was truncated before it left the client.  It refuses instead (the ring's
+    ``m`` and ``k`` are the nodes' to enforce: a key past ``2**m`` or a row
+    of the wrong width is refused there)."""
+    async def scenario() -> None:
+        fake = TcpTransport(node_id=1)
+        await fake.start()
+        sent: list[Any] = []
+        fake.register_rpc("route_insert", lambda payload, src: sent.append(payload)
+                          or {"accepted": 1})
+        client = ClusterClient()
+        override = MALFORMED_BATCHES[shape][0]
+        batch = {"keys": [7], "points": [[5.0, 5.0]], "ids": [9001], **override}
+        try:
+            await client.start()
+            with pytest.raises(RpcError, match="malformed (keys|ids|points)"):
+                await client.insert(fake.addr, batch["keys"], batch["points"], batch["ids"])
+            assert sent == []
+            assert await client.insert(fake.addr, [7], [[5.0, 5.0]], [9001]) == 1  # the control
+            assert len(sent) == 1
+        finally:
+            await client.close()
+            await fake.close()
+
+    asyncio.run(scenario())
 
 
 # -- ownership is proved at both ends, never taken on trust --------------------------

@@ -19,6 +19,7 @@ import repro.net.node as node_module
 from repro.core.lph import key_to_cuboid, lp_hash_batch
 from repro.dht.hashing import node_id, rotation_offset
 from repro.dht.idspace import keys_in_interval_open_closed, owner_slots, rotate_keys, unrotate
+from repro.net.cluster import ClusterClient
 from repro.net.node import NodeProcess, RingWalker, _RingView
 from repro.net.transport import RpcError, RpcTimeout, TcpTransport
 from tests.test_net_query import BOUNDS, SIZE, K, M, Ring
@@ -150,6 +151,33 @@ def test_the_view_is_cleared_when_it_would_outgrow_its_cap(monkeypatch):
     assert view.arcs == {50: (50, _entry(50))}
 
 
+def test_a_view_recomputes_its_tiling_only_after_a_change():
+    """``tiling`` is asked once per ``range_solve``: the list is kept (the
+    same object comes back) while the view holds still — a proof that
+    restates a held arc included — and built anew after an arc, an id or an
+    address changed."""
+    view = _RingView(M)
+    a, b, c = _entry(10), _entry(20), _entry(30)
+    view.fill([c, a, b, c])
+    tiles = view.tiling()
+    assert tiles == [a, b, c]
+    view.prove(10, dict(b))                           # restated: no change
+    view.fill([a, b, c, a])                           # nothing new in it
+    view.forget("127.0.0.1:99")                       # nobody there
+    assert view.tiling() is tiles
+    moved = {"id": 30, "addr": "127.0.0.1:9030"}
+    for change, after in ((lambda: view.prove(15, b), None),          # a narrower arc
+                          (lambda: view.prove(10, b), [a, b, c]),     # and back
+                          (lambda: view.fill([b, moved]), [a, b, moved]),   # an address
+                          (lambda: view.forget(moved["addr"]), None),       # an id
+                          (lambda: view.fill([b, c, a]), [a, b, c]),
+                          (view.clear, None)):
+        change()
+        assert view.tiling() == after
+        assert after is None or view.tiling() is not tiles
+        tiles = view.tiling()
+
+
 # -- a warm coordinator: exact RPC counts ---------------------------------------------
 
 
@@ -184,6 +212,71 @@ def test_a_warm_coordinator_asks_no_lookup_and_walks_no_ring(ring8, rpcs):
         assert set(_kinds(rpcs)) <= {"get_successor", "insert"}
         assert _holders(ring8, ids) == [[owner] for owner in _true_owners(ring8, keys)]
     assert ring8.query(x, *WHOLE).tolist() == ring8.brute_force(*WHOLE).tolist()
+
+
+# -- a warm client is sent only what its walk reads -------------------------------------
+
+
+def _fresh_client(ring: Ring) -> ClusterClient:
+    client = ClusterClient()
+    ring.run(client.start())
+    return client
+
+
+def _rects(seed: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        centre, half = rng.uniform(0.0, 1000.0, size=K), rng.uniform(5.0, 300.0, size=K)
+        out.append((centre - half, centre + half))
+    return out
+
+
+def test_owners_send_successors_only_until_the_clients_view_tiles(ring8, rpcs):
+    """A cold client asks without ``tiled`` and reads each owner's successor
+    list; once its view tiles the ring, it says so and the owners leave the
+    list out of every reply, and the answers stay exact."""
+    client = _fresh_client(ring8)
+    entry = ring8.cluster.addrs[0]
+    try:
+        del rpcs[:]
+        assert ring8.run(client.query(entry, *WHOLE)).tolist() == ring8.brute_force(*WHOLE).tolist()
+        solves = [rec[3] for rec in rpcs if rec[0] == client.transport.addr
+                  and rec[2] == "range_solve"]
+        assert "successors" in solves[0]              # cold: the view has gaps
+        assert client.walker.view.tiling() is not None
+        del rpcs[:]
+        for lows, highs in _rects(31, 30):
+            assert ring8.run(client.query(entry, lows, highs)).tolist() == \
+                ring8.brute_force(lows, highs).tolist()
+        replies = [rec[3] for rec in rpcs if rec[0] == client.transport.addr]
+        assert len(replies) >= 30 and set(_kinds(rpcs)) == {"range_solve"}
+        assert not any("successors" in reply for reply in replies)
+    finally:
+        ring8.run(client.close())
+
+
+def test_a_cold_client_sends_no_more_lookups_than_one_that_always_reads_successors(
+        ring8, rpcs, monkeypatch):
+    """Leaving the successor list out once the view tiles must not cost a
+    cold client lookups: over its first queries it sends no more
+    ``lookup_step`` than the same client with the lists read on every reply
+    (what every client did before ``tiled``)."""
+    def lookups() -> int:
+        client = _fresh_client(ring8)
+        try:
+            del rpcs[:]
+            for lows, highs in _rects(37, 24):
+                assert ring8.run(client.query(ring8.cluster.addrs[2], lows, highs)).tolist() == \
+                    ring8.brute_force(lows, highs).tolist()
+            return [rec[2] for rec in rpcs if rec[0] == client.transport.addr].count("lookup_step")
+        finally:
+            ring8.run(client.close())
+
+    now = lookups()
+    monkeypatch.setattr(_RingView, "tiling", lambda self: None)
+    always = lookups()
+    assert 0 < now <= always
 
 
 # -- a stale view stays exact ----------------------------------------------------------
