@@ -21,7 +21,15 @@ import numpy as np
 
 from repro.core.landmarks import LandmarkSet
 
-__all__ = ["IndexSpaceBounds", "IndexSpace"]
+__all__ = ["IndexSpaceBounds", "IndexSpace", "MAX_BOUND"]
+
+#: The largest magnitude a bound may have.  Twice it is finite, so the sum of
+#: any two edges inside the bounds is too: every midpoint Algorithm 2 takes
+#: is finite and between its two ends, at every depth.  ``lo + hi`` finite is
+#: not enough: ``[-1.5e308, 1.5e308]`` sums to 0, yet its third halving adds
+#: ``-1.5e308`` to ``-0.75e308`` and every deeper key bit of a point there
+#: reads 1.
+MAX_BOUND = float(np.finfo(np.float64).max) / 2
 
 
 @dataclass(frozen=True)
@@ -30,7 +38,10 @@ class IndexSpaceBounds:
 
     ``lows``/``highs`` are length-``k`` float arrays.  The paper's synthetic
     experiments bound every dimension by ``[0, 1000]`` (the data-space
-    diameter); the TREC experiments derive bounds from the sample.
+    diameter); the TREC experiments derive bounds from the sample.  Every
+    bound is a number of magnitude at most :data:`MAX_BOUND`: with NaN, an
+    infinity or an overflowing midpoint, Algorithm 2 puts every point in one
+    cell of a dimension and locality is lost without an error.
     """
 
     lows: np.ndarray
@@ -41,6 +52,8 @@ class IndexSpaceBounds:
         object.__setattr__(self, "highs", np.asarray(self.highs, dtype=np.float64))
         if self.lows.shape != self.highs.shape or self.lows.ndim != 1:
             raise ValueError("bounds must be 1-D arrays of equal length")
+        if not np.all(np.abs(np.concatenate([self.lows, self.highs])) <= MAX_BOUND):
+            raise ValueError(f"every bound must be a number of magnitude <= {MAX_BOUND:.4g}")
         if np.any(self.highs <= self.lows):
             raise ValueError("every dimension needs high > low")
 
@@ -76,10 +89,11 @@ class IndexSpaceBounds:
         pts = np.asarray(index_points, dtype=np.float64)
         lows = pts.min(axis=0)
         highs = pts.max(axis=0)
-        span = highs - lows
-        margin = span * pad
-        lows = lows - margin
-        highs = highs + margin
+        # NaN, an infinity or an overflowing pad is left to the constructor's rule.
+        with np.errstate(over="ignore", invalid="ignore"):
+            margin = (highs - lows) * pad
+            lows = lows - margin
+            highs = highs + margin
         flat = highs <= lows
         if flat.any():
             # Widen degenerate dimensions so the box keeps positive volume.

@@ -25,6 +25,8 @@ instead of forwarding it (:func:`first_key_meeting`, :func:`next_key_meeting`)
 from __future__ import annotations
 
 from collections.abc import Iterator
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,33 +71,109 @@ def lp_hash(point: np.ndarray, bounds: IndexSpaceBounds, m: int) -> int:
     return key
 
 
-def lp_hash_batch(points: np.ndarray, bounds: IndexSpaceBounds, m: int) -> np.ndarray:
-    """Vectorised Algorithm 2 over ``(n, k)`` points.
+#: Halvings of one dimension that :func:`lp_hash_batch` reads from a table of
+#: cell edges: 65 537 edges, 512 KiB, cover k >= 4 dimensions at m = 64.  A
+#: dimension halved more often carries on halving past the table.
+_TABLE_LEVELS = 16
 
-    Runs the same ``m`` halving steps but across all points at once; exact
-    bit-for-bit agreement with :func:`lp_hash` (same floating-point midpoint
-    sequence).  Returns ``uint64`` keys (``m <= 64``).
+
+@dataclass(frozen=True)
+class _EdgeTable:
+    """Dimension ``j``'s cells after its first ``levels`` halvings."""
+
+    j: int
+    lo: float
+    hi: float
+    #: cells per unit of the coordinate: the arithmetic guess of a cell
+    scale: float
+    #: the ``2**levels + 1`` cell edges, the two ends read as -inf and +inf
+    edges: np.ndarray
+    #: a cell's key bits, most significant first, at their places in the key
+    spread: np.ndarray
+    #: key bit places of the halvings past the table
+    deep: tuple[int, ...]
+
+
+@lru_cache(maxsize=8)
+def _edge_tables(lows: bytes, highs: bytes, m: int) -> tuple[_EdgeTable, ...]:
+    """Edge tables of the dimensions ``m`` halvings split (at most ``m``).
+
+    Division ``i`` halves dimension ``j = (i - 1) mod k`` and sets key bit
+    place ``m - i``, so dimension ``j`` owns places ``m - j - 1``, ``m - j - 1
+    - k``, ...  Its edges come from Algorithm 2's own recursion, each level
+    putting ``(E[:-1] + E[1:]) * 0.5`` between the edges it has: the very
+    ``(lo, hi)`` pairs the descent holds, so the floats are the same.
+    """
+    lo_all, hi_all = np.frombuffer(lows), np.frombuffer(highs)
+    k = len(lo_all)
+    tables = []
+    for j in range(min(k, m)):
+        places = range(m - j - 1, -1, -k)
+        levels = min(len(places), _TABLE_LEVELS)
+        lo, hi = float(lo_all[j]), float(hi_all[j])
+        edges = np.array([lo, hi])
+        for _ in range(levels):
+            finer = np.empty(2 * len(edges) - 1)
+            finer[0::2] = edges
+            finer[1::2] = (edges[:-1] + edges[1:]) * 0.5
+            edges = finer
+        edges[0], edges[-1] = -np.inf, np.inf
+        cells = np.arange(1 << levels, dtype=np.uint64)
+        spread = np.zeros(1 << levels, dtype=np.uint64)
+        for s, place in enumerate(places[:levels]):
+            spread |= (cells >> np.uint64(levels - 1 - s) & np.uint64(1)) << np.uint64(place)
+        edges.flags.writeable = spread.flags.writeable = False
+        tables.append(_EdgeTable(j, lo, hi, (1 << levels) / (hi - lo), edges, spread,
+                                 tuple(places[levels:])))
+    return tuple(tables)
+
+
+def lp_hash_batch(points: np.ndarray, bounds: IndexSpaceBounds, m: int) -> np.ndarray:
+    """Vectorised Algorithm 2 over ``(n, k)`` points; ``uint64`` keys (``m <= 64``).
+
+    Bit for bit :func:`lp_hash` on every input, NaN and infinities included.
+    A dimension's halvings are a binary search over its fixed, sorted cell
+    edges (:func:`_edge_tables`; sorted because :class:`IndexSpaceBounds`
+    keeps every midpoint finite): the descent's cell is the number of
+    interior edges below the coordinate, and NaN, below none, stays in cell
+    0.  Each coordinate's cell is guessed by arithmetic and checked against
+    its two edges; the check is the definition of the cell, so a wrong guess
+    (rounding at an edge, NaN, an infinity) only costs a ``searchsorted``.
     """
     if m > 64:
         raise ValueError("lp_hash_batch supports identifier sizes up to 64 bits")
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != bounds.k:
         raise ValueError(f"points must be (n, {bounds.k}); got {pts.shape}")
-    n, k = pts.shape
-    lo = np.broadcast_to(bounds.lows, (n, k)).copy()
-    hi = np.broadcast_to(bounds.highs, (n, k)).copy()
-    keys = np.zeros(n, dtype=np.uint64)
-    one = np.uint64(1)
-    for i in range(1, m + 1):
-        j = (i - 1) % k
-        mid = (lo[:, j] + hi[:, j]) * 0.5
-        high_half = pts[:, j] > mid
-        # np.where copies the midpoint values unchanged, so the halving
-        # sequence (and hence every key bit) matches lp_hash exactly; it
-        # replaces two boolean fancy-indexing round trips per division.
-        lo[:, j] = np.where(high_half, mid, lo[:, j])
-        hi[:, j] = np.where(high_half, hi[:, j], mid)
-        keys = (keys << one) | high_half.astype(np.uint64)
+    keys = np.zeros(len(pts), dtype=np.uint64)
+    x = np.empty(len(pts))
+    guess = np.empty(len(pts))
+    # The guess may overflow or read inf * 0; the check settles every row.
+    with np.errstate(all="ignore"):
+        for t in _edge_tables(bounds.lows.tobytes(), bounds.highs.tobytes(), m):
+            np.copyto(x, pts[:, t.j])
+            np.subtract(x, t.lo, out=guess)
+            np.multiply(guess, t.scale, out=guess)
+            np.fmax(guess, 0.0, out=guess)  # NaN -> 0
+            np.minimum(guess, len(t.spread) - 1, out=guess)
+            cell = guess.astype(np.intp)
+            lo, hi = t.edges[cell], t.edges[cell + 1]
+            missed = np.flatnonzero(~((lo < x) & (x <= hi)))
+            if len(missed):
+                xm = x[missed]
+                cell[missed] = np.where(np.isnan(xm), 0,
+                                        np.searchsorted(t.edges[1:-1], xm, "left"))
+            keys |= t.spread[cell]
+            if t.deep:
+                lo, hi = t.edges[cell], t.edges[cell + 1]
+                lo[cell == 0] = t.lo
+                hi[cell == len(t.spread) - 1] = t.hi
+                for place in t.deep:
+                    mid = (lo + hi) * 0.5
+                    high_half = x > mid
+                    np.copyto(lo, mid, where=high_half)
+                    np.copyto(hi, mid, where=~high_half)
+                    keys |= high_half.astype(np.uint64) << np.uint64(place)
     return keys
 
 
@@ -127,6 +205,24 @@ def dimension_range(
     return lo, hi
 
 
+def _path_cuboid(key: int, depth: int, bounds: IndexSpaceBounds,
+                 m: int) -> tuple[list[float], list[float]]:
+    """The cuboid of the first ``depth`` bits of ``key`` in Python floats,
+    for a descent to carry on from (the midpoint sequence of the hash,
+    hence its bounds bit for bit)."""
+    k = bounds.k
+    lo: list[float] = bounds.lows.tolist()
+    hi: list[float] = bounds.highs.tolist()
+    for i in range(1, depth + 1):
+        j = (i - 1) % k
+        mid = (lo[j] + hi[j]) / 2.0
+        if key >> (m - i) & 1:
+            lo[j] = mid
+        else:
+            hi[j] = mid
+    return lo, hi
+
+
 def prefix_to_cuboid(
     prefix_key: int,
     prefix_len: int,
@@ -134,17 +230,8 @@ def prefix_to_cuboid(
     m: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The hypercuboid (lows, highs) addressed by a prefix of length ``prefix_len``."""
-    k = bounds.k
-    lo = bounds.lows.copy()
-    hi = bounds.highs.copy()
-    for i in range(1, prefix_len + 1):
-        j = (i - 1) % k
-        mid = (lo[j] + hi[j]) / 2.0
-        if bit_at(prefix_key, i, m):
-            lo[j] = mid
-        else:
-            hi[j] = mid
-    return lo, hi
+    lo, hi = _path_cuboid(prefix_key, prefix_len, bounds, m)
+    return np.array(lo), np.array(hi)
 
 
 def key_to_cuboid(key: int, bounds: IndexSpaceBounds, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,10 +255,10 @@ def smallest_enclosing_prefix(
     low end is strictly greater than ``mid``.
     """
     k = bounds.k
-    lo_r = np.asarray(lows, dtype=np.float64).copy()
-    hi_r = np.asarray(highs, dtype=np.float64).copy()
-    lo = bounds.lows.copy()
-    hi = bounds.highs.copy()
+    lo_r: list[float] = np.asarray(lows, dtype=np.float64).tolist()
+    hi_r: list[float] = np.asarray(highs, dtype=np.float64).tolist()
+    lo: list[float] = bounds.lows.tolist()
+    hi: list[float] = bounds.highs.tolist()
     key = 0
     length = 0
     for i in range(1, m + 1):
@@ -253,23 +340,6 @@ def walk_siblings(
         bit = 1 << (m - i)
         yield ((eff & -bit) | bit, i,
                np.maximum(rect_lows, np.array(sib_lo)), np.minimum(rect_highs, np.array(sib_hi)))
-
-
-def _path_cuboid(key: int, depth: int, bounds: IndexSpaceBounds,
-                 m: int) -> tuple[list[float], list[float]]:
-    """:func:`prefix_to_cuboid` in Python floats, for a descent to carry on
-    from (the same midpoint sequence, hence the same bounds bit for bit)."""
-    k = bounds.k
-    lo: list[float] = bounds.lows.tolist()
-    hi: list[float] = bounds.highs.tolist()
-    for i in range(1, depth + 1):
-        j = (i - 1) % k
-        mid = (lo[j] + hi[j]) / 2.0
-        if key >> (m - i) & 1:
-            lo[j] = mid
-        else:
-            hi[j] = mid
-    return lo, hi
 
 
 def _first_leaf_meeting(key: int, depth: int, lo: list[float], hi: list[float],

@@ -74,6 +74,15 @@ def self_check(seed: int = 0) -> CheckResult:
             assert int(keys[i]) == lp_hash(pts[i], bounds, 24)
             lo, hi = key_to_cuboid(int(keys[i]), bounds, 24)
             assert np.all(pts[i] >= lo - 1e-12) and np.all(pts[i] <= hi + 1e-12)
+        # k = 2 at m = 64 halves past the batch hash's edge tables, and points
+        # exactly on cell edges miss its guessed cell and are searched
+        wide = IndexSpaceBounds.uniform(2, -5.0, 5.0)
+        on_edges = -5.0 + 10.0 * np.arange(0, 2**12 + 1, 37) / 2**12
+        across = np.linspace(-6.0, 6.0, 40)
+        pts = np.vstack([np.column_stack([on_edges, on_edges[::-1]]),
+                         np.column_stack([across, across[::-1]])])
+        keys = lp_hash_batch(pts, wide, 64)
+        assert all(int(keys[i]) == lp_hash(p, wide, 64) for i, p in enumerate(pts))
 
     _check(result, "locality-preserving hash round trip", hash_roundtrip)
 

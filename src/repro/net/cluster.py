@@ -23,7 +23,6 @@ against a local brute-force scan.
 from __future__ import annotations
 
 import asyncio
-import math
 import os
 import signal
 import subprocess
@@ -35,7 +34,7 @@ from typing import Any, TypeGuard
 
 import numpy as np
 
-from repro.core.index_space import IndexSpaceBounds
+from repro.core.index_space import MAX_BOUND, IndexSpaceBounds
 from repro.core.lph import lp_hash_batch
 from repro.dht.hashing import rotation_offset
 from repro.dht.maintenance import ring_violations, status_links
@@ -54,15 +53,16 @@ __all__ = [
 def _is_index(value: Any) -> TypeGuard[dict[str, Any]]:
     """Whether ``value`` describes an index a client can walk: ``{"name":
     str, "m": int in [1, 64], "k": int in [1, m], "bounds_low" < "bounds_high",
-    both finite numbers}``.  Keys are uint64, and each of their ``m`` bits
-    halves one of the ``k`` dimensions (a dimension no bit halves is not
-    indexed)."""
+    both numbers of magnitude at most MAX_BOUND}`` (the rule of the
+    :class:`IndexSpaceBounds` built from it).  Keys are uint64, and each of
+    their ``m`` bits halves one of the ``k`` dimensions (a dimension no bit
+    halves is not indexed)."""
     if not isinstance(value, dict):
         return False
     m, k, low, high = (value.get(f) for f in ("m", "k", "bounds_low", "bounds_high"))
     return (isinstance(value.get("name"), str) and type(m) is int and 1 <= m <= 64
             and type(k) is int and 1 <= k <= m
-            and all(type(b) in (int, float) and math.isfinite(b) for b in (low, high))
+            and all(type(b) in (int, float) and abs(b) <= MAX_BOUND for b in (low, high))
             and low < high)
 
 

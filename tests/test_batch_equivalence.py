@@ -22,8 +22,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import sparse
 
 from repro.core.landmarks import LandmarkSet
-from repro.core.index_space import IndexSpaceBounds
-from repro.core.lph import lp_hash, lp_hash_batch
+from repro.core.index_space import MAX_BOUND, IndexSpaceBounds
+from repro.core.lph import lp_hash, lp_hash_batch, prefix_to_cuboid
 from repro.metric.cosine import AngularMetric, SparseAngularMetric
 from repro.metric.hausdorff import HausdorffMetric
 from repro.metric.sets import JaccardMetric
@@ -195,6 +195,37 @@ class TestHashBatchEquivalence:
         batch = lp_hash_batch(pts, bounds, m)
         scalar = np.asarray([lp_hash(p, bounds, m) for p in pts], dtype=np.uint64)
         assert np.array_equal(batch, scalar)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_lp_hash_batch_on_any_bounds_and_any_point(self, data):
+        """Row by row ``lp_hash``, and a row hashed alone is the same row
+        hashed in a batch: over any bounds the index space accepts, with
+        points on cell edges at random depths, their float neighbours,
+        points out of bounds, infinities and NaN."""
+        k = data.draw(st.integers(1, 12), label="k")
+        m = data.draw(st.integers(1, 64), label="m")
+        ends = st.lists(st.floats(-MAX_BOUND, MAX_BOUND), min_size=2, max_size=2, unique=True)
+        lows, highs = zip(*(sorted(data.draw(ends)) for _ in range(k)))
+        bounds = IndexSpaceBounds(np.array(lows), np.array(highs))
+        n = data.draw(st.integers(0, 300), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        with np.errstate(over="ignore"):
+            pts = bounds.lows + (bounds.highs - bounds.lows) * rng.uniform(-0.25, 1.25, (n, k))
+        for r in range(0, n, 2):  # every other row on a corner of a random cuboid
+            depth = int(rng.integers(0, m + 1))
+            key = int(rng.integers(0, 2**m, dtype=np.uint64))
+            lo, hi = prefix_to_cuboid(key, depth, bounds, m)
+            corner = np.where(rng.random(k) < 0.5, lo, hi)
+            step = rng.integers(-1, 2, k)
+            pts[r] = np.where(step == 0, corner,
+                              np.nextafter(corner, np.where(step < 0, -np.inf, np.inf)))
+        special = rng.random((n, k)) < 0.02
+        pts[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
+        batch = lp_hash_batch(pts, bounds, m)
+        for r in range(n):
+            assert int(batch[r]) == lp_hash(pts[r], bounds, m)
+            assert lp_hash_batch(pts[r:r + 1], bounds, m)[0] == batch[r]
 
 
 class TestGroundTruthBatchEquivalence:

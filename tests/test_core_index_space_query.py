@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.index_space import IndexSpace, IndexSpaceBounds
+from repro.core.index_space import MAX_BOUND, IndexSpace, IndexSpaceBounds
 from repro.core.landmarks import greedy_selection
-from repro.core.lph import lp_hash, prefix_to_cuboid
+from repro.core.lph import lp_hash, lp_hash_batch, prefix_to_cuboid
 from repro.core.query import RangeQuery, Rect, query_split
 from repro.metric.vector import EuclideanMetric
 from repro.util.bits import bit_at
@@ -56,6 +56,41 @@ class TestBounds:
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             IndexSpaceBounds(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("lows, highs", [
+        ([np.nan, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, np.nan]),
+        ([-np.inf, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [np.inf, 1.0]),
+        ([1e308, 0.0], [1.7e308, 1.0]),  # the first midpoint overflows
+        ([-1.5e308, 0.0], [1.5e308, 1.0]),  # lo + hi is 0; the third midpoint overflows
+    ], ids=["low-nan", "high-nan", "low-inf", "high-inf", "sum-overflows", "deep-sum-overflows"])
+    def test_bounds_on_which_algorithm_2_collapses_are_rejected(self, lows, highs):
+        """Each of these was accepted, and every point's dimension-0 key
+        bits then came out all 0 or all 1: one prefix, no locality."""
+        with pytest.raises(ValueError, match="magnitude"):
+            IndexSpaceBounds(np.array(lows), np.array(highs))
+
+    def test_the_widest_bounds_allowed_keep_every_midpoint_finite(self):
+        b = IndexSpaceBounds.uniform(1, -MAX_BOUND, MAX_BOUND)
+        # -MAX_BOUND / 2 and 0 lie on split planes (so the lower half), each
+        # the high end of that half: every deeper bit is 1
+        pts = np.array([[-MAX_BOUND], [-MAX_BOUND / 2], [0.0], [MAX_BOUND]])
+        want = [0, 2**62 - 1, 2**63 - 1, 2**64 - 1]
+        assert [lp_hash(p, b, 64) for p in pts] == want
+        assert lp_hash_batch(pts, b, 64).tolist() == want
+
+    def test_every_constructor_holds_to_the_rule(self):
+        class Unbounded(EuclideanMetric):
+            is_bounded = True  # but upper_bound stays inf
+
+        with pytest.raises(ValueError, match="magnitude"):
+            IndexSpaceBounds.uniform(2, np.nan, 1.0)
+        with pytest.raises(ValueError, match="magnitude"):
+            IndexSpaceBounds.from_metric(2, Unbounded())
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="magnitude"):
+                IndexSpaceBounds.from_sample(np.array([[0.0, 1.0], [bad, 2.0]]))
 
 
 class TestIndexSpace:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import lph
 from repro.core.index_space import IndexSpaceBounds
 from repro.core.lph import (
     dimension_range,
@@ -91,6 +92,37 @@ class TestBatchHash:
         for i in range(16):
             assert int(keys[i]) == lp_hash(pts[i], b3, 64)
 
+    def test_past_the_table_the_halving_carries_on(self):
+        """k = 2 at m = 64 halves each dimension 32 times: the table covers
+        the first levels and the rest halve from the looked-up cell's edges."""
+        b = IndexSpaceBounds(np.array([-3.0, 100.0]), np.array([7.0, 101.0]))
+        assert all(t.deep for t in lph._edge_tables(b.lows.tobytes(), b.highs.tobytes(), 64))
+        pts = np.random.default_rng(2).uniform(b.lows - 1.0, b.highs + 1.0, size=(200, 2))
+        pts[:64] = b.lows + (b.highs - b.lows) * (np.arange(64)[:, None] / 64)  # on edges
+        pts[3, 0], pts[5, 1], pts[9, 0] = np.nan, np.inf, -np.inf
+        assert lp_hash_batch(pts, b, 64).tolist() == [lp_hash(p, b, 64) for p in pts]
+
+    def test_points_on_cell_edges_take_the_exact_search(self, monkeypatch):
+        """A point on a cell edge guesses the cell above, fails the check and
+        is searched; so are NaN and -inf.  Every one of them lands where the
+        descent puts it."""
+        b3 = IndexSpaceBounds.uniform(3, -3.0, 7.0)
+        m = 24
+        rng = np.random.default_rng(3)
+        pts = np.empty((150, 3))
+        for r in range(150):
+            key, depth = int(rng.integers(0, 2**m)), int(rng.integers(0, m + 1))
+            lo, hi = prefix_to_cuboid(key, depth, b3, m)
+            pts[r] = np.where(rng.random(3) < 0.5, lo, hi)
+        pts[0], pts[1] = np.nan, -np.inf
+        searched: list[int] = []
+        search = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda a, v, *args: searched.append(len(v)) or search(a, v, *args))
+        keys = lp_hash_batch(pts, b3, m)
+        assert searched
+        assert keys.tolist() == [lp_hash(p, b3, m) for p in pts]
+
     def test_m_above_64_rejected(self):
         with pytest.raises(ValueError):
             lp_hash_batch(np.zeros((1, 2)), B2, 65)
@@ -111,6 +143,34 @@ class TestBatchHash:
             return np.mean([m - int(v).bit_length() for v in x])
 
         assert mean_common_prefix(kb, kn) > mean_common_prefix(kb, kf) + 2
+
+
+class TestEdgeTableCache:
+    PTS = np.random.default_rng(4).uniform(0.0, 1.0, size=(20, 3))
+
+    def test_equal_bounds_share_a_table(self):
+        lph._edge_tables.cache_clear()
+        a = IndexSpaceBounds.uniform(3, 0.0, 1.0)
+        b = IndexSpaceBounds(np.zeros(3), np.ones(3))
+        assert np.array_equal(lp_hash_batch(self.PTS, a, 24), lp_hash_batch(self.PTS, b, 24))
+        info = lph._edge_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_different_bounds_never_mix(self):
+        cases = [(IndexSpaceBounds.uniform(3, 0.0, 1.0), 24),
+                 (IndexSpaceBounds(np.zeros(3), np.array([1.0, 1.0, 0.5])), 24),
+                 (IndexSpaceBounds.uniform(3, 0.0, 1.0), 23),
+                 (IndexSpaceBounds.uniform(3, -1.0, 1.0), 24)]
+        for bounds, m in cases * 2:
+            want = [lp_hash(p, bounds, m) for p in self.PTS]
+            assert lp_hash_batch(self.PTS, bounds, m).tolist() == want
+
+    def test_the_cache_stays_bounded(self):
+        maxsize = lph._edge_tables.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(3 * maxsize):
+            lp_hash_batch(self.PTS, IndexSpaceBounds.uniform(3, 0.0, 1.0 + i), 24)
+        assert lph._edge_tables.cache_info().currsize == maxsize
 
 
 class TestInverseGeometry:

@@ -72,6 +72,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="identifier width"):
             load_index(path, ring_bad, data, METRIC)
 
+    def test_saved_bounds_that_collapse_algorithm_2_rejected(self, built, tmp_path):
+        platform, data, path = built
+        with np.load(path) as z:
+            fields = dict(z)
+        fields["bounds_lows"] = np.where(np.arange(3) == 0, np.nan, fields["bounds_lows"])
+        bad = str(tmp_path / "bad.npz")
+        np.savez(bad, **fields)
+        with pytest.raises(ValueError, match="magnitude"):
+            load_index(bad, ChordRing.build(12, m=24, seed=0), data, METRIC)
+
     def test_blackbox_landmarks_rejected(self, tmp_path):
         seqs = ["acgt", "acct", "tttt", "gggg", "aaaa", "cccc"] * 10
         ring = ChordRing.build(4, m=16, seed=0)

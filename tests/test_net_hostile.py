@@ -513,8 +513,10 @@ GOOD_INDEX = {"name": "index", "m": 32, "k": K, "bounds_low": 0.0, "bounds_high"
     {"index": {**GOOD_INDEX, "bounds_low": "0"}},
     {"index": {k: v for k, v in GOOD_INDEX.items() if k != "bounds_high"}},
     {"index": {**GOOD_INDEX, "bounds_low": 1000.0, "bounds_high": 0.0}},
+    {"index": {**GOOD_INDEX, "bounds_low": 1e308, "bounds_high": 1.7e308}},
+    {"index": {**GOOD_INDEX, "bounds_low": -1.5e308, "bounds_high": 1.5e308}},
 ], ids=["list", "no-index", "index-none", "name-int", "m-str", "m-bool", "m-65", "k-0",
-        "k-huge", "low-str", "no-high", "low-above-high"])
+        "k-huge", "low-str", "no-high", "low-above-high", "sum-overflows", "deep-sum-overflows"])
 def test_a_malformed_index_in_a_status_reply_fails_the_query_before_any_owner_is_asked(status):
     """A client learns the index it walks from the first node it asks.  What
     the status reply says there is held to :func:`_is_index`: a malformed one
@@ -544,6 +546,14 @@ def test_a_malformed_index_in_a_status_reply_fails_the_query_before_any_owner_is
             await fake.close()
 
     asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("low, high", [(math.nan, 1000.0), (-math.inf, 1000.0),
+                                       (1e308, 1.7e308)])
+def test_a_node_refuses_bounds_that_collapse_algorithm_2(tmp_path, low, high):
+    with pytest.raises(ValueError, match="magnitude"):
+        NodeProcess(NodeConfig(name="n", data_dir=str(tmp_path / "n"),
+                               bounds_low=low, bounds_high=high))
 
 
 def test_insert_refuses_a_batch_holding_one_foreign_key(trio):
