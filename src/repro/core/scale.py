@@ -29,6 +29,7 @@ this module is deterministic simulation state only.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -111,8 +112,8 @@ class ScaleConfig:
     #: queries routed per vectorised round-trip; each chunk advances the
     #: embedded simulator clock one virtual second (the health cadence).
     chunk: int = 100_000
-    #: how many queries additionally run the owner-side range search
-    #: (Python-loop priced, so sampled rather than exhaustive).
+    #: how many queries of a run's first chunk additionally run the
+    #: owner-side range search (one batched search over their owners).
     local_solve_sample: int = 2_048
     #: trace 1-in-N queries via :class:`~repro.obs.sampling.TraceSampler`
     #: (deterministic qid hash — no RNG draws, replay-stable); 0 disables.
@@ -228,8 +229,11 @@ class ScaleSimulation:
         self.forward_visits = np.zeros(cfg.n_nodes, dtype=np.int64)
         #: per-chunk summary rows, the substrate of :meth:`slo_series`
         self.chunk_stats: list[dict[str, float]] = []
-        self._local_hits: list[int] = []
+        self._local_hits = np.zeros(0, dtype=np.int64)
         self._storm_dumped = False
+        #: the stored-load hotspot report, made by the first run(): the store
+        #: never changes after the build, so every report gets a copy of it
+        self._storage_load: dict[str, Any] | None = None
         self.sampler = HealthSampler(
             self.sim,
             interval=1.0,
@@ -288,7 +292,7 @@ class ScaleSimulation:
         hops_sum = 0.0
         all_hops: list[np.ndarray] = []
         all_lat: list[np.ndarray] = []
-        local_hits: list[int] = []
+        local_hits = np.zeros(0, dtype=np.int64)
         routed = 0
         chunk_no = 0
         dropped_total = 0
@@ -350,18 +354,22 @@ class ScaleSimulation:
                 self._local_hits = local_hits
             routed += size
             chunk_no += 1
-            # one virtual second per chunk lets the health sampler tick
-            # without core touching the scheduler (that is Transport's job
-            # in the object simulation; here the clock is purely a cadence).
-            self.sim.run(until=float(chunk_no))
+            # one virtual second per chunk, counted over every run() so far,
+            # lets the health sampler tick without core touching the
+            # scheduler (that is Transport's job in the object simulation;
+            # here the clock is purely a cadence).
+            self.sim.run(until=float(len(self.chunk_stats)))
         hops_all = np.concatenate(all_hops) if all_hops else np.zeros(0)
         lat_all = np.concatenate(all_lat) if all_lat else np.zeros(0)
-        stored = self.store.loads().astype(np.float64)
+        load_gauges = cfg.n_nodes <= _LOAD_GAUGE_MAX_NODES and self.registry.enabled
+        if self._storage_load is None:
+            stored = self.store.loads().astype(np.float64)
+            self._storage_load = hotspot_report(stored)
+            if load_gauges:
+                record_load_vector(self.registry, stored, metric=STORED_LOAD_GAUGE)
         forward = self.forward_visits.astype(np.float64)
-        if cfg.n_nodes <= _LOAD_GAUGE_MAX_NODES and self.registry.enabled:
-            record_load_vector(self.registry, stored, metric=STORED_LOAD_GAUGE)
+        if load_gauges:
             record_load_vector(self.registry, forward, metric=FORWARD_LOAD_GAUGE)
-        storage_load = hotspot_report(stored)
         forwarding_load = hotspot_report(forward)
         return ScaleReport(
             n_nodes=cfg.n_nodes,
@@ -373,11 +381,11 @@ class ScaleSimulation:
             latency_mean_s=float(lat_all.mean()) if routed else 0.0,
             latency_p50_s=float(np.percentile(lat_all, 50)) if routed else 0.0,
             latency_p99_s=float(np.percentile(lat_all, 99)) if routed else 0.0,
-            storage_load=storage_load,
+            storage_load=copy.deepcopy(self._storage_load),
             forwarding_load=forwarding_load,
             health_samples=len(self.sampler.samples),
-            local_solves=len(local_hits),
-            local_hits_mean=float(np.mean(local_hits)) if local_hits else 0.0,
+            local_solves=local_hits.size,
+            local_hits_mean=float(np.mean(local_hits)) if local_hits.size else 0.0,
             dropped=dropped_total,
             sampled_spans=sampled_total,
             counters={
@@ -438,9 +446,9 @@ class ScaleSimulation:
             "forwarding_gini": [
                 float(gini_coefficient(self.forward_visits.astype(np.float64)))],
         }
-        if self._local_hits:
+        if self._local_hits.size:
             series["local_hit_rate"] = [
-                sum(1 for h in self._local_hits if h > 0) / len(self._local_hits)]
+                np.count_nonzero(self._local_hits) / self._local_hits.size]
         else:
             series["local_hit_rate"] = []
         series["health_cadence_ratio"] = (
@@ -448,20 +456,17 @@ class ScaleSimulation:
         )
         return series
 
-    def _local_solve(self, qproj: np.ndarray, owner: np.ndarray) -> list[int]:
-        """Owner-side rectangle searches for a sample of routed queries.
+    def _local_solve(self, qproj: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Owner-side rectangle searches for a sample of routed queries:
+        the number of stored entries each one's owner finds.
 
         The rectangle is the paper's necessary condition: an object within
         range ``r`` of the query satisfies ``|proj_q - proj_o| <= r`` in
         every landmark coordinate (triangle inequality), so the owner scans
-        ``proj_q ± r`` per dimension on its shard slice.
+        ``proj_q ± r`` per dimension on its shard slice — all owners in one
+        batched :meth:`~repro.core.storage.ShardStore.range_search`.
         """
         span = self.bounds.highs - self.bounds.lows
         radius = QUERY_RANGE_FACTOR * span
-        hits: list[int] = []
-        for i in range(len(qproj)):
-            lows = qproj[i] - radius
-            highs = qproj[i] + radius
-            idx = self.store.range_search(int(owner[i]), lows, highs)
-            hits.append(int(len(idx)))
-        return hits
+        which, _ = self.store.range_search(owner, qproj - radius, qproj + radius)
+        return np.bincount(which, minlength=len(qproj))

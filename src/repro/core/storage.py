@@ -25,7 +25,7 @@ answered by
    passing a dimension the filter reads about 1.2 contiguous columns in
    place of ten strided ones.
 
-Two storage shapes share that layout, invariant and kernel:
+Two storage shapes share that layout and invariant:
 
 * :class:`Shard` — one node's slice, grown with **amortised doubling** and
   sorted **lazily** on first read after a batch of appends.  A stable sort
@@ -35,8 +35,10 @@ Two storage shapes share that layout, invariant and kernel:
 * :class:`ShardStore` — the scale path: **all** nodes' entries of one index
   in a single CSR-like block (one global sort by ``(owner, key)`` plus an
   offsets array; points column-major here too), so a 100k-node index costs
-  three arrays instead of 100k Python shard objects.  Used by
-  :mod:`repro.core.scale`.
+  three arrays instead of 100k Python shard objects.  Its search is batched:
+  one call answers many ``(slot, rectangle, key range)`` subqueries with the
+  same dimension-by-dimension filter over all their windows at once.  Used
+  by :mod:`repro.core.scale`.
 
 The live-deployment path (:mod:`repro.net`) adds durability on top:
 
@@ -372,21 +374,87 @@ class ShardStore:
 
     def range_search(
         self,
-        slot: int,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        key_lo: int | None = None,
-        key_hi: int | None = None,
-    ) -> np.ndarray:
-        """Positions (into :meth:`slice` arrays) matching rectangle + key range.
+        slots: Any,
+        lows: Any,
+        highs: Any,
+        key_lo: Any = None,
+        key_hi: Any = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A batch of subqueries, each one rectangle on one node's shard.
 
-        Same semantics as :meth:`Shard.range_search`, evaluated against one
-        slot's slice of the block.
+        Subquery ``i`` searches slot ``slots[i]`` for rows inside the closed
+        rectangle ``lows[i]``..``highs[i]`` and, if given, the closed key
+        range ``key_lo[i]``..``key_hi[i]`` (``(n,)`` arrays; a slot may
+        repeat).  Returns ``(which, rows)``: row ``rows[j]`` of the store
+        answers subquery ``which[j]``; ``which`` ascends, and so do the rows
+        of one subquery — per subquery the :meth:`Shard.range_search`
+        positions of its slot's :meth:`slice`, plus ``offsets[slot]``.
+
+        One pass for the whole batch: each key window is cut by a binary
+        search inside its slice (sorted by key), the windows' rows are laid
+        end to end, and the rectangle is tested one dimension at a time on
+        the rows still standing, as :func:`_rect_positions` does for one
+        window.  Raises ``ValueError`` unless the rectangles have shape
+        ``(n, k)``, the key bounds ``(n,)``, and every slot is in range.
         """
-        lo, hi = int(self.offsets[slot]), int(self.offsets[slot + 1])
-        return _range_positions(
-            self.keys[lo:hi], self._cols[:, lo:hi], lows, highs, key_lo, key_hi
-        )
+        slots = np.asarray(slots, dtype=np.int64)
+        n = slots.size
+        k = len(self._cols)
+        lows = np.asarray(lows, dtype=np.float64)
+        highs = np.asarray(highs, dtype=np.float64)
+        if slots.shape != (n,) or lows.shape != (n, k) or highs.shape != (n, k):
+            raise ValueError(
+                f"a batch of {slots.shape} slots needs rectangle bounds of shape "
+                f"({n}, {k}), got lows {lows.shape} and highs {highs.shape}"
+            )
+        if n and (slots.min() < 0 or slots.max() >= self.n_slots):
+            raise ValueError(f"slots must lie in [0, {self.n_slots})")
+        start = self.offsets[slots]
+        stop = self.offsets[slots + 1]
+        if key_lo is not None:
+            start = _cut(self.keys, start, stop, _key_bounds(key_lo, n), "left")
+        if key_hi is not None:
+            stop = _cut(self.keys, start, stop, _key_bounds(key_hi, n), "right")
+        sizes = stop - start
+        which = np.repeat(np.arange(n, dtype=np.int64), sizes)
+        # rows[j] = start[which[j]] + (j - first candidate of which[j])
+        rows = np.arange(which.size, dtype=np.int64)
+        rows += np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
+        for d in range(k):
+            if not rows.size:
+                break
+            col = self._cols[d].take(rows)
+            keep = col >= lows[:, d].take(which)
+            keep &= col <= highs[:, d].take(which)
+            rows = rows[keep]
+            which = which[keep]
+        return which, rows
+
+
+def _key_bounds(bounds: Any, n: int) -> np.ndarray:
+    """One key bound per subquery as ``(n,)`` uint64."""
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    if bounds.shape != (n,):
+        raise ValueError(f"key bounds must have shape ({n},), got {bounds.shape}")
+    return bounds
+
+
+def _cut(
+    keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray, side: str
+) -> np.ndarray:
+    """Per window ``keys[lo[i]:hi[i]]`` (sorted), ``searchsorted(bound[i], side)``
+    as a global position: one bisection step a round for all windows at once."""
+    lo = lo.copy()
+    hi = hi.copy()
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        mid = (lo[live] + hi[live]) >> 1
+        at = keys[mid]
+        right = at < bound[live] if side == "left" else at <= bound[live]
+        lo[live[right]] = mid[right] + 1
+        hi[live[~right]] = mid[~right]
+        live = live[lo[live] < hi[live]]
+    return lo
 
 
 class WriteAheadLog:

@@ -113,11 +113,18 @@ class HealthSampler:
     # -- scheduling -------------------------------------------------------------
 
     def start(self, duration: float | None = None) -> HealthSampler:
-        """Begin sampling; stops after ``duration`` simulated seconds if given."""
+        """Begin sampling; stops after ``duration`` simulated seconds if given.
+
+        On a running sampler this only extends the horizon: to ``duration``
+        from now if that is later, or without end if ``duration`` is None.
+        """
+        until = None if duration is None else self.sim.now + duration
         if self._running:
+            if self._until is not None:
+                self._until = None if until is None else max(self._until, until)
             return self
         self._running = True
-        self._until = None if duration is None else self.sim.now + duration
+        self._until = until
         self.sim.every(self.interval, self._tick)
         return self
 

@@ -169,18 +169,29 @@ class EuclideanLatency(LatencyModel):
         return out
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array (wrapping arithmetic).
+#: up to this many coordinate dimensions the squared differences are summed
+#: column by column, in the order ``np.linalg.norm(axis=1)`` adds them (it
+#: reduces short rows left to right; from eight columns on it sums pairwise)
+_COLUMN_SUM_MAX_DIM = 3
 
-    Everything stays an *array* operation: NumPy integer ufuncs wrap
-    silently, whereas the scalar path would raise overflow warnings under
-    the suite's ``filterwarnings = error``.
+
+def _mix64(x: np.ndarray, scratch: np.ndarray) -> None:
+    """splitmix64 finalizer over a uint64 array, in place (wrapping arithmetic).
+
+    ``scratch`` is a uint64 buffer of ``x``'s shape that receives the shifts,
+    so a whole batch is mixed with no temporary of its own.  Everything stays
+    an *array* operation: NumPy integer ufuncs wrap silently, whereas the
+    scalar path would raise overflow warnings under the suite's
+    ``filterwarnings = error``.
     """
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    np.right_shift(x, np.uint64(30), out=scratch)
+    x ^= scratch
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(x, np.uint64(27), out=scratch)
+    x ^= scratch
+    x *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(x, np.uint64(31), out=scratch)
+    x ^= scratch
 
 
 class CoordinateLatency(LatencyModel):
@@ -222,21 +233,8 @@ class CoordinateLatency(LatencyModel):
         self.floor = float(floor)
         self.seed = int(seed)
         # fold the seed once; per-pair hashing then only mixes indices
-        self._seed64 = _mix64(
-            np.asarray([self.seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-        )
-
-    def _pair_jitter(self, a_hosts: np.ndarray, b_hosts: np.ndarray) -> np.ndarray:
-        """Deterministic directional lognormal jitter per ordered pair."""
-        from scipy.special import ndtri  # local: keep the sim layer import-light
-
-        a64 = a_hosts.astype(np.uint64, copy=False)
-        b64 = b_hosts.astype(np.uint64, copy=False)
-        x = _mix64(a64 * np.uint64(0x9E3779B97F4A7C15) + self._seed64)
-        x = _mix64(x ^ (b64 * np.uint64(0xD1B54A32D192ED03)))
-        # top 53 bits -> u in (0, 1), strictly interior so ndtri is finite
-        u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return np.exp(self.jitter_sigma * ndtri(u))
+        self._seed64 = np.asarray([self.seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        _mix64(self._seed64, np.empty_like(self._seed64))
 
     def latency(self, a: int, b: int) -> float:
         # Delegate to the pair kernel so scalar and batched lookups share one
@@ -249,19 +247,50 @@ class CoordinateLatency(LatencyModel):
 
     def latency_row(self, a: int, hosts: np.ndarray) -> np.ndarray:
         hosts = np.asarray(hosts, dtype=np.intp)
-        d = np.linalg.norm(self.coords[hosts] - self.coords[a], axis=1)
-        if self.jitter_sigma > 0.0:
-            d = d * self._pair_jitter(np.full(len(hosts), a, dtype=np.intp), hosts)
-        out = self.floor + self.seconds_per_unit * d
-        out[hosts == a] = 0.0
-        return out
+        return self.latency_pairs(np.full(len(hosts), a, dtype=np.intp), hosts)
 
     def latency_pairs(self, a_hosts: np.ndarray, b_hosts: np.ndarray) -> np.ndarray:
+        """One pass per step over the batch, in place after the two row gathers.
+
+        Bit for bit ``floor + seconds_per_unit * norm(coords[b] - coords[a]) *
+        exp(jitter_sigma * ndtri(u))``: the distance is summed column by
+        column up to :data:`_COLUMN_SUM_MAX_DIM` dimensions (``norm`` beyond),
+        and the directional jitter hashes each ordered pair with splitmix64
+        into ``u``, the top 53 bits of the hash as a float strictly inside
+        ``(0, 1)``, so ``ndtri`` stays finite.
+        """
         a_hosts = np.asarray(a_hosts, dtype=np.intp)
         b_hosts = np.asarray(b_hosts, dtype=np.intp)
-        d = np.linalg.norm(self.coords[b_hosts] - self.coords[a_hosts], axis=1)
+        diff = self.coords.take(b_hosts, axis=0)
+        diff -= self.coords.take(a_hosts, axis=0)
+        dim = diff.shape[1]
+        if not 0 < dim <= _COLUMN_SUM_MAX_DIM:
+            d = np.linalg.norm(diff, axis=1)
+        else:
+            diff *= diff
+            d = diff[:, 0].copy()
+            for j in range(1, dim):
+                d += diff[:, j]
+            np.sqrt(d, out=d)
         if self.jitter_sigma > 0.0:
-            d = d * self._pair_jitter(a_hosts, b_hosts)
-        out = self.floor + self.seconds_per_unit * d
-        out[a_hosts == b_hosts] = 0.0
-        return out
+            from scipy.special import ndtri  # local: keep the sim layer import-light
+
+            x = np.multiply(a_hosts.view(np.uint64), np.uint64(0x9E3779B97F4A7C15))
+            x += self._seed64
+            scratch = np.empty_like(x)
+            _mix64(x, scratch)
+            np.multiply(b_hosts.view(np.uint64), np.uint64(0xD1B54A32D192ED03), out=scratch)
+            x ^= scratch
+            _mix64(x, scratch)
+            x >>= np.uint64(11)
+            u = scratch.view(np.float64)
+            np.add(x, 0.5, out=u)
+            u *= 2.0**-53
+            ndtri(u, out=u)
+            u *= self.jitter_sigma
+            np.exp(u, out=u)
+            d *= u
+        d *= self.seconds_per_unit
+        d += self.floor
+        d[a_hosts == b_hosts] = 0.0
+        return d

@@ -87,8 +87,8 @@ class BareRing:
         self.store = ShardStore.build(self.owners, self.keys, points, self.object_ids, n)
 
     def solve(self, slot: int, lows, highs, key_lo: int, key_hi: int) -> list[int]:
-        pos = self.store.range_search(slot, lows, highs, key_lo, key_hi)
-        return self.store.slice(slot)[2][pos].tolist()
+        _, rows = self.store.range_search([slot], [lows], [highs], [key_lo], [key_hi])
+        return self.store.object_ids[rows].tolist()
 
     def brute_force(self, lows, highs) -> list[int]:
         inside = np.all((self.points >= lows) & (self.points <= highs), axis=1)

@@ -11,6 +11,7 @@ for the King-calibrated constructor — the sampled mean RTT must sit within
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,3 +108,56 @@ class TestKingCalibration:
         # memory is O(n): coordinates only, no pairwise matrix
         assert m.coords.nbytes < 4_000_000
         assert m.latency(3, 70_000) > 0
+
+
+# -- the in-place kernel against the formula it replaced ---------------------------
+
+
+def _mix64_reference(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, one fresh array per step."""
+    x = x ^ (x >> np.uint64(30))
+    x = x * np.uint64(0xBF58476D1CE4E5B9)
+    x = x ^ (x >> np.uint64(27))
+    x = x * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _reference_pairs(m: CoordinateLatency, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``floor + spu · norm(coords[b] - coords[a]) · exp(sigma · ndtri(u))``."""
+    from scipy.special import ndtri
+
+    d = np.linalg.norm(m.coords[b] - m.coords[a], axis=1)
+    if m.jitter_sigma > 0.0:
+        seed = _mix64_reference(np.asarray([m.seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
+        x = _mix64_reference(a.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) + seed)
+        x = _mix64_reference(x ^ (b.astype(np.uint64) * np.uint64(0xD1B54A32D192ED03)))
+        u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        d = d * np.exp(m.jitter_sigma * ndtri(u))
+    out = m.floor + m.seconds_per_unit * d
+    out[a == b] = 0.0
+    return out
+
+
+# dims 1-3 sum squared columns in place; 8 is where norm starts summing
+# pairwise, so the kernel must fall back to it there
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("sigma", [0.0, 0.35])
+def test_pair_kernel_is_bit_identical_to_the_reference_formula(dim, sigma):
+    rng = np.random.default_rng(dim * 10 + int(sigma > 0))
+    n_hosts, n_pairs = 5_000, 20_000
+    coords = rng.uniform(-50.0, 50.0, size=(n_hosts, dim)) * rng.uniform(
+        0.0, 10.0, size=(n_hosts, 1))
+    m = CoordinateLatency(coords, seconds_per_unit=0.0137, jitter_sigma=sigma,
+                          floor=0.002, seed=int(rng.integers(0, 2**63)))
+    a = rng.integers(0, n_hosts, size=n_pairs)
+    b = rng.integers(0, n_hosts, size=n_pairs)
+    b[::5] = a[::5]  # self-pairs
+    got = m.latency_pairs(a, b)
+    assert got.tobytes() == _reference_pairs(m, a, b).tobytes()
+    assert np.all(got[::5] == 0.0)
+    # the row and the scalar lookups run the same kernel
+    for src in (0, int(a[1]), n_hosts - 1):
+        row = m.latency_row(src, b[:300])
+        want = _reference_pairs(m, np.full(300, src), b[:300])
+        assert row.tobytes() == want.tobytes()
+        assert [m.latency(src, int(h)) for h in b[:20]] == row[:20].tolist()

@@ -112,8 +112,12 @@ def test_shard_store_matches_per_slot_shards(case, n_slots, owner_seed):
         assert ks.tobytes() == shard.keys.tobytes()
         assert ps.tobytes() == shard.points.tobytes()
         assert os_.tobytes() == shard.object_ids.tobytes()
-        got = store.range_search(slot, lows, highs, key_lo, key_hi)
+        which, rows = store.range_search(
+            [slot], [lows], [highs],
+            None if key_lo is None else [key_lo], None if key_hi is None else [key_hi])
+        got = rows - store.offsets[slot]  # a one-row batch, as positions in the slice
         want = shard.range_search(lows, highs, key_lo, key_hi)
+        assert which.tolist() == [0] * len(want)
         assert got.tolist() == want.tolist()
         assert ps[got].tobytes() == shard.points[want].tobytes()
 
@@ -183,6 +187,134 @@ def test_range_search_temporaries_stay_under_eight_bytes_per_row():
     assert peak(lambda: reference_positions(keys, sorted_points, lows, highs)) >= 2 * n * k
 
 
+# -- the batched store search ---------------------------------------------------
+
+
+@st.composite
+def batches(draw):
+    """A store over a few slots (some of them empty) and a batch of subqueries
+    on it: slots repeat, each row has its own rectangle and may have its own
+    key window, empty ones (``key_lo > key_hi``) included."""
+    k = draw(st.integers(0, 6))
+    n = draw(st.sampled_from([0, 1, 2, 40, 300]))
+    n_slots = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    keys, points, ids = entries(seed, n, k)
+    # owners drawn from a subset, so slots outside it stay empty
+    used = draw(st.lists(st.integers(0, n_slots - 1), min_size=1, max_size=n_slots))
+    owners = np.random.default_rng(seed + 1).choice(used, size=n)
+    store = ShardStore.build(owners, keys, points, ids, n_slots)
+    n_q = draw(st.sampled_from([0, 1, 2, 17]))
+    slots = draw(st.lists(st.integers(0, n_slots - 1), min_size=n_q, max_size=n_q))
+    bound = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.5, 5.0, 6.0])
+    lows = np.array(draw(st.lists(
+        st.lists(bound, min_size=k, max_size=k), min_size=n_q, max_size=n_q)))
+    # highs at the grid's top half the time: most random boxes are empty
+    highs = np.array(draw(st.lists(
+        st.lists(bound | st.just(5.0), min_size=k, max_size=k), min_size=n_q, max_size=n_q)))
+    key = st.lists(st.integers(0, 45), min_size=n_q, max_size=n_q)
+    key_lo = draw(st.none() | key)
+    key_hi = draw(st.none() | key)
+    return store, slots, lows.reshape(n_q, k), highs.reshape(n_q, k), key_lo, key_hi
+
+
+def reference_batch(store, slots, lows, highs, key_lo, key_hi):
+    """Per subquery, the one-shot oracle over its slot's slice, as store rows."""
+    which, rows = [], []
+    for i, slot in enumerate(slots):
+        ks, ps, _ = store.slice(slot)
+        pos = reference_positions(
+            ks, ps, lows[i], highs[i],
+            None if key_lo is None else key_lo[i], None if key_hi is None else key_hi[i])
+        which += [i] * len(pos)
+        rows += (pos + store.offsets[slot]).tolist()
+    return which, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches())
+def test_batched_store_search_matches_the_oracle_per_subquery(case):
+    store, slots, lows, highs, key_lo, key_hi = case
+    which, rows = store.range_search(slots, lows, highs, key_lo, key_hi)
+    assert which.dtype == rows.dtype == np.int64
+    want_which, want_rows = reference_batch(store, slots, lows, highs, key_lo, key_hi)
+    assert which.tolist() == want_which
+    assert rows.tolist() == want_rows
+    # which ascends, and so do the rows of each subquery
+    assert np.all(np.diff(which) >= 0)
+    assert np.all(np.diff(rows)[np.diff(which) == 0] > 0)
+
+
+def test_batched_store_search_on_an_empty_batch_and_repeated_slots():
+    keys, points, ids = entries(3, 60, 2)
+    store = ShardStore.build(np.arange(60) % 3, keys, points, ids, 4)  # slot 3 empty
+    which, rows = store.range_search([], np.empty((0, 2)), np.empty((0, 2)), [], [])
+    assert which.size == rows.size == 0
+    box = ([0.0, 0.0], [5.0, 5.0])
+    which, rows = store.range_search([1, 3, 1], [box[0]] * 3, [box[1]] * 3)
+    lo, hi = store.offsets[1], store.offsets[2]
+    assert which.tolist() == [0] * (hi - lo) + [2] * (hi - lo)
+    assert rows.tolist() == 2 * list(range(lo, hi))
+    # a key window past every key, and one with key_lo > key_hi, are empty
+    which, _ = store.range_search(
+        [1, 1, 1], [box[0]] * 3, [box[1]] * 3, key_lo=[0, 41, 30], key_hi=[45, 45, 20])
+    assert which.tolist() == [0] * (hi - lo)
+
+
+@pytest.mark.parametrize(
+    "slots, lows, key_lo",
+    [
+        ([2], [[0.0, 0.0]], None),  # past the last slot
+        ([-1], [[0.0, 0.0]], None),
+        ([0, 1], [[0.0, 0.0]], None),  # one rectangle for two subqueries
+        ([0], [0.0, 0.0], None),  # a bare (k,) rectangle
+        ([0], [[0.0, 0.0, 0.0]], None),
+        ([[0]], [[0.0, 0.0]], None),
+        ([0], [[0.0, 0.0]], [1, 2]),  # two key bounds for one subquery
+        ([0], [[0.0, 0.0]], 1),
+    ],
+)
+def test_batched_store_search_rejects_a_malformed_batch(slots, lows, key_lo):
+    keys, points, ids = entries(2, 20, 2)
+    store = ShardStore.build(np.arange(20) % 2, keys, points, ids, 2)
+    highs = np.full(np.shape(lows), 5.0)
+    with pytest.raises(ValueError):
+        store.range_search(slots, lows, highs, key_lo)
+
+
+def test_batched_store_search_temporaries_grow_with_candidates_not_dimensions():
+    """The candidates of all windows are laid end to end and filtered one
+    dimension at a time: about 34 bytes per candidate row (row, subquery,
+    coordinate, bound, two masks) whatever k is, where testing all k
+    coordinates at once gathers ``8·C·k`` bytes before the first mask."""
+    n, k, n_slots, n_q = 50_000, 10, 500, 2_000
+    rng = np.random.default_rng(0)
+    points = rng.uniform(0.0, 1.0, size=(n, k))
+    keys = rng.integers(0, 2**40, size=n, dtype=np.uint64)
+    store = ShardStore.build(np.arange(n) % n_slots, keys, points, np.arange(n), n_slots)
+    slots = rng.integers(0, n_slots, size=n_q)
+    lows, highs = np.full((n_q, k), 0.4), np.full((n_q, k), 0.6)  # 0.2 per dimension
+    candidates = int(store.loads()[slots].sum())
+    which, rows = store.range_search(slots, lows, highs)  # warm before measuring
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def whole_block():
+        which = np.repeat(np.arange(n_q), store.loads()[slots])
+        block = store.points[np.concatenate([np.arange(store.offsets[s], store.offsets[s + 1])
+                                             for s in slots])]
+        return np.all((block >= lows[which]) & (block <= highs[which]), axis=1)
+
+    assert peak(lambda: store.range_search(slots, lows, highs)) < 40 * candidates
+    assert peak(whole_block) >= 8 * candidates * k
+
+
 # -- silent broadcasting ---------------------------------------------------------
 
 
@@ -222,8 +354,8 @@ def test_range_search_rejects_bounds_that_would_broadcast(bad):
     for lows, highs in ((bad, good), (good, bad)):
         with pytest.raises(ValueError, match=r"shape \(2,\)"):
             shard.range_search(lows, highs)
-        with pytest.raises(ValueError, match=r"shape \(2,\)"):
-            store.range_search(0, lows, highs)
+        with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+            store.range_search([0], [lows], [highs])  # a one-row batch
     with pytest.raises(ValueError):
         Shard(2).range_search(bad, good)  # checked on an empty shard too
 

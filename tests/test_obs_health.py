@@ -29,6 +29,17 @@ def test_sampler_with_duration_runs_to_the_end():
     assert [s.time for s in sampler.samples] == [1.0, 2.0, 3.0]
 
 
+def test_start_on_a_running_sampler_extends_its_horizon():
+    sim = Simulator()
+    sampler = HealthSampler(sim, interval=1.0)
+    sampler.start(duration=2.0)
+    sim.run(until=1.0)
+    sampler.start(duration=3.0)  # now 1.0: the horizon moves from 2.0 to 4.0
+    sampler.start(duration=1.0)  # an earlier horizon does not shorten it
+    sim.run()
+    assert [s.time for s in sampler.samples] == [1.0, 2.0, 3.0, 4.0]
+
+
 def test_sample_fields_and_series():
     sim = Simulator()
     loads = np.array([0, 0, 5, 10, 85], dtype=np.int64)

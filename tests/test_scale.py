@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.scale import ScaleConfig, ScaleSimulation
+from repro.core.scale import QUERY_RANGE_FACTOR, ScaleConfig, ScaleSimulation
 from repro.core.storage import Shard, ShardStore
 from repro.dht.compact import CompactChordRing
 from repro.dht.ring import ChordRing
@@ -87,9 +87,10 @@ class TestShardStoreVsShards:
             np.testing.assert_array_equal(ps, shard.points)
             np.testing.assert_array_equal(os_, shard.object_ids)
             lows, highs = np.full(k, 0.25), np.full(k, 0.75)
-            got = store.range_search(slot, lows, highs, key_lo=1 << 30, key_hi=1 << 39)
+            _, rows = store.range_search(
+                [slot], [lows], [highs], key_lo=[1 << 30], key_hi=[1 << 39])
             want = shard.range_search(lows, highs, key_lo=1 << 30, key_hi=1 << 39)
-            np.testing.assert_array_equal(os_[got], shard.object_ids[want])
+            np.testing.assert_array_equal(store.object_ids[rows], shard.object_ids[want])
 
     def test_lazy_shard_sort_matches_eager(self):
         rng = np.random.default_rng(4)
@@ -295,6 +296,48 @@ class TestScaleObservability:
         series = sim.slo_series()
         assert series["health_cadence_ratio"] == [1.0]
         assert len(series["chunk_hops_p99"]) == 3
+
+    def test_repeated_runs_continue_the_clock_and_the_health_cadence(self):
+        """The clock counts chunks over every run() so far, and the sampler
+        keeps one sample per virtual second across calls."""
+        sim = ScaleSimulation(_small_cfg())
+        for calls in range(1, 5):
+            rep = sim.run(n_queries=300)  # one chunk per call
+            assert rep.health_samples == calls
+        assert sim.sim.now == 4.0
+        assert [s.time for s in sim.sampler.samples] == [1.0, 2.0, 3.0, 4.0]
+        assert sim.slo_series()["health_cadence_ratio"] == [1.0]
+        sim.run(n_queries=600)  # two chunks
+        assert sim.sim.now == 6.0 and len(sim.sampler.samples) == 6
+
+    def test_each_report_gets_its_own_copy_of_the_stored_load(self):
+        from repro.obs import hotspot_report
+
+        sim = ScaleSimulation(_small_cfg())
+        first = sim.run(n_queries=300)
+        want = hotspot_report(sim.store.loads().astype(np.float64))
+        assert first.storage_load == want
+        first.storage_load["hotspots"][0]["load"] = -1.0
+        first.storage_load["gini"] = -1.0
+        assert sim.run(n_queries=300).storage_load == want
+
+    def test_local_solve_counts_each_owners_hits(self):
+        sim = ScaleSimulation(_small_cfg())
+        # queries at stored points, each asked of the point's owner (and so
+        # of a slot that repeats) plus one asked of an empty slot
+        slot_of_row = np.repeat(np.arange(sim.cfg.n_nodes), sim.store.loads())
+        qproj = sim.store.points[::7]
+        owner = slot_of_row[::7]
+        empty = int(np.flatnonzero(sim.store.loads() == 0)[0])
+        qproj, owner = np.vstack([qproj, qproj[:1]]), np.append(owner, empty)
+        hits = sim._local_solve(qproj, owner)
+        assert hits[:-1].min() >= 1 and hits[-1] == 0
+        radius = QUERY_RANGE_FACTOR * (sim.bounds.highs - sim.bounds.lows)
+        for i, slot in enumerate(owner):
+            _, pts, _ = sim.store.slice(int(slot))
+            inside = np.all(
+                (pts >= qproj[i] - radius) & (pts <= qproj[i] + radius), axis=1)
+            assert hits[i] == int(inside.sum())
 
     def test_health_deciles_reconcile_with_forwarding(self):
         sim = ScaleSimulation(_small_cfg())
