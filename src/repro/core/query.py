@@ -31,7 +31,8 @@ nodes and clients) the last; ``tests/test_bare_ring.py`` drives all of them over
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from copy import copy
 from dataclasses import dataclass
 from typing import Any
 
@@ -364,26 +365,54 @@ class OwnerWalk:
     the owner's id, so ``key_lo`` jumps to the next key beyond it that can
     hold a match.  Only owners of such keys are asked, in key order, and no
     key range is passed over without an owner that vouched for it — the same
-    places :func:`surrogate_refine` solves at, found without forwarding.
+    places :func:`surrogate_refine` solves at, found without forwarding.  A
+    rectangle that holds no point (``lows > highs`` in some dimension, or a
+    NaN coordinate) starts finished: no owner is asked.
     """
 
     def __init__(self, lows: np.ndarray, highs: np.ndarray,
                  bounds: IndexSpaceBounds, rotation: int, m: int) -> None:
         prefix_key, prefix_len = smallest_enclosing_prefix(lows, highs, bounds, m)
         self.key_hi = prefix_key + (1 << (m - prefix_len)) - 1
-        self.key_lo: int | None = first_key_meeting(prefix_key, prefix_len, lows, bounds, m)
+        self.key_lo: int | None = first_key_meeting(
+            prefix_key, prefix_len, lows, bounds, m) if (lows <= highs).all() else None
         self._prefix_len = prefix_len
         self._lows, self._highs = lows, highs
         self._bounds = bounds
         self._rotation = rotation
         self._m = m
         self._first_arc: tuple[int, int] | None = None
+        #: the next key meeting the rectangle past each key answered up to,
+        #: shared with the copies :meth:`plan` walks: a round that goes as
+        #: planned searches for each once
+        self._next: dict[int, int | None] = {}
 
     @property
     def ring_key(self) -> int:
         """Ring position of :attr:`key_lo`: its owner is the node to ask."""
         assert self.key_lo is not None, "the walk is over"
         return rotate(self.key_lo, self._rotation, self._m)
+
+    def plan(self, arc_of: Callable[[int], tuple[int, int] | None]
+             ) -> list[tuple[int, int, int]]:
+        """The ``(key_lo, key_hi, ring_key)`` this walk asks from here on if
+        each owner proves the arc ``(pred, id]`` that ``arc_of(ring_key)``
+        names: the current position first, whatever ``arc_of`` says, then each
+        next one while ``arc_of`` holds an arc for it and for the one before.
+        A copy is walked; this walk does not move.  ``[]`` once it is over.
+        """
+        walk = copy(self)
+        out: list[tuple[int, int, int]] = []
+        while walk.key_lo is not None:
+            rot = walk.ring_key
+            arc = arc_of(rot)
+            if arc is None and out:
+                break  # a planned solve never needs a lookup
+            out.append((walk.key_lo, walk.key_hi, rot))
+            if arc is None:
+                break  # the first is asked anyway, by lookup if need be
+            walk._advance(rot, *arc)
+        return out
 
     def answered(self, pred_id: int, owner_id: int) -> None:
         """The owner of :attr:`ring_key` solved ``[key_lo, key_hi]`` and
@@ -395,22 +424,32 @@ class OwnerWalk:
         hostile owner must not end the walk early).
         """
         m = self._m
-        cur = self.key_lo
-        assert cur is not None, "the walk is over"
-        rot = rotate(cur, self._rotation, m)
+        rot = self.ring_key
         if not (type(pred_id) is int and type(owner_id) is int
                 and 0 <= pred_id < 1 << m and 0 <= owner_id < 1 << m
                 and in_interval_open_closed(rot, pred_id, owner_id, m)):
             raise ValueError(
                 f"arc ({pred_id!r}, {owner_id!r}] does not hold ring position {rot}")
+        self._advance(rot, pred_id, owner_id)
+
+    def _advance(self, rot: int, pred_id: int, owner_id: int) -> None:
+        """:meth:`answered` once the arc is known to hold ``rot``, the ring
+        position of :attr:`key_lo`."""
+        m = self._m
+        cur = self.key_lo
+        assert cur is not None
         if self._first_arc is None:
             self._first_arc = pred_id, owner_id
         covered = cw_distance(rot, owner_id, m)
         if covered >= self.key_hi - cur:
             self.key_lo = None
             return
-        nxt = next_key_meeting(
-            cur + covered, self._prefix_len, self._lows, self._highs, self._bounds, m)
+        eff = cur + covered
+        if eff in self._next:
+            nxt = self._next[eff]
+        else:
+            nxt = self._next[eff] = next_key_meeting(
+                eff, self._prefix_len, self._lows, self._highs, self._bounds, m)
         if nxt is not None and in_interval_open_closed(
                 rotate(nxt, self._rotation, m), *self._first_arc, m):
             # a cuboid spanning the ring ends where it began: in the arc of

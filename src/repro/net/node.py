@@ -28,17 +28,18 @@ A range query is SurrogateRefine driven from the querying peer
 :meth:`repro.net.cluster.ClusterClient.query`): it walks only the owners whose
 cuboids meet the rectangle, each of which proves its ownership before it
 answers.  What the owners prove, the peer remembers in a bounded *ring view*
-of hints (:class:`_RingView`), so a warm walk needs no lookup and a node's
-batch placement no ring walk; :meth:`NodeProcess.ring_snapshot` refills a
-node's view when it does not tile the ring, and serves ops —
-docs/deployment.md has the RPC surface and the ownership contract.
+of hints (:class:`_RingView`), so a warm walk needs no lookup and asks every
+owner at once, and a node's batch placement needs no ring walk;
+:meth:`NodeProcess.ring_snapshot` refills a node's view when it does not
+tile the ring, and serves ops — docs/deployment.md has the RPC surface and
+the ownership contract.
 """
 
 from __future__ import annotations
 
 import asyncio
 from bisect import bisect_left, insort
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
@@ -185,6 +186,20 @@ async def _drive(transport: TcpTransport, op: Op) -> Any:
         raise RpcError(str(exc)) from exc
 
 
+async def _settle(tasks: Sequence[asyncio.Task[Any]]) -> None:
+    """Cancel what of ``tasks`` still runs and wait until it has stopped; the
+    error of one that failed unread is read here, so none outlives its caller
+    or is reported as never retrieved."""
+    running = [task for task in tasks if not task.done()]
+    for task in running:
+        task.cancel()
+    if running:
+        await asyncio.wait(running)
+    for task in tasks:
+        if not task.cancelled():
+            task.exception()
+
+
 class _RingView:
     """The arcs a querying peer has learned of its ring: hints, never proof.
 
@@ -239,13 +254,22 @@ class _RingView:
             elif held[1]["addr"] != b["addr"]:
                 self._put(held[0], b)
 
-    def owner(self, ring_key: int) -> dict[str, Any] | None:
-        """The entry whose arc holds ``ring_key``, if the view has one."""
+    def _held(self, ring_key: int) -> tuple[int, dict[str, Any]] | None:
         if not self.ids:
             return None
         owner_id = self.ids[owner_slot(self.ids, ring_key)]
-        pred_id, entry = self.arcs[owner_id]
-        return entry if in_interval_open_closed(ring_key, pred_id, owner_id, self.m) else None
+        held = self.arcs[owner_id]
+        return held if in_interval_open_closed(ring_key, held[0], owner_id, self.m) else None
+
+    def owner(self, ring_key: int) -> dict[str, Any] | None:
+        """The entry whose arc holds ``ring_key``, if the view has one."""
+        held = self._held(ring_key)
+        return None if held is None else held[1]
+
+    def arc(self, ring_key: int) -> tuple[int, int] | None:
+        """The arc ``(pred id, id]`` held that holds ``ring_key``, if any."""
+        held = self._held(ring_key)
+        return None if held is None else (held[0], held[1]["id"])
 
     def tiling(self) -> list[dict[str, Any]] | None:
         """The owners in id order when each arc begins where the one before
@@ -340,6 +364,13 @@ class RingWalker:
         owner sends no successor list; otherwise the owner's successors go
         into the view and name the next owner.  ``via`` is the node a lookup
         starts at (see :meth:`find_successor`).
+
+        The walk runs in rounds.  A round asks every key
+        :meth:`~repro.core.query.OwnerWalk.plan` predicts from the arcs the
+        view holds, all at once, and reads the replies in key order; it ends
+        where the walk's next key is not the one planned (a stale view), and
+        the solves still out are cancelled.  A view that tiles the ring takes
+        one round, a cold one a round per owner.
         """
         lows, highs = rectangle(np.asarray(lows), np.asarray(highs), self.bounds.k)
         walk = OwnerWalk(lows, highs, self.bounds, self.rotation, self.m)
@@ -349,36 +380,51 @@ class RingWalker:
         collected: list[np.ndarray] = []
         try:
             while walk.key_lo is not None:
-                payload = {**rect, "key_lo": walk.key_lo, "key_hi": walk.key_hi}
                 tiled = self.view.tiling() is not None
-                if tiled:
-                    payload["tiled"] = True
-                entry, reply = await self._solve_at_owner(walk.ring_key, links, payload, via)
-                ids = reply["ids"]
-                if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind == "i"):
-                    raise RpcError(
-                        f"range_solve for key {walk.key_lo}: ids not a 1-D integer array: "
-                        f"{str(ids)[:80]}")
-                collected.append(ids)
+                said = {"tiled": True} if tiled else {}
+                plan = walk.plan(self.view.arc)
+                solves = [asyncio.create_task(self._solve_at_owner(
+                    ring_key, links, {**rect, "key_lo": key_lo, "key_hi": key_hi, **said}, via))
+                    for key_lo, key_hi, ring_key in plan]
                 try:
-                    pred_id, owner_id = reply["arc"]
-                    walk.answered(pred_id, owner_id)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise RpcError(f"range_solve for key {walk.key_lo}: bad arc: {exc}") from exc
-                # the owner and its successors, unless the request said tiled
-                # and the owner left them out (an owner that predates the
-                # field sends them anyway)
-                chain = None if tiled and "successors" not in reply else [
-                    {"id": owner_id}, *ring_entries(reply.get("successors"), self.m)]
-                self.view.prove(pred_id, {**entry, "id": owner_id})
-                if chain is not None:
-                    self.view.fill(chain)
-                links = known if chain is None else [chain, *known]
+                    for (key_lo, _, _), solve in zip(plan, solves):
+                        if walk.key_lo != key_lo:
+                            break  # the view was stale: plan again from here
+                        ids, chain = self._read_solve(walk, tiled, *await solve)
+                        collected.append(ids)
+                        links = known if chain is None else [chain, *known]
+                finally:
+                    await _settle(solves)
         except ProtocolError as exc:  # a malformed ring entry in a reply
             raise RpcError(str(exc)) from exc
         if not collected:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(collected)).astype(np.int64)
+
+    def _read_solve(self, walk: OwnerWalk, tiled: bool, entry: dict[str, Any],
+                    reply: dict[str, Any]) -> tuple[np.ndarray, list[dict[str, Any]] | None]:
+        """The ids of the ``range_solve`` ``entry`` answered for the walk's
+        current key, and the chain of the owner and its successors (``None``
+        if the request said ``tiled`` and the reply has none); the walk has
+        advanced over the arc the owner proved, and the view learned it."""
+        ids = reply["ids"]
+        if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind == "i"):
+            raise RpcError(
+                f"range_solve for key {walk.key_lo}: ids not a 1-D integer array: "
+                f"{str(ids)[:80]}")
+        try:
+            pred_id, owner_id = reply["arc"]
+            walk.answered(pred_id, owner_id)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RpcError(f"range_solve for key {walk.key_lo}: bad arc: {exc}") from exc
+        # the owner and its successors, unless the request said tiled and the
+        # owner left them out (an owner that predates the field sends them)
+        chain = None if tiled and "successors" not in reply else [
+            {"id": owner_id}, *ring_entries(reply.get("successors"), self.m)]
+        self.view.prove(pred_id, {**entry, "id": owner_id})
+        if chain is not None:
+            self.view.fill(chain)
+        return ids, chain
 
     async def _solve_at_owner(self, rot: int, links: list[list[dict[str, Any]]],
                               payload: dict[str, Any], via: str | None

@@ -357,6 +357,64 @@ def test_walk_refuses_an_arc_that_does_not_hold_the_position_asked(arc):
     assert walk.key_lo == 1
 
 
+# -- a plan is the walk, as far as the arcs it is handed reach ------------------------
+
+
+def test_a_plan_over_every_arc_is_the_walk_and_stops_at_a_missing_one():
+    """2,000 slots of a ``CompactChordRing`` at ``m = 64``: with every arc
+    known, :meth:`OwnerWalk.plan` names exactly the ``(key_lo, key_hi,
+    ring_key)`` the walk asks step by step; with the arc of one position
+    asked removed, the plan ends just before that position (it always holds
+    the first, which the driver asks whatever it knows); and the walk itself
+    has not moved."""
+    m, k = 64, 3
+    rng = np.random.default_rng(66)
+    ids = [int(i) for i in CompactChordRing.build(2000, m=m, seed=7).ids]
+    bounds = IndexSpaceBounds.uniform(k, 0.0, 1000.0)
+    rotation = int(rng.integers(1, 1 << 63))
+
+    def arc_of(ring_key: int) -> tuple[int, int]:
+        slot = owner_slot(ids, ring_key)
+        return ids[slot - 1], ids[slot]
+
+    rects = [(bounds.lows.copy(), bounds.highs.copy())]
+    for _ in range(40):
+        centre, half = rng.uniform(0.0, 1000.0, size=k), rng.uniform(1.0, 250.0, size=k)
+        rects.append((np.maximum(centre - half, 0.0), np.minimum(centre + half, 1000.0)))
+    lengths = []
+    for lows, highs in rects:
+        walk = OwnerWalk(lows, highs, bounds, rotation, m)
+        plan = walk.plan(arc_of)
+        asked = []
+        while walk.key_lo is not None:
+            asked.append((walk.key_lo, walk.key_hi, walk.ring_key))
+            walk.answered(*arc_of(walk.ring_key))
+        assert plan == asked and asked
+        lengths.append(len(asked))
+        cut = int(rng.integers(len(asked)))
+        gone = owner_slot(ids, asked[cut][2])
+
+        def arc_but_one(ring_key: int) -> tuple[int, int] | None:
+            return None if owner_slot(ids, ring_key) == gone else arc_of(ring_key)
+
+        walk = OwnerWalk(lows, highs, bounds, rotation, m)
+        assert walk.plan(arc_but_one) == asked[:max(cut, 1)]
+        assert (walk.key_lo, walk.key_hi, walk.ring_key) == asked[0]
+        assert walk.plan(lambda ring_key: None) == asked[:1]
+    assert max(lengths) == 2000 and sorted(lengths)[len(lengths) // 2] > 1
+
+
+@pytest.mark.parametrize("lows, highs", [
+    ([100.0, 100.0], [900.0, np.nan]),
+    ([np.nan, 100.0], [900.0, 900.0]),
+    ([100.0, 600.0], [900.0, 400.0]),
+], ids=["nan-high", "nan-low", "inverted"])
+def test_a_rectangle_that_holds_no_point_is_a_finished_walk(lows, highs):
+    bounds = IndexSpaceBounds.uniform(2, 0.0, 1000.0)
+    walk = OwnerWalk(np.array(lows), np.array(highs), bounds, 40, M7)
+    assert walk.key_lo is None and walk.plan(lambda ring_key: (0, 1)) == []
+
+
 # -- the step function at the paper's m -----------------------------------------------
 
 

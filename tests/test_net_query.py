@@ -36,6 +36,16 @@ BOUNDS = IndexSpaceBounds.uniform(K, 0.0, 1000.0)
 
 pytestmark = pytest.mark.timeout(60)
 
+#: seconds a coroutine :meth:`Ring.run` drives may take before its test fails
+RUN_TIMEOUT = 60.0
+
+
+async def _bounded(coro):
+    # asyncio.timeout, not wait_for: on Python 3.11 wait_for runs the
+    # coroutine in a task of its own, which Ring._shutdown would cancel
+    async with asyncio.timeout(RUN_TIMEOUT):
+        return await coro
+
 
 class Ring:
     """A loaded ``LocalCluster`` on an event loop of its own."""
@@ -68,7 +78,10 @@ class Ring:
                 node._stabilize_task.cancel()
 
     def run(self, coro):
-        return self.loop.run_until_complete(coro)
+        """Drive ``coro`` on the ring's loop: one that hangs (a round whose
+        replies never all come) fails its test after :data:`RUN_TIMEOUT`
+        seconds instead of stalling the suite."""
+        return self.loop.run_until_complete(_bounded(coro))
 
     def close(self) -> None:
         self.run(self._shutdown())
@@ -229,6 +242,25 @@ def test_empty_and_inverted_rectangles_answer_empty(ring3):
     node = ring3.nodes[1]
     assert ring3.query(node, [10.0, 10.0], [10.0 + 1e-9, 10.0 + 1e-9]).tolist() == []
     assert ring3.query(node, [600.0, 600.0], [400.0, 700.0]).tolist() == []
+
+
+@pytest.mark.parametrize("lows, highs", [
+    ([100.0, 100.0], [900.0, math.nan]),
+    ([math.nan, 100.0], [900.0, 900.0]),
+    ([100.0, 600.0], [900.0, 400.0]),
+], ids=["nan-high", "nan-low", "inverted"])
+def test_a_rectangle_that_holds_no_point_asks_no_owner(ring16, rpc_log, lows, highs):
+    """No point lies in a rectangle with a NaN coordinate or with ``lows >
+    highs`` in a dimension: a node and a client answer it empty without a
+    ``range_solve`` (a NaN at the high end used to walk all 16 owners, an
+    inverted rectangle to ask one)."""
+    node, addr = ring16.nodes[2], ring16.cluster.addrs[5]
+    for query in (lambda: ring16.query(node, lows, highs),
+                  lambda: ring16.run(ring16.client.query(addr, lows, highs))):
+        del rpc_log[:]
+        got = query()
+        assert got.dtype == np.int64 and got.tolist() == []
+        assert "range_solve" not in [rec[2] for rec in rpc_log]
 
 
 # -- no ring walk -------------------------------------------------------------------

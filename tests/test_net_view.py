@@ -12,6 +12,9 @@ a refused ``insert`` and one re-placement over a fresh snapshot.
 
 from __future__ import annotations
 
+import asyncio
+import copy
+
 import numpy as np
 import pytest
 
@@ -279,6 +282,104 @@ def test_a_cold_client_sends_no_more_lookups_than_one_that_always_reads_successo
     assert 0 < now <= always
 
 
+# -- a walk in rounds -------------------------------------------------------------------
+
+
+def test_a_warm_client_has_every_solve_of_a_query_out_before_it_reads_a_reply(
+        ring8, monkeypatch):
+    """A view that tiles the ring plans the whole walk: the query is one
+    round, each of its ``range_solve``s sent before any reply comes back, a
+    whole-space one to every node in ring order from the first owner."""
+    client = _fresh_client(ring8)
+    entry = ring8.cluster.addrs[0]
+    events: list[tuple[str, str]] = []
+    original = TcpTransport.rpc
+
+    async def recording(self, dst_addr, kind, payload=None, **kw):
+        if self is client.transport:
+            events.append(("send", kind))
+        reply = await original(self, dst_addr, kind, payload, **kw)
+        if self is client.transport:
+            events.append(("reply", kind))
+        return reply
+
+    try:
+        assert ring8.run(client.query(entry, *WHOLE)).tolist() == ring8.brute_force(*WHOLE).tolist()
+        assert client.walker.view.tiling() is not None
+        monkeypatch.setattr(TcpTransport, "rpc", recording)
+        for lows, highs in [WHOLE, *_rects(41, 24)]:
+            del events[:]
+            assert ring8.run(client.query(entry, lows, highs)).tolist() == \
+                ring8.brute_force(lows, highs).tolist()
+            n = len(events) // 2
+            assert n >= 1 and events == [("send", "range_solve")] * n + [
+                ("reply", "range_solve")] * n
+            if lows is WHOLE[0]:
+                assert n == len(ring8.nodes)
+    finally:
+        ring8.run(client.close())
+
+
+def test_two_queries_at_once_on_one_client_share_its_view_and_stay_exact(ring8):
+    """Two walks on one client read and teach the same view at once — cold,
+    while each reply fills it, and warm — and both answers are exact."""
+    client = _fresh_client(ring8)
+    a, b = ring8.cluster.addrs[1], ring8.cluster.addrs[6]
+
+    async def both(first, second):
+        return await asyncio.gather(client.query(a, *first), client.query(b, *second))
+
+    try:
+        assert ring8.run(client.query(a, *WHOLE)).tolist() == ring8.brute_force(*WHOLE).tolist()
+        rects = [WHOLE, *_rects(43, 23)]
+        for cold in (True, False):
+            if cold:
+                client.walker.view.clear()
+            for first, second in zip(rects[::2], rects[1::2]):
+                got = ring8.run(both(first, second))
+                assert [g.tolist() for g in got] == [
+                    ring8.brute_force(*first).tolist(), ring8.brute_force(*second).tolist()]
+        assert [e["id"] for e in client.walker.view.tiling()] == ring8.ring_ids
+    finally:
+        ring8.run(client.close())
+
+
+def test_a_node_stopped_mid_walk_costs_one_timeout(rpcs):
+    """A warm client's round asks a node that has since stopped, in the
+    middle of a whole-space walk.  The rest of the round is answered
+    meanwhile; that one solve waits one ``rpc_timeout``, finds the owner by a
+    lookup, and the walk plans again from there: the answer is exact over the
+    survivors, in less than two timeouts."""
+    timeout = 0.3
+    r = Ring(8, n_points=300, seed=31, freeze=False)
+    try:
+        ids = r.ring_ids
+        first = r.true_successor(r.nodes[0].rotation)  # the owner of key 0
+        dead = next(n for n in r.nodes if n.id == ids[(ids.index(first) + 4) % 8])
+        client, entry = r.client, next(n.addr for n in r.nodes if n is not dead)
+        client.transport.rpc_timeout = timeout
+        assert r.run(client.query(entry, *WHOLE)).tolist() == r.brute_force(*WHOLE).tolist()
+        assert client.walker.view.owner(dead.id)["addr"] == dead.addr
+        lost = set(dead.shard.shard.object_ids.tolist())
+        r.run(r.cluster.stop_node(r.nodes.index(dead)))
+        r.cluster.nodes.remove(dead)
+        assert r.run(client.wait_converged(r.cluster.addrs, poll=0.02))
+        assert client.walker.view.owner(dead.id)["addr"] == dead.addr   # still named
+
+        del rpcs[:]
+        t0 = r.loop.time()
+        got = r.run(client.query(entry, *WHOLE)).tolist()
+        elapsed = r.loop.time() - t0
+        assert lost and got == [i for i in r.brute_force(*WHOLE).tolist() if i not in lost]
+        sent = [rec for rec in rpcs if rec[0] == client.transport.addr]
+        assert [(rec[1], rec[2]) for rec in sent if isinstance(rec[3], RpcTimeout)] == [
+            (dead.addr, "range_solve")]
+        assert timeout <= elapsed < 2 * timeout
+        assert all(e["addr"] != dead.addr for _, e in client.walker.view.arcs.values())
+    finally:
+        r.close()
+
+
 # -- a stale view stays exact ----------------------------------------------------------
 
 
@@ -325,6 +426,27 @@ def joined():
     r = Joined(8, n_points=300, seed=21)
     yield r
     r.close()
+
+
+def test_a_round_off_a_stale_view_is_cut_where_the_walk_leaves_the_plan(
+        joined, rpcs, monkeypatch):
+    """``x``'s view still tiles the ring as it was before ``j`` joined, so a
+    whole-space query plans ``s`` for ``j``'s arc and the owners after it.
+    ``s`` answers ``not_owner``, ``j`` proves ``(p, j]``, and the walk's next
+    key, in ``(j, s]``, is not the one planned: the rest of the round is
+    dropped and the walk plans again.  The answer is exact, with no lookup.
+    (A copy of the view is walked: the tests below need the stale one.)"""
+    r, x = joined, joined.x
+    monkeypatch.setattr(x.walker, "view", copy.deepcopy(x.walker.view))
+    assert x.walker.view.arcs[r.s.id][0] == r.p.id and x.walker.view.tiling() is not None
+    del rpcs[:]
+    assert r.query(x, *WHOLE).tolist() == r.brute_force(*WHOLE).tolist()
+    solves = [(rec[1], isinstance(rec[3], dict) and "not_owner" in rec[3])
+              for rec in rpcs if rec[2] == "range_solve"]
+    assert (r.s.addr, True) in solves and (r.j.addr, False) in solves
+    assert (r.s.addr, False) in solves                # asked again, for (j, s]
+    assert "lookup_step" not in _kinds(rpcs)
+    assert [e["id"] for e in x.walker.view.tiling()] == r.ring_ids
 
 
 def test_a_node_that_joined_is_reached_through_not_owner_and_learned(joined, rpcs):
