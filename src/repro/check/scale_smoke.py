@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable
 from statistics import median
 
 from repro.core.scale import ScaleConfig, ScaleSimulation
@@ -39,20 +38,15 @@ from repro.sim.king import king_coordinate_model
 __all__ = ["run_scale_smoke"]
 
 
-def _median_s(fn: Callable[[], object], repeats: int) -> float:
-    times: list[float] = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return median(times)
-
-
-def _obs_overhead(n_nodes: int, n_queries: int, repeats: int) -> tuple[float, float]:
-    """Median ``run()`` seconds: ``NullRegistry`` vs metrics + sampled tracing.
+def _obs_overhead(n_nodes: int, n_queries: int, pairs: int) -> tuple[float, float, float]:
+    """``run()`` seconds, ``NullRegistry`` vs metrics + sampled tracing, in
+    alternating pairs: ``(median null s, median instrumented s, median of
+    the per-pair ratios)``.
 
     Both simulations are built once and only ``run()`` is timed —
-    construction is identical.
+    construction is identical.  The two runs of a pair are back to back and
+    every other pair starts with the instrumented one, so drift in the host's
+    speed cancels in each ratio instead of landing on one side.
     """
     lat = king_coordinate_model(n_hosts=n_nodes, seed=3)
     cfg = ScaleConfig(
@@ -65,7 +59,20 @@ def _obs_overhead(n_nodes: int, n_queries: int, repeats: int) -> tuple[float, fl
     rec = SpanRecorder()
     rec.add_sink(MemorySpanSink())
     obs_sim = ScaleSimulation(cfg, latency=lat, recorder=rec)
-    return _median_s(null_sim.run, repeats), _median_s(obs_sim.run, repeats)
+    # the first run() of each makes the one-off stored-load report (and, with
+    # metrics, its 10k-label gauge): set-up, not per-run overhead
+    null_sim.run()
+    obs_sim.run()
+    null_s: list[float] = []
+    obs_s: list[float] = []
+    for pair in range(pairs):
+        order = [(null_sim, null_s), (obs_sim, obs_s)]
+        for sim, times in order if pair % 2 == 0 else order[::-1]:
+            t0 = time.perf_counter()
+            sim.run()
+            times.append(time.perf_counter() - t0)
+    ratio = median(o / n for n, o in zip(null_s, obs_s))
+    return median(null_s), median(obs_s), ratio
 
 
 def run_scale_smoke(
@@ -159,15 +166,14 @@ def run_scale_smoke(
             print("[scale-smoke] FAIL: SLO budget burned")
             ok = False
     if obs_overhead is not None:
-        # a dedicated paired measurement (fresh sims, median of 3) — the
-        # single-shot run above includes artifact streaming and is too
-        # noisy to gate on.
-        repeats = 3
-        null_s, obs_s = _obs_overhead(n_nodes, n_queries, repeats)
-        frac = obs_s / null_s - 1.0
+        # a dedicated paired measurement on fresh sims — the single-shot
+        # run above includes artifact streaming and is too noisy to gate on
+        pairs = 9
+        null_s, obs_s, ratio = _obs_overhead(n_nodes, n_queries, pairs)
+        frac = ratio - 1.0
         print(f"  obs overhead: {obs_s:.2f}s instrumented vs "
-              f"{null_s:.2f}s NullRegistry = {frac:+.1%} "
-              f"(bound {obs_overhead:.0%}, median of {repeats})")
+              f"{null_s:.2f}s NullRegistry; median pair ratio {frac:+.1%} "
+              f"(bound {obs_overhead:.0%}, {pairs} alternating pairs)")
         if frac > obs_overhead:
             print(f"[scale-smoke] FAIL: observability overhead {frac:.1%} "
                   f"exceeds {obs_overhead:.0%}")

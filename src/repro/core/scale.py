@@ -371,16 +371,18 @@ class ScaleSimulation:
         if load_gauges:
             record_load_vector(self.registry, forward, metric=FORWARD_LOAD_GAUGE)
         forwarding_load = hotspot_report(forward)
+        hops_q = np.percentile(hops_all, [50, 99]) if routed else np.zeros(2)
+        lat_q = np.percentile(lat_all, [50, 99]) if routed else np.zeros(2)
         return ScaleReport(
             n_nodes=cfg.n_nodes,
             n_objects=cfg.n_objects,
             n_queries=routed,
             mean_hops=float(hops_all.mean()) if routed else 0.0,
-            hops_p50=float(np.percentile(hops_all, 50)) if routed else 0.0,
-            hops_p99=float(np.percentile(hops_all, 99)) if routed else 0.0,
+            hops_p50=float(hops_q[0]),
+            hops_p99=float(hops_q[1]),
             latency_mean_s=float(lat_all.mean()) if routed else 0.0,
-            latency_p50_s=float(np.percentile(lat_all, 50)) if routed else 0.0,
-            latency_p99_s=float(np.percentile(lat_all, 99)) if routed else 0.0,
+            latency_p50_s=float(lat_q[0]),
+            latency_p99_s=float(lat_q[1]),
             storage_load=copy.deepcopy(self._storage_load),
             forwarding_load=forwarding_load,
             health_samples=len(self.sampler.samples),

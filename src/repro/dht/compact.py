@@ -20,8 +20,10 @@ Routing is the same greedy closest-preceding-entry rule as
 :meth:`ChordNode.next_hop` (footnote 4: fingers + successor list + self),
 evaluated for *batches* of lookups at once: :meth:`route_batch` advances all
 active queries one hop per vectorised round, so a million lookups cost
-~``O(log n)`` NumPy passes rather than a million Python loops.  On identical
-membership (classic fingers, no PNS) it reproduces
+~``O(log n)`` NumPy passes rather than a million Python loops; each hop
+reads the one finger level the greedy rule ends at, ``floor(log2(gap))``
+(see :meth:`route_batch`).  On identical membership (classic fingers, no
+PNS) it reproduces
 :meth:`ChordRing.lookup_path` hop-for-hop — the differential tests in
 ``tests/test_scale.py`` assert exactly that.
 """
@@ -35,6 +37,23 @@ from repro.dht.idspace import finger_slots, owner_slots
 from repro.util.rng import as_rng
 
 __all__ = ["CompactChordRing"]
+
+
+def _int_array(a: object, what: str) -> np.ndarray:
+    """``a`` as an array; ``ValueError`` unless it is a 1-D integer array."""
+    arr = np.asarray(a)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be a 1-D integer array, not {arr.dtype} {arr.shape}")
+    return arr
+
+
+def _ring_keys(keys: object, mask: np.uint64) -> np.ndarray:
+    """Lookup keys modulo ``2**m`` as ``uint64``; ``ValueError`` unless they
+    are a 1-D integer array with no negative key."""
+    arr = _int_array(keys, "keys")
+    if arr.dtype.kind == "i" and arr.size and arr.min() < 0:
+        raise ValueError("keys must be non-negative")
+    return arr.astype(np.uint64) & mask
 
 
 class CompactChordRing:
@@ -121,8 +140,12 @@ class CompactChordRing:
     # -- oracle views ----------------------------------------------------------
 
     def owners_of_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Slot of the owner (first node clockwise) of each key."""
-        return owner_slots(self.ids, np.asarray(keys, dtype=np.uint64) & self.mask)
+        """Slot of the owner (first node clockwise) of each key.
+
+        ``keys`` is a 1-D integer array (non-negative, read modulo
+        ``2**m``); anything else is a ``ValueError``.
+        """
+        return owner_slots(self.ids, _ring_keys(keys, self.mask))
 
     def check_invariants(self) -> None:
         """Structural self-check: sorted distinct ids, finger oracle equality.
@@ -168,79 +191,81 @@ class CompactChordRing:
           that is index load, not forwarding load).  None unless
           ``count_visits``.
 
-        All queries advance one hop per vectorised round; finished ones drop
-        out, so the loop runs ~``O(log n)`` rounds for the whole batch.
+        ``src_slots`` and ``keys`` are aligned 1-D integer arrays (keys
+        non-negative, read modulo ``2**m``); anything else is a
+        ``ValueError``.
+
+        Each round moves every active lookup one hop; finished ones drop out
+        of the round's arrays, so the loop runs ~``O(log n)`` rounds for the
+        whole batch.  A lookup at ``cur`` whose key's predecessor is slot
+        ``p`` takes the furthest of its successor list (``min(ps, r)`` slots,
+        ``ps`` the slot distance to ``p``) and its best finger.  The finger
+        of level ``l`` owns ``ids[cur] + 2**l``, so it lies in ``(cur, p]``
+        exactly when ``2**l <= gap = (ids[p] - ids[cur]) mod 2**m``: the
+        best level is ``floor(log2(gap))``, read from the float64 exponent
+        and lowered by one where rounding lifted ``gap`` to the next power
+        of two (``gap >= 2**53``).  This holds for classic fingers only,
+        which are the only fingers this ring keeps.
         """
         n = len(self.ids)
         if n == 0:
             raise RuntimeError("empty ring")
-        keys = np.asarray(keys, dtype=np.uint64) & self.mask
+        keys = _ring_keys(keys, self.mask)
+        cur = _int_array(src_slots, "source slots").astype(np.int64)
         nq = len(keys)
+        if len(cur) != nq:
+            raise ValueError(f"{len(cur)} source slots for {nq} keys")
+        if np.any((cur < 0) | (cur >= n)):
+            raise ValueError("source slot out of range")
         owner = owner_slots(self.ids, keys)
         hops = np.zeros(nq, dtype=np.int64)
         lat = np.zeros(nq, dtype=np.float64)
-        visits = np.zeros(n, dtype=np.int64) if count_visits else None
-        cur = np.asarray(src_slots, dtype=np.int64).copy()
-        if np.any((cur < 0) | (cur >= n)):
-            raise ValueError("source slot out of range")
         if n == 1:
-            return owner, hops, lat, visits
-        if visits is not None:
-            visits += np.bincount(cur, minlength=n)
+            return owner, hops, lat, np.zeros(n, dtype=np.int64) if count_visits else None
+        m = self.m
         r = min(self.successor_list_len, n - 1)
-        active = np.arange(nq, dtype=np.int64)
+        fingers = self.fingers.ravel()
+        pred = (owner - 1) % n
+        # every lookup ends with the hop pred -> owner: priced once, up front
+        last_hop = np.zeros(nq)
+        if latency is not None:
+            last_hop = latency.latency_pairs(  # type: ignore[attr-defined]
+                self.hosts[pred], self.hosts[owner])
+        # the active lookups, compacted every round: batch index, current
+        # slot, ids[pred], slot distance to pred, latency so far
+        idx = np.arange(nq, dtype=np.int64)
+        pid = self.ids[pred]
+        ps = (pred - cur) % n
+        acc = np.zeros(nq, dtype=np.float64)
+        path = [cur]
         # every round advances each active query >= 1 slot toward the
         # predecessor of its key, so n + 4m rounds is an unreachable cap
-        for _ in range(n + 4 * self.m):
-            if active.size == 0:
+        for t in range(n + 4 * m):
+            if idx.size == 0:
                 break
-            a_cur = cur[active]
-            ps = (owner[active] - 1 - a_cur) % n
             done = ps == 0
-            if np.any(done):
-                di = active[done]
-                hops[di] += 1
-                if latency is not None:
-                    lat[di] += latency.latency_pairs(  # type: ignore[attr-defined]
-                        self.hosts[cur[di]], self.hosts[owner[di]]
-                    )
-                keep = ~done
-                active = active[keep]
-                if active.size == 0:
-                    break
-                a_cur = a_cur[keep]
-                ps = ps[keep]
-            # best successor-list step: furthest successor not past pred(key)
-            step = np.minimum(ps, r)
-            # best finger step: highest level whose finger precedes the key.
-            # cw id-distance to the key bounds the first level to try; the
-            # step-down loop discards levels whose finger overshoots.
-            d = (keys[active] - self.ids[a_cur]) & self.mask
-            lvl = np.full(len(active), self.m - 1, dtype=np.int64)
-            nz = d != np.uint64(0)  # d == 0 (key == own id) routes the full ring
-            lvl[nz] = np.minimum(
-                np.floor(np.log2(d[nz].astype(np.float64))).astype(np.int64),
-                self.m - 1,
-            )
-            pending = np.arange(len(active), dtype=np.int64)
-            while pending.size:
-                f_slot = self.fingers[a_cur[pending], lvl[pending]].astype(np.int64)
-                sd = (f_slot - a_cur[pending]) % n
-                ok = (sd > 0) & (sd <= ps[pending])
-                hit = pending[ok]
-                step[hit] = np.maximum(step[hit], sd[ok])
-                pending = pending[~ok]
-                lvl[pending] -= 1
-                pending = pending[lvl[pending] >= 0]
-            nxt = (a_cur + step) % n
+            fin = idx[done]
+            hops[fin] = t + 1
+            lat[fin] = acc[done] + last_hop[fin]
+            keep = ~done
+            idx, cur, pid, ps, acc = idx[keep], cur[keep], pid[keep], ps[keep], acc[keep]
+            gap = (pid - self.ids[cur]) & self.mask
+            lvl = np.frexp(gap.astype(np.float64))[1].astype(np.int64) - 1
+            # one lower where float64 rounded gap up to 2**lvl (NumPy reads a
+            # shift by 64, after a round-up to 2**64, as 0)
+            lvl -= (gap >> lvl.view(np.uint64)) == 0
+            step = fingers.take(cur * m + lvl) - cur
+            step[step < 0] += n
+            np.maximum(step, np.minimum(ps, r), out=step)
+            nxt = cur + step
+            nxt[nxt >= n] -= n
             if latency is not None:
-                lat[active] += latency.latency_pairs(  # type: ignore[attr-defined]
-                    self.hosts[a_cur], self.hosts[nxt]
-                )
-            hops[active] += 1
-            cur[active] = nxt
-            if visits is not None:
-                visits += np.bincount(nxt, minlength=n)
+                acc += latency.latency_pairs(  # type: ignore[attr-defined]
+                    self.hosts[cur], self.hosts[nxt])
+            ps -= step
+            cur = nxt
+            path.append(cur)
         else:
             raise RuntimeError("bulk lookup did not converge")
+        visits = np.bincount(np.concatenate(path), minlength=n) if count_visits else None
         return owner, hops, lat, visits

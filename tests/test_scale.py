@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.scale import QUERY_RANGE_FACTOR, ScaleConfig, ScaleSimulation
 from repro.core.storage import Shard, ShardStore
 from repro.dht.compact import CompactChordRing
 from repro.dht.ring import ChordRing
+from repro.dht.idspace import owner_slots
 from repro.obs.registry import MetricsRegistry
 from repro.sim.king import king_coordinate_model
+from repro.sim.network import MatrixLatency
 
 
 def _object_ring(n, m, seed):
@@ -66,6 +69,197 @@ class TestCompactVsObjectRing:
         _, hops, path_lat, _ = comp.route_batch(src, keys, latency=lat)
         assert np.all(path_lat[hops > 0] > 0)
         assert np.all(path_lat[hops == 0] == 0)
+
+
+def _greedy_route(ring, src, key):
+    """One lookup by the definition of its hop: from each node, the furthest
+    of the successor list and of every finger level that does not pass the
+    key's predecessor.  Returns ``(owner, nodes that processed it)``."""
+    n = len(ring)
+    owner = int(owner_slots(ring.ids, np.array([key], dtype=np.uint64))[0])
+    pred = (owner - 1) % n
+    r = min(ring.successor_list_len, n - 1)
+    path = [int(src)]
+    while path[-1] != pred:
+        cur = path[-1]
+        ps = (pred - cur) % n
+        best = min(ps, r)
+        for lvl in range(ring.m):
+            sd = (int(ring.fingers[cur, lvl]) - cur) % n
+            if 0 < sd <= ps:
+                best = max(best, sd)
+        path.append((cur + best) % n)
+    return owner, path
+
+
+def _stepdown_route_batch(ring, src_slots, keys, latency=None, count_visits=False):
+    """``route_batch`` as it was before it read the finger level in closed
+    form: each round steps down from ``floor(log2(key - id))`` until a
+    finger stops overshooting, and scatters into full-batch arrays."""
+    ids, fingers, mask, m = ring.ids, ring.fingers, ring.mask, ring.m
+    n = len(ids)
+    keys = np.asarray(keys, dtype=np.uint64) & mask
+    nq = len(keys)
+    owner = owner_slots(ids, keys)
+    hops = np.zeros(nq, dtype=np.int64)
+    lat = np.zeros(nq, dtype=np.float64)
+    visits = np.zeros(n, dtype=np.int64) if count_visits else None
+    cur = np.asarray(src_slots, dtype=np.int64).copy()
+    if n == 1:
+        return owner, hops, lat, visits
+    if visits is not None:
+        visits += np.bincount(cur, minlength=n)
+    r = min(ring.successor_list_len, n - 1)
+    active = np.arange(nq, dtype=np.int64)
+    while active.size:
+        a_cur = cur[active]
+        ps = (owner[active] - 1 - a_cur) % n
+        done = ps == 0
+        if np.any(done):
+            di = active[done]
+            hops[di] += 1
+            if latency is not None:
+                lat[di] += latency.latency_pairs(ring.hosts[cur[di]], ring.hosts[owner[di]])
+            keep = ~done
+            active = active[keep]
+            if active.size == 0:
+                break
+            a_cur = a_cur[keep]
+            ps = ps[keep]
+        step = np.minimum(ps, r)
+        d = (keys[active] - ids[a_cur]) & mask
+        lvl = np.full(len(active), m - 1, dtype=np.int64)
+        nz = d != np.uint64(0)
+        lvl[nz] = np.minimum(np.floor(np.log2(d[nz].astype(np.float64))).astype(np.int64), m - 1)
+        pending = np.arange(len(active), dtype=np.int64)
+        while pending.size:
+            f_slot = fingers[a_cur[pending], lvl[pending]].astype(np.int64)
+            sd = (f_slot - a_cur[pending]) % n
+            ok = (sd > 0) & (sd <= ps[pending])
+            hit = pending[ok]
+            step[hit] = np.maximum(step[hit], sd[ok])
+            pending = pending[~ok]
+            lvl[pending] -= 1
+            pending = pending[lvl[pending] >= 0]
+        nxt = (a_cur + step) % n
+        if latency is not None:
+            lat[active] += latency.latency_pairs(ring.hosts[a_cur], ring.hosts[nxt])
+        hops[active] += 1
+        cur[active] = nxt
+        if visits is not None:
+            visits += np.bincount(nxt, minlength=n)
+    return owner, hops, lat, visits
+
+
+class TestRouteBatch:
+    @pytest.mark.parametrize("m", [8, 16, 32, 64])
+    @given(data=st.data())
+    def test_closed_form_level_is_the_best_of_every_level(self, m, data):
+        """Hop by hop, the level route_batch reads is the best a search over
+        all ``m`` finger levels finds: on rings of 2-500 slots, for keys on
+        node ids (the full ring), ids +- 1, after a pair of consecutive ids
+        (a gap of ``2**m - 1``) and, at ``m = 64``, across a gap of
+        ``2**k - 1`` with ``k`` in 53..63, which float64 rounds up."""
+        n = data.draw(st.integers(2, min(500, 1 << (m - 1))), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed"))
+        mask = (1 << m) - 1
+        base = data.draw(st.integers(0, mask), label="base")
+        special = [base, (base + 1) & mask]
+        if m == 64:
+            k = data.draw(st.integers(53, 63), label="k")
+            special.append((base + (1 << k) - 1) & mask)
+        ids = set(special)
+        while len(ids) < n:
+            ids.add(int(rng.integers(0, mask, dtype=np.uint64, endpoint=True)))
+        ring = CompactChordRing(np.array(sorted(ids), dtype=np.uint64),
+                                np.arange(len(ids)) % 7, m=m,
+                                successor_list_len=data.draw(st.integers(1, 16), label="r"))
+        n = len(ring)
+        slot = {int(i): s for s, i in enumerate(ring.ids)}
+        ring_ids = [int(i) for i in ring.ids]
+        picks = rng.integers(0, n, size=20)
+        keys = [ring_ids[p] for p in picks]
+        keys += [(ring_ids[p] + 1) & mask for p in picks] + [(ring_ids[p] - 1) & mask for p in picks]
+        keys += rng.integers(0, mask, size=20, dtype=np.uint64, endpoint=True).tolist()
+        src = rng.integers(0, n, size=len(keys)).tolist()
+        # a consecutive pair: routing base + 1 from its own node crosses 2**m - 1
+        keys.append(special[1])
+        src.append(slot[special[1]])
+        # from base to the key just after special[-1]: a gap of 2**k - 1 at m = 64
+        keys.append((special[-1] + 1) & mask)
+        src.append(slot[base])
+        latency = MatrixLatency(rng.uniform(0.001, 0.2, size=(7, 7)))
+        owner, hops, lat, visits = ring.route_batch(
+            np.array(src), np.array(keys, dtype=np.uint64), latency=latency, count_visits=True)
+        want_visits = np.zeros(n, dtype=np.int64)
+        for i, (s, key) in enumerate(zip(src, keys)):
+            want_owner, path = _greedy_route(ring, s, key)
+            delay = 0.0
+            for a, b in zip(path, [*path[1:], want_owner]):
+                delay += latency.latency(int(ring.hosts[a]), int(ring.hosts[b]))
+            assert (owner[i], hops[i], lat[i]) == (want_owner, len(path), delay), (s, key)
+            np.add.at(want_visits, path, 1)
+        assert np.array_equal(visits, want_visits)
+
+    @pytest.mark.parametrize("n_hosts", [None, 5_000], ids=["permuted-hosts", "shared-hosts"])
+    def test_matches_the_step_down_search_on_100k_slots(self, n_hosts):
+        ring = CompactChordRing.build(100_000, m=64, seed=11, n_hosts=n_hosts)
+        latency = king_coordinate_model(n_hosts=n_hosts or 100_000, seed=12)
+        assert latency.jitter_sigma > 0
+        rng = np.random.default_rng(13)
+        keys = rng.integers(0, 1 << 63, size=20_000, dtype=np.uint64) * np.uint64(2)
+        keys[:100] = ring.ids[rng.integers(0, len(ring), size=100)]
+        src = rng.integers(0, len(ring), size=len(keys))
+        got = ring.route_batch(src, keys, latency=latency, count_visits=True)
+        want = _stepdown_route_batch(ring, src, keys, latency=latency, count_visits=True)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_an_empty_batch_routes_nothing(self):
+        ring = CompactChordRing.build(50, m=16, seed=1)
+        owner, hops, lat, visits = ring.route_batch(
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64), count_visits=True)
+        assert owner.size == hops.size == lat.size == 0
+        assert np.array_equal(visits, np.zeros(50, dtype=np.int64))
+        assert ring.owners_of_keys(np.zeros(0, dtype=np.int64)).size == 0
+
+    @pytest.mark.parametrize("src,keys", [
+        (np.array([1.7, 2.2, 3.9]), np.array([1, 2, 3], dtype=np.uint64)),
+        (np.array([1, 2, 3, 4, 5]), np.array([1, 2, 3], dtype=np.uint64)),
+        (np.array([True, False, True]), np.array([1, 2, 3], dtype=np.uint64)),
+        (np.array([[1, 2, 3]]), np.array([1, 2, 3], dtype=np.uint64)),
+        (np.array([1, 2, 3]), np.array([5, -1, 7], dtype=np.int64)),
+    ], ids=["float-sources", "more-sources-than-keys", "bool-sources", "2-d-sources",
+            "negative-key"])
+    def test_a_malformed_batch_is_refused(self, src, keys):
+        ring = CompactChordRing.build(50, m=16, seed=1)
+        with pytest.raises(ValueError):
+            ring.route_batch(src, keys)
+
+    @pytest.mark.parametrize("keys", [
+        np.array([5, -1, 7], dtype=np.int64),
+        np.array([1.5, 2.0, 3.9]),
+        np.array([True, False, True]),
+        np.array([[1, 2, 3]], dtype=np.uint64),
+    ], ids=["negative", "float", "bool", "2-d"])
+    def test_malformed_keys_are_refused(self, keys):
+        ring = CompactChordRing.build(50, m=16, seed=1)
+        with pytest.raises(ValueError, match="keys"):
+            ring.owners_of_keys(keys)
+        with pytest.raises(ValueError, match="keys"):
+            ring.route_batch(np.arange(keys.shape[-1]), keys)
+
+    def test_keys_are_read_modulo_2_to_the_m_and_sources_must_be_slots(self):
+        ring = CompactChordRing.build(50, m=16, seed=1)
+        keys = np.array([5, 70_000, (1 << 64) - 1], dtype=np.uint64)
+        signed = np.array([5, 70_000, (1 << 63) - 1], dtype=np.int64)
+        assert np.array_equal(ring.owners_of_keys(keys), ring.owners_of_keys(keys & ring.mask))
+        assert np.array_equal(ring.owners_of_keys(signed),
+                              ring.owners_of_keys(signed.astype(np.uint64) & ring.mask))
+        src = np.array([0, 1, 2])
+        assert np.array_equal(ring.route_batch(src, keys)[0], ring.owners_of_keys(keys))
+        with pytest.raises(ValueError, match="out of range"):
+            ring.route_batch(np.array([0, 50, 1]), keys)
 
 
 class TestShardStoreVsShards:
@@ -206,6 +400,24 @@ class TestScaleSimulation:
             reps.append(sim.run())
         assert reps[0].mean_hops == reps[1].mean_hops
         assert reps[0].storage_load["gini"] == reps[1].storage_load["gini"]
+
+    def test_report_percentiles_are_numpys_bit_for_bit(self, monkeypatch):
+        sim = ScaleSimulation(_small_cfg(), latency=king_coordinate_model(n_hosts=300, seed=2))
+        routed = []
+        route = CompactChordRing.route_batch
+
+        def recording(self, *args, **kw):
+            out = route(self, *args, **kw)
+            routed.append(out)
+            return out
+
+        monkeypatch.setattr(CompactChordRing, "route_batch", recording)
+        rep = sim.run()
+        hops = np.concatenate([r[1] for r in routed])
+        lat = np.concatenate([r[2] for r in routed])
+        got = (rep.hops_p50, rep.hops_p99, rep.latency_p50_s, rep.latency_p99_s)
+        want = tuple(float(np.percentile(x, q)) for x in (hops, lat) for q in (50, 99))
+        assert got == want
 
     def test_smoke_entrypoint(self, capsys):
         from repro.check.scale_smoke import run_scale_smoke
