@@ -288,15 +288,25 @@ class LandmarkIndex:
             for i in range(n)
         ]
 
-    def refine_distances(self, q: RangeQuery, points: np.ndarray, object_ids: np.ndarray) -> np.ndarray:
+    def refine_distances(self, q: RangeQuery, points: np.ndarray | None, object_ids: np.ndarray,
+                         radius: float | None = None) -> np.ndarray:
         """Distances used to refine range-search candidates at an index node.
 
-        ``"index"`` mode ranks by the Chebyshev (L∞) distance between index
-        points — the contractive lower bound of the true distance implied by
-        the triangle inequality, so it never over-estimates.
+        ``"index"`` mode ranks ``points`` by the Chebyshev (L∞) distance
+        between index points — the contractive lower bound of the true
+        distance implied by the triangle inequality, so it never
+        over-estimates.  ``"true"`` mode never reads ``points``; on a dense
+        dataset with a ``radius`` it returns ``+inf`` for rows the metric
+        proves farther than ``radius`` (:meth:`Metric.one_to_rows_within`),
+        every other distance exactly as ``one_to_many`` computes it.
         """
         if self.refine_mode == "index":
+            assert points is not None
             return np.abs(points - q.payload.ipoint).max(axis=1)
+        if isinstance(self.dataset, np.ndarray) and self.dataset.ndim == 2:
+            return self.metric.one_to_rows_within(
+                q.payload.obj, self.dataset, object_ids,
+                np.inf if radius is None else radius)
         return self.metric.one_to_many(q.payload.obj, take(self.dataset, object_ids))
 
     # -- introspection ------------------------------------------------------------------

@@ -196,8 +196,11 @@ class RangeQuery:
 
         Clipping realises the paper's observation that a query point mapped
         near the boundary searches ``[I_q - r, upper_boundary]`` rather than
-        a full ``2r`` box (§4.3).
+        a full ``2r`` box (§4.3).  A negative or NaN ``radius`` raises
+        ``ValueError``; 0 and ``inf`` are legal.
         """
+        if not radius >= 0:
+            raise ValueError(f"query radius must be >= 0, got {radius!r}")
         center = np.asarray(center, dtype=np.float64)
         lows = np.maximum(center - radius, bounds.lows)
         highs = np.minimum(center + radius, bounds.highs)

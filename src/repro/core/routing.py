@@ -100,8 +100,9 @@ class QueryProtocol(Protocol):
     index:
         A distributed landmark index (duck-typed; see
         :class:`repro.core.platform.LandmarkIndex`): must expose ``m``,
-        ``k``, ``bounds``, ``rotation``, ``shards`` and
-        ``refine_distances``.
+        ``k``, ``bounds``, ``rotation``, ``shards``, ``refine_mode``
+        (``"index"`` passes the candidates' index points to refinement)
+        and ``refine_distances``.
     stats:
         A :class:`repro.sim.stats.StatsCollector` (created when omitted).
     latency:
@@ -110,7 +111,8 @@ class QueryProtocol(Protocol):
     surrogate_mode:
         ``"fixed"`` or ``"literal"`` (see module docstring).
     top_k:
-        How many nearest local results an index node returns (paper: 10).
+        How many nearest local results an index node returns (paper: 10); a
+        non-negative int.
     range_filter:
         Refine candidates by true distance and drop those beyond the query
         radius (the paper's superset refinement).
@@ -161,6 +163,8 @@ class QueryProtocol(Protocol):
             raise ValueError(f"unknown surrogate_mode {surrogate_mode!r}")
         if index is None:
             raise TypeError("QueryProtocol needs an index")
+        if isinstance(top_k, bool) or not isinstance(top_k, (int, np.integer)) or top_k < 0:
+            raise ValueError(f"top_k must be a non-negative int, got {top_k!r}")
         super().__init__(
             sim=sim, stats=stats, latency=latency,
             transport=transport, maintenance=maintenance,
@@ -483,9 +487,11 @@ class QueryProtocol(Protocol):
             pos = shard.range_search(q.rect.lows, q.rect.highs, key_lo, key_hi)
             if len(pos):
                 object_ids = shard.object_ids[pos]
-                dists = self.index.refine_distances(q, shard.points[pos], object_ids)
-                if self.range_filter and q.radius is not None:
-                    keep = dists <= q.radius
+                points = shard.points[pos] if self.index.refine_mode == "index" else None
+                radius = q.radius if self.range_filter else None
+                dists = self.index.refine_distances(q, points, object_ids, radius=radius)
+                if radius is not None:
+                    keep = dists <= radius
                     object_ids = object_ids[keep]
                     dists = dists[keep]
                 if len(object_ids) > self.top_k:

@@ -62,6 +62,7 @@ class SfcIndex:
         self.m = landmark_index.m
         self.k = landmark_index.k
         self.bounds = landmark_index.bounds
+        self.refine_mode = landmark_index.refine_mode
         self.curve = curve
         self.encode = _CURVES[curve]
         max_p = self.m // self.k
@@ -89,9 +90,9 @@ class SfcIndex:
                 shard.add(ring_keys[sel], points[sel], self.base._object_ids[sel])
             self.shards[node] = shard
 
-    def refine_distances(self, q: Any, points: Any, object_ids: Any) -> Any:
+    def refine_distances(self, q: Any, points: Any, object_ids: Any, radius: Any = None) -> Any:
         """Delegates candidate refinement to the underlying landmark index."""
-        return self.base.refine_distances(q, points, object_ids)
+        return self.base.refine_distances(q, points, object_ids, radius=radius)
 
     def query_intervals(self, rect: Any,
                         max_intervals: int = 4096) -> list[tuple[int, int]]:

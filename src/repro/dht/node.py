@@ -6,17 +6,16 @@ finger table, a successor list and the current node itself", and the
 immediately before the prefix_key of the query on the ring" — i.e. the
 closest *preceding* table entry, which is exactly Chord's greedy forwarding
 rule.  The rule itself is :func:`repro.dht.idspace.closest_preceding`, shared
-with the live node; this class holds the table it runs over and memoises the
-answer.  When ``next_hop`` returns the node itself, the node is (in its view)
-the predecessor of the key and the key's owner is its successor — Algorithm 3
-then invokes ``SurrogateRefine`` on the successor.
+with the live node; this class answers it with one bisection of its table
+sorted by clockwise distance.  When ``next_hop`` returns the node itself, the
+node is (in its view) the predecessor of the key and the key's owner is its
+successor — Algorithm 3 then invokes ``SurrogateRefine`` on the successor.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable
-
-from repro.dht.idspace import closest_preceding
 
 __all__ = ["ChordNode"]
 
@@ -51,12 +50,8 @@ class ChordNode:
         "successors",
         "predecessor",
         "alive",
-        "_nh_cache",
+        "_nh_table",
     )
-
-    #: safety cap of the per-node next-hop memo (distinct prefix keys seen
-    #: between table changes); prevents unbounded growth on huge workloads.
-    NH_CACHE_MAX = 4096
 
     def __init__(self, node_id: int, m: int, name: str = "", host: int = 0) -> None:
         self.id = int(node_id)
@@ -68,11 +63,13 @@ class ChordNode:
         self.predecessor: ChordNode | None = None
         #: liveness flag used by the churn/stabilisation simulation.
         self.alive: bool = True
-        #: key -> next_hop memo, dropped by :meth:`invalidate_routing`.
-        #: Allocated lazily: a node that never routes a key pays nothing,
-        #: which matters when a 100k-node ring is built in bulk (a dict
-        #: header per node adds up to MBs before any traffic flows).
-        self._nh_cache: dict[int, ChordNode] | None = None
+        #: next_hop's table: the id mask, the distinct clockwise distances
+        #: from ``id`` to the finger and successor entries, ascending, and
+        #: the entry at each.
+        #: Built by the first ``next_hop`` after :meth:`invalidate_routing`,
+        #: so a node that never routes a key (a 100k-node ring is built in
+        #: bulk) pays nothing.
+        self._nh_table: tuple[int, list[int], list[ChordNode]] | None = None
 
     def __repr__(self) -> str:
         return f"ChordNode({self.name}, id={self.id:#x})"
@@ -95,16 +92,15 @@ class ChordNode:
                 yield n
 
     def invalidate_routing(self) -> None:
-        """Drop memoised lookups after a routing-table change.
+        """Drop the next-hop table after a routing-table change.
 
         Must be called by anything that mutates ``fingers``, ``successors``
         or ``id`` — :meth:`ChordRing.rebuild_tables` and the stabilisation
         protocol's repair steps are the two mutation sites.  ``next_hop`` is
-        a pure function of those inputs, so between invalidations the memo
+        a pure function of those inputs, so between invalidations the table
         is exact.
         """
-        if self._nh_cache:
-            self._nh_cache.clear()
+        self._nh_table = None
 
     def next_hop(self, key: int) -> ChordNode:
         """Closest table entry strictly preceding ``key`` on the ring.
@@ -114,21 +110,24 @@ class ChordNode:
         Entries whose identifier *equals* the key are never returned (the
         owner is reached via its predecessor's successor pointer).
 
-        Memoised per key until :meth:`invalidate_routing` — the routing
-        algorithms look the same prefix key up several times per hop (the
-        split check and the forwarding pass), and popular short prefixes
-        recur across queries.
+        Same answer as :func:`repro.dht.idspace.closest_preceding` over
+        ``fingers + successors``: the entry with the largest clockwise
+        distance from ``id`` below the key's, the first in table order on a
+        tie; ``key == id`` routes the full ring.
         """
-        cache = self._nh_cache
-        if cache is None:
-            cache = self._nh_cache = {}
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        table = (*self.fingers, *self.successors)  # self never precedes a key
-        pos = closest_preceding(self.id, key, [n.id for n in table], self.m)
-        best = table[pos] if pos >= 0 else self
-        if len(cache) >= self.NH_CACHE_MAX:
-            cache.clear()
-        cache[key] = best
-        return best
+        table = self._nh_table
+        if table is None:
+            table = self._nh_table = self._next_hop_table()
+        mask, dists, nodes = table
+        # entries strictly between id and key: distance <= (key - id - 1) mod 2^m
+        pos = bisect_right(dists, (key - self.id - 1) & mask)
+        return nodes[pos - 1] if pos else self
+
+    def _next_hop_table(self) -> tuple[int, list[int], list[ChordNode]]:
+        mask = (1 << self.m) - 1
+        first: dict[int, ChordNode] = {}
+        for n in (*self.fingers, *self.successors):
+            first.setdefault((n.id - self.id) & mask, n)
+        first.pop(0, None)  # self never precedes a key
+        dists = sorted(first)
+        return mask, dists, [first[d] for d in dists]

@@ -55,6 +55,19 @@ class Metric(ABC):
         """
         return np.asarray([self.distance(x, y) for y in ys], dtype=np.float64)
 
+    def one_to_rows_within(self, x: Any, data: np.ndarray, rows: np.ndarray,
+                           radius: float) -> np.ndarray:
+        """Distances from ``x`` to ``data[rows]`` of a dense 2-D dataset, where
+        only those ``<= radius`` need to be exact.
+
+        Each entry is either bit-identical to ``one_to_many(x, data[rows])``
+        or ``+inf`` where that distance is ``> radius`` (or NaN), so filtering
+        by ``<= radius`` keeps the same rows with the same distances.  A
+        metric may override this to skip rows it can prove too far cheaply;
+        this default prunes nothing.
+        """
+        return self.one_to_many(x, data[rows])
+
     def pairwise(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
         """``len(xs) x len(ys)`` distance matrix.
 

@@ -183,6 +183,17 @@ class TestRangeQueryFromPoint:
         q = RangeQuery.from_point(np.array([0.5, 0.5]), 0.07, B2, M)
         assert q.radius == pytest.approx(0.07)
 
+    @pytest.mark.parametrize("radius", [-1e-300, -0.5, -np.inf, np.nan])
+    def test_negative_or_nan_radius_refused(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            RangeQuery.from_point(np.array([0.5, 0.5]), radius, B2, M)
+
+    @pytest.mark.parametrize("radius", [0.0, np.inf])
+    def test_zero_and_infinite_radius_legal(self, radius):
+        q = RangeQuery.from_point(np.array([0.5, 0.5]), radius, B2, M)
+        assert q.radius == radius
+        assert (q.rect.lows <= q.rect.highs).all()
+
 
 class TestQuerySplit:
     def _q(self, lo, hi, prefix_key=0, prefix_len=0):

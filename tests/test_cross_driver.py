@@ -140,6 +140,7 @@ class _SimIndex:
     m = M
     k = K
     bounds = BOUNDS
+    refine_mode = "true"
 
     def __init__(self, ring: ChordRing, rotation: int, points, object_ids, keys) -> None:
         self.rotation = rotation
@@ -150,7 +151,7 @@ class _SimIndex:
             sel = owners == node.id
             shard.add(keys[sel], points[sel], object_ids[sel])
 
-    def refine_distances(self, q, points, object_ids):
+    def refine_distances(self, q, points, object_ids, radius=None):
         return np.zeros(len(object_ids))
 
 

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dht.hashing import hash_to_id, node_id, random_ids, rotation_offset
 from repro.dht.idspace import (
+    closest_preceding,
     cw_distance,
     in_interval_closed_open,
     in_interval_open,
     in_interval_open_closed,
 )
+from repro.dht.node import ChordNode
 from repro.dht.ring import ChordRing
 from repro.sim.network import ConstantLatency, MatrixLatency
 
@@ -188,6 +190,34 @@ class TestNextHop:
         assert n.next_hop(7) is n
         assert n.successor is n
         assert ring.successor_of(7) is n
+
+    @given(st.sampled_from([8, 16, 64]), st.data())
+    def test_bisection_table_agrees_with_closest_preceding(self, m, data):
+        """``next_hop`` answers from a table sorted by clockwise distance; the
+        oracle is the live node's scan, ``closest_preceding``, over fingers +
+        successors.  Tables hold duplicates (one node twice, two nodes with
+        one id), entries that are the node itself or share its id, and keys
+        on every entry, one off every entry and on the node's own id."""
+        ids = st.integers(0, 2**m - 1)
+        me = ChordNode(data.draw(ids), m, name="me")
+        drawn = data.draw(st.lists(ids, max_size=10))
+        pool = [ChordNode(i, m, name=f"n{j}") for j, i in enumerate(drawn)]
+        pool += [me, ChordNode(me.id, m, name="twin")]
+        pool += [ChordNode(n.id, m, name=f"copy-{n.name}") for n in pool[:2]]
+        for _ in range(2):  # a table change, then the next_hop after invalidate_routing
+            me.fingers = data.draw(st.lists(st.sampled_from(pool), max_size=24))
+            me.successors = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+            me.invalidate_routing()
+            table = [*me.fingers, *me.successors]
+            keys = {me.id, *data.draw(st.lists(ids, max_size=6))}
+            keys |= {(n.id + d) % 2**m for n in table for d in (-1, 0, 1)}
+            for key in sorted(keys):
+                pos = closest_preceding(me.id, key, [n.id for n in table], m)
+                assert me.next_hop(key) is (table[pos] if pos >= 0 else me)
+            # one entry per distinct non-zero clockwise distance, ascending
+            _, dists, nodes = me._nh_table
+            assert dists == sorted({cw_distance(me.id, n.id, m) for n in table} - {0})
+            assert len(nodes) == len(dists)
 
 
 class TestLookup:

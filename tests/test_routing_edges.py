@@ -6,8 +6,10 @@ import pytest
 
 from repro.core.index_space import IndexSpaceBounds
 from repro.core.lph import lp_hash, lp_hash_batch, prefix_to_cuboid, smallest_enclosing_prefix
+from repro.core.knn import knn_search
 from repro.core.naive import decompose_to_owner_cuboids
 from repro.core.platform import IndexPlatform
+from repro.core.routing import QueryProtocol
 from repro.dht.ring import ChordRing
 from repro.eval.ground_truth import exact_range
 from repro.metric.vector import EuclideanMetric
@@ -167,3 +169,45 @@ class TestBundling:
         from repro.sim.messages import query_message_size
 
         assert st.query_bytes >= st.query_messages * query_message_size(1, 2)
+
+
+class TestRefusedQueryArguments:
+    """A negative ``top_k`` or a negative/NaN radius used to run and return
+    a silently short answer; both are refused before anything is sent."""
+
+    def _one_hit(self):
+        # 16 nodes; a radius whose answer is exactly one row
+        platform, data = _platform(n_nodes=16)
+        d = METRIC.one_to_many(data[0], data)
+        radius = float(np.partition(d, 1)[1]) / 2
+        assert (d <= radius).sum() == 1
+        return platform, data, radius
+
+    @pytest.mark.parametrize("top_k", [-1, -10, 2.0, True, None, "3"])
+    def test_bad_top_k_refused(self, top_k):
+        platform, data, radius = self._one_hit()
+        with pytest.raises(ValueError, match="top_k"):
+            platform.query("idx", data[0], radius, top_k=top_k)
+        with pytest.raises(ValueError, match="top_k"):
+            QueryProtocol(platform.sim, platform.indexes["idx"], top_k=top_k)
+
+    def test_top_k_zero_and_numpy_ints_are_legal(self):
+        platform, data, radius = self._one_hit()
+        assert platform.query("idx", data[0], radius, top_k=0) == []
+        hits = platform.query("idx", data[0], radius, top_k=np.int64(1))
+        assert [e.object_id for e in hits] == [0]
+
+    @pytest.mark.parametrize("radius", [-5.0, -1e-9, float("nan")])
+    def test_negative_or_nan_radius_refused(self, radius):
+        platform, data, _ = self._one_hit()
+        index = platform.indexes["idx"]
+        sent = platform.transport.stats.sent
+        for call in (
+            lambda: platform.query("idx", data[0], radius),
+            lambda: index.make_query(data[0], radius),
+            lambda: index.make_queries(data[:2], [1.0, radius]),
+            lambda: knn_search(platform, "idx", data[0], k=3, initial_radius=radius),
+        ):
+            with pytest.raises(ValueError, match="radius"):
+                call()
+        assert platform.transport.stats.sent == sent

@@ -39,7 +39,9 @@ class FakeIndex:
             np.array([object_id]),
         )
 
-    def refine_distances(self, q, points, object_ids):
+    refine_mode = "index"
+
+    def refine_distances(self, q, points, object_ids, radius=None):
         # rank by L_inf in index space (no dataset needed)
         return np.abs(points - q.payload).max(axis=1)
 
