@@ -20,14 +20,17 @@ its own, so there is no second, untracked executor:
 * **Deadlines** — an optional per-query deadline forces the ``timed_out``
   terminal state, so lossy or partitioned runs terminate loudly instead of
   hanging or silently under-reporting.
-* **Retransmission** — the branch carries its message: :meth:`arm` stores
-  the protocol's bound ``send`` and the message tuple it built once, and an
-  RTO timer (exponential backoff, :class:`RetryPolicy`) repeats
-  ``send(msg, bid, attempt)`` until the branch settles or retries are
-  exhausted.  The simulator's deterministic drop notifications double as
-  fast-path NACKs.  Because a jittered original and its retransmission can
-  both arrive, branch ids are idempotent: the receiver accepts each branch
-  once and suppresses duplicates, and result entries are deduplicated by
+* **The branch carries its message** — :meth:`open` returns the branch,
+  bound to its query record; the sending protocol writes the message into it
+  and :meth:`arm` transmits it.  The transport is handed the branch's bound
+  :meth:`_Branch.deliver` (accept → handler → settle) and
+  :meth:`_Branch.drop`, so no qid is looked up after :meth:`open`.
+* **Retransmission** — an RTO timer (exponential backoff,
+  :class:`RetryPolicy`) re-sends the same branch until it settles or its
+  retries are exhausted.  The simulator's deterministic drop notifications
+  double as fast-path NACKs.  Because a jittered original and its
+  retransmission can both arrive, a branch is accepted once and later copies
+  are suppressed as duplicates, and result entries are deduplicated by
   object id at merge time.
 * **Futures** — :meth:`register` returns a :class:`QueryFuture` with the
   terminal state, merged results and completion callbacks, which is what
@@ -35,15 +38,16 @@ its own, so there is no second, untracked executor:
   runner pipeline whole query batches.
 
 The engine is deliberately protocol-agnostic: `QueryProtocol`,
-`NaiveProtocol` and `SfcRangeProtocol` all report the same three events
-(open / accept / settle) through the hooks in
-:class:`repro.core.routing.QueryProtocol._tracked_send`.
+`NaiveProtocol` and `SfcRangeProtocol` all send through
+:meth:`repro.core.routing.QueryProtocol._tracked_send`, so every message
+passes the same four calls — open, arm, accept, settle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from repro.sim.messages import merge_entries
@@ -137,24 +141,79 @@ class LifecycleCounters:
 
 
 class _Branch:
-    """One outstanding unit of work of a query."""
+    """One unit of work of a query and, for a message branch, the message.
 
-    __slots__ = ("bid", "attempts", "timer", "send", "msg")
+    :meth:`LifecycleEngine.open` fills the bookkeeping slots and the sending
+    protocol the message slots (no ``__init__``: one is made per message,
+    and a constructor would be one more call each).  ``bid`` is ``None`` on
+    an untracked branch, opened for an already-terminal query: it is sent
+    and delivered but counts toward nothing.  A query's root branch carries
+    no message.  ``proto`` is the sending protocol: its ``transport``,
+    ``recorder`` and ``maintenance`` serve the message.
+    """
 
-    def __init__(self, bid: int) -> None:
-        self.bid = bid
-        self.attempts = 0
-        self.timer = None  # TimerHandle of the pending RTO, if any
-        #: ``send(msg, bid, attempt)``; both ``None`` on a query's root branch
-        self.send: Callable[[Any, int, int], None] | None = None
-        self.msg: Any = None
+    __slots__ = (
+        "engine", "rec", "bid", "attempts", "timer", "accepted",
+        "proto", "src", "dst", "handler", "args", "kind", "size", "charged",
+        "parent",
+    )
+
+    engine: LifecycleEngine
+    rec: _Record
+    bid: int | None
+    attempts: int
+    #: TimerHandle of the pending RTO, if any
+    timer: Any
+    #: set by the first accepted delivery; later copies are duplicates
+    accepted: bool
+    proto: Any
+    src: Any
+    dst: Any
+    handler: Callable[..., None]
+    args: tuple[Any, ...]
+    kind: str
+    size: int
+    #: billed to the query's message and byte counters per attempt
+    charged: bool
+    #: the span current when the send was initiated (sid or None)
+    parent: int | None
+
+    def deliver(self, psid: int | None) -> None:
+        """One transmission arrived: accept it, run the handler, settle.
+
+        ``psid`` is the send span of the attempt that arrived; it is the
+        current span while the handler runs, so everything the receiver does
+        nests under the message that triggered it.
+        """
+        if psid is not None:
+            self.proto.recorder.push(psid)
+        try:
+            engine = self.engine
+            if engine.accept(self):
+                try:
+                    self.handler(*self.args)
+                finally:
+                    engine.settle(self)
+        finally:
+            if psid is not None:
+                self.proto.recorder.pop()
+
+    def drop(self, status: str, psid: int | None = None) -> None:
+        """The transport dropped an attempt: bill the loss to the query and
+        let the engine retry or fail the branch.  ``psid`` is the attempt's
+        send span, when traced."""
+        rec = self.rec
+        rec.stats.dropped_messages += 1
+        if psid is not None:
+            self.proto.recorder.event(rec.qid, "drop", parent=psid, status=status)
+        self.engine.notify_drop(self)
 
 
 class _Record:
     """Per-query lifecycle state."""
 
     __slots__ = (
-        "qid", "state", "outstanding", "branches", "seen", "next_bid",
+        "qid", "state", "outstanding", "branches", "next_bid",
         "stats", "deadline_timer", "callbacks", "future",
     )
 
@@ -162,8 +221,7 @@ class _Record:
         self.qid = qid
         self.state = ISSUED
         self.outstanding = 0
-        self.branches: dict[int, _Branch] = {}
-        self.seen: set[int] = set()   # branch ids accepted at a receiver
+        self.branches: dict[int, _Branch] = {}  # the outstanding ones
         self.next_bid = 0
         #: mirrors the state and holds the result rows: there is no second copy
         self.stats = stats
@@ -322,70 +380,103 @@ class LifecycleEngine:
 
     # -- branch accounting ------------------------------------------------------
 
-    def open(self, qid: int) -> int | None:
-        """Open a branch; returns its id (None for unknown/finished qids)."""
-        rec = self.records.get(qid)
-        if rec is None or rec.state in TERMINAL_STATES:
-            return None
-        bid = rec.next_bid
-        rec.next_bid += 1
-        rec.branches[bid] = _Branch(bid)
+    def open(self, qid: int) -> _Branch:
+        """Open a branch of ``qid`` and return it (untracked, with ``bid``
+        ``None``, when the query is already terminal)."""
+        rec = self.records[qid]
+        br = _Branch()
+        br.engine = self
+        br.rec = rec
+        br.attempts = 0
+        br.timer = None
+        br.accepted = False
+        if rec.state in TERMINAL_STATES:
+            br.bid = None
+            return br
+        bid = br.bid = rec.next_bid
+        rec.next_bid = bid + 1
+        rec.branches[bid] = br
         rec.outstanding += 1
         self.counters.branches_opened += 1
         if self._m_opened is not None:
             self._m_opened.inc()
         if rec.state == ISSUED:
             self._set_state(rec, ROUTING)
-        return bid
+        return br
 
-    def arm(self, qid: int, bid: int,
-            send: Callable[[Any, int, int], None], msg: Any) -> None:
-        """Hand a message branch its message and transmit attempt 1.
+    def arm(self, br: _Branch) -> None:
+        """Transmit the message ``br`` carries and arm its RTO.
 
-        ``send(msg, bid, attempt)`` must perform the actual transport send;
-        a retransmission calls it again with the same ``msg`` and ``bid`` and
-        the incremented attempt number.
+        Called after :meth:`open` for attempt 1 and by every retry.  A
+        billed attempt is charged to the query's counters (retries are real
+        traffic) and reported to the protocol's maintenance (§3.3
+        piggybacking); with a span recorder it emits a ``send`` span whose
+        id travels with the attempt.
         """
-        rec = self.records.get(qid)
-        if rec is None or rec.state in TERMINAL_STATES:
+        attempt = br.attempts = br.attempts + 1
+        proto = br.proto
+        src = br.src
+        dst = br.dst
+        size = br.size
+        if br.charged:
+            st = br.rec.stats
+            st.query_messages += 1
+            st.query_bytes += size
+            if proto.maintenance is not None:
+                proto.note_traffic(src, dst)
+        psid = None
+        if proto.recorder is not None:
+            psid = proto.recorder.event(
+                br.rec.qid, "send", parent=br.parent, node=src.id,
+                msg_kind=br.kind, size=size, dst=dst.id,
+                attempt=attempt, charged=br.charged,
+            )
+        # a traced attempt's drop span hangs under that attempt's own send
+        # span, so its drop hook carries the span id; untraced, the branch's
+        # bound ``drop`` is the hook
+        proto.transport.send(
+            src, dst, br.deliver, psid, kind=br.kind, size=size,
+            on_drop=br.drop if psid is None else partial(br.drop, psid=psid))
+        policy = self.policy
+        if attempt > policy.max_retries:
+            return  # no retry left: no RTO to arm
+        # The branch may have settled synchronously (self-delivery at zero
+        # delay) or been dropped at send time (loss/partition -> notify_drop
+        # already rescheduled or failed it); only arm an RTO when it is
+        # still plainly in flight.  An untracked branch is never in flight.
+        rec = br.rec
+        if (br.bid not in rec.branches or br.timer is not None
+                or rec.state in TERMINAL_STATES):
             return
-        br = rec.branches.get(bid)
-        if br is None:
-            return
-        br.send = send
-        br.msg = msg
-        self._transmit(rec, br)
+        br.timer = self.transport.timer_cancelable(
+            policy.rto * policy.backoff ** (attempt - 1), self._retransmit, br)
 
-    def accept(self, qid: int, bid: int) -> bool:
+    def accept(self, br: _Branch) -> bool:
         """Receiver-side idempotence check: process each branch only once.
 
         Returns False for duplicates (a retransmission racing its jittered
-        original) and for stragglers of already-terminal queries.
+        original) and for stragglers of already-terminal queries; an
+        untracked branch is always processed.
         """
-        rec = self.records.get(qid)
-        if rec is None:
-            return True  # not this engine's query: nothing to suppress
+        if br.bid is None:
+            return True
+        rec = br.rec
         if rec.state in TERMINAL_STATES:
             return False
-        if bid in rec.seen:
+        if br.accepted:
             self.counters.duplicates_suppressed += 1
             if self._m_dups is not None:
                 self._m_dups.inc()
             rec.stats.duplicate_messages += 1
             return False
-        rec.seen.add(bid)
+        br.accepted = True
         return True
 
-    def settle(self, qid: int, bid: int | None, failed: bool = False) -> None:
+    def settle(self, br: _Branch, failed: bool = False) -> None:
         """Close a branch; the query completes when none remain outstanding."""
-        if bid is None:
-            return
-        rec = self.records.get(qid)
-        if rec is None or rec.state in TERMINAL_STATES:
-            return
-        br = rec.branches.pop(bid, None)
-        if br is None:
-            return  # already settled (e.g. duplicate delivery)
+        rec = br.rec
+        if rec.state in TERMINAL_STATES or rec.branches.pop(br.bid, None) is None:
+            return  # untracked, or already settled (e.g. duplicate delivery)
         if br.timer is not None:
             br.timer.cancel()
             br.timer = None
@@ -399,24 +490,19 @@ class LifecycleEngine:
         if rec.outstanding <= 0:
             self._complete(rec)
 
-    def notify_drop(self, qid: int, bid: int | None) -> None:
+    def notify_drop(self, br: _Branch) -> None:
         """Transport drop notification: retry after backoff or fail the branch."""
-        if bid is None:
-            return
-        rec = self.records.get(qid)
-        if rec is None or rec.terminal:
-            return
-        br = rec.branches.get(bid)
-        if br is None:
+        rec = br.rec
+        if rec.terminal or br.bid not in rec.branches:
             return
         if br.timer is not None:
             br.timer.cancel()
             br.timer = None
-        if br.send is None or br.attempts > self.policy.max_retries:
-            self.settle(qid, bid, failed=True)
+        if br.attempts > self.policy.max_retries:
+            self.settle(br, failed=True)
             return
         delay = self.policy.rto * self.policy.backoff ** (br.attempts - 1)
-        br.timer = self.transport.timer_cancelable(delay, self._retransmit, qid, bid)
+        br.timer = self.transport.timer_cancelable(delay, self._retransmit, br)
 
     # -- state reporting --------------------------------------------------------
 
@@ -470,42 +556,20 @@ class LifecycleEngine:
         rec.state = state
         rec.stats.state = state
 
-    def _transmit(self, rec: _Record, br: _Branch) -> None:
-        attempt = br.attempts = br.attempts + 1
-        if attempt > 1:
-            self.counters.retransmissions += 1
-            if self._m_retrans is not None:
-                self._m_retrans.inc()
-            if self.recorder is not None:
-                self.recorder.event(
-                    rec.qid, "retransmit", bid=br.bid, attempt=attempt)
-            rec.stats.retransmissions += 1
-        br.send(br.msg, br.bid, attempt)
-        policy = self.policy
-        if attempt > policy.max_retries:
-            return  # no retry left: no RTO to arm
-        # The branch may have settled synchronously (self-delivery at zero
-        # delay) or been dropped at send time (loss/partition -> notify_drop
-        # already rescheduled or failed it); only arm an RTO when it is
-        # still plainly in flight.
-        if (rec.branches.get(br.bid) is not br or br.timer is not None
-                or rec.state in TERMINAL_STATES):
-            return
-        br.timer = self.transport.timer_cancelable(
-            policy.rto * policy.backoff ** (attempt - 1),
-            self._retransmit, rec.qid, br.bid,
-        )
-
-    def _retransmit(self, qid: int, bid: int) -> None:
+    def _retransmit(self, br: _Branch) -> None:
         """An RTO or a drop back-off ran out: send the branch again."""
-        rec = self.records.get(qid)
-        if rec is None or rec.terminal:
-            return
-        br = rec.branches.get(bid)
-        if br is None:
+        rec = br.rec
+        if rec.terminal or br.bid not in rec.branches:
             return
         br.timer = None
-        self._transmit(rec, br)
+        self.counters.retransmissions += 1
+        if self._m_retrans is not None:
+            self._m_retrans.inc()
+        if self.recorder is not None:
+            self.recorder.event(
+                rec.qid, "retransmit", bid=br.bid, attempt=br.attempts + 1)
+        rec.stats.retransmissions += 1
+        self.arm(br)
 
     def _deadline(self, qid: int) -> None:
         rec = self.records.get(qid)

@@ -197,11 +197,16 @@ class RangeQuery:
         Clipping realises the paper's observation that a query point mapped
         near the boundary searches ``[I_q - r, upper_boundary]`` rather than
         a full ``2r`` box (§4.3).  A negative or NaN ``radius`` raises
-        ``ValueError``; 0 and ``inf`` are legal.
+        ``ValueError``; 0 and ``inf`` are legal.  So does a ``center`` with a
+        NaN coordinate: its rectangle would be NaN in every dimension, which
+        no partition plane separates, so the query would claim the whole
+        space (prefix length 0), flood the ring and answer nothing.
         """
         if not radius >= 0:
             raise ValueError(f"query radius must be >= 0, got {radius!r}")
         center = np.asarray(center, dtype=np.float64)
+        if np.isnan(center).any():
+            raise ValueError(f"query center has a NaN coordinate: {center!r}")
         lows = np.maximum(center - radius, bounds.lows)
         highs = np.minimum(center + radius, bounds.highs)
         key, length = smallest_enclosing_prefix(lows, highs, bounds, m)

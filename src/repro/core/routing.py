@@ -31,11 +31,14 @@ opened before the send, settled after the receiving side processed it, retried
 on drops/timeouts when the policy allows and deduplicated on retransmission
 races — which gives each query positive completion detection and a terminal
 state even under faults (see :mod:`repro.core.lifecycle`).  The branch carries
-its message: ``_tracked_send`` builds one tuple and the engine calls the bound
-``_transmit(msg, bid, attempt)`` for the first send and every retry, so no
-closure is made per message.  The default policy
-arms no timer, so faults-off it adds no event to the schedule: draining the
-simulator to quiescence completes every query.
+its message: ``_tracked_send`` writes source, destination, handler, arguments,
+kind, size and parent span into the branch ``engine.open`` returns, and
+``engine.arm`` sends it on this protocol's transport, first send and every
+retry alike.  The transport is handed the branch's bound ``deliver``
+(accept → handler → settle) and ``drop``, so untraced no tuple, closure or
+partial is made per message, and no qid is looked up after ``open``.  The
+default policy arms no timer, so faults-off it adds no event to the schedule:
+draining the simulator to quiescence completes every query.
 
 Two surrogate modes are provided:
 
@@ -64,7 +67,6 @@ reasoning is unchanged.
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import partial
 from typing import Any
 
 import numpy as np
@@ -207,18 +209,9 @@ class QueryProtocol(Protocol):
     # -- lifecycle-tracked message plumbing ------------------------------------
     #
     # All three query protocols (this one, NaiveProtocol, SfcRangeProtocol)
-    # send query-carrying messages through _tracked_send and receive them
-    # through _recv, so branch accounting, retransmission and duplicate
-    # suppression live in exactly one place.
-
-    def _on_drop(self, st: Any, qid: int, bid: int | None,
-                 psid: int | None, status: str) -> None:
-        """The transport dropped a message: attribute the loss to ``qid`` and
-        notify the lifecycle engine so the branch retries or settles."""
-        st.dropped_messages += 1
-        if self.recorder is not None:
-            self.recorder.event(qid, "drop", parent=psid, status=status)
-        self.engine.notify_drop(qid, bid)
+    # send query-carrying messages through _tracked_send, so branch
+    # accounting, retransmission and duplicate suppression live in exactly
+    # one place: the branch, which is the message.
 
     def _tracked_send(
         self,
@@ -236,8 +229,8 @@ class QueryProtocol(Protocol):
         ``record`` charges the message to the query's byte/message counters
         per transmission attempt (retries are real traffic); result replies
         pass ``record=False`` and account on arrival instead.  A branch of an
-        already-terminal query is not tracked (``engine.open`` returns
-        ``None``) and goes out as a plain transport send.
+        already-terminal query is untracked (``bid`` ``None``) but still sent,
+        billed and delivered.
 
         With a span recorder, each transmission attempt emits a ``send``
         span parented to the span that was current when the send was
@@ -245,61 +238,19 @@ class QueryProtocol(Protocol):
         when the context stack is long gone).  The send span's id travels
         with the message so processing at the receiver nests under it.
         """
-        recorder = self.recorder
-        msg = (src, dst, fn, args, kind, size, bool(record and size),
-               recorder.context(qid) if recorder is not None else None, qid)
         engine = self.engine
-        bid = engine.open(qid)
-        if bid is None:
-            self._transmit(msg, None, 1)
-        else:
-            engine.arm(qid, bid, self._transmit, msg)
-
-    def _transmit(self, msg: tuple[Any, ...], bid: int | None, attempt: int) -> None:
-        """One transmission attempt of the message a branch carries (the
-        ``send`` the lifecycle engine calls, first send and retries alike)."""
-        src, dst, fn, args, kind, size, charged, parent, qid = msg
-        st = self.stats.for_query(qid)
-        if charged:
-            st.record_query_message(size)
-            if self.maintenance is not None:
-                self.note_traffic(src, dst)
-        psid = None
-        if self.recorder is not None:
-            psid = self.recorder.event(
-                qid, "send", parent=parent, node=src.id,
-                msg_kind=kind, size=size, dst=dst.id,
-                attempt=attempt, charged=charged,
-            )
-        self.transport.send(
-            src, dst, self._recv, qid, bid, psid, fn, args, kind=kind, size=size,
-            on_drop=partial(self._on_drop, st, qid, bid, psid),
-        )
-
-    def _recv(self, qid: int, bid: int | None, psid: int | None,
-              fn: Callable[..., None], args: tuple[Any, ...]) -> None:
-        """Arrival half of :meth:`_tracked_send`: dedup, process, settle.
-
-        ``psid`` is the sid of the send span this message belongs to; it is
-        pushed as the current span while the handler runs so everything the
-        receiver does nests under the message that triggered it.
-        """
+        br = engine.open(qid)
+        br.proto = self
+        br.src = src
+        br.dst = dst
+        br.handler = fn
+        br.args = args
+        br.kind = kind
+        br.size = size
+        br.charged = bool(record and size)
         recorder = self.recorder
-        if recorder is not None and psid is not None:
-            recorder.push(psid)
-        try:
-            if bid is None:
-                fn(*args)
-                return
-            if not self.engine.accept(qid, bid):
-                return
-            try:
-                fn(*args)
-            finally:
-                self.engine.settle(qid, bid)
-        finally:
-            if recorder is not None and psid is not None:
-                recorder.pop()
+        br.parent = recorder.context(qid) if recorder is not None else None
+        engine.arm(br)
 
     # -- entry points ----------------------------------------------------------
 
@@ -337,17 +288,17 @@ class QueryProtocol(Protocol):
             for q, node, at in zip(queries, nodes, at_times)
         ]
 
-    def _start_root(self, node: Any, query: RangeQuery, root: int | None) -> None:
+    def _start_root(self, node: Any, query: RangeQuery, root: Any) -> None:
         if not node.alive:
             # the issuing node crashed before its scheduled query fired: the
             # query ends complete with a known gap, like any other lost branch
             self.stats.for_query(query.qid).dropped_messages += 1
-            self.engine.settle(query.qid, root, failed=True)
+            self.engine.settle(root, failed=True)
             return
         try:
             self._start(node, query)
         finally:
-            self.engine.settle(query.qid, root)
+            self.engine.settle(root)
 
     def _start(self, node: Any, query: RangeQuery) -> None:
         """Protocol-specific first step (overridden by the baselines)."""
@@ -381,27 +332,22 @@ class QueryProtocol(Protocol):
                     refine_groups.setdefault(node.successor, []).append(sq)
                 else:
                     routing_groups.setdefault(n, []).append(sq)
-            for dest, sqs in routing_groups.items():
-                self._send(node, dest, _ROUTING, sqs, hops)
-            for dest, sqs in refine_groups.items():
-                self._send(node, dest, _REFINE, sqs, hops)
+            # subqueries sharing a next hop travel as one bundle (§4.1 size
+            # model); a local hand-off (single-node ring) is no message: no
+            # bytes, no hop
+            for kind, groups in ((_ROUTING, routing_groups), (_REFINE, refine_groups)):
+                for dest, sqs in groups.items():
+                    local = dest is node
+                    self._tracked_send(
+                        node, dest, self._open_bundle, dest, kind, sqs,
+                        hops if local else hops + 1, kind=kind, qid=q.qid,
+                        size=0 if local else query_message_size(len(sqs), index.k),
+                    )
         finally:
             if recorder is not None:
                 recorder.pop()
 
     # -- message plumbing --------------------------------------------------------
-
-    def _send(self, src: Any, dest: Any, kind: str,
-              sqs: list[RangeQuery], hops: int) -> None:
-        """Bundle subqueries sharing a next hop into one message (§4.1 size
-        model); ``kind`` is the message kind, ``_ROUTING`` or ``_REFINE``."""
-        # a local hand-off (single-node ring) is no message: no bytes, no hop
-        local = dest is src
-        self._tracked_send(
-            src, dest, self._open_bundle, dest, kind, sqs, hops if local else hops + 1,
-            kind=kind, qid=sqs[0].qid,
-            size=0 if local else query_message_size(len(sqs), self.index.k),
-        )
 
     def _open_bundle(self, dest: Any, kind: str,
                      sqs: list[RangeQuery], hops: int) -> None:
@@ -511,29 +457,26 @@ class QueryProtocol(Protocol):
         # a node with no matching entry still sends its (20-byte) reply: the
         # *maximum latency* metric is only observable that way
         try:
-            self._reply(node, q, entries, st)
+            msg = ResultMessage(q.qid, entries, from_node=node.id)
+            source = q.source
+            if source is node:
+                # a local reply costs no bytes but is still one "result" leaf
+                # in the span tree — span counts must match
+                # QueryStats.result_messages
+                self._arrive_result(st, msg, 0)
+                return
+            if self.maintenance is not None:
+                self.note_traffic(node, source)
+            # result bytes are charged on arrival (a dropped or duplicated
+            # reply must not count), hence record=False here
+            size = msg.size
+            self._tracked_send(
+                node, source, self._arrive_result, st, msg, size,
+                kind="result", size=size, qid=q.qid, record=False,
+            )
         finally:
             if recorder is not None:
                 recorder.pop()
-
-    def _reply(self, node: Any, q: RangeQuery, entries: list[ResultEntry],
-               st: Any) -> None:
-        msg = ResultMessage(q.qid, entries, from_node=node.id)
-        source = q.source
-        if source is node:
-            # a local reply costs no bytes but is still one "result" leaf in
-            # the span tree — span counts must match QueryStats.result_messages
-            self._arrive_result(st, msg, 0)
-            return
-        if self.maintenance is not None:
-            self.note_traffic(node, source)
-        # result bytes are charged on arrival (a dropped or duplicated reply
-        # must not count), hence record=False here
-        size = msg.size
-        self._tracked_send(
-            node, source, self._arrive_result, st, msg, size,
-            kind="result", size=size, qid=q.qid, record=False,
-        )
 
     def _arrive_result(self, st: Any, msg: ResultMessage, size: int) -> None:
         """A reply reached the querying node: bill it to the query's record

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-if TYPE_CHECKING:
-    from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Gauge, MetricsRegistry
 
 __all__ = [
     "STORED_ENTRIES_GAUGE",
@@ -63,40 +62,33 @@ def record_load_vector(registry: MetricsRegistry, loads: Any,
                        metric: str = STORED_ENTRIES_GAUGE,
                        extra_labels: tuple[str, ...] = (),
                        extra_values: tuple[str, ...] = ()) -> None:
-    """Set one gauge sample per node position from a load vector.
+    """Store a load vector as the per-position vector of a ``pos`` gauge
+    (one array assignment; labels are expanded only at export).
 
     ``extra_labels``/``extra_values`` let callers partition the gauge (e.g.
     by scheme in the Fig. 4 bench: ``("scheme",)`` / ``("scrap",)``).
     """
-    gauge = registry.gauge(
-        metric, "Per-node load vector", extra_labels + ("pos",))
-    arr = np.asarray(loads, dtype=float)
-    gauge.set_many(
-        arr.tolist(),
-        [extra_values + (str(pos),) for pos in range(len(arr))],
-    )
+    registry.gauge(
+        metric, "Per-node load vector", extra_labels + ("pos",),
+    ).set_vector(loads, extra_values)
 
 
 def gauge_vector(registry: MetricsRegistry, metric: str = STORED_ENTRIES_GAUGE,
                  match: dict[str, str] | None = None) -> np.ndarray:
-    """Read a per-node gauge back as a vector ordered by the ``pos`` label.
+    """The vector :func:`record_load_vector` stored, itself (read-only).
 
-    ``match`` filters on other label values (e.g. ``{"scheme": "scrap"}``).
-    Returns an empty array when the metric does not exist.
+    ``match`` selects by the other label values (e.g. ``{"scheme":
+    "scrap"}``); the first vector that matches is returned.  Returns an
+    empty array when the metric does not exist or holds no such vector.
     """
     gauge = registry.get(metric)
-    if gauge is None:
-        return np.empty(0, dtype=float)
-    idx = {name: i for i, name in enumerate(gauge.labelnames)}
-    pos_i = idx.get("pos")
-    out: list[tuple[int, float]] = []
-    for labels, value in gauge.samples():
-        if match and any(labels[idx[k]] != v for k, v in match.items() if k in idx):
-            continue
-        pos = int(labels[pos_i]) if pos_i is not None else len(out)
-        out.append((pos, float(value)))
-    out.sort()
-    return np.asarray([v for _, v in out], dtype=float)
+    if isinstance(gauge, Gauge):
+        idx = {name: i for i, name in enumerate(gauge.labelnames)}
+        for prefix, vec in gauge.vectors.items():
+            if not match or all(
+                    prefix[idx[k]] == v for k, v in match.items() if k in idx):
+                return vec
+    return np.empty(0, dtype=float)
 
 
 def hotspot_report(loads: Any, top_k: int = 5) -> dict[str, Any]:

@@ -42,6 +42,8 @@ from bisect import bisect_left, insort
 from collections.abc import Callable, Sequence
 from typing import Any, TypeVar, cast
 
+import numpy as np
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -113,28 +115,38 @@ class Counter(_Instrument):
 
 
 class Gauge(_Instrument):
-    """A point-in-time value that can go up and down."""
+    """A point-in-time value that can go up and down.
+
+    Besides scalar samples a gauge can hold per-position vectors
+    (:meth:`set_vector`): one float64 array per value of the leading labels,
+    indexed by the last label, the position in decimal.  The labels are
+    expanded only when :meth:`samples` is read, so recording a 10,000-node
+    load vector costs one assignment, not 10,000 label tuples.
+    """
 
     kind = "gauge"
 
+    def __init__(self, name: str, help: str = "", labelnames: tuple[str, ...] = ()) -> None:
+        super().__init__(name, help, labelnames)
+        #: leading label values -> read-only float64 vector (last label = index)
+        self.vectors: dict[tuple[Any, ...], np.ndarray] = {}
+
+    def set_vector(self, values: Any, prefix: tuple[Any, ...] = ()) -> None:
+        """Replace the vector under the leading label values ``prefix``;
+        position ``i`` exports as the labels ``prefix + (str(i),)``."""
+        self._check(tuple(prefix) + ("",))
+        vec = np.array(values, dtype=np.float64)
+        vec.flags.writeable = False
+        self.vectors[tuple(prefix)] = vec
+
+    def samples(self) -> list[tuple[tuple[Any, ...], object]]:
+        items = list(self.values.items())
+        for prefix, vec in self.vectors.items():
+            items.extend(zip([prefix + (str(i),) for i in range(len(vec))], vec.tolist()))
+        return sorted(items, key=lambda kv: kv[0])
+
     def set(self, value: float, labels: tuple[Any, ...] = ()) -> None:
         self.values[self._check(labels)] = float(value)
-
-    def set_many(
-        self,
-        values: Sequence[float],
-        labelsets: Sequence[tuple[Any, ...]],
-    ) -> None:
-        """Bulk :meth:`set` over aligned ``values``/``labelsets`` sequences.
-
-        One dict update instead of a checked call per sample — the cheap way
-        to materialise a per-node vector gauge (labels are validated once on
-        the first set; the caller produces homogeneous labelsets).
-        """
-        labelsets = list(labelsets)
-        if labelsets:
-            self._check(labelsets[0])
-        self.values.update(zip(labelsets, (float(v) for v in values)))
 
     def inc(self, labels: tuple[Any, ...] = (), amount: float = 1.0) -> None:
         key = self._check(labels)
@@ -385,7 +397,7 @@ class MetricsRegistry:
         """
         out: list[dict[str, Any]] = []
         for inst in self.collect():
-            for labels, _ in inst.samples():
+            for labels, value in inst.samples():
                 rec: dict[str, Any] = {
                     "name": inst.name,
                     "type": inst.kind,
@@ -395,7 +407,7 @@ class MetricsRegistry:
                 if isinstance(inst, Histogram):
                     rec.update(inst.snapshot(labels))
                 else:
-                    rec["value"] = inst.value(labels)
+                    rec["value"] = float(cast(float, value))
                 out.append(rec)
         return out
 
@@ -415,11 +427,7 @@ class _NullInstrument:
     def set(self, value: float, labels: tuple[Any, ...] = ()) -> None:
         pass
 
-    def set_many(
-        self,
-        values: Sequence[float],
-        labelsets: Sequence[tuple[Any, ...]],
-    ) -> None:
+    def set_vector(self, values: Any, prefix: tuple[Any, ...] = ()) -> None:
         pass
 
     def observe(self, value: float, labels: tuple[Any, ...] = ()) -> None:

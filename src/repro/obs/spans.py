@@ -394,7 +394,7 @@ def reconcile_with_stats(spans: list[Span], qstats: Any) -> list[str]:
     lost an event.  The correspondences checked:
 
     * ``send`` spans with ``charged=True`` — one per transmission attempt
-      that billed ``record_query_message`` — must equal ``query_messages``;
+      that billed the query's message counter — must equal ``query_messages``;
     * ``result`` spans (local and remote arrivals) must equal
       ``result_messages``;
     * ``drop`` spans must equal ``dropped_messages``;

@@ -188,6 +188,11 @@ class TestRangeQueryFromPoint:
         with pytest.raises(ValueError, match="radius"):
             RangeQuery.from_point(np.array([0.5, 0.5]), radius, B2, M)
 
+    @pytest.mark.parametrize("center", [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]])
+    def test_nan_center_refused(self, center):
+        with pytest.raises(ValueError, match="NaN"):
+            RangeQuery.from_point(np.array(center), 0.1, B2, M)
+
     @pytest.mark.parametrize("radius", [0.0, np.inf])
     def test_zero_and_infinite_radius_legal(self, radius):
         q = RangeQuery.from_point(np.array([0.5, 0.5]), radius, B2, M)

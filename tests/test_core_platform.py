@@ -193,3 +193,46 @@ class TestFilteringScore:
         platform.create_index("good", data, METRIC, k=5, selection="kmeans", seed=0)
         score = platform.indexes["good"].filtering_score(data, seed=0)
         assert 0.0 < score <= 1.0
+
+
+class TestNanQueryCenter:
+    """A query object with one NaN coordinate projects to an index point that
+    is NaN in every landmark dimension; every entry point refuses it instead
+    of flooding the ring with a whole-space query that answers nothing."""
+
+    @pytest.fixture(scope="class")
+    def platform(self):
+        rng = np.random.default_rng(8)
+        data = rng.uniform(0, 100, size=(2000, 8))
+        ring = ChordRing.build(64, m=32, seed=8, pns=False)
+        p = IndexPlatform(ring)
+        p.create_index("t", data, EuclideanMetric(box=(0, 100), dim=8), k=4,
+                       sample_size=300, seed=8)
+        return p, data
+
+    def _bad(self, data):
+        obj = data[0].copy()
+        obj[3] = np.nan
+        return obj
+
+    def test_make_query_refuses(self, platform):
+        p, data = platform
+        with pytest.raises(ValueError, match="NaN"):
+            p.indexes["t"].make_query(self._bad(data), 5.0)
+
+    def test_make_queries_refuses(self, platform):
+        p, data = platform
+        objs = np.stack([data[1], self._bad(data)])
+        with pytest.raises(ValueError, match="NaN"):
+            p.indexes["t"].make_queries(objs, [5.0, 5.0])
+
+    def test_query_and_knn_search_refuse(self, platform):
+        from repro.core.knn import knn_search
+
+        p, data = platform
+        sent = p.transport.stats.sent
+        with pytest.raises(ValueError, match="NaN"):
+            p.query("t", self._bad(data), 5.0)
+        with pytest.raises(ValueError, match="NaN"):
+            knn_search(p, "t", self._bad(data), k=4)
+        assert p.transport.stats.sent == sent

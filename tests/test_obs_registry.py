@@ -222,3 +222,56 @@ class TestExporters:
         write_csv(self._registry().snapshot(), buf)
         header = buf.getvalue().splitlines()[0]
         assert "label_proto" in header and "name" in header
+
+
+class TestGaugeVector:
+    """A per-position vector is one array on the gauge; every export reads
+    exactly as the same values set one scalar sample at a time."""
+
+    LOADS = [3.0, 0.0, 7.5, 1e-3, 2.0, 0.25, 11.0, 4.0, 1.0, 6.0, 9.0, 8.0]
+
+    def _registries(self):
+        from repro.obs.load import record_load_vector
+
+        arr, scalar = MetricsRegistry(), MetricsRegistry()
+        for reg in (arr, scalar):
+            reg.gauge("queue_depth", "scalar beside").set(5.0)
+        record_load_vector(arr, np.asarray(self.LOADS), metric="node_load")
+        record_load_vector(arr, self.LOADS[:3], metric="by_scheme",
+                           extra_labels=("scheme",), extra_values=("lph",))
+        g = scalar.gauge("node_load", "Per-node load vector", ("pos",))
+        for i, v in enumerate(self.LOADS):
+            g.set(v, (str(i),))
+        g = scalar.gauge("by_scheme", "Per-node load vector", ("scheme", "pos"))
+        for i, v in enumerate(self.LOADS[:3]):
+            g.set(v, ("lph", str(i)))
+        return arr, scalar
+
+    def test_exports_are_byte_identical(self, tmp_path):
+        arr, scalar = self._registries()
+        assert arr.get("node_load").values == {}  # no label tuple was built
+        assert prometheus_text(arr) == prometheus_text(scalar)
+        assert format_metrics_table(arr) == format_metrics_table(scalar)
+        for reg, name in ((arr, "a.jsonl"), (scalar, "s.jsonl")):
+            write_jsonl(reg.snapshot(), tmp_path / name)
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "s.jsonl").read_bytes()
+        assert 'node_load{pos="10"} 9' in prometheus_text(arr)
+
+    def test_gauge_vector_returns_the_stored_array(self):
+        from repro.obs.load import gauge_vector, record_load_vector
+
+        arr, _ = self._registries()
+        vec = gauge_vector(arr, "node_load")
+        assert vec is arr.get("node_load").vectors[()]
+        assert vec.tolist() == self.LOADS and not vec.flags.writeable
+        assert gauge_vector(arr, "by_scheme", match={"scheme": "lph"}).tolist() == self.LOADS[:3]
+        assert len(gauge_vector(arr, "by_scheme", match={"scheme": "sfc"})) == 0
+        assert len(gauge_vector(arr, "missing")) == 0
+        # a later vector replaces the earlier one whole
+        record_load_vector(arr, [1.0, 2.0], metric="node_load")
+        assert [v for _, v in arr.get("node_load").samples()] == [1.0, 2.0]
+
+    def test_bad_prefix_and_null_gauge(self):
+        with pytest.raises(ValueError):
+            Gauge("g", "", ("scheme", "pos")).set_vector([1.0], ())
+        NULL_REGISTRY.gauge("g").set_vector([1.0, 2.0])

@@ -298,23 +298,22 @@ class TestShardStoreVsShards:
         np.testing.assert_array_equal(s.keys, np.sort(allk, kind="stable"))
 
 
-class TestGaugeSetMany:
-    def test_bulk_matches_scalar(self):
+class TestGaugeSetVector:
+    def test_vector_matches_scalar(self):
         reg_a, reg_b = MetricsRegistry(), MetricsRegistry()
         vals = np.random.default_rng(7).uniform(size=50)
         g_a = reg_a.gauge("g", "x", ("pos",))
         g_b = reg_b.gauge("g", "x", ("pos",))
-        labelsets = [(str(i),) for i in range(len(vals))]
-        for v, ls in zip(vals, labelsets):
-            g_a.set(float(v), ls)
-        g_b.set_many(vals.tolist(), labelsets)
+        for i, v in enumerate(vals):
+            g_a.set(float(v), (str(i),))
+        g_b.set_vector(vals)
         assert g_a.samples() == g_b.samples()
 
     def test_null_registry_noop(self):
         from repro.obs.registry import NullRegistry
 
         g = NullRegistry().gauge("g", "x", ("pos",))
-        g.set_many([1.0], [("0",)])  # must not raise
+        g.set_vector([1.0])  # must not raise
 
 
 class TestHistogramObserveMany:

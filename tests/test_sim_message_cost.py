@@ -12,16 +12,19 @@ Readings, calls ÷ (query + result messages), on the workload below:
 * PR 24 (the decisions of Algorithms 3-5 called in ``core/query.py``: one call
   per routing step, one generator resume per refine step): 44.20
   (47,692 / 1,079)
+* ``f7efb2d``: 42.16 (45,492 / 1,079)
+* the lifecycle branch carries its message (the transport is handed the
+  branch's bound ``deliver`` / ``drop``; no ``_recv``, message tuple,
+  ``partial`` or ``stats.for_query`` per send; ``engine.arm`` transmits and
+  ``Transport.send`` bills inline): 35.60 (38,414 / 1,079)
 """
 
 import sys
-from functools import partial
 
 import numpy as np
 
-from repro.core.lifecycle import RetryPolicy
+from repro.core.lifecycle import RetryPolicy, _Branch
 from repro.core.platform import IndexPlatform
-from repro.core.routing import QueryProtocol
 from repro.datasets.queries import QueryWorkload
 from repro.datasets.synthetic import generate_clustered, paper_table1_config
 from repro.dht.ring import ChordRing
@@ -29,7 +32,7 @@ from repro.metric.vector import EuclideanMetric
 from repro.sim.king import king_latency_model
 
 #: the measured reading + 10 %
-CALLS_PER_MESSAGE_BUDGET = 46.9
+CALLS_PER_MESSAGE_BUDGET = 39.2
 
 
 def _platform():
@@ -80,17 +83,32 @@ def test_an_open_branch_carries_its_message_not_a_closure():
     index = platform.indexes["t"]
     query = index.make_queries(workload.points[:1], workload.radii[:1], qids=[0])[0]
     fut = proto.issue(query, platform.ring.nodes()[0])
-    branches = list(engine.records[0].branches.values())
+    rec = engine.records[0]
+    branches = list(rec.branches.values())
     assert branches and not fut.done()
     for br in branches:
-        assert br.send.__self__ is proto
-        assert br.send.__func__ is QueryProtocol._transmit
-        assert type(br.msg) is tuple
-        src, dst, fn, args, kind, size, charged, parent_span, qid = br.msg
-        assert qid == 0 and parent_span is None and kind.startswith("query:")
-    # the drop hook handed to the transport is a partial of one bound method
+        # the branch is the message, bound to its query record
+        assert br.engine is engine and br.rec is rec and br.proto is proto
+        assert br.kind.startswith("query:") and br.parent is None
+        assert br.attempts == 1 and br.timer is not None
+        assert type(br.args) is tuple
+    # what the transport queued: the branch's own bound methods, the send
+    # span id (None untraced) as the only argument; no partial, no tuple
     queued = [e[3] for e in platform.sim._queue if e[2] is not None]
-    hooks = [args[-1] for args in queued if isinstance(args[-1], partial)]
-    assert hooks and all(h.func.__self__ is proto for h in hooks)
+    assert len(queued) == len(branches)
+    for dst, handler, args, kind, _sent_at, on_drop in queued:
+        br = handler.__self__
+        assert any(br is b for b in branches)
+        assert handler.__func__ is _Branch.deliver and args == (None,)
+        assert on_drop.__self__ is br and on_drop.__func__ is _Branch.drop
+        assert dst is br.dst and kind == br.kind
+    # a drop re-sends the very same branch until its retries run out
+    first = branches[0]
+    first.dst.alive = False
+    resent = []
+    arm = engine.arm
+    engine.arm = lambda br: (resent.append(br), arm(br))
     engine.run_until_complete([fut])
     assert fut.state == "complete"
+    assert sum(br is first for br in resent) == 2 and first.attempts == 3
+    assert rec.stats.failed_branches >= 1

@@ -1,11 +1,11 @@
 """The branch carries its message: retransmission, duplicate suppression and
-untracked sends on the closure-free ``_tracked_send`` path, and subqueries
-that own their bounds."""
+untracked sends on the ``_tracked_send`` path, where the lifecycle branch is
+the message from send to settle, and subqueries that own their bounds."""
 
 import numpy as np
 import pytest
 
-from repro.core.lifecycle import RetryPolicy
+from repro.core.lifecycle import LifecycleEngine, RetryPolicy
 from repro.core.platform import IndexPlatform
 from repro.core.query import RangeQuery, Rect, query_split
 from repro.core.routing import QueryProtocol
@@ -18,24 +18,33 @@ from repro.sim.transport import FaultConfig
 DIM = 4
 
 
-class LoggedProtocol(QueryProtocol):
-    """Records every transmission attempt with the send span it emitted, and
-    every subquery the sibling walk hands to QueryRouting with its parent."""
+class LoggedEngine(LifecycleEngine):
+    """Records every transmission attempt: the branch, its id and attempt
+    number at that moment, and the send span the attempt emitted."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.attempts = []
-        self.refine_children = []
-        self._refining = None
 
-    def _transmit(self, msg, bid, attempt):
-        sink = self.recorder.sinks[0] if self.recorder is not None else None
+    def arm(self, br):
+        recorder = br.proto.recorder
+        sink = recorder.sinks[0] if recorder is not None else None
         before = len(sink.records) if sink is not None else 0
-        super()._transmit(msg, bid, attempt)
+        super().arm(br)
         span = None
         if sink is not None:
             span = next(s for s in sink.records[before:] if s.kind == "send")
-        self.attempts.append((msg, bid, attempt, span))
+        self.attempts.append((br, br.bid, br.attempts, span))
+
+
+class LoggedProtocol(QueryProtocol):
+    """Records every subquery the sibling walk hands to QueryRouting with its
+    parent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.refine_children = []
+        self._refining = None
 
     def _surrogate_refine_fixed(self, node, q, hops):
         self._refining, outer = q, self._refining
@@ -66,7 +75,11 @@ def _platform(faults=None, obs=None):
 
 
 def _run(p, data, policy, n=6, radius=25.0):
-    engine = p.lifecycle(policy)
+    obs = p.obs
+    engine = LoggedEngine(
+        p.transport, policy=policy,
+        metrics=obs.registry if obs is not None else None,
+        recorder=obs.recorder if obs is not None else None)
     proto = LoggedProtocol(index=p.indexes["t"], transport=p.transport,
                            engine=engine, obs=p.obs, top_k=10**6)
     nodes = p.ring.nodes()
@@ -77,17 +90,17 @@ def _run(p, data, policy, n=6, radius=25.0):
     return proto, engine
 
 
-def test_a_retransmission_resends_the_same_tuple_under_the_same_branch():
+def test_a_retransmission_resends_the_same_branch():
     with Observability(tracing=True) as obs:
         p, data = _platform(FaultConfig(loss_rate=0.25, seed=9), obs=obs)
         proto, engine = _run(
             p, data, RetryPolicy(deadline=500.0, max_retries=2, rto=0.5))
-    retries = [a for a in proto.attempts if a[2] > 1]
+    retries = [a for a in engine.attempts if a[2] > 1]
     assert retries and engine.counters.retransmissions == len(retries)
-    for msg, bid, attempt, span in retries:
-        # the attempt before it: the same tuple object, the same branch id
-        prev = [a for a in proto.attempts
-                if a[0] is msg and a[1] == bid and a[2] == attempt - 1]
+    for br, bid, attempt, span in retries:
+        # the attempt before it: the same branch object under the same id
+        prev = [a for a in engine.attempts
+                if a[0] is br and a[1] == bid and a[2] == attempt - 1]
         assert len(prev) == 1
         first = prev[0][3]
         assert span.attrs["attempt"] == attempt == first.attrs["attempt"] + 1
@@ -97,9 +110,9 @@ def test_a_retransmission_resends_the_same_tuple_under_the_same_branch():
             first.qid, first.parent, first.node, first.kind)
     # charged bytes follow attempts, first sends and retries alike
     for qid, qs in proto.stats.queries.items():
-        charged = [a for a in proto.attempts if a[0][8] == qid and a[0][6]]
+        charged = [a for a in engine.attempts if a[0].rec.qid == qid and a[0].charged]
         assert qs.query_messages == len(charged)
-        assert qs.query_bytes == sum(a[0][5] for a in charged)
+        assert qs.query_bytes == sum(a[0].size for a in charged)
 
 
 def test_a_duplicate_arrival_is_suppressed_once_and_counted_once():
@@ -121,7 +134,8 @@ def test_a_duplicate_arrival_is_suppressed_once_and_counted_once():
             (e.object_id, e.distance) for e in want.entries)
         # retries are real traffic: each charged one bills its bytes again
         charged_retries = sum(
-            1 for a in proto.attempts if a[0][8] == qid and a[2] > 1 and a[0][6])
+            1 for a in engine.attempts
+            if a[0].rec.qid == qid and a[2] > 1 and a[0].charged)
         assert got.query_messages == want.query_messages + charged_retries
 
 
@@ -135,7 +149,7 @@ def test_a_branch_of_a_terminal_query_goes_out_untracked_and_is_billed():
     a, b = p.ring.nodes()[:2]
     hits = []
     proto._tracked_send(a, b, hits.append, "late", kind="query:routing", size=49, qid=0)
-    assert proto.attempts[-1][1] is None and proto.attempts[-1][2] == 1
+    assert engine.attempts[-1][1] is None and engine.attempts[-1][2] == 1
     p.sim.run()
     assert hits == ["late"]
     assert engine.counters.branches_opened == opened
