@@ -281,7 +281,7 @@ def kmedoids_selection(
     medoid_idx = list(rng.choice(n, size=k, replace=False))
     D = None
     if n <= 3000:  # precompute full matrix when affordable
-        D = metric.pairwise(sample, sample)
+        D = metric.many_to_many(sample, sample)
     for _ in range(iters):
         if D is not None:
             dist_to_medoids = D[:, medoid_idx]
@@ -299,7 +299,7 @@ def kmedoids_selection(
             if D is not None:
                 sub = D[np.ix_(members, members)]
             else:
-                sub = metric.pairwise(_take(sample, members), _take(sample, members))
+                sub = metric.many_to_many(_take(sample, members), _take(sample, members))
             new_medoids.append(int(members[np.argmin(sub.sum(axis=1))]))
         if new_medoids == medoid_idx:
             break

@@ -167,16 +167,16 @@ class LandmarkIndex:
 
     # -- dynamic entries (used by repro.core.updates) ------------------------------
 
-    def append_entry(self, object_id: int, point: np.ndarray, key: int) -> None:
-        """Add one entry to the global arrays and redistribute.
+    def append_entries(self, object_ids: Any, points: Any, keys: Any) -> None:
+        """Add a batch of entries to the global arrays and redistribute once.
 
-        ``object_id`` must index into ``dataset`` (the object itself must
-        already exist there).
+        ``object_ids`` must index into ``dataset`` (the objects themselves
+        must already exist there); ``points`` holds one index point a row.
         """
-        self._keys = np.concatenate([self._keys, np.array([key], dtype=np.uint64)])
-        self._points = np.vstack([self._points, np.asarray(point, dtype=np.float64)[None, :]])
+        self._keys = np.concatenate([self._keys, np.asarray(keys, dtype=np.uint64)])
+        self._points = np.vstack([self._points, np.asarray(points, dtype=np.float64)])
         self._object_ids = np.concatenate(
-            [self._object_ids, np.array([object_id], dtype=np.int64)]
+            [self._object_ids, np.asarray(object_ids, dtype=np.int64)]
         )
         self._owner_objs = None  # placement cache invalidated
         self.distribute()

@@ -87,7 +87,7 @@ class UpdateProtocol:
         point = index.bounds.clip(index.space.project_one(obj))
         key = int(lp_hash_batch(point[None, :], index.bounds, index.m)[0])
         self._route_cost(source_node, key)
-        index.append_entry(object_id, point, key)
+        index.append_entries([object_id], point[None, :], [key])
         self.stats.inserts += 1
         return key
 
@@ -103,8 +103,8 @@ class UpdateProtocol:
         return True
 
     def insert_many(self, object_ids: Any, source_node: Any = None) -> None:
-        """Insert a batch (one routed entry each; arrays rebuilt once at the
-        end for efficiency)."""
+        """Insert a batch (one routed entry each; the index redistributes
+        once at the end)."""
         index = self.index
         source_node = source_node or index.ring.nodes()[0]
         object_ids = np.asarray(object_ids, dtype=np.int64)
@@ -113,9 +113,5 @@ class UpdateProtocol:
         keys = lp_hash_batch(points, index.bounds, index.m)
         for key in keys:
             self._route_cost(source_node, int(key))
-        index._keys = np.concatenate([index._keys, keys])
-        index._points = np.vstack([index._points, points])
-        index._object_ids = np.concatenate([index._object_ids, object_ids])
-        index._owner_objs = None
-        index.distribute()
+        index.append_entries(object_ids, points, keys)
         self.stats.inserts += len(object_ids)

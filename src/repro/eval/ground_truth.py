@@ -48,8 +48,7 @@ def batch_exact_top_k(
 
     Distances go through :meth:`repro.metric.base.Metric.many_to_many`
     (column-exact with ``one_to_many``), so the batch ground truth agrees
-    bit for bit with per-query :func:`exact_top_k` — ``pairwise`` overrides
-    may use faster non-identical kernels (the Euclidean expansion trick).
+    bit for bit with per-query :func:`exact_top_k`.
     """
     n_q = queries.shape[0] if hasattr(queries, "shape") else len(queries)
     out: list[np.ndarray] = []

@@ -97,11 +97,6 @@ class ExperimentConfig:
     #: backoff); None = the default policy: no deadline, no retransmission,
     #: a lost branch settles as failed.
     policy: RetryPolicy | None = None
-    #: Pipelined batch execution (all queries of a sweep point in flight
-    #: concurrently, harvested as they complete) versus the serial
-    #: issue-and-drain baseline.  Identical per-query stats when faults are
-    #: off; pipelined is the wall-clock-faster default.
-    pipelined: bool = True
 
 
 @dataclass
@@ -277,7 +272,6 @@ def run_scheme(
         stats = platform.run_workload(
             scheme.label,
             workload,
-            pipelined=cfg.pipelined,
             policy=cfg.policy,
             surrogate_mode=cfg.surrogate_mode,
             top_k=cfg.top_k,

@@ -7,9 +7,12 @@ positivity, reflexivity, symmetry and the triangle inequality can be indexed.
 dataset.
 
 Vector metrics override the bulk kernels (:meth:`Metric.one_to_many`,
-:meth:`Metric.pairwise`) with NumPy-vectorised implementations — landmark
+:meth:`Metric.many_to_many`) with NumPy-vectorised implementations — landmark
 projection of 1e5 objects must not run a Python loop per object (see the
 hpc-parallel guide: vectorise the hot path, keep the scalar path legible).
+No bulk kernel trades exactness for speed: the one distance matrix,
+:meth:`Metric.many_to_many`, is column for column :meth:`Metric.one_to_many`
+bit for bit.
 """
 
 from __future__ import annotations
@@ -67,15 +70,6 @@ class Metric(ABC):
         this default prunes nothing.
         """
         return self.one_to_many(x, data[rows])
-
-    def pairwise(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
-        """``len(xs) x len(ys)`` distance matrix.
-
-        Overrides may trade exactness for speed (e.g. the Euclidean
-        expansion trick); use :meth:`many_to_many` where bit-identical
-        agreement with :meth:`one_to_many` matters.
-        """
-        return np.stack([self.one_to_many(x, ys) for x in xs])
 
     def many_to_many(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
         """``(len(xs), len(ys))`` distance matrix, column-exact by contract.
@@ -147,7 +141,7 @@ def check_metric_axioms(
     samples (cost is cubic in ``len(sample)``).
     """
     n = len(sample)
-    d = metric.pairwise(sample, sample)
+    d = metric.many_to_many(sample, sample)
     if np.any(d < -atol):
         raise MetricAxiomViolation("positivity violated: negative distance found")
     diag = np.diag(d)

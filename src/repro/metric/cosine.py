@@ -76,22 +76,6 @@ class AngularMetric(Metric):
         out[ok] = _safe_arccos(cos)
         return out
 
-    def pairwise(self, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> np.ndarray:
-        X = np.asarray(xs, dtype=np.float64)
-        Y = np.asarray(ys, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        if Y.ndim == 1:
-            Y = Y[None, :]
-        nx = np.sqrt(np.einsum("ij,ij->i", X, X))
-        ny = np.sqrt(np.einsum("ij,ij->i", Y, Y))
-        out = np.full((X.shape[0], Y.shape[0]), self.upper_bound)
-        okx = nx > 0.0
-        oky = ny > 0.0
-        cos = (X[okx] @ Y[oky].T) / np.outer(nx[okx], ny[oky])
-        out[np.ix_(okx, oky)] = _safe_arccos(cos)
-        return out
-
     @property
     def name(self) -> str:
         return "angular"
@@ -137,19 +121,6 @@ class SparseAngularMetric(Metric):
         dots = np.asarray((Y @ xr.T).todense()).ravel()
         ok = ny > 0.0
         out[ok] = _safe_arccos(dots[ok] / (ny[ok] * nx))
-        return out
-
-    def pairwise(self, xs: Any, ys: Any) -> np.ndarray:
-        X = xs.tocsr() if sparse.issparse(xs) else sparse.csr_matrix(np.asarray(xs, dtype=np.float64))
-        Y = ys.tocsr() if sparse.issparse(ys) else sparse.csr_matrix(np.asarray(ys, dtype=np.float64))
-        nx = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
-        ny = np.sqrt(np.asarray(Y.multiply(Y).sum(axis=1)).ravel())
-        dots = np.asarray((X @ Y.T).todense())
-        out = np.full(dots.shape, self.upper_bound)
-        ok = np.outer(nx > 0.0, ny > 0.0)
-        denom = np.outer(np.where(nx > 0, nx, 1.0), np.where(ny > 0, ny, 1.0))
-        cos = dots / denom
-        out[ok] = _safe_arccos(cos[ok])
         return out
 
     @property

@@ -35,10 +35,6 @@ class BoundedMetric(Metric):
         d = self.inner.one_to_many(x, ys)
         return d / (1.0 + d)
 
-    def pairwise(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
-        d = self.inner.pairwise(xs, ys)
-        return d / (1.0 + d)
-
     def to_inner_radius(self, r_bounded: float) -> float:
         """Invert the transform: the inner-metric radius matching ``r_bounded``.
 
@@ -82,9 +78,6 @@ class ScaledMetric(Metric):
 
     def one_to_many(self, x: Any, ys: Sequence[Any]) -> np.ndarray:
         return self.scale * self.inner.one_to_many(x, ys)
-
-    def pairwise(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
-        return self.scale * self.inner.pairwise(xs, ys)
 
     @property
     def name(self) -> str:

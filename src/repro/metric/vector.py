@@ -180,28 +180,6 @@ class MinkowskiMetric(Metric):
             out[s : s + rows] = self._root(self._power_sums(diff))
         return out
 
-    def pairwise(self, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> np.ndarray:
-        X = np.asarray(xs, dtype=np.float64)
-        Y = np.asarray(ys, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        if Y.ndim == 1:
-            Y = Y[None, :]
-        if self.p == 2.0:
-            # ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y, clipped for FP safety.
-            sq = (
-                np.einsum("ij,ij->i", X, X)[:, None]
-                + np.einsum("ij,ij->i", Y, Y)[None, :]
-                - 2.0 * (X @ Y.T)
-            )
-            return np.sqrt(np.maximum(sq, 0.0))
-        diff = np.abs(X[:, None, :] - Y[None, :, :])
-        if math.isinf(self.p):
-            return diff.max(axis=2)
-        if self.p == 1.0:
-            return diff.sum(axis=2)
-        return (diff**self.p).sum(axis=2) ** (1.0 / self.p)
-
     @property
     def name(self) -> str:
         if math.isinf(self.p):

@@ -16,7 +16,8 @@ suite (``tests/test_transport_conformance.py``):
   :class:`~repro.sim.transport.MessageAccounting`, so counters, metrics
   instruments, the partition table and the loss gate are the simulator's own
   code; drops are counted by the sender, deliveries by the receiver (the only
-  party that can observe them over a real network), and ``on_drop`` callbacks
+  party that can observe them over a real network; a served request counts
+  as one delivery, like a one-way message), and ``on_drop`` callbacks
   receive the drop status string.
 
 On top of the one-way contract it adds what live deployments need:
@@ -151,16 +152,18 @@ class _Link(asyncio.Protocol):
         kind, src = env.get("kind", ""), env.get("src") or {}
         if not (isinstance(t, str) and isinstance(kind, str) and isinstance(src, dict)):
             return False
+        if t not in ("msg", "req"):
+            return True
+        sent_at = env.get("sent_at", 0.0)
+        if not isinstance(sent_at, (int, float)):
+            return False
         if t == "msg":
-            sent_at = env.get("sent_at", 0.0)
-            if not isinstance(sent_at, (int, float)):
-                return False
             owner._dispatch_msg(kind, env.get("payload"), src, float(sent_at))
-        elif t == "req":
-            rid = env.get("rid")
-            if not isinstance(rid, int):
-                return False
-            owner._serve(kind, env.get("payload"), src, partial(self._reply, rid))
+            return True
+        rid = env.get("rid")
+        if not isinstance(rid, int):
+            return False
+        owner._serve(kind, env.get("payload"), src, float(sent_at), partial(self._reply, rid))
         return True
 
     def _reply(self, rid: int, payload: Any) -> None:
@@ -444,7 +447,8 @@ class TcpTransport(MessageAccounting):
         try:
             if dst_addr == self.addr:
                 # local hand-off, no frame
-                self._serve(kind, payload, self._src_info(), partial(self._resolve, rid))
+                self._serve(kind, payload, self._src_info(), self.now,
+                            partial(self._resolve, rid))
             else:
                 frame = self.framer.encode({
                     "v": WIRE_VERSION, "t": "req", "kind": kind, "rid": rid,
@@ -493,13 +497,15 @@ class TcpTransport(MessageAccounting):
         if handler is not None:
             handler(payload, src)
 
-    def _serve(self, kind: str, payload: Any, src: dict[str, Any],
+    def _serve(self, kind: str, payload: Any, src: dict[str, Any], sent_at: float,
                answer: Callable[[Any], None]) -> None:
-        """Run the handler of ``kind`` and hand its reply to ``answer``: before
-        this returns when the handler returned a plain value, from a task when
-        it returned an awaitable.  Keep the task's handle: the loop holds
-        tasks weakly, and an unreferenced one can be collected before it
-        answers (its exception would surface only at exit)."""
+        """Count the request as delivered, run the handler of ``kind`` and
+        hand its reply to ``answer``: before this returns when the handler
+        returned a plain value, from a task when it returned an awaitable.
+        Keep the task's handle: the loop holds tasks weakly, and an
+        unreferenced one can be collected before it answers (its exception
+        would surface only at exit)."""
+        self._account_delivery(kind, max(0.0, self.now - sent_at))
         handler = self._rpc_handlers.get(kind)
         if handler is None:
             answer({"__rpc_error__": f"no handler for {kind!r}"})

@@ -15,11 +15,9 @@ Three instrument types, mirroring the Prometheus data model:
   retransmissions);
 * :class:`Gauge` — point-in-time values that go up and down (per-node load,
   event-queue depth, live nodes);
-* :class:`Histogram` — distributions with p50/p90/p99 estimation, either
-  **fixed-bucket** (Prometheus-style cumulative buckets, percentiles by
-  linear interpolation inside the bucket) or **reservoir** (bounded uniform
-  sample with exact percentiles over the sample; deterministic — the
-  reservoir RNG is seeded from the metric name).
+* :class:`Histogram` — distributions with p50/p90/p99 estimation over
+  fixed buckets (Prometheus-style cumulative buckets, percentiles by linear
+  interpolation inside the bucket).
 
 Labels are positional: an instrument declares ``labelnames`` once and every
 update passes a tuple of label *values* in the same order.  That keeps the
@@ -36,9 +34,7 @@ paths (the transport's per-message counters) instead resolves instruments to
 from __future__ import annotations
 
 import math
-import random
-import zlib
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from typing import Any, TypeVar, cast
 
@@ -160,26 +156,21 @@ class Gauge(_Instrument):
 
 
 class _HistState:
-    """Per-labelset histogram state: bucket counts + sum/count (+ reservoir)."""
+    """Per-labelset histogram state: bucket counts + sum/count."""
 
-    __slots__ = ("counts", "sum", "count", "sample", "_rng")
+    __slots__ = ("counts", "sum", "count")
 
-    def __init__(self, n_buckets: int, reservoir: int, seed: int) -> None:
+    def __init__(self, n_buckets: int) -> None:
         self.counts = [0] * (n_buckets + 1)  # +1 for the +inf bucket
         self.sum = 0.0
         self.count = 0
-        # sorted bounded sample for exact-over-sample percentiles
-        self.sample: list[float] | None = [] if reservoir else None
-        self._rng = random.Random(seed) if reservoir else None
 
 
 class Histogram(_Instrument):
     """A distribution with percentile estimation.
 
     ``buckets`` are the upper bounds of the cumulative fixed buckets (an
-    implicit ``+inf`` bucket is appended).  ``reservoir > 0`` additionally
-    keeps a uniform sample of that size per labelset; percentiles then come
-    from the sample (exact over the sample) instead of bucket interpolation.
+    implicit ``+inf`` bucket is appended).
     """
 
     kind = "histogram"
@@ -190,24 +181,18 @@ class Histogram(_Instrument):
         help: str = "",
         labelnames: tuple[str, ...] = (),
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-        reservoir: int = 0,
     ) -> None:
         super().__init__(name, help, labelnames)
         bs = tuple(sorted(float(b) for b in buckets))
         if not bs:
             raise ValueError(f"{self.name}: need at least one bucket bound")
         self.buckets = bs
-        self.reservoir = int(reservoir)
-        # the reservoir RNG is seeded from the metric name: deterministic
-        # runs stay deterministic and no global random state is touched
-        # (crc32, not hash() — string hashing is salted per process)
-        self._seed = zlib.crc32(name.encode())
 
     def _state(self, labels: tuple[Any, ...]) -> _HistState:
         key = self._check(labels)
         st = self.values.get(key)
         if st is None:
-            st = _HistState(len(self.buckets), self.reservoir, self._seed)
+            st = _HistState(len(self.buckets))
             self.values[key] = st
         return st
 
@@ -216,17 +201,6 @@ class Histogram(_Instrument):
         st.counts[bisect_left(self.buckets, value)] += 1
         st.sum += value
         st.count += 1
-        if st.sample is not None:
-            if len(st.sample) < self.reservoir:
-                insort(st.sample, value)
-            else:
-                # Vitter's algorithm R; evicting a uniformly random index of
-                # the sorted sample is evicting a uniformly random element
-                assert st._rng is not None  # reservoir implies a seeded rng
-                j = st._rng.randrange(st.count)
-                if j < self.reservoir:
-                    del st.sample[j]
-                    insort(st.sample, value)
 
     def observe_many(self, values: Any, labels: tuple[Any, ...] = ()) -> None:
         """Record a whole vector of observations at once.
@@ -234,19 +208,11 @@ class Histogram(_Instrument):
         Bit-identical to looping :meth:`observe`: ``numpy.searchsorted``
         with ``side="left"`` lands each value in the same bucket as
         ``bisect_left``, and the bucket counts are order-independent.
-        Reservoir histograms *are* order-dependent (algorithm R consumes
-        one RNG draw per observation), so they take the loop path.
         """
-        import numpy as np
-
         vals = np.asarray(values, dtype=np.float64)
         if vals.size == 0:
             return
         st = self._state(labels)
-        if st.sample is not None:
-            for v in vals:
-                self.observe(float(v), labels)
-            return
         idx = np.searchsorted(np.asarray(self.buckets), vals, side="left")
         hits = np.bincount(idx, minlength=len(self.buckets) + 1)
         for i, c in enumerate(hits):
@@ -270,22 +236,15 @@ class Histogram(_Instrument):
     def percentile(self, q: float, labels: tuple[Any, ...] = ()) -> float:
         """The ``q``-quantile (``q`` in [0, 1]); NaN with no observations.
 
-        Reservoir histograms interpolate over the kept sample; fixed-bucket
-        histograms find the bucket containing the target rank and
-        interpolate linearly inside it (the Prometheus ``histogram_quantile``
-        estimate).  Values beyond the last finite bound clamp to it.
+        Finds the bucket containing the target rank and interpolates linearly
+        inside it (the Prometheus ``histogram_quantile`` estimate).  Values
+        beyond the last finite bound clamp to it.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         st = self.values.get(labels)
         if st is None or st.count == 0:
             return math.nan
-        if st.sample is not None and st.sample:
-            s = st.sample
-            pos = q * (len(s) - 1)
-            lo = int(pos)
-            hi = min(lo + 1, len(s) - 1)
-            return s[lo] + (s[hi] - s[lo]) * (pos - lo)
         target = q * st.count
         cum = 0
         for i, c in enumerate(st.counts):
@@ -347,7 +306,7 @@ class MetricsRegistry:
                     f"{inst.labelnames}, requested {tuple(labelnames)}"
                 )
             return inst
-        # Histogram grows the base signature (buckets/reservoir), so the
+        # Histogram grows the base signature (buckets), so the
         # constructor is called through an untyped factory view of ``cls``
         factory = cast("Callable[..., _I]", cls)
         new = factory(name, help, tuple(labelnames), **kwargs)
@@ -370,11 +329,8 @@ class MetricsRegistry:
         help: str = "",
         labelnames: Sequence[str] = (),
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-        reservoir: int = 0,
     ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, labelnames, buckets=buckets, reservoir=reservoir
-        )
+        return self._get_or_create(Histogram, name, help, labelnames, buckets=buckets)
 
     def get(self, name: str) -> _Instrument | None:
         return self._metrics.get(name)
@@ -493,7 +449,6 @@ class NullRegistry(MetricsRegistry):
         help: str = "",
         labelnames: Sequence[str] = (),
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-        reservoir: int = 0,
     ) -> Histogram:
         return cast(Histogram, _NULL_INSTRUMENT)
 

@@ -18,7 +18,7 @@ from repro.sim.messages import (
     query_message_size,
     result_message_size,
 )
-from repro.sim.network import ConstantLatency, EuclideanLatency, LatencyModel, MatrixLatency
+from repro.sim.network import ConstantLatency, LatencyModel, MatrixLatency
 from repro.sim.stats import QueryStats, StatsCollector
 from repro.sim.transport import (
     FaultConfig,
@@ -36,7 +36,6 @@ __all__ = [
     "LatencyModel",
     "ConstantLatency",
     "MatrixLatency",
-    "EuclideanLatency",
     "synthetic_king_matrix",
     "king_latency_model",
     "KING_N_HOSTS",

@@ -20,7 +20,6 @@ __all__ = [
     "LatencyModel",
     "ConstantLatency",
     "MatrixLatency",
-    "EuclideanLatency",
     "CoordinateLatency",
 ]
 
@@ -131,44 +130,6 @@ class MatrixLatency(LatencyModel):
         ]
 
 
-class EuclideanLatency(LatencyModel):
-    """Hosts embedded in a plane; delay proportional to Euclidean distance.
-
-    A cheap stand-in for geographic latency used when a full matrix would be
-    wasteful (very large host counts).  ``base`` adds a fixed per-hop
-    processing delay.
-    """
-
-    def __init__(self, coords: np.ndarray, seconds_per_unit: float, base: float = 0.0) -> None:
-        self.coords = np.asarray(coords, dtype=np.float64)
-        if self.coords.ndim != 2:
-            raise ValueError("coords must be (n_hosts, dim)")
-        self.n_hosts = self.coords.shape[0]
-        self.seconds_per_unit = float(seconds_per_unit)
-        self.base = float(base)
-
-    def latency(self, a: int, b: int) -> float:
-        # Delegate to the row kernel so scalar and vectorised lookups share
-        # one floating-point path (1-D ``np.linalg.norm`` uses a scaled nrm2
-        # that differs from the axis reduction at the last ulp).
-        return float(self.latency_row(a, np.array([b], dtype=np.intp))[0])
-
-    def latency_row(self, a: int, hosts: np.ndarray) -> np.ndarray:
-        hosts = np.asarray(hosts, dtype=np.intp)
-        d = np.linalg.norm(self.coords[hosts] - self.coords[a], axis=1)
-        out = self.base + self.seconds_per_unit * d
-        out[hosts == a] = 0.0
-        return out
-
-    def latency_pairs(self, a_hosts: np.ndarray, b_hosts: np.ndarray) -> np.ndarray:
-        a_hosts = np.asarray(a_hosts, dtype=np.intp)
-        b_hosts = np.asarray(b_hosts, dtype=np.intp)
-        d = np.linalg.norm(self.coords[b_hosts] - self.coords[a_hosts], axis=1)
-        out = self.base + self.seconds_per_unit * d
-        out[a_hosts == b_hosts] = 0.0
-        return out
-
-
 #: up to this many coordinate dimensions the squared differences are summed
 #: column by column, in the order ``np.linalg.norm(axis=1)`` adds them (it
 #: reduces short rows left to right; from eight columns on it sums pairwise)
@@ -238,7 +199,8 @@ class CoordinateLatency(LatencyModel):
 
     def latency(self, a: int, b: int) -> float:
         # Delegate to the pair kernel so scalar and batched lookups share one
-        # floating-point path (same reasoning as EuclideanLatency.latency).
+        # floating-point path (1-D ``np.linalg.norm`` uses a scaled nrm2 that
+        # differs from the axis reduction at the last ulp).
         return float(
             self.latency_pairs(
                 np.array([a], dtype=np.intp), np.array([b], dtype=np.intp)

@@ -36,7 +36,7 @@ from repro.metric.vector import (
 )
 from repro.sim.network import (
     ConstantLatency,
-    EuclideanLatency,
+    CoordinateLatency,
     LatencyModel,
     MatrixLatency,
 )
@@ -172,7 +172,7 @@ class TestLatencyRowEquivalence:
 
     def test_euclidean(self):
         rng = np.random.default_rng(2)
-        self._check(EuclideanLatency(rng.uniform(0, 1, size=(20, 2)), 0.05, base=0.01))
+        self._check(CoordinateLatency(rng.uniform(0, 1, size=(20, 2)), 0.05, floor=0.01))
 
     def test_black_box_fallback(self):
         class Odd(LatencyModel):

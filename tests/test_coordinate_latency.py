@@ -161,3 +161,27 @@ def test_pair_kernel_is_bit_identical_to_the_reference_formula(dim, sigma):
         want = _reference_pairs(m, np.full(300, src), b[:300])
         assert row.tobytes() == want.tobytes()
         assert [m.latency(src, int(h)) for h in b[:20]] == row[:20].tolist()
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_without_jitter_it_is_the_plain_euclidean_model(dim):
+    """With no jitter the delay is ``base + spu · norm(coords[b] - coords[a])``
+    bit for bit (0 to itself), for pairs, rows and scalar lookups alike."""
+    rng = np.random.default_rng(100 + dim)
+    n_hosts, n_pairs = 300, 2_000
+    coords = rng.uniform(-50.0, 50.0, size=(n_hosts, dim))
+    a = rng.integers(0, n_hosts, size=n_pairs)
+    b = rng.integers(0, n_hosts, size=n_pairs)
+    b[::7] = a[::7]  # self-pairs
+    for spu in (1e-3, 0.0137, 1.0, 250.0):
+        for base in (0.0, 0.001, 0.02):
+            m = CoordinateLatency(coords, spu, floor=base)
+            want = base + spu * np.linalg.norm(coords[b] - coords[a], axis=1)
+            want[a == b] = 0.0
+            assert m.latency_pairs(a, b).tobytes() == want.tobytes()
+            src = int(a[0])
+            row = base + spu * np.linalg.norm(coords[b] - coords[src], axis=1)
+            row[b == src] = 0.0
+            assert m.latency_row(src, b).tobytes() == row.tobytes()
+            assert [m.latency(int(x), int(y)) for x, y in zip(a[:30], b[:30])] == (
+                want[:30].tolist())

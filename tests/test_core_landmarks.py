@@ -51,10 +51,10 @@ class TestGreedy:
         X, _ = _clusters(rng, n=400, k=6, spread=100.0)
         ls = greedy_selection(X, METRIC, 6, seed=0)
         L = np.asarray(ls.landmarks)
-        d = METRIC.pairwise(L, L)
+        d = METRIC.many_to_many(L, L)
         min_greedy = d[np.triu_indices(6, 1)].min()
         picks = X[np.random.default_rng(0).choice(len(X), 6, replace=False)]
-        dr = METRIC.pairwise(picks, picks)
+        dr = METRIC.many_to_many(picks, picks)
         min_rand = dr[np.triu_indices(6, 1)].min()
         assert min_greedy >= min_rand
 
@@ -76,7 +76,7 @@ class TestKMeans:
         ls = kmeans_selection(X, METRIC, 4, seed=0)
         L = np.asarray(ls.landmarks)
         # every true centre should have a landmark within a few sigma
-        d = METRIC.pairwise(centers, L)
+        d = METRIC.many_to_many(centers, L)
         assert d.min(axis=1).max() < 5.0
 
     def test_deterministic(self, rng):

@@ -99,6 +99,37 @@ class TestUpdates:
         want = sorted(exact_range(data, METRIC, data[1], 20.0).tolist())
         assert got == want
 
+    def test_insert_and_insert_many_append_the_same_entries(self):
+        """Both append through ``append_entries``: same keys, points and ids
+        bit for bit, and a batch redistributes once."""
+        oids = [4, 9, 2, 17]
+
+        def reinserted(batch):
+            platform, _ = _platform(seed=5)
+            idx = platform.indexes["idx"]
+            up = UpdateProtocol(idx)
+            for oid in oids:
+                up.delete(oid)
+            distribute, calls = idx.distribute, []
+
+            def counted():
+                calls.append(1)
+                return distribute()
+
+            idx.distribute = counted
+            if batch:
+                up.insert_many(oids)
+            else:
+                for oid in oids:
+                    up.insert(oid)
+            assert len(calls) == (1 if batch else len(oids))
+            return idx
+
+        one, many = reinserted(False), reinserted(True)
+        for name in ("_keys", "_points", "_object_ids"):
+            a, b = getattr(one, name), getattr(many, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
     def test_update_costs_accounted(self):
         platform, _ = _platform()
         up = UpdateProtocol(platform.indexes["idx"])

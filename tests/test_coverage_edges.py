@@ -169,7 +169,7 @@ class TestBoundedTransformEdges:
         rng = np.random.default_rng(7)
         X, Y = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
         m = BoundedMetric(EuclideanMetric())
-        got = m.pairwise(X, Y)
+        got = m.many_to_many(X, Y)
         for i in range(3):
             for j in range(4):
                 assert got[i, j] == pytest.approx(m.distance(X[i], Y[j]))
@@ -201,7 +201,7 @@ class TestScaledMetricEdges:
             m.one_to_many(X[0], Y), [m.distance(X[0], y) for y in Y]
         )
         np.testing.assert_allclose(
-            m.pairwise(X, Y),
+            m.many_to_many(X, Y),
             [[m.distance(x, y) for y in Y] for x in X],
         )
 

@@ -33,9 +33,8 @@ def build_registry() -> MetricsRegistry:
     """A fixed registry exercising every exporter code path.
 
     Covers: labeled + unlabeled counters, a gauge holding NaN (JSONL null /
-    Prometheus ``NaN``), a bucket-interpolated histogram, a reservoir
-    histogram (deterministic: its RNG is seeded from the metric name), and a
-    label name needing Prometheus sanitisation.
+    Prometheus ``NaN``), a labeled and an unlabeled bucket-interpolated
+    histogram, and a label name needing Prometheus sanitisation.
     """
     reg = MetricsRegistry()
     c = reg.counter("queries_total", "Queries issued", labelnames=("index",))
@@ -50,7 +49,7 @@ def build_registry() -> MetricsRegistry:
     )
     for i in range(1, 11):
         h.observe(i / 10.0, ("vec",))
-    r = reg.histogram("hops", "Routing hops", buckets=(1, 2, 4, 8), reservoir=64)
+    r = reg.histogram("hops", "Routing hops", buckets=(1, 2, 4, 8))
     for v in (1, 1, 2, 3, 5, 8):
         r.observe(float(v))
     s = reg.counter(

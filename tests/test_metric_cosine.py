@@ -56,7 +56,7 @@ class TestDenseAngular:
         X = rng.normal(size=(4, 3))
         Y = rng.normal(size=(6, 3))
         m = AngularMetric()
-        got = m.pairwise(X, Y)
+        got = m.many_to_many(X, Y)
         for i in range(4):
             for j in range(6):
                 assert got[i, j] == pytest.approx(m.distance(X[i], Y[j]), abs=1e-6)
@@ -103,7 +103,7 @@ class TestSparseAngular:
     def test_pairwise(self):
         X = self._corpus()
         m = SparseAngularMetric()
-        D = m.pairwise(X, X)
+        D = m.many_to_many(X, X)
         assert D.shape == (4, 4)
         np.testing.assert_allclose(np.diag(D), 0.0, atol=1e-6)
         np.testing.assert_allclose(D, D.T, atol=1e-12)

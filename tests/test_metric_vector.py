@@ -71,7 +71,7 @@ class TestBounds:
         m = EuclideanMetric(box=(0, 100), dim=5)
         rng = np.random.default_rng(0)
         X = rng.uniform(0, 100, (50, 5))
-        assert m.pairwise(X, X).max() <= m.upper_bound + 1e-9
+        assert m.many_to_many(X, X).max() <= m.upper_bound + 1e-9
 
 
 class TestVectorisedKernels:
@@ -91,7 +91,7 @@ class TestVectorisedKernels:
         X = rng.normal(size=(6, 4))
         Y = rng.normal(size=(9, 4))
         m = MinkowskiMetric(p)
-        got = m.pairwise(X, Y)
+        got = m.many_to_many(X, Y)
         assert got.shape == (6, 9)
         for i in range(6):
             for j in range(9):

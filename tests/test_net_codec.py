@@ -570,6 +570,8 @@ BAD_ENVELOPES = [
     pytest.param({"t": "req", "kind": [1], "rid": 1}, id="req-kind-list"),
     pytest.param({"t": "req", "kind": "ping", "rid": [1]}, id="req-rid-list"),
     pytest.param({"t": "req", "kind": "ping", "rid": 1, "src": "x"}, id="req-src-str"),
+    pytest.param({"t": "req", "kind": "ping", "rid": 1, "sent_at": "x"},
+                 id="req-sent_at-str"),
     pytest.param({"t": "res", "rid": [1]}, id="res-rid-list"),
 ]
 

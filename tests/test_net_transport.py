@@ -18,6 +18,7 @@ import pytest
 
 from repro.net.codec import WIRE_VERSION, FrameDecoder
 from repro.net.transport import RpcError, TcpTransport
+from repro.obs.registry import MetricsRegistry
 
 from tests.net_helpers import json_frame
 
@@ -95,6 +96,32 @@ def test_leaf_rpc_creates_no_task_and_an_awaiting_handler_exactly_one():
         assert not server.transport._client_tasks
         await client.close()
         await server.transport.close()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.timeout(30)
+def test_a_served_request_counts_as_one_delivery_at_the_server():
+    """Deliveries are counted by the receiver: five RPCs from A to B are five
+    deliveries on B (counter and latency histogram alike) and none on A, and
+    a request A serves itself is one delivery on A."""
+    async def scenario() -> None:
+        regs = MetricsRegistry(), MetricsRegistry()
+        a, b = (TcpTransport(node_id=i, metrics=reg) for i, reg in enumerate(regs))
+        for t in (a, b):
+            t.register_rpc("echo", lambda payload, src: payload)
+            await t.start()
+        for i in range(5):
+            assert await a.rpc(b.addr, "echo", i) == i
+        assert (a.stats.sent, a.stats.delivered) == (5, 0)
+        assert (b.stats.sent, b.stats.delivered) == (0, 5)
+        assert regs[1].get("transport_delivered_total").value(("echo",)) == 5
+        assert regs[1].get("transport_delivery_latency_seconds").count() == 5
+        assert regs[0].get("transport_delivery_latency_seconds").count() == 0
+        assert await a.rpc(a.addr, "echo", "local") == "local"
+        assert (a.stats.delivered, b.stats.delivered) == (1, 5)
+        await a.close()
+        await b.close()
 
     asyncio.run(scenario())
 

@@ -63,26 +63,6 @@ class TestHistogramPercentiles:
         p99 = h.percentile(0.99)
         assert 4.0 <= p99 <= 8.0
 
-    def test_reservoir_percentiles_exact_when_small(self):
-        h = Histogram("lat", "", reservoir=256)
-        data = np.arange(1, 101, dtype=float)  # 1..100
-        for v in data:
-            h.observe(float(v))
-        # all 100 samples fit in the reservoir: percentiles are exact
-        assert h.percentile(0.50) == pytest.approx(np.percentile(data, 50))
-        assert h.percentile(0.90) == pytest.approx(np.percentile(data, 90))
-
-    def test_reservoir_deterministic_across_instances(self):
-        def fill():
-            h = Histogram("same_name", "", reservoir=16)
-            for v in range(1000):
-                h.observe(float(v))
-            return h.percentile(0.5)
-
-        # seeding by crc32(name) — not the salted hash() — makes the
-        # subsample identical run to run and instance to instance
-        assert fill() == fill()
-
     def test_empty_histogram_is_nan(self):
         h = Histogram("lat", "")
         assert math.isnan(h.percentile(0.5))

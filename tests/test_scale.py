@@ -330,25 +330,19 @@ class TestHistogramObserveMany:
         assert h_a.values[()].counts == h_b.values[()].counts
         assert h_a.percentile(0.9) == pytest.approx(h_b.percentile(0.9))
 
-    def test_reservoir_path_identical(self):
-        reg_a, reg_b = MetricsRegistry(), MetricsRegistry()
-        vals = np.random.default_rng(6).uniform(size=200)
-        h_a = reg_a.histogram("r", buckets=(0.5,), reservoir=32)
-        h_b = reg_b.histogram("r", buckets=(0.5,), reservoir=32)
-        for v in vals:
-            h_a.observe(float(v))
-        h_b.observe_many(vals)
-        assert h_a.values[()].sample == h_b.values[()].sample
-
-    @pytest.mark.parametrize("reservoir", [0, 64])
-    def test_percentile_parity(self, reservoir):
+    @pytest.mark.parametrize("edge_share", [0, 0.5])
+    def test_percentile_parity(self, edge_share):
         # batch and scalar paths must agree at every reported percentile,
-        # on both the fixed-bucket estimator and the deterministic reservoir
+        # also when values sit exactly on bucket bounds (searchsorted's
+        # side="left" must land them where bisect_left does)
+        buckets = (0.05, 0.1, 0.2, 0.5, 1.0)
         reg_a, reg_b = MetricsRegistry(), MetricsRegistry()
-        vals = np.random.default_rng(8).exponential(0.2, size=500)
-        kw = {"reservoir": reservoir} if reservoir else {}
-        h_a = reg_a.histogram("p", buckets=(0.05, 0.1, 0.2, 0.5, 1.0), **kw)
-        h_b = reg_b.histogram("p", buckets=(0.05, 0.1, 0.2, 0.5, 1.0), **kw)
+        rng = np.random.default_rng(8)
+        vals = rng.exponential(0.2, size=500)
+        on_edge = rng.uniform(size=vals.size) < edge_share
+        vals[on_edge] = rng.choice(buckets, size=int(on_edge.sum()))
+        h_a = reg_a.histogram("p", buckets=buckets)
+        h_b = reg_b.histogram("p", buckets=buckets)
         for v in vals:
             h_a.observe(float(v))
         h_b.observe_many(vals)

@@ -12,7 +12,7 @@ from repro.sim.messages import (
     query_message_size,
     result_message_size,
 )
-from repro.sim.network import ConstantLatency, EuclideanLatency, MatrixLatency
+from repro.sim.network import ConstantLatency, CoordinateLatency, MatrixLatency
 from repro.sim.stats import QueryStats, StatsCollector
 
 
@@ -200,7 +200,7 @@ class TestLatencyModels:
 
     def test_euclidean(self):
         coords = np.array([[0.0, 0.0], [3.0, 4.0]])
-        lat = EuclideanLatency(coords, seconds_per_unit=0.01, base=0.001)
+        lat = CoordinateLatency(coords, seconds_per_unit=0.01, floor=0.001)
         assert lat.latency(0, 1) == pytest.approx(0.051)
         assert lat.latency(0, 0) == 0.0
         np.testing.assert_allclose(lat.latency_row(0, np.array([0, 1])), [0.0, 0.051])
