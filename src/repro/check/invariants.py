@@ -181,8 +181,8 @@ class PartitionChecker(_Reporter):
         for sq, tag in ((lo, "low"), (hi, "high")):
             off = np.arange(k) != j
             if not (
-                np.array_equal(sq.rect.lows[off], q.rect.lows[off])
-                and np.array_equal(sq.rect.highs[off], q.rect.highs[off])
+                np.array_equal(np.asarray(sq.rect.lows)[off], np.asarray(q.rect.lows)[off])
+                and np.array_equal(np.asarray(sq.rect.highs)[off], np.asarray(q.rect.highs)[off])
             ):
                 self._fail(
                     "split.off_dims",

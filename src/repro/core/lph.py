@@ -24,22 +24,26 @@ instead of forwarding it (:func:`first_key_meeting`, :func:`next_key_meeting`)
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from repro.core.index_space import IndexSpaceBounds
-from repro.util.bits import bit_at
+
+#: a point's coordinates, or one corner of a box, in Python floats
+Floats = tuple[float, ...]
+#: a box as its ``(lows, highs)`` corners
+Cuboid = tuple[Floats, Floats]
 
 __all__ = [
     "lp_hash",
     "lp_hash_batch",
     "prefix_to_cuboid",
     "key_to_cuboid",
-    "dimension_range",
     "smallest_enclosing_prefix",
+    "sibling_pieces",
     "walk_siblings",
     "first_key_meeting",
     "next_key_meeting",
@@ -177,34 +181,6 @@ def lp_hash_batch(points: np.ndarray, bounds: IndexSpaceBounds, m: int) -> np.nd
     return keys
 
 
-def dimension_range(
-    prefix_key: int,
-    upto: int,
-    dim: int,
-    bounds: IndexSpaceBounds,
-    m: int,
-) -> tuple[float, float]:
-    """Range of dimension ``dim`` of the cuboid spelled by bits ``1..upto``.
-
-    Replays the divisions that hit ``dim`` among the first ``upto`` bits of
-    ``prefix_key`` — the loop at the top of Algorithm 4 (QuerySplit), which
-    reconstructs ``R`` before computing the split midpoint.
-    """
-    k = bounds.k
-    lo = float(bounds.lows[dim])
-    hi = float(bounds.highs[dim])
-    # Divisions on dimension `dim` are i = dim+1, dim+1+k, dim+1+2k, ...
-    i = dim + 1
-    while i <= upto:
-        mid = (lo + hi) / 2.0
-        if bit_at(prefix_key, i, m):
-            lo = mid
-        else:
-            hi = mid
-        i += k
-    return lo, hi
-
-
 def _path_cuboid(key: int, depth: int, bounds: IndexSpaceBounds,
                  m: int) -> tuple[list[float], list[float]]:
     """The cuboid of the first ``depth`` bits of ``key`` in Python floats,
@@ -278,8 +254,8 @@ def smallest_enclosing_prefix(
 
 def _siblings_meeting(
     eff: int, prefix_len: int, lo: list[float], hi: list[float],
-    rl: list[float], rh: list[float], m: int,
-) -> Iterator[tuple[int, list[float], list[float]]]:
+    rl: Sequence[float], rh: Sequence[float], m: int,
+) -> Iterator[tuple[int, Floats, Floats]]:
     """Algorithm 5's descent along the path of ``eff``, the one both walks run.
 
     ``[lo, hi]`` is the cuboid of the first ``prefix_len`` bits of ``eff``
@@ -288,14 +264,15 @@ def _siblings_meeting(
     *sibling* per zero bit ``i`` of ``eff`` below the prefix — the first
     ``i - 1`` bits of ``eff`` followed by a 1, the upper half along dimension
     ``(i - 1) mod k`` of the depth ``i - 1`` path cuboid.  Yields ``(i, lows,
-    highs)``, fresh lists, in ascending ``i`` for every sibling whose closed
+    highs)``, tuples, in ascending ``i`` for every sibling whose closed
     cuboid meets the closed rectangle.  The path cuboid meets the rectangle in
     every dimension or the descent never starts, and a halving can only break
     that in the dimension it halves, so only that one is tested; every deeper
     sibling lies inside the path cuboid, so once that misses the walk is over.
     """
-    if not all(max(a, c) <= min(b, d) for a, b, c, d in zip(lo, hi, rl, rh)):
-        return
+    for a, b, c, d in zip(lo, hi, rl, rh):
+        if not max(a, c) <= min(b, d):
+            return
     k = len(lo)
     for i in range(prefix_len + 1, m + 1):
         j = (i - 1) % k
@@ -308,10 +285,42 @@ def _siblings_meeting(
         if mid <= rh[j]:
             sib_lo = lo.copy()
             sib_lo[j] = mid
-            yield i, sib_lo, hi.copy()
+            yield i, tuple(sib_lo), tuple(hi)
         if rl[j] > mid:
             return
         hi[j] = mid
+
+
+def sibling_pieces(
+    eff: int,
+    prefix_len: int,
+    cuboid: tuple[Sequence[float], Sequence[float]],
+    rect_lows: Sequence[float],
+    rect_highs: Sequence[float],
+    m: int,
+) -> Iterator[tuple[int, int, Floats, Floats, Cuboid]]:
+    """The sibling cuboids SurrogateRefine forwards, in one descent (Algorithm 5).
+
+    ``cuboid`` is the cuboid of the first ``prefix_len`` bits of ``eff`` and
+    the rectangle meets it, all in Python floats.  Yields ``(prefix_key, i,
+    lows, highs, sibling)`` in ascending ``i`` for every sibling of ``eff``
+    below the prefix (:func:`_siblings_meeting`) whose closed cuboid meets
+    the closed rectangle: ``sibling`` is that cuboid and ``lows``/``highs``
+    its intersection with the rectangle, elementwise as ``np.maximum`` /
+    ``np.minimum`` give it (a NaN bound stays NaN; a tie takes the cuboid's
+    float).  The descent halves the given cuboid, so a cuboid built by
+    :func:`prefix_to_cuboid` gives its float sequence bit for bit.
+    """
+    tail = (1 << (m - prefix_len)) - 1
+    if eff & tail == tail:
+        return  # no zero bit below the prefix, so no sibling
+    for i, sib_lo, sib_hi in _siblings_meeting(
+            eff, prefix_len, list(cuboid[0]), list(cuboid[1]), rect_lows, rect_highs, m):
+        bit = 1 << (m - i)
+        yield ((eff & -bit) | bit, i,
+               tuple([c if c >= r else r for r, c in zip(rect_lows, sib_lo)]),
+               tuple([c if c <= r else r for r, c in zip(rect_highs, sib_hi)]),
+               (sib_lo, sib_hi))
 
 
 def walk_siblings(
@@ -322,24 +331,13 @@ def walk_siblings(
     bounds: IndexSpaceBounds,
     m: int,
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """The sibling cuboids SurrogateRefine forwards, in one descent (Algorithm 5).
-
-    Yields ``(prefix_key, i, lows, highs)`` in ascending ``i`` for every
-    sibling of ``eff`` below the prefix (:func:`_siblings_meeting`) whose
-    closed cuboid meets the closed rectangle, ``lows``/``highs`` being that
-    intersection.  The descent starts from :func:`prefix_to_cuboid` and
-    repeats its float sequence, hence identical bounds.
-    """
-    tail = (1 << (m - prefix_len)) - 1
-    if eff & tail == tail:
-        return  # no zero bit below the prefix, so no sibling: build no cuboid
-    lows, highs = prefix_to_cuboid(eff, prefix_len, bounds, m)
-    for i, sib_lo, sib_hi in _siblings_meeting(
-            eff, prefix_len, lows.tolist(), highs.tolist(),
-            rect_lows.tolist(), rect_highs.tolist(), m):
-        bit = 1 << (m - i)
-        yield ((eff & -bit) | bit, i,
-               np.maximum(rect_lows, np.array(sib_lo)), np.minimum(rect_highs, np.array(sib_hi)))
+    """:func:`sibling_pieces` over arrays, from the root: yields ``(prefix_key,
+    i, lows, highs)``, ``lows``/``highs`` being the sibling's intersection with
+    the rectangle as ``np.maximum`` / ``np.minimum`` arrays."""
+    cuboid = _path_cuboid(eff, prefix_len, bounds, m)
+    for key, i, lows, highs, _ in sibling_pieces(
+            eff, prefix_len, cuboid, rect_lows.tolist(), rect_highs.tolist(), m):
+        yield key, i, np.array(lows), np.array(highs)
 
 
 def _first_leaf_meeting(key: int, depth: int, lo: list[float], hi: list[float],
@@ -400,11 +398,11 @@ def next_key_meeting(
     """
     lo, hi = _path_cuboid(eff, prefix_len, bounds, m)
     rl: list[float] = rect_lows.tolist()
-    deepest: tuple[int, list[float], list[float]] | None = None
+    deepest: tuple[int, Floats, Floats] | None = None
     for deepest in _siblings_meeting(eff, prefix_len, lo, hi, rl, rect_highs.tolist(), m):
         pass
     if deepest is None:
         return None
-    i, lo, hi = deepest
+    i, sib_lo, sib_hi = deepest
     bit = 1 << (m - i)
-    return _first_leaf_meeting((eff & -bit) | bit, i, lo, hi, rl, m)
+    return _first_leaf_meeting((eff & -bit) | bit, i, list(sib_lo), list(sib_hi), rl, m)

@@ -99,8 +99,8 @@ class NaiveProtocol(QueryProtocol):
     def _start(self, node: Any, query: RangeQuery) -> None:
         pieces = decompose_to_owner_cuboids(self.index, query.rect)
         for prefix_key, prefix_len, nl, nh in pieces:
-            # nl / nh are np.maximum / np.minimum outputs over float64 bounds
-            sq = query._child(nl.copy(), nh.copy(), prefix_key, prefix_len)
+            # a piece is looked up and solved, never split: no cuboid needed
+            sq = query._child(Rect(nl, nh), prefix_key, prefix_len, None)
             self._route_lookup(node, sq)
 
     def _route_lookup(self, node: Any, sq: RangeQuery) -> None:

@@ -6,10 +6,14 @@ to the index-space boundary.  Each in-flight (sub)query carries a
 ``(prefix_key, prefix_length)`` identifying the smallest hypercuboid that
 completely holds its region; routing progressively extends the prefix.
 
-``query_split(q, p)`` is Algorithm 4: it reconstructs the splitting range of
-dimension ``j = (p-1) mod k`` from the prefix bits, computes the midpoint,
-and either advances the query wholly into one half (extending the prefix by
-one bit) or splits it into two subqueries, one per half.
+``query_split(q, p)`` is Algorithm 4: it takes the splitting range of
+dimension ``j = (p-1) mod k`` and its midpoint, and either advances the query
+wholly into one half (extending the prefix by one bit) or splits it into two
+subqueries, one per half.  The printed algorithm rebuilds that range from the
+prefix bits at every split (its while-loop); here each query carries the
+cuboid of its prefix (:attr:`RangeQuery.cuboid`, Python floats, the float
+sequence of :func:`~repro.core.lph.prefix_to_cuboid`), made once when the
+query is built and halved as the prefix grows, so the loop reads it instead.
 
 Beside it live the other decisions a node takes from local state alone, with
 no simulator, socket or span in sight — each driver moves the messages and
@@ -40,14 +44,16 @@ import numpy as np
 
 from repro.core.index_space import IndexSpaceBounds
 from repro.core.lph import (
-    dimension_range,
+    Cuboid,
+    Floats,
     first_key_meeting,
     next_key_meeting,
+    prefix_to_cuboid,
+    sibling_pieces,
     smallest_enclosing_prefix,
-    walk_siblings,
 )
 from repro.dht.idspace import cw_distance, in_interval_open_closed, rotate
-from repro.util.bits import first_zero_bit, prefix_of, same_prefix, set_bit_at
+from repro.util.bits import first_zero_bit, prefix_of, same_prefix
 
 __all__ = [
     "Rect", "RangeQuery", "QidAllocator", "query_split", "claimed_range",
@@ -91,25 +97,38 @@ class QidAllocator:
 _fallback_qids = QidAllocator()
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class Rect:
-    """An axis-aligned hyper-rectangle in the index space."""
+    """An axis-aligned, closed hyper-rectangle in the index space.
 
-    lows: np.ndarray
-    highs: np.ndarray
+    The bounds are tuples of Python floats.  The constructor coerces and
+    checks them once; they are never changed after, so a subquery shares
+    its parent's tuples (or the whole ``Rect``) wherever they did not change.
+    """
 
-    def __post_init__(self) -> None:
-        self.lows = np.asarray(self.lows, dtype=np.float64)
-        self.highs = np.asarray(self.highs, dtype=np.float64)
-        if self.lows.shape != self.highs.shape or self.lows.ndim != 1:
+    lows: Floats
+    highs: Floats
+
+    def __init__(self, lows: Any, highs: Any) -> None:
+        lo = np.asarray(lows, dtype=np.float64)
+        hi = np.asarray(highs, dtype=np.float64)
+        if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("rect bounds must be 1-D arrays of equal length")
+        self.lows = tuple(lo.tolist())
+        self.highs = tuple(hi.tolist())
+
+    @classmethod
+    def _of(cls, lows: Floats, highs: Floats) -> Rect:
+        """A rectangle over bounds that already are tuples of floats of one
+        length (a parent's, or an intersection with them): not checked again."""
+        rect = cls.__new__(cls)
+        rect.lows = lows
+        rect.highs = highs
+        return rect
 
     @property
     def k(self) -> int:
         return len(self.lows)
-
-    def copy(self) -> Rect:
-        return Rect(self.lows.copy(), self.highs.copy())
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of index points inside the rectangle (inclusive)."""
@@ -118,14 +137,15 @@ class Rect:
 
     def intersects_box(self, lows: np.ndarray, highs: np.ndarray) -> bool:
         """Whether the rectangle overlaps the (closed) box ``[lows, highs]``."""
-        return bool(np.all(self.lows <= highs) & np.all(self.highs >= lows))
+        return bool(np.all(np.less_equal(self.lows, highs))
+                    & np.all(np.greater_equal(self.highs, lows)))
 
     def is_empty(self) -> bool:
         """True when some dimension has negative extent."""
-        return bool(np.any(self.highs < self.lows))
+        return any(hi < lo for lo, hi in zip(self.lows, self.highs))
 
     def volume(self) -> float:
-        return float(np.prod(np.maximum(self.highs - self.lows, 0.0)))
+        return float(np.prod(np.maximum(np.subtract(self.highs, self.lows), 0.0)))
 
 
 @dataclass
@@ -150,6 +170,13 @@ class RangeQuery:
     payload:
         Opaque reference to the original query object (used by index nodes to
         refine candidates with true metric distances).
+    cuboid:
+        The cuboid ``(lows, highs)`` of ``(prefix_key, prefix_len)`` in Python
+        floats, equal to :func:`~repro.core.lph.prefix_to_cuboid`'s: Algorithm
+        4 and 5 halve it instead of replaying the prefix bits.  Every query
+        this module makes carries it; one built directly may leave it
+        ``None``, and the first split or refine fills it in.  It goes with
+        the prefix: change one, change both.
     """
 
     rect: Rect
@@ -160,24 +187,25 @@ class RangeQuery:
     index_name: str = "default"
     payload: Any = None
     radius: float | None = None
+    cuboid: Cuboid | None = None
 
     def copy(self) -> RangeQuery:
-        rect = self.rect
-        return self._child(
-            rect.lows.copy(), rect.highs.copy(), self.prefix_key, self.prefix_len)
+        return self._child(self.rect, self.prefix_key, self.prefix_len, self.cuboid)
 
-    def _child(self, lows: np.ndarray, highs: np.ndarray,
-               prefix_key: int, prefix_len: int) -> RangeQuery:
-        """A subquery of this query over ``[lows, highs]``, which it takes
-        ownership of.  The arrays must already be what :class:`Rect` coerces
-        to (float64, 1-D, equal length — a ``.copy()`` of validated bounds or
-        an elementwise min/max with them) and are not checked again."""
-        rect = Rect.__new__(Rect)
-        rect.lows = lows
-        rect.highs = highs
+    def _child(self, rect: Rect, prefix_key: int, prefix_len: int,
+               cuboid: Cuboid | None) -> RangeQuery:
+        """A subquery of this query over ``rect`` with the given prefix and
+        its cuboid."""
         return RangeQuery(
             rect, prefix_key, prefix_len, self.qid, self.source,
-            self.index_name, self.payload, self.radius)
+            self.index_name, self.payload, self.radius, cuboid)
+
+    def _cuboid(self, bounds: IndexSpaceBounds, m: int) -> Cuboid:
+        """:attr:`cuboid`, computed once for a query built without it."""
+        if self.cuboid is None:
+            lo, hi = prefix_to_cuboid(self.prefix_key, self.prefix_len, bounds, m)
+            self.cuboid = tuple(lo.tolist()), tuple(hi.tolist())
+        return self.cuboid
 
     @classmethod
     def from_point(
@@ -210,7 +238,7 @@ class RangeQuery:
         lows = np.maximum(center - radius, bounds.lows)
         highs = np.minimum(center + radius, bounds.highs)
         key, length = smallest_enclosing_prefix(lows, highs, bounds, m)
-        return cls(
+        q = cls(
             rect=Rect(lows, highs),
             prefix_key=key,
             prefix_len=length,
@@ -220,6 +248,8 @@ class RangeQuery:
             payload=payload,
             radius=float(radius),
         )
+        q._cuboid(bounds, m)
+        return q
 
 
 def query_split(
@@ -231,34 +261,39 @@ def query_split(
     """Algorithm 4 (QuerySplit): advance/split ``q`` at division position ``p``.
 
     ``p`` must be ``q.prefix_len + 1`` — the next division of the recursive
-    partition.  Returns one subquery when the region lies wholly in one half
-    (prefix extended by the matching bit) or two complementary subqueries
-    otherwise.  The returned queries all have ``prefix_len == p``.
+    partition — or ``ValueError``.  Returns one subquery when the region lies
+    wholly in one half (prefix extended by the matching bit) or two
+    complementary subqueries otherwise.  The returned queries all have
+    ``prefix_len == p`` and the cuboid of their prefix.
     """
-    if not 1 <= p <= m:
-        raise ValueError(f"split position {p} out of range 1..{m}")
-    k = bounds.k
-    j = (p - 1) % k
-    # Reconstruct the dim-j extent of the cuboid addressed by the first
-    # p-1 prefix bits (the while-loop of Algorithm 4).
-    lo, hi = dimension_range(q.prefix_key, p - 1, j, bounds, m)
-    mid = (lo + hi) / 2.0
-    lows, highs, key = q.rect.lows, q.rect.highs, q.prefix_key
-    # every subquery owns fresh copies of the bounds: nothing aliases q
+    if not 1 <= p <= m or p != q.prefix_len + 1:
+        raise ValueError(f"split position {p} is not 1..{m} or prefix_len + 1")
+    j = (p - 1) % bounds.k
+    # the dim-j extent of the cuboid of the first p-1 prefix bits is the one
+    # q carries: Algorithm 4's while-loop, run once as the prefix grew
+    cl, ch = q._cuboid(bounds, m)
+    mid = (cl[j] + ch[j]) / 2.0
+    rect, key = q.rect, q.prefix_key
+    lows, highs = rect.lows, rect.highs
     if lows[j] > mid:
-        return [q._child(lows.copy(), highs.copy(), set_bit_at(key, p, m), p)]
+        return [q._child(rect, key | 1 << (m - p), p, (_with(cl, j, mid), ch))]
+    lower = (cl, _with(ch, j, mid))
     if highs[j] < mid:
-        return [q._child(lows.copy(), highs.copy(), key, p)]
+        return [q._child(rect, key, p, lower)]
     # Straddles the midpoint: split into higher (bit 1) and lower (bit 0)
     # halves; Algorithm 4 line 22 assigns mid to both new boundaries.
-    upper_lows = lows.copy()
-    upper_lows[j] = mid
-    lower_highs = highs.copy()
-    lower_highs[j] = mid
     return [
-        q._child(upper_lows, highs.copy(), set_bit_at(key, p, m), p),
-        q._child(lows.copy(), lower_highs, key, p),
+        q._child(Rect._of(_with(lows, j, mid), highs), key | 1 << (m - p), p,
+                 (_with(cl, j, mid), ch)),
+        q._child(Rect._of(lows, _with(highs, j, mid)), key, p, lower),
     ]
+
+
+def _with(t: Floats, j: int, x: float) -> Floats:
+    """``t`` with item ``j`` replaced by ``x``."""
+    out = list(t)
+    out[j] = x
+    return tuple(out)
 
 
 def claimed_range(q: RangeQuery, m: int) -> tuple[int, int]:
@@ -316,8 +351,9 @@ def surrogate_refine(
     ownership interval swallows it), else ``[prefix_key, eff]`` — and then the
     keys in ``(eff, key_hi]`` decompose into the sibling cuboid at each zero
     bit of ``eff``, the prefixes the printed recursion forwards, each
-    intersected with the rectangle (:func:`~repro.core.lph.walk_siblings`;
-    with no zero bit ``eff`` is the cuboid's last key and nothing travels).
+    intersected with the rectangle (:func:`~repro.core.lph.sibling_pieces`,
+    halving ``q``'s cuboid; with no zero bit ``eff`` is the cuboid's last
+    key and nothing travels).
     """
     key_lo, key_hi = claimed_range(q, m)
     if not same_prefix(q.prefix_key, eff, q.prefix_len, m):
@@ -325,10 +361,9 @@ def surrogate_refine(
         return
     yield q, (key_lo, eff)
     rect = q.rect
-    for sib_prefix, depth, lows, highs in walk_siblings(
-            eff, q.prefix_len, rect.lows, rect.highs, bounds, m):
-        # lows/highs are fresh np.maximum / np.minimum outputs
-        yield q._child(lows, highs, sib_prefix, depth), None
+    for sib_prefix, depth, lows, highs, cuboid in sibling_pieces(
+            eff, q.prefix_len, q._cuboid(bounds, m), rect.lows, rect.highs, m):
+        yield q._child(Rect._of(lows, highs), sib_prefix, depth, cuboid), None
 
 
 def surrogate_refine_literal(
@@ -351,9 +386,8 @@ def surrogate_refine_literal(
     if j is None:
         yield q, claimed_range(q, m)  # lines 6-8
         return
-    nq = q.copy()
-    nq.prefix_key = prefix_of(eff, j - 1, m)  # line 10
-    nq.prefix_len = j - 1  # line 11
+    key = prefix_of(eff, j - 1, m)  # line 10
+    nq = q._child(q.rect, key, j - 1, None)  # line 11
     for sq in query_split(nq, j, bounds, m):  # line 12
         if same_prefix(sq.prefix_key, eff, sq.prefix_len, m):
             yield from surrogate_refine_literal(sq, eff, bounds, m)  # line 15

@@ -104,8 +104,8 @@ class SfcIndex:
         exact).  High-dimensional fragmentation is the documented weakness of
         SFC interval routing.
         """
-        lo_cells = quantize(rect.lows[None, :], self.bounds.lows, self.bounds.highs, self.p)[0]
-        hi_cells = quantize(rect.highs[None, :], self.bounds.lows, self.bounds.highs, self.p)[0]
+        lo_cells = quantize(np.array([rect.lows]), self.bounds.lows, self.bounds.highs, self.p)[0]
+        hi_cells = quantize(np.array([rect.highs]), self.bounds.lows, self.bounds.highs, self.p)[0]
         for level in range(self.p, 0, -1):
             try:
                 raw = decompose_rect_to_intervals(

@@ -47,15 +47,6 @@ from repro.sim.transport import DROPPED_DEAD, FaultConfig, MessageAccounting
 
 __all__ = ["RpcError", "RpcTimeout", "TcpTransport"]
 
-#: one clock origin per process so every transport's ``now`` is comparable
-#: (delivery latency = receiver.now - envelope sent_at within one host)
-_PROCESS_T0 = time.monotonic()
-
-
-def _now() -> float:
-    return time.monotonic() - _PROCESS_T0
-
-
 class RpcError(ConnectionError):
     """The peer could not be reached or answered with a malformed frame."""
 
@@ -154,16 +145,18 @@ class _Link(asyncio.Protocol):
             return False
         if t not in ("msg", "req"):
             return True
-        sent_at = env.get("sent_at", 0.0)
-        if not isinstance(sent_at, (int, float)):
-            return False
+        sent_at = env.get("sent_at")
+        if sent_at is not None:
+            if not isinstance(sent_at, (int, float)):
+                return False
+            sent_at = float(sent_at)
         if t == "msg":
-            owner._dispatch_msg(kind, env.get("payload"), src, float(sent_at))
+            owner._dispatch_msg(kind, env.get("payload"), src, sent_at)
             return True
         rid = env.get("rid")
         if not isinstance(rid, int):
             return False
-        owner._serve(kind, env.get("payload"), src, float(sent_at), partial(self._reply, rid))
+        owner._serve(kind, env.get("payload"), src, sent_at, partial(self._reply, rid))
         return True
 
     def _reply(self, rid: int, payload: Any) -> None:
@@ -354,9 +347,10 @@ class TcpTransport(MessageAccounting):
 
     @property
     def now(self) -> float:
-        """Monotonic seconds since process start (comparable across all
-        transports in one process, mirroring the sim's shared clock)."""
-        return _now()
+        """``time.monotonic()``: one clock for every process on the host, so
+        a receiver reads a sender's ``sent_at`` against the same origin
+        (delivery latency = receiver's ``now`` - ``sent_at``)."""
+        return time.monotonic()
 
     def _require_loop(self) -> asyncio.AbstractEventLoop:
         loop = self._loop
@@ -490,14 +484,19 @@ class TcpTransport(MessageAccounting):
 
     # -- receive path -----------------------------------------------------------
 
+    def _latency(self, sent_at: float | None) -> float | None:
+        """One-way latency of an envelope stamped ``sent_at`` on this host;
+        ``None`` (no sample) for an envelope without the stamp."""
+        return None if sent_at is None else max(0.0, self.now - sent_at)
+
     def _dispatch_msg(self, kind: str, payload: Any, src: dict[str, Any],
-                      sent_at: float) -> None:
-        self._account_delivery(kind, max(0.0, self.now - sent_at))
+                      sent_at: float | None) -> None:
+        self._account_delivery(kind, self._latency(sent_at))
         handler = self._handlers.get(kind)
         if handler is not None:
             handler(payload, src)
 
-    def _serve(self, kind: str, payload: Any, src: dict[str, Any], sent_at: float,
+    def _serve(self, kind: str, payload: Any, src: dict[str, Any], sent_at: float | None,
                answer: Callable[[Any], None]) -> None:
         """Count the request as delivered, run the handler of ``kind`` and
         hand its reply to ``answer``: before this returns when the handler
@@ -505,7 +504,7 @@ class TcpTransport(MessageAccounting):
         Keep the task's handle: the loop holds tasks weakly, and an
         unreferenced one can be collected before it answers (its exception
         would surface only at exit)."""
-        self._account_delivery(kind, max(0.0, self.now - sent_at))
+        self._account_delivery(kind, self._latency(sent_at))
         handler = self._rpc_handlers.get(kind)
         if handler is None:
             answer({"__rpc_error__": f"no handler for {kind!r}"})

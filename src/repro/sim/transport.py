@@ -241,11 +241,13 @@ class MessageAccounting:
             self._m_sent.inc((proto,))
             self._m_bytes.add(size, (proto, cls))
 
-    def _account_delivery(self, kind: str, latency: float) -> None:
+    def _account_delivery(self, kind: str, latency: float | None) -> None:
+        """Count one delivery and, unless ``latency`` is ``None``, sample it."""
         self.stats.delivered += 1
         if self._m_delivered is not None:
             self._m_delivered.inc((kind.split(":", 1)[0],))
-            self._m_latency.observe(latency)
+            if latency is not None:
+                self._m_latency.observe(latency)
 
     def _drop(self, kind: str, status: str,
               on_drop: Callable[[str], None] | None) -> None:

@@ -151,11 +151,12 @@ class TestRect:
         r2 = Rect(np.array([1.0, 0.0]), np.array([0.0, 3.0]))
         assert r2.is_empty()
 
-    def test_copy_is_deep(self):
-        r = Rect(np.array([0.0]), np.array([1.0]))
-        c = r.copy()
-        c.lows[0] = 0.5
-        assert r.lows[0] == 0.0
+    def test_bounds_are_immutable_floats(self):
+        r = Rect(np.array([0, 1]), [1.5, np.float32(2.0)])
+        assert r.lows == (0.0, 1.0) and r.highs == (1.5, 2.0)
+        assert all(type(x) is float for x in r.lows + r.highs)
+        with pytest.raises(TypeError):
+            r.lows[0] = 0.5  # type: ignore[index]
 
 
 class TestRangeQueryFromPoint:
@@ -167,8 +168,8 @@ class TestRangeQueryFromPoint:
     def test_initial_prefix_holds_rect(self):
         q = RangeQuery.from_point(np.array([0.3, 0.3]), 0.01, B2, M)
         lo, hi = prefix_to_cuboid(q.prefix_key, q.prefix_len, B2, M)
-        assert np.all(lo <= q.rect.lows + 1e-12)
-        assert np.all(hi >= q.rect.highs - 1e-12)
+        assert np.all(lo <= np.add(q.rect.lows, 1e-12))
+        assert np.all(hi >= np.subtract(q.rect.highs, 1e-12))
 
     def test_qids_unique(self):
         a = RangeQuery.from_point(np.array([0.5, 0.5]), 0.1, B2, M)
@@ -197,7 +198,7 @@ class TestRangeQueryFromPoint:
     def test_zero_and_infinite_radius_legal(self, radius):
         q = RangeQuery.from_point(np.array([0.5, 0.5]), radius, B2, M)
         assert q.radius == radius
-        assert (q.rect.lows <= q.rect.highs).all()
+        assert np.all(np.less_equal(q.rect.lows, q.rect.highs))
 
 
 class TestQuerySplit:

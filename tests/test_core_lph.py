@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core import lph
 from repro.core.index_space import IndexSpaceBounds
 from repro.core.lph import (
-    dimension_range,
     first_key_meeting,
     key_to_cuboid,
     lp_hash,
@@ -204,16 +203,6 @@ class TestInverseGeometry:
         for child in (key, key | (1 << (m - 4))):
             lo2, hi2 = prefix_to_cuboid(child, 4, B2, m)
             assert np.all(lo2 >= lo1 - 1e-12) and np.all(hi2 <= hi1 + 1e-12)
-
-    def test_dimension_range_matches_cuboid(self):
-        m = 12
-        key = 0b101101000000
-        for upto in range(0, 7):
-            lo, hi = prefix_to_cuboid(key, upto, B2, m)
-            for dim in range(2):
-                dlo, dhi = dimension_range(key, upto, dim, B2, m)
-                assert dlo == pytest.approx(lo[dim])
-                assert dhi == pytest.approx(hi[dim])
 
 
 class TestSmallestEnclosingPrefix:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import repro.core.lph as lph
+import repro.core.query as query_mod
 from repro.check.invariants import PartitionChecker
 from repro.core.platform import IndexPlatform
 from repro.core.routing import QueryProtocol
@@ -214,7 +215,9 @@ class TestRefineWorkBound:
 
     def test_at_most_one_cuboid_replay_per_refine(self, wide, monkeypatch):
         """A regression to one prefix_to_cuboid replay per sibling (O(m^2)
-        halvings per refine) fails here without a timer."""
+        halvings per refine) fails here without a timer.  The cuboid is
+        built once per query, by ``from_point``, and carried from there: a
+        refine replays none."""
         platform, data = wide
         replays, per_refine = [], []
         real_replay, real_refine = lph.prefix_to_cuboid, QueryProtocol._surrogate_refine_fixed
@@ -229,10 +232,12 @@ class TestRefineWorkBound:
             per_refine.append(len(replays) - before)
 
         monkeypatch.setattr(lph, "prefix_to_cuboid", counting_replay)
+        monkeypatch.setattr(query_mod, "prefix_to_cuboid", counting_replay)
         monkeypatch.setattr(QueryProtocol, "_surrogate_refine_fixed", counting_refine)
         stats = self._run(platform, data)
         assert len(per_refine) > 20
-        assert max(per_refine) == 1  # the patch is seen, and seen once
+        assert len(replays) == len(self.QUERIES)  # the patch is seen, once a query
+        assert max(per_refine) == 0
         for qid, qi in enumerate(self.QUERIES):
             got = sorted(e.object_id for e in stats.for_query(qid).entries)
             assert got == sorted(exact_range(data, METRIC, data[qi], 60.0).tolist())

@@ -28,7 +28,7 @@ from repro.util.arrays import decode_array
 FIXTURE = Path(__file__).parent / "fixtures" / "storage_pr14"
 B = storage._BLOCK_ROWS
 #: window sizes on both sides of everything the kernel branches on
-SIZES = [0, 1, 2, B - 1, B, B + 1, 2 * B + 3, 1000]
+SIZES = [0, 1, 2, 3, B - 1, B, B + 1, 2 * B + 3, 1000]
 
 
 def reference_positions(keys, points, lows, highs, key_lo=None, key_hi=None):
@@ -41,12 +41,17 @@ def reference_positions(keys, points, lows, highs, key_lo=None, key_hi=None):
     return np.flatnonzero(mask)
 
 
-def entries(seed: int, n: int, k: int, grid: int = 6, key_span: int = 40):
+def entries(seed: int, n: int, k: int, grid: int = 6, key_span: int = 40,
+            poison: bool = False):
     """``n`` entries on a small grid: coordinates and keys repeat, so drawn
-    rectangle edges and key bounds coincide with stored values."""
+    rectangle edges and key bounds coincide with stored values.  ``poison``
+    turns about one coordinate in ten into NaN, +inf or -inf."""
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, key_span, size=n, dtype=np.uint64)
     points = rng.integers(0, grid, size=(n, k)).astype(np.float64)
+    if poison:
+        bad = rng.random((n, k)) < 0.1
+        points[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
     ids = rng.permutation(n).astype(np.int64)
     return keys, points, ids
 
@@ -65,13 +70,22 @@ def cases(draw):
     k = draw(st.integers(1, 12))
     n = draw(st.sampled_from(SIZES))
     seed = draw(st.integers(0, 2**16))
-    keys, points, ids = entries(seed, n, k)
+    # narrow: distinct keys and a key range holding a window of 0-3 rows
+    narrow = n > 0 and draw(st.booleans())
+    keys, points, ids = entries(seed, n, k, key_span=1 << 40 if narrow else 40,
+                                poison=draw(st.booleans()))
     cuts = draw(st.lists(st.integers(0, n), max_size=3))
     # bounds on and between grid values; lows > highs (inverted) is allowed
     bound = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.5, 5.0, 6.0])
     lows = np.array(draw(st.lists(bound, min_size=k, max_size=k)))
     wide = draw(st.booleans())  # most drawn rectangles are empty in 12 dimensions
     highs = np.full(k, 5.0) if wide else np.array(draw(st.lists(bound, min_size=k, max_size=k)))
+    if narrow:
+        srt = np.sort(keys).tolist()
+        rows = draw(st.integers(0, min(3, n)))
+        at = draw(st.integers(0, n - rows))
+        key_lo = srt[at] if rows else srt[min(at, n - 1)] + 1
+        return keys, points, ids, cuts, lows, highs, key_lo, srt[at + rows - 1] if rows else key_lo
     key = st.none() | st.integers(0, 45)
     return keys, points, ids, cuts, lows, highs, draw(key), draw(key)
 
@@ -199,7 +213,10 @@ def batches(draw):
     n = draw(st.sampled_from([0, 1, 2, 40, 300]))
     n_slots = draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2**16))
-    keys, points, ids = entries(seed, n, k)
+    # narrow: distinct keys and a key range holding a window of 0-3 rows
+    narrow = n > 0 and draw(st.booleans())
+    keys, points, ids = entries(seed, n, k, key_span=1 << 40 if narrow else 40,
+                                poison=draw(st.booleans()))
     # owners drawn from a subset, so slots outside it stay empty
     used = draw(st.lists(st.integers(0, n_slots - 1), min_size=1, max_size=n_slots))
     owners = np.random.default_rng(seed + 1).choice(used, size=n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import time
 from typing import Any
 
 import pytest
@@ -122,6 +123,47 @@ def test_a_served_request_counts_as_one_delivery_at_the_server():
         assert (a.stats.delivered, b.stats.delivered) == (1, 5)
         await a.close()
         await b.close()
+
+    asyncio.run(scenario())
+
+
+async def _serve_raw_request(extra: dict[str, Any]) -> tuple[TcpTransport, MetricsRegistry]:
+    """One raw ``req`` frame carrying ``extra`` to a listening transport,
+    answered; returns the transport (closed) and its registry."""
+    reg = MetricsRegistry()
+    t = TcpTransport(node_id=1, metrics=reg)
+    t.register_rpc("echo", lambda payload, src: payload)
+    host, _, port = (await t.start()).rpartition(":")
+    reader, writer = await asyncio.open_connection(host, int(port))
+    writer.write(json_frame({"v": WIRE_VERSION, "t": "req", "kind": "echo", "rid": 1,
+                             "payload": "x", **extra}))
+    assert [r["payload"] for r in await read_replies(reader, FrameDecoder(), 1)] == ["x"]
+    writer.close()
+    await writer.wait_closed()
+    await t.close()
+    return t, reg
+
+
+@pytest.mark.timeout(30)
+def test_delivery_latency_reads_the_senders_stamp_on_the_hosts_clock():
+    """``sent_at`` is ``time.monotonic()`` of the sending process, whichever
+    it is: a request stamped 0.25 s ago records at least 0.25 s."""
+    async def scenario() -> None:
+        t, reg = await _serve_raw_request({"sent_at": time.monotonic() - 0.25})
+        hist = reg.get("transport_delivery_latency_seconds")
+        assert t.stats.delivered == 1 and hist.count() == 1
+        assert 0.25 <= hist.sum() < 10.0
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.timeout(30)
+def test_a_request_without_sent_at_is_delivered_with_no_latency_sample():
+    async def scenario() -> None:
+        t, reg = await _serve_raw_request({})
+        assert t.stats.delivered == 1
+        assert reg.get("transport_delivered_total").value(("echo",)) == 1
+        assert reg.get("transport_delivery_latency_seconds").count() == 0
 
     asyncio.run(scenario())
 

@@ -17,6 +17,9 @@ Readings, calls ÷ (query + result messages), on the workload below:
   branch's bound ``deliver`` / ``drop``; no ``_recv``, message tuple,
   ``partial`` or ``stats.for_query`` per send; ``engine.arm`` transmits and
   ``Transport.send`` bills inline): 35.60 (38,414 / 1,079)
+* a subquery carries its cuboid and float-tuple bounds (no prefix replay,
+  no ``prefix_to_cuboid`` or NumPy wrapper per sibling walk, the index
+  node's filter on direct ndarray methods): 32.19 (34,729 / 1,079)
 """
 
 import sys
@@ -32,7 +35,7 @@ from repro.metric.vector import EuclideanMetric
 from repro.sim.king import king_latency_model
 
 #: the measured reading + 10 %
-CALLS_PER_MESSAGE_BUDGET = 39.2
+CALLS_PER_MESSAGE_BUDGET = 35.4
 
 
 def _platform():

@@ -157,34 +157,34 @@ def test_a_branch_of_a_terminal_query_goes_out_untracked_and_is_billed():
     assert (qs.query_messages, qs.query_bytes) == (msgs + 1, nbytes + 49)
 
 
-def _shares(a, b):
-    return (np.shares_memory(a.rect.lows, b.rect.lows)
-            or np.shares_memory(a.rect.highs, b.rect.highs)
-            or np.shares_memory(a.rect.lows, b.rect.highs)
-            or np.shares_memory(a.rect.highs, b.rect.lows))
+def _float_bounds(q, k):
+    return all(len(b) == k and type(b) is tuple and all(type(x) is float for x in b)
+               for b in (q.rect.lows, q.rect.highs, *q.cuboid))
 
 
-def test_subqueries_share_no_memory_with_their_parent():
+def test_subqueries_carry_immutable_float_bounds():
     p, data = _platform()
     index = p.indexes["t"]
+    k = index.bounds.k
     # query_split: one child (region in one half) and two (straddling)
     seen = set()
     for q in index.make_queries(data[:40], np.full(40, 8.0), qids=range(40)):
         while q.prefix_len < index.m and len(seen) < 2:
             subs = query_split(q, q.prefix_len + 1, index.bounds, index.m)
             seen.add(len(subs))
-            for sq in subs:
-                assert not _shares(q, sq)
-                assert sq.rect.lows.dtype == sq.rect.highs.dtype == np.float64
-            if len(subs) == 2:
-                assert not _shares(subs[0], subs[1])
+            assert all(_float_bounds(sq, k) for sq in subs)
+            if len(subs) == 1:
+                assert subs[0].rect is q.rect  # nothing changed: shared
+            else:  # the side that did not move is shared
+                assert subs[0].rect.highs is q.rect.highs
+                assert subs[1].rect.lows is q.rect.lows
             q = subs[-1]
     assert seen == {1, 2}
     # the sibling walk's children, as SurrogateRefine hands them on
     proto, _ = _run(p, data, None)
     assert proto.refine_children
     for parent, child in proto.refine_children:
-        assert child is not parent and not _shares(parent, child)
+        assert child is not parent and _float_bounds(child, k)
         assert child.qid == parent.qid and child.source is parent.source
 
 
@@ -194,7 +194,8 @@ def test_the_public_constructors_still_validate():
     with pytest.raises(ValueError):
         Rect([[1.0, 2.0]], [[3.0, 4.0]])
     r = Rect([1, 2], [3, 4])  # and still coerce
-    assert r.lows.dtype == np.float64 and r.highs.dtype == np.float64
+    assert r.lows == (1.0, 2.0) and r.highs == (3.0, 4.0)
+    assert all(type(x) is float for x in r.lows + r.highs)
     q = RangeQuery(r, 0, 0, qid=7)
     c = q.copy()
-    assert c.rect.lows is not r.lows and not _shares(q, c)
+    assert c is not q and c == q
