@@ -36,7 +36,6 @@ from repro.core.lph import (
     lp_hash_batch,
     prefix_to_cuboid,
     smallest_enclosing_prefix,
-    walk_siblings,
 )
 from repro.core.knn import KnnResult, knn_search
 from repro.core.lifecycle import (
@@ -66,7 +65,6 @@ __all__ = [
     "key_to_cuboid",
     "prefix_to_cuboid",
     "smallest_enclosing_prefix",
-    "walk_siblings",
     "RangeQuery",
     "Rect",
     "QidAllocator",

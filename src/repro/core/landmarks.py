@@ -261,6 +261,22 @@ def kmeans_selection(
     return LandmarkSet(landmarks=centers, metric=metric, scheme="kmeans")
 
 
+#: largest sample whose whole distance matrix k-medoids computes up front
+_FULL_MATRIX_MAX = 3000
+
+
+def _self_distances(metric: Metric, objs: Any) -> np.ndarray:
+    """``metric.many_to_many(objs, objs)`` at half the distance calls: a
+    metric is symmetric with ``d(x, x) = 0``, so each unordered pair is
+    computed once (column ``j`` above the diagonal, as ``many_to_many``
+    computes it) and mirrored."""
+    n = objs.shape[0] if hasattr(objs, "shape") else len(objs)
+    upper = np.zeros((n, n))
+    for j in range(1, n):
+        upper[:j, j] = metric.one_to_many(_take(objs, j), objs[:j])
+    return upper + upper.T
+
+
 def kmedoids_selection(
     sample: Any,
     metric: Metric,
@@ -280,8 +296,8 @@ def kmedoids_selection(
         raise ValueError(f"cannot select {k} medoids from a sample of {n}")
     medoid_idx = list(rng.choice(n, size=k, replace=False))
     D = None
-    if n <= 3000:  # precompute full matrix when affordable
-        D = metric.many_to_many(sample, sample)
+    if n <= _FULL_MATRIX_MAX:
+        D = _self_distances(metric, sample)
     for _ in range(iters):
         if D is not None:
             dist_to_medoids = D[:, medoid_idx]
@@ -299,7 +315,7 @@ def kmedoids_selection(
             if D is not None:
                 sub = D[np.ix_(members, members)]
             else:
-                sub = metric.many_to_many(_take(sample, members), _take(sample, members))
+                sub = _self_distances(metric, _take(sample, members))
             new_medoids.append(int(members[np.argmin(sub.sum(axis=1))]))
         if new_medoids == medoid_idx:
             break

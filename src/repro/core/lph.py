@@ -16,7 +16,7 @@ queries exploit.
 This module also provides the inverse geometry (key/prefix → cuboid), the
 *smallest enclosing prefix* of a query rectangle, used to initialise the
 ``(prefix_key, prefix_length)`` of a range query (§3.3, figure 1a), the
-sibling decomposition SurrogateRefine forwards (:func:`walk_siblings`), and
+sibling decomposition SurrogateRefine forwards (:func:`sibling_pieces`), and
 the two steps of a coordinator that walks the owners of a cuboid in key order
 instead of forwarding it (:func:`first_key_meeting`, :func:`next_key_meeting`)
 — two consumers of one descent along the path of a key.
@@ -44,7 +44,6 @@ __all__ = [
     "key_to_cuboid",
     "smallest_enclosing_prefix",
     "sibling_pieces",
-    "walk_siblings",
     "first_key_meeting",
     "next_key_meeting",
 ]
@@ -323,23 +322,6 @@ def sibling_pieces(
                (sib_lo, sib_hi))
 
 
-def walk_siblings(
-    eff: int,
-    prefix_len: int,
-    rect_lows: np.ndarray,
-    rect_highs: np.ndarray,
-    bounds: IndexSpaceBounds,
-    m: int,
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """:func:`sibling_pieces` over arrays, from the root: yields ``(prefix_key,
-    i, lows, highs)``, ``lows``/``highs`` being the sibling's intersection with
-    the rectangle as ``np.maximum`` / ``np.minimum`` arrays."""
-    cuboid = _path_cuboid(eff, prefix_len, bounds, m)
-    for key, i, lows, highs, _ in sibling_pieces(
-            eff, prefix_len, cuboid, rect_lows.tolist(), rect_highs.tolist(), m):
-        yield key, i, np.array(lows), np.array(highs)
-
-
 def _first_leaf_meeting(key: int, depth: int, lo: list[float], hi: list[float],
                         rl: list[float], m: int) -> int:
     """Descend from the cuboid ``(key, depth) = [lo, hi]``, which meets the
@@ -371,7 +353,7 @@ def first_key_meeting(
     the rectangle iff the rectangle's low end is ``<= mid``, and when it does
     not the upper half must.  So the descent takes the lower half whenever it
     may and reads only the rectangle's low corner.  Same closed test and float
-    midpoint sequence as :func:`walk_siblings`: against the hash's strict
+    midpoint sequence as :func:`sibling_pieces`: against the hash's strict
     ``>`` tie rule the leaf may hold no point of the rectangle, but no key
     below it can.
     """
@@ -391,7 +373,7 @@ def next_key_meeting(
 
     Searched inside the cuboid spelled by the first ``prefix_len`` bits of
     ``eff``.  The keys above ``eff`` in it are the siblings of
-    :func:`walk_siblings`, and a deeper sibling holds smaller keys than a
+    :func:`sibling_pieces`, and a deeper sibling holds smaller keys than a
     shallower one: the answer is the first such key of the deepest sibling
     that walk would yield — the last yield of the one descent both run
     (:func:`_siblings_meeting`), entered here from a float cuboid.

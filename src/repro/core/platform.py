@@ -360,15 +360,10 @@ class IndexPlatform:
         The overlay; build one with :meth:`ChordRing.build`.
     latency:
         Latency model shared with the ring (may be None for structural runs).
-    sim:
-        Discrete-event simulator (created on demand).
     faults:
         Optional :class:`repro.sim.transport.FaultConfig` — message loss,
         delay jitter and partitions applied to every protocol on the
         platform's shared transport.
-    transport:
-        Pass an existing :class:`repro.sim.transport.Transport` to share it
-        (mutually exclusive with faults, which configures a new one).
     obs:
         Optional :class:`repro.obs.Observability`.  Its metrics registry is
         attached to the transport and threaded into every protocol and
@@ -382,29 +377,17 @@ class IndexPlatform:
         self,
         ring: ChordRing,
         latency: Any = None,
-        sim: Simulator | None = None,
         faults: FaultConfig | None = None,
-        transport: Transport | None = None,
         obs: Any = None,
     ) -> None:
         self.ring = ring
         self.latency = latency if latency is not None else ring.latency
         self.obs = obs
-        registry = obs.registry if obs is not None else None
-        if transport is not None:
-            if faults is not None:
-                raise ValueError("pass either transport= or faults=, not both")
-            self.transport = transport
-            self.sim = transport.sim
-            if transport.latency is not None:
-                self.latency = transport.latency
-            if registry is not None:
-                transport.attach_metrics(registry)
-        else:
-            self.sim = sim or Simulator()
-            self.transport = Transport(
-                sim=self.sim, latency=self.latency, faults=faults, metrics=registry,
-            )
+        self.sim = Simulator()
+        self.transport = Transport(
+            sim=self.sim, latency=self.latency, faults=faults,
+            metrics=obs.registry if obs is not None else None,
+        )
         if obs is not None:
             obs.bind(self.sim)
         self.indexes: dict[str, LandmarkIndex] = {}

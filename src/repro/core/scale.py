@@ -155,7 +155,6 @@ class ScaleSimulation:
         latency: LatencyModel | None = None,
         registry: MetricsRegistry | None = None,
         recorder: SpanRecorder | None = None,
-        flight: FlightRecorder | None = None,
         health_jsonl: Any = None,
     ) -> None:
         self.cfg = cfg
@@ -222,7 +221,7 @@ class ScaleSimulation:
         self.recorder = recorder
         if recorder is not None:
             recorder.bind(self.sim)
-        self.flight = flight if flight is not None else FlightRecorder(
+        self.flight = FlightRecorder(
             clock=lambda: self.sim.now,
             context={"scenario": "scale", "config": asdict(cfg)},
         )

@@ -87,7 +87,6 @@ class StabilizationProtocol(Protocol):
         config: MaintenanceConfig | None = None,
         seed: int | np.random.Generator | None = 0,
         transport: Any = None,
-        obs: Any = None,
     ) -> None:
         super().__init__(
             sim=sim,
@@ -97,18 +96,6 @@ class StabilizationProtocol(Protocol):
         self.ring = ring
         self.config = config if config is not None else MaintenanceConfig()
         self.rng = as_rng(seed)
-        registry = obs.registry if obs is not None else None
-        if registry is not None and registry.enabled:
-            self._m_control = registry.counter(
-                "maintenance_control_total", "Maintenance control messages",
-                ("piggyback",))
-            self._m_saved = registry.counter(
-                "maintenance_bytes_saved_total",
-                "Bytes saved by piggybacking on query traffic")
-            self._m_churn = registry.counter(
-                "maintenance_churn_total", "Membership events", ("event",))
-        else:
-            self._m_control = self._m_saved = self._m_churn = None
         self._running = False
         #: next finger level to fix, per node
         self._finger_cursor: dict[ChordNode, int] = {}
@@ -139,19 +126,13 @@ class StabilizationProtocol(Protocol):
             return True
         self.stats.messages += 1
         size = CONTROL_MESSAGE_BYTES
-        piggybacked = False
         if self.config.piggyback:
             last = self._link_query_time.get((src.host, dst.host))
             if last is not None and self.sim.now - last <= self.config.piggyback_window:
-                piggybacked = True
                 self.stats.piggybacked += 1
                 self.stats.bytes_saved += CONTROL_MESSAGE_BYTES - PIGGYBACK_PAYLOAD_BYTES
                 size = PIGGYBACK_PAYLOAD_BYTES
         self.stats.bytes += size
-        if self._m_control is not None:
-            self._m_control.inc(("yes" if piggybacked else "no",))
-            if piggybacked:
-                self._m_saved.add(CONTROL_MESSAGE_BYTES - PIGGYBACK_PAYLOAD_BYTES)
         return self.transport.control(src, dst, kind="maintenance", size=size)
 
     # -- moving the step's messages ------------------------------------------------
@@ -272,8 +253,6 @@ class StabilizationProtocol(Protocol):
         self._run(node, ChordState.join)
         self._run(node, ChordState.round)
         self.stats.joins += 1
-        if self._m_churn is not None:
-            self._m_churn.inc(("join",))
         if self._running:
             self._schedule_node(node)
         return node
@@ -291,8 +270,6 @@ class StabilizationProtocol(Protocol):
             self.stats.leaves += 1
         else:
             self.stats.crashes += 1
-        if self._m_churn is not None:
-            self._m_churn.inc(("leave" if graceful else "crash",))
         node.alive = False
         self.ring.remove_node(node, rebuild=False)
 

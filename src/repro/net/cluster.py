@@ -98,12 +98,13 @@ class ClusterClient:
         """Distributed range query, walked by this client: the object ids
         of the entries inside the rectangle, sorted, unique, ``int64``.
 
-        :meth:`RingWalker.range_query` runs here, with no links of its own:
-        an owner is found through the view of the arcs earlier owners
-        proved, else by a lookup that starts at the node at ``addr``.  So a
-        warm client sends one ``range_solve`` per owner and nothing else.  A
-        rectangle that is not two vectors of ``k`` floats, and every reply
-        that breaks the ownership contract, raise :class:`RpcError`.
+        :meth:`RingWalker.range_query` runs here, as on a node: an owner is
+        found through the previous owner's successors or the view of the
+        arcs earlier owners proved, else by a lookup that starts at the node
+        at ``addr``.  So a warm client sends one ``range_solve`` per owner
+        and nothing else.  A rectangle that is not two vectors of ``k``
+        floats, and every reply that breaks the ownership contract, raise
+        :class:`RpcError`.
         """
         walker = self.walker or await self._learn_index(addr)
         return await walker.range_query(lows, highs, via=addr)

@@ -24,8 +24,8 @@ test or :class:`~repro.net.cluster.LocalCluster`, or as an OS process via
   splices the node in, so sequential joins leave a consistent ring.
 
 A range query is SurrogateRefine driven from the querying peer
-(:class:`RingWalker`, run by :meth:`NodeProcess.range_query` and by
-:meth:`repro.net.cluster.ClusterClient.query`): it walks only the owners whose
+(:class:`RingWalker`, run the same way by :meth:`NodeProcess.range_query` and
+by :meth:`repro.net.cluster.ClusterClient.query`): it walks only the owners whose
 cuboids meet the rectangle, each of which proves its ownership before it
 answers.  What the owners prove, the peer remembers in a bounded *ring view*
 of hints (:class:`_RingView`), so a warm walk needs no lookup and asks every
@@ -298,19 +298,16 @@ class _RingView:
 class RingWalker:
     """The querying peer's side of Chord's lookup (the maintenance step's,
     driven over RPC) and of the owner walk: what a :class:`NodeProcess` and a
-    :class:`~repro.net.cluster.ClusterClient` both run.  It sends the RPCs,
-    holds every reply to the contract before acting on it, and keeps the arcs
-    owners prove in :attr:`view`.  A node also passes ``links`` (chains of
-    ring entries, each followed by its successor as some node last saw it:
-    its neighbourhood and fingers), ``local_step`` (a lookup's first step from
-    its own table; without one, that step is an RPC at ``via``) and ``drop``
-    (what a peer that timed out is forgotten from; by default the view).
+    :class:`~repro.net.cluster.ClusterClient` both run, the same way — a
+    lookup's first step is an RPC at the node ``via`` names, even when that
+    is the node walking.  It sends the RPCs, holds every reply to the
+    contract before acting on it, and keeps the arcs owners prove in
+    :attr:`view`.  A node also passes ``drop`` (what a peer that timed out is
+    forgotten from; by default the view).
     """
 
     def __init__(self, transport: TcpTransport, m: int, bounds: IndexSpaceBounds,
-                 rotation: int, links: Callable[[], list[list[dict[str, Any]]]] = list,
-                 local_step: Callable[[int], dict[str, Any]] | None = None,
-                 drop: Callable[[dict[str, Any]], None] | None = None) -> None:
+                 rotation: int, drop: Callable[[dict[str, Any]], None] | None = None) -> None:
         self.transport = transport
         self.m = m
         self.bounds = bounds
@@ -318,8 +315,6 @@ class RingWalker:
         #: the arcs owners proved to this peer, and what a node's ring
         #: snapshot found (hints only)
         self.view = _RingView(m)
-        self._links = links
-        self._local_step = local_step
         self._drop = drop or (lambda entry: self.view.forget(entry["addr"]))
 
     def heard_status(self, status: Any) -> None:
@@ -334,20 +329,14 @@ class RingWalker:
         if is_ring_entry(node, self.m) and is_ring_entry(pred, self.m):
             self.view.fill([pred, node])
 
-    async def find_successor(self, target: int, via: str | None = None) -> dict[str, Any]:
+    async def find_successor(self, target: int, via: str) -> dict[str, Any]:
         """Owner of ring position ``target`` (:func:`~repro.dht.maintenance.lookup`):
-        each hop a leaf ``lookup_step`` RPC, the first one at ``via`` (the
-        node a client was handed) or, without it, this node's own step."""
-        if via is None:
-            assert self._local_step is not None, "a peer without local state names a node"
-            step = self._local_step(target)
-        else:
-            step = {"next": [{"addr": via}]}
+        each hop a leaf ``lookup_step`` RPC, the first one at ``via``."""
         owner: dict[str, Any] = await _drive(
-            self.transport, lookup(self.m, target, step, self._drop))
+            self.transport, lookup(self.m, target, {"next": [{"addr": via}]}, self._drop))
         return owner
 
-    async def range_query(self, lows: Any, highs: Any, via: str | None = None) -> np.ndarray:
+    async def range_query(self, lows: Any, highs: Any, via: str) -> np.ndarray:
         """Distributed range query: object ids of entries inside the rect.
 
         SurrogateRefine ("fixed" mode) run by the querying peer.  Which key
@@ -375,8 +364,7 @@ class RingWalker:
         lows, highs = rectangle(np.asarray(lows), np.asarray(highs), self.bounds.k)
         walk = OwnerWalk(lows, highs, self.bounds, self.rotation, self.m)
         rect = {"lows": lows.tolist(), "highs": highs.tolist()}
-        known = self._links()
-        links = known
+        chain: list[dict[str, Any]] = []
         collected: list[np.ndarray] = []
         try:
             while walk.key_lo is not None:
@@ -384,7 +372,7 @@ class RingWalker:
                 said = {"tiled": True} if tiled else {}
                 plan = walk.plan(self.view.arc)
                 solves = [asyncio.create_task(self._solve_at_owner(
-                    ring_key, links, {**rect, "key_lo": key_lo, "key_hi": key_hi, **said}, via))
+                    ring_key, chain, {**rect, "key_lo": key_lo, "key_hi": key_hi, **said}, via))
                     for key_lo, key_hi, ring_key in plan]
                 try:
                     for (key_lo, _, _), solve in zip(plan, solves):
@@ -392,7 +380,6 @@ class RingWalker:
                             break  # the view was stale: plan again from here
                         ids, chain = self._read_solve(walk, tiled, *await solve)
                         collected.append(ids)
-                        links = known if chain is None else [chain, *known]
                 finally:
                     await _settle(solves)
         except ProtocolError as exc:  # a malformed ring entry in a reply
@@ -402,10 +389,10 @@ class RingWalker:
         return np.unique(np.concatenate(collected)).astype(np.int64)
 
     def _read_solve(self, walk: OwnerWalk, tiled: bool, entry: dict[str, Any],
-                    reply: dict[str, Any]) -> tuple[np.ndarray, list[dict[str, Any]] | None]:
+                    reply: dict[str, Any]) -> tuple[np.ndarray, list[dict[str, Any]]]:
         """The ids of the ``range_solve`` ``entry`` answered for the walk's
-        current key, and the chain of the owner and its successors (``None``
-        if the request said ``tiled`` and the reply has none); the walk has
+        current key, and the chain of the owner and its successors (empty if
+        the request said ``tiled`` and the reply has none); the walk has
         advanced over the arc the owner proved, and the view learned it."""
         ids = reply["ids"]
         if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind == "i"):
@@ -419,25 +406,25 @@ class RingWalker:
             raise RpcError(f"range_solve for key {walk.key_lo}: bad arc: {exc}") from exc
         # the owner and its successors, unless the request said tiled and the
         # owner left them out (an owner that predates the field sends them)
-        chain = None if tiled and "successors" not in reply else [
+        chain = [] if tiled and "successors" not in reply else [
             {"id": owner_id}, *ring_entries(reply.get("successors"), self.m)]
         self.view.prove(pred_id, {**entry, "id": owner_id})
-        if chain is not None:
-            self.view.fill(chain)
+        self.view.fill(chain)
         return ids, chain
 
-    async def _solve_at_owner(self, rot: int, links: list[list[dict[str, Any]]],
-                              payload: dict[str, Any], via: str | None
+    async def _solve_at_owner(self, rot: int, chain: list[dict[str, Any]],
+                              payload: dict[str, Any], via: str
                               ) -> tuple[dict[str, Any], dict[str, Any]]:
         """``range_solve`` at the owner of ring position ``rot``: the entry
         that answered, and its reply.
 
-        A link ``(a, b]`` holding ``rot`` names ``b``; when none does, the
-        ring view may name an owner.  Either is a hint — the node asked
-        decides by its own predecessor — so a hint that times out is dropped
-        and the ring asked instead (:meth:`find_successor`).
+        A link ``(a, b]`` of ``chain`` (the previous owner and its
+        successors) holding ``rot`` names ``b``; when none does, the ring
+        view may name an owner.  Either is a hint — the node asked decides by
+        its own predecessor — so a hint that times out is dropped and the
+        ring asked instead (:meth:`find_successor`).
         """
-        hint = next((b for chain in links for a, b in zip(chain, chain[1:])
+        hint = next((b for a, b in zip(chain, chain[1:])
                      if in_interval_open_closed(rot, int(a["id"]), int(b["id"]), self.m)),
                     None) or self.view.owner(rot)
         if hint is not None:
@@ -513,8 +500,7 @@ class NodeProcess(ChordState):
         )
         self.shard = PersistentShard(config.data_dir, config.k, fsync=config.fsync)
         self.walker = RingWalker(
-            self.transport, self.m, self.bounds, self.rotation,
-            links=self._known_links, local_step=self.lookup_step, drop=self.drop)
+            self.transport, self.m, self.bounds, self.rotation, drop=self.drop)
         self._stabilize_task: asyncio.Task[None] | None = None
         self._running = False
 
@@ -674,17 +660,8 @@ class NodeProcess(ChordState):
 
     async def range_query(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """The owner walk (:meth:`RingWalker.range_query`) with this node as
-        the querying peer: its links and first lookup step are local."""
-        return await self.walker.range_query(lows, highs)
-
-    def _known_links(self) -> list[list[dict[str, Any]]]:
-        """What this node knows of who follows whom: its own neighbourhood,
-        and per finger the node that follows the finger's start."""
-        near = [self.entry(), *self.successors]
-        if self.predecessor is not None:
-            near.insert(0, self.predecessor)
-        return [near, *(
-            [{"id": self.id + (1 << i) - 1}, e] for i, e in self.fingers.items())]
+        the querying peer, walked as a client walks it from this node."""
+        return await self.walker.range_query(lows, highs, via=self.addr)
 
     # -- RPC surface ------------------------------------------------------------
     # ``route_insert`` awaits other nodes and gets a task per request; the

@@ -188,17 +188,10 @@ class MessageAccounting:
         for gi, group in enumerate(self.faults.partitions):
             for host in group:
                 self._partition_of[host] = gi
-        self.attach_metrics(metrics)
-
-    def attach_metrics(self, metrics: Any) -> None:
-        """Resolve registry instruments for this transport (or disable them).
-
-        Instruments are resolved once and guarded with a single ``is not
-        None`` test per message — the per-message path is the hottest in the
-        simulator and must cost nothing when metrics are off (``None`` or a
-        ``NullRegistry`` both count as off).  Callable after construction so
-        a shared transport can adopt a platform's registry.
-        """
+        # Instruments are resolved once and guarded with a single ``is not
+        # None`` test per message — the per-message path is the hottest in
+        # the simulator and must cost nothing when metrics are off (``None``
+        # or a ``NullRegistry`` both count as off).
         if metrics is not None and getattr(metrics, "enabled", False):
             self._m_sent = metrics.counter(
                 "transport_sent_total", "Messages sent", ("proto",))

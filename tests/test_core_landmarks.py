@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+import repro.core.landmarks as landmarks
 from repro.core.landmarks import (
     greedy_selection,
     kmeans_selection,
     kmedoids_selection,
     select_landmarks,
 )
+from repro.metric.sets import JaccardMetric
 from repro.metric.strings import EditDistanceMetric
+from repro.metric.transforms import BoundedMetric
 from repro.metric.vector import EuclideanMetric
 from scipy import sparse
 
@@ -127,6 +130,60 @@ class TestKMedoids:
     def test_too_many_rejected(self):
         with pytest.raises(ValueError):
             kmedoids_selection(["a", "b"], EditDistanceMetric(), 3)
+
+
+def _strings(n=70):
+    rng = np.random.default_rng(4)
+    # a few families, so clusters are uneven and some distances tie
+    roots = ["".join(rng.choice(list("ACGT"), size=14)) for _ in range(4)]
+    return [roots[i % 4][: 8 + i % 7] + "".join(rng.choice(list("ACGT"), size=i % 3))
+            for i in range(n)]
+
+
+def _sets(n=70):
+    rng = np.random.default_rng(5)
+    return [sorted({int(v) for v in rng.integers(0, 20, size=rng.integers(0, 9))})
+            for _ in range(n)]
+
+
+BLACK_BOX = [
+    pytest.param(BoundedMetric(EditDistanceMetric()), _strings(), id="bounded-edit"),
+    pytest.param(JaccardMetric(), _sets(), id="jaccard"),
+]
+
+
+class TestKMedoidsSelfMatrix:
+    """k-medoids computes each unordered pair once and mirrors it."""
+
+    @pytest.mark.parametrize("metric, sample", BLACK_BOX)
+    def test_equals_many_to_many_bit_for_bit(self, metric, sample):
+        for objs in (sample, sample[:1], sample[:0], [sample[i] for i in (9, 3, 40, 3)]):
+            got = landmarks._self_distances(metric, objs)
+            want = metric.many_to_many(objs, objs)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("full_max", [3000, 0], ids=["one-matrix", "per-cluster"])
+    @pytest.mark.parametrize("metric, sample", BLACK_BOX)
+    def test_medoids_match_the_full_matrix(self, monkeypatch, metric, sample, full_max):
+        monkeypatch.setattr(landmarks, "_FULL_MATRIX_MAX", full_max)
+        calls = []
+        one_to_many = metric.one_to_many
+
+        def counted(x, ys):
+            calls.append(len(ys))
+            return one_to_many(x, ys)
+
+        monkeypatch.setattr(metric, "one_to_many", counted)
+        got = kmedoids_selection(sample, metric, 4, seed=3)
+        mirrored = sum(calls)
+        del calls[:]
+        monkeypatch.setattr(landmarks, "_self_distances",
+                            lambda metric, objs: metric.many_to_many(objs, objs))
+        want = kmedoids_selection(sample, metric, 4, seed=3)
+        assert got.landmarks == want.landmarks
+        if full_max:  # n (n - 1) / 2 distances against n * n
+            assert (mirrored, sum(calls)) == (70 * 69 // 2, 70 * 70)
 
 
 class TestProjection:

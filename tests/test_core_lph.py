@@ -13,8 +13,8 @@ from repro.core.lph import (
     lp_hash_batch,
     next_key_meeting,
     prefix_to_cuboid,
+    sibling_pieces,
     smallest_enclosing_prefix,
-    walk_siblings,
 )
 from repro.util.bits import bit_at, prefix_of, set_bit_at
 
@@ -263,8 +263,16 @@ class TestSmallestEnclosingPrefix:
             assert np.all((keys >> shift) == np.uint64(key >> (m - length)))
 
 
+def _pieces(eff, prefix_len, rect_lows, rect_highs, bounds, m):
+    """:func:`sibling_pieces` from ``prefix_to_cuboid``'s floats for the
+    first ``prefix_len`` bits of ``eff``: ``(prefix_key, i, lows, highs)``."""
+    cuboid = tuple(c.tolist() for c in prefix_to_cuboid(eff, prefix_len, bounds, m))
+    return [(key, i, lows, highs) for key, i, lows, highs, _ in sibling_pieces(
+        eff, prefix_len, cuboid, list(map(float, rect_lows)), list(map(float, rect_highs)), m)]
+
+
 def _siblings_by_replay(eff, prefix_len, rect_lows, rect_highs, bounds, m):
-    """The per-sibling reference for :func:`walk_siblings`: one
+    """The per-sibling reference for :func:`sibling_pieces`: one
     ``prefix_to_cuboid`` replay from the root per zero bit of ``eff`` and a
     closed-interval intersection with the rectangle (SurrogateRefine's loop
     before the walk existed; kept here, and only here, as the oracle)."""
@@ -283,7 +291,7 @@ def _siblings_by_replay(eff, prefix_len, rect_lows, rect_highs, bounds, m):
 
 def _hexed(pieces):
     return [
-        (key, depth, [x.hex() for x in lows.tolist()], [x.hex() for x in highs.tolist()])
+        (key, depth, [float(x).hex() for x in lows], [float(x).hex() for x in highs])
         for key, depth, lows, highs in pieces
     ]
 
@@ -305,7 +313,7 @@ class TestWalkSiblings:
         are the upper halves 1, 01, 001, ... — all of which meet the whole
         space — in ascending depth."""
         m = 6
-        got = list(walk_siblings(0, 0, B2.lows, B2.highs, B2, m))
+        got = _pieces(0, 0, B2.lows, B2.highs, B2, m)
         assert [(key, depth) for key, depth, _, _ in got] == [
             (1 << (m - i), i) for i in range(1, m + 1)
         ]
@@ -313,15 +321,15 @@ class TestWalkSiblings:
 
     def test_maximal_key_has_no_sibling(self):
         m = 8
-        assert list(walk_siblings(0b01011111, 3, B2.lows, B2.highs, B2, m)) == []
-        assert list(walk_siblings(0b01000000, m, B2.lows, B2.highs, B2, m)) == []
+        assert _pieces(0b01011111, 3, B2.lows, B2.highs, B2, m) == []
+        assert _pieces(0b01000000, m, B2.lows, B2.highs, B2, m) == []
 
     def test_stops_once_the_path_leaves_the_rectangle(self):
         """A rectangle in the top-right corner: the path of eff = 0 turns left
         at depth 1 and never meets it again, so the right half is the only
         sibling forwarded."""
         lows, highs = np.array([0.8, 0.8]), np.array([0.9, 0.9])
-        got = list(walk_siblings(0, 0, lows, highs, B2, 16))
+        got = _pieces(0, 0, lows, highs, B2, 16)
         assert [(key >> 14, depth) for key, depth, _, _ in got] == [(0b10, 1)]
         assert _hexed(got) == _hexed(_siblings_by_replay(0, 0, lows, highs, B2, 16))
 
@@ -340,7 +348,7 @@ class TestWalkSiblings:
         m = 12
         lows, highs = np.array(lows), np.array(highs)
         for eff in (0, 0b000101100110, 0b001111111110):
-            got = list(walk_siblings(eff, 2, lows, highs, B2, m))
+            got = _pieces(eff, 2, lows, highs, B2, m)
             assert _hexed(got) == _hexed(_siblings_by_replay(eff, 2, lows, highs, B2, m))
 
     @settings(max_examples=300, deadline=None)
@@ -369,7 +377,7 @@ class TestWalkSiblings:
             lows.append(min(a, b))
             highs.append(max(a, b))
         lows, highs = np.array(lows), np.array(highs)
-        got = list(walk_siblings(eff, prefix_len, lows, highs, bounds, m))
+        got = _pieces(eff, prefix_len, lows, highs, bounds, m)
         want = _siblings_by_replay(eff, prefix_len, lows, highs, bounds, m)
         assert _hexed(got) == _hexed(want)
 
@@ -482,7 +490,7 @@ class TestOwnerWalkSteps:
     def test_at_ring_sized_m(self, data):
         """Where no enumeration reaches: the result meets the rectangle, no
         key passed over does, and ``next_key_meeting`` is the deepest sibling
-        :func:`walk_siblings` yields, descended to its first meeting leaf."""
+        :func:`sibling_pieces` yields, descended to its first meeting leaf."""
         k = data.draw(st.integers(1, 6), label="k")
         m = data.draw(st.sampled_from([16, 32, 64]), label="m")
         bounds = IndexSpaceBounds.uniform(k, 0.0, 1000.0)
@@ -500,7 +508,7 @@ class TestOwnerWalkSteps:
 
         eff = data.draw(st.integers(prefix_key, top), label="eff")
         nxt = next_key_meeting(eff, depth, lows, highs, bounds, m)
-        siblings = list(walk_siblings(eff, depth, lows, highs, bounds, m))
+        siblings = _pieces(eff, depth, lows, highs, bounds, m)
         if nxt is None:
             assert not siblings
             assert not _some_key_meets(eff + 1, top, lows, highs, bounds, m)

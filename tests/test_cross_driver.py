@@ -1,6 +1,6 @@
 """Algorithm 5 on two drivers, held to one oracle.
 
-The event sim forwards sibling cuboids (``walk_siblings``); the live
+The event sim forwards sibling cuboids (``sibling_pieces``); the live
 coordinator walks owners in key order (``first_key_meeting`` /
 ``next_key_meeting``).  Both run the same descent of ``core.lph``, and on one
 ring — the same node ids as a ``ChordRing`` and as a converged
@@ -12,12 +12,15 @@ ring — the same node ids as a ``ChordRing`` and as a converged
   every sim-only node replied with no entries (the sim also solves at the
   owner of a cuboid's low end when the rectangle meets the cuboid only above
   that owner's id);
-* both drivers' id answers equal brute force.
+* both drivers' id answers equal brute force;
+* a node walks a query exactly as a client does: warm, the two send
+  ``range_solve`` to the same owners in the same order and get the same ids.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +35,7 @@ from repro.core.storage import Shard
 from repro.dht.idspace import rotate, rotate_keys, unrotate
 from repro.dht.ring import ChordRing
 from repro.net.cluster import ClusterClient, LocalCluster
+from repro.net.node import RingWalker
 from repro.obs import Observability
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsCollector
@@ -70,13 +74,27 @@ def _rects(rotation: int, node_ids: list[int]) -> dict[str, tuple[np.ndarray, np
             for name, (lo, hi) in rects.items()}
 
 
+def _logging(transport, sent: list) -> None:
+    """Append ``(dst addr, kind)`` to ``sent`` as ``transport`` sends each RPC."""
+    rpc = transport.rpc
+
+    async def logged(dst_addr, kind, payload=None, **kw):
+        sent.append((dst_addr, kind))
+        return await rpc(dst_addr, kind, payload, **kw)
+
+    transport.rpc = logged
+
+
 async def _live_answers(points, object_ids, keys):
     """Every rectangle on a converged ``LocalCluster``, walked from every
     entry node and by a client, cold and warm: ``(node ids, rotation,
     {(rect, caller): (owners that answered, ids)}, {rect: (addr, kind) of each
-    RPC the warm client sent}, {addr: node id})``.  A caller is an entry
-    node's position, ``"client-cold"`` (a client that has asked nothing
-    before) or ``"client-warm"`` (one whose view a whole-space query tiled)."""
+    RPC the warm client sent}, {addr: node id}, {rect: (range_solve
+    destinations, ids) of the warm node and of the warm client, each asked
+    right after the other})``.  A caller is an entry node's position,
+    ``"node-cold"`` (the last entry node with its view cleared),
+    ``"client-cold"`` (a client that has asked nothing before) or
+    ``"client-warm"`` (one whose view a whole-space query tiled)."""
     cluster = LocalCluster(N_NODES, m=M, k=K)
     client = ClusterClient()
     try:
@@ -102,16 +120,28 @@ async def _live_answers(points, object_ids, keys):
                 ids = await cluster.nodes[entry].range_query(lows, highs)
                 out[name, entry] = (set(answered), np.sort(ids))
 
+        node = cluster.nodes[ENTRY_NODES[-1]]
+        for name, (lows, highs) in rects.items():
+            node.walker.view.clear()
+            answered.clear()
+            ids = await node.range_query(lows, highs)
+            out[name, "node-cold"] = (set(answered), np.sort(ids))
+
+        await node.range_query(*rects["whole-space"])
         await client.query(addrs[0], *rects["whole-space"])
         assert client.walker is not None and client.walker.view.tiling() is not None
+        assert node.walker.view.tiling() is not None
         sent: list[tuple[str, str]] = []
-        rpc = client.transport.rpc
-
-        async def logged(dst_addr, kind, payload=None, **kw):
-            sent.append((dst_addr, kind))
-            return await rpc(dst_addr, kind, payload, **kw)
-
-        client.transport.rpc = logged
+        node_sent: list[tuple[str, str]] = []
+        _logging(client.transport, sent)
+        _logging(node.transport, node_sent)  # its stabilise rounds' RPCs too
+        paired = {}
+        for name, (lows, highs) in rects.items():
+            del sent[:], node_sent[:]
+            walked = await node.range_query(lows, highs)
+            client_ids = await client.query(node.addr, lows, highs)
+            solves = [addr for addr, kind in node_sent if kind == "range_solve"]
+            paired[name] = (solves, walked, [addr for addr, _ in sent], client_ids)
         warm_sent = {}
         for name, (lows, highs) in rects.items():
             cold = ClusterClient()
@@ -127,7 +157,8 @@ async def _live_answers(points, object_ids, keys):
             ids = await client.query(addrs[ENTRY_NODES[-1]], lows, highs)
             out[name, "client-warm"] = (set(answered), ids)
             warm_sent[name] = list(sent)
-        return node_ids, rotation, out, warm_sent, {n.addr: n.id for n in cluster.nodes}
+        return (node_ids, rotation, out, warm_sent, {n.addr: n.id for n in cluster.nodes},
+                paired)
     finally:
         await client.close()
         await cluster.close()
@@ -160,7 +191,7 @@ def drivers():
     points = _points()
     object_ids = np.arange(len(points), dtype=np.int64)
     keys = lp_hash_batch(points, BOUNDS, M)
-    node_ids, rotation, live, warm_sent, id_of = asyncio.run(
+    node_ids, rotation, live, warm_sent, id_of, paired = asyncio.run(
         _live_answers(points, object_ids, keys))
     assert len(set(node_ids)) == N_NODES, "node ids collide at this m"
     assert rotation != 0
@@ -171,7 +202,7 @@ def drivers():
     index = _SimIndex(ring, rotation, points, object_ids, keys)
     return SimpleNamespace(points=points, object_ids=object_ids, node_ids=node_ids,
                            rotation=rotation, live=live, warm_sent=warm_sent, id_of=id_of,
-                           ring=ring, index=index)
+                           paired=paired, ring=ring, index=index)
 
 
 def _sim_answer(ring, index, entry_id, lows, highs):
@@ -254,3 +285,35 @@ def test_rectangles_are_the_shapes_they_claim(drivers):
     key_hi = prefix_key + (1 << (M - prefix_len)) - 1
     assert rotate(prefix_key, rotation, M) > rotate(key_hi, rotation, M)
     assert {ids[0], ids[-1]} <= owners_meeting(*rects["rotation-wrap"], ids, rotation, BOUNDS, M)
+
+
+@pytest.mark.parametrize("name", RECTS)
+def test_a_cold_node_walk_solves_where_the_oracle_says(drivers, name):
+    """A node whose view was cleared finds every owner through lookups that
+    start at itself and the owners' successor lists, and stays exact."""
+    oracle, brute = _oracle_and_brute(drivers, name)
+    owners, ids = drivers.live[name, "node-cold"]
+    assert owners == oracle
+    assert ids.tolist() == brute.tolist()
+
+
+@pytest.mark.parametrize("name", RECTS)
+def test_a_warm_node_queries_as_a_client_does(drivers, name):
+    """A node's ``range_query`` is the client's walk started at the node:
+    once both views tile the ring, the two send ``range_solve`` to the same
+    owners in the same order, one per owner, and return the same ids."""
+    oracle, brute = _oracle_and_brute(drivers, name)
+    node_solves, node_ids, client_sent, client_ids = drivers.paired[name]
+    assert node_solves == client_sent
+    assert sorted(drivers.id_of[addr] for addr in node_solves) == sorted(oracle)
+    assert node_ids.dtype == client_ids.dtype == np.int64
+    assert node_ids.tolist() == client_ids.tolist() == brute.tolist()
+
+
+def test_the_walker_has_one_way_to_start_a_lookup():
+    """No peer-local links or lookup step: every walker, a node's included,
+    starts each lookup with an RPC at the node it names."""
+    assert list(inspect.signature(RingWalker).parameters) == [
+        "transport", "m", "bounds", "rotation", "drop"]
+    for method in (RingWalker.find_successor, RingWalker.range_query):
+        assert inspect.signature(method).parameters["via"].default is inspect.Parameter.empty

@@ -364,7 +364,9 @@ def _neighbours(r: Ring, node: NodeProcess) -> tuple[NodeProcess, NodeProcess]:
 @pytest.mark.parametrize("damage", ["skips_true_successor", "truncated"])
 def test_stale_successor_list_still_gives_exact_answers(ring16, rpc_log, damage):
     """The seed-41 case: a successor list that misses a later joiner.  The
-    node wrongly asked says ``not_owner`` and names its predecessor."""
+    node wrongly asked says ``not_owner`` and names its predecessor.  The
+    walking node's view starts cold, so the lists in the owners' replies and
+    the lookups are what name the owners."""
     whole = (np.array([0.0, 0.0]), np.array([1000.0, 1000.0]))
     want = ring16.brute_force(*whole).tolist()
     saved = [(n, list(n.successors), dict(n.fingers)) for n in ring16.nodes]
@@ -374,6 +376,7 @@ def test_stale_successor_list_still_gives_exact_answers(ring16, rpc_log, damage)
             node.successors = node.successors[1:] if damage == "skips_true_successor" \
                 else node.successors[:1]
         for node in ring16.nodes[::3]:
+            node.walker.view.clear()
             del rpc_log[:]
             assert ring16.query(node, *whole).tolist() == want
             refused = [rec for rec in rpc_log if rec[2] == "range_solve" and "ids" not in rec[4]]
@@ -422,10 +425,12 @@ def test_dead_hint_falls_back_to_a_lookup(ring3):
     node.transport.rpc_timeout = 0.3
     _, succ = _neighbours(ring3, node)
     ghost = {"id": succ.id, "addr": "127.0.0.1:9", "name": "ghost"}
-    node.successors = [ghost, *node.successors]
+    ring3.run(node.ring_snapshot())
+    node.walker.view.fill([node.entry(), ghost])  # the successor's arc, at a dead address
+    assert ghost in node.walker.view.tiling()
     whole = (np.array([0.0, 0.0]), np.array([1000.0, 1000.0]))
     assert ring3.query(node, *whole).tolist() == ring3.brute_force(*whole).tolist()
-    assert ghost not in node.successors
+    assert all(entry["addr"] != ghost["addr"] for _, entry in node.walker.view.arcs.values())
 
 
 # -- malformed requests surface as errors --------------------------------------------
@@ -469,6 +474,13 @@ def ring32():
     r.close()
 
 
+def _find_successor(node: NodeProcess, target: int) -> dict:
+    """A lookup that starts at ``node``'s own table, as its finger refresh
+    runs one."""
+    return node_module._drive(node.transport, maintenance.lookup(
+        node.m, target, node.lookup_step(target), node.drop))
+
+
 def _lookups(r: Ring, rpc_log: list, n: int, seed: int) -> int:
     """``n`` random lookups from random nodes, each checked against the true
     ring successor; returns the largest number of RPC hops one of them took."""
@@ -478,7 +490,7 @@ def _lookups(r: Ring, rpc_log: list, n: int, seed: int) -> int:
         node = r.nodes[int(rng.integers(len(r.nodes)))]
         target = int(rng.integers(SIZE))
         del rpc_log[:]
-        owner = r.run(node.walker.find_successor(target))
+        owner = r.run(_find_successor(node, target))
         assert owner["id"] == r.true_successor(target)
         hops = [rec for rec in rpc_log if rec[0] == node.addr and rec[2] == "lookup_step"]
         worst = max(worst, len(hops))
@@ -556,7 +568,7 @@ def test_dead_finger_is_dropped_and_lookups_recover(rpc_log):
         target = (dead.id + 1) % SIZE
         for node, i in held:
             node.fingers[i] = dead.entry()   # whether or not a refresh found out already
-            owner = r.run(node.walker.find_successor(target))
+            owner = r.run(_find_successor(node, target))
             assert owner["id"] == r.true_successor(target) != dead.id
             assert all(e["addr"] != dead.addr for e in node.fingers.values())
         _lookups(r, rpc_log, 50, seed=8)
