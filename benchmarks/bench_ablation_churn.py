@@ -44,7 +44,7 @@ def _run_config(stabilize: bool, replication: int, data, metric, truth, query_id
     )
     index = platform.indexes["idx"]
     maint = StabilizationProtocol(
-        ring, platform.sim,
+        ring, platform.transport,
         config=MaintenanceConfig(stabilize_interval=15.0),
         seed=0,
     )

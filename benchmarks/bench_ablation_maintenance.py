@@ -35,8 +35,8 @@ def _run_setting(piggyback: bool, seed: int = 0):
     index = platform.indexes["idx"]
 
     mcfg = MaintenanceConfig(piggyback=piggyback, piggyback_window=30.0)
-    maint = StabilizationProtocol(ring, platform.sim, config=mcfg, seed=seed)
-    proto, stats = platform.protocol("idx", maintenance=maint)
+    maint = StabilizationProtocol(ring, platform.transport, config=mcfg, seed=seed)
+    proto, stats = platform.protocol("idx")
 
     # live query workload: one query every ~10 s
     rng = np.random.default_rng(seed + 1)

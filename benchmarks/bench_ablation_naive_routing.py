@@ -48,7 +48,7 @@ def test_naive_vs_tree_routing(benchmark, save_result):
                 if proto_cls is None:
                     proto, stats = platform.protocol("idx", stats=stats)
                 else:
-                    proto = NaiveProtocol(platform.sim, index, stats, latency=latency)
+                    proto = NaiveProtocol(platform.transport, index, stats)
                 platform.sim.reset()
                 for qid, qi in enumerate(query_ids):
                     q = index.make_query(data[qi], radius, qid=qid)

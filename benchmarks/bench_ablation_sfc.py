@@ -65,14 +65,10 @@ def test_sfc_vs_embedded_tree(benchmark, save_result):
                 lambda st: platform.protocol("idx", stats=st, top_k=10)[0]
             )
             mor = measure(
-                lambda st: SfcRangeProtocol(
-                    platform.sim, morton, st, latency=latency, top_k=10
-                )
+                lambda st: SfcRangeProtocol(platform.transport, morton, st, top_k=10)
             )
             hil = measure(
-                lambda st: SfcRangeProtocol(
-                    platform.sim, hilbert, st, latency=latency, top_k=10
-                )
+                lambda st: SfcRangeProtocol(platform.transport, hilbert, st, top_k=10)
             )
             for label, row in (("tree", tree), ("morton-sfc", mor), ("hilbert-sfc", hil)):
                 rows.append([f"{rf*100:g}%", label] + [round(v, 2) for v in row])

@@ -49,10 +49,7 @@ def main() -> None:
     # -- trace one query through the embedded tree -----------------------------
     stats = StatsCollector()
     obs = Observability(tracing=True).bind(platform.sim)
-    proto = QueryProtocol(
-        platform.sim, platform.indexes["series"], stats,
-        latency=platform.latency, obs=obs,
-    )
+    proto = QueryProtocol(platform.transport, platform.indexes["series"], stats, obs=obs)
     platform.sim.reset()
     q = platform.indexes["series"].make_query(series[0], 0.03 * metric.upper_bound, qid=0)
     proto.issue(q, ring.nodes()[0])

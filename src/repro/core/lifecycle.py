@@ -148,8 +148,8 @@ class _Branch:
     and a constructor would be one more call each).  ``bid`` is ``None`` on
     an untracked branch, opened for an already-terminal query: it is sent
     and delivered but counts toward nothing.  A query's root branch carries
-    no message.  ``proto`` is the sending protocol: its ``transport``,
-    ``recorder`` and ``maintenance`` serve the message.
+    no message.  ``proto`` is the sending protocol: its ``transport`` and
+    ``recorder`` serve the message.
     """
 
     __slots__ = (
@@ -409,9 +409,8 @@ class LifecycleEngine:
 
         Called after :meth:`open` for attempt 1 and by every retry.  A
         billed attempt is charged to the query's counters (retries are real
-        traffic) and reported to the protocol's maintenance (§3.3
-        piggybacking); with a span recorder it emits a ``send`` span whose
-        id travels with the attempt.
+        traffic); with a span recorder it emits a ``send`` span whose id
+        travels with the attempt.
         """
         attempt = br.attempts = br.attempts + 1
         proto = br.proto
@@ -422,8 +421,6 @@ class LifecycleEngine:
             st = br.rec.stats
             st.query_messages += 1
             st.query_bytes += size
-            if proto.maintenance is not None:
-                proto.note_traffic(src, dst)
         psid = None
         if proto.recorder is not None:
             psid = proto.recorder.event(

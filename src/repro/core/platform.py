@@ -51,11 +51,10 @@ def take(dataset: Any, idx: Any) -> Any:
 
 @dataclass
 class QueryPayload:
-    """What a query carries besides its rectangle: the query object and its
-    index point (used by index nodes for candidate refinement)."""
+    """What a query carries besides its rectangle: the query object, which
+    index nodes refine candidates against."""
 
     obj: Any
-    ipoint: np.ndarray
 
 
 class LandmarkIndex:
@@ -71,11 +70,6 @@ class LandmarkIndex:
         The static load-balancing offset ``φ`` (0 when rotation is off).
     shards:
         ``ChordNode -> Shard`` mapping of stored entries.
-    refine_mode:
-        ``"true"`` — refine candidates by true metric distance to the query
-        object (the paper's refinement step);
-        ``"index"`` — refine by Euclidean distance in index space (cheaper,
-        no object access; a contractive lower bound of the true distance).
     """
 
     def __init__(
@@ -85,11 +79,8 @@ class LandmarkIndex:
         ring: ChordRing,
         dataset: Any,
         rotation: int = 0,
-        refine_mode: str = "true",
         replication: int = 1,
     ) -> None:
-        if refine_mode not in ("true", "index"):
-            raise ValueError(f"unknown refine_mode {refine_mode!r}")
         if replication < 1:
             raise ValueError("replication factor must be >= 1")
         self.name = name
@@ -97,7 +88,6 @@ class LandmarkIndex:
         self.ring = ring
         self.dataset = dataset
         self.rotation = int(rotation)
-        self.refine_mode = refine_mode
         #: scoped query-id source; the platform replaces it with its shared
         #: allocator so ids are unique across all of a platform's indexes
         self.qids = QidAllocator()
@@ -250,7 +240,7 @@ class LandmarkIndex:
             self.bounds,
             self.m,
             index_name=self.name,
-            payload=QueryPayload(obj=obj, ipoint=ipoint),
+            payload=QueryPayload(obj=obj),
             qid=qid,
             alloc=self.qids,
         )
@@ -281,28 +271,23 @@ class LandmarkIndex:
                 self.bounds,
                 self.m,
                 index_name=self.name,
-                payload=QueryPayload(obj=take(objs, i), ipoint=ipoints[i]),
+                payload=QueryPayload(obj=take(objs, i)),
                 qid=qids[i],
                 alloc=self.qids,
             )
             for i in range(n)
         ]
 
-    def refine_distances(self, q: RangeQuery, points: np.ndarray | None, object_ids: np.ndarray,
+    def refine_distances(self, q: RangeQuery, object_ids: np.ndarray,
                          radius: float | None = None) -> np.ndarray:
-        """Distances used to refine range-search candidates at an index node.
+        """True distances from the query object to range-search candidates
+        at an index node.
 
-        ``"index"`` mode ranks ``points`` by the Chebyshev (L∞) distance
-        between index points — the contractive lower bound of the true
-        distance implied by the triangle inequality, so it never
-        over-estimates.  ``"true"`` mode never reads ``points``; on a dense
-        dataset with a ``radius`` it returns ``+inf`` for rows the metric
-        proves farther than ``radius`` (:meth:`Metric.one_to_rows_within`),
-        every other distance exactly as ``one_to_many`` computes it.
+        On a dense dataset with a ``radius`` it returns ``+inf`` for rows the
+        metric proves farther than ``radius``
+        (:meth:`Metric.one_to_rows_within`), every other distance exactly as
+        ``one_to_many`` computes it.
         """
-        if self.refine_mode == "index":
-            assert points is not None
-            return np.abs(points - q.payload.ipoint).max(axis=1)
         if isinstance(self.dataset, np.ndarray) and self.dataset.ndim == 2:
             return self.metric.one_to_rows_within(
                 q.payload.obj, self.dataset, object_ids,
@@ -424,7 +409,6 @@ class IndexPlatform:
         sample_size: int = 2000,
         boundary: str = "metric",
         rotation: bool = False,
-        refine_mode: str = "true",
         replication: int = 1,
         seed: int | np.random.Generator | None = 0,
     ) -> LandmarkIndex:
@@ -446,7 +430,7 @@ class IndexPlatform:
         rot = rotation_offset(name, self.ring.m) if rotation else 0
         index = LandmarkIndex(
             name, space, self.ring, dataset, rotation=rot,
-            refine_mode=refine_mode, replication=replication,
+            replication=replication,
         )
         index.qids = self.qids
         index.build()
@@ -484,8 +468,7 @@ class IndexPlatform:
         new_space = IndexSpace.build(new_set, boundary=boundary, sample=sample)
         candidate = LandmarkIndex(
             name, new_space, self.ring, index.dataset,
-            rotation=index.rotation, refine_mode=index.refine_mode,
-            replication=index.replication,
+            rotation=index.rotation, replication=index.replication,
         )
         candidate.qids = self.qids
         old_score = index.filtering_score(sample, rng)

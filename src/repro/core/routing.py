@@ -81,7 +81,8 @@ from repro.core.query import (
 )
 from repro.dht.idspace import unrotate
 from repro.sim.messages import ResultEntry, ResultMessage, query_message_size
-from repro.sim.transport import Protocol
+from repro.sim.stats import StatsCollector
+from repro.sim.transport import Transport
 from repro.util.bits import first_zero_bit, prefix_of, set_bit_at
 
 __all__ = ["QueryProtocol"]
@@ -91,25 +92,22 @@ _ROUTING = "query:routing"
 _REFINE = "query:refine"
 
 
-class QueryProtocol(Protocol):
+class QueryProtocol:
     """Event-driven executor of the range-query routing algorithms.
 
     Parameters
     ----------
-    sim:
-        The discrete-event :class:`repro.sim.engine.Simulator` (ignored when
-        ``transport`` is given — the transport's simulator is used).
+    transport:
+        The :class:`repro.sim.transport.Transport` every message is sent on
+        — a platform's (:attr:`repro.core.platform.IndexPlatform.transport`),
+        so its faults, latency model and counters apply; the protocol runs
+        on its simulator.
     index:
         A distributed landmark index (duck-typed; see
         :class:`repro.core.platform.LandmarkIndex`): must expose ``m``,
-        ``k``, ``bounds``, ``rotation``, ``shards``, ``refine_mode``
-        (``"index"`` passes the candidates' index points to refinement)
-        and ``refine_distances``.
+        ``k``, ``bounds``, ``rotation``, ``shards`` and ``refine_distances``.
     stats:
         A :class:`repro.sim.stats.StatsCollector` (created when omitted).
-    latency:
-        Optional latency model; ``None`` makes all messages instantaneous
-        (structural tests).  Ignored when ``transport`` is given.
     surrogate_mode:
         ``"fixed"`` or ``"literal"`` (see module docstring).
     top_k:
@@ -118,12 +116,6 @@ class QueryProtocol(Protocol):
     range_filter:
         Refine candidates by true distance and drop those beyond the query
         radius (the paper's superset refinement).
-    maintenance:
-        Optional :class:`repro.dht.stabilize.StabilizationProtocol`; query
-        traffic is reported to it for §3.3 piggybacking.
-    transport:
-        A shared :class:`repro.sim.transport.Transport`; created from
-        ``sim``/``latency`` when omitted.
     engine:
         The :class:`repro.core.lifecycle.LifecycleEngine` to register queries
         with — pass one to share it between protocols or to set a
@@ -148,29 +140,23 @@ class QueryProtocol(Protocol):
 
     def __init__(
         self,
-        sim: Any = None,
-        index: Any = None,
+        transport: Transport,
+        index: Any,
         stats: Any = None,
-        latency: Any = None,
         surrogate_mode: str = "fixed",
         top_k: int = 10,
         range_filter: bool = True,
-        maintenance: Any = None,
-        transport: Any = None,
         engine: LifecycleEngine | None = None,
         obs: Any = None,
         checker: Any = None,
     ) -> None:
         if surrogate_mode not in ("fixed", "literal"):
             raise ValueError(f"unknown surrogate_mode {surrogate_mode!r}")
-        if index is None:
-            raise TypeError("QueryProtocol needs an index")
         if isinstance(top_k, bool) or not isinstance(top_k, (int, np.integer)) or top_k < 0:
             raise ValueError(f"top_k must be a non-negative int, got {top_k!r}")
-        super().__init__(
-            sim=sim, stats=stats, latency=latency,
-            transport=transport, maintenance=maintenance,
-        )
+        self.transport = transport
+        self.sim = transport.sim
+        self.stats = stats if stats is not None else StatsCollector()
         self.index = index
         self.surrogate_mode = surrogate_mode
         self.top_k = top_k
@@ -433,9 +419,8 @@ class QueryProtocol(Protocol):
             pos = shard.range_search(q.rect.lows, q.rect.highs, key_lo, key_hi)
             if len(pos):
                 object_ids = shard.object_ids[pos]
-                points = shard.points[pos] if self.index.refine_mode == "index" else None
                 radius = q.radius if self.range_filter else None
-                dists = self.index.refine_distances(q, points, object_ids, radius=radius)
+                dists = self.index.refine_distances(q, object_ids, radius=radius)
                 if radius is not None:
                     keep = dists <= radius
                     object_ids = object_ids[keep]
@@ -465,8 +450,6 @@ class QueryProtocol(Protocol):
                 # QueryStats.result_messages
                 self._arrive_result(st, msg, 0)
                 return
-            if self.maintenance is not None:
-                self.note_traffic(node, source)
             # result bytes are charged on arrival (a dropped or duplicated
             # reply must not count), hence record=False here
             size = msg.size

@@ -22,7 +22,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.dht.hashing import node_id, random_ids
+from repro.dht.hashing import node_id
 from repro.dht.idspace import finger_slots, owner_slot, owner_slots, slots_between
 from repro.dht.node import ChordNode
 from repro.sim.network import LatencyModel
@@ -83,32 +83,25 @@ class ChordRing:
         latency: LatencyModel | None = None,
         pns: bool = False,
         successor_list_len: int = 16,
-        id_source: str = "hash",
     ) -> ChordRing:
         """Construct a stabilised ring of ``n_nodes``.
 
-        ``id_source="hash"`` derives ids by SHA-1 of node names (consistent
-        hashing, as Chord does); ``"random"`` draws uniform ids directly.
-        Hosts (latency endpoints) are assigned randomly from the latency
-        model's host set.
+        Ids are derived by SHA-1 of node names (consistent hashing, as Chord
+        does).  Hosts (latency endpoints) are assigned randomly from the
+        latency model's host set.
         """
         rng = as_rng(seed)
         ring = cls(m=m, successor_list_len=successor_list_len, latency=latency, pns=pns)
-        if id_source == "hash":
-            ids: list[int] = []
-            seen: set[int] = set()
-            salt = 0
-            while len(ids) < n_nodes:
-                nid = node_id(f"node-{len(ids)}-{salt}", m)
-                if nid in seen:
-                    salt += 1
-                    continue
-                seen.add(nid)
-                ids.append(nid)
-        elif id_source == "random":
-            ids = [int(v) for v in random_ids(n_nodes, m, rng)]
-        else:
-            raise ValueError(f"unknown id_source {id_source!r}")
+        ids: list[int] = []
+        seen: set[int] = set()
+        salt = 0
+        while len(ids) < n_nodes:
+            nid = node_id(f"node-{len(ids)}-{salt}", m)
+            if nid in seen:
+                salt += 1
+                continue
+            seen.add(nid)
+            ids.append(nid)
         if latency is not None:
             hosts = rng.permutation(latency.n_hosts)[:n_nodes] if latency.n_hosts >= n_nodes \
                 else rng.integers(0, latency.n_hosts, size=n_nodes)

@@ -13,17 +13,20 @@ three purposes:
 3. **Piggybacking** (§3.3) — the paper claims "the maintenance messages for
    the DHT links can be piggybacked onto the query delivery messages, so as
    to reduce the maintenance cost".  We model a per-link piggyback window:
-   a control message over a link that carried (or will shortly carry) query
-   traffic rides along and only pays its payload bytes, not a packet of its
-   own.  The ablation benchmark quantifies the saving under a live query
-   workload.
+   a control message over a directed host link that carried a query or
+   result message within the window rides along and only pays its payload
+   bytes, not a packet of its own.  The transport stamps those links as it
+   sends (``Transport.query_links``), so the query traffic of every protocol
+   on it counts.  The ablation benchmark quantifies the saving under a live
+   query workload.
 
 :class:`StabilizationProtocol` only moves the step's messages: it maps a
 ``ChordNode``'s tables to ring entries and back, and carries each request and
-its reply as one control message each way through the shared
-:class:`repro.sim.transport.Transport` (synchronous, accounted hops).  A dead
-or faulted hop is :exc:`~repro.dht.maintenance.Unreachable`, so injected
-faults degrade maintenance the way they degrade queries.
+its reply as one control message each way through the
+:class:`repro.sim.transport.Transport` it is given — the platform's, which
+queries use too (synchronous, accounted hops).  A dead or faulted hop is
+:exc:`~repro.dht.maintenance.Unreachable`, so injected faults degrade
+maintenance the way they degrade queries.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 from repro.dht.maintenance import ChordState, Op, ProtocolError, Unreachable, lookup
 from repro.dht.node import ChordNode
 from repro.dht.ring import ChordRing
-from repro.sim.transport import Protocol
+from repro.sim.transport import Transport
 from repro.util.rng import as_rng
 
 __all__ = ["MaintenanceConfig", "MaintenanceStats", "StabilizationProtocol"]
@@ -74,7 +77,7 @@ class MaintenanceStats:
     crashes: int = 0
 
 
-class StabilizationProtocol(Protocol):
+class StabilizationProtocol:
     """The simulator's driver of :mod:`repro.dht.maintenance`, over
     node-local state (``successors``, ``predecessor``, ``fingers``); the
     ring's oracle views only verify convergence."""
@@ -82,39 +85,29 @@ class StabilizationProtocol(Protocol):
     def __init__(
         self,
         ring: ChordRing,
-        sim: Any = None,
-        latency: Any = None,
+        transport: Transport,
         config: MaintenanceConfig | None = None,
         seed: int | np.random.Generator | None = 0,
-        transport: Any = None,
     ) -> None:
-        super().__init__(
-            sim=sim,
-            latency=latency if latency is not None else ring.latency,
-            transport=transport,
-        )
         self.ring = ring
+        self.transport = transport
+        self.sim = transport.sim
+        self.stats = MaintenanceStats()
         self.config = config if config is not None else MaintenanceConfig()
+        if self.config.piggyback and transport.query_links is None:
+            # switch on the transport's per-link stamps (§3.3)
+            transport.query_links = {}
         self.rng = as_rng(seed)
         self._running = False
         #: next finger level to fix, per node
         self._finger_cursor: dict[ChordNode, int] = {}
-        #: last time a query message used the directed link (src_host, dst_host)
-        self._link_query_time: dict[tuple[int, int], float] = {}
         #: the ring entry of every node met, the node of every entry's
         #: address, and the address each joiner joined through
         self._entries: dict[ChordNode, dict[str, Any]] = {}
         self._nodes: dict[str, ChordNode] = {}
         self._bootstraps: dict[ChordNode, str] = {}
 
-    def default_stats(self) -> MaintenanceStats:
-        return MaintenanceStats()
-
-    # -- piggyback plumbing ------------------------------------------------------
-
-    def note_query_traffic(self, src_host: int, dst_host: int, at: float | None = None) -> None:
-        """Record query traffic on a link (wired in by the query protocol)."""
-        self._link_query_time[(src_host, dst_host)] = self.sim.now if at is None else at
+    # -- the step's messages -------------------------------------------------------
 
     def _control_message(self, src: ChordNode, dst: ChordNode) -> bool:
         """Account one control message from ``src`` to ``dst``.
@@ -126,16 +119,15 @@ class StabilizationProtocol(Protocol):
             return True
         self.stats.messages += 1
         size = CONTROL_MESSAGE_BYTES
-        if self.config.piggyback:
-            last = self._link_query_time.get((src.host, dst.host))
+        links = self.transport.query_links
+        if self.config.piggyback and links is not None:
+            last = links.get((src.host, dst.host))
             if last is not None and self.sim.now - last <= self.config.piggyback_window:
                 self.stats.piggybacked += 1
                 self.stats.bytes_saved += CONTROL_MESSAGE_BYTES - PIGGYBACK_PAYLOAD_BYTES
                 size = PIGGYBACK_PAYLOAD_BYTES
         self.stats.bytes += size
         return self.transport.control(src, dst, kind="maintenance", size=size)
-
-    # -- moving the step's messages ------------------------------------------------
 
     def _entry(self, node: ChordNode) -> dict[str, Any]:
         entry = self._entries.get(node)

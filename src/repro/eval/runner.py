@@ -79,7 +79,6 @@ class ExperimentConfig:
     lb_max_rounds: int = 40
     rotation: bool = False
     boundary: str = "metric"
-    refine_mode: str = "true"
     surrogate_mode: str = "fixed"
     #: The paper's recall protocol: index nodes return their 10 nearest
     #: candidates from the range rectangle *without* a radius cutoff (the
@@ -231,7 +230,6 @@ def run_scheme(
         sample_size=cfg.sample_size,
         boundary=bundle.boundary,
         rotation=cfg.rotation,
-        refine_mode=cfg.refine_mode,
         seed=cfg.seed + 17 * seed_offset,
     )
     result = SchemeResult(scheme=scheme)

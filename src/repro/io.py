@@ -43,7 +43,6 @@ def save_index(index: LandmarkIndex, path: str) -> None:
         version=np.int64(_FORMAT_VERSION),
         name=np.bytes_(index.name.encode("utf-8")),
         scheme=np.bytes_(index.space.landmark_set.scheme.encode("utf-8")),
-        refine_mode=np.bytes_(index.refine_mode.encode("utf-8")),
         landmarks=landmarks,
         bounds_lows=index.bounds.lows,
         bounds_highs=index.bounds.highs,
@@ -62,12 +61,21 @@ def load_index(path: str, ring, dataset, metric) -> LandmarkIndex:
     ``dataset`` and ``metric`` are re-supplied by the caller (objects are
     application data; the metric is code).  The ring may differ from the one
     the index was saved from — entries are redistributed to the current
-    owners; only ``m`` must match the saved identifier width.
+    owners; only ``m`` must match the saved identifier width.  A file from
+    before index-space refinement was retired loads when its
+    ``refine_mode`` says ``"true"``, and is refused when it says
+    ``"index"``.
     """
     with np.load(path) as z:
         version = int(z["version"])
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported index format version {version}")
+        if "refine_mode" in z.files:
+            mode = z["refine_mode"].item().decode("utf-8")
+            if mode != "true":
+                raise ValueError(
+                    f"refine_mode {mode!r} is retired: index nodes refine by "
+                    "true distance only")
         m = int(z["m"])
         if ring.m != m:
             raise ValueError(f"ring identifier width {ring.m} != saved {m}")
@@ -84,7 +92,6 @@ def load_index(path: str, ring, dataset, metric) -> LandmarkIndex:
             ring,
             dataset,
             rotation=int(z["rotation"]),
-            refine_mode=z["refine_mode"].item().decode("utf-8"),
             replication=int(z["replication"]),
         )
         index._keys = z["keys"].astype(np.uint64)

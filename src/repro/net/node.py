@@ -357,9 +357,12 @@ class RingWalker:
         The walk runs in rounds.  A round asks every key
         :meth:`~repro.core.query.OwnerWalk.plan` predicts from the arcs the
         view holds, all at once, and reads the replies in key order; it ends
-        where the walk's next key is not the one planned (a stale view), and
-        the solves still out are cancelled.  A view that tiles the ring takes
-        one round, a cold one a round per owner.
+        where the walk's next key is not the one planned, or where a planned
+        node answers ``not_owner`` (a stale view), and the solves still out
+        are cancelled.  Only the round's first solve, the walk's current key,
+        follows ``not_owner`` predecessor pointers, so the solves of one round
+        never chase the same chain side by side.  A view that tiles the ring
+        takes one round, a cold one a round per owner.
         """
         lows, highs = rectangle(np.asarray(lows), np.asarray(highs), self.bounds.k)
         walk = OwnerWalk(lows, highs, self.bounds, self.rotation, self.m)
@@ -372,13 +375,15 @@ class RingWalker:
                 said = {"tiled": True} if tiled else {}
                 plan = walk.plan(self.view.arc)
                 solves = [asyncio.create_task(self._solve_at_owner(
-                    ring_key, chain, {**rect, "key_lo": key_lo, "key_hi": key_hi, **said}, via))
-                    for key_lo, key_hi, ring_key in plan]
+                    ring_key, chain, {**rect, "key_lo": key_lo, "key_hi": key_hi, **said},
+                    via, chase=i == 0))
+                    for i, (key_lo, key_hi, ring_key) in enumerate(plan)]
                 try:
                     for (key_lo, _, _), solve in zip(plan, solves):
-                        if walk.key_lo != key_lo:
+                        answer = await solve if walk.key_lo == key_lo else None
+                        if answer is None:
                             break  # the view was stale: plan again from here
-                        ids, chain = self._read_solve(walk, tiled, *await solve)
+                        ids, chain = self._read_solve(walk, tiled, *answer)
                         collected.append(ids)
                 finally:
                     await _settle(solves)
@@ -413,10 +418,10 @@ class RingWalker:
         return ids, chain
 
     async def _solve_at_owner(self, rot: int, chain: list[dict[str, Any]],
-                              payload: dict[str, Any], via: str
-                              ) -> tuple[dict[str, Any], dict[str, Any]]:
+                              payload: dict[str, Any], via: str, chase: bool
+                              ) -> tuple[dict[str, Any], dict[str, Any]] | None:
         """``range_solve`` at the owner of ring position ``rot``: the entry
-        that answered, and its reply.
+        that answered, and its reply (see :meth:`_solve_from` for ``chase``).
 
         A link ``(a, b]`` of ``chain`` (the previous owner and its
         successors) holding ``rot`` names ``b``; when none does, the ring
@@ -429,22 +434,25 @@ class RingWalker:
                     None) or self.view.owner(rot)
         if hint is not None:
             try:
-                return await self._solve_from(hint, payload)
+                return await self._solve_from(hint, payload, chase)
             except RpcTimeout:
                 self._drop(hint)
-        return await self._solve_from(await self.find_successor(rot, via), payload)
+        return await self._solve_from(await self.find_successor(rot, via), payload, chase)
 
-    async def _solve_from(self, entry: dict[str, Any],
-                          payload: dict[str, Any]) -> tuple[dict[str, Any], dict[str, Any]]:
-        """``range_solve`` at ``entry``, then along predecessor pointers while
-        the node asked answers ``not_owner`` (a node joined before it): the
-        entry that answered, and its reply."""
+    async def _solve_from(self, entry: dict[str, Any], payload: dict[str, Any],
+                          chase: bool) -> tuple[dict[str, Any], dict[str, Any]] | None:
+        """``range_solve`` at ``entry``: the entry that answered, and its
+        reply.  When the node asked answers ``not_owner`` (a node joined
+        before it), ``chase`` follows predecessor pointers to the owner;
+        otherwise the answer is ``None``."""
         for _ in range(MAX_ROUTE_HOPS):
             reply = await self.transport.rpc(entry["addr"], "range_solve", payload)
             if not isinstance(reply, dict):
                 raise RpcError(f"malformed range_solve reply: {str(reply)[:80]}")
             if "ids" in reply:
                 return entry, reply
+            if not chase:
+                return None
             entry = ring_entry(reply.get("predecessor"), self.m)
         raise RpcError(
             f"range_solve: no owner of key {payload['key_lo']} within "

@@ -23,7 +23,6 @@ from repro.sim.stats import QueryStats, StatsCollector
 from repro.sim.transport import (
     FaultConfig,
     MessageAccounting,
-    Protocol,
     TimerHandle,
     Transport,
     TransportStats,
@@ -49,7 +48,6 @@ __all__ = [
     "Transport",
     "TransportStats",
     "traffic_class",
-    "Protocol",
     "FaultConfig",
     "MessageAccounting",
     "TimerHandle",

@@ -31,9 +31,11 @@ The transport keeps no per-message record: the ``send`` / ``drop`` / ``result``
 spans of :mod:`repro.obs.spans` are the per-message trace (a ``drop`` span's
 parent ``send`` span carries source, destination, kind, size and attempt).
 
-:class:`Protocol` is the small base class protocols derive from: it wires
-``sim``/``stats``/``latency``/``maintenance`` once instead of copy-pasting
-the plumbing through every protocol constructor.
+The transport is also where §3.3 piggybacking looks: while a piggybacking
+:class:`repro.dht.stabilize.StabilizationProtocol` runs on it,
+:meth:`Transport.send` stamps the directed host link of every query- or
+result-class message, so a control message rides on query traffic whichever
+protocol sent it.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ __all__ = [
     "TimerHandle",
     "MessageAccounting",
     "Transport",
-    "Protocol",
 ]
 
 #: the drop statuses ``on_drop`` callbacks and ``drop`` spans carry
@@ -306,6 +307,10 @@ class Transport(MessageAccounting):
         self.latency = latency
         # independent streams: toggling jitter must not re-order loss draws
         self._loss_rng, self._jitter_rng = spawn_rngs(self.faults.seed, 2)
+        #: last send time of a query- or result-class message on each
+        #: directed host link ``(src_host, dst_host)``; ``None`` (no stamping)
+        #: until a piggybacking ``StabilizationProtocol`` runs on this transport
+        self.query_links: dict[tuple[int, int], float] | None = None
 
     # -- scheduling helpers (local, non-network) -------------------------------
 
@@ -372,6 +377,10 @@ class Transport(MessageAccounting):
             faults = self.faults
             src_host = src.host
             dst_host = dst.host
+            # the §3.3 stamp, before the fault gate: a lost message was still sent
+            links = self.query_links
+            if links is not None and cls != "maintenance":
+                links[(src_host, dst_host)] = now
             # gate only when a fault is configured: partition, then one loss draw
             if (self._partition_of or faults.loss_rate) and self._faulted(
                     src_host, dst_host, kind, on_drop):
@@ -420,42 +429,3 @@ class Transport(MessageAccounting):
         self._account_delivery(kind, 0.0)
         return True
 
-
-class Protocol:
-    """Base class of the message-passing protocols.
-
-    Owns the wiring every protocol used to repeat: the transport (created
-    from ``sim``/``latency`` when not shared), the stats collector, and the
-    optional maintenance protocol that piggybacks on query traffic (§3.3).
-
-    Subclasses override :meth:`default_stats` when their stats object is not
-    a :class:`repro.sim.stats.StatsCollector`.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator | None = None,
-        stats: Any = None,
-        latency: LatencyModel | None = None,
-        transport: Transport | None = None,
-        maintenance: Any = None,
-    ) -> None:
-        if transport is None:
-            transport = Transport(sim=sim, latency=latency)
-        self.transport = transport
-        self.sim = transport.sim
-        self.latency = transport.latency
-        self.stats = stats if stats is not None else self.default_stats()
-        #: optional StabilizationProtocol — query traffic is reported to it
-        #: so maintenance messages can piggyback on these links (§3.3).
-        self.maintenance = maintenance
-
-    def default_stats(self) -> Any:
-        from repro.sim.stats import StatsCollector
-
-        return StatsCollector()
-
-    def note_traffic(self, src: Peer, dst: Peer) -> None:
-        """Report query traffic on a link to the maintenance protocol."""
-        if self.maintenance is not None and src is not dst:
-            self.maintenance.note_query_traffic(src.host, dst.host)

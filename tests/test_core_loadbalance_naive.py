@@ -177,9 +177,7 @@ class TestNaiveProtocol:
         index = platform.indexes["idx"]
         for qi in (0, 10, 200):
             naive, nstats = platform.protocol("idx", top_k=10**6)
-            naive = NaiveProtocol(
-                platform.sim, index, nstats, latency=platform.latency, top_k=10**6
-            )
+            naive = NaiveProtocol(platform.transport, index, nstats, top_k=10**6)
             platform.sim.reset()
             naive.issue(index.make_query(data[qi], 9.0, qid=0), platform.ring.nodes()[0])
             platform.sim.run()
@@ -200,7 +198,7 @@ class TestNaiveProtocol:
         index = platform.indexes["idx"]
 
         _, nstats = platform.protocol("idx")
-        naive = NaiveProtocol(platform.sim, index, nstats, latency=platform.latency)
+        naive = NaiveProtocol(platform.transport, index, nstats)
         platform.sim.reset()
         naive.issue(index.make_query(data[0], 10.0, qid=0), platform.ring.nodes()[0])
         platform.sim.run()

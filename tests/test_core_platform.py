@@ -148,21 +148,6 @@ class TestIndexLifecycle:
         assert platform.load_distribution().sum() == 600
 
 
-class TestRefineModes:
-    def test_index_mode_is_lower_bound(self):
-        platform = _platform()
-        data = _data()
-        platform.create_index("a", data, METRIC, k=3, refine_mode="index", seed=0)
-        res = platform.query("a", data[0], radius=25.0, top_k=10 ** 6)
-        for e in res:
-            assert e.distance <= METRIC.distance(data[0], data[e.object_id]) + 1e-9
-
-    def test_bad_mode_rejected(self):
-        platform = _platform()
-        with pytest.raises(ValueError):
-            platform.create_index("a", _data(), METRIC, k=2, refine_mode="psychic")
-
-
 class TestReindex:
     def test_adoption_improves_or_keeps(self):
         platform = _platform()

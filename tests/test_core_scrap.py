@@ -28,7 +28,7 @@ def setup():
 
 def _run_sfc(platform, index, data, qi, radius, top_k=10**6):
     stats = StatsCollector()
-    proto = SfcRangeProtocol(platform.sim, index, stats, latency=platform.latency, top_k=top_k)
+    proto = SfcRangeProtocol(platform.transport, index, stats, top_k=top_k)
     base = platform.indexes["idx"]
     platform.sim.reset()
     proto.issue(base.make_query(data[qi], radius, qid=0), platform.ring.nodes()[0])

@@ -37,8 +37,8 @@ from repro.dht.ring import ChordRing
 from repro.net.cluster import ClusterClient, LocalCluster
 from repro.net.node import RingWalker
 from repro.obs import Observability
-from repro.sim.engine import Simulator
 from repro.sim.stats import StatsCollector
+from repro.sim.transport import Transport
 
 M = 12  # small enough to enumerate every leaf key
 K = 2
@@ -171,7 +171,6 @@ class _SimIndex:
     m = M
     k = K
     bounds = BOUNDS
-    refine_mode = "true"
 
     def __init__(self, ring: ChordRing, rotation: int, points, object_ids, keys) -> None:
         self.rotation = rotation
@@ -182,7 +181,7 @@ class _SimIndex:
             sel = owners == node.id
             shard.add(keys[sel], points[sel], object_ids[sel])
 
-    def refine_distances(self, q, points, object_ids, radius=None):
+    def refine_distances(self, q, object_ids, radius=None):
         return np.zeros(len(object_ids))
 
 
@@ -207,10 +206,11 @@ def drivers():
 
 def _sim_answer(ring, index, entry_id, lows, highs):
     """``({solve node: entries it replied with}, ids)`` of one sim query."""
-    sim = Simulator()
+    transport = Transport()
+    sim = transport.sim
     stats = StatsCollector()
     obs = Observability(metrics=False, tracing=True).bind(sim)
-    proto = QueryProtocol(sim, index, stats, latency=None, top_k=10**6,
+    proto = QueryProtocol(transport, index, stats, top_k=10**6,
                           range_filter=False, obs=obs)
     prefix_key, prefix_len = smallest_enclosing_prefix(lows, highs, BOUNDS, M)
     proto.issue(RangeQuery(Rect(lows, highs), prefix_key, prefix_len, qid=0),

@@ -124,10 +124,6 @@ class TestRingStructure:
         ids = [n.id for n in ring.nodes()]
         assert ids == sorted(ids)
 
-    def test_build_random_ids(self):
-        ring = ChordRing.build(20, m=24, seed=0, id_source="random")
-        assert len(ring) == 20
-
     def test_owners_of_keys_matches_oracle(self):
         ring = ChordRing.build(32, m=20, seed=1)
         rng = np.random.default_rng(0)

@@ -10,13 +10,15 @@ from repro.dht.stabilize import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.network import ConstantLatency
+from repro.sim.transport import Transport
 
 
 def _setup(n=24, m=20, seed=0, config=None):
     latency = ConstantLatency(n, delay=0.01)
     ring = ChordRing.build(n, m=m, seed=seed, latency=latency, pns=False)
     sim = Simulator()
-    proto = StabilizationProtocol(ring, sim, config=config or MaintenanceConfig(), seed=seed)
+    proto = StabilizationProtocol(ring, Transport(sim), config=config or MaintenanceConfig(),
+                                  seed=seed)
     return ring, sim, proto
 
 
@@ -127,9 +129,10 @@ class TestPiggybacking:
         cfg = MaintenanceConfig(piggyback=True, piggyback_window=60.0)
         ring, sim, proto = _setup(config=cfg)
         # simulate query traffic on all links used by stabilisation
+        links = proto.transport.query_links
         for node in ring.nodes():
-            proto.note_query_traffic(node.host, node.successor.host, at=0.0)
-            proto.note_query_traffic(node.successor.host, node.host, at=0.0)
+            links[(node.host, node.successor.host)] = 0.0
+            links[(node.successor.host, node.host)] = 0.0
         proto.start(duration=50.0)
         sim.run(until=50.0)
         assert proto.stats.piggybacked > 0
@@ -146,7 +149,7 @@ class TestPiggybacking:
         cfg = MaintenanceConfig(piggyback=True, piggyback_window=1.0)
         ring, sim, proto = _setup(config=cfg)
         node = ring.nodes()[0]
-        proto.note_query_traffic(node.host, node.successor.host, at=0.0)
+        proto.transport.query_links[(node.host, node.successor.host)] = 0.0
         sim.run(until=10.0)  # advance the clock past the window
         before = proto.stats.piggybacked
         proto.stabilize(node)
@@ -157,9 +160,11 @@ class TestPiggybacking:
         for piggyback in (False, True):
             cfg = MaintenanceConfig(piggyback=piggyback, piggyback_window=1e9)
             ring, sim, proto = _setup(config=cfg, seed=3)
+            links = proto.transport.query_links
             for node in ring.nodes():
                 for other in ring.nodes():
-                    proto.note_query_traffic(node.host, other.host, at=0.0)
+                    if links is not None:
+                        links[(node.host, other.host)] = 0.0
             proto.start(duration=100.0)
             sim.run(until=100.0)
             runs[piggyback] = proto.stats.bytes
@@ -182,13 +187,95 @@ class TestQueryProtocolIntegration:
             "idx", data, EuclideanMetric(box=(0, 100), dim=4), k=3, seed=0
         )
         cfg = MaintenanceConfig(piggyback=True, piggyback_window=1e9)
-        maint = StabilizationProtocol(ring, platform.sim, config=cfg, seed=0)
-        proto, stats = platform.protocol("idx", maintenance=maint)
+        maint = StabilizationProtocol(ring, platform.transport, config=cfg, seed=0)
+        proto, stats = platform.protocol("idx")
         index = platform.indexes["idx"]
         for qid in range(20):
             proto.issue(index.make_query(data[qid], 60.0, qid=qid), ring.nodes()[qid % 16])
         platform.sim.run()
-        assert maint._link_query_time  # traffic recorded
+        assert platform.transport.query_links  # traffic recorded
         maint.start(duration=50.0)
         platform.sim.run(until=platform.sim.now + 50.0)
         assert maint.stats.piggybacked > 0
+
+
+class TestOnThePlatformTransport:
+    """Maintenance runs on the platform's transport, beside the queries: its
+    faults, counters and §3.3 link stamps are the ones queries meet."""
+
+    @staticmethod
+    def _platform(faults=None, n=32):
+        from repro.core.platform import IndexPlatform
+        from repro.metric.vector import EuclideanMetric
+
+        latency = ConstantLatency(n, delay=0.01)
+        ring = ChordRing.build(n, m=20, seed=2, latency=latency, pns=False)
+        platform = IndexPlatform(ring, faults=faults)
+        rng = np.random.default_rng(0)
+        data = rng.uniform(0, 100, size=(400, 4))
+        platform.create_index("idx", data, EuclideanMetric(box=(0, 100), dim=4), k=3, seed=0)
+        return platform, data
+
+    def test_faults_drop_control_messages_and_run_workload_counts_them(self):
+        from repro.datasets.queries import QueryWorkload
+        from repro.sim.transport import FaultConfig
+
+        platform, data = self._platform(FaultConfig(loss_rate=0.2, seed=1))
+        maint = StabilizationProtocol(platform.ring, platform.transport, seed=0)
+        maint.start(duration=600.0)
+        platform.sim.run(until=100.0)               # maintenance alone so far
+        ts = platform.transport.stats
+        assert ts.sent == ts.maintenance_messages > 0
+        assert ts.dropped_loss > 0                  # control messages were lost
+        before = ts.maintenance_messages
+        workload = QueryWorkload.build(data[:20], 20.0, len(platform.ring),
+                                       mean_interarrival=20.0, start_time=100.0)
+        stats = platform.run_workload("idx", workload, reset_sim=False)
+        assert stats.maintenance_messages == ts.maintenance_messages - before > 0
+
+    def test_a_naive_protocol_on_the_transport_makes_control_messages_piggyback(self):
+        from repro.core.naive import NaiveProtocol
+
+        platform, data = self._platform()
+        cfg = MaintenanceConfig(piggyback=True, piggyback_window=1e9)
+        maint = StabilizationProtocol(platform.ring, platform.transport, config=cfg, seed=0)
+        naive = NaiveProtocol(platform.transport, platform.indexes["idx"])
+        nodes = platform.ring.nodes()
+        for qid in range(20):
+            naive.issue(platform.indexes["idx"].make_query(data[qid], 60.0, qid=qid),
+                        nodes[qid % len(nodes)])
+        platform.sim.run()
+        assert platform.transport.query_links
+        maint.start(duration=50.0)
+        platform.sim.run(until=platform.sim.now + 50.0)
+        assert maint.stats.piggybacked > 0
+        assert maint.stats.bytes_saved > 0
+
+    def test_no_protocol_builds_or_is_handed_a_transport_of_its_own(self):
+        import ast
+        import inspect
+        from pathlib import Path
+
+        import repro
+        import repro.sim
+        import repro.sim.transport
+        from repro.core.naive import NaiveProtocol
+        from repro.core.routing import QueryProtocol
+        from repro.core.scrap import SfcRangeProtocol
+
+        assert "Protocol" not in repro.sim.__all__ and not hasattr(repro.sim, "Protocol")
+        assert not hasattr(repro.sim.transport, "Protocol")
+        for cls in (QueryProtocol, NaiveProtocol, SfcRangeProtocol, StabilizationProtocol):
+            params = inspect.signature(cls).parameters
+            assert not {"sim", "latency", "maintenance"} & set(params), cls
+            assert params["transport"].default is inspect.Parameter.empty, cls
+        # in the library, only IndexPlatform constructs a simulator transport
+        src = Path(repro.__file__).parent
+        builders = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name == "Transport":
+                        builders.append(path.relative_to(src).as_posix())
+        assert builders == ["core/platform.py"]

@@ -99,8 +99,8 @@ class TestTracePlusRotation:
         platform, data = _platform(rotation=True, seed=6)
         stats = StatsCollector()
         obs = Observability(tracing=True).bind(platform.sim)
-        proto = QueryProtocol(platform.sim, platform.indexes["idx"], stats,
-                              latency=platform.latency, top_k=10**6, obs=obs)
+        proto = QueryProtocol(platform.transport, platform.indexes["idx"], stats,
+                              top_k=10**6, obs=obs)
         platform.sim.reset()
         q = platform.indexes["idx"].make_query(data[0], 40.0, qid=0)
         proto.issue(q, platform.ring.nodes()[0])

@@ -39,7 +39,6 @@ class TestRoundTrip:
         np.testing.assert_array_equal(orig._object_ids, restored._object_ids)
         assert restored.rotation == orig.rotation
         assert restored.replication == orig.replication
-        assert restored.refine_mode == orig.refine_mode
         np.testing.assert_allclose(
             np.asarray(orig.space.landmark_set.landmarks),
             np.asarray(restored.space.landmark_set.landmarks),
@@ -81,6 +80,31 @@ class TestRoundTrip:
         np.savez(bad, **fields)
         with pytest.raises(ValueError, match="magnitude"):
             load_index(bad, ChordRing.build(12, m=24, seed=0), data, METRIC)
+
+    def test_save_writes_no_refine_mode(self, built):
+        _, _, path = built
+        with np.load(path) as z:
+            assert "refine_mode" not in z.files
+
+    def test_older_file_with_true_refinement_loads(self, built, tmp_path):
+        platform, data, path = built
+        with np.load(path) as z:
+            fields = dict(z)
+        fields["refine_mode"] = np.bytes_(b"true")
+        older = str(tmp_path / "older.npz")
+        np.savez(older, **fields)
+        restored = load_index(older, platform.ring, data, METRIC)
+        np.testing.assert_array_equal(restored._keys, platform.indexes["idx"]._keys)
+
+    def test_older_file_with_index_refinement_rejected(self, built, tmp_path):
+        platform, data, path = built
+        with np.load(path) as z:
+            fields = dict(z)
+        fields["refine_mode"] = np.bytes_(b"index")
+        older = str(tmp_path / "older.npz")
+        np.savez(older, **fields)
+        with pytest.raises(ValueError, match="'index' is retired"):
+            load_index(older, platform.ring, data, METRIC)
 
     def test_blackbox_landmarks_rejected(self, tmp_path):
         seqs = ["acgt", "acct", "tttt", "gggg", "aaaa", "cccc"] * 10

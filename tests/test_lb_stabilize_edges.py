@@ -9,6 +9,7 @@ from repro.dht.stabilize import StabilizationProtocol
 from repro.metric.vector import EuclideanMetric
 from repro.sim.engine import Simulator
 from repro.sim.network import ConstantLatency
+from repro.sim.transport import Transport
 
 DIM = 3
 METRIC = EuclideanMetric(box=(0, 100), dim=DIM)
@@ -83,7 +84,7 @@ class TestStabilizeEdges:
     def _proto(self, n=12):
         ring = ChordRing.build(n, m=20, seed=0, latency=ConstantLatency(n, 0.01))
         sim = Simulator()
-        return ring, sim, StabilizationProtocol(ring, sim, seed=0)
+        return ring, sim, StabilizationProtocol(ring, Transport(sim), seed=0)
 
     def test_leave_last_but_one(self):
         ring, sim, proto = self._proto(n=2)

@@ -415,7 +415,7 @@ def test_predecessor_pointers_that_lead_nowhere_end_in_rpc_error(ring3, monkeypa
     key = (b.id + 5 - b.rotation) % SIZE
     payload = {"lows": np.zeros(K), "highs": np.full(K, 1000.0), "key_lo": key, "key_hi": key}
     with pytest.raises(RpcError, match="predecessor pointers"):
-        ring3.run(a.walker._solve_from(b.entry(), payload))
+        ring3.run(a.walker._solve_from(b.entry(), payload, chase=True))
     assert [rec[2] for rec in rpc_log] == ["range_solve"] * 6
 
 

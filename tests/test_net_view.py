@@ -495,6 +495,93 @@ def test_route_insert_off_a_stale_tiling_re_places_the_refused_entries(joined, r
     assert r.query(y, *WHOLE).tolist() == r.brute_force(*WHOLE).tolist()
 
 
+class TwoJoined(Ring):
+    """Eight nodes and a client, ``querier``, whose view tiles them; then
+    node-8 and node-9 join in two different arcs and stabilisation stops.
+    No point is stored in either joiner's arc before it joins.  (The ring's
+    own client waits for convergence: the statuses it reads would teach
+    ``querier``'s view the joiners.)"""
+
+    async def _boot(self, freeze: bool) -> None:
+        old = sorted(node_id(f"node-{i}", M) for i in range(8))
+        joiner_ids = [node_id(f"node-{i}", M) for i in (8, 9)]
+        preds = [max((i for i in old if i < j), default=old[-1]) for j in joiner_ids]
+        assert preds[0] != preds[1]
+        ring_keys = rotate_keys(
+            lp_hash_batch(self.points, BOUNDS, M), rotation_offset("index", M), M)
+        keep = np.ones(len(self.points), dtype=bool)
+        for pred, j in zip(preds, joiner_ids):
+            keep &= ~keys_in_interval_open_closed(ring_keys, pred, j, M)
+        self.points, self.ids = self.points[keep], self.ids[keep]
+        await super()._boot(freeze=False)
+        addr = self.cluster.addrs[0]
+        self.querier = ClusterClient()
+        await self.querier.start()
+        await self.querier.query(addr, *WHOLE)
+        assert len(self.querier.walker.view.tiling()) == 8
+        for i in (8, 9):
+            joiner = NodeProcess(self.cluster._config(i, addr))
+            await joiner.start()
+            self.cluster.nodes.append(joiner)
+        assert await self.client.wait_converged(self.cluster.addrs, poll=0.02)
+        for node in self.nodes:
+            node._stabilize_task.cancel()
+
+    async def _shutdown(self) -> None:
+        await self.querier.close()
+        await super()._shutdown()
+
+
+def test_only_a_rounds_first_solve_follows_not_owner(monkeypatch):
+    """The client's view still tiles the ring as it was before two joins, so
+    one round plans a solve at each joiner's successor for the joiner's arc.
+    Both answer ``not_owner``; only the solve for the walk's current key
+    follows the predecessor pointer, and a later one ends the round instead.
+    The answers are exact."""
+    r = TwoJoined(8, n_points=300, seed=21)
+    try:
+        events: list[tuple] = []
+        plan = node_module.OwnerWalk.plan
+
+        def planned(self, arc_of):
+            events.append(("round",))
+            return plan(self, arc_of)
+
+        original = TcpTransport.rpc
+
+        async def recording(self, dst_addr, kind, payload=None, **kw):
+            reply = await original(self, dst_addr, kind, payload, **kw)
+            if kind == "range_solve":
+                events.append(("solve", id(payload), "not_owner" in reply))
+            return reply
+
+        monkeypatch.setattr(node_module.OwnerWalk, "plan", planned)
+        monkeypatch.setattr(TcpTransport, "rpc", recording)
+        addr = r.cluster.addrs[0]
+        assert r.run(r.querier.query(addr, *WHOLE)).tolist() == r.brute_force(*WHOLE).tolist()
+        for lows, highs in _rects(4, 20):
+            got = r.run(r.querier.query(addr, lows, highs))
+            assert got.tolist() == r.brute_force(lows, highs).tolist()
+
+        chases_per_round, not_owner = [], 0
+        for ev in events:
+            if ev[0] == "round":
+                chases_per_round.append(0)
+                refused: set[int] = set()
+                continue
+            _, payload, refused_now = ev
+            if payload in refused:
+                chases_per_round[-1] += 1         # sent again after not_owner
+            if refused_now:
+                refused.add(payload)
+                not_owner += 1
+        assert not_owner >= 2
+        assert max(chases_per_round) == 1
+        assert [e["id"] for e in r.querier.walker.view.tiling()] == r.ring_ids
+    finally:
+        r.close()
+
+
 def test_a_node_the_view_names_is_stopped_and_forgotten(rpcs):
     """A query that runs into the dead node falls back to a lookup; an
     ``insert`` that does fails its ``route_insert`` (it may have been applied,

@@ -153,8 +153,8 @@ def test_range_filter_answers_are_the_unfiltered_answers_cut_at_the_radius(monke
     pruned = []
     refine = LandmarkIndex.refine_distances
 
-    def spy(self, q, points, object_ids, radius=None):
-        out = refine(self, q, points, object_ids, radius=radius)
+    def spy(self, q, object_ids, radius=None):
+        out = refine(self, q, object_ids, radius=radius)
         pruned.append(int(np.isposinf(out).sum()))
         return out
 

@@ -189,7 +189,7 @@ class TestRefusedQueryArguments:
         with pytest.raises(ValueError, match="top_k"):
             platform.query("idx", data[0], radius, top_k=top_k)
         with pytest.raises(ValueError, match="top_k"):
-            QueryProtocol(platform.sim, platform.indexes["idx"], top_k=top_k)
+            QueryProtocol(platform.transport, platform.indexes["idx"], top_k=top_k)
 
     def test_top_k_zero_and_numpy_ints_are_legal(self):
         platform, data, radius = self._one_hit()

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from repro.core.scale import QUERY_RANGE_FACTOR, ScaleConfig, ScaleSimulation
 from repro.core.storage import Shard, ShardStore
 from repro.dht.compact import CompactChordRing
+from repro.dht.hashing import random_ids
 from repro.dht.ring import ChordRing
 from repro.dht.idspace import owner_slots
 from repro.obs.registry import MetricsRegistry
@@ -23,7 +24,12 @@ from repro.sim.network import MatrixLatency
 
 
 def _object_ring(n, m, seed):
-    return ChordRing.build(n, m=m, seed=seed, pns=False, id_source="random")
+    """A ring of ``n`` uniformly random ids (hosts ``0..n-1``)."""
+    ring = ChordRing(m=m)
+    for i, nid in enumerate(random_ids(n, m, seed)):
+        ring.add_node(int(nid), name=f"node-{i}", host=i, rebuild=False)
+    ring.rebuild_tables()
+    return ring
 
 
 class TestCompactVsObjectRing:

@@ -5,6 +5,8 @@ successor-list tolerance), running the maintenance loop long enough must
 return the overlay to a consistent ring whose lookups match the oracle.
 """
 
+import os
+
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -12,9 +14,15 @@ from repro.dht.ring import ChordRing
 from repro.dht.stabilize import MaintenanceConfig, StabilizationProtocol
 from repro.sim.engine import Simulator
 from repro.sim.network import ConstantLatency
+from repro.sim.transport import Transport
 
 
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+#: churn histories per run: 12 in tier-1, 200 under the thorough profile
+_EXAMPLES = 200 if os.environ.get("HYPOTHESIS_PROFILE") == "thorough" else 12
+
+
+@settings(max_examples=_EXAMPLES, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(0, 1000),
     n_start=st.integers(10, 24),
@@ -39,7 +47,7 @@ def test_churn_converges(seed, n_start, events):
     ring = ChordRing.build(n_start, m=m, seed=seed, latency=latency)
     sim = Simulator()
     proto = StabilizationProtocol(
-        ring, sim,
+        ring, Transport(sim),
         config=MaintenanceConfig(stabilize_interval=10.0),
         seed=seed,
     )

@@ -11,8 +11,8 @@ from repro.core.query import RangeQuery, Rect
 from repro.core.routing import QueryProtocol
 from repro.core.storage import Shard
 from repro.dht.ring import ChordRing
-from repro.sim.engine import Simulator
 from repro.sim.stats import StatsCollector
+from repro.sim.transport import Transport
 from repro.util.bits import first_zero_bit, prefix_of
 
 M = 8  # tiny id space so cuboids are enumerable
@@ -39,11 +39,9 @@ class FakeIndex:
             np.array([object_id]),
         )
 
-    refine_mode = "index"
-
-    def refine_distances(self, q, points, object_ids, radius=None):
-        # rank by L_inf in index space (no dataset needed)
-        return np.abs(points - q.payload).max(axis=1)
+    def refine_distances(self, q, object_ids, radius=None):
+        # no dataset: every candidate is kept (range_filter is off, top_k 100)
+        return np.zeros(len(object_ids))
 
 
 def _line_ring(ids):
@@ -55,9 +53,10 @@ def _line_ring(ids):
 
 
 def _proto(index, mode="fixed"):
-    sim = Simulator()
+    transport = Transport()
+    sim = transport.sim
     stats = StatsCollector()
-    proto = QueryProtocol(sim, index, stats, latency=None, surrogate_mode=mode,
+    proto = QueryProtocol(transport, index, stats, surrogate_mode=mode,
                           top_k=100, range_filter=False)
     # the tests enter below issue(): the engine keeps a query's result rows,
     # so the one qid they use is registered as issue() would

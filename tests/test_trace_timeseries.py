@@ -56,7 +56,7 @@ class TestTracer:
         platform.create_index("s", series, metric, k=3, sample_size=150, seed=1)
         stats = StatsCollector()
         obs = Observability(tracing=True).bind(platform.sim)
-        proto = QueryProtocol(platform.sim, platform.indexes["s"], stats, obs=obs)
+        proto = QueryProtocol(platform.transport, platform.indexes["s"], stats, obs=obs)
         q = platform.indexes["s"].make_query(series[0], radius, qid=0)
         proto.issue(q, ring.nodes()[0])
         platform.sim.run()
