@@ -102,10 +102,10 @@ class IndexSpaceBounds:
             highs[flat] = lows[flat] + 1e-9 * scale[flat]
         return cls(lows, highs)
 
-    def clip(self, points: np.ndarray) -> np.ndarray:
+    def clip(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Clip index points into the box (paper: out-of-range objects map to
-        the boundary)."""
-        return np.clip(points, self.lows, self.highs)
+        the boundary); ``out=points`` clips in place."""
+        return np.clip(points, self.lows, self.highs, out=out)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of points inside the box (inclusive)."""
@@ -156,10 +156,15 @@ class IndexSpace:
             raise ValueError(f'unknown boundary strategy {boundary!r} (use "metric"/"sample")')
         return cls(landmark_set, bounds)
 
+    # Both clip in place: the projection has just allocated the float64
+    # array, so no caller holds it and no second (n, k) array is needed.
+
     def project(self, objects: Any) -> np.ndarray:
         """Map objects to clipped index points (``(n, k)`` array)."""
-        return self.bounds.clip(self.landmark_set.project(objects))
+        points = self.landmark_set.project(objects)
+        return self.bounds.clip(points, out=points)
 
     def project_one(self, obj: Any) -> np.ndarray:
         """Map one object to its clipped index point."""
-        return self.bounds.clip(self.landmark_set.project_one(obj))
+        point = self.landmark_set.project_one(obj)
+        return self.bounds.clip(point, out=point)

@@ -23,13 +23,16 @@ sample of the network's data (§3.1); new nodes fetch the set from any member.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
-from scipy import sparse
 
 from repro.metric.base import Metric
+from repro.util.arrays import issparse
 from repro.util.rng import as_rng
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "LandmarkSet",
@@ -83,11 +86,9 @@ class LandmarkSet:
         zero-radius query for an indexed object must land exactly on its
         stored index point.
         """
-        from scipy import sparse
-
         if isinstance(obj, np.ndarray) and obj.ndim == 1:
             batch: Any = obj[None, :]
-        elif sparse.issparse(obj):
+        elif issparse(obj):
             batch = obj
         else:
             batch = [obj]
@@ -96,7 +97,7 @@ class LandmarkSet:
 
 def _take(sample: Any, idx: Any) -> Any:
     """Index a domain sample that may be an array, CSR matrix or list."""
-    if sparse.issparse(sample) or isinstance(sample, np.ndarray):
+    if issparse(sample) or isinstance(sample, np.ndarray):
         return sample[idx]
     if isinstance(idx, (list, np.ndarray)):
         return [sample[int(i)] for i in np.atleast_1d(idx)]
@@ -200,6 +201,8 @@ def _spherical_lloyd_sparse(
     sparse indicator product per iteration.  Returns dense ``(k, dim)``
     centroids — for k ~ 10 this is small even at a 233k-term vocabulary.
     """
+    from scipy import sparse
+
     n = X.shape[0]
     norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
     norms[norms == 0] = 1.0
@@ -245,7 +248,7 @@ def kmeans_selection(
     paper credits for k-means beating greedy on TREC (§4.3).
     """
     rng = as_rng(seed)
-    if sparse.issparse(sample):
+    if issparse(sample):
         centers = _spherical_lloyd_sparse(sample.tocsr(), k, rng, iters)
         return LandmarkSet(landmarks=centers, metric=metric, scheme="kmeans")
     try:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.index_space import IndexSpace
 from repro.core.landmarks import select_landmarks
@@ -35,6 +34,7 @@ from repro.metric.base import Metric
 from repro.sim import Simulator
 from repro.sim.stats import StatsCollector
 from repro.sim.transport import FaultConfig, Transport
+from repro.util.arrays import issparse
 from repro.util.rng import as_rng
 
 __all__ = ["QueryPayload", "LandmarkIndex", "IndexPlatform", "take"]
@@ -42,7 +42,7 @@ __all__ = ["QueryPayload", "LandmarkIndex", "IndexPlatform", "take"]
 
 def take(dataset: Any, idx: Any) -> Any:
     """Index a dataset that may be an ndarray, CSR matrix or plain sequence."""
-    if sparse.issparse(dataset) or isinstance(dataset, np.ndarray):
+    if issparse(dataset) or isinstance(dataset, np.ndarray):
         return dataset[idx]
     if np.ndim(idx) == 0:
         return dataset[int(idx)]
@@ -550,8 +550,19 @@ class IndexPlatform:
         engine takes ``policy`` — per-query deadlines and retransmission with
         backoff; the default arms no timer, so a lost branch settles as
         failed and every query still ends in a terminal state.
+
+        ``reset_sim=True`` rewinds the simulator first, which drops every
+        queued event; it raises ``ValueError`` instead while any timer (a
+        started protocol's, a ``sim.every`` sampler's) is queued.  Cancelled
+        timers and messages a settled query left in flight do not count.
         """
         if reset_sim:
+            live = self.transport.pending_timers()
+            if live:
+                raise ValueError(
+                    f"run_workload(reset_sim=True) would drop {live} queued "
+                    "timers (a started protocol or sampler); pass reset_sim=False"
+                )
             self.sim.reset()
         engine = self.lifecycle(policy)
         proto, stats = self.protocol(name, engine=engine, **protocol_kwargs)

@@ -84,7 +84,7 @@ class UpdateProtocol:
         index = self.index
         source_node = source_node or index.ring.nodes()[0]
         obj = take(index.dataset, object_id)
-        point = index.bounds.clip(index.space.project_one(obj))
+        point = index.space.project_one(obj)
         key = int(lp_hash_batch(point[None, :], index.bounds, index.m)[0])
         self._route_cost(source_node, key)
         index.append_entries([object_id], point[None, :], [key])
@@ -109,7 +109,7 @@ class UpdateProtocol:
         source_node = source_node or index.ring.nodes()[0]
         object_ids = np.asarray(object_ids, dtype=np.int64)
         objs = take(index.dataset, object_ids)
-        points = index.bounds.clip(index.space.landmark_set.project(objs))
+        points = index.space.project(objs)
         keys = lp_hash_batch(points, index.bounds, index.m)
         for key in keys:
             self._route_cost(source_node, int(key))

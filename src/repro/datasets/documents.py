@@ -28,11 +28,14 @@ vocabulary statistics reproduced here, not of AP's actual prose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.util.rng import as_rng
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "SyntheticCorpusConfig",
@@ -216,6 +219,8 @@ def generate_corpus(
     seed: int | np.random.Generator | None = 0,
 ) -> DocumentCorpus:
     """Generate the synthetic corpus as a TF/IDF CSR matrix."""
+    from scipy import sparse
+
     rng = as_rng(seed)
     sizes = _draw_doc_sizes(cfg, cfg.n_docs, rng)
     cdf = _zipf_cdf(cfg)
@@ -248,6 +253,8 @@ def generate_topics(
     terms — real topic titles avoid both stop words and hapaxes); weights are
     TF(=1) x IDF.
     """
+    from scipy import sparse
+
     rng = as_rng(seed)
     cfg = corpus.config
     sizes = np.maximum(1, rng.poisson(mean_terms - 1.0, size=n_topics) + 1)

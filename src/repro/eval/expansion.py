@@ -9,8 +9,12 @@ workload: run the query, take the top ``n_feedback`` results, add their
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["expand_query"]
 
@@ -27,6 +31,8 @@ def expand_query(
     ``query' = alpha * query + beta * centroid(feedback)`` restricted to the
     original terms plus the ``n_terms`` heaviest centroid terms.
     """
+    from scipy import sparse
+
     if feedback_docs.shape[0] == 0:
         return query_row.copy()
     centroid = np.asarray(feedback_docs.mean(axis=0)).ravel()

@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
-from scipy import sparse
 
 from repro.metric.base import Metric
+from repro.util.arrays import issparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["AngularMetric", "SparseAngularMetric"]
 
@@ -94,15 +97,18 @@ class SparseAngularMetric(Metric):
     upper_bound = math.pi / 2
 
     @staticmethod
-    def _as_row(x: Any) -> sparse.csr_matrix:
-        if sparse.issparse(x):
+    def _as_csr(x: Any) -> sparse.csr_matrix:
+        """``x`` as a CSR matrix; a 1-D dense vector becomes one row."""
+        if issparse(x):
             return x.tocsr()
+        from scipy import sparse
+
         arr = np.asarray(x, dtype=np.float64)
         return sparse.csr_matrix(arr[None, :] if arr.ndim == 1 else arr)
 
     def distance(self, x: Any, y: Any) -> float:
-        xr = self._as_row(x)
-        yr = self._as_row(y)
+        xr = self._as_csr(x)
+        yr = self._as_csr(y)
         nx = math.sqrt(xr.multiply(xr).sum())
         ny = math.sqrt(yr.multiply(yr).sum())
         if nx == 0.0 or ny == 0.0:
@@ -111,8 +117,8 @@ class SparseAngularMetric(Metric):
         return float(_safe_arccos(np.array(dot / (nx * ny))))
 
     def one_to_many(self, x: Any, ys: Any) -> np.ndarray:
-        xr = self._as_row(x)
-        Y = ys.tocsr() if sparse.issparse(ys) else sparse.csr_matrix(np.asarray(ys, dtype=np.float64))
+        xr = self._as_csr(x)
+        Y = self._as_csr(ys)
         nx = math.sqrt(xr.multiply(xr).sum())
         ny = np.sqrt(np.asarray(Y.multiply(Y).sum(axis=1)).ravel())
         out = np.full(Y.shape[0], self.upper_bound)

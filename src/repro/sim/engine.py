@@ -47,6 +47,12 @@ __all__ = ["Simulator", "EventHandle"]
 _CANCELABLE = None
 
 
+def _live_entries(queue: list[Any]) -> list[Any]:
+    """The queued entries that will still fire: every direct entry, and each
+    cancelable one whose cell :meth:`EventHandle.cancel` has not nulled."""
+    return [e for e in queue if e[2] is not None or e[3][0] is not None]
+
+
 class EventHandle:
     """Handle of a cancelable scheduled event.
 
@@ -170,6 +176,14 @@ class Simulator:
         """Number of events still queued (tombstones included)."""
         return len(self._queue)
 
+    def pending_live(self, ignore: Callable[..., Any] | None = None) -> int:
+        """Number of queued events that will still fire (tombstones
+        excluded), leaving out those whose callback equals ``ignore``."""
+        live = _live_entries(self._queue)
+        if ignore is None:
+            return len(live)
+        return sum(1 for e in live if (e[2] if e[2] is not None else e[3][0]) != ignore)
+
     def stop(self) -> None:
         """Make the innermost :meth:`run` return once the event in progress
         has finished (``asyncio``'s ``loop.stop()``); the rest stays queued.
@@ -245,9 +259,7 @@ class Simulator:
             and len(self._queue) >= self.COMPACT_MIN_QUEUE
             and self._cancelled_pending * 2 > len(self._queue)
         ):
-            self._queue[:] = [
-                e for e in self._queue if e[2] is not None or e[3][0] is not None
-            ]
+            self._queue[:] = _live_entries(self._queue)
             heapq.heapify(self._queue)
             self._cancelled_pending = 0
 

@@ -333,6 +333,13 @@ class Transport(MessageAccounting):
         """Like :meth:`at`, returning a cancelable :class:`TimerHandle`."""
         return self.sim.schedule_cancelable_at(time, fn, *args)
 
+    def pending_timers(self) -> int:
+        """Queued events that will still fire and are not messages in flight:
+        the timers of started protocols, samplers and query arrivals.  A
+        message left in flight by a settled query (a timed-out branch, a
+        duplicate retransmission) is not counted."""
+        return self.sim.pending_live(ignore=self._deliver)
+
     # -- delivery --------------------------------------------------------------
 
     def send(

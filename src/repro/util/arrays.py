@@ -12,17 +12,21 @@ raw little-endian buffer, base64-armoured, plus dtype and shape:
 Decoding validates the payload length against ``dtype.itemsize * prod(shape)``
 so a truncated or tampered record fails loudly instead of producing a
 silently short array.
+
+:func:`issparse` is the one sparse-matrix test of the package: it answers
+without importing SciPy, so dense and live runs never load it.
 """
 
 from __future__ import annotations
 
 import base64
+import sys
 from math import prod
 from typing import Any
 
 import numpy as np
 
-__all__ = ["TAG", "encode_array", "decode_array"]
+__all__ = ["TAG", "encode_array", "decode_array", "issparse"]
 
 #: marker key of an encoded array payload
 TAG = "__nd__"
@@ -57,3 +61,10 @@ def decode_array(payload: dict[str, Any]) -> np.ndarray:
             f"dtype {dtype.str} x shape {shape} needs {expected}"
         )
     return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
+def issparse(x: Any) -> bool:
+    """``scipy.sparse.issparse(x)``, without importing SciPy: a sparse
+    matrix can only exist once ``scipy.sparse`` has been imported."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and bool(sp.issparse(x))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.synthetic import (
+    _BLOCK_ROWS,
     ClusteredGaussianConfig,
     generate_clustered,
     paper_table1_config,
@@ -77,3 +78,33 @@ class TestGeneration:
     def test_bad_centers_shape_rejected(self):
         with pytest.raises(ValueError):
             generate_clustered(self.CFG, 0, centers=np.zeros((3, 8)))
+
+
+def _one_expression(cfg, seed=0, centers=None):
+    """The generator as one expression: the centres gathered for every
+    object, then the whole noise array added to them."""
+    rng = np.random.default_rng(seed)
+    if centers is None:
+        centers = rng.uniform(cfg.low, cfg.high, size=(cfg.n_clusters, cfg.dim))
+    assignment = rng.integers(0, cfg.n_clusters, size=cfg.n_objects)
+    objects = centers[assignment] + rng.normal(0.0, cfg.deviation, size=(cfg.n_objects, cfg.dim))
+    if cfg.clip:
+        np.clip(objects, cfg.low, cfg.high, out=objects)
+    return objects, centers
+
+
+class TestInPlaceBlocks:
+    """The block-wise in-place addition draws the same data set, byte for
+    byte, as the one-expression formula, at every block boundary."""
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 10_001])
+    @pytest.mark.parametrize("clip", [True, False])
+    @pytest.mark.parametrize("given_centers", [False, True])
+    def test_bit_identical_to_the_one_expression_formula(self, n, clip, given_centers):
+        cfg = ClusteredGaussianConfig(n_objects=n, dim=5, n_clusters=7, deviation=20.0, clip=clip)
+        centers = np.random.default_rng(3).uniform(0.0, 100.0, size=(7, 5)) if given_centers else None
+        got, got_c = generate_clustered(cfg, 11, centers=centers)
+        want, want_c = _one_expression(cfg, 11, centers=centers)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_c.tobytes() == want_c.tobytes()

@@ -1,6 +1,7 @@
 """Tests for the Chord stabilisation protocol, churn repair and piggybacking."""
 
 import numpy as np
+import pytest
 
 from repro.dht.ring import ChordRing
 from repro.dht.stabilize import (
@@ -232,6 +233,60 @@ class TestOnThePlatformTransport:
                                        mean_interarrival=20.0, start_time=100.0)
         stats = platform.run_workload("idx", workload, reset_sim=False)
         assert stats.maintenance_messages == ts.maintenance_messages - before > 0
+
+    def test_a_default_run_workload_refuses_to_drop_started_maintenance(self):
+        """``reset_sim=True`` would discard the maintenance timers and the
+        run would silently send no control message: it raises instead, and
+        ``reset_sim=False`` runs the queries beside the maintenance."""
+        from repro.datasets.queries import QueryWorkload
+
+        platform, data = self._platform()
+        maint = StabilizationProtocol(platform.ring, platform.transport, seed=0)
+        maint.start(duration=3000.0)
+        workload = QueryWorkload.build(data[:20], 20.0, len(platform.ring),
+                                       mean_interarrival=60.0)
+        with pytest.raises(ValueError, match=r"drop \d+ queued timers.*reset_sim=False"):
+            platform.run_workload("idx", workload)
+        before = maint.stats.messages
+        stats = platform.run_workload("idx", workload, reset_sim=False)
+        assert stats.maintenance_messages > 0
+        assert maint.stats.messages > before
+
+    def test_a_default_run_workload_resets_over_tombstones_alone(self):
+        """Deadline timers cancelled by settled queries stay queued as
+        tombstones; they do not block the next default run."""
+        from repro.core.lifecycle import RetryPolicy
+        from repro.datasets.queries import QueryWorkload
+
+        platform, data = self._platform()
+        workload = QueryWorkload.build(data[:20], 20.0, len(platform.ring),
+                                       mean_interarrival=1.0)
+        first = platform.run_workload("idx", workload, policy=RetryPolicy(deadline=500.0))
+        assert platform.sim.pending() > platform.sim.pending_live() == 0
+        second = platform.run_workload("idx", workload, policy=RetryPolicy(deadline=500.0))
+        assert [q.entries for q in second.queries.values()] == [
+            q.entries for q in first.queries.values()]
+
+    def test_a_default_run_workload_resets_over_messages_left_in_flight(self):
+        """Under loss and jitter a short deadline and RTO leave timed-out
+        branches and duplicate retransmissions in flight once every query has
+        settled; they are leftovers, not timers, and the next default run
+        resets over them."""
+        from repro.core.lifecycle import RetryPolicy
+        from repro.datasets.queries import QueryWorkload
+        from repro.sim.transport import FaultConfig
+
+        platform, data = self._platform(FaultConfig(loss_rate=0.2, jitter=0.05, seed=1))
+        workload = QueryWorkload.build(data[:40], 20.0, len(platform.ring),
+                                       mean_interarrival=0.01)
+        policy = RetryPolicy(deadline=0.05, max_retries=3, rto=0.02)
+        platform.run_workload("idx", workload, policy=policy)
+        assert platform.sim.pending_live() > platform.transport.pending_timers() == 0
+        end = platform.sim.now
+        second = platform.run_workload("idx", workload, policy=policy)
+        issued = sorted(q.issued_at for q in second.queries.values())
+        assert issued == sorted(workload.arrival_times) and issued[0] < end   # rewound
+        assert all(q.state in ("complete", "timed_out") for q in second.queries.values())
 
     def test_a_naive_protocol_on_the_transport_makes_control_messages_piggyback(self):
         from repro.core.naive import NaiveProtocol

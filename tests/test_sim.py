@@ -164,6 +164,24 @@ class TestEngine:
             "tombstones still popped"
         )
 
+    def test_pending_live_leaves_tombstones_out(self):
+        sim = Simulator()
+        sim.schedule_in(1.0, lambda: None)
+        handles = [sim.schedule_cancelable_in(2.0, lambda: None) for _ in range(3)]
+        handles[0].cancel()
+        handles[1].cancel()
+        handles[1].cancel()  # idempotent
+        assert (sim.pending(), sim.pending_live()) == (4, 2)
+        sim.run(until=1.5)
+        assert (sim.pending(), sim.pending_live()) == (3, 1)
+        handles[2].cancel()
+        assert (sim.pending(), sim.pending_live()) == (3, 0)
+        marker = [].append
+        sim.schedule_in(1.0, marker, 1)
+        sim.schedule_in(1.0, print)
+        sim.schedule_cancelable_in(1.0, marker, 2)
+        assert (sim.pending_live(), sim.pending_live(ignore=marker)) == (3, 1)
+
     def test_digest_mode_keeps_exact_tombstone_accounting(self):
         """With digests on (replay), compaction must stay off: every
         cancelled timer is popped, counted and folded into the digest."""
