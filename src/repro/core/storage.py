@@ -62,7 +62,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.util.arrays import decode_array, encode_array
+from repro.util.arrays import compact_json_encoder, decode_array, encode_array
 
 __all__ = ["Shard", "ShardStore", "WriteAheadLog", "PersistentShard", "group_by_owner"]
 
@@ -464,6 +464,11 @@ def _cut(
     return lo
 
 
+#: the encoder ``json.dumps(record, separators=(",", ":"))`` builds on every
+#: call, built once: the lines it writes are that call's, byte for byte
+_WAL_ENCODE = compact_json_encoder(json.JSONEncoder().default)
+
+
 class WriteAheadLog:
     """Append-only JSONL log of shard mutations.
 
@@ -495,7 +500,7 @@ class WriteAheadLog:
 
     def append(self, record: dict[str, Any]) -> None:
         fh = self._handle()
-        fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        fh.write("".join(_WAL_ENCODE(record, 0)) + "\n")
         fh.flush()
         if self.fsync:
             os.fsync(fh.fileno())

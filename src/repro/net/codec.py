@@ -11,10 +11,16 @@ JSON scalars, lists, ``str``-keyed dicts and, bit-exactly,
 * NumPy arrays and scalars — raw-buffer base64 via
   :mod:`repro.util.arrays` (the same encoding the WAL uses on disk).
 
-The walk over a value runs inside the C JSON encoder and parser: the encoder
-calls back into Python only for those three kinds of leaf, the parser once
-per JSON object, innermost first — and not at all for a body that holds
-neither ``"__`` nor ``\\u``, where no tag can be.  No class is ever
+The walk over a value runs inside the C JSON encoder and parser, one C call
+per frame each way.  The C encoder is built once per process (what
+``JSONEncoder(separators=(",", ":"), default=...).iterencode`` builds on every
+call) and calls back into Python only for those three kinds of leaf.  The C
+parser is ``JSONDecoder.raw_decode``, without ``decode``'s two whitespace
+regexes: a body is refused unless its value ends it, and only a body whose
+first or last character is JSON whitespace (which ``json.loads`` skips and no
+peer of ours writes) is stripped first.  The parser calls back once per JSON
+object, innermost first — and not at all for a body that holds neither
+``"__`` nor ``\\u``, where no tag can be.  No class is ever
 constructed from network bytes: the most a frame can make the decoder do is
 build lists, dicts, arrays and scalars.  The tag keys — and ``__obj__`` / ``__msg__``, which
 tagged typed messages in earlier versions and stay reserved — are refused as
@@ -33,13 +39,13 @@ length prefixes.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 from typing import Any
 
 import numpy as np
 
-from repro.util.arrays import TAG as _ND_TAG, decode_array, encode_array
+from repro.util.arrays import TAG as _ND_TAG, compact_json_encoder, decode_array, encode_array
 
 __all__ = [
     "WIRE_VERSION",
@@ -100,7 +106,7 @@ def _check_keys(obj: Any) -> None:
 def _encode_leaf(obj: Any) -> Any:
     """``default`` of the JSON encoder: the leaves JSON has no spelling for."""
     if isinstance(obj, bytes):
-        return {_BYTES_TAG: base64.b64encode(obj).decode("ascii")}
+        return {_BYTES_TAG: binascii.b2a_base64(obj, newline=False).decode("ascii")}
     if isinstance(obj, np.ndarray):
         return encode_array(obj)
     if isinstance(obj, np.generic):
@@ -118,7 +124,7 @@ def _decode_object(obj: dict[str, Any]) -> Any:
         if not isinstance(data, str):
             raise CodecError(f"malformed bytes payload: {type(data).__name__} for base64 text")
         try:
-            return base64.b64decode(data)
+            return binascii.a2b_base64(data)
         except ValueError as exc:
             raise CodecError(f"malformed bytes payload: {exc}") from exc
     if _ND_TAG in obj:
@@ -136,10 +142,14 @@ def _decode_object(obj: dict[str, Any]) -> Any:
     raise CodecError(f"tags {_OBJ_TAG} / {_MSG_TAG} are reserved and carry no value")
 
 
-_ENCODE = json.JSONEncoder(separators=(",", ":"), default=_encode_leaf).encode
-_DECODE = json.JSONDecoder(object_hook=_decode_object).decode
+#: built once; it keeps no circular-reference markers, but ``_check_keys``
+#: walks every container first, so a cycle ends there
+_ENCODE = compact_json_encoder(_encode_leaf)
+_DECODE = json.JSONDecoder(object_hook=_decode_object).raw_decode
 #: what :data:`_DECODE` does to a body that can hold no reserved key
-_DECODE_PLAIN = json.JSONDecoder().decode
+_DECODE_PLAIN = json.JSONDecoder().raw_decode
+#: what ``json.loads`` skips around the value
+_JSON_WS = " \t\n\r"
 
 
 # -- framing --------------------------------------------------------------------
@@ -157,7 +167,7 @@ class Framer:
         try:
             if isinstance(obj, _CONTAINERS):
                 _check_keys(obj)
-            body = _ENCODE(obj).encode("utf-8")
+            body = "".join(_ENCODE(obj, 0)).encode("utf-8")
         except RecursionError as exc:  # a cycle, or nesting past the interpreter's limit
             raise CodecError(f"value nests too deeply: {exc}") from exc
         length = len(body) + 1
@@ -204,10 +214,18 @@ class FrameDecoder:
             raise CodecError(f"unknown frame format byte {fmt[0]:#x}")
         try:
             text = body.decode("utf-8")
+            # json.loads skips whitespace around the value; no peer of ours
+            # writes any, so a frame pays a one-character test at each end
+            # (an empty body takes the strip too: "" is in every str)
+            if text[:1] in _JSON_WS or text[-1:] in _JSON_WS:
+                text = text.strip(_JSON_WS)
             # every reserved key starts with "__", which raw JSON can only
             # spell as "__ or with a \u escape: without either, the hook
             # would hand every object back unchanged
-            return (_DECODE if '"__' in text or "\\u" in text else _DECODE_PLAIN)(text)
+            value, end = (_DECODE if '"__' in text or "\\u" in text else _DECODE_PLAIN)(text)
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
+            return value
         except CodecError:
             raise
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError

@@ -9,9 +9,10 @@ raw little-endian buffer, base64-armoured, plus dtype and shape:
 
     {"__nd__": "<f8", "shape": [3, 2], "data": "<base64>"}
 
-Decoding validates the payload length against ``dtype.itemsize * prod(shape)``
-so a truncated or tampered record fails loudly instead of producing a
-silently short array.
+Decoding accepts only exact non-negative ``int`` shape entries and validates
+the payload length against ``dtype.itemsize * prod(shape)``, so a truncated
+or tampered record fails loudly instead of producing a silently short or
+reshaped array.  The base64 is :mod:`binascii`'s, called directly.
 
 :func:`issparse` is the one sparse-matrix test of the package: it answers
 without importing SciPy, so dense and live runs never load it.
@@ -19,14 +20,16 @@ without importing SciPy, so dense and live runs never load it.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import sys
+from _json import encode_basestring_ascii, make_encoder
+from collections.abc import Callable
 from math import prod
 from typing import Any
 
 import numpy as np
 
-__all__ = ["TAG", "encode_array", "decode_array", "issparse"]
+__all__ = ["TAG", "encode_array", "decode_array", "compact_json_encoder", "issparse"]
 
 #: marker key of an encoded array payload
 TAG = "__nd__"
@@ -42,18 +45,25 @@ def encode_array(arr: np.ndarray) -> dict[str, Any]:
     return {
         TAG: a.dtype.str,
         "shape": list(a.shape),
-        "data": base64.b64encode(a.tobytes()).decode("ascii"),
+        "data": binascii.b2a_base64(a.tobytes(), newline=False).decode("ascii"),
     }
 
 
 def decode_array(payload: dict[str, Any]) -> np.ndarray:
     """Inverse of :func:`encode_array`; raises ``ValueError`` on corruption."""
     try:
-        dtype = np.dtype(payload[TAG])
-        shape = tuple(int(s) for s in payload["shape"])
-        raw = base64.b64decode(payload["data"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+        dtype = np.dtype(payload[TAG])  # a dict spelling can overflow
+        shape = payload["shape"]
+        raw = binascii.a2b_base64(payload["data"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed array payload: {exc}") from exc
+    # a list of exact non-negative ints: not 2.9, "2", True or a string
+    if type(shape) is not list:
+        raise ValueError(f"malformed array payload: shape {shape!r}")
+    for s in shape:
+        if type(s) is not int or s < 0:
+            raise ValueError(f"malformed array payload: shape {shape!r}")
+    shape = tuple(shape)
     expected = dtype.itemsize * prod(shape)
     if len(raw) != expected:
         raise ValueError(
@@ -61,6 +71,17 @@ def decode_array(payload: dict[str, Any]) -> np.ndarray:
             f"dtype {dtype.str} x shape {shape} needs {expected}"
         )
     return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
+def compact_json_encoder(default: Callable[[Any], Any]) -> make_encoder:
+    """The C encoder ``json.JSONEncoder(separators=(",", ":"), default=default)``
+    builds on every ``encode`` call (``ensure_ascii`` and ``allow_nan`` on),
+    for the WAL and the wire codec to build once: ``"".join(enc(value, 0))``
+    is the text that ``encode`` returns.  It keeps no circular-reference
+    markers, because a shared markers dict would keep the ids of a failed
+    encode; a cycle recurses until ``RecursionError`` instead."""
+    return make_encoder(None, default, encode_basestring_ascii, None, ":", ",",
+                        False, False, True)
 
 
 def issparse(x: Any) -> bool:

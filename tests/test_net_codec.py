@@ -1,6 +1,6 @@
 """Wire-codec properties: round trips, framing, chunk splits, hostile frames.
 
-Hypothesis drives three invariants end to end:
+Hypothesis drives these invariants end to end:
 
 * **value round trip** — any encodable value tree (scalars, bytes, arrays,
   NumPy scalars, lists, str-keyed dicts) survives encode → frame → decode
@@ -14,6 +14,9 @@ Hypothesis drives three invariants end to end:
   ``TcpTransport`` catch nothing else;
 * **no hook, same value** — a body the decoder parses without its tag hook
   (no ``"__``, no ``\\u``) decodes to what the hooked parser makes of it;
+* **``json.loads`` parity** — any JSON text, padded with whitespace and
+  followed by stray bytes, decodes to the value ``json.loads`` gives, or is
+  refused where ``json.loads`` refuses it, always as :class:`CodecError`;
 * **floats as JSON numbers** — a rectangle sent as lists of floats comes
   back bit-exact.
 
@@ -22,7 +25,8 @@ length prefixes, truncated arrays, malformed tagged values), the byte
 fixtures that pin every frame the live node speaks
 (``tests/fixtures/wire_pr18.json``, written by an earlier commit, and
 ``wire_tiled.json`` for the list-rectangle and ``tiled`` shapes of
-``range_solve`` that came after it), and the live cases: an envelope of
+``range_solve`` that came after it) — and the bytes ``TcpTransport`` itself
+hands its socket for two of those shapes — and the live cases: an envelope of
 another ``WIRE_VERSION`` gets no answer, and a hostile frame — or a frame
 that decodes to an envelope with a field of the wrong type — costs its own
 connection, nothing more.
@@ -188,25 +192,94 @@ def _decoded(frame: bytes) -> Any:
     return _canonical(value)
 
 
-@given(hostile_trees, st.data())
-def test_a_body_with_no_tag_spelling_decodes_as_with_the_hook(tree, data):
-    """``FrameDecoder`` skips the tag hook on a body that holds neither
-    ``"__`` nor ``\\u``.  For any JSON tree — its keys drawn from the
-    reserved tags as often as not, and each ``"__`` of the text spelled
-    ``"\\u005f_`` at random — the frame decodes to what the hooked parser
-    makes of it, or fails with the same :class:`CodecError`."""
+json_whitespace = st.text(alphabet=" \t\n\r", max_size=3)
+
+
+def _frame_of(body: bytes) -> bytes:
+    return (len(body) + 1).to_bytes(4, "big") + b"J" + body
+
+
+@given(hostile_trees, json_whitespace, json_whitespace, st.data())
+def test_a_body_with_no_tag_spelling_decodes_as_with_the_hook(tree, before, after, data):
+    """``FrameDecoder`` parses a body that holds neither ``"__`` nor ``\\u``
+    with the hookless ``raw_decode``.  For any JSON tree — its keys drawn
+    from the reserved tags as often as not, each ``"__`` of the text spelled
+    ``"\\u005f_`` at random, and JSON whitespace around it — the frame
+    decodes to what the hooked ``raw_decode`` makes of it, or fails with the
+    same :class:`CodecError`."""
     body = json.dumps(tree)
     escape = data.draw(st.lists(st.booleans(), min_size=body.count('"__'),
                                 max_size=body.count('"__')))
     parts = body.split('"__')
-    body = parts[0] + "".join(('"\\u005f_' if e else '"__') + p
-                              for e, p in zip(escape, parts[1:]))
-    frame = (len(body.encode()) + 1).to_bytes(4, "big") + b"J" + body.encode()
+    body = before + parts[0] + "".join(('"\\u005f_' if e else '"__') + p
+                                       for e, p in zip(escape, parts[1:])) + after
+    frame = _frame_of(body.encode())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # NumPy's dtype-spelling deprecations
         got = _decoded(frame)
         with mock.patch.object(codec, "_DECODE_PLAIN", codec._DECODE):
             assert _decoded(frame) == got
+
+
+#: JSON trees ``json.loads`` and the decoder agree on: no key spells a tag
+plain_json_trees = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70),
+              st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6).filter(lambda k: not k.startswith("__")),
+                        children, max_size=4)),
+    max_leaves=12,
+)
+#: JSON as written by any encoder: compact, spaced or indented, escaped or not
+json_texts = st.builds(
+    lambda tree, indent, seps, ascii_only: json.dumps(
+        tree, indent=indent, separators=seps, ensure_ascii=ascii_only),
+    plain_json_trees, st.sampled_from([None, 0, 2]),
+    st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", " :\r\n")]), st.booleans())
+#: and text that is mostly not JSON at all
+json_like_texts = st.text(alphabet='[]{}:,"0123456789.eE+-truefalsnNIiy \t\n\r\\/', max_size=24)
+
+
+def _loaded(body: bytes) -> Any:
+    """What ``json.loads`` makes of a UTF-8 body, canonical, or ``"refused"``."""
+    try:
+        return _canonical(json.loads(body.decode("utf-8")))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError both are
+        return "refused"
+
+
+def _fed(body: bytes) -> Any:
+    try:
+        (value,) = FrameDecoder().feed(_frame_of(body))
+    except CodecError:
+        return "refused"
+    return _canonical(value)
+
+
+@given(st.one_of(json_texts, json_like_texts), json_whitespace, json_whitespace,
+       st.one_of(st.just(b""), st.binary(max_size=3),
+                 st.sampled_from([b"0", b"}", b"]", b",", b" x", b"\x00", b"\xff", b"\xc3"])))
+def test_the_decoder_answers_what_json_loads_answers(text, before, after, tail):
+    """``FrameDecoder`` parses with ``raw_decode`` and refuses a body unless
+    the value ends it, skipping only JSON whitespace (space, tab, LF, CR)
+    around it: any JSON text, padded and followed by stray bytes, gets the
+    value ``json.loads`` gives, or a refusal where ``json.loads`` refuses —
+    and a refusal is always :class:`CodecError` (``_fed`` lets anything
+    else through)."""
+    body = (before + text + after).encode("utf-8") + tail
+    assert _fed(body) == _loaded(body)
+
+
+@pytest.mark.parametrize("body", [
+    b"", b" ", b"\t\n\r ", b"1", b" 1", b"1 ", b"\r\n[1]\t", b"1 2", b"[1]]", b"{}x",
+    b"\xef\xbb\xbf1", b"\x0c1", b"1\x0b", b"\xc2\xa01", b"\"a\" ", b" nul", b"NaN\n",
+    b"-Infinity", b"-", b"0.", b"1e", b"01", b"[1,]", b'{"a":1,}', b'"\\u00e9"',
+])
+def test_the_decoder_answers_what_json_loads_answers_on_edge_bodies(body):
+    """Whitespace json.loads does not skip (form feed, vertical tab, NBSP,
+    a BOM) is refused as it is there; what it skips is skipped."""
+    assert _fed(body) == _loaded(body)
 
 
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -349,6 +422,78 @@ def test_wire_bytes_of_the_list_rectangle_and_tiled_shapes_match_their_fixture()
                    for t in ("req", "res")}
 
 
+def _fixture_wire(name: str) -> bytes:
+    for path in (WIRE_FIXTURE, WIRE_TILED_FIXTURE):
+        frames = json.loads(path.read_text())["frames"]
+        if name in frames:
+            return bytes.fromhex(frames[name])
+    raise KeyError(name)
+
+
+async def _read_exactly(reader: asyncio.StreamReader, n: int) -> bytes:
+    """``n`` bytes off ``reader``, then whatever else arrives within 50 ms
+    (nothing should: a longer frame fails the comparison)."""
+    got = await reader.readexactly(n)
+    try:
+        got += await asyncio.wait_for(reader.read(65536), timeout=0.05)
+    except asyncio.TimeoutError:
+        pass
+    return got
+
+
+@pytest.mark.timeout(30)
+@pytest.mark.parametrize("shape", ["ping", "range_solve.tiled"])
+def test_the_transport_writes_the_fixture_bytes(shape):
+    """What ``TcpTransport.rpc`` and ``_Link._reply`` hand the socket — not
+    only what ``Framer.encode`` makes of an envelope built here — is the
+    fixture's frame, byte for byte, once ``rid``, ``src`` and ``sent_at``
+    are pinned to the fixture's."""
+    req, res = (_wire_envelopes()[f"{shape}:{t}"] for t in ("req", "res"))
+    req_wire, res_wire = _fixture_wire(f"{shape}:req"), _fixture_wire(f"{shape}:res")
+
+    async def requester_side() -> None:
+        # a raw peer records the request and answers with the fixture's reply
+        written: list[bytes] = []
+
+        async def peer(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+            written.append(await _read_exactly(reader, len(req_wire)))
+            writer.write(res_wire)
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+
+        listener = await asyncio.start_server(peer, "127.0.0.1", 0)
+        addr = f"127.0.0.1:{listener.sockets[0].getsockname()[1]}"
+        src = req["src"]
+        client = TcpTransport(node_id=src["id"], host=src["host"])
+        await client.start(listen=False)
+        client.addr = src["addr"]
+        client._next_rid = req["rid"]
+        with mock.patch.object(TcpTransport, "now", property(lambda self: req["sent_at"])):
+            reply = await client.rpc(addr, req["kind"], req["payload"])
+        await client.close()
+        listener.close()
+        await listener.wait_closed()
+        assert written == [req_wire]
+        assert_same(res["payload"], reply)
+
+    async def listener_side() -> None:
+        # a raw client sends the fixture's request; the listener's reply is read raw
+        server = TcpTransport(node_id=1)
+        server.register_rpc(req["kind"], lambda payload, src: res["payload"])
+        host, _, port = (await server.start()).rpartition(":")
+        reader, writer = await asyncio.open_connection(host, int(port))
+        writer.write(req_wire)
+        await writer.drain()
+        assert await _read_exactly(reader, len(res_wire)) == res_wire
+        writer.close()
+        await writer.wait_closed()
+        await server.close()
+
+    asyncio.run(requester_side())
+    asyncio.run(listener_side())
+
+
 # -- directed failure modes -----------------------------------------------------
 
 
@@ -385,6 +530,21 @@ def test_malformed_tagged_values_raise_codec_error(tree):
         FrameDecoder().feed(json_frame(tree))
     with pytest.raises(CodecError):
         FrameDecoder().feed(json_frame({"v": WIRE_VERSION, "t": "req", "payload": [tree]}))
+
+
+@pytest.mark.parametrize("shape", [[2.9], ["2"], [True, 2], [2.0], [-2], "", 2],
+                         ids=["float", "str", "bool", "float-int", "negative", "str-shape",
+                              "int-shape"])
+def test_an_array_shape_is_a_list_of_exact_non_negative_ints(shape):
+    """Two int64 values under a shape that names two elements only after
+    ``int()`` or ``bool`` coercion are refused, as is a shape that is not a
+    list: a tampered payload fails loudly instead of decoding."""
+    payload = {**encode_array(np.array([1, 2], dtype=np.int64)), "shape": shape}
+    with pytest.raises(ValueError, match="shape"):
+        decode_array(payload)
+    with pytest.raises(CodecError, match="shape"):
+        FrameDecoder().feed(json_frame({"v": WIRE_VERSION, "t": "res", "rid": 1,
+                                        "payload": {"ids": payload}}))
 
 
 def test_tagged_value_with_a_malformed_sibling_raises_codec_error():

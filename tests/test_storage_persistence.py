@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.storage import PersistentShard, Shard, WriteAheadLog
+from repro.util.arrays import encode_array
 
 
 def batch(rng, n, k=2):
@@ -188,6 +189,63 @@ def test_wal_records_are_plain_json_lines(tmp_path):
     rec = json.loads(lines[0])
     assert rec["seq"] == 1
     assert set(rec) == {"seq", "keys", "points", "ids"}
+
+
+def test_wal_lines_are_what_json_dumps_writes(tmp_path):
+    """``append`` writes with one encoder built per process; its lines are
+    ``json.dumps(record, separators=(",", ":"))`` byte for byte."""
+    rng = np.random.default_rng(6)
+    keys, points, ids = batch(rng, 5)
+    records = [
+        {"seq": 1, "keys": encode_array(keys), "points": encode_array(points),
+         "ids": encode_array(ids)},
+        {"seq": 2**64 + 3, "note": "é\u2603\n\"", "x": [1.5, -0.0, 1e300, 5e-324, None, True],
+         "nested": {"a": [[], {}], "n": float("nan"), "i": float("-inf")}, 7: "int key"},
+        {},
+    ]
+    path = tmp_path / "wal.jsonl"
+    wal = WriteAheadLog(path)
+    for rec in records:
+        wal.append(rec)
+    wal.close()
+    want = "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records)
+    assert path.read_bytes() == want.encode("utf-8")
+    other = WriteAheadLog(tmp_path / "other.jsonl")
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        other.append({"x": {1, 2}})
+    other.close()
+
+
+#: shapes that name the right number of elements only after ``int()`` or
+#: ``bool`` coercion: 2 int64 values under a shape of 2.9, "2" or [True, 2]
+COERCED_SHAPES = [[2.9], ["2"], [True, 2], [2.0]]
+
+
+@pytest.mark.parametrize("shape", COERCED_SHAPES, ids=["float", "str", "bool", "float-int"])
+def test_a_wal_record_with_a_coerced_shape_fails_recovery(tmp_path, shape):
+    shard = PersistentShard(tmp_path, k=1)
+    shard.add(np.array([1, 2], dtype=np.uint64), np.zeros((2, 1)), np.array([7, 8]))
+    shard.close()
+    path = tmp_path / "wal.jsonl"
+    rec = json.loads(path.read_text())
+    rec["ids"]["shape"] = shape
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ValueError, match="shape"):
+        PersistentShard(tmp_path, k=1)
+
+
+@pytest.mark.parametrize("shape", COERCED_SHAPES, ids=["float", "str", "bool", "float-int"])
+def test_a_snapshot_with_a_coerced_shape_fails_recovery(tmp_path, shape):
+    shard = PersistentShard(tmp_path, k=1)
+    shard.add(np.array([1, 2], dtype=np.uint64), np.zeros((2, 1)), np.array([7, 8]))
+    shard.snapshot()
+    shard.close()
+    path = tmp_path / "snapshot.json"
+    snap = json.loads(path.read_text())
+    snap["keys"]["shape"] = shape
+    path.write_text(json.dumps(snap))
+    with pytest.raises(ValueError, match="shape"):
+        PersistentShard(tmp_path, k=1)
 
 
 def test_persistent_shard_matches_plain_shard_semantics(tmp_path):
