@@ -64,7 +64,7 @@ def _run_config(stabilize: bool, replication: int, data, metric, truth, query_id
     victims: "list" = []
     for cand in sorted(nodes, key=lambda n: -index.shards[n].load):
         if any(
-            cand is v.successor or v is cand.successor for v in victims
+            cand is v.successor_node() or v is cand.successor_node() for v in victims
         ):
             continue
         victims.append(cand)

@@ -309,20 +309,17 @@ class InvariantChecker(_Reporter):
             self._fail("ring.membership", f"dead node {dead.id:#x} still a member")
             return
 
-        def entry(node: Any) -> dict[str, Any]:
-            # a ChordNode has no address: its identity is one, unique per node
-            return {"id": node.id, "addr": f"@{id(node):x}"}
-
         links: list[Links] = []
         for node in nodes:
-            succ = next((s for s in node.successors if s.alive), None)
+            succ = next((e for e in node.successors if e["node"].alive), None)
             pred = node.predecessor
-            links.append((entry(node), None if succ is None else entry(succ),
-                          entry(pred) if pred is not None and pred.alive else None))
+            links.append((node.entry(), succ,
+                          pred if pred is not None and pred["node"].alive else None))
         if not self._check_links(links):
             return
         for node in nodes:
-            for i, f in enumerate(node.fingers):
+            for i, e in node.fingers.items():
+                f = e["node"]
                 if ring.nodes_by_id.get(f.id) is not f:
                     self._fail(
                         "ring.finger_live",

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.metric.base import Metric
-from repro.util.arrays import issparse
+from repro.util.arrays import issparse, take
 from repro.util.rng import as_rng
 
 if TYPE_CHECKING:
@@ -95,15 +95,6 @@ class LandmarkSet:
         return self.project(batch)[0]
 
 
-def _take(sample: Any, idx: Any) -> Any:
-    """Index a domain sample that may be an array, CSR matrix or list."""
-    if issparse(sample) or isinstance(sample, np.ndarray):
-        return sample[idx]
-    if isinstance(idx, (list, np.ndarray)):
-        return [sample[int(i)] for i in np.atleast_1d(idx)]
-    return sample[int(idx)]
-
-
 def greedy_selection(
     sample: Any,
     metric: Metric,
@@ -123,13 +114,13 @@ def greedy_selection(
     chosen = [int(rng.integers(0, n))]
     # min distance from every sample object to the chosen set, updated
     # incrementally — one one_to_many pass per selected landmark.
-    min_dist = metric.one_to_many(_take(sample, chosen[0]), sample)
+    min_dist = metric.one_to_many(take(sample, chosen[0]), sample)
     while len(chosen) < k:
         min_dist[chosen] = -np.inf  # never re-pick a landmark
         nxt = int(np.argmax(min_dist))
         chosen.append(nxt)
-        np.minimum(min_dist, metric.one_to_many(_take(sample, nxt), sample), out=min_dist)
-    return LandmarkSet(landmarks=_take(sample, chosen), metric=metric, scheme="greedy")
+        np.minimum(min_dist, metric.one_to_many(take(sample, nxt), sample), out=min_dist)
+    return LandmarkSet(landmarks=take(sample, chosen), metric=metric, scheme="greedy")
 
 
 def _lloyd(
@@ -276,7 +267,7 @@ def _self_distances(metric: Metric, objs: Any) -> np.ndarray:
     n = objs.shape[0] if hasattr(objs, "shape") else len(objs)
     upper = np.zeros((n, n))
     for j in range(1, n):
-        upper[:j, j] = metric.one_to_many(_take(objs, j), objs[:j])
+        upper[:j, j] = metric.one_to_many(take(objs, j), objs[:j])
     return upper + upper.T
 
 
@@ -306,7 +297,7 @@ def kmedoids_selection(
             dist_to_medoids = D[:, medoid_idx]
         else:
             dist_to_medoids = np.stack(
-                [metric.one_to_many(_take(sample, mi), sample) for mi in medoid_idx], axis=1
+                [metric.one_to_many(take(sample, mi), sample) for mi in medoid_idx], axis=1
             )
         assign = np.argmin(dist_to_medoids, axis=1)
         new_medoids = []
@@ -318,12 +309,12 @@ def kmedoids_selection(
             if D is not None:
                 sub = D[np.ix_(members, members)]
             else:
-                sub = _self_distances(metric, _take(sample, members))
+                sub = _self_distances(metric, take(sample, members))
             new_medoids.append(int(members[np.argmin(sub.sum(axis=1))]))
         if new_medoids == medoid_idx:
             break
         medoid_idx = new_medoids
-    return LandmarkSet(landmarks=_take(sample, medoid_idx), metric=metric, scheme="kmedoids")
+    return LandmarkSet(landmarks=take(sample, medoid_idx), metric=metric, scheme="kmedoids")
 
 
 #: Registry used by the platform's ``selection=`` parameter.

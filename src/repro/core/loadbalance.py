@@ -94,7 +94,7 @@ def _split_point(platform: Any, node: Any) -> int | None:
         return None
     # Keys within (predecessor, node] may wrap zero; unwrap relative to the
     # interval start so the median is meaningful on the circle.
-    pred = node.predecessor.id if node.predecessor is not None else node.id
+    pred = node.predecessor["id"] if node.predecessor is not None else node.id
     two_m = 1 << platform.ring.m
     rel = sorted((int(kv) - pred) % two_m for kv in np.concatenate(keys))
     median_rel = rel[len(rel) // 2]

@@ -34,19 +34,10 @@ from repro.metric.base import Metric
 from repro.sim import Simulator
 from repro.sim.stats import StatsCollector
 from repro.sim.transport import FaultConfig, Transport
-from repro.util.arrays import issparse
+from repro.util.arrays import take
 from repro.util.rng import as_rng
 
 __all__ = ["QueryPayload", "LandmarkIndex", "IndexPlatform", "take"]
-
-
-def take(dataset: Any, idx: Any) -> Any:
-    """Index a dataset that may be an ndarray, CSR matrix or plain sequence."""
-    if issparse(dataset) or isinstance(dataset, np.ndarray):
-        return dataset[idx]
-    if np.ndim(idx) == 0:
-        return dataset[int(idx)]
-    return [dataset[int(i)] for i in np.atleast_1d(idx)]
 
 
 @dataclass

@@ -310,8 +310,8 @@ def query_routing(
 ) -> tuple[list[RangeQuery], list[Any]]:
     """Algorithm 3 (QueryRouting): what ``node`` does with ``q``, from local state.
 
-    ``node`` is a *node view* — ``id``, ``successor`` and ``next_hop(ring_key)``,
-    the closest table entry strictly preceding a ring position or the view
+    ``node`` is a *node view* — its ``next_hop(ring_key)`` is the closest
+    table entry strictly preceding a ring position or the view
     itself when it knows none (:meth:`repro.dht.node.ChordNode.next_hop`; a
     finger row of a ``CompactChordRing`` slot serves as well).  The query is
     split one level deeper (Algorithm 4) and each half's prefix key rotated

@@ -315,7 +315,7 @@ class QueryProtocol:
                 if n is node:
                     # This node is the predecessor of the prefix key; the
                     # owner is its successor — the surrogate (lines 16-17).
-                    refine_groups.setdefault(node.successor, []).append(sq)
+                    refine_groups.setdefault(node.successor_node(), []).append(sq)
                 else:
                     routing_groups.setdefault(n, []).append(sq)
             # subqueries sharing a next hop travel as one bundle (§4.1 size

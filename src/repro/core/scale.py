@@ -30,7 +30,7 @@ this module is deterministic simulation state only.
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -39,6 +39,7 @@ from repro.core.index_space import IndexSpaceBounds
 from repro.core.landmarks import LandmarkSet, kmeans_selection
 from repro.core.lph import lp_hash_batch
 from repro.core.storage import ShardStore
+from repro.datasets.synthetic import ClusteredGaussianConfig, generate_clustered
 from repro.dht.compact import CompactChordRing
 from repro.dht.hashing import rotation_offset
 from repro.dht.idspace import rotate_keys
@@ -65,12 +66,6 @@ __all__ = ["ScaleConfig", "ScaleReport", "ScaleSimulation"]
 #: vectors stay available on the report regardless.
 _LOAD_GAUGE_MAX_NODES = 20_000
 
-#: the data model: the paper's Table 1 clustered-Gaussian family — this many
-#: clusters of this deviation inside the box ``[DATA_LOW, DATA_HIGH]^dim``
-N_CLUSTERS = 10
-DEVIATION = 20.0
-DATA_LOW = 0.0
-DATA_HIGH = 100.0
 #: identifier bits and successor-list length of the compact ring, and the
 #: index name the static rotation (§3.4) is hashed from
 ID_BITS = 64
@@ -97,8 +92,9 @@ TRACE_SAMPLES_TOTAL = "scale_trace_samples_total"
 class ScaleConfig:
     """Knobs of a scale run (defaults: the 100k-node / 1M-query target).
 
-    The data model is the paper's Table 1 clustered-Gaussian family (module
-    constants above), scaled down in dimensionality so a 100k-object
+    The data model is the paper's Table 1 clustered-Gaussian family
+    (:class:`~repro.datasets.synthetic.ClusteredGaussianConfig`'s defaults),
+    scaled down in dimensionality so a 100k-object
     projection stays cheap; queries are drawn from the same cluster structure
     ("the corresponding query sets are generated with the same method").
     """
@@ -168,9 +164,9 @@ class ScaleSimulation:
         self._rng_query = derive_rng(rng, "scale-query")
         self._rng_ring = derive_rng(rng, "scale-ring")
 
-        # -- data + landmark projection (Table 1 family, inline) --------------
-        self._centers = self._rng_data.uniform(DATA_LOW, DATA_HIGH, size=(N_CLUSTERS, cfg.dim))
-        objects = self._draw_points(self._rng_data, cfg.n_objects)
+        # -- data + landmark projection (the paper's Table 1 family) ----------
+        self._data_cfg = ClusteredGaussianConfig(n_objects=cfg.n_objects, dim=cfg.dim)
+        objects, self._centers = generate_clustered(self._data_cfg, self._rng_data)
         metric = EuclideanMetric()
         sample_n = min(2_048, cfg.n_objects)
         self.landmarks: LandmarkSet = kmeans_selection(
@@ -246,12 +242,6 @@ class ScaleSimulation:
             jsonl=health_jsonl,
         )
 
-    def _draw_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        assignment = rng.integers(0, N_CLUSTERS, size=n)
-        pts = self._centers[assignment] + rng.normal(0.0, DEVIATION, size=(n, self.cfg.dim))
-        np.clip(pts, DATA_LOW, DATA_HIGH, out=pts)
-        return pts
-
     # -- invariants ---------------------------------------------------------------
 
     def check_invariants(self) -> None:
@@ -298,7 +288,8 @@ class ScaleSimulation:
         sampled_total = 0
         while routed < nq:
             size = min(cfg.chunk, nq - routed)
-            qpts = self._draw_points(self._rng_query, size)
+            qpts, _ = generate_clustered(replace(self._data_cfg, n_objects=size),
+                                         self._rng_query, centers=self._centers)
             qproj = self.bounds.clip(self.landmarks.project(qpts))
             qkeys = lp_hash_batch(qproj, self.bounds, ID_BITS)
             src = self._rng_query.integers(0, cfg.n_nodes, size=size)

@@ -156,9 +156,9 @@ class SfcRangeProtocol(QueryProtocol):
                        key_lo: int, key_hi: int, hops: int) -> None:
         """Solve at the interval's current owner, then continue clockwise."""
         self._solve_local(owner, q, hops, key_lo, key_hi)
-        if in_interval_open_closed(key_hi, owner.predecessor.id, owner.id, self.index.m):
+        if in_interval_open_closed(key_hi, owner.predecessor["id"], owner.id, self.index.m):
             return
-        nxt = owner.successor
+        nxt = owner.successor_node()
         if nxt is owner:
             return
         self._hop_message(owner, nxt, q, self._walk_interval, nxt, q, key_lo, key_hi, hops + 1)

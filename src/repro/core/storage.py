@@ -469,6 +469,14 @@ def _cut(
 _WAL_ENCODE = compact_json_encoder(json.JSONEncoder().default)
 
 
+def _seq_field(value: Any, low: int, where: str) -> int:
+    """A recovered ``seq``: an int of at least ``low`` — not a float, a
+    string or a bool, which ``int()`` would coerce — else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{where} seq {value!r} is not an integer >= {low}")
+    return value
+
+
 class WriteAheadLog:
     """Append-only JSONL log of shard mutations.
 
@@ -611,18 +619,19 @@ class PersistentShard:
         if snap_path.exists():
             with open(snap_path, encoding="utf-8") as fh:
                 snap = json.load(fh)
-            if int(snap.get("k", self.k)) != self.k:
+            k = snap.get("k")
+            if type(k) is not int or k != self.k:
                 raise ValueError(
-                    f"{snap_path}: snapshot k={snap.get('k')} != shard k={self.k}"
+                    f"{snap_path}: snapshot k={k!r} != shard k={self.k}"
                 )
+            self._snapshot_seq = _seq_field(snap.get("seq"), 0, f"{snap_path}: snapshot")
             keys = decode_array(snap["keys"])
             if len(keys):
                 self.shard.add(keys, decode_array(snap["points"]), decode_array(snap["ids"]))
-            self._snapshot_seq = int(snap.get("seq", 0))
             self._seq = self._snapshot_seq
         for rec in self.wal.replay():
             self._wal_records += 1
-            seq = int(rec.get("seq", 0))
+            seq = _seq_field(rec.get("seq"), 1, f"{self.wal.path}: record")
             if seq <= self._snapshot_seq:
                 continue  # already folded into the snapshot
             self.shard.add(

@@ -8,7 +8,7 @@ theoretical maximum distance of the data space — from 0.1% to 20% (§4.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,18 +95,10 @@ def synthetic_query_points(
     ``cfg`` is a :class:`repro.datasets.synthetic.ClusteredGaussianConfig`;
     ``centers`` must be the cluster centres of the dataset being queried.
     """
-    from repro.datasets.synthetic import ClusteredGaussianConfig, generate_clustered
+    from repro.datasets.synthetic import generate_clustered
 
-    qcfg = ClusteredGaussianConfig(
-        n_objects=n_queries,
-        dim=cfg.dim,
-        low=cfg.low,
-        high=cfg.high,
-        n_clusters=cfg.n_clusters,
-        deviation=cfg.deviation,
-        clip=cfg.clip,
-    )
-    points, _ = generate_clustered(qcfg, seed, centers=centers)
+    points, _ = generate_clustered(replace(cfg, n_objects=n_queries), seed,
+                                   centers=centers)
     return points
 
 

@@ -61,6 +61,8 @@ class ChordRing:
         self.pns = pns
         self.nodes_by_id: dict[int, ChordNode] = {}
         self._sorted_ids: list[int] = []
+        #: addresses handed out: one per node placed and per move
+        self._addresses = 0
 
     # -- membership -----------------------------------------------------------
 
@@ -108,7 +110,8 @@ class ChordRing:
         else:
             hosts = np.arange(n_nodes)
         for i, nid in enumerate(ids):
-            node = ChordNode(nid, m, name=f"node-{i}", host=int(hosts[i]))
+            node = ChordNode(nid, ring._address(), m, successor_list_len, name=f"node-{i}",
+                             host=int(hosts[i]))
             ring.nodes_by_id[nid] = node
         ring._sorted_ids = sorted(ring.nodes_by_id)
         ring.rebuild_tables()
@@ -118,7 +121,8 @@ class ChordRing:
         """Insert a node with an explicit identifier (join)."""
         if node_id_ in self.nodes_by_id:
             raise ValueError(f"identifier {node_id_:#x} already on the ring")
-        node = ChordNode(node_id_, self.m, name=name, host=host)
+        node = ChordNode(node_id_, self._address(), self.m, self.successor_list_len,
+                         name=name, host=host)
         self.nodes_by_id[node_id_] = node
         insort(self._sorted_ids, node_id_)
         if rebuild:
@@ -135,17 +139,23 @@ class ChordRing:
     def move_node(self, node: ChordNode, new_id: int) -> ChordNode:
         """Leave-and-rejoin with a chosen identifier (dynamic load balancing).
 
-        Returns the same node object with its identifier replaced; routing
-        tables are rebuilt.
+        Returns the same node object with its identifier replaced and a new
+        address, so peers tell it from its former self; routing tables are
+        rebuilt.
         """
         if new_id in self.nodes_by_id:
             raise ValueError(f"identifier {new_id:#x} already on the ring")
         self.remove_node(node, rebuild=False)
         node.id = int(new_id)
+        node.addr = self._address()
         self.nodes_by_id[node.id] = node
         insort(self._sorted_ids, node.id)
         self.rebuild_tables()
         return node
+
+    def _address(self) -> str:
+        self._addresses += 1
+        return f"sim:{self._addresses}"
 
     # -- oracle lookups --------------------------------------------------------
 
@@ -167,7 +177,9 @@ class ChordRing:
     # -- table construction ------------------------------------------------------
 
     def rebuild_tables(self) -> None:
-        """Recompute fingers, successor lists and predecessors for all nodes.
+        """Recompute every node's successor list, predecessor and fingers
+        as ring entries (the next and previous node's; a lone node has no
+        successor, no finger and itself as predecessor).
 
         This is the stabilised steady state; with PNS enabled, fingers are
         the lowest-latency members of their candidate intervals.
@@ -177,38 +189,39 @@ class ChordRing:
         if n == 0:
             return
         nodes = self.nodes()
+        entries = [node.entry() for node in nodes]
         r = min(self.successor_list_len, n - 1)
         for pos, node in enumerate(nodes):
-            node.successors = [nodes[(pos + 1 + i) % n] for i in range(r)] or [node]
-            node.predecessor = nodes[(pos - 1) % n]
+            node.successors = [entries[(pos + 1 + i) % n] for i in range(r)]
+            node.predecessor = entries[pos - 1]
         if n == 1:
-            nodes[0].fingers = []
+            nodes[0].fingers = {}
         elif self.pns:
             hosts = np.asarray([nd.host for nd in nodes], dtype=np.intp)
             for node in nodes:
-                node.fingers = self._fingers_for(node, nodes, hosts)
+                node.fingers = {i: entries[s] for i, s in enumerate(self._pns_slots(node, hosts))}
         else:
-            for node, slots in zip(nodes, finger_slots(ids, self.m)):
-                node.fingers = [nodes[i] for i in slots]
+            for node, slots in zip(nodes, finger_slots(ids, self.m).tolist()):
+                node.fingers = {i: entries[s] for i, s in enumerate(slots)}
         for node in nodes:
             node.invalidate_routing()
 
-    def _fingers_for(self, node: ChordNode, nodes: list[ChordNode],
-                     hosts: np.ndarray) -> list[ChordNode]:
+    def _pns_slots(self, node: ChordNode, hosts: np.ndarray) -> list[int]:
         """PNS: finger ``i`` = the lowest-latency member of ``[id + 2^i, id + 2^(i+1))``;
-        with no member there, classic Chord's ``successor(id + 2^i)``."""
+        with no member there, classic Chord's ``successor(id + 2^i)``.  As
+        positions in :meth:`nodes`."""
         ids = self._sorted_ids
         size = 1 << self.m
-        fingers: list[ChordNode] = []
+        slots: list[int] = []
         for i in range(self.m):
             start = (node.id + (1 << i)) % size
             cand = slots_between(ids, start, (node.id + (2 << i)) % size)
             if cand.size == 0:
-                fingers.append(nodes[owner_slot(ids, start)])
+                slots.append(owner_slot(ids, start))
                 continue
             lat = self.latency.latency_row(node.host, hosts[cand])
-            fingers.append(nodes[int(cand[int(np.argmin(lat))])])
-        return fingers
+            slots.append(int(cand[int(np.argmin(lat))]))
+        return slots
 
     # -- iterative lookup (used by the naive baseline and tests) -----------------
 
@@ -224,7 +237,7 @@ class ChordRing:
             nh = current.next_hop(key)
             if nh is current:
                 # no table entry precedes the key: the successor owns it
-                owner = current.successor
+                owner = current.successor_node()
                 if owner is not current:
                     path.append(owner)
                 return path

@@ -20,9 +20,10 @@ three purposes:
    on it counts.  The ablation benchmark quantifies the saving under a live
    query workload.
 
-:class:`StabilizationProtocol` only moves the step's messages: it maps a
-``ChordNode``'s tables to ring entries and back, and carries each request and
-its reply as one control message each way through the
+:class:`StabilizationProtocol` only moves the step's messages: a
+``ChordNode`` is a :class:`~repro.dht.maintenance.ChordState`, so each
+operation runs on the node itself and each request is answered by the peer's
+own ``serve``, carried as one control message each way through the
 :class:`repro.sim.transport.Transport` it is given — the platform's, which
 queries use too (synchronous, accounted hops).  A dead or faulted hop is
 :exc:`~repro.dht.maintenance.Unreachable`, so injected faults degrade
@@ -37,7 +38,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.dht.maintenance import ChordState, Op, ProtocolError, Unreachable, lookup
+from repro.dht.maintenance import ChordState, Entry, Op, ProtocolError, Unreachable, lookup
 from repro.dht.node import ChordNode
 from repro.dht.ring import ChordRing
 from repro.sim.transport import Transport
@@ -78,9 +79,9 @@ class MaintenanceStats:
 
 
 class StabilizationProtocol:
-    """The simulator's driver of :mod:`repro.dht.maintenance`, over
-    node-local state (``successors``, ``predecessor``, ``fingers``); the
-    ring's oracle views only verify convergence."""
+    """The simulator's driver of :mod:`repro.dht.maintenance`: each
+    operation runs on the ``ChordNode`` itself, over its own (possibly
+    stale) pointers; the ring's oracle views only verify convergence."""
 
     def __init__(
         self,
@@ -99,13 +100,8 @@ class StabilizationProtocol:
             transport.query_links = {}
         self.rng = as_rng(seed)
         self._running = False
-        #: next finger level to fix, per node
-        self._finger_cursor: dict[ChordNode, int] = {}
-        #: the ring entry of every node met, the node of every entry's
-        #: address, and the address each joiner joined through
-        self._entries: dict[ChordNode, dict[str, Any]] = {}
+        #: the node at each address a joiner dials by address: its bootstrap
         self._nodes: dict[str, ChordNode] = {}
-        self._bootstraps: dict[ChordNode, str] = {}
 
     # -- the step's messages -------------------------------------------------------
 
@@ -129,41 +125,10 @@ class StabilizationProtocol:
         self.stats.bytes += size
         return self.transport.control(src, dst, kind="maintenance", size=size)
 
-    def _entry(self, node: ChordNode) -> dict[str, Any]:
-        entry = self._entries.get(node)
-        if entry is None or entry["id"] != node.id:  # new, or moved by load balancing
-            entry = self._entries[node] = {"id": node.id, "addr": f"sim:{len(self._nodes)}"}
-            self._nodes[entry["addr"]] = node
-        return entry
-
-    def _state(self, node: ChordNode) -> ChordState:
-        state = ChordState(node.id, self._entry(node)["addr"], self.ring.m,
-                           self.ring.successor_list_len, self._bootstraps.get(node))
-        state.successors = [self._entry(n) for n in node.successors if n is not node]
-        if node.predecessor is not None:
-            state.predecessor = self._entry(node.predecessor)
-        state.fingers = {i: self._entry(f) for i, f in enumerate(node.fingers)}
-        state.next_finger = self._finger_cursor.get(node, 0)
-        return state
-
-    def _store(self, node: ChordNode, state: ChordState) -> None:
-        """Write ``state`` back.  A finger level the step does not hold (a
-        start up to the successor, or one not looked up yet) is the
-        successor, which the lookup step falls back to."""
-        nodes = self._nodes
-        node.successors = [nodes[e["addr"]] for e in state.successors]
-        node.predecessor = None if state.predecessor is None else nodes[state.predecessor["addr"]]
-        succ, held = node.successor, state.fingers
-        node.fingers = [] if succ is node else [
-            nodes[held[i]["addr"]] if i in held else succ for i in range(self.ring.m)]
-        self._finger_cursor[node] = state.next_finger
-        node.invalidate_routing()
-
     def _run(self, node: ChordNode, op_of: Callable[[ChordState], Op]) -> tuple[Any, int]:
-        """Run ``node``'s operation ``op_of(state)``: what it returned
+        """Run ``node``'s operation ``op_of(node)``: what it returned
         (``None`` when it failed) and how many requests it sent."""
-        state = self._state(node)
-        op = op_of(state)
+        op = op_of(node)
         reply: Any = None
         error: Exception | None = None
         sent = 0
@@ -171,7 +136,7 @@ class StabilizationProtocol:
             while True:
                 peer, kind, payload = op.send(reply) if error is None else op.throw(error)
                 sent += 1
-                dst = self._nodes[peer["addr"]]
+                dst = self._node(peer)
                 reply, error = None, Unreachable(peer["addr"])
                 if self._control_message(node, dst):
                     answer = self._serve(dst, kind, payload)
@@ -182,12 +147,18 @@ class StabilizationProtocol:
         except (Unreachable, ProtocolError):
             return None, sent
         finally:
-            self._store(node, state)
+            node.settle()
 
-    def _serve(self, node: ChordNode, kind: str, payload: Any) -> Any:
-        state = self._state(node)
-        reply = state.serve(kind, payload)
-        self._store(node, state)
+    def _node(self, entry: Entry) -> ChordNode:
+        """The node a request goes to: a simulated entry names it; a join
+        dials its bootstrap by address."""
+        node: ChordNode = entry["node"] if "node" in entry else self._nodes[entry["addr"]]
+        return node
+
+    @staticmethod
+    def _serve(node: ChordNode, kind: str, payload: Any) -> Any:
+        reply = node.serve(kind, payload)
+        node.settle()
         return reply
 
     # -- lifecycle -----------------------------------------------------------------
@@ -220,7 +191,7 @@ class StabilizationProtocol:
 
     def notify(self, node: ChordNode, candidate: ChordNode) -> None:
         """``candidate`` tells ``node`` it believes it is its predecessor."""
-        self._serve(node, "notify", self._entry(candidate))
+        self._serve(node, "notify", candidate.entry())
 
     def local_lookup(self, start: ChordNode, key: int, max_hops: int | None = None) -> tuple[ChordNode | None, int]:
         """Lookup from ``start`` using only node-local (possibly stale) tables.
@@ -232,7 +203,7 @@ class StabilizationProtocol:
         limit = max_hops if max_hops is not None else 4 * self.ring.m + len(self.ring)
         owner, hops = self._run(start, lambda s: lookup(
             s.m, key, s.lookup_step(key), s.drop, limit))
-        return owner and self._nodes[owner["addr"]], hops
+        return owner and self._node(owner), hops
 
     # -- membership under churn ---------------------------------------------------------------
 
@@ -241,7 +212,8 @@ class StabilizationProtocol:
         through ``bootstrap`` and run a first round (it splices the node in)."""
         # oracle membership only (verification): no node's tables name it yet
         node = self.ring.add_node(node_id, name=name, host=host, rebuild=False)
-        self._bootstraps[node] = self._entry(bootstrap)["addr"]
+        node.bootstrap = bootstrap.addr
+        self._nodes[bootstrap.addr] = bootstrap
         self._run(node, ChordState.join)
         self._run(node, ChordState.round)
         self.stats.joins += 1
@@ -271,7 +243,7 @@ class StabilizationProtocol:
         """Every live node's immediate successor matches the oracle ring."""
         nodes = self.ring.nodes()
         n = len(nodes)
-        return n <= 1 or all(node.successor is nodes[(pos + 1) % n]
+        return n <= 1 or all(node.successor_node() is nodes[(pos + 1) % n]
                              for pos, node in enumerate(nodes))
 
     def finger_accuracy(self) -> float:
@@ -281,8 +253,8 @@ class StabilizationProtocol:
         total = 0
         two_m = 1 << self.ring.m
         for node in self.ring.nodes():
-            for i, f in enumerate(node.fingers):
+            for i, f in node.fingers.items():
                 total += 1
-                if f is self.ring.successor_of((node.id + (1 << i)) % two_m):
+                if f["node"] is self.ring.successor_of((node.id + (1 << i)) % two_m):
                     good += 1
         return good / total if total else 1.0

@@ -15,7 +15,8 @@ or tampered record fails loudly instead of producing a silently short or
 reshaped array.  The base64 is :mod:`binascii`'s, called directly.
 
 :func:`issparse` is the one sparse-matrix test of the package: it answers
-without importing SciPy, so dense and live runs never load it.
+without importing SciPy, so dense and live runs never load it; :func:`take`
+indexes a dataset of any of the three kinds.
 """
 
 from __future__ import annotations
@@ -89,3 +90,15 @@ def issparse(x: Any) -> bool:
     matrix can only exist once ``scipy.sparse`` has been imported."""
     sp = sys.modules.get("scipy.sparse")
     return sp is not None and bool(sp.issparse(x))
+
+
+def take(dataset: Any, idx: Any) -> Any:
+    """Index a dataset that may be an ndarray, CSR matrix or plain sequence.
+
+    A sequence answers as an array would: a scalar index — 0-d arrays
+    included — is one object, any other index a list of them."""
+    if issparse(dataset) or isinstance(dataset, np.ndarray):
+        return dataset[idx]
+    if np.ndim(idx) == 0:
+        return dataset[int(idx)]
+    return [dataset[int(i)] for i in np.atleast_1d(idx)]

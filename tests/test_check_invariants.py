@@ -30,7 +30,7 @@ class TestRingInvariants:
     def test_bad_successor_detected(self):
         ring = ChordRing.build(16, m=20, seed=3)
         nodes = ring.nodes()
-        nodes[0].successors = [nodes[5]]  # oracle successor is nodes[1]
+        nodes[0].successors = [nodes[5].entry()]  # oracle successor is nodes[1]
         with pytest.raises(InvariantViolation, match="ring.successor"):
             InvariantChecker(ring=ring).check_ring()
 
@@ -46,7 +46,7 @@ class TestRingInvariants:
         ghost = nodes[7]
         ring.remove_node(ghost)
         # rebuild pointed everyone away from ghost; plant a stale reference
-        ring.nodes()[2].fingers[0] = ghost
+        ring.nodes()[2].fingers[0] = ghost.entry()
         with pytest.raises(InvariantViolation, match="ring.finger_live"):
             InvariantChecker(ring=ring).check_ring()
 
@@ -63,7 +63,7 @@ class TestRingInvariants:
         rng = np.random.default_rng(0)
         for key in rng.integers(0, 1 << small_ring.m, size=64):
             owner = small_ring.successor_of(int(key))
-            lo, hi = owner.predecessor.id, owner.id
+            lo, hi = owner.predecessor["id"], owner.id
             if lo < hi:
                 assert lo < int(key) <= hi
             else:  # wrapping interval

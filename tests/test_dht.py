@@ -98,25 +98,26 @@ class TestRingStructure:
         assert ring.successor_of(10).id == 10
         assert ring.successor_of(11).id == 100
         assert ring.successor_of(60000).id == 10  # wrap
-        assert ring.successor_of(10).predecessor.id == 30000
-        assert ring.successor_of(101).predecessor.id == 100
+        assert ring.successor_of(10).predecessor["id"] == 30000
+        assert ring.successor_of(101).predecessor["id"] == 100
 
     def test_successor_lists_ordered(self):
         ring = _line_ring([10, 100, 1000, 30000])
         n10 = ring.nodes_by_id[10]
-        assert [s.id for s in n10.successors] == [100, 1000, 30000]
+        assert [s["id"] for s in n10.successors] == [100, 1000, 30000]
 
     def test_predecessors(self):
         ring = _line_ring([10, 100, 1000])
-        assert ring.nodes_by_id[10].predecessor.id == 1000
-        assert ring.nodes_by_id[100].predecessor.id == 10
+        assert ring.nodes_by_id[10].predecessor["id"] == 1000
+        assert ring.nodes_by_id[100].predecessor["id"] == 10
 
     def test_fingers_point_at_interval_successors(self):
         ring = _line_ring([10, 100, 1000, 30000])
         node = ring.nodes_by_id[10]
-        for i, f in enumerate(node.fingers):
+        assert list(node.fingers) == list(range(M))
+        for i, f in node.fingers.items():
             start = (10 + (1 << i)) % 2**M
-            assert f.id == ring.successor_of(start).id
+            assert f["id"] == ring.successor_of(start).id
 
     def test_build_hash_ids(self):
         ring = ChordRing.build(50, m=24, seed=0)
@@ -171,7 +172,7 @@ class TestNextHop:
             seen += 1
             assert seen < 64
         # terminal node is the true predecessor
-        assert cur is ring.successor_of(key).predecessor
+        assert cur is ring.successor_of(key).predecessor["node"]
 
     def test_next_hop_never_returns_key_owner_id(self):
         ring = _line_ring([10, 100, 1000])
@@ -184,7 +185,8 @@ class TestNextHop:
         ring = _line_ring([42])
         n = ring.nodes_by_id[42]
         assert n.next_hop(7) is n
-        assert n.successor is n
+        assert n.successor == n.entry() and n.successor_node() is n
+        assert (n.successors, n.fingers, n.predecessor) == ([], {}, n.entry())
         assert ring.successor_of(7) is n
 
     @given(st.sampled_from([8, 16, 64]), st.data())
@@ -195,16 +197,17 @@ class TestNextHop:
         one id), entries that are the node itself or share its id, and keys
         on every entry, one off every entry and on the node's own id."""
         ids = st.integers(0, 2**m - 1)
-        me = ChordNode(data.draw(ids), m, name="me")
+        me = ChordNode(data.draw(ids), "me", m, 6, name="me")
         drawn = data.draw(st.lists(ids, max_size=10))
-        pool = [ChordNode(i, m, name=f"n{j}") for j, i in enumerate(drawn)]
-        pool += [me, ChordNode(me.id, m, name="twin")]
-        pool += [ChordNode(n.id, m, name=f"copy-{n.name}") for n in pool[:2]]
+        pool = [ChordNode(i, f"n{j}", m, 6) for j, i in enumerate(drawn)]
+        pool += [me, ChordNode(me.id, "twin", m, 6)]
+        pool += [ChordNode(n.id, f"copy-{n.addr}", m, 6) for n in pool[:2]]
+        entries = st.sampled_from([n.entry() for n in pool])
         for _ in range(2):  # a table change, then the next_hop after invalidate_routing
-            me.fingers = data.draw(st.lists(st.sampled_from(pool), max_size=24))
-            me.successors = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+            me.fingers = dict(enumerate(data.draw(st.lists(entries, max_size=24))))
+            me.successors = data.draw(st.lists(entries, max_size=6))
             me.invalidate_routing()
-            table = [*me.fingers, *me.successors]
+            table = [e["node"] for e in (*me.fingers.values(), *me.successors)]
             keys = {me.id, *data.draw(st.lists(ids, max_size=6))}
             keys |= {(n.id + d) % 2**m for n in table for d in (-1, 0, 1)}
             for key in sorted(keys):
@@ -261,13 +264,13 @@ class TestPNS:
         lat = self._latency(64)
         ring = ChordRing.build(64, m=20, seed=6, latency=lat, pns=True)
         for node in ring.nodes():
-            for i, f in enumerate(node.fingers):
+            for i, f in node.fingers.items():
                 start = (node.id + (1 << i)) % 2**20
                 end = (node.id + (1 << (i + 1))) % 2**20
                 # finger must be in [start, end) when any candidate exists,
                 # else equal to successor(start)
-                if f.id != ring.successor_of(start).id:
-                    assert in_interval_closed_open(f.id, start, end, 20)
+                if f["id"] != ring.successor_of(start).id:
+                    assert in_interval_closed_open(f["id"], start, end, 20)
 
     def test_pns_picks_lower_latency_than_plain(self):
         lat = self._latency(128)
@@ -277,9 +280,9 @@ class TestPNS:
         def mean_finger_latency(ring):
             vals = []
             for node in ring.nodes():
-                for f in node.fingers:
-                    if f is not node:
-                        vals.append(lat.latency(node.host, f.host))
+                for f in node.fingers.values():
+                    if f["node"] is not node:
+                        vals.append(lat.latency(node.host, f["node"].host))
             return np.mean(vals)
 
         assert mean_finger_latency(pns) <= mean_finger_latency(plain)
@@ -302,10 +305,10 @@ class TestRoutingTable:
         table = list(node.routing_table())
         assert table[0] is node
         ids = {t.id for t in table}
-        for f in node.fingers:
-            assert f.id in ids
+        for f in node.fingers.values():
+            assert f["id"] in ids
         for s in node.successors:
-            assert s.id in ids
+            assert s["id"] in ids
 
     def test_no_duplicates(self):
         ring = ChordRing.build(32, m=20, seed=10)

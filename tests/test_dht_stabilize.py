@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dht.maintenance import ChordState
 from repro.dht.ring import ChordRing
 from repro.dht.stabilize import (
     CONTROL_MESSAGE_BYTES,
@@ -125,6 +126,46 @@ class TestLeaveAndCrash:
             assert owner is ring.successor_of(key)
 
 
+class TestTheNodeIsItsState:
+    """A simulated node is a ``ChordState``, as a live node is: the driver
+    runs each operation on it and builds no state of its own."""
+
+    def test_maintenance_builds_state_only_for_a_joiner(self, monkeypatch):
+        ring, sim, proto = _setup(n=16, config=MaintenanceConfig(stabilize_interval=5.0))
+        built = []
+        init = ChordState.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChordState, "__init__", counted)
+        proto.start(duration=600.0)
+        sim.schedule_at(50.0, proto.join, 12345, ring.nodes()[0], "joiner", 0)
+        sim.schedule_at(80.0, proto.leave, ring.nodes()[3], False)
+        sim.run(until=600.0)
+        assert proto.stats.messages > 1000 and proto.ring_consistent()
+        assert built == [12345], f"{len(built)} states built"
+        assert all(isinstance(node, ChordState) for node in ring.nodes())
+
+    def test_no_translation_layer_and_no_bare_state_in_src(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        proto = _setup()[2]
+        for name in ("_entry", "_state", "_store", "_entries", "_bootstraps", "_finger_cursor"):
+            assert not hasattr(proto, name), name
+        # only ChordNode and NodeProcess construct a ChordState
+        src = Path(repro.__file__).parent
+        bare = [path.relative_to(src).as_posix()
+                for path in sorted(src.rglob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ChordState"]
+        assert bare == []
+
+
 class TestPiggybacking:
     def test_piggyback_saves_bytes(self):
         cfg = MaintenanceConfig(piggyback=True, piggyback_window=60.0)
@@ -132,8 +173,8 @@ class TestPiggybacking:
         # simulate query traffic on all links used by stabilisation
         links = proto.transport.query_links
         for node in ring.nodes():
-            links[(node.host, node.successor.host)] = 0.0
-            links[(node.successor.host, node.host)] = 0.0
+            links[(node.host, node.successor_node().host)] = 0.0
+            links[(node.successor_node().host, node.host)] = 0.0
         proto.start(duration=50.0)
         sim.run(until=50.0)
         assert proto.stats.piggybacked > 0
@@ -150,7 +191,7 @@ class TestPiggybacking:
         cfg = MaintenanceConfig(piggyback=True, piggyback_window=1.0)
         ring, sim, proto = _setup(config=cfg)
         node = ring.nodes()[0]
-        proto.transport.query_links[(node.host, node.successor.host)] = 0.0
+        proto.transport.query_links[(node.host, node.successor_node().host)] = 0.0
         sim.run(until=10.0)  # advance the clock past the window
         before = proto.stats.piggybacked
         proto.stabilize(node)

@@ -38,7 +38,7 @@ class TestSplitPoint:
         # the split point must fall in the heavy node's ownership interval
         from repro.dht.idspace import in_interval_open_closed
 
-        assert in_interval_open_closed(split, heavy.predecessor.id, heavy.id, 20) or split != heavy.id
+        assert in_interval_open_closed(split, heavy.predecessor["id"], heavy.id, 20) or split != heavy.id
 
     def test_none_for_empty_node(self):
         platform = _platform()
@@ -109,10 +109,10 @@ class TestStabilizeEdges:
 
     def test_stabilize_idempotent_on_converged_ring(self):
         ring, sim, proto = self._proto()
-        snapshot = {n.id: n.successor.id for n in ring.nodes()}
+        snapshot = {n.id: n.successor["id"] for n in ring.nodes()}
         for node in ring.nodes():
             proto.stabilize(node)
-        assert {n.id: n.successor.id for n in ring.nodes()} == snapshot
+        assert {n.id: n.successor["id"] for n in ring.nodes()} == snapshot
 
     def test_notify_ignores_worse_candidate(self):
         ring, sim, proto = self._proto()

@@ -17,8 +17,8 @@ from repro.sim.network import ConstantLatency
 from repro.sim.transport import Transport
 
 
-#: churn histories per run: 12 in tier-1, 200 under the thorough profile
-_EXAMPLES = 200 if os.environ.get("HYPOTHESIS_PROFILE") == "thorough" else 12
+#: churn histories per run: 22 in tier-1, 200 under the thorough profile
+_EXAMPLES = 200 if os.environ.get("HYPOTHESIS_PROFILE") == "thorough" else 22
 
 
 @settings(max_examples=_EXAMPLES, deadline=None,

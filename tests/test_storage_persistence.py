@@ -248,6 +248,42 @@ def test_a_snapshot_with_a_coerced_shape_fails_recovery(tmp_path, shape):
         PersistentShard(tmp_path, k=1)
 
 
+#: WAL ``seq`` values ``int()`` would have coerced (1.9 → 1, "2" → 2,
+#: true → 1) or read as 0, "already in the snapshot" (missing)
+COERCED_SEQS = [1.9, "2", True, None]
+
+
+@pytest.mark.parametrize("seq", COERCED_SEQS, ids=["float", "str", "bool", "missing"])
+def test_a_wal_record_with_a_coerced_seq_fails_recovery(tmp_path, seq):
+    shard = PersistentShard(tmp_path, k=1)
+    shard.add(np.array([1, 2], dtype=np.uint64), np.zeros((2, 1)), np.array([7, 8]))
+    shard.add(np.array([3], dtype=np.uint64), np.zeros((1, 1)), np.array([9]))
+    shard.close()
+    path = tmp_path / "wal.jsonl"
+    first, second = (json.loads(line) for line in path.read_text().splitlines())
+    if seq is None:
+        del second["seq"]
+    else:
+        second["seq"] = seq
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    with pytest.raises(ValueError, match=r"wal\.jsonl: record seq"):
+        PersistentShard(tmp_path, k=1)
+
+
+@pytest.mark.parametrize("field, value", [("k", "4"), ("seq", 2.5)], ids=["k-str", "seq-float"])
+def test_a_snapshot_with_a_coerced_k_or_seq_fails_recovery(tmp_path, field, value):
+    shard = PersistentShard(tmp_path, k=4)
+    shard.add(np.array([1, 2], dtype=np.uint64), np.zeros((2, 4)), np.array([7, 8]))
+    shard.snapshot()
+    shard.close()
+    path = tmp_path / "snapshot.json"
+    snap = json.loads(path.read_text())
+    snap[field] = value
+    path.write_text(json.dumps(snap))
+    with pytest.raises(ValueError, match=rf"snapshot\.json: snapshot {field}"):
+        PersistentShard(tmp_path, k=4)
+
+
 def test_persistent_shard_matches_plain_shard_semantics(tmp_path):
     rng = np.random.default_rng(5)
     keys, points, ids = batch(rng, 32)
