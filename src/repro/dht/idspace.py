@@ -14,9 +14,10 @@ for all three drivers (``ChordRing``, ``CompactChordRing``, the live
   interval, :func:`finger_slots` the owner of every ``id + 2**i``;
 * **adoption** — :func:`adopts_successor` / :func:`adopts_predecessor`, the
   rules by which stabilise and notify move a node's ring pointers;
-* **the lookup step** (footnote 4) — :func:`closest_preceding` picks "the one
-  from the routing table whose identifier is immediately before" a key, and
-  :func:`lookup_step` ends the lookup at the successor when it owns the key.
+* **the next hop** (footnote 4) — :func:`closest_preceding` picks "the one
+  from the routing table whose identifier is immediately before" a key (the
+  reference scan; a node answers it from a memo, see
+  :meth:`repro.dht.maintenance.ChordState.closest_preceding`).
 
 Pure functions of ints, sorted id sequences and NumPy arrays: no node
 objects, no simulator, no sockets.  A *slot* is a position in the sorted ids
@@ -37,7 +38,7 @@ __all__ = [
     "keys_in_interval_open_closed", "adopts_successor", "adopts_predecessor",
     "rotate", "unrotate", "rotate_keys",
     "owner_slot", "owner_slots", "slots_between", "finger_slots",
-    "closest_preceding", "lookup_step",
+    "closest_preceding",
 ]
 
 #: :func:`finger_slots` sweeps this many nodes at a time to bound the
@@ -156,7 +157,7 @@ def finger_slots(sorted_ids: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-# -- the lookup step (footnote 4) ------------------------------------------------
+# -- the next hop (footnote 4) ---------------------------------------------------
 
 
 def closest_preceding(self_id: int, key: int, ids: Iterable[int], m: int) -> int:
@@ -176,14 +177,3 @@ def closest_preceding(self_id: int, key: int, ids: Iterable[int], m: int) -> int
             best, best_d = pos, d
     return best
 
-
-def lookup_step(self_id: int, succ_id: int, key: int, ids: Iterable[int], m: int) -> int | None:
-    """One hop of a Chord lookup, decided from a node's local state alone.
-
-    ``None`` when the successor owns ``key`` (``key ∈ (self, successor]``) —
-    the lookup ends there; else whom to ask next, as :func:`closest_preceding`
-    over the node's routing-table ``ids`` (read only then: pass them lazily).
-    """
-    if in_interval_open_closed(key, self_id, succ_id, m):
-        return None
-    return closest_preceding(self_id, key, ids, m)

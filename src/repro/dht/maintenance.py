@@ -6,7 +6,10 @@ A :class:`ChordState` holds one node's ring pointers as ring entries
 yields ``(entry, kind, payload)`` — one request to that peer — and is sent
 the reply, or has :exc:`Unreachable` thrown in when the peer did not answer;
 what the asked node answers is its own state's :meth:`ChordState.serve`.  The
-rules are :mod:`repro.dht.idspace`'s.  Drivers only move the requests: the
+rules are :mod:`repro.dht.idspace`'s; the next hop (footnote 4) is answered
+from one memo per state, :meth:`ChordState.closest_preceding`, dropped at
+each write to the tables — every lookup step reads it, and so does a
+simulated node's query routing.  Drivers only move the requests: the
 live node over ``TcpTransport.rpc`` (:mod:`repro.net.node`), the simulator as
 accounted control messages (:mod:`repro.dht.stabilize`), and the bare-ring
 tests in whatever order Hypothesis picks.  What a peer sends is validated
@@ -16,6 +19,7 @@ pointers form the ring is one rule, :func:`ring_violations`, for every check.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Callable, Generator, Sequence
 from typing import Any, TypeGuard
 
@@ -24,7 +28,6 @@ from repro.dht.idspace import (
     adopts_successor,
     cw_distance,
     in_interval_open_closed,
-    lookup_step,
 )
 
 __all__ = [
@@ -165,7 +168,10 @@ def lookup(m: int, target: int, step: dict[str, Any], forget: Callable[[Entry], 
 
 class ChordState:
     """One node's ring pointers, the operations that repair them, and what
-    the node answers when asked."""
+    the node answers when asked.
+
+    ``successors`` and ``fingers`` are rebound, never changed in place: each
+    write drops the memo :meth:`closest_preceding` answers from."""
 
     def __init__(self, node_id: int, addr: str, m: int, succ_list_len: int,
                  bootstrap: str | None = None) -> None:
@@ -176,18 +182,40 @@ class ChordState:
         #: where this node joins — and, having lost the ring, re-joins
         self.bootstrap = bootstrap
         self.predecessor: Entry | None = None
-        self.successors: list[Entry] = []
-        #: finger ``i`` is the owner of ``id + 2**i``; only starts beyond the
-        #: successor are held (see :meth:`fix_finger`)
-        self.fingers: dict[int, Entry] = {}
+        #: :meth:`closest_preceding`'s memo: the id mask, the distinct
+        #: clockwise distances from ``id`` to the finger and successor
+        #: entries, ascending, and the first entry at each; built by the first
+        #: read after a write, so a node that never routes a key pays nothing
+        self._hops: tuple[int, list[int], list[Entry]] | None = None
+        self._successors: list[Entry] = []
+        self._fingers: dict[int, Entry] = {}
         self.next_finger = 0
+
+    @property
+    def successors(self) -> list[Entry]:
+        return self._successors
+
+    @successors.setter
+    def successors(self, chain: list[Entry]) -> None:
+        self._successors, self._hops = chain, None
+
+    @property
+    def fingers(self) -> dict[int, Entry]:
+        """Finger ``i`` is the owner of ``id + 2**i``; only starts beyond the
+        successor are held (see :meth:`fix_finger`)."""
+        return self._fingers
+
+    @fingers.setter
+    def fingers(self, table: dict[int, Entry]) -> None:
+        self._fingers, self._hops = table, None
 
     def entry(self) -> Entry:
         return {"id": self.id, "addr": self.addr}
 
     @property
     def successor(self) -> Entry:
-        return self.successors[0] if self.successors else self.entry()
+        succs = self._successors
+        return succs[0] if succs else self.entry()
 
     def arc(self) -> tuple[int, int]:
         """The ownership interval ``(predecessor, self]`` as ring ids.
@@ -225,19 +253,41 @@ class ChordState:
         self.successors = [e for e in self.successors if e["addr"] != dead["addr"]]
         self.fingers = {i: e for i, e in self.fingers.items() if e["addr"] != dead["addr"]}
 
+    def closest_preceding(self, key: int) -> Entry | None:
+        """Footnote 4's next hop: the finger or successor entry closest before
+        ``key`` clockwise of this node, or ``None`` when none is (this node
+        then precedes ``key``).  The rule is
+        :func:`~repro.dht.idspace.closest_preceding` over the fingers, then the
+        successor list — the first entry on a tie, never one at this node's
+        id, ``key == id`` routing the full ring — answered with one bisection
+        of the table sorted by clockwise distance."""
+        mask, dists, entries = self._hops or self._hop_table()
+        # entries strictly between id and key: distance <= (key - id - 1) mod 2^m
+        pos = bisect_right(dists, (key - self.id - 1) & mask)
+        return entries[pos - 1] if pos else None
+
+    def _hop_table(self) -> tuple[int, list[int], list[Entry]]:
+        """Build and keep the memo."""
+        mask = (1 << self.m) - 1
+        first: dict[int, Entry] = {}
+        for e in (*self._fingers.values(), *self._successors):
+            first.setdefault((e["id"] - self.id) & mask, e)
+        first.pop(0, None)  # this node never precedes a key
+        dists = sorted(first)
+        hops = self._hops = mask, dists, [first[d] for d in dists]
+        return hops
+
     def lookup_step(self, target: int) -> dict[str, Any]:
         """One hop of a lookup from local state alone: the owner of ``target``
         when this node or its successor is, else whom to ask next — the
-        closest preceding of fingers and successor list
-        (:func:`~repro.dht.idspace.lookup_step`) and, were it dead, the successor."""
+        closest preceding entry (:meth:`closest_preceding`) and, were it
+        dead, the successor."""
         succ, pred = self.successor, self.predecessor
         if pred is not None and in_interval_open_closed(target, pred["id"], self.id, self.m):
             return {"owner": self.entry()}
-        table = (*self.fingers.values(), *self.successors)
-        step = lookup_step(self.id, succ["id"], target, (e["id"] for e in table), self.m)
-        if step is None:
+        if in_interval_open_closed(target, self.id, succ["id"], self.m):
             return {"owner": succ}
-        best = table[step] if step >= 0 else self.entry()
+        best = self.closest_preceding(target) or self.entry()
         return {"next": [best] if best["addr"] == succ["addr"] else [best, succ]}
 
     def serve(self, kind: str, payload: Any) -> Any:
@@ -362,7 +412,7 @@ class ChordState:
         anyway: such fingers are neither held nor looked up."""
         succ = self.successor
         if succ["addr"] == self.addr:
-            self.fingers.clear()
+            self.fingers = {}
             return
         # id + 2**i lies in (id, successor] iff i < bit_length(distance)
         first = cw_distance(self.id, succ["id"], self.m).bit_length()
@@ -372,7 +422,8 @@ class ChordState:
         i = max(self.next_finger, first)
         self.next_finger = (i + 1) % self.m
         target = (self.id + (1 << i)) % (1 << self.m)
-        self.fingers[i] = yield from lookup(self.m, target, self.lookup_step(target), self.drop)
+        finger = yield from lookup(self.m, target, self.lookup_step(target), self.drop)
+        self.fingers = {**self.fingers, i: finger}
 
     def round(self) -> Op:
         """A node's periodic round: stabilise, check the predecessor,

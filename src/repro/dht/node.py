@@ -13,16 +13,16 @@ finger table, a successor list and the current node itself", and the
 ``next_hop`` of a key is "the one from the routing table whose identifier is
 immediately before the prefix_key of the query on the ring" — i.e. the
 closest *preceding* table entry, which is exactly Chord's greedy forwarding
-rule.  The rule itself is :func:`repro.dht.idspace.closest_preceding`, shared
-with the live node; this class answers it with one bisection of its table
-sorted by clockwise distance.  When ``next_hop`` returns the node itself, the
-node is (in its view) the predecessor of the key and the key's owner is its
-successor — Algorithm 3 then invokes ``SurrogateRefine`` on the successor.
+rule.  One memo answers it for simulated queries and for every maintenance
+and live lookup alike: :meth:`ChordState.closest_preceding
+<repro.dht.maintenance.ChordState.closest_preceding>`, which ``next_hop``
+reads.  When ``next_hop`` returns the node itself, the node is (in its view)
+the predecessor of the key and the key's owner is its successor — Algorithm 3
+then invokes ``SurrogateRefine`` on the successor.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterable
 from typing import Any
 
@@ -44,11 +44,11 @@ class ChordNode(ChordState):
     alive:
         Liveness flag of the churn simulation.
 
-    ``fingers`` holds every level ``0 .. m-1`` in ascending order, or none
-    while the node is alone: level ``i`` is the first node clockwise of
-    ``id + 2**i``; with PNS the oracle picks instead the lowest-latency node
-    in ``[id + 2**i, id + 2**(i+1))``.  Between maintenance steps
-    :meth:`settle` keeps it so.
+    The oracle writes every finger level ``0 .. m-1``, or none while the
+    node is alone: level ``i`` is the first node clockwise of ``id + 2**i``;
+    with PNS the lowest-latency node in ``[id + 2**i, id + 2**(i+1))``.
+    Maintenance then holds what the live node holds: the levels beyond the
+    successor, in the order :meth:`fix_finger` refreshed them.
     """
 
     def __init__(self, node_id: int, addr: str, m: int, succ_list_len: int,
@@ -57,13 +57,6 @@ class ChordNode(ChordState):
         self.name = name or f"node-{node_id:x}"
         self.host = host
         self.alive = True
-        #: next_hop's table: the id mask, the distinct clockwise distances
-        #: from ``id`` to the finger and successor entries, ascending, and
-        #: the node at each.
-        #: Built by the first ``next_hop`` after :meth:`invalidate_routing`,
-        #: so a node that never routes a key (a 100k-node ring is built in
-        #: bulk) pays nothing.
-        self._nh_table: tuple[int, list[int], list[ChordNode]] | None = None
 
     def __repr__(self) -> str:
         return f"ChordNode({self.name}, id={self.id:#x})"
@@ -77,7 +70,7 @@ class ChordNode(ChordState):
     def successor_node(self) -> ChordNode:
         """The successor as a node — the surrogate of a key this node
         precedes; the node itself while alone."""
-        succs = self.successors
+        succs = self._successors
         node: ChordNode = succs[0]["node"] if succs else self
         return node
 
@@ -89,59 +82,11 @@ class ChordNode(ChordState):
                 seen.add(n.id)
                 yield n
 
-    def invalidate_routing(self) -> None:
-        """Drop the next-hop table after a routing-table change.
-
-        Must be called by anything that changes ``fingers``, ``successors``
-        or ``id`` — :meth:`ChordRing.rebuild_tables` and :meth:`settle` are
-        the two mutation sites.  ``next_hop`` is a pure function of those
-        inputs, so between invalidations the table is exact.
-        """
-        self._nh_table = None
-
-    def settle(self) -> None:
-        """After a maintenance operation or a served request: every finger
-        level the step does not hold — a start up to the successor, one not
-        looked up yet, a dropped one — is set to the successor, which the
-        lookup step falls back to, and the levels are put back in ascending
-        order (:meth:`fix_finger` adds them round-robin); no finger while
-        alone.  Then :meth:`invalidate_routing`."""
-        succs = self.successors
-        if succs:
-            succ, held = succs[0], self.fingers
-            self.fingers = {i: held.get(i, succ) for i in range(self.m)}
-        else:
-            self.fingers = {}
-        self.invalidate_routing()
-
     def next_hop(self, key: int) -> ChordNode:
-        """Closest table entry strictly preceding ``key`` on the ring.
-
-        Returns ``self`` when no table entry is closer to the key than this
-        node — meaning this node believes itself the key's predecessor.
-        Entries whose identifier *equals* the key are never returned (the
-        owner is reached via its predecessor's successor pointer).
-
-        Same answer as :func:`repro.dht.idspace.closest_preceding` over the
-        fingers by level then the successor list, each entry at its node's
-        current id: the entry with the largest clockwise distance
-        from ``id`` below the key's, the first in table order on a tie;
-        ``key == id`` routes the full ring.
-        """
-        table = self._nh_table
-        if table is None:
-            table = self._nh_table = self._next_hop_table()
-        mask, dists, nodes = table
-        # entries strictly between id and key: distance <= (key - id - 1) mod 2^m
-        pos = bisect_right(dists, (key - self.id - 1) & mask)
-        return nodes[pos - 1] if pos else self
-
-    def _next_hop_table(self) -> tuple[int, list[int], list[ChordNode]]:
-        mask = (1 << self.m) - 1
-        first: dict[int, ChordNode] = {}
-        for e in (*self.fingers.values(), *self.successors):
-            n = e["node"]
-            first.setdefault((n.id - self.id) & mask, n)
-        first.pop(0, None)  # self never precedes a key
-        dists = sorted(first)
-        return mask, dists, [first[d] for d in dists]
+        """Closest table entry strictly preceding ``key`` on the ring, as a
+        node (:meth:`~repro.dht.maintenance.ChordState.closest_preceding`);
+        ``self`` when no entry is closer to the key than this node — it then
+        believes itself the key's predecessor."""
+        entry = self.closest_preceding(key)
+        node: ChordNode = self if entry is None else entry["node"]
+        return node

@@ -203,8 +203,6 @@ class ChordRing:
         else:
             for node, slots in zip(nodes, finger_slots(ids, self.m).tolist()):
                 node.fingers = {i: entries[s] for i, s in enumerate(slots)}
-        for node in nodes:
-            node.invalidate_routing()
 
     def _pns_slots(self, node: ChordNode, hosts: np.ndarray) -> list[int]:
         """PNS: finger ``i`` = the lowest-latency member of ``[id + 2^i, id + 2^(i+1))``;

@@ -25,9 +25,11 @@ three purposes:
 operation runs on the node itself and each request is answered by the peer's
 own ``serve``, carried as one control message each way through the
 :class:`repro.sim.transport.Transport` it is given — the platform's, which
-queries use too (synchronous, accounted hops).  A dead or faulted hop is
-:exc:`~repro.dht.maintenance.Unreachable`, so injected faults degrade
-maintenance the way they degrade queries.
+queries use too (synchronous, accounted hops).  Nothing else writes a node's
+tables between operations: a simulated node holds what a live node would, and
+its queries route through the same next-hop memo the step keeps.  A dead or
+faulted hop is :exc:`~repro.dht.maintenance.Unreachable`, so injected faults
+degrade maintenance the way they degrade queries.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.dht.idspace import in_interval_closed_open
 from repro.dht.maintenance import ChordState, Entry, Op, ProtocolError, Unreachable, lookup
 from repro.dht.node import ChordNode
 from repro.dht.ring import ChordRing
@@ -139,27 +142,19 @@ class StabilizationProtocol:
                 dst = self._node(peer)
                 reply, error = None, Unreachable(peer["addr"])
                 if self._control_message(node, dst):
-                    answer = self._serve(dst, kind, payload)
+                    answer = dst.serve(kind, payload)
                     if self._control_message(dst, node):
                         reply, error = answer, None
         except StopIteration as done:
             return done.value, sent
         except (Unreachable, ProtocolError):
             return None, sent
-        finally:
-            node.settle()
 
     def _node(self, entry: Entry) -> ChordNode:
         """The node a request goes to: a simulated entry names it; a join
         dials its bootstrap by address."""
         node: ChordNode = entry["node"] if "node" in entry else self._nodes[entry["addr"]]
         return node
-
-    @staticmethod
-    def _serve(node: ChordNode, kind: str, payload: Any) -> Any:
-        reply = node.serve(kind, payload)
-        node.settle()
-        return reply
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -191,7 +186,7 @@ class StabilizationProtocol:
 
     def notify(self, node: ChordNode, candidate: ChordNode) -> None:
         """``candidate`` tells ``node`` it believes it is its predecessor."""
-        self._serve(node, "notify", candidate.entry())
+        node.serve("notify", candidate.entry())
 
     def local_lookup(self, start: ChordNode, key: int, max_hops: int | None = None) -> tuple[ChordNode | None, int]:
         """Lookup from ``start`` using only node-local (possibly stale) tables.
@@ -247,14 +242,19 @@ class StabilizationProtocol:
                              for pos, node in enumerate(nodes))
 
     def finger_accuracy(self) -> float:
-        """Fraction of finger entries matching the oracle successor of their
-        target (1.0 = fully converged)."""
-        good = 0
-        total = 0
-        two_m = 1 << self.ring.m
-        for node in self.ring.nodes():
+        """Fraction of held finger entries that are valid (1.0 = every one
+        is): level ``i`` of node ``n`` is when it names a live ring member in
+        ``[n + 2**i, n + 2**(i+1))`` — any one, as PNS may pick — or, when no
+        member lies there, the oracle successor of ``n + 2**i``."""
+        ring, m = self.ring, self.ring.m
+        good = total = 0
+        for node in ring.nodes():
             for i, f in node.fingers.items():
                 total += 1
-                if f["node"] is self.ring.successor_of((node.id + (1 << i)) % two_m):
+                start = (node.id + (1 << i)) % (1 << m)
+                on_ring = f["node"] is ring.nodes_by_id.get(f["id"])
+                if on_ring and (
+                        in_interval_closed_open(f["id"], start, (start + (1 << i)) % (1 << m), m)
+                        or f["node"] is ring.successor_of(start)):
                     good += 1
         return good / total if total else 1.0

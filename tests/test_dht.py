@@ -189,13 +189,18 @@ class TestNextHop:
         assert (n.successors, n.fingers, n.predecessor) == ([], {}, n.entry())
         assert ring.successor_of(7) is n
 
+    @settings(max_examples=100, deadline=None)
     @given(st.sampled_from([8, 16, 64]), st.data())
     def test_bisection_table_agrees_with_closest_preceding(self, m, data):
-        """``next_hop`` answers from a table sorted by clockwise distance; the
-        oracle is the live node's scan, ``closest_preceding``, over fingers +
-        successors.  Tables hold duplicates (one node twice, two nodes with
-        one id), entries that are the node itself or share its id, and keys
-        on every entry, one off every entry and on the node's own id."""
+        """``next_hop`` and ``lookup_step`` answer from ``ChordState``'s memo,
+        a table sorted by clockwise distance; the oracle is the scan
+        ``closest_preceding`` over fingers + successors (and, for
+        ``lookup_step``, the owner tests before it).  Tables hold duplicates
+        (one node twice, two nodes with one id), entries that are the node
+        itself or share its id; they are checked after every write the
+        state makes — fix_finger, drop, set_successors, and serving notify,
+        splice and leave — with keys on every entry, one off every entry
+        and on the node's own id."""
         ids = st.integers(0, 2**m - 1)
         me = ChordNode(data.draw(ids), "me", m, 6, name="me")
         drawn = data.draw(st.lists(ids, max_size=10))
@@ -203,20 +208,49 @@ class TestNextHop:
         pool += [me, ChordNode(me.id, "twin", m, 6)]
         pool += [ChordNode(n.id, f"copy-{n.addr}", m, 6) for n in pool[:2]]
         entries = st.sampled_from([n.entry() for n in pool])
-        for _ in range(2):  # a table change, then the next_hop after invalidate_routing
-            me.fingers = dict(enumerate(data.draw(st.lists(entries, max_size=24))))
-            me.successors = data.draw(st.lists(entries, max_size=6))
-            me.invalidate_routing()
-            table = [e["node"] for e in (*me.fingers.values(), *me.successors)]
+        me.fingers = dict(enumerate(data.draw(st.lists(entries, max_size=24))))
+        me.successors = data.draw(st.lists(entries, max_size=6))
+        me.predecessor = data.draw(st.none() | entries)
+
+        def fix_finger():
+            op = me.fix_finger()
+            try:
+                op.send(None)
+                op.send({"owner": data.draw(entries)})  # the lookup's first hop answers
+            except StopIteration:
+                pass
+
+        writes = {
+            "fix_finger": fix_finger,
+            "drop": lambda: me.drop(data.draw(entries)),
+            "set_successors": lambda: me.set_successors(data.draw(st.lists(entries, max_size=8))),
+            "notify": lambda: me.serve("notify", data.draw(entries)),
+            "splice": lambda: me.serve("splice", data.draw(entries)),
+            "leave": lambda: me.serve("leave", {"node": data.draw(entries),
+                                                "predecessor": data.draw(st.none() | entries)}),
+        }
+        for write in [None, *data.draw(st.lists(st.sampled_from(sorted(writes)), max_size=8))]:
+            if write is not None:
+                writes[write]()
+            table = [*me.fingers.values(), *me.successors]
             keys = {me.id, *data.draw(st.lists(ids, max_size=6))}
-            keys |= {(n.id + d) % 2**m for n in table for d in (-1, 0, 1)}
+            keys |= {(e["id"] + d) % 2**m for e in table for d in (-1, 0, 1)}
+            succ, pred = me.successor, me.predecessor
             for key in sorted(keys):
-                pos = closest_preceding(me.id, key, [n.id for n in table], m)
-                assert me.next_hop(key) is (table[pos] if pos >= 0 else me)
+                pos = closest_preceding(me.id, key, [e["id"] for e in table], m)
+                assert me.next_hop(key) is (table[pos]["node"] if pos >= 0 else me)
+                best = table[pos] if pos >= 0 else me.entry()
+                if pred is not None and in_interval_open_closed(key, pred["id"], me.id, m):
+                    want = {"owner": me.entry()}
+                elif in_interval_open_closed(key, me.id, succ["id"], m):
+                    want = {"owner": succ}
+                else:
+                    want = {"next": [best] if best["addr"] == succ["addr"] else [best, succ]}
+                assert me.lookup_step(key) == want
             # one entry per distinct non-zero clockwise distance, ascending
-            _, dists, nodes = me._nh_table
-            assert dists == sorted({cw_distance(me.id, n.id, m) for n in table} - {0})
-            assert len(nodes) == len(dists)
+            _, dists, firsts = me._hops
+            assert dists == sorted({cw_distance(me.id, e["id"], m) for e in table} - {0})
+            assert len(firsts) == len(dists)
 
 
 class TestLookup:

@@ -11,6 +11,7 @@ from repro.dht.stabilize import (
     StabilizationProtocol,
 )
 from repro.sim.engine import Simulator
+from repro.sim.king import king_latency_model
 from repro.sim.network import ConstantLatency
 from repro.sim.transport import Transport
 
@@ -29,6 +30,26 @@ class TestSteadyState:
         _, _, proto = _setup()
         assert proto.ring_consistent()
         assert proto.finger_accuracy() == 1.0
+
+    def test_pns_oracle_ring_reads_fully_accurate(self):
+        """A PNS finger is any live member of its level's interval, not the
+        successor of the level's start: the oracle's own tables read 1.0."""
+        latency = king_latency_model(n_hosts=28, seed=45)
+        ring = ChordRing.build(24, m=24, seed=45, latency=latency, pns=True,
+                               successor_list_len=4)
+        proto = StabilizationProtocol(ring, Transport(Simulator()))
+        two_m = 1 << ring.m
+        assert any(f["node"] is not ring.successor_of((n.id + (1 << i)) % two_m)
+                   for n in ring.nodes() for i, f in n.fingers.items())
+        assert proto.finger_accuracy() == 1.0
+
+    def test_finger_naming_a_crashed_node_is_not_accurate(self):
+        ring, _, proto = _setup(n=16)
+        victim = ring.nodes()[4]
+        proto.leave(victim, graceful=False)
+        held = [f["node"] is victim for n in ring.nodes() for f in n.fingers.values()]
+        assert any(held)
+        assert proto.finger_accuracy() == 1 - sum(held) / len(held)
 
     def test_stabilize_preserves_consistency(self):
         ring, sim, proto = _setup()

@@ -5,13 +5,13 @@ over a 24-node Chord-PNS ring with short successor lists, §3.3 piggybacking
 on and a live query workload: two crashes, a graceful leave, a join and a
 dynamic-load-migration move between rounds.  The test holds the maintenance
 counters (the protocol's and the transport's), the query costs routed over
-the churned tables, every live node's successor ids, predecessor id, finger
-ids by level and next finger level at the end, and every 3 s the finger
-accuracy, the fingers and routing table of each node and its next hop for
-five keys, to ``fixtures/maintenance_paths.json``.  The commit named in its
-``written_by`` field wrote it, reading the same figures from its node-object
-tables (``[s.id for s in node.successors]``, ``[f.id for f in node.fingers]``
-and the protocol's per-node finger cursor).
+the churned tables, every live node's successor ids, predecessor id,
+``[level, id]`` fingers in table order and next finger level at the end, and
+every 3 s the finger accuracy, the fingers and routing table of each node and
+its next hop for five keys, to ``fixtures/maintenance_paths.json``.  Its
+``written_by`` field names the commit the figures were recorded on; they were
+recorded when a simulated node came to hold just the finger levels the
+maintenance step holds, as a live node does.
 """
 
 import dataclasses
@@ -96,7 +96,7 @@ def _sample(samples):
         nodes = ring.nodes()
         samples.append([
             maint.finger_accuracy(),
-            _crc([[e["node"].id for e in n.fingers.values()] for n in nodes]),
+            _crc([[[i, e["node"].id] for i, e in n.fingers.items()] for n in nodes]),
             _crc([[t.id for t in n.routing_table()] for n in nodes]),
             _crc([[n.next_hop(k).id for k in KEYS] for n in nodes]),
         ])
@@ -112,7 +112,7 @@ def _tables(node):
     return {
         "successors": [e["id"] for e in succ],
         "predecessor": None if node.predecessor is None else node.predecessor["id"],
-        "fingers": [e["id"] for e in node.fingers.values()],
+        "fingers": [[i, e["id"]] for i, e in node.fingers.items()],
         "next_finger": node.next_finger,
     }
 

@@ -372,7 +372,7 @@ def test_stale_successor_list_still_gives_exact_answers(ring16, rpc_log, damage)
     saved = [(n, list(n.successors), dict(n.fingers)) for n in ring16.nodes]
     try:
         for node in ring16.nodes:
-            node.fingers.clear()
+            node.fingers = {}
             node.successors = node.successors[1:] if damage == "skips_true_successor" \
                 else node.successors[:1]
         for node in ring16.nodes[::3]:
@@ -507,12 +507,12 @@ def test_lookups_without_fingers_walk_successor_lists_and_stay_exact(ring32, rpc
     saved = [(node, dict(node.fingers)) for node in ring32.nodes]
     try:
         for node in ring32.nodes:
-            node.fingers.clear()
+            node.fingers = {}
         # fingers come back one a round: the walk is longer, never wrong
         _lookups(ring32, rpc_log, 60, seed=6)
     finally:
         for node, fingers in saved:
-            node.fingers.update(fingers)
+            node.fingers = {**node.fingers, **fingers}
 
 
 def test_join_through_bootstrap_iterates_from_the_joiner(ring32, rpc_log):
@@ -567,7 +567,7 @@ def test_dead_finger_is_dropped_and_lookups_recover(rpc_log):
         # preceding node, so the lookup runs into it first
         target = (dead.id + 1) % SIZE
         for node, i in held:
-            node.fingers[i] = dead.entry()   # whether or not a refresh found out already
+            node.fingers = {**node.fingers, i: dead.entry()}  # whether or not a refresh found out already
             owner = r.run(_find_successor(node, target))
             assert owner["id"] == r.true_successor(target) != dead.id
             assert all(e["addr"] != dead.addr for e in node.fingers.values())

@@ -418,7 +418,7 @@ class Joined(Ring):
         assert self.j.id == j_id and self.j.successor["addr"] == self.s.addr
         for node in self.nodes:
             node._stabilize_task.cancel()
-        self.x.fingers.clear()
+        self.x.fingers = {}
 
 
 @pytest.fixture(scope="module")
@@ -600,7 +600,7 @@ def test_a_node_the_view_names_is_stopped_and_forgotten(rpcs):
         for node in (x, y):
             assert dead.id in node.walker.view.arcs
             node._stabilize_task.cancel()
-            node.fingers.clear()
+            node.fingers = {}
             node.transport.rpc_timeout = 0.3
         lost = set(dead.shard.shard.object_ids.tolist())
         r.run(r.cluster.stop_node(r.nodes.index(dead)))
