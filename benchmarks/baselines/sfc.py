@@ -204,7 +204,7 @@ def decompose_rect_to_intervals(
     hi_cells: np.ndarray,
     k: int,
     p: int,
-    encode: Callable[[np.ndarray, int, int], np.ndarray],
+    encode: Callable[[np.ndarray, int], np.ndarray],
     max_intervals: int = 1 << 14,
     max_level: int | None = None,
 ) -> list[tuple[int, int]]:

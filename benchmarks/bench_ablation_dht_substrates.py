@@ -9,8 +9,8 @@ quantities that determine what the index architecture would pay on each.
 
 import numpy as np
 
+from benchmarks.baselines.pastry import PastryRing
 from benchmarks.conftest import run_once
-from repro.dht.pastry import PastryRing
 from repro.dht.ring import ChordRing
 from repro.eval.report import format_table
 from repro.sim.king import king_latency_model

@@ -16,9 +16,9 @@ embedded tree) from the *mapping* (curve choice).
 
 import numpy as np
 
+from benchmarks.baselines.scrap import SfcIndex, SfcRangeProtocol
 from benchmarks.conftest import BENCH_NODES, run_once
 from repro.core.platform import IndexPlatform
-from repro.core.scrap import SfcIndex, SfcRangeProtocol
 from repro.datasets.synthetic import ClusteredGaussianConfig, generate_clustered
 from repro.dht.ring import ChordRing
 from repro.eval.report import format_table

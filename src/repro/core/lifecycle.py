@@ -38,7 +38,8 @@ its own, so there is no second, untracked executor:
   runner pipeline whole query batches.
 
 The engine is deliberately protocol-agnostic: `QueryProtocol`,
-`NaiveProtocol` and `SfcRangeProtocol` all send through
+`NaiveProtocol` and its subclasses (the SCRAP baseline in
+`benchmarks/baselines/scrap.py`) all send through
 :meth:`repro.core.routing.QueryProtocol._tracked_send`, so every message
 passes the same four calls — open, arm, accept, settle.
 """

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from collections.abc import Callable
 from typing import Any
 
 from repro.core.query import RangeQuery, Rect
@@ -93,31 +94,35 @@ class NaiveProtocol(QueryProtocol):
 
     ``issue()``/lifecycle tracking are inherited from
     :class:`repro.core.routing.QueryProtocol`; only the first step
-    (:meth:`_start`) and the hop-by-hop lookup differ.
+    (:meth:`_start`) and the hop-by-hop lookup (:meth:`_lookup`) differ.
     """
 
     def _start(self, node: Any, query: RangeQuery) -> None:
-        pieces = decompose_to_owner_cuboids(self.index, query.rect)
+        index = self.index
+        pieces = decompose_to_owner_cuboids(index, query.rect)
         for prefix_key, prefix_len, nl, nh in pieces:
             # a piece is looked up and solved, never split: no cuboid needed
             sq = query._child(Rect(nl, nh), prefix_key, prefix_len, None)
-            self._route_lookup(node, sq)
+            target = rotate(prefix_key, index.rotation, index.m)
+            self._lookup(node, target, sq, "naive:lookup",
+                         self._solve_local, *self._claimed_range(sq))
 
-    def _route_lookup(self, node: Any, sq: RangeQuery) -> None:
-        """Walk the Chord lookup path hop by hop, one message per hop."""
-        target = rotate(sq.prefix_key, self.index.rotation, self.index.m)
-        path = self.index.ring.lookup_path(node, target)
-        self._lookup_hop(path, 0, sq, 0)
+    def _lookup(self, node: Any, key: int, q: RangeQuery, kind: str,
+                then: Callable[..., None], *args: Any) -> None:
+        """Walk the Chord lookup path from ``node`` to ``key``'s owner, one
+        tracked ``kind`` message per hop, then run
+        ``then(owner, q, hops, *args)`` at the owner."""
+        path = self.index.ring.lookup_path(node, key)
+        self._lookup_hop(path, 0, q, 0, kind, then, args)
 
-    def _lookup_hop(self, path: Any, i: int, sq: RangeQuery, hops: int) -> None:
+    def _lookup_hop(self, path: Any, i: int, q: RangeQuery, hops: int, kind: str,
+                    then: Callable[..., None], args: tuple[Any, ...]) -> None:
         node = path[i]
         if i == len(path) - 1:
-            key_lo, key_hi = self._claimed_range(sq)
-            self._solve_local(node, sq, hops, key_lo, key_hi)
+            then(node, q, hops, *args)
             return
-        nxt = path[i + 1]
         size = query_message_size(1, self.index.k)
         self._tracked_send(
-            node, nxt, self._lookup_hop, path, i + 1, sq, hops + 1,
-            kind="naive:lookup", size=size, qid=sq.qid,
+            node, path[i + 1], self._lookup_hop, path, i + 1, q, hops + 1, kind, then, args,
+            kind=kind, size=size, qid=q.qid,
         )

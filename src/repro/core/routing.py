@@ -194,10 +194,10 @@ class QueryProtocol:
 
     # -- lifecycle-tracked message plumbing ------------------------------------
     #
-    # All three query protocols (this one, NaiveProtocol, SfcRangeProtocol)
-    # send query-carrying messages through _tracked_send, so branch
-    # accounting, retransmission and duplicate suppression live in exactly
-    # one place: the branch, which is the message.
+    # Every query protocol (this one, NaiveProtocol and the SCRAP baseline's
+    # NaiveProtocol subclass) sends query-carrying messages through
+    # _tracked_send, so branch accounting, retransmission and duplicate
+    # suppression live in exactly one place: the branch, which is the message.
 
     def _tracked_send(
         self,

@@ -15,7 +15,6 @@ from repro.dht.idspace import (
     in_interval_open_closed,
 )
 from repro.dht.node import ChordNode
-from repro.dht.pastry import PastryNode, PastryRing
 from repro.dht.ring import ChordRing
 from repro.dht.stabilize import MaintenanceConfig, MaintenanceStats, StabilizationProtocol
 
@@ -23,8 +22,6 @@ __all__ = [
     "ChordNode",
     "ChordRing",
     "CompactChordRing",
-    "PastryNode",
-    "PastryRing",
     "StabilizationProtocol",
     "MaintenanceConfig",
     "MaintenanceStats",

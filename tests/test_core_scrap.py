@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from benchmarks.baselines.scrap import SfcIndex, SfcRangeProtocol
 from repro.core.platform import IndexPlatform
-from repro.core.scrap import SfcIndex, SfcRangeProtocol
 from repro.dht.ring import ChordRing
 from repro.eval.ground_truth import exact_range
 from repro.metric.vector import EuclideanMetric
@@ -106,3 +106,32 @@ class TestSfcProtocol:
         n_m = len(SfcIndex(base, curve="morton", p=6).query_intervals(q.rect))
         n_h = len(SfcIndex(base, curve="hilbert", p=6).query_intervals(q.rect))
         assert n_h <= n_m
+
+    def test_owner_with_no_known_predecessor(self):
+        """Maintenance clears a predecessor that stops answering
+        (``ChordState.check_predecessor``); the interval walk must not read
+        it, and on an otherwise consistent ring the answer stays exact."""
+        rng = np.random.default_rng(3)
+        data = rng.uniform(0, 100, size=(300, DIM))
+        ring = ChordRing.build(16, m=24, seed=0, latency=ConstantLatency(16, 0.01))
+        platform = IndexPlatform(ring)
+        platform.create_index("idx", data, METRIC, k=2, sample_size=150, seed=1)
+        sfc = SfcIndex(platform.indexes["idx"], curve="hilbert")
+        for node in ring.nodes():
+            node.predecessor = None
+        st = _run_sfc(platform, sfc, data, 0, 40.0)
+        got = sorted(e.object_id for e in st.entries)
+        assert got == sorted(exact_range(data, METRIC, data[0], 40.0).tolist())
+
+    def test_interval_covering_the_whole_ring(self, setup):
+        """A rectangle over the whole index space is the one interval
+        ``[0, 2^m - 1]``: its first owner also owns ``2^m - 1``, and the walk
+        still visits every node, stopping before it wraps back to it."""
+        platform, data = setup
+        sfc = SfcIndex(platform.indexes["idx"], curve="hilbert")
+        q = platform.indexes["idx"].make_query(data[0], 1e6)
+        assert sfc.query_intervals(q.rect) == [(0, (1 << sfc.m) - 1)]
+        st = _run_sfc(platform, sfc, data, 0, 1e6)
+        assert sorted(e.object_id for e in st.entries) == list(range(len(data)))
+        assert st.query_messages == len(platform.ring) - 1 + len(
+            platform.ring.lookup_path(platform.ring.nodes()[0], 0)) - 1

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.index_space import IndexSpaceBounds
-from repro.core.lph import lp_hash_batch
-from repro.core.sfc import (
+from benchmarks.baselines.sfc import (
     decompose_rect_to_intervals,
     dequantize_cell,
     hilbert_decode,
@@ -15,6 +13,8 @@ from repro.core.sfc import (
     morton_encode,
     quantize,
 )
+from repro.core.index_space import IndexSpaceBounds
+from repro.core.lph import lp_hash_batch
 
 
 class TestQuantize:

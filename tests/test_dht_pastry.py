@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dht.pastry import PastryNode, PastryRing, cyclic_distance
+from benchmarks.baselines.pastry import PastryNode, PastryRing, cyclic_distance
 from repro.sim.network import MatrixLatency
 
 M, B = 16, 4

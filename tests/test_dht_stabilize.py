@@ -376,9 +376,9 @@ class TestOnThePlatformTransport:
         import repro
         import repro.sim
         import repro.sim.transport
+        from benchmarks.baselines.scrap import SfcRangeProtocol
         from repro.core.naive import NaiveProtocol
         from repro.core.routing import QueryProtocol
-        from repro.core.scrap import SfcRangeProtocol
 
         assert "Protocol" not in repro.sim.__all__ and not hasattr(repro.sim, "Protocol")
         assert not hasattr(repro.sim.transport, "Protocol")

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from benchmarks.baselines.scrap import SfcIndex, SfcRangeProtocol
 from repro.core.knn import knn_search
 from repro.core.lifecycle import (
     COMPLETE,
@@ -28,7 +29,6 @@ from repro.core.naive import NaiveProtocol
 from repro.core.platform import IndexPlatform
 from repro.core.query import QidAllocator
 from repro.core.routing import QueryProtocol
-from repro.core.scrap import SfcIndex, SfcRangeProtocol
 from repro.datasets.queries import QueryWorkload
 from repro.dht.ring import ChordRing
 from repro.metric.vector import EuclideanMetric
