@@ -59,6 +59,7 @@ class SfcIndex(LandmarkIndex):
             raise ValueError(f"unknown curve {curve!r} (use 'morton'/'hilbert')")
         base = landmark_index
         super().__init__(base.name, base.space, base.ring, base.dataset)
+        self.qids = base.qids
         self.curve = curve
         self.encode = _CURVES[curve]
         max_p = self.m // self.k

@@ -43,7 +43,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable, Iterator
 
-from repro.check.lint.engine import LintContext, ModuleInfo, Rule, rule
+from repro.check.lint.engine import LintContext, ModuleInfo, Rule, in_rule_scope, rule
 from repro.check.lint.findings import Finding
 
 __all__ = [
@@ -89,12 +89,6 @@ _SYNC_LOCKS = {
     "threading.Semaphore",
     "threading.BoundedSemaphore",
 }
-
-
-def _in_repro(module: ModuleInfo) -> bool:
-    return module.module is not None and (
-        module.module == "repro" or module.module.startswith("repro.")
-    )
 
 
 def _async_function_bodies(tree: ast.Module) -> Iterator[ast.AsyncFunctionDef]:
@@ -160,7 +154,7 @@ class BlockingCallRule(Rule):
     }
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterable[Finding]:
-        if not _in_repro(module):
+        if not in_rule_scope(module):
             return
         for fn in _loop_functions(module.tree):
             how = "async def" if isinstance(fn, ast.AsyncFunctionDef) else "loop-run def"
@@ -218,7 +212,7 @@ class UnawaitedCoroutineRule(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterable[Finding]:
-        if not _in_repro(module):
+        if not in_rule_scope(module):
             return
         project_async = _project_async_functions(ctx)
         local_async = _module_async_defs(module)
@@ -292,7 +286,7 @@ class DroppedTaskRule(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterable[Finding]:
-        if not _in_repro(module):
+        if not in_rule_scope(module):
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Expr) or not isinstance(node.value, ast.Call):
@@ -330,7 +324,7 @@ class AwaitUnderSyncLockRule(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterable[Finding]:
-        if not _in_repro(module):
+        if not in_rule_scope(module):
             return
         lock_names = _sync_lock_bindings(module)
         for fn in _async_function_bodies(module.tree):

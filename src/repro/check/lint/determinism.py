@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable
 
-from repro.check.lint.engine import LintContext, ModuleInfo, Rule, rule
+from repro.check.lint.engine import LintContext, ModuleInfo, Rule, in_rule_scope, rule
 from repro.check.lint.findings import Finding, FixEdit
 
 __all__ = ["WallClockRule", "AmbientRandomnessRule", "BuiltinHashRule", "SetIterationRule"]
@@ -79,12 +79,6 @@ _SCHEDULING_SINKS = {
 }
 
 
-def _in_repro(module: ModuleInfo) -> bool:
-    return module.module is not None and (
-        module.module == "repro" or module.module.startswith("repro.")
-    )
-
-
 @rule
 class WallClockRule(Rule):
     id = "DET101"
@@ -95,7 +89,7 @@ class WallClockRule(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterable[Finding]:
-        if not _in_repro(module):
+        if not in_rule_scope(module):
             return
         mod = module.module or ""
         if any(mod == a or mod.startswith(a + ".") for a in _WALLCLOCK_ALLOWED):
@@ -123,7 +117,7 @@ class AmbientRandomnessRule(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterable[Finding]:
-        if not _in_repro(module):
+        if not in_rule_scope(module):
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -189,7 +183,7 @@ class BuiltinHashRule(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterable[Finding]:
-        if not _in_repro(module) or module.module in _HASH_ALLOWED:
+        if not in_rule_scope(module) or module.module in _HASH_ALLOWED:
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -213,7 +207,7 @@ class SetIterationRule(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterable[Finding]:
-        if not _in_repro(module):
+        if not in_rule_scope(module):
             return
         for fn in ast.walk(module.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -36,11 +36,17 @@ __all__ = [
     "run_lint",
     "apply_fixes",
     "find_repo_root",
+    "in_rule_scope",
 ]
 
 #: fixture files may pin their dotted module name for architecture rules:
 #: ``# lint-fixture-module: repro.obs.bad`` in the first few lines.
 _MODULE_DIRECTIVE = "# lint-fixture-module:"
+
+#: the package the comparison baselines live in (``benchmarks/baselines/``,
+#: beside the benches that run them): the determinism, async and protocol
+#: rules read it as they read ``repro``; the layering contract does not.
+_BASELINES = "benchmarks.baselines"
 
 
 @dataclass
@@ -279,20 +285,32 @@ def discover_files(paths: Iterable[str | Path]) -> list[Path]:
 
 
 def module_name_for(path: Path, package: str = "repro") -> str | None:
-    """Dotted module name of a file, or ``None`` outside the package.
+    """Dotted module name of a file, or ``None`` outside the linted packages.
 
     The name is derived from the path components starting at the last
     ``package`` component (``src/repro/core/platform.py`` ->
-    ``repro.core.platform``); fixture files may override it with a
+    ``repro.core.platform``) or ``benchmarks/baselines`` pair
+    (``benchmarks/baselines/sfc.py`` -> ``benchmarks.baselines.sfc``),
+    whichever starts later; fixture files may override it with a
     ``# lint-fixture-module: <name>`` directive near the top.
     """
     parts = list(path.with_suffix("").parts)
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
+    roots = ([package], _BASELINES.split("."))
     for i in range(len(parts) - 1, -1, -1):
-        if parts[i] == package:
+        if any(parts[i : i + len(root)] == root for root in roots):
             return ".".join(parts[i:])
     return None
+
+
+def in_rule_scope(module: ModuleInfo) -> bool:
+    """Whether the determinism, async and protocol rules read ``module``:
+    one of the ``repro`` package or of the comparison baselines."""
+    name = module.module
+    return name is not None and any(
+        name == root or name.startswith(root + ".") for root in ("repro", _BASELINES)
+    )
 
 
 def _directive_module(source: str) -> str | None:

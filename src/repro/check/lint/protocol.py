@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable, Iterator
 
-from repro.check.lint.engine import LintContext, ModuleInfo, Rule, rule
+from repro.check.lint.engine import LintContext, ModuleInfo, Rule, in_rule_scope, rule
 from repro.check.lint.findings import Finding
 
 __all__ = ["RpcHandlerParityRule"]
@@ -37,12 +37,6 @@ _REQUEST_ATTRS = {"rpc": 1, "send": 1}
 _REGISTER_ATTRS = {"register_rpc": 0, "register_handler": 0}
 #: which registration satisfies which request
 _REGISTER_FOR = {"rpc": "register_rpc", "send": "register_handler"}
-
-
-def _in_repro(module: ModuleInfo) -> bool:
-    return module.module is not None and (
-        module.module == "repro" or module.module.startswith("repro.")
-    )
 
 
 def _kind_literal(call: ast.Call, index: int) -> str | None:
@@ -97,7 +91,7 @@ class RpcHandlerParityRule(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterable[Finding]:
-        if not _in_repro(module):
+        if not in_rule_scope(module):
             return
         if ctx.layers.layer_of(module.module or "") != "net":
             return

@@ -20,10 +20,10 @@ embedded-tree routing amortises away.
 
 from __future__ import annotations
 
-import numpy as np
-
 from collections.abc import Callable
 from typing import Any
+
+import numpy as np
 
 from repro.core.query import RangeQuery, Rect
 from repro.core.routing import QueryProtocol

@@ -43,6 +43,13 @@ class TestSfcIndex:
         sfc = SfcIndex(platform.indexes["idx"], curve=curve)
         assert sfc.load_distribution().sum() == 400
 
+    def test_query_ids_from_platform_allocator(self, setup):
+        platform, data = setup
+        base = platform.indexes["idx"]
+        sfc = SfcIndex(base)
+        qids = {base.make_query(data[0], 5.0).qid, sfc.make_query(data[0], 5.0).qid}
+        assert len(qids) == 2
+
     def test_unknown_curve_rejected(self, setup):
         platform, _ = setup
         with pytest.raises(ValueError):

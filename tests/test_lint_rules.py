@@ -252,9 +252,32 @@ class TestRepoGate:
         assert result.errors == []
         assert result.findings == [], [f.render() for f in result.findings]
 
+    def test_baselines_lint_clean(self):
+        result = run_lint([REPO_ROOT / "benchmarks" / "baselines"], root=REPO_ROOT)
+        assert result.errors == []
+        assert result.findings == [], [f.render() for f in result.findings]
+
+    def test_rules_read_the_baselines(self, tmp_path):
+        # a copy of a baseline module at its package path, with an unseeded
+        # generator and a wall-clock read added: both determinism rules fire
+        pkg = tmp_path / "benchmarks" / "baselines"
+        pkg.mkdir(parents=True)
+        src = (REPO_ROOT / "benchmarks" / "baselines" / "sfc.py").read_text()
+        src += (
+            "\n\ndef _jitter():\n"
+            "    import time\n"
+            "    return np.random.default_rng().random() + time.time()\n"
+        )
+        (pkg / "sfc.py").write_text(src)
+        findings = run_lint([pkg], root=tmp_path).findings
+        assert sorted(f.rule for f in findings) == ["DET101", "DET102"], findings
+
     def test_module_naming(self):
         assert module_name_for(Path("src/repro/core/platform.py")) == "repro.core.platform"
         assert module_name_for(Path("src/repro/obs/__init__.py")) == "repro.obs"
+        assert module_name_for(Path("benchmarks/baselines/sfc.py")) == "benchmarks.baselines.sfc"
+        assert module_name_for(Path("benchmarks/baselines/__init__.py")) == "benchmarks.baselines"
+        assert module_name_for(Path("benchmarks/bench_ablation_sfc.py")) is None
         assert module_name_for(Path("scripts/tool.py")) is None
 
     def test_relative_import_resolution(self):
