@@ -68,35 +68,34 @@ class SfcIndex(LandmarkIndex):
             raise ValueError(f"m={self.m} too small for {self.k} dimensions")
         #: ring key = curve key << shift
         self.shift = self.m - self.k * self.p
-        cells = quantize(base._points, self.bounds.lows, self.bounds.highs, self.p)
-        self._keys = self.encode(cells, self.p) << np.uint64(self.shift)
-        self._points = base._points
-        self._object_ids = base._object_ids
-        self.distribute()
+        _, points, object_ids = base.entries()
+        cells = quantize(points, self.bounds.lows, self.bounds.highs, self.p)
+        self.place(self.encode(cells, self.p) << np.uint64(self.shift), points, object_ids)
 
     def query_intervals(self, rect: Any,
                         max_intervals: int = 4096) -> list[tuple[int, int]]:
         """Ring-key intervals covering the rectangle (scaled curve intervals).
 
-        Adaptively coarsens the decomposition when a fine one would exceed
+        Uses the finest decomposition level that stays within
         ``max_intervals`` — coarser intervals are supersets, which only cost
         extra traffic (the rectangle filter at solve time keeps results
         exact).  High-dimensional fragmentation is the documented weakness of
-        SFC interval routing.
+        SFC interval routing.  A straddling cube's children emit at least one
+        interval between them, so the count never falls as the level rises:
+        levels are tried coarse to fine, and the first that overflows ends
+        the search (one pass cut short, not one per finer level).
         """
         lo_cells = quantize(np.array([rect.lows]), self.bounds.lows, self.bounds.highs, self.p)[0]
         hi_cells = quantize(np.array([rect.highs]), self.bounds.lows, self.bounds.highs, self.p)[0]
-        for level in range(self.p, 0, -1):
+        raw = [(0, (1 << (self.k * self.p)) - 1)]
+        for level in range(1, self.p + 1):
             try:
                 raw = decompose_rect_to_intervals(
                     lo_cells, hi_cells, self.k, self.p, self.encode,
                     max_intervals=max_intervals, max_level=level,
                 )
-                break
             except RuntimeError:
-                continue
-        else:
-            raw = [(0, (1 << (self.k * self.p)) - 1)]
+                break
         return [
             (a << self.shift, ((b + 1) << self.shift) - 1) for a, b in raw
         ]

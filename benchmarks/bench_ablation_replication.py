@@ -70,7 +70,7 @@ def test_replication_failure_tolerance(benchmark, save_result):
                     key=lambda n: index.shards[n].load,
                 )
                 platform.fail_node(victim)
-            surviving = len(index.surviving_object_ids())
+            surviving = index.total_entries()
             after = measure(platform)
             rows.append(
                 [repl, storage, before, after, cfg.n_objects - surviving]

@@ -68,13 +68,15 @@ def main() -> None:
     # -- 3. crash tolerance ----------------------------------------------------------
     victim = max(index.shards, key=lambda n: index.shards[n].load)
     print(f"\ncrashing the most loaded node ({victim.name}, {index.shards[victim].load} entries)...")
+    before = index.total_entries()
     platform.fail_node(victim)
     res4 = knn_search(platform, "vecs", data[qi], k=10)
     print(
         f"post-crash kNN exact={res4.exact}, matches pre-crash="
         f"{set(res4.object_ids.tolist()) == set(res3.object_ids.tolist())}"
     )
-    lost = index.rebuild_from_shards()
+    index.distribute()
+    lost = before - index.total_entries()
     print(f"re-replication: {lost} entries lost, storage back to "
           f"{index.load_distribution().sum()} entries")
 

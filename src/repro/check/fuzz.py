@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
@@ -120,15 +119,13 @@ class FaultyTransportMachine(DifferentialMachine):
 
 
 class BuggyOwnershipMachine(DifferentialMachine):
-    """Plants a wrong-owner entry: object 0's key has its top bit flipped,
-    so its entry lands on the wrong node's shard and range queries covering
-    the object miss it — a differential false negative the fuzzer must find
-    (and shrink to a minimal op sequence)."""
+    """Plants a wrong-owner entry: object 0 is placed again under its key
+    with the top bit flipped, so its entry lands on the wrong node's shard
+    and range queries covering the object miss it — a differential false
+    negative the fuzzer must find (and shrink to a minimal op sequence)."""
 
     def _seed_bug(self) -> None:
         index = self.world.index
-        pos = int(np.flatnonzero(index._object_ids == 0)[0])
-        index._keys[pos] = np.uint64(
-            int(index._keys[pos]) ^ (1 << (index.m - 1))
-        )
-        index.distribute()
+        _, points, object_ids = index.entries()
+        key = index.remove_entry(0) ^ (1 << (index.m - 1))
+        index.place([key], points[object_ids == 0], [0])

@@ -210,7 +210,7 @@ class World:
         return np.random.default_rng(qseed).uniform(lo, hi, size=self.scenario.dim)
 
     def _indexed_ids(self) -> list[int]:
-        return sorted(int(i) for i in self.index._object_ids)
+        return self.index.entries()[2].tolist()
 
     # -- fingerprinting ---------------------------------------------------------
 
@@ -365,11 +365,13 @@ def _op_crash(world: World, pseed: int) -> str:
         world._digest("skip")
         return "skipped (ring too small)"
     node = nodes[int(pseed) % len(nodes)]
+    before = world.index.total_entries()
     node.alive = False
     world.platform.fail_node(node)
-    lost = world.index.rebuild_from_shards()
+    world.index.distribute()
+    lost = before - world.index.total_entries()
     if world.oracle is not None:
-        world.oracle.restrict(int(i) for i in world.index._object_ids)
+        world.oracle.restrict(world._indexed_ids())
     world._digest("crashed", node.id, "lost", lost)
     return f"node {node.id:#x}, {lost} entries lost"
 

@@ -60,7 +60,8 @@ class LandmarkIndex:
     rotation:
         The static load-balancing offset ``φ`` (0 when rotation is off).
     shards:
-        ``ChordNode -> Shard`` mapping of stored entries.
+        ``ChordNode -> Shard`` mapping of stored entries: the index's only
+        copy of them, read back whole through :meth:`entries`.
     """
 
     def __init__(
@@ -92,128 +93,115 @@ class LandmarkIndex:
         self.k = space.k
         self.bounds = space.bounds
         self.metric = space.landmark_set.metric
-        self.shards: dict[Any, Shard] = {}
-        self._keys: np.ndarray | None = None
-        self._points: np.ndarray | None = None
-        self._object_ids: np.ndarray | None = None
-        self._owner_objs: np.ndarray | None = None
+        self.shards: dict[Any, Shard] = {node: Shard(self.k) for node in ring.nodes()}
+        #: (object ids, primary holders) of each batch placed since the last
+        #: distribute(), oldest first: what distribute() counts moves against
+        self._primaries: list[tuple[np.ndarray, np.ndarray]] = []
 
-    # -- construction -----------------------------------------------------------
+    # -- placement ----------------------------------------------------------------
 
-    def build(self) -> None:
-        """Project the dataset, hash it, and distribute entries to owners."""
-        points = self.space.project(self.dataset)
-        self._points = points
-        self._keys = lp_hash_batch(points, self.bounds, self.m)
-        n = points.shape[0]
-        self._object_ids = np.arange(n, dtype=np.int64)
-        self.distribute()
-
-    def rotated_keys(self) -> np.ndarray:
-        """Ring keys of all entries: LPH keys shifted by the rotation offset."""
-        return rotate_keys(self._keys, self.rotation, self.m)
-
-    def distribute(self) -> int:
-        """(Re)assign all entries to their current owners.
-
-        Returns the number of entries that changed node, which is the
-        migration volume of a load-balancing step.
-        """
-        if self._keys is None:
-            raise RuntimeError("call build() first")
-        owners = self.ring.owners_of_keys(self.rotated_keys())
-        nodes = self.ring.nodes()
-        node_arr = np.empty(len(nodes), dtype=object)
-        node_arr[:] = nodes
-        new_owner_objs = node_arr[owners]
-        if self._owner_objs is None:
-            moved = 0
+    def build(self, object_ids: Any = None) -> None:
+        """Project the dataset (only its rows ``object_ids``, when given), hash
+        it, and place the entries on a new index."""
+        if object_ids is None:
+            points = self.space.project(self.dataset)
+            object_ids = np.arange(points.shape[0], dtype=np.int64)
         else:
-            moved = int(np.count_nonzero(new_owner_objs != self._owner_objs))
-        self._owner_objs = new_owner_objs
-        order, offsets = group_by_owner(owners, len(nodes))
-        self.shards = {node: Shard(self.k) for node in nodes}
+            points = self.space.project(take(self.dataset, object_ids))
+        self.place(lp_hash_batch(points, self.bounds, self.m), points, object_ids)
+
+    def place(self, keys: Any, points: Any, object_ids: Any) -> None:
+        """Store a batch of entries on the owners of their rotated keys and on
+        the next ``replication - 1`` successors (§3.2).
+
+        ``keys`` are unrotated LPH keys, ``points`` one index point a row and
+        ``object_ids`` rows of ``dataset``.  Building, :meth:`distribute`,
+        inserts and restored indexes all place entries here.
+        """
+        keys = np.asarray(keys, dtype=np.uint64)
+        points = np.asarray(points, dtype=np.float64)
+        object_ids = np.asarray(object_ids, dtype=np.int64)
+        nodes = self.ring.nodes()
         n_nodes = len(nodes)
+        owners = self.ring.owners_of_keys(rotate_keys(keys, self.rotation, self.m))
+        order, offsets = group_by_owner(owners, n_nodes)
         copies = min(self.replication, n_nodes)
-        for i, node in enumerate(nodes):
+        for i in np.flatnonzero(np.diff(offsets)).tolist():
             sel = order[offsets[i] : offsets[i + 1]]
-            if not len(sel):
-                continue
             for c in range(copies):
                 holder = nodes[(i + c) % n_nodes]
-                self.shards[holder].add(
-                    self._keys[sel], self._points[sel], self._object_ids[sel]
-                )
-        return moved
+                shard = self.shards.get(holder)
+                if shard is None:
+                    shard = self.shards[holder] = Shard(self.k)
+                shard.add(keys[sel], points[sel], object_ids[sel])
+        node_arr = np.empty(n_nodes, dtype=object)
+        node_arr[:] = nodes
+        self._primaries.append((object_ids, node_arr[owners]))
 
-    # -- dynamic entries (used by repro.core.updates) ------------------------------
+    def distribute(self) -> int:
+        """Re-place every entry the shards hold on the current owners and
+        replica successors (after joins, leaves, crashes and load moves).
 
-    def append_entries(self, object_ids: Any, points: Any, keys: Any) -> None:
-        """Add a batch of entries to the global arrays and redistribute once.
-
-        ``object_ids`` must index into ``dataset`` (the objects themselves
-        must already exist there); ``points`` holds one index point a row.
+        A node that left gracefully still has its shard here, so its entries
+        are handed over; a crashed node's shard is gone (:meth:`IndexPlatform.
+        fail_node`), and with it every entry no replica held.  Returns the
+        number of entries whose primary holder changed since they were last
+        placed: the migration volume of a load-balancing step.
         """
-        self._keys = np.concatenate([self._keys, np.asarray(keys, dtype=np.uint64)])
-        self._points = np.vstack([self._points, np.asarray(points, dtype=np.float64)])
-        self._object_ids = np.concatenate(
-            [self._object_ids, np.asarray(object_ids, dtype=np.int64)]
-        )
-        self._owner_objs = None  # placement cache invalidated
-        self.distribute()
+        keys, points, object_ids = self.entries()
+        before = self._primary_holders(object_ids)
+        self.shards = {node: Shard(self.k) for node in self.ring.nodes()}
+        self._primaries = []
+        self.place(keys, points, object_ids)
+        return int(np.count_nonzero(before != self._primaries[0][1]))
+
+    def _primary_holders(self, object_ids: np.ndarray) -> np.ndarray:
+        """The node each of the sorted ``object_ids`` was last placed on as
+        primary (None for an id never placed)."""
+        held = np.full(len(object_ids), None, dtype=object)
+        newest_first = self._primaries[::-1]  # an id's first occurrence is its latest
+        if newest_first:
+            ids, first = np.unique(np.concatenate([b[0] for b in newest_first]),
+                                   return_index=True)
+            if len(ids):
+                holders = np.concatenate([b[1] for b in newest_first])[first]
+                pos = np.minimum(np.searchsorted(ids, object_ids), len(ids) - 1)
+                found = ids[pos] == object_ids
+                held[found] = holders[pos[found]]
+        return held
 
     def remove_entry(self, object_id: int) -> int | None:
-        """Remove the entry of ``object_id``; returns its LPH key or None."""
-        pos = np.flatnonzero(self._object_ids == object_id)
-        if pos.size == 0:
-            return None
-        p = int(pos[0])
-        key = int(self._keys[p])
-        keep = np.ones(len(self._keys), dtype=bool)
-        keep[p] = False
-        self._keys = self._keys[keep]
-        self._points = self._points[keep]
-        self._object_ids = self._object_ids[keep]
-        self._owner_objs = None
-        self.distribute()
+        """Delete ``object_id``'s entry from every shard holding a copy;
+        returns its LPH key, or None when no shard holds it."""
+        key = None
+        for shard in self.shards.values():
+            ids = shard.object_ids
+            drop = ids == object_id
+            if not drop.any():
+                continue
+            keep = ~drop
+            key = int(shard.keys[drop][0])
+            kept = shard.keys[keep], shard.points[keep], ids[keep]
+            shard.clear()
+            shard.add(*kept)
         return key
 
-    # -- failure handling -----------------------------------------------------------
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every entry the shards hold, once: read-only ``(keys, points,
+        object_ids)`` sorted by object id, with unrotated keys.
 
-    def surviving_object_ids(self) -> np.ndarray:
-        """Distinct object ids still stored on some live node's shard."""
-        ids = [s.object_ids for s in self.shards.values() if len(s)]
-        if not ids:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(ids))
-
-    def rebuild_from_shards(self) -> int:
-        """Re-replication after failures: rebuild the entry set from the
-        union of surviving shards and redistribute (restoring the configured
-        replication factor).  Returns the number of entries lost for good.
+        Replica copies are folded by object id (the first shard in ``shards``
+        order holding an id gives its key and point).
         """
-        before = len(self._keys)
-        keys, points, oids = [], [], []
-        seen: set[int] = set()
-        for shard in self.shards.values():
-            for j in range(len(shard)):
-                oid = int(shard.object_ids[j])
-                if oid in seen:
-                    continue
-                seen.add(oid)
-                keys.append(shard.keys[j])
-                points.append(shard.points[j])
-                oids.append(oid)
-        self._keys = np.asarray(keys, dtype=np.uint64)
-        self._points = (
-            np.asarray(points, dtype=np.float64)
-            if points
-            else np.empty((0, self.k))
+        shards = list(self.shards.values()) or [Shard(self.k)]
+        object_ids, first = np.unique(
+            np.concatenate([s.object_ids for s in shards]), return_index=True
         )
-        self._object_ids = np.asarray(oids, dtype=np.int64)
-        self._owner_objs = None
-        self.distribute()
-        return before - len(self._keys)
+        keys = np.concatenate([s.keys for s in shards])[first]
+        points = np.concatenate([s.points for s in shards])[first]
+        for a in (keys, points, object_ids):
+            a.flags.writeable = False
+        return keys, points, object_ids
 
     # -- querying ------------------------------------------------------------------
 
@@ -299,7 +287,8 @@ class LandmarkIndex:
         )
 
     def total_entries(self) -> int:
-        return 0 if self._keys is None else len(self._keys)
+        """Distinct entries the shards hold (replica copies count once)."""
+        return len(self.entries()[2])
 
     def filtering_score(self, sample: Any, seed: int | np.random.Generator | None = 0, pairs: int = 500) -> float:
         """How well the landmark projection preserves distances on a sample.
@@ -444,8 +433,9 @@ class IndexPlatform:
 
         Selects a candidate landmark set, scores old vs new by
         :meth:`LandmarkIndex.filtering_score` on a fresh sample, and adopts
-        the new set when it wins by more than ``threshold``.  Returns a
-        report including whether adoption happened and how many entries
+        the new set when it wins by more than ``threshold``, re-projecting
+        the objects the index holds (deleted or lost ones stay out).  Returns
+        a report including whether adoption happened and how many entries
         migrated.
         """
         index = self.indexes[name]
@@ -466,7 +456,7 @@ class IndexPlatform:
         new_score = candidate.filtering_score(sample, rng)
         report = {"old_score": old_score, "new_score": new_score, "adopted": 0.0, "moved": 0.0}
         if new_score > old_score * (1.0 + threshold):
-            candidate.build()
+            candidate.build(index.entries()[2])
             self.indexes[name] = candidate
             report["adopted"] = 1.0
             report["moved"] = float(candidate.total_entries())
@@ -656,11 +646,13 @@ class IndexPlatform:
     # -- failure injection --------------------------------------------------------------
 
     def fail_node(self, node: Any) -> None:
-        """Crash a node: every entry it stored (primaries and replicas)
-        vanishes; the ring repairs around it.  Surviving replicas on the new
-        owners keep the dead key ranges answerable — queries need no code
-        path for failover because the claimed-key-range filter serves
-        whatever the current owner stores.
+        """Crash a node: its shards go, and with them every entry it stored
+        (primaries and replicas); an entry no other node held is gone from
+        the index.  The ring repairs around it.  Surviving replicas on the
+        new owners keep the dead key ranges answerable — queries need no
+        code path for failover because the claimed-key-range filter serves
+        whatever the current owner stores.  ``distribute()`` restores the
+        replica count.
         """
         for index in self.indexes.values():
             index.shards.pop(node, None)

@@ -87,7 +87,7 @@ class UpdateProtocol:
         point = index.space.project_one(obj)
         key = int(lp_hash_batch(point[None, :], index.bounds, index.m)[0])
         self._route_cost(source_node, key)
-        index.append_entries([object_id], point[None, :], [key])
+        index.place([key], point[None, :], [object_id])
         self.stats.inserts += 1
         return key
 
@@ -103,8 +103,7 @@ class UpdateProtocol:
         return True
 
     def insert_many(self, object_ids: Any, source_node: Any = None) -> None:
-        """Insert a batch (one routed entry each; the index redistributes
-        once at the end)."""
+        """Insert a batch (one routed entry each, placed as one batch)."""
         index = self.index
         source_node = source_node or index.ring.nodes()[0]
         object_ids = np.asarray(object_ids, dtype=np.int64)
@@ -113,5 +112,5 @@ class UpdateProtocol:
         keys = lp_hash_batch(points, index.bounds, index.m)
         for key in keys:
             self._route_cost(source_node, int(key))
-        index.append_entries(object_ids, points, keys)
+        index.place(keys, points, object_ids)
         self.stats.inserts += len(object_ids)

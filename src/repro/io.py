@@ -5,7 +5,7 @@ parts of index construction — landmark selection, projection, hashing — to
 survive restarts.  :func:`save_index` captures the landmark set (for vector
 domains), the bounds, per-entry keys/points/object-ids and the index
 configuration; :func:`load_index` restores it onto a (possibly different)
-ring and redistributes.
+ring and places the entries on their current owners.
 
 Only array-backed landmark domains round-trip the landmarks themselves;
 black-box domains (strings, point sets) save everything *except* the
@@ -38,6 +38,7 @@ def save_index(index: LandmarkIndex, path: str) -> None:
             "only array-backed landmark sets can be saved generically; "
             "persist black-box landmarks alongside your application data"
         )
+    keys, points, object_ids = index.entries()
     np.savez_compressed(
         path,
         version=np.int64(_FORMAT_VERSION),
@@ -49,9 +50,9 @@ def save_index(index: LandmarkIndex, path: str) -> None:
         rotation=np.uint64(index.rotation),
         replication=np.int64(index.replication),
         m=np.int64(index.m),
-        keys=index._keys,
-        points=index._points,
-        object_ids=index._object_ids,
+        keys=keys,
+        points=points,
+        object_ids=object_ids,
     )
 
 
@@ -94,8 +95,5 @@ def load_index(path: str, ring, dataset, metric) -> LandmarkIndex:
             rotation=int(z["rotation"]),
             replication=int(z["replication"]),
         )
-        index._keys = z["keys"].astype(np.uint64)
-        index._points = z["points"]
-        index._object_ids = z["object_ids"].astype(np.int64)
-    index.distribute()
+        index.place(z["keys"], z["points"], z["object_ids"])
     return index

@@ -90,11 +90,62 @@ class TestOwnershipInvariants:
             InvariantChecker(platform=platform).check_ownership()
 
     def test_missing_entry_detected(self, platform):
+        index = _replicated(platform)
+        donor = max(platform.ring.nodes(), key=lambda n: index.shards[n].load)
+        index.shards[donor].clear()  # its primaries survive on their replicas
+        with pytest.raises(InvariantViolation, match="ownership.placement"):
+            InvariantChecker(platform=platform).check_ownership()
+
+    def test_missing_replica_detected(self, platform):
+        index = _replicated(platform)
+        nodes = platform.ring.nodes()
+        oid = int(index.entries()[2][0])
+        holders = [n for n in nodes if oid in index.shards[n].object_ids]
+        assert len(holders) == 2
+        shard = index.shards[holders[1]]
+        keep = shard.object_ids != oid
+        kept = shard.keys[keep], shard.points[keep], shard.object_ids[keep]
+        shard.clear()
+        shard.add(*kept)
+        with pytest.raises(InvariantViolation, match="1 entries missing"):
+            InvariantChecker(platform=platform).check_ownership()
+
+    def test_stray_copy_detected(self, platform):
+        index = _replicated(platform)
+        nodes = platform.ring.nodes()
+        keys, points, object_ids = index.entries()
+        stray = next(n for n in nodes if object_ids[0] not in index.shards[n].object_ids)
+        index.shards[stray].add(keys[:1], points[:1], object_ids[:1])
+        with pytest.raises(InvariantViolation, match="1 foreign or repeated"):
+            InvariantChecker(platform=platform).check_ownership()
+
+    def test_repeated_copy_detected(self, platform):
+        index = platform.indexes["t"]
+        holder = max(platform.ring.nodes(), key=lambda n: index.shards[n].load)
+        shard = index.shards[holder]
+        shard.add(shard.keys[:1].copy(), shard.points[:1].copy(), shard.object_ids[:1].copy())
+        with pytest.raises(InvariantViolation, match="1 foreign or repeated"):
+            InvariantChecker(platform=platform).check_ownership()
+
+    def test_entry_on_no_shard_is_the_oracles_to_find(self, platform):
+        """With one copy, a cleared shard leaves no trace of its entries:
+        ownership holds over what is stored, and the differential oracle
+        reports the loss as false negatives."""
         index = platform.indexes["t"]
         donor = max(platform.ring.nodes(), key=lambda n: index.shards[n].load)
         index.shards[donor].clear()
-        with pytest.raises(InvariantViolation, match="ownership.placement"):
-            InvariantChecker(platform=platform).check_ownership()
+        checker = InvariantChecker(platform=platform)
+        checker.check_ownership()
+        assert checker.checks["ownership"] == 1
+
+
+def _replicated(platform):
+    """A second index on the fixture's platform, stored twice."""
+    t = platform.indexes["t"]
+    return platform.create_index(
+        "r", t.dataset, t.metric, k=3, selection="kmeans", sample_size=400,
+        replication=2, seed=3,
+    )
 
 
 # -- branch conservation -----------------------------------------------------------

@@ -100,8 +100,8 @@ class TestUpdates:
         assert got == want
 
     def test_insert_and_insert_many_append_the_same_entries(self):
-        """Both append through ``append_entries``: same keys, points and ids
-        bit for bit, and a batch redistributes once."""
+        """Both place through ``LandmarkIndex.place``: same keys, points and
+        ids bit for bit, one placement an insert and one for a batch."""
         oids = [4, 9, 2, 17]
 
         def reinserted(batch):
@@ -110,13 +110,13 @@ class TestUpdates:
             up = UpdateProtocol(idx)
             for oid in oids:
                 up.delete(oid)
-            distribute, calls = idx.distribute, []
+            place, calls = idx.place, []
 
-            def counted():
+            def counted(*batch):
                 calls.append(1)
-                return distribute()
+                return place(*batch)
 
-            idx.distribute = counted
+            idx.place = counted
             if batch:
                 up.insert_many(oids)
             else:
@@ -126,9 +126,8 @@ class TestUpdates:
             return idx
 
         one, many = reinserted(False), reinserted(True)
-        for name in ("_keys", "_points", "_object_ids"):
-            a, b = getattr(one, name), getattr(many, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        for a, b in zip(one.entries(), many.entries()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_update_costs_accounted(self):
         platform, _ = _platform()
@@ -212,15 +211,16 @@ class TestReplication:
         lost = set(int(o) for o in idx.shards[victim].object_ids)
         assert lost
         platform.fail_node(victim)
-        survivors = set(int(o) for o in idx.surviving_object_ids())
+        survivors = set(idx.entries()[2].tolist())
         assert survivors == set(range(400)) - lost
+        assert idx.total_entries() == 400 - len(lost)
 
     def test_crash_with_replication_loses_nothing(self):
         platform, data = _platform(seed=6, replication=2)
         idx = platform.indexes["idx"]
         victim = max(idx.shards, key=lambda n: idx.shards[n].load)
         platform.fail_node(victim)
-        assert len(idx.surviving_object_ids()) == 400
+        assert idx.total_entries() == 400
 
     def test_queries_survive_crash_with_replication(self):
         platform, data = _platform(seed=7, replication=2)
@@ -238,14 +238,14 @@ class TestReplication:
         idx = platform.indexes["idx"]
         victim = max(idx.shards, key=lambda n: idx.shards[n].load)
         platform.fail_node(victim)
-        lost = idx.rebuild_from_shards()
-        assert lost == 0
+        assert idx.distribute() > 0  # the victim's entries have new primaries
+        assert idx.total_entries() == 400
         assert idx.load_distribution().sum() == 2 * 400
         # a second crash (different node) still loses nothing
         idx2 = platform.indexes["idx"]
         victim2 = max(idx2.shards, key=lambda n: idx2.shards[n].load)
         platform.fail_node(victim2)
-        assert len(idx2.surviving_object_ids()) == 400
+        assert idx2.total_entries() == 400
 
     def test_replication_capped_by_ring_size(self):
         platform, data = _platform(n_nodes=2, seed=9, replication=5)

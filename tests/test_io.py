@@ -35,8 +35,10 @@ class TestRoundTrip:
         platform, data, path = built
         orig = platform.indexes["idx"]
         restored = load_index(path, platform.ring, data, METRIC)
-        np.testing.assert_array_equal(orig._keys, restored._keys)
-        np.testing.assert_array_equal(orig._object_ids, restored._object_ids)
+        for a, b in zip(orig.entries(), restored.entries()):
+            np.testing.assert_array_equal(a, b)
+        for node, shard in orig.shards.items():
+            np.testing.assert_array_equal(shard.object_ids, restored.shards[node].object_ids)
         assert restored.rotation == orig.rotation
         assert restored.replication == orig.replication
         np.testing.assert_allclose(
@@ -94,7 +96,7 @@ class TestRoundTrip:
         older = str(tmp_path / "older.npz")
         np.savez(older, **fields)
         restored = load_index(older, platform.ring, data, METRIC)
-        np.testing.assert_array_equal(restored._keys, platform.indexes["idx"]._keys)
+        np.testing.assert_array_equal(restored.entries()[0], platform.indexes["idx"].entries()[0])
 
     def test_older_file_with_index_refinement_rejected(self, built, tmp_path):
         platform, data, path = built
