@@ -25,6 +25,17 @@ answered by
    passing a dimension the filter reads about 1.2 contiguous columns in
    place of ten strided ones.
 
+A large window is mostly rows that fail: on ``sim_dense`` a window averages
+17k rows and yields under one.  Key order is LPH order, which keeps
+neighbouring rows close in index space, so :class:`Shard` also keeps a
+**zone map** — per run of ``_ZONE_ROWS`` sorted rows, the minimum and
+maximum of each coordinate — and a window of ``_ZONE_MIN_ROWS`` rows or more
+(:func:`_zoned_positions`) reads only the zones whose bounding box meets the
+rectangle, the partition pruning of DIMS-style metric indexes.  The map is
+exact (a row inside the rectangle lies inside its zone's box), built once
+``_ZONE_BUILD_AFTER`` such searches have met no write in between, and
+dropped by every write.
+
 Two storage shapes share that layout and invariant:
 
 * :class:`Shard` — one node's slice, grown with **amortised doubling** and
@@ -32,6 +43,8 @@ Two storage shapes share that layout and invariant:
   of the appended batches in append order produces exactly the array a
   sort on every ``add`` would (stable sorts compose), so index distribution
   costs one deferred sort per shard, not O(n log n) *per replica batch*.
+  It holds the zone map; the batched store does not (its slots hold about
+  one row each on the scale path).
 * :class:`ShardStore` — the scale path: **all** nodes' entries of one index
   in a single CSR-like block (one global sort by ``(owner, key)`` plus an
   offsets array; points column-major here too), so a 100k-node index costs
@@ -81,6 +94,30 @@ __all__ = ["Shard", "ShardStore", "WriteAheadLog", "PersistentShard", "group_by_
 #: a larger block, so the bound stays.
 _BLOCK_ROWS = 128
 
+#: The zone map: rows per zone, the smallest key window searched through the
+#: map, and the largest share of that window the surviving zones may cover
+#: before the contiguous filter is the cheaper one.  Timed by replaying 764
+#: recorded sim_dense calls (best of five, against the contiguous filter
+#: alone): windows of 32k rows and more read 128 -> 54 us a call, 8k-32k
+#: 57 -> 43 us, and the whole replay x0.65; zoning the 2k-8k windows too made
+#: them x1.13-1.15 slower (their zones survive more often and the zone test
+#: costs ~5 us), so the map starts at 8,192 rows.  Zones of 64 and 256 rows
+#: read within the noise of 128.  On 65k-row windows with the surviving
+#: share set by construction, gathering beat the contiguous filter up to a
+#: share of 0.3 at one row in six passing a dimension and 0.55 at one in
+#: two; sim_dense keeps a median 4 % (p90 10 %) of the zones, sim_wide 13 %.
+_ZONE_ROWS = 128
+_ZONE_MIN_ROWS = 8192
+_ZONE_MAX_SHARE = 0.25
+#: The map is built on the ``_ZONE_BUILD_AFTER``-th window of ``_ZONE_MIN_ROWS``
+#: since the shard's last write, so that a shard written between its
+#: searches keeps the contiguous filter.  A build costs about 16 zoned
+#: searches' saving: 886 us on sim_dense's 65k-row shard (k = 10) against a
+#: mean 56 us saved a zoned call; 135 us on 22k LPH-keyed rows of k = 4, about
+#: 8 searches at 16 us.  live_mixed writes a shard every 1.8 such searches, and
+#: building on the first one cost it 420 ms of 12 s in 2,618 builds.
+_ZONE_BUILD_AFTER = 16
+
 
 def group_by_owner(owner_slots: Any, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
     """Placement's grouping step: cut a batch of entries, each with the slot
@@ -113,18 +150,9 @@ def _coerce_batch(
     return keys, points.reshape(m, k), object_ids.reshape(m)
 
 
-def _range_positions(
-    keys: np.ndarray,
-    cols: np.ndarray,
-    lows: Any,
-    highs: Any,
-    key_lo: int | None,
-    key_hi: int | None,
-) -> np.ndarray:
-    """Ascending positions of the rows of one sorted shard — ``keys`` of
-    shape ``(n,)``, points as ``cols`` of shape ``(k, n)`` — inside the
-    closed rectangle and, if given, the closed key range."""
-    k = len(cols)
+def _rect_bounds(k: int, lows: Any, highs: Any) -> tuple[np.ndarray, np.ndarray]:
+    """A rectangle's ``(k,)`` float bounds; anything else (a shape NumPy would
+    broadcast) raises ``ValueError``."""
     lows = np.asarray(lows, dtype=np.float64)
     highs = np.asarray(highs, dtype=np.float64)
     if lows.shape != (k,) or highs.shape != (k,):
@@ -132,20 +160,15 @@ def _range_positions(
             f"rectangle bounds must have shape ({k},), got lows {lows.shape} "
             f"and highs {highs.shape}"
         )
-    start, stop = 0, len(keys)
-    if key_lo is not None:
-        start = int(keys.searchsorted(np.uint64(key_lo), "left"))
-    if key_hi is not None:
-        stop = int(keys.searchsorted(np.uint64(key_hi), "right"))
-    if start >= stop:
-        return np.empty(0, dtype=np.int64)
-    return _rect_positions(cols, start, stop, lows, highs)
+    return lows, highs
 
 
 def _rect_positions(
-    cols: np.ndarray, start: int, stop: int, lows: np.ndarray, highs: np.ndarray
+    cols: np.ndarray, start: int, stop: int, lows: np.ndarray, highs: np.ndarray,
+    pos: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Progressive rectangle filter over the non-empty window ``[start, stop)``.
+    """Progressive rectangle filter over the non-empty window ``[start, stop)``,
+    or over the ascending candidate positions ``pos`` when given.
 
     Dimension 0 is tested over the window, each further dimension only on
     the positions that survived, until none do — or until fewer than
@@ -155,8 +178,8 @@ def _rect_positions(
     and eight per survivor.
     """
     k = len(cols)
-    pos: np.ndarray | None = None  # None: the whole window, not yet materialised
-    size = stop - start
+    # pos None: the whole window, not yet materialised
+    size = stop - start if pos is None else pos.size
     d = 0
     while d < k and size >= _BLOCK_ROWS:
         col = cols[d, start:stop] if pos is None else cols[d].take(pos)
@@ -185,6 +208,60 @@ def _narrow(pos: np.ndarray | None, keep: np.ndarray, start: int) -> np.ndarray:
     return pos
 
 
+def _zone_bounds(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The zone map of sorted columns ``(k, n)``: per run of ``_ZONE_ROWS``
+    rows (the last one short), the minimum and the maximum of each
+    coordinate, as two ``(k, n_zones)`` arrays (column-major, like the rows).
+
+    ``fmin``/``fmax`` skip NaN, so a NaN coordinate cannot hide its zone's
+    other rows; a zone whose column is all NaN gets NaN bounds, which no
+    rectangle passes, as no row of it does.
+    """
+    k, n = cols.shape
+    n_full = n // _ZONE_ROWS
+    zmin = np.empty((k, -(-n // _ZONE_ROWS)))
+    zmax = np.empty_like(zmin)
+    blocks = cols[:, : n_full * _ZONE_ROWS].reshape(k, n_full, _ZONE_ROWS)
+    np.fmin.reduce(blocks, axis=2, out=zmin[:, :n_full])
+    np.fmax.reduce(blocks, axis=2, out=zmax[:, :n_full])
+    if n_full < zmin.shape[1]:
+        np.fmin.reduce(cols[:, n_full * _ZONE_ROWS :], axis=1, out=zmin[:, -1])
+        np.fmax.reduce(cols[:, n_full * _ZONE_ROWS :], axis=1, out=zmax[:, -1])
+    return zmin, zmax
+
+
+def _zoned_positions(
+    cols: np.ndarray, zmin: np.ndarray, zmax: np.ndarray,
+    start: int, stop: int, lows: np.ndarray, highs: np.ndarray,
+) -> np.ndarray:
+    """:func:`_rect_positions` over the non-empty window ``[start, stop)``,
+    reading only the zones whose bounding box meets the rectangle.
+
+    A row inside the rectangle lies inside its zone's box, so a zone whose
+    box misses the rectangle in any dimension holds no answer.  The zones
+    overlapping the window are tested in one ``(k, zones)`` compare; the
+    survivors' rows, cut to the window, go through the progressive filter.
+    When they cover more than ``_ZONE_MAX_SHARE`` of the window, gathering
+    them costs more than it saves, and the contiguous filter runs instead.
+    """
+    z0 = start // _ZONE_ROWS
+    z1 = (stop - 1) // _ZONE_ROWS + 1
+    hit = zmax[:, z0:z1] >= lows[:, None]
+    hit &= zmin[:, z0:z1] <= highs[:, None]
+    # reduced across rows of the block, not along them: twice as fast at k = 10
+    zones = np.logical_and.reduce(hit, axis=0).nonzero()[0]
+    if zones.size * _ZONE_ROWS > _ZONE_MAX_SHARE * (stop - start):
+        return _rect_positions(cols, start, stop, lows, highs)
+    if not zones.size:
+        return np.empty(0, dtype=np.int64)
+    zones += z0
+    zones *= _ZONE_ROWS
+    rows = (zones[:, None] + np.arange(_ZONE_ROWS)).ravel()
+    # only the first and the last zone can reach past the window
+    rows = rows[rows.searchsorted(start) : rows.searchsorted(stop)]
+    return _rect_positions(cols, start, stop, lows, highs, rows)
+
+
 class Shard:
     """Column-major store of the index entries held by one node for one index.
 
@@ -196,7 +273,7 @@ class Shard:
     and the key order is re-established lazily on the next read.
     """
 
-    __slots__ = ("_k", "_keys", "_cols", "_ids", "_n", "_dirty")
+    __slots__ = ("_k", "_keys", "_cols", "_ids", "_n", "_dirty", "_zones", "_wide_reads")
 
     def __init__(self, k: int) -> None:
         self._k = int(k)
@@ -205,6 +282,11 @@ class Shard:
         self._ids = np.empty(0, dtype=np.int64)
         self._n = 0
         self._dirty = False
+        #: (minima, maxima) of :func:`_zone_bounds`, built by the
+        #: ``_ZONE_BUILD_AFTER``-th search of a window of ``_ZONE_MIN_ROWS``
+        #: since the last write (counted in ``_wide_reads``); None until then
+        self._zones: tuple[np.ndarray, np.ndarray] | None = None
+        self._wide_reads = 0
 
     def __len__(self) -> int:
         return self._n
@@ -271,10 +353,14 @@ class Shard:
         self._ids[n : n + m] = object_ids
         self._n = n + m
         self._dirty = True
+        self._zones = None
+        self._wide_reads = 0
 
     def clear(self) -> None:
         self._n = 0
         self._dirty = False
+        self._zones = None
+        self._wide_reads = 0
 
     def range_search(
         self,
@@ -290,14 +376,30 @@ class Shard:
         which both prevents double counting when one node is surrogate for
         several sibling subqueries of the same query, and — thanks to the
         sorted-key invariant — narrows the rectangle test to a contiguous
-        window.  Raises ``ValueError`` unless ``lows``/``highs`` have shape
-        ``(k,)``.
+        window.  A window of ``_ZONE_MIN_ROWS`` or more is searched through
+        the zone map (:func:`_zoned_positions`) once a shard unwritten for
+        ``_ZONE_BUILD_AFTER`` such searches has built it.  Raises
+        ``ValueError`` unless ``lows``/``highs`` have shape ``(k,)``.
         """
         self._ensure_sorted()
+        lows, highs = _rect_bounds(self._k, lows, highs)
         n = self._n
-        return _range_positions(
-            self._keys[:n], self._cols[:, :n], lows, highs, key_lo, key_hi
-        )
+        keys, cols = self._keys[:n], self._cols[:, :n]
+        start, stop = 0, n
+        if key_lo is not None:
+            start = int(keys.searchsorted(np.uint64(key_lo), "left"))
+        if key_hi is not None:
+            stop = int(keys.searchsorted(np.uint64(key_hi), "right"))
+        if stop - start >= _ZONE_MIN_ROWS:
+            if self._zones is None:
+                self._wide_reads += 1
+                if self._wide_reads >= _ZONE_BUILD_AFTER:
+                    self._zones = _zone_bounds(cols)
+            if self._zones is not None:
+                return _zoned_positions(cols, *self._zones, start, stop, lows, highs)
+        elif start >= stop:
+            return np.empty(0, dtype=np.int64)
+        return _rect_positions(cols, start, stop, lows, highs)
 
 
 class ShardStore:

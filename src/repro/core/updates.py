@@ -75,13 +75,24 @@ class UpdateProtocol:
         self.stats.messages += max(hops, 1)
         self.stats.bytes += max(hops, 1) * entry_message_size(1, self.index.k)
 
+    def _reject_indexed(self, object_ids: np.ndarray) -> None:
+        """Raise ``ValueError`` naming the ids a shard already holds or the
+        batch repeats: placing them would index an object twice."""
+        shards = self.index.shards.values()
+        held = np.concatenate([object_ids[:0], *(s.object_ids for s in shards)])
+        ids, counts = np.unique(object_ids, return_counts=True)
+        twice = ids[(counts > 1) | np.isin(ids, held)]
+        if twice.size:
+            raise ValueError(f"objects already indexed: {twice.tolist()}")
+
     def insert(self, object_id: int, source_node: Any = None) -> int:
         """Index ``dataset[object_id]``: project, hash, route to the owner.
 
         Returns the entry's LPH key.  The object must already be present in
-        ``index.dataset``.
+        ``index.dataset``; one the index holds raises ``ValueError``.
         """
         index = self.index
+        self._reject_indexed(np.array([object_id], dtype=np.int64))
         source_node = source_node or index.ring.nodes()[0]
         obj = take(index.dataset, object_id)
         point = index.space.project_one(obj)
@@ -103,10 +114,15 @@ class UpdateProtocol:
         return True
 
     def insert_many(self, object_ids: Any, source_node: Any = None) -> None:
-        """Insert a batch (one routed entry each, placed as one batch)."""
+        """Insert a batch (one routed entry each, placed as one batch).
+
+        Raises ``ValueError``, inserting nothing, when an id is already
+        indexed or appears twice in the batch.
+        """
         index = self.index
-        source_node = source_node or index.ring.nodes()[0]
         object_ids = np.asarray(object_ids, dtype=np.int64)
+        self._reject_indexed(object_ids)
+        source_node = source_node or index.ring.nodes()[0]
         objs = take(index.dataset, object_ids)
         points = index.space.project(objs)
         keys = lp_hash_batch(points, index.bounds, index.m)

@@ -69,6 +69,23 @@ class TestUpdates:
         up.insert(5)
         assert _range_ids(platform, data, 5, 25.0) == before
 
+    def test_inserting_an_indexed_object_raises_and_places_nothing(self):
+        platform, _ = _platform()
+        idx = platform.indexes["idx"]
+        up = UpdateProtocol(idx)
+        up.delete(1)
+        billed = vars(up.stats).copy()
+        before = idx.load_distribution().copy()
+        for call, ids in ((lambda: up.insert(5), "[5]"),
+                          (lambda: up.insert_many([1, 9, 5]), "[5, 9]"),
+                          (lambda: up.insert_many([1, 1]), "[1]")):
+            with pytest.raises(ValueError, match=rf"already indexed: \{ids}"):
+                call()
+        assert vars(up.stats) == billed  # no routing billed
+        assert idx.load_distribution().tolist() == before.tolist()
+        up.insert(1)
+        assert idx.total_entries() == 400 == idx.load_distribution().sum()
+
     def test_incremental_build_matches_bulk(self):
         """Index built by protocol inserts == index built in bulk."""
         platform_bulk, data = _platform(seed=3)
