@@ -23,6 +23,14 @@ trace alongside the Fig. 4/6-analogue outputs: the per-node load vector
 (stored entries + forwarding visits, Gini/hotspot summarised) and the
 query hop/latency distributions, all recorded into the metrics registry.
 
+Each chunk's row-wise pipeline — projection, clipping, hashing, rotation,
+routing — runs in contiguous row parts on parallel threads (the NumPy
+kernels release the GIL; see :data:`_MIN_PART_ROWS`).  The invariant that keeps
+a run bit-identical to a one-part run: every random draw and every write to
+simulation state (histograms, counters, load vectors, traces, the clock)
+stays on the calling thread, and a part only reads shared state and returns
+its rows' arrays, so each lookup's result depends on its own row alone.
+
 Wall-clock timing deliberately lives elsewhere (:mod:`repro.check.scale_smoke`):
 this module is deterministic simulation state only.
 """
@@ -30,6 +38,8 @@ this module is deterministic simulation state only.
 from __future__ import annotations
 
 import copy
+import os
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
@@ -74,6 +84,16 @@ INDEX_NAME = "scale-index"
 #: per-coordinate half-width of the sampled local range searches, as a
 #: fraction of the index-space span.
 QUERY_RANGE_FACTOR = 0.02
+#: no part of a chunk is smaller than this many rows.  Starting and joining a
+#: thread costs only 60-90 us (``route_batch`` takes ~4.3 ms per 3,125 rows on
+#: the 100k-node ring), but each part also holds the GIL for the Python of its
+#: ~20 routing rounds, and small parts mostly contend for it.  Timed on a
+#: 2-core x86 VM (``run()`` of 50k queries, medians of 5-9, 2 parts vs 1, on
+#: 10k- and 100k-node rings, measured twice): parts of 1,562 rows cost
+#: x1.15-1.41, of 3,125 rows x1.00-1.15, of 6,250 rows x0.84-0.99, of 12,500
+#: rows x0.74-0.87 and of 25,000 rows x0.68-0.69.  So the smoke run's
+#: 12,500-row chunks split in two and its 6,250-row chunks do not.
+_MIN_PART_ROWS = 6_000
 #: a per-chunk dropped fraction above this triggers the run's one
 #: flight-recorder "deadline-storm" bundle dump.
 STORM_THRESHOLD = 0.05
@@ -140,6 +160,14 @@ class ScaleReport:
     dropped: int = 0
     sampled_spans: int = 0
     counters: dict[str, float] = field(default_factory=dict)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class ScaleSimulation:
@@ -274,9 +302,21 @@ class ScaleSimulation:
     # -- the run ------------------------------------------------------------------
 
     def run(self, n_queries: int | None = None) -> ScaleReport:
-        """Route ``n_queries`` (default: config) and return the report."""
+        """Route ``n_queries`` (default: config) and return the report.
+
+        Per chunk, the calling thread draws the query points and then the
+        source slots, routes them with :meth:`_route_chunk` (in parallel
+        parts, each a pure function of its rows) and then alone records
+        everything: histograms, counters, the load vector, sampled spans,
+        chunk stats, the flight recorder, the local-solve sample and the
+        clock.  The report is therefore the same for any part count.
+        ``n_queries`` must be a non-negative int (``ValueError`` otherwise).
+        """
         cfg = self.cfg
-        nq = cfg.n_queries if n_queries is None else int(n_queries)
+        nq = cfg.n_queries if n_queries is None else n_queries
+        if isinstance(nq, bool) or not isinstance(nq, (int, np.integer)) or nq < 0:
+            raise ValueError(f"n_queries must be a non-negative int, got {nq!r}")
+        nq = int(nq)
         self.sampler.start(duration=float(max(1, -(-nq // cfg.chunk))) + 1.0)
         hops_sum = 0.0
         all_hops: list[np.ndarray] = []
@@ -290,17 +330,9 @@ class ScaleSimulation:
             size = min(cfg.chunk, nq - routed)
             qpts, _ = generate_clustered(replace(self._data_cfg, n_objects=size),
                                          self._rng_query, centers=self._centers)
-            qproj = self.bounds.clip(self.landmarks.project(qpts))
-            qkeys = lp_hash_batch(qproj, self.bounds, ID_BITS)
             src = self._rng_query.integers(0, cfg.n_nodes, size=size)
-            owner, hops, lat, visits = self.ring.route_batch(
-                src,
-                rotate_keys(qkeys, self.phi, ID_BITS),
-                latency=self.latency,
-                count_visits=True,
-            )
-            if visits is not None:
-                self.forward_visits += visits
+            qproj, owner, hops, lat, visits = self._route_chunk(qpts, src)
+            self.forward_visits += visits
             hops_sum += float(hops.sum())
             all_hops.append(hops)
             all_lat.append(lat)
@@ -387,6 +419,69 @@ class ScaleSimulation:
                 "trace_samples": self._c_traced.total(),
             },
         )
+
+    def _route_rows(
+        self, qpts: np.ndarray, src: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The row-wise pipeline on one part of a chunk: ``(qproj, owner,
+        hops, latency, visits)``.  It reads the landmarks, bounds, ring and
+        latency model and writes nothing, so parts may run side by side."""
+        qproj = self.bounds.clip(self.landmarks.project(qpts))
+        qkeys = lp_hash_batch(qproj, self.bounds, ID_BITS)
+        owner, hops, lat, visits = self.ring.route_batch(
+            src,
+            rotate_keys(qkeys, self.phi, ID_BITS),
+            latency=self.latency,
+            count_visits=True,
+        )
+        assert visits is not None
+        return qproj, owner, hops, lat, visits
+
+    def _route_chunk(
+        self, qpts: np.ndarray, src: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_route_rows` over the chunk in contiguous parts, one per
+        usable CPU and none under :data:`_MIN_PART_ROWS` rows, joined as if
+        it were one part.
+
+        The first part runs on the calling thread, each other on a thread of
+        its own started here and joined before this returns, whatever
+        happens; the first exception of a part, in part order, is re-raised.
+        The row arrays are concatenated in part order and the visit counts
+        summed, which is exactly the one-part result: every lookup depends
+        on its own row only, and the counts are integers.
+        """
+        n_parts = max(1, min(_usable_cpus(), len(src) // _MIN_PART_ROWS))
+        if n_parts == 1:
+            return self._route_rows(qpts, src)
+        cuts = [len(src) * i // n_parts for i in range(n_parts + 1)]
+        parts: list[Any] = [None] * n_parts
+
+        def route_part(i: int) -> None:
+            rows = slice(cuts[i], cuts[i + 1])
+            try:
+                parts[i] = self._route_rows(qpts[rows], src[rows])
+            except BaseException as exc:  # handed to the calling thread
+                parts[i] = exc
+
+        workers = [
+            threading.Thread(target=route_part, args=(i,), name=f"scale-part-{i}")
+            for i in range(1, n_parts)
+        ]
+        try:
+            for worker in workers:
+                worker.start()
+            route_part(0)
+        finally:
+            for worker in workers:
+                if worker.is_alive():
+                    worker.join()
+        for part in parts:
+            if isinstance(part, BaseException):
+                raise part
+        qproj, owner, hops, lat, visits = zip(*parts)
+        return (np.concatenate(qproj), np.concatenate(owner), np.concatenate(hops),
+                np.concatenate(lat), np.sum(visits, axis=0))
 
     def _trace_chunk(
         self,

@@ -580,3 +580,109 @@ class TestScaleObservability:
         assert sim.cfg.n_nodes <= _LOAD_GAUGE_MAX_NODES
         gauge = reg.get(STORED_LOAD_GAUGE)
         assert gauge is not None and len(gauge.samples()) == 300
+
+
+class TestChunkParts:
+    """A chunk routed in parallel row parts is bit-identical to one part."""
+
+    @staticmethod
+    def _run(monkeypatch, cpus, min_rows=500, n_queries=5_000, chunk=2_000):
+        from repro.core import scale
+        from repro.obs import MemorySpanSink, SpanRecorder
+
+        monkeypatch.setattr(scale, "_MIN_PART_ROWS", min_rows)
+        monkeypatch.setattr(scale, "_usable_cpus", lambda: cpus)
+        part_rows = []
+        route_rows = ScaleSimulation._route_rows
+
+        def recording(self, qpts, src):
+            part_rows.append(len(src))
+            return route_rows(self, qpts, src)
+
+        monkeypatch.setattr(ScaleSimulation, "_route_rows", recording)
+        cfg = ScaleConfig(n_nodes=2_000, n_objects=2_000, n_queries=n_queries, chunk=chunk,
+                          dim=6, n_landmarks=3, seed=4, trace_sample_every=64)
+        reg = MetricsRegistry()
+        sink = MemorySpanSink()
+        sim = ScaleSimulation(cfg, latency=king_coordinate_model(n_hosts=2_000, seed=6),
+                              registry=reg, recorder=SpanRecorder(sink))
+        report = sim.run()
+        hists = {name: (h.counts, h.sum, h.count)
+                 for name in ("scale_query_hops", "scale_query_latency_seconds")
+                 for h in [reg.get(name).values[()]]}
+        return report, sim, hists, sink.records, sorted(part_rows)
+
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    def test_parts_are_bit_identical_to_one(self, monkeypatch, parts):
+        import sys
+
+        one = self._run(monkeypatch, cpus=1)
+        # more parts than this box may have cores, switching threads often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            many = self._run(monkeypatch, cpus=parts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert one[4] == [1_000, 2_000, 2_000]
+        # chunks of 2,000 and 1,000 rows; the last never splits beyond its
+        # 500-row minimum parts
+        want = [2_000 * i // parts - 2_000 * (i - 1) // parts for i in range(1, parts + 1)]
+        assert many[4] == sorted(want * 2 + [1_000 // min(parts, 2)] * min(parts, 2))
+        assert many[0] == one[0]
+        assert many[0].sampled_spans == one[0].sampled_spans > 0
+        assert np.array_equal(many[1].forward_visits, one[1].forward_visits)
+        assert many[1].chunk_stats == one[1].chunk_stats
+        assert many[2] == one[2]
+        assert many[3] == one[3]
+
+    def test_a_one_part_chunk_starts_no_thread(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.core import scale
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-part chunk started a thread")
+
+        monkeypatch.setattr(scale, "threading", SimpleNamespace(Thread=no_thread))
+        # pinned to one CPU, and a chunk below two minimum parts
+        assert self._run(monkeypatch, cpus=1)[4] == [1_000, 2_000, 2_000]
+        assert self._run(monkeypatch, cpus=4, min_rows=1_001)[4] == [1_000, 2_000, 2_000]
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failing_part_raises_and_leaves_no_thread(self, monkeypatch, failing):
+        import threading
+        import time
+
+        route_rows = ScaleSimulation._route_rows
+
+        def flaky(self, qpts, src):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (failing == "caller"):
+                raise RuntimeError("part failed")
+            # the healthy part is still running when the other one raises
+            time.sleep(0.2)
+            return route_rows(self, qpts, src)
+
+        sim = ScaleSimulation(_small_cfg(n_queries=600, chunk=600))
+        monkeypatch.setattr("repro.core.scale._MIN_PART_ROWS", 100)
+        monkeypatch.setattr("repro.core.scale._usable_cpus", lambda: 2)
+        monkeypatch.setattr(ScaleSimulation, "_route_rows", flaky)
+        with pytest.raises(RuntimeError, match="part failed"):
+            sim.run()
+        assert not [t for t in threading.enumerate() if t.name.startswith("scale-part-")]
+
+
+class TestRunCount:
+    @pytest.mark.parametrize("bad", [-3, 2.7, 3.0, True, "5", np.float64(4.0)])
+    def test_anything_but_a_non_negative_int_is_refused(self, bad):
+        sim = ScaleSimulation(_small_cfg())
+        with pytest.raises(ValueError, match="n_queries must be a non-negative int"):
+            sim.run(n_queries=bad)
+        assert sim.chunk_stats == []
+
+    def test_ints_and_the_default_are_accepted(self):
+        sim = ScaleSimulation(_small_cfg())
+        assert sim.run(n_queries=np.int64(300)).n_queries == 300
+        assert sim.run(n_queries=0).n_queries == 0
+        assert sim.run().n_queries == 900
