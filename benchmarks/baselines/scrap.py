@@ -107,7 +107,7 @@ class SfcRangeProtocol(NaiveProtocol):
     The naive baseline's hop-by-hop Chord lookup takes each curve interval
     to the owner of its first key, as ``scrap:interval`` messages; the
     interval walk continues from there across the owner's successors.  Local
-    resolution, result replies and :class:`StatsCollector` semantics are
+    resolution, result replies and the per-query records are
     :class:`repro.core.routing.QueryProtocol`'s, so the comparison benches
     treat every protocol alike.
     """

@@ -17,7 +17,6 @@ from repro.dht.ring import ChordRing
 from repro.eval.report import format_table
 from repro.metric.vector import EuclideanMetric
 from repro.sim.king import king_latency_model
-from repro.sim.stats import StatsCollector
 
 RANGE_FACTORS = (0.01, 0.05, 0.10, 0.20)
 N_QUERIES = 40
@@ -44,17 +43,16 @@ def test_naive_vs_tree_routing(benchmark, save_result):
             radius = rf * cfg.max_distance
             per_proto = {}
             for label, proto_cls in (("tree", None), ("naive", NaiveProtocol)):
-                stats = StatsCollector()
                 if proto_cls is None:
-                    proto, stats = platform.protocol("idx", stats=stats)
+                    proto, _ = platform.protocol("idx")
                 else:
-                    proto = NaiveProtocol(platform.transport, index, stats)
+                    proto = NaiveProtocol(platform.transport, index)
                 platform.sim.reset()
                 for qid, qi in enumerate(query_ids):
                     q = index.make_query(data[qi], radius, qid=qid)
                     proto.issue(q, nodes[qid % len(nodes)])
                 platform.sim.run()
-                per_proto[label] = stats.summary()
+                per_proto[label] = proto.stats.summary()
             t, n = per_proto["tree"], per_proto["naive"]
             rows.append(
                 [

@@ -24,7 +24,6 @@ from repro.dht.ring import ChordRing
 from repro.eval.report import format_table
 from repro.metric.vector import EuclideanMetric
 from repro.sim.king import king_latency_model
-from repro.sim.stats import StatsCollector
 
 RANGE_FACTORS = (0.02, 0.05, 0.10)
 N_QUERIES = 30
@@ -45,15 +44,13 @@ def test_sfc_vs_embedded_tree(benchmark, save_result):
     qids = rng.integers(0, cfg.n_objects, size=N_QUERIES)
     nodes = ring.nodes()
 
-    def measure(proto_factory):
-        stats = StatsCollector()
-        proto = proto_factory(stats)
+    def measure(proto):
         platform.sim.reset()
         for i, qi in enumerate(qids):
             q = base.make_query(data[qi], RADIUS, qid=i)
             proto.issue(q, nodes[i % len(nodes)])
         platform.sim.run()
-        s = stats.summary()
+        s = proto.stats.summary()
         return [s["query_messages"], s["query_bytes"], s["index_nodes"], s["max_latency"]]
 
     def run():
@@ -61,15 +58,9 @@ def test_sfc_vs_embedded_tree(benchmark, save_result):
         for rf in RANGE_FACTORS:
             global RADIUS
             RADIUS = rf * cfg.max_distance
-            tree = measure(
-                lambda st: platform.protocol("idx", stats=st, top_k=10)[0]
-            )
-            mor = measure(
-                lambda st: SfcRangeProtocol(platform.transport, morton, st, top_k=10)
-            )
-            hil = measure(
-                lambda st: SfcRangeProtocol(platform.transport, hilbert, st, top_k=10)
-            )
+            tree = measure(platform.protocol("idx", top_k=10)[0])
+            mor = measure(SfcRangeProtocol(platform.transport, morton, top_k=10))
+            hil = measure(SfcRangeProtocol(platform.transport, hilbert, top_k=10))
             for label, row in (("tree", tree), ("morton-sfc", mor), ("hilbert-sfc", hil)):
                 rows.append([f"{rf*100:g}%", label] + [round(v, 2) for v in row])
         return rows

@@ -18,7 +18,6 @@ from repro.core.routing import QueryProtocol
 from repro.datasets.timeseries import TimeSeriesFamilyConfig, generate_timeseries
 from repro.obs import Observability
 from repro.sim.king import king_latency_model
-from repro.sim.stats import StatsCollector
 
 
 def main() -> None:
@@ -47,9 +46,8 @@ def main() -> None:
         )
 
     # -- trace one query through the embedded tree -----------------------------
-    stats = StatsCollector()
     obs = Observability(tracing=True).bind(platform.sim)
-    proto = QueryProtocol(platform.transport, platform.indexes["series"], stats, obs=obs)
+    proto = QueryProtocol(platform.transport, platform.indexes["series"], obs=obs)
     platform.sim.reset()
     q = platform.indexes["series"].make_query(series[0], 0.03 * metric.upper_bound, qid=0)
     proto.issue(q, ring.nodes()[0])

@@ -44,7 +44,6 @@ from repro.core.updates import UpdateProtocol
 from repro.dht.ring import ChordRing
 from repro.metric import EuclideanMetric
 from repro.sim.network import ConstantLatency
-from repro.sim.stats import StatsCollector
 from repro.sim.transport import FaultConfig
 
 __all__ = [
@@ -184,7 +183,6 @@ class World:
         )
         self.updates = UpdateProtocol(self.index)
         self.engine = self.platform.lifecycle()
-        self.stats = StatsCollector()
         self.partition = PartitionChecker(self.index)
         self.invariants = InvariantChecker(platform=self.platform)
         self.invariants.track_engine(self.engine)
@@ -252,25 +250,24 @@ def apply_op(world: World, op: list[Any]) -> str:
     summary = _OPS[kind](world, *op[1:])
     world.timeline.append(f"{kind}: {summary}")
     # global invariants hold at every operation boundary
-    world.invariants.check_all(world.stats)
+    world.invariants.check_all(world.engine.stats)
     return summary
 
 
 def _op_range(world: World, qseed: int, radius: float) -> str:
     obj = world._query_object(int(qseed))
-    stats_before = set(world.stats.queries)
-    entries = world.platform.query(
+    fut = world.platform.query_async(
         world.name, obj, float(radius),
         source_node=world._live_source(),
         top_k=10**6, range_filter=True,
-        engine=world.engine, stats=world.stats,
+        engine=world.engine,
         checker=world.partition,
     )
-    qid = max(set(world.stats.queries) - stats_before, default=None)
+    world.engine.run_until_complete([fut])
+    entries = fut.result(10**6)
     for e in sorted(entries, key=lambda e: (e.distance, e.object_id)):
         world._digest(e.object_id, float(e.distance).hex())
-    if qid is not None:
-        world.invariants.check_spans(world.stats, qid=qid)
+    world.invariants.check_spans(world.engine.stats, qid=fut.qid)
     if world.oracle is not None:
         diff = world.oracle.compare_range(obj, float(radius), entries)
         if diff["false_positives"] or diff["distance_errors"]:

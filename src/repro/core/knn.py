@@ -25,7 +25,6 @@ from typing import Any
 
 from repro.core.lifecycle import RetryPolicy
 from repro.sim.messages import ResultEntry, merge_entries
-from repro.sim.stats import StatsCollector
 
 __all__ = ["KnnResult", "knn_search"]
 
@@ -74,10 +73,8 @@ def knn_search(
         radius = min(radius, index.metric.upper_bound)
 
     engine = platform.lifecycle(policy)
-    stats = StatsCollector()
     proto, _ = platform.protocol(
-        name, stats=stats, top_k=max(k, 10), range_filter=True,
-        engine=engine, **protocol_kwargs,
+        name, top_k=max(k, 10), range_filter=True, engine=engine, **protocol_kwargs,
     )
     total_msgs = 0
     total_qbytes = 0
@@ -91,12 +88,11 @@ def knn_search(
         q = index.make_query(obj, radius, qid=qid)
         fut = proto.issue(q, node)
         engine.run_until_complete([fut])
-        st = stats.for_query(qid)
-        total_msgs += st.query_messages
-        total_qbytes += st.query_bytes
-        total_rbytes += st.result_bytes
-        nodes_touched |= st.index_nodes
-        found = merge_entries(found + fut.entries())
+        total_msgs += fut.query_messages
+        total_qbytes += fut.query_bytes
+        total_rbytes += fut.result_bytes
+        nodes_touched |= fut.index_nodes
+        found = merge_entries(found + fut.entries)
         if sum(e.distance <= radius for e in found) >= k:
             exact = True
             break

@@ -32,10 +32,14 @@ its own, so there is no second, untracked executor:
   retransmission can both arrive, a branch is accepted once and later copies
   are suppressed as duplicates, and result entries are deduplicated by
   object id at merge time.
-* **Futures** — :meth:`register` returns a :class:`QueryFuture` with the
-  terminal state, merged results and completion callbacks, which is what
-  lets ``knn_search`` ride completion on a live simulator and the eval
-  runner pipeline whole query batches.
+* **One record per query** — :meth:`register` creates the query's
+  :class:`QueryFuture` and files it in the engine's
+  :class:`repro.sim.stats.StatsCollector` (``engine.stats``), the engine's
+  only registry.  The future *is* the query's §4.1 row
+  (:class:`repro.sim.stats.QueryStats`) plus the engine's bookkeeping, and
+  the handle callers wait on: terminal state, result rows, completion
+  callbacks — which is what lets ``knn_search`` ride completion on a live
+  simulator and the eval runner pipeline whole query batches.
 
 The engine is deliberately protocol-agnostic: `QueryProtocol`,
 `NaiveProtocol` and its subclasses (the SCRAP baseline in
@@ -51,8 +55,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any
 
+import numpy as np
+
 from repro.sim.messages import merge_entries
-from repro.sim.stats import QueryStats
+from repro.sim.stats import QueryStats, StatsCollector
 
 __all__ = [
     "ISSUED",
@@ -61,6 +67,7 @@ __all__ = [
     "COMPLETE",
     "TIMED_OUT",
     "TERMINAL_STATES",
+    "is_count",
     "RetryPolicy",
     "QueryTimeout",
     "QueryFuture",
@@ -75,6 +82,12 @@ RESOLVING = "resolving"
 COMPLETE = "complete"
 TIMED_OUT = "timed_out"
 TERMINAL_STATES = (COMPLETE, TIMED_OUT)
+
+
+def is_count(value: Any) -> bool:
+    """True for a non-negative int (NumPy's included) that is not a bool."""
+    return (not isinstance(value, bool) and isinstance(value, (int, np.integer))
+            and value >= 0)
 
 
 @dataclass(frozen=True)
@@ -104,13 +117,15 @@ class RetryPolicy:
     backoff: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.deadline is not None and self.deadline <= 0:
+        # written so that NaN fails each test: a NaN time corrupts the clock
+        if self.deadline is not None and not self.deadline > 0:
             raise ValueError(f"deadline must be positive, got {self.deadline}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.rto <= 0:
+        if not is_count(self.max_retries):
+            raise ValueError(
+                f"max_retries must be a non-negative int, got {self.max_retries!r}")
+        if not self.rto > 0:
             raise ValueError(f"rto must be positive, got {self.rto}")
-        if self.backoff < 1.0:
+        if not self.backoff >= 1.0:
             raise ValueError(f"backoff must be >= 1, got {self.backoff}")
 
 
@@ -144,7 +159,8 @@ class LifecycleCounters:
 class _Branch:
     """One unit of work of a query and, for a message branch, the message.
 
-    :meth:`LifecycleEngine.open` fills the bookkeeping slots and the sending
+    :meth:`LifecycleEngine.open` fills the bookkeeping slots (``rec`` is the
+    query's :class:`QueryFuture`) and the sending
     protocol the message slots (no ``__init__``: one is made per message,
     and a constructor would be one more call each).  ``bid`` is ``None`` on
     an untracked branch, opened for an already-terminal query: it is sent
@@ -160,7 +176,7 @@ class _Branch:
     )
 
     engine: LifecycleEngine
-    rec: _Record
+    rec: QueryFuture
     bid: int | None
     attempts: int
     #: TimerHandle of the pending RTO, if any
@@ -204,108 +220,90 @@ class _Branch:
         let the engine retry or fail the branch.  ``psid`` is the attempt's
         send span, when traced."""
         rec = self.rec
-        rec.stats.dropped_messages += 1
+        rec.dropped_messages += 1
         if psid is not None:
             self.proto.recorder.event(rec.qid, "drop", parent=psid, status=status)
         self.engine.notify_drop(self)
 
 
-class _Record:
-    """Per-query lifecycle state."""
+class QueryFuture(QueryStats):
+    """One query's only record, and the handle on it.
 
-    __slots__ = (
-        "qid", "state", "outstanding", "branches", "next_bid",
-        "stats", "deadline_timer", "callbacks", "future",
-    )
+    The §4.1 cost row (:class:`repro.sim.stats.QueryStats`: costs, result
+    rows, lifecycle ``state``) plus the engine's bookkeeping.  Created and
+    filed by :meth:`LifecycleEngine.register`, in ``engine.stats.queries``.
+    Completion is driven by the simulator — run it (e.g. via
+    :meth:`LifecycleEngine.run_until_complete`) until :meth:`done`.
+    ``entries`` holds every reply's rows as they arrived; :meth:`result`
+    merges them (``merge_entries(fut.entries)`` does the same on an
+    unfinished or timed-out query).
+    """
 
-    def __init__(self, qid: int, stats: QueryStats) -> None:
-        self.qid = qid
-        self.state = ISSUED
+    # a handle: hashable and equal only to itself (the dataclass base
+    # compares field by field, which would make it unhashable)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, qid: int, engine: LifecycleEngine, issued_at: float) -> None:
+        super().__init__(qid, issued_at)
+        self.engine = engine
+        #: branches still in flight (0 once terminal)
         self.outstanding = 0
         self.branches: dict[int, _Branch] = {}  # the outstanding ones
         self.next_bid = 0
-        #: mirrors the state and holds the result rows: there is no second copy
-        self.stats = stats
-        self.deadline_timer = None
-        self.callbacks: list[Callable[["QueryFuture"], None]] = []
-        self.future: QueryFuture | None = None
+        self.deadline_timer: Any = None
+        self.callbacks: list[Callable[[QueryFuture], None]] = []
 
     @property
     def terminal(self) -> bool:
+        """True once the query completed or timed out."""
         return self.state in TERMINAL_STATES
 
-
-class QueryFuture:
-    """Handle on one in-flight query: state, merged results, callbacks.
-
-    Completion is driven by the simulator — run it (e.g. via
-    :meth:`LifecycleEngine.run_until_complete`) until :meth:`done`.
-    """
-
-    __slots__ = ("qid", "engine", "_rec")
-
-    def __init__(self, qid: int, engine: LifecycleEngine, rec: _Record) -> None:
-        self.qid = qid
-        self.engine = engine
-        self._rec = rec
-
-    @property
-    def state(self) -> str:
-        return self._rec.state
-
     def done(self) -> bool:
-        return self._rec.terminal
+        return self.state in TERMINAL_STATES
 
     @property
     def timed_out(self) -> bool:
-        return self._rec.state == TIMED_OUT
-
-    @property
-    def outstanding(self) -> int:
-        """Branches still in flight (0 once terminal)."""
-        return self._rec.outstanding
-
-    def entries(self) -> list[Any]:
-        """Merged result entries so far, deduplicated by object id (the best
-        distance wins), sorted by (distance, object id).  Available on
-        incomplete and timed-out queries — partial results are explicit."""
-        return merge_entries(self._rec.stats.entries)
+        return self.state == TIMED_OUT
 
     def result(self, top_k: int | None = None) -> list[Any]:
-        """The merged entries of a *completed* query.
+        """The merged entries of a *completed* query: deduplicated by object
+        id (the best distance wins), sorted by (distance, object id), the
+        first ``top_k`` of them (a non-negative int; ``None``: all).
 
-        Raises :class:`QueryTimeout` when the query timed out (use
-        :meth:`entries` to inspect the partial results) and ``RuntimeError``
-        when the query has not reached a terminal state yet.
+        Raises :class:`QueryTimeout` when the query timed out (its partial
+        rows stay in :attr:`entries`) and ``RuntimeError`` when the query has
+        not reached a terminal state yet.
         """
-        if not self._rec.terminal:
+        if top_k is not None and not is_count(top_k):
+            raise ValueError(f"top_k must be a non-negative int or None, got {top_k!r}")
+        if self.state not in TERMINAL_STATES:
             raise RuntimeError(
-                f"query {self.qid} not finished (state={self._rec.state!r}); "
+                f"query {self.qid} not finished (state={self.state!r}); "
                 "run the simulator to completion first"
             )
-        if self._rec.state == TIMED_OUT:
+        out = merge_entries(self.entries)
+        if self.state == TIMED_OUT:
             raise QueryTimeout(
-                f"query {self.qid} timed out with "
-                f"{len(self.entries())} partial result(s)"
-            )
-        out = self.entries()
+                f"query {self.qid} timed out with {len(out)} partial result(s)")
         return out if top_k is None else out[:top_k]
 
-    def add_done_callback(self, fn: Callable[["QueryFuture"], None]) -> None:
+    def add_done_callback(self, fn: Callable[[QueryFuture], None]) -> None:
         """Call ``fn(future)`` once the query reaches a terminal state (or
         immediately if it already has)."""
-        if self._rec.terminal:
+        if self.state in TERMINAL_STATES:
             fn(self)
         else:
-            self._rec.callbacks.append(fn)
+            self.callbacks.append(fn)
 
 
 class LifecycleEngine:
     """Tracks the lifecycle of every registered query on one transport.
 
-    One engine serves any number of queries and protocols concurrently (its
-    records are keyed by qid — another reason qids must be unique per
-    platform, see :class:`repro.core.query.QidAllocator`).
+    One engine serves any number of queries and protocols concurrently.
+    ``stats`` is its registry: every query's :class:`QueryFuture`, keyed by
+    qid — another reason qids must be unique per platform, see
+    :class:`repro.core.query.QidAllocator`.
     """
 
     def __init__(
@@ -317,7 +315,7 @@ class LifecycleEngine:
     ) -> None:
         self.transport = transport
         self.policy = policy if policy is not None else RetryPolicy()
-        self.records: dict[int, _Record] = {}
+        self.stats = StatsCollector()
         self.counters = LifecycleCounters()
         #: optional SpanRecorder — retransmission/deadline events become
         #: spans, and query root spans are finished here (the engine is the
@@ -346,45 +344,37 @@ class LifecycleEngine:
     def branches_in_flight(self) -> int:
         """Outstanding branches across all live queries (health sampling)."""
         return sum(
-            rec.outstanding for rec in self.records.values() if not rec.terminal
+            rec.outstanding for rec in self.stats.queries.values()
+            if rec.state not in TERMINAL_STATES
         )
 
     # -- registration -----------------------------------------------------------
 
-    def register(
-        self,
-        qid: int,
-        stats: Any = None,
-        issued_at: float | None = None,
-    ) -> QueryFuture:
-        """Start tracking ``qid``; returns its future.
+    def register(self, qid: int, issued_at: float | None = None) -> QueryFuture:
+        """Start tracking ``qid``: create its record, file it in
+        :attr:`stats` and return it.
 
-        ``stats`` is an optional :class:`repro.sim.stats.StatsCollector`
-        whose per-query record mirrors the lifecycle state and holds the
-        result rows (a query registered without one gets a record of its
-        own).  ``issued_at`` anchors the deadline for queries scheduled into
-        the future.
+        ``issued_at`` (default: now) is the record's issue time and anchors
+        the deadline of a query scheduled into the future.
         """
-        if qid in self.records:
+        queries = self.stats.queries
+        if qid in queries:
             raise ValueError(f"query id {qid} already registered on this engine")
-        rec = _Record(qid, stats.for_query(qid) if stats is not None else QueryStats(qid))
-        rec.stats.state = ISSUED
-        self.records[qid] = rec
-        rec.future = QueryFuture(qid, self, rec)
+        start = self.transport.sim.now if issued_at is None else issued_at
+        rec = queries[qid] = QueryFuture(qid, self, start)
         self.counters.registered += 1
         if self.policy.deadline is not None:
-            start = issued_at if issued_at is not None else self.transport.sim.now
             rec.deadline_timer = self.transport.at_cancelable(
                 start + self.policy.deadline, self._deadline, qid
             )
-        return rec.future
+        return rec
 
     # -- branch accounting ------------------------------------------------------
 
     def open(self, qid: int) -> _Branch:
         """Open a branch of ``qid`` and return it (untracked, with ``bid``
         ``None``, when the query is already terminal)."""
-        rec = self.records[qid]
+        rec = self.stats.queries[qid]
         br = _Branch()
         br.engine = self
         br.rec = rec
@@ -402,7 +392,7 @@ class LifecycleEngine:
         if self._m_opened is not None:
             self._m_opened.inc()
         if rec.state == ISSUED:
-            self._set_state(rec, ROUTING)
+            rec.state = ROUTING
         return br
 
     def arm(self, br: _Branch) -> None:
@@ -419,9 +409,9 @@ class LifecycleEngine:
         dst = br.dst
         size = br.size
         if br.charged:
-            st = br.rec.stats
-            st.query_messages += 1
-            st.query_bytes += size
+            rec = br.rec
+            rec.query_messages += 1
+            rec.query_bytes += size
         psid = None
         if proto.recorder is not None:
             psid = proto.recorder.event(
@@ -465,7 +455,7 @@ class LifecycleEngine:
             self.counters.duplicates_suppressed += 1
             if self._m_dups is not None:
                 self._m_dups.inc()
-            rec.stats.duplicate_messages += 1
+            rec.duplicate_messages += 1
             return False
         br.accepted = True
         return True
@@ -480,7 +470,7 @@ class LifecycleEngine:
             br.timer = None
         if failed:
             self.counters.branches_failed += 1
-            rec.stats.failed_branches += 1
+            rec.failed_branches += 1
         self.counters.branches_settled += 1
         if self._m_settled is not None:
             self._m_settled.inc(("failed" if failed else "ok",))
@@ -506,16 +496,16 @@ class LifecycleEngine:
 
     def mark_resolving(self, qid: int) -> None:
         """First local solve of a query: ``routing -> resolving``."""
-        rec = self.records.get(qid)
+        rec = self.stats.queries.get(qid)
         if rec is not None and rec.state in (ISSUED, ROUTING):
-            self._set_state(rec, RESOLVING)
+            rec.state = RESOLVING
 
     def add_entries(self, qid: int, entries: Iterable[Any]) -> None:
-        """Append one reply's result rows to the query's answer (merged when
-        read, :meth:`QueryFuture.entries`)."""
-        rec = self.records.get(qid)
+        """Append one reply's result rows to the query's ``entries``
+        (merged when read, :meth:`QueryFuture.result`)."""
+        rec = self.stats.queries.get(qid)
         if rec is not None:
-            rec.stats.entries.extend(entries)
+            rec.entries.extend(entries)
 
     # -- driving the simulator --------------------------------------------------
 
@@ -550,10 +540,6 @@ class LifecycleEngine:
 
     # -- internals --------------------------------------------------------------
 
-    def _set_state(self, rec: _Record, state: str) -> None:
-        rec.state = state
-        rec.stats.state = state
-
     def _retransmit(self, br: _Branch) -> None:
         """An RTO or a drop back-off ran out: send the branch again."""
         rec = br.rec
@@ -566,11 +552,11 @@ class LifecycleEngine:
         if self.recorder is not None:
             self.recorder.event(
                 rec.qid, "retransmit", bid=br.bid, attempt=br.attempts + 1)
-        rec.stats.retransmissions += 1
+        rec.retransmissions += 1
         self.arm(br)
 
     def _deadline(self, qid: int) -> None:
-        rec = self.records.get(qid)
+        rec = self.stats.queries.get(qid)
         if rec is None or rec.terminal:
             return
         for br in rec.branches.values():
@@ -580,7 +566,7 @@ class LifecycleEngine:
         self.counters.branches_discarded += len(rec.branches)
         rec.branches.clear()
         rec.outstanding = 0
-        self._set_state(rec, TIMED_OUT)
+        rec.state = TIMED_OUT
         self.counters.timed_out += 1
         if self._m_deadline is not None:
             self._m_deadline.inc()
@@ -589,20 +575,20 @@ class LifecycleEngine:
             self.recorder.event(rec.qid, "deadline", status=TIMED_OUT)
         self._finalize(rec)
 
-    def _complete(self, rec: _Record) -> None:
-        self._set_state(rec, COMPLETE)
+    def _complete(self, rec: QueryFuture) -> None:
+        rec.state = COMPLETE
         self.counters.completed += 1
         if self._m_queries is not None:
             self._m_queries.inc((COMPLETE,))
         self._finalize(rec)
 
-    def _finalize(self, rec: _Record) -> None:
+    def _finalize(self, rec: QueryFuture) -> None:
         if rec.deadline_timer is not None:
             rec.deadline_timer.cancel()
             rec.deadline_timer = None
-        rec.stats.completed_at = self.transport.sim.now
+        rec.completed_at = self.transport.sim.now
         if self.recorder is not None:
             self.recorder.finish_query(rec.qid, status=rec.state)
         callbacks, rec.callbacks = rec.callbacks, []
         for fn in callbacks:
-            fn(rec.future)
+            fn(rec)

@@ -465,23 +465,20 @@ class IndexPlatform:
     # -- querying --------------------------------------------------------------------
 
     def protocol(
-        self,
-        name: str,
-        stats: StatsCollector | None = None,
-        **kwargs: Any,
+        self, name: str, **kwargs: Any
     ) -> tuple[QueryProtocol, StatsCollector]:
-        """A query protocol bound to one index (kwargs forwarded to it).
+        """A query protocol bound to one index (kwargs forwarded to it), and
+        its ``stats``: the collector of its lifecycle engine, where every
+        query the protocol issues is filed.
 
         All protocols from one platform share its transport, so faults and
         the latency model are configured once, on the platform.
         """
-        # note: an empty StatsCollector is falsy (len == 0), so test identity
-        stats = stats if stats is not None else StatsCollector()
         kwargs.setdefault("obs", self.obs)
         proto = QueryProtocol(
-            index=self.indexes[name], stats=stats, transport=self.transport, **kwargs
+            index=self.indexes[name], transport=self.transport, **kwargs
         )
-        return proto, stats
+        return proto, proto.stats
 
     def lifecycle(self, policy: RetryPolicy | None = None) -> LifecycleEngine:
         """A fresh :class:`repro.core.lifecycle.LifecycleEngine` on the
@@ -520,8 +517,8 @@ class IndexPlatform:
         """Issue a :class:`repro.datasets.queries.QueryWorkload` and run it.
 
         Query ``qid`` equals the workload position, so ground-truth joins are
-        positional.  Returns the stats collector (per-query costs + merged
-        result entries).
+        positional.  Returns the run's lifecycle engine's stats collector:
+        one record per query, its costs and result rows.
 
         ``pipelined=True`` (default) injects every query at its arrival time
         and runs them concurrently — one pass over the event queue.

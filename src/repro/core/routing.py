@@ -71,7 +71,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.lifecycle import RESOLVING, LifecycleEngine, QueryFuture
+from repro.core.lifecycle import RESOLVING, LifecycleEngine, QueryFuture, is_count
 from repro.core.query import (
     RangeQuery,
     claimed_range,
@@ -81,7 +81,6 @@ from repro.core.query import (
 )
 from repro.dht.idspace import unrotate
 from repro.sim.messages import ResultEntry, ResultMessage, query_message_size
-from repro.sim.stats import StatsCollector
 from repro.sim.transport import Transport
 from repro.util.bits import first_zero_bit, prefix_of, set_bit_at
 
@@ -106,8 +105,6 @@ class QueryProtocol:
         A distributed landmark index (duck-typed; see
         :class:`repro.core.platform.LandmarkIndex`): must expose ``m``,
         ``k``, ``bounds``, ``rotation``, ``shards`` and ``refine_distances``.
-    stats:
-        A :class:`repro.sim.stats.StatsCollector` (created when omitted).
     surrogate_mode:
         ``"fixed"`` or ``"literal"`` (see module docstring).
     top_k:
@@ -120,7 +117,10 @@ class QueryProtocol:
         The :class:`repro.core.lifecycle.LifecycleEngine` to register queries
         with — pass one to share it between protocols or to set a
         :class:`repro.core.lifecycle.RetryPolicy`; by default the protocol
-        creates its own on ``transport`` with the default policy.
+        creates its own on ``transport`` with the default policy.  The
+        protocol's ``stats`` is the engine's
+        :class:`repro.sim.stats.StatsCollector`, where each issued query's
+        record is filed.
     obs:
         Optional :class:`repro.obs.Observability`.  Routing counters and hop
         histograms land in its metrics registry; when its span recorder is
@@ -142,7 +142,6 @@ class QueryProtocol:
         self,
         transport: Transport,
         index: Any,
-        stats: Any = None,
         surrogate_mode: str = "fixed",
         top_k: int = 10,
         range_filter: bool = True,
@@ -152,11 +151,10 @@ class QueryProtocol:
     ) -> None:
         if surrogate_mode not in ("fixed", "literal"):
             raise ValueError(f"unknown surrogate_mode {surrogate_mode!r}")
-        if isinstance(top_k, bool) or not isinstance(top_k, (int, np.integer)) or top_k < 0:
+        if not is_count(top_k):
             raise ValueError(f"top_k must be a non-negative int, got {top_k!r}")
         self.transport = transport
         self.sim = transport.sim
-        self.stats = stats if stats is not None else StatsCollector()
         self.index = index
         self.surrogate_mode = surrogate_mode
         self.top_k = top_k
@@ -168,6 +166,7 @@ class QueryProtocol:
             engine = LifecycleEngine(
                 self.transport, metrics=registry, recorder=self.recorder)
         self.engine = engine
+        self.stats = engine.stats
         if registry is not None and registry.enabled:
             from repro.obs.registry import DEFAULT_HOP_BUCKETS
 
@@ -246,11 +245,9 @@ class QueryProtocol:
         time); returns the query's :class:`repro.core.lifecycle.QueryFuture`.
         """
         query.source = node
-        st = self.stats.for_query(query.qid)
-        st.issued_at = self.sim.now if at_time is None else at_time
         if self.recorder is not None:
             self.recorder.begin_query(query.qid, node=node.id)
-        fut = self.engine.register(query.qid, stats=self.stats, issued_at=st.issued_at)
+        fut = self.engine.register(query.qid, issued_at=at_time)
         # the injection itself is a branch: the query cannot look complete
         # before its first routing step has run
         root = self.engine.open(query.qid)
@@ -278,7 +275,7 @@ class QueryProtocol:
         if not node.alive:
             # the issuing node crashed before its scheduled query fired: the
             # query ends complete with a known gap, like any other lost branch
-            self.stats.for_query(query.qid).dropped_messages += 1
+            root.rec.dropped_messages += 1
             self.engine.settle(root, failed=True)
             return
         try:
@@ -406,12 +403,12 @@ class QueryProtocol:
         candidate superset with true distances (paper §4.1: "each queried
         index node returns the 10-nearest local results").
         """
-        st = self.stats.for_query(q.qid)
+        st = self.stats.queries[q.qid]
         st.record_index_node(node.id, hops)
         if self._m_solves is not None:
             self._m_solves.inc(self._proto_label)
             self._h_hops.observe(hops, self._proto_label)
-        if st.state != RESOLVING:  # the engine mirrors its state into st
+        if st.state != RESOLVING:
             self.engine.mark_resolving(q.qid)
         entries: list[ResultEntry] = []
         shard = self.index.shards.get(node)
@@ -446,8 +443,8 @@ class QueryProtocol:
             source = q.source
             if source is node:
                 # a local reply costs no bytes but is still one "result" leaf
-                # in the span tree — span counts must match
-                # QueryStats.result_messages
+                # in the span tree — span counts must match the record's
+                # result_messages
                 self._arrive_result(st, msg, 0)
                 return
             # result bytes are charged on arrival (a dropped or duplicated
@@ -463,7 +460,8 @@ class QueryProtocol:
 
     def _arrive_result(self, st: Any, msg: ResultMessage, size: int) -> None:
         """A reply reached the querying node: bill it to the query's record
-        ``st`` and hand over its rows.  Only a local reply has ``size`` 0."""
+        ``st`` (its :class:`repro.core.lifecycle.QueryFuture`) and hand over
+        its rows.  Only a local reply has ``size`` 0."""
         st.record_result_message(size, self.sim.now)
         if self.recorder is not None:
             self.recorder.event(

@@ -67,6 +67,15 @@ class MaintenanceConfig:
     #: query message within this many seconds
     piggyback_window: float = 30.0
 
+    def __post_init__(self) -> None:
+        # NaN fails both tests; a zero interval would stop the clock
+        if not self.stabilize_interval > 0:
+            raise ValueError(
+                f"stabilize_interval must be positive, got {self.stabilize_interval}")
+        if not self.piggyback_window >= 0:
+            raise ValueError(
+                f"piggyback_window must be >= 0, got {self.piggyback_window}")
+
 
 @dataclass
 class MaintenanceStats:

@@ -98,12 +98,12 @@ def self_check(seed: int = 0) -> CheckResult:
         platform = IndexPlatform(ring)
         platform.create_index("check", data, metric, k=3, sample_size=120, seed=seed)
         for radius in (10.0, 60.0):
-            proto, stats = platform.protocol("check", top_k=10**6)
+            proto, _ = platform.protocol("check", top_k=10**6)
             platform.sim.reset()
             q = platform.indexes["check"].make_query(data[0], radius, qid=0)
-            proto.issue(q, ring.nodes()[0])
+            fut = proto.issue(q, ring.nodes()[0])
             platform.sim.run()
-            got = sorted(e.object_id for e in stats.for_query(0).entries)
+            got = sorted(e.object_id for e in fut.entries)
             want = sorted(exact_range(data, metric, data[0], radius).tolist())
             assert got == want, f"radius {radius}: {len(got)} vs {len(want)}"
 

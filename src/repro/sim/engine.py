@@ -129,7 +129,7 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # NaN fails too
             raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
         heapq.heappush(self._queue, (time, next(self._seq), fn, args))
 
@@ -160,7 +160,7 @@ class Simulator:
 
     def schedule_cancelable_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Like :meth:`schedule_at`, returning a cancelable :class:`EventHandle`."""
-        if time < self.now:
+        if not time >= self.now:  # NaN fails too
             raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
         cell = [fn, args]
         heapq.heappush(self._queue, (time, next(self._seq), _CANCELABLE, cell))

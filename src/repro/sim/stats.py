@@ -13,7 +13,10 @@ The paper's evaluation metrics:
    exact search.
 
 :class:`QueryStats` accumulates 1–4 during simulation; recall is computed by
-:mod:`repro.eval.metrics` against ground truth afterwards.
+:mod:`repro.eval.metrics` against ground truth afterwards.  On the event
+simulator each query's row is its lifecycle record,
+:class:`repro.core.lifecycle.QueryFuture`, filed by the engine that
+registered it in that engine's :class:`StatsCollector`.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class QueryStats:
     dropped_messages: int = 0
     index_nodes: set[int] = field(default_factory=set)
     entries: list[Any] = field(default_factory=list)
-    #: lifecycle state mirror: issued/routing/resolving/complete/timed_out
+    #: lifecycle state: issued/routing/resolving/complete/timed_out
     state: str = "issued"
     #: simulation time the query reached a terminal state
     completed_at: float | None = None
@@ -54,11 +57,6 @@ class QueryStats:
     duplicate_messages: int = 0
     #: branches abandoned after exhausting retries
     failed_branches: int = 0
-
-    @property
-    def terminal(self) -> bool:
-        """True once the query completed or timed out."""
-        return self.state in ("complete", "timed_out")
 
     @property
     def response_time(self) -> float | None:
@@ -113,13 +111,8 @@ class StatsCollector:
         self.maintenance_messages: int = 0
 
     def for_query(self, qid: int) -> QueryStats:
-        """Get (or create) the accumulator for ``qid``."""
-        try:
-            return self.queries[qid]
-        except KeyError:
-            qs = QueryStats(qid=qid)
-            self.queries[qid] = qs
-            return qs
+        """The row of ``qid`` (``KeyError`` if no query of that id ran)."""
+        return self.queries[qid]
 
     def __len__(self) -> int:
         return len(self.queries)

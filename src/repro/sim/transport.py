@@ -103,7 +103,7 @@ class FaultConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
-        if self.jitter < 0:
+        if not self.jitter >= 0:  # NaN fails too
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
         # normalise to hashable frozensets (allows lists/sets in user code)
         object.__setattr__(

@@ -250,7 +250,6 @@ class TestSpanReconciliation:
     def test_traced_run_reconciles_end_to_end(self, clustered_data):
         from repro.core.platform import IndexPlatform
         from repro.obs import Observability
-        from repro.sim.stats import StatsCollector
 
         ring = ChordRing.build(16, m=20, seed=2,
                                latency=ConstantLatency(16, delay=0.01))
@@ -261,10 +260,9 @@ class TestSpanReconciliation:
             k=3, sample_size=200, seed=0,
         )
         engine = platform.lifecycle()
-        stats = StatsCollector()
-        platform.query("t", clustered_data[3], 25.0, engine=engine, stats=stats)
+        platform.query("t", clustered_data[3], 25.0, engine=engine)
         checker = InvariantChecker(platform=platform)
-        checker.check_spans(stats)
+        checker.check_spans(engine.stats)
         assert checker.checks["spans"] >= 1
 
 

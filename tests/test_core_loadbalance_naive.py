@@ -176,8 +176,8 @@ class TestNaiveProtocol:
         platform, data = _skewed_platform(n_obj=500, seed=7)
         index = platform.indexes["idx"]
         for qi in (0, 10, 200):
-            naive, nstats = platform.protocol("idx", top_k=10**6)
-            naive = NaiveProtocol(platform.transport, index, nstats, top_k=10**6)
+            naive = NaiveProtocol(platform.transport, index, top_k=10**6)
+            nstats = naive.stats
             platform.sim.reset()
             naive.issue(index.make_query(data[qi], 9.0, qid=0), platform.ring.nodes()[0])
             platform.sim.run()
@@ -197,8 +197,8 @@ class TestNaiveProtocol:
         platform, data = _skewed_platform(n_obj=800, seed=9)
         index = platform.indexes["idx"]
 
-        _, nstats = platform.protocol("idx")
-        naive = NaiveProtocol(platform.transport, index, nstats)
+        naive = NaiveProtocol(platform.transport, index)
+        nstats = naive.stats
         platform.sim.reset()
         naive.issue(index.make_query(data[0], 10.0, qid=0), platform.ring.nodes()[0])
         platform.sim.run()

@@ -9,7 +9,6 @@ from repro.dht.ring import ChordRing
 from repro.eval.ground_truth import exact_range
 from repro.metric.vector import EuclideanMetric
 from repro.sim.network import ConstantLatency
-from repro.sim.stats import StatsCollector
 
 DIM = 3
 METRIC = EuclideanMetric(box=(0, 100), dim=DIM)
@@ -27,13 +26,12 @@ def setup():
 
 
 def _run_sfc(platform, index, data, qi, radius, top_k=10**6):
-    stats = StatsCollector()
-    proto = SfcRangeProtocol(platform.transport, index, stats, top_k=top_k)
+    proto = SfcRangeProtocol(platform.transport, index, top_k=top_k)
     base = platform.indexes["idx"]
     platform.sim.reset()
     proto.issue(base.make_query(data[qi], radius, qid=0), platform.ring.nodes()[0])
     platform.sim.run()
-    return stats.for_query(0)
+    return proto.stats.for_query(0)
 
 
 class TestSfcIndex:

@@ -37,7 +37,6 @@ from repro.dht.ring import ChordRing
 from repro.net.cluster import ClusterClient, LocalCluster
 from repro.net.node import RingWalker
 from repro.obs import Observability
-from repro.sim.stats import StatsCollector
 from repro.sim.transport import Transport
 
 M = 12  # small enough to enumerate every leaf key
@@ -208,9 +207,8 @@ def _sim_answer(ring, index, entry_id, lows, highs):
     """``({solve node: entries it replied with}, ids)`` of one sim query."""
     transport = Transport()
     sim = transport.sim
-    stats = StatsCollector()
     obs = Observability(metrics=False, tracing=True).bind(sim)
-    proto = QueryProtocol(transport, index, stats, top_k=10**6,
+    proto = QueryProtocol(transport, index, top_k=10**6,
                           range_filter=False, obs=obs)
     prefix_key, prefix_len = smallest_enclosing_prefix(lows, highs, BOUNDS, M)
     proto.issue(RangeQuery(Rect(lows, highs), prefix_key, prefix_len, qid=0),
@@ -219,7 +217,7 @@ def _sim_answer(ring, index, entry_id, lows, highs):
     solved: dict[int, int] = {}
     for span in obs.span_memory.by_kind("solve"):
         solved[span.node] = solved.get(span.node, 0) + span.attrs["results"]
-    ids = np.sort([e.object_id for e in stats.for_query(0).entries])
+    ids = np.sort([e.object_id for e in proto.stats.for_query(0).entries])
     return solved, ids
 
 

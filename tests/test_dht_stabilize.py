@@ -25,6 +25,18 @@ def _setup(n=24, m=20, seed=0, config=None):
     return ring, sim, proto
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"stabilize_interval": 0.0},  # rounds at one instant: the clock stops
+    {"stabilize_interval": -1.0},
+    {"stabilize_interval": float("nan")},
+    {"piggyback_window": -1.0},
+    {"piggyback_window": float("nan")},
+])
+def test_maintenance_config_refuses_bad_timers(kwargs):
+    with pytest.raises(ValueError):
+        MaintenanceConfig(**kwargs)
+
+
 class TestSteadyState:
     def test_oracle_ring_already_consistent(self):
         _, _, proto = _setup()

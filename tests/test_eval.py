@@ -67,11 +67,11 @@ class TestMergeAndRecall:
         assert recall_at_k(np.array([]), np.array([1])) == 1.0
 
     def test_workload_recall(self):
-        from repro.sim.stats import StatsCollector
+        from repro.sim.stats import QueryStats, StatsCollector
 
         c = StatsCollector()
-        c.for_query(0).entries = [ResultEntry(0, 0.1), ResultEntry(1, 0.2)]
-        c.for_query(1).entries = []
+        c.queries[0] = QueryStats(0, entries=[ResultEntry(0, 0.1), ResultEntry(1, 0.2)])
+        c.queries[1] = QueryStats(1)
         truth = [np.array([0, 1]), np.array([5])]
         mean, per = workload_recall(c, truth)
         assert per.tolist() == [1.0, 0.0]

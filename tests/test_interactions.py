@@ -13,7 +13,6 @@ from repro.eval.ground_truth import exact_range, exact_top_k
 from repro.metric.vector import EuclideanMetric
 from repro.obs import Observability
 from repro.sim.network import ConstantLatency
-from repro.sim.stats import StatsCollector
 
 DIM = 4
 METRIC = EuclideanMetric(box=(0, 100), dim=DIM)
@@ -97,9 +96,8 @@ class TestKnnPlusReplicationFailure:
 class TestTracePlusRotation:
     def test_trace_solve_ranges_disjoint_under_rotation(self):
         platform, data = _platform(rotation=True, seed=6)
-        stats = StatsCollector()
         obs = Observability(tracing=True).bind(platform.sim)
-        proto = QueryProtocol(platform.transport, platform.indexes["idx"], stats,
+        proto = QueryProtocol(platform.transport, platform.indexes["idx"],
                               top_k=10**6, obs=obs)
         platform.sim.reset()
         q = platform.indexes["idx"].make_query(data[0], 40.0, qid=0)
@@ -113,7 +111,7 @@ class TestTracePlusRotation:
         for (a1, b1), (a2, b2) in zip(ranges, ranges[1:]):
             assert b1 < a2
         want = sorted(exact_range(data, METRIC, data[0], 40.0).tolist())
-        assert sorted(e.object_id for e in stats.for_query(0).entries) == want
+        assert sorted(e.object_id for e in proto.stats.for_query(0).entries) == want
 
 
 class TestPersistencePlusLoadBalance:

@@ -33,8 +33,8 @@ from repro.datasets.queries import QueryWorkload
 from repro.dht.ring import ChordRing
 from repro.metric.vector import EuclideanMetric
 from repro.sim.king import king_latency_model
+from repro.sim.messages import merge_entries
 from repro.sim.network import ConstantLatency
-from repro.sim.stats import StatsCollector
 from repro.sim.transport import FaultConfig, Transport
 
 DIM = 5
@@ -64,23 +64,19 @@ def _make_platform(faults=None, n_nodes=24, seed=11, n_objects=400):
     return p, data
 
 
-def _build_proto(p, flavor, engine=None, stats=None):
-    """One of the three query protocols on the platform's shared transport."""
-    stats = stats if stats is not None else StatsCollector()
+def _build_proto(p, flavor, engine=None):
+    """One of the three query protocols on the platform's shared transport,
+    and its engine's collector."""
     index = p.indexes["t"]
     if flavor == "tree":
-        proto = QueryProtocol(
-            index=index, stats=stats, transport=p.transport, engine=engine
-        )
+        proto = QueryProtocol(index=index, transport=p.transport, engine=engine)
     elif flavor == "naive":
-        proto = NaiveProtocol(
-            index=index, stats=stats, transport=p.transport, engine=engine
-        )
+        proto = NaiveProtocol(index=index, transport=p.transport, engine=engine)
     else:
         proto = SfcRangeProtocol(
-            index=SfcIndex(index), stats=stats, transport=p.transport, engine=engine
+            index=SfcIndex(index), transport=p.transport, engine=engine
         )
-    return proto, stats
+    return proto, proto.stats
 
 
 def _top_ids(qs, k=10):
@@ -103,6 +99,12 @@ class TestRetryPolicy:
             {"max_retries": -1},
             {"rto": 0.0},
             {"backoff": 0.5},
+            # NaN passes a `<` test: a NaN deadline or RTO makes the clock NaN
+            pytest.param({"deadline": float("nan")}, id="deadline-nan"),
+            pytest.param({"rto": float("nan")}, id="rto-nan"),
+            pytest.param({"backoff": float("nan")}, id="backoff-nan"),
+            pytest.param({"max_retries": 1.5}, id="max_retries-float"),
+            pytest.param({"max_retries": True}, id="max_retries-bool"),
         ],
     )
     def test_rejects_invalid_knobs(self, kwargs):
@@ -145,11 +147,11 @@ class TestStateMachine:
         st = stats.for_query(7)
         assert st.state == "complete" and st.terminal
         assert st.completed_at is not None and st.completed_at >= st.issued_at
-        ids = [e.object_id for e in fut.entries()]
+        ids = [e.object_id for e in merge_entries(fut.entries)]
         assert len(set(ids)) == len(ids)
-        dists = [e.distance for e in fut.entries()]
+        dists = [e.distance for e in merge_entries(fut.entries)]
         assert dists == sorted(dists)
-        assert fut.result(top_k=5) == fut.entries()[:5]
+        assert fut.result(top_k=5) == merge_entries(fut.entries)[:5]
         assert engine.counters.completed == 1
 
     @pytest.mark.parametrize("flavor", FLAVORS)
@@ -164,8 +166,21 @@ class TestStateMachine:
         assert fut.done() and fut.state == COMPLETE
         st = stats.for_query(0)
         assert st.state == "complete" and st.completed_at == st.last_result_at
-        assert [e.object_id for e in fut.entries()] == _top_ids(st, k=10**9)
+        assert [e.object_id for e in merge_entries(fut.entries)] == _top_ids(st, k=10**9)
         assert proto.engine.counters.completed == 1
+
+    def test_result_refuses_what_top_k_refuses(self):
+        p, data = _make_platform()
+        proto, _ = _build_proto(p, "tree")
+        fut = proto.issue(p.indexes["t"].make_query(data[0], 12.0, qid=0), p.ring.nodes()[1])
+        p.sim.run()
+        rows = fut.result()
+        assert len(rows) > 3
+        assert fut.result(None) == rows and fut.result(np.int64(3)) == rows[:3]
+        assert fut.result(0) == []
+        for bad in (-1, True, 1.5, "3"):
+            with pytest.raises(ValueError):
+                fut.result(bad)
 
     def test_duplicate_qid_rejected(self):
         p, _ = _make_platform()
@@ -217,7 +232,7 @@ class TestTerminationUnderFaults:
         src.alive = False
         assert engine.run_until_complete([fut])
         st = stats.for_query(0)
-        assert fut.state == COMPLETE and fut.entries() == []
+        assert fut.state == COMPLETE and merge_entries(fut.entries) == []
         assert st.failed_branches == 1 and st.dropped_messages == 1
         assert st.query_messages == 0 and not st.index_nodes
         assert engine.counters.branches_failed == 1
@@ -244,7 +259,7 @@ class TestTerminationUnderFaults:
         assert st.state == "timed_out"
         assert st.completed_at == pytest.approx(5.0)
         assert engine.counters.timed_out == 1
-        assert isinstance(fut.entries(), list)  # partials stay inspectable
+        assert isinstance(merge_entries(fut.entries), list)  # partials stay inspectable
 
     def test_duplicate_suppression_under_jitter(self, flavor):
         # rto far below the jittered delivery delay: spurious retransmissions
@@ -268,9 +283,9 @@ class TestTerminationUnderFaults:
         assert engine.counters.retransmissions > 0
         assert engine.counters.duplicates_suppressed > 0
         for cf, f in zip(clean_futs, futs):
-            got = [e.object_id for e in f.entries()]
+            got = [e.object_id for e in merge_entries(f.entries)]
             assert len(set(got)) == len(got)  # unique per object id
-            assert got == [e.object_id for e in cf.entries()]
+            assert got == [e.object_id for e in merge_entries(cf.entries)]
 
 
 class TestRetransmissionRecall:

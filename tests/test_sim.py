@@ -107,6 +107,15 @@ class TestEngine:
         with pytest.raises(ValueError):
             sim.schedule_in(-1.0, lambda: None)
 
+    def test_nan_time_is_refused(self):
+        # a NaN time would sort first in the queue and make the clock NaN
+        sim = Simulator()
+        for schedule in (sim.schedule_at, sim.schedule_cancelable_at,
+                         sim.schedule_in, sim.schedule_cancelable_in):
+            with pytest.raises(ValueError):
+                schedule(float("nan"), lambda: None)
+        assert sim.pending() == 0 and sim.now == 0.0
+
     def test_reset(self):
         sim = Simulator()
         sim.schedule_in(1.0, lambda: None)
@@ -317,7 +326,7 @@ class TestStats:
     def test_collector_aggregates(self):
         c = StatsCollector()
         for qid, (hops, rt) in enumerate([(2, 0.1), (4, 0.3)]):
-            qs = c.for_query(qid)
+            qs = c.queries[qid] = QueryStats(qid)
             qs.issued_at = 0.0
             qs.record_index_node(qid, hops)
             qs.record_result_message(26, at=rt)
@@ -328,8 +337,13 @@ class TestStats:
         assert summary["result_bytes"] == pytest.approx(26.0)
 
     def test_for_query_idempotent(self):
+        # a lookup: rows are filed by the engine that registers the query
         c = StatsCollector()
+        c.queries[5] = QueryStats(5)
         assert c.for_query(5) is c.for_query(5)
+        assert len(c) == 1
+        with pytest.raises(KeyError):
+            c.for_query(6)
         assert len(c) == 1
 
     def test_empty_collector(self):

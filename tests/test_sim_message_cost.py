@@ -19,7 +19,17 @@ Readings, calls ÷ (query + result messages), on the workload below:
   ``Transport.send`` bills inline): 35.60 (38,414 / 1,079)
 * a subquery carries its cuboid and float-tuple bounds (no prefix replay,
   no ``prefix_to_cuboid`` or NumPy wrapper per sibling walk, the index
-  node's filter on direct ndarray methods): 32.19 (34,729 / 1,079)
+  node's filter on direct ndarray methods): 32.19 (34,729 / 1,079) as
+  recorded; that commit (``5b797fc``) itself reads 32.68 (35,264 / 1,079)
+  on CPython 3.11.7, 535 calls (one per routing step) above the record, so
+  the record came from a tree other than the one committed
+* ``ChordNode.next_hop`` reads ``ChordState.closest_preceding`` (``26a6336``;
+  +804 calls, one per next hop; before it the gate read 32.67): 33.42
+  (36,056 / 1,079), unchanged through ``2261035``
+* one record per query (the future is the stats row: no
+  ``StatsCollector.for_query`` per local solve, no ``_set_state``, no
+  ``_Record.terminal``, one record built per query instead of two): 32.90
+  (35,495 / 1,079)
 """
 
 import sys
@@ -86,7 +96,8 @@ def test_an_open_branch_carries_its_message_not_a_closure():
     index = platform.indexes["t"]
     query = index.make_queries(workload.points[:1], workload.radii[:1], qids=[0])[0]
     fut = proto.issue(query, platform.ring.nodes()[0])
-    rec = engine.records[0]
+    rec = engine.stats.queries[0]
+    assert rec is fut  # the future is the query's record
     branches = list(rec.branches.values())
     assert branches and not fut.done()
     for br in branches:
@@ -114,4 +125,4 @@ def test_an_open_branch_carries_its_message_not_a_closure():
     engine.run_until_complete([fut])
     assert fut.state == "complete"
     assert sum(br is first for br in resent) == 2 and first.attempts == 3
-    assert rec.stats.failed_branches >= 1
+    assert rec.failed_branches >= 1

@@ -39,6 +39,10 @@ class TestFaultConfig:
         with pytest.raises(ValueError):
             FaultConfig(jitter=-1.0)
 
+    def test_nan_jitter_is_refused(self):
+        with pytest.raises(ValueError):
+            FaultConfig(jitter=float("nan"))
+
     def test_partitions_normalised(self):
         cfg = FaultConfig(partitions=[[0, 1], {2, 3}])
         assert cfg.partitions == (frozenset({0, 1}), frozenset({2, 3}))

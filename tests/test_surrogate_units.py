@@ -11,7 +11,6 @@ from repro.core.query import RangeQuery, Rect
 from repro.core.routing import QueryProtocol
 from repro.core.storage import Shard
 from repro.dht.ring import ChordRing
-from repro.sim.stats import StatsCollector
 from repro.sim.transport import Transport
 from repro.util.bits import first_zero_bit, prefix_of
 
@@ -55,13 +54,12 @@ def _line_ring(ids):
 def _proto(index, mode="fixed"):
     transport = Transport()
     sim = transport.sim
-    stats = StatsCollector()
-    proto = QueryProtocol(transport, index, stats, surrogate_mode=mode,
+    proto = QueryProtocol(transport, index, surrogate_mode=mode,
                           top_k=100, range_filter=False)
     # the tests enter below issue(): the engine keeps a query's result rows,
     # so the one qid they use is registered as issue() would
-    proto.engine.register(0, stats=stats)
-    return proto, sim, stats
+    proto.engine.register(0)
+    return proto, sim, proto.stats
 
 
 class TestClaimedRange:

@@ -8,7 +8,6 @@ from repro.datasets.timeseries import TimeSeriesFamilyConfig, generate_timeserie
 from repro.dht.ring import ChordRing
 from repro.metric.vector import ManhattanMetric
 from repro.obs import Observability
-from repro.sim.stats import StatsCollector
 
 
 class TestTimeSeries:
@@ -54,14 +53,13 @@ class TestTracer:
         ring = ChordRing.build(16, m=20, seed=0)
         platform = IndexPlatform(ring)
         platform.create_index("s", series, metric, k=3, sample_size=150, seed=1)
-        stats = StatsCollector()
         obs = Observability(tracing=True).bind(platform.sim)
-        proto = QueryProtocol(platform.transport, platform.indexes["s"], stats, obs=obs)
+        proto = QueryProtocol(platform.transport, platform.indexes["s"], obs=obs)
         q = platform.indexes["s"].make_query(series[0], radius, qid=0)
         proto.issue(q, ring.nodes()[0])
         platform.sim.run()
         obs.close()  # flushes the per-query root span
-        return obs, stats
+        return obs, proto.stats
 
     def test_trace_structure(self):
         obs, _ = self._traced_query()
