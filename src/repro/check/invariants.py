@@ -347,7 +347,7 @@ class InvariantChecker(_Reporter):
             if n == 0:
                 continue
             keys, _, object_ids = idx.entries()
-            owners = ring.owners_of_keys(rotate_keys(keys, idx.rotation, idx.m))
+            owners = ring.table.owners_of_keys(rotate_keys(keys, idx.rotation, idx.m))
             copies = min(idx.replication, n)
             expected: dict[int, list[tuple[int, int]]] = {node.id: [] for node in nodes}
             for key, oid, owner_pos in zip(keys.tolist(), object_ids.tolist(),

@@ -123,7 +123,7 @@ class LandmarkIndex:
         object_ids = np.asarray(object_ids, dtype=np.int64)
         nodes = self.ring.nodes()
         n_nodes = len(nodes)
-        owners = self.ring.owners_of_keys(rotate_keys(keys, self.rotation, self.m))
+        owners = self.ring.table.owners_of_keys(rotate_keys(keys, self.rotation, self.m))
         order, offsets = group_by_owner(owners, n_nodes)
         copies = min(self.replication, n_nodes)
         for i in np.flatnonzero(np.diff(offsets)).tolist():

@@ -1,20 +1,23 @@
-"""Array-backed Chord state for very large rings (the scale substrate).
+"""Stabilised Chord state as flat arrays: the one definition of a ring's tables.
 
-:class:`repro.dht.ring.ChordRing` materialises one Python object per node,
-with per-node finger/successor *lists of object references* — convenient for
-protocol simulation, but ~25 KB per member once tables are built, which caps
-practical rings at a few thousand nodes.  :class:`CompactChordRing` keeps the
-same stabilised steady state as three flat arrays keyed by **dense node
-slots** (positions in identifier order):
+:class:`CompactChordRing` holds a ring's stabilised steady state as arrays
+keyed by **dense node slots** (positions in identifier order):
 
 * ``ids``    — sorted ``uint64`` identifiers, shape ``(n,)``;
 * ``hosts``  — latency-endpoint index per slot, shape ``(n,)``;
-* ``fingers``— finger *slots* per node and level, shape ``(n, m)``,
-  ``int32`` (a 100k-node, 64-bit ring costs ~26 MB instead of ~2.5 GB).
+* ``fingers``— classic finger *slots* per node and level, shape ``(n, m)``,
+  ``int32`` (a 100k-node, 64-bit ring costs ~26 MB instead of ~2.5 GB);
+* :meth:`pns_fingers` — the proximity-neighbour-selection rows (Chord-PNS
+  [9], the paper's protocol), derived from ``fingers`` and a latency model.
 
 Successor lists need no storage at all: in the stabilised state the
 successor list of slot ``s`` is exactly the next ``r`` slots clockwise,
 ``(s+1) ... (s+r) mod n``.
+
+Two drivers read it.  The scale path routes on it directly; the event sim's
+:class:`repro.dht.ring.ChordRing` keeps one as ``ring.table`` for its
+current members and writes each :class:`~repro.dht.node.ChordNode`'s tables
+from its rows.
 
 Routing is the same greedy closest-preceding-entry rule as
 :meth:`ChordNode.next_hop` (footnote 4: fingers + successor list + self),
@@ -22,8 +25,7 @@ evaluated for *batches* of lookups at once: :meth:`route_batch` advances all
 active queries one hop per vectorised round, so a million lookups cost
 ~``O(log n)`` NumPy passes rather than a million Python loops; each hop
 reads the one finger level the greedy rule ends at, ``floor(log2(gap))``
-(see :meth:`route_batch`).  On identical membership (classic fingers, no
-PNS) it reproduces
+(see :meth:`route_batch`).  On a classic (non-PNS) ring it reproduces
 :meth:`ChordRing.lookup_path` hop-for-hop — the differential tests in
 ``tests/test_scale.py`` assert exactly that.
 """
@@ -84,13 +86,15 @@ class CompactChordRing:
         hosts = np.asarray(hosts, dtype=np.int64)
         if ids.ndim != 1 or ids.shape != hosts.shape:
             raise ValueError("ids and hosts must be aligned 1-D arrays")
-        if len(np.unique(ids)) != len(ids):
-            raise ValueError("node identifiers must be distinct")
         order = np.argsort(ids)
+        ids = ids[order]
+        # not np.unique: it imports numpy.ma, ~1.5 MB of RSS
+        if np.any(ids[1:] == ids[:-1]):
+            raise ValueError("node identifiers must be distinct")
         self.m = int(m)
         self.mask = np.uint64((1 << self.m) - 1)
         self.successor_list_len = int(successor_list_len)
-        self.ids = ids[order]
+        self.ids = ids
         self.hosts = hosts[order]
         self.fingers = finger_slots(self.ids, self.m)
 
@@ -121,19 +125,6 @@ class CompactChordRing:
         )
         return cls(ids, hosts, m=m, successor_list_len=successor_list_len)
 
-    @classmethod
-    def from_ring(cls, ring: object) -> CompactChordRing:
-        """Snapshot a :class:`ChordRing`'s membership (differential testing)."""
-        nodes = ring.nodes()  # type: ignore[attr-defined]
-        ids = np.asarray([node.id for node in nodes], dtype=np.uint64)
-        hosts = np.asarray([node.host for node in nodes], dtype=np.int64)
-        return cls(
-            ids,
-            hosts,
-            m=ring.m,  # type: ignore[attr-defined]
-            successor_list_len=ring.successor_list_len,  # type: ignore[attr-defined]
-        )
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -146,6 +137,36 @@ class CompactChordRing:
         ``2**m``); anything else is a ``ValueError``.
         """
         return owner_slots(self.ids, _ring_keys(keys, self.mask))
+
+    def pns_fingers(self, latency: object) -> np.ndarray:
+        """Proximity-neighbour-selection finger rows, shaped like ``fingers``.
+
+        Level ``i`` of slot ``s`` is the member of ``[ids[s] + 2**i,
+        ids[s] + 2**(i+1))`` with the least ``latency`` from ``hosts[s]``,
+        the first clockwise on a tie, or classic finger ``i`` when no member
+        lies there.  Those members are the slots from classic finger ``i`` up
+        to classic finger ``i + 1``, and after level ``m - 1`` up to ``s``
+        itself: one row's runs cut the ring clockwise of ``s`` into ``m``
+        consecutive pieces, so a row costs one latency row and one sort.
+        """
+        n, m = len(self.ids), self.m
+        out = self.fingers.copy()
+        if n < 2:
+            return out
+        clockwise = np.arange(1, n)
+        levels = np.arange(m)
+        for s, row in enumerate(self.fingers):
+            # position p holds slot s + 1 + p; run i spans starts[i]:ends[i]
+            slots = clockwise + s
+            slots[slots >= n] -= n
+            lat = latency.latency_row(  # type: ignore[attr-defined]
+                int(self.hosts[s]), self.hosts[slots])
+            starts = (row - (s + 1)) % n
+            ends = np.append(starts[1:], n - 1)
+            held = ends > starts
+            by_run = np.lexsort((lat, np.repeat(levels, ends - starts)))
+            out[s, held] = slots[by_run[starts[held]]]
+        return out
 
     def check_invariants(self) -> None:
         """Structural self-check: sorted distinct ids, finger oracle equality.

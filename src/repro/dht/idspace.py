@@ -10,8 +10,8 @@ for all three drivers (``ChordRing``, ``CompactChordRing``, the live
 * **ownership** — :func:`in_interval_open_closed` (one key) and
   :func:`keys_in_interval_open_closed` (an array) test ``(pred, id]``,
   :func:`owner_slot` / :func:`owner_slots` find the first id
-  ``>= key`` cyclically, :func:`slots_between` the members of a cyclic id
-  interval, :func:`finger_slots` the owner of every ``id + 2**i``;
+  ``>= key`` cyclically, :func:`finger_slots` the owner of every
+  ``id + 2**i``;
 * **adoption** — :func:`adopts_successor` / :func:`adopts_predecessor`, the
   rules by which stabilise and notify move a node's ring pointers;
 * **the next hop** (footnote 4) — :func:`closest_preceding` picks "the one
@@ -37,7 +37,7 @@ __all__ = [
     "cw_distance", "in_interval_open", "in_interval_open_closed", "in_interval_closed_open",
     "keys_in_interval_open_closed", "adopts_successor", "adopts_predecessor",
     "rotate", "unrotate", "rotate_keys",
-    "owner_slot", "owner_slots", "slots_between", "finger_slots",
+    "owner_slot", "owner_slots", "finger_slots",
     "closest_preceding",
 ]
 
@@ -133,16 +133,6 @@ def owner_slots(sorted_ids: np.ndarray, ring_keys: np.ndarray) -> np.ndarray:
     slots = np.searchsorted(ids, np.asarray(ring_keys, dtype=np.uint64), side="left")
     slots[slots == len(ids)] = 0
     return slots
-
-
-def slots_between(sorted_ids: Sequence[int], lo: int, hi: int) -> np.ndarray:
-    """Slots of the ids inside the cyclic interval ``[lo, hi)``, clockwise
-    from ``lo`` (``lo == hi`` is the full ring, as in
-    :func:`in_interval_closed_open`)."""
-    n = len(sorted_ids)
-    first, end = bisect_left(sorted_ids, lo), bisect_left(sorted_ids, hi)
-    count = end - first if lo < hi else n - first + end
-    return (first + np.arange(count)) % n
 
 
 def finger_slots(sorted_ids: np.ndarray, m: int) -> np.ndarray:

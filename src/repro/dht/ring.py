@@ -1,29 +1,34 @@
-"""The Chord ring: membership, table construction (with optional PNS) and lookups.
+"""The event sim's Chord ring: node objects over one stabilised table.
 
-The simulator builds rings *structurally*: after any membership change the
-affected routing state is recomputed from the global sorted membership, which
-is the steady state Chord's stabilisation protocol converges to.  The paper
-measures queries "after system stabilization" (§4.1), so simulating the
-stabilisation chatter itself would only add constant background traffic; the
-piggybacking argument of §3.3 is why the paper treats maintenance cost as
-amortised away.
+:class:`ChordRing` keeps its members as :class:`~repro.dht.node.ChordNode`
+objects and their stabilised steady state as ``table``, a
+:class:`~repro.dht.compact.CompactChordRing` remade on every membership
+change.  The oracle lookups read the table; :meth:`ChordRing.rebuild_tables`
+writes each node's successor list, predecessor and fingers from its rows,
+and maintenance then mutates the nodes' own tables.
+
+The table is the steady state Chord's stabilisation protocol converges to.
+The paper measures queries "after system stabilization" (§4.1), so
+simulating the stabilisation chatter itself would only add constant
+background traffic; the piggybacking argument of §3.3 is why the paper
+treats maintenance cost as amortised away.
 
 **Proximity neighbour selection** (Chord-PNS [9], the paper's protocol):
 each node may choose, for finger level ``i``, *any* node whose identifier
 falls in ``[n + 2^i, n + 2^(i+1))`` — PNS picks the physically closest
-candidate by network latency.  Correctness is unaffected (any candidate is a
-valid finger); lookup latency drops.
+candidate by network latency (:meth:`CompactChordRing.pns_fingers`).
+Correctness is unaffected (any candidate is a valid finger); lookup latency
+drops.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections.abc import Iterable
 
 import numpy as np
 
+from repro.dht.compact import CompactChordRing
 from repro.dht.hashing import node_id
-from repro.dht.idspace import finger_slots, owner_slot, owner_slots, slots_between
 from repro.dht.node import ChordNode
 from repro.sim.network import LatencyModel
 from repro.util.rng import as_rng
@@ -60,7 +65,9 @@ class ChordRing:
         self.latency = latency
         self.pns = pns
         self.nodes_by_id: dict[int, ChordNode] = {}
-        self._sorted_ids: list[int] = []
+        #: the members' stabilised tables, remade on every membership change
+        self.table: CompactChordRing
+        self._remake()
         #: addresses handed out: one per node placed and per move
         self._addresses = 0
 
@@ -74,7 +81,7 @@ class ChordRing:
 
     def nodes(self) -> list[ChordNode]:
         """All nodes in identifier order."""
-        return [self.nodes_by_id[i] for i in self._sorted_ids]
+        return [self.nodes_by_id[i] for i in self.table.ids.tolist()]
 
     @classmethod
     def build(
@@ -113,8 +120,7 @@ class ChordRing:
             node = ChordNode(nid, ring._address(), m, successor_list_len, name=f"node-{i}",
                              host=int(hosts[i]))
             ring.nodes_by_id[nid] = node
-        ring._sorted_ids = sorted(ring.nodes_by_id)
-        ring.rebuild_tables()
+        ring._remake()
         return ring
 
     def add_node(self, node_id_: int, name: str = "", host: int = 0, rebuild: bool = True) -> ChordNode:
@@ -124,17 +130,13 @@ class ChordRing:
         node = ChordNode(node_id_, self._address(), self.m, self.successor_list_len,
                          name=name, host=host)
         self.nodes_by_id[node_id_] = node
-        insort(self._sorted_ids, node_id_)
-        if rebuild:
-            self.rebuild_tables()
+        self._remake(rebuild)
         return node
 
     def remove_node(self, node: ChordNode, rebuild: bool = True) -> None:
         """Remove a node (leave)."""
         del self.nodes_by_id[node.id]
-        del self._sorted_ids[bisect_left(self._sorted_ids, node.id)]
-        if rebuild:
-            self.rebuild_tables()
+        self._remake(rebuild)
 
     def move_node(self, node: ChordNode, new_id: int) -> ChordNode:
         """Leave-and-rejoin with a chosen identifier (dynamic load balancing).
@@ -145,13 +147,23 @@ class ChordRing:
         """
         if new_id in self.nodes_by_id:
             raise ValueError(f"identifier {new_id:#x} already on the ring")
-        self.remove_node(node, rebuild=False)
+        del self.nodes_by_id[node.id]
         node.id = int(new_id)
         node.addr = self._address()
         self.nodes_by_id[node.id] = node
-        insort(self._sorted_ids, node.id)
-        self.rebuild_tables()
+        self._remake()
         return node
+
+    def _remake(self, rebuild: bool = True) -> None:
+        """Remake ``table`` for the current members; with ``rebuild``, write
+        every node's tables from it."""
+        nodes = self.nodes_by_id.values()
+        self.table = CompactChordRing(
+            np.fromiter((node.id for node in nodes), dtype=np.uint64, count=len(nodes)),
+            np.fromiter((node.host for node in nodes), dtype=np.int64, count=len(nodes)),
+            m=self.m, successor_list_len=self.successor_list_len)
+        if rebuild:
+            self.rebuild_tables()
 
     def _address(self) -> str:
         self._addresses += 1
@@ -161,65 +173,34 @@ class ChordRing:
 
     def successor_of(self, key: int) -> ChordNode:
         """The node owning ``key`` (first node clockwise from ``key``)."""
-        if not self._sorted_ids:
+        ids = self.table.ids
+        if not len(ids):
             raise RuntimeError("empty ring")
-        ids = self._sorted_ids
-        return self.nodes_by_id[ids[owner_slot(ids, key % (1 << self.m))]]
-
-    def owners_of_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised ``successor_of`` for bulk index loading.
-
-        Returns, for each key, the position of the owning node within
-        :meth:`nodes` (identifier order).
-        """
-        return owner_slots(self._sorted_ids, keys)
+        slot = int(ids.searchsorted(np.uint64(key % (1 << self.m))))
+        return self.nodes_by_id[int(ids[slot % len(ids)])]
 
     # -- table construction ------------------------------------------------------
 
     def rebuild_tables(self) -> None:
-        """Recompute every node's successor list, predecessor and fingers
-        as ring entries (the next and previous node's; a lone node has no
-        successor, no finger and itself as predecessor).
+        """Write every node's successor list, predecessor and fingers as ring
+        entries from ``table``'s rows (the next and previous node's; a lone
+        node has no successor, no finger and itself as predecessor).
 
         This is the stabilised steady state; with PNS enabled, fingers are
-        the lowest-latency members of their candidate intervals.
+        the lowest-latency members of their candidate intervals
+        (:meth:`CompactChordRing.pns_fingers`).
         """
-        ids = self._sorted_ids
-        n = len(ids)
+        nodes = self.nodes()
+        n = len(nodes)
         if n == 0:
             return
-        nodes = self.nodes()
         entries = [node.entry() for node in nodes]
         r = min(self.successor_list_len, n - 1)
-        for pos, node in enumerate(nodes):
+        rows = self.table.pns_fingers(self.latency) if self.pns else self.table.fingers
+        for pos, (node, row) in enumerate(zip(nodes, rows.tolist())):
             node.successors = [entries[(pos + 1 + i) % n] for i in range(r)]
             node.predecessor = entries[pos - 1]
-        if n == 1:
-            nodes[0].fingers = {}
-        elif self.pns:
-            hosts = np.asarray([nd.host for nd in nodes], dtype=np.intp)
-            for node in nodes:
-                node.fingers = {i: entries[s] for i, s in enumerate(self._pns_slots(node, hosts))}
-        else:
-            for node, slots in zip(nodes, finger_slots(ids, self.m).tolist()):
-                node.fingers = {i: entries[s] for i, s in enumerate(slots)}
-
-    def _pns_slots(self, node: ChordNode, hosts: np.ndarray) -> list[int]:
-        """PNS: finger ``i`` = the lowest-latency member of ``[id + 2^i, id + 2^(i+1))``;
-        with no member there, classic Chord's ``successor(id + 2^i)``.  As
-        positions in :meth:`nodes`."""
-        ids = self._sorted_ids
-        size = 1 << self.m
-        slots: list[int] = []
-        for i in range(self.m):
-            start = (node.id + (1 << i)) % size
-            cand = slots_between(ids, start, (node.id + (2 << i)) % size)
-            if cand.size == 0:
-                slots.append(owner_slot(ids, start))
-                continue
-            lat = self.latency.latency_row(node.host, hosts[cand])
-            slots.append(int(cand[int(np.argmin(lat))]))
-        return slots
+            node.fingers = {i: entries[s] for i, s in enumerate(row)} if n > 1 else {}
 
     # -- iterative lookup (used by the naive baseline and tests) -----------------
 

@@ -150,8 +150,12 @@ class Simulator:
         protocol-adjacent code (which the ARCH202 lint rule rejects).
         Scheduling is plain :meth:`schedule_in` under the hood, so the
         ``(time, seq)`` stream — and with it the replay digest — is
-        identical to the hand-rolled loop it replaces.
+        identical to the hand-rolled loop it replaces.  ``interval`` must be
+        positive: a zero one would re-arm at the same instant forever.
         """
+        if not interval > 0:  # NaN fails too
+            raise ValueError(f"interval must be positive, got {interval}")
+
         def tick() -> None:
             if fn():
                 self.schedule_in(interval, tick)

@@ -77,10 +77,6 @@ class QueryStats:
         """Query-delivery plus result-delivery bandwidth."""
         return self.query_bytes + self.result_bytes
 
-    def record_query_message(self, size: int) -> None:
-        self.query_messages += 1
-        self.query_bytes += size
-
     def record_result_message(self, size: int, at: float) -> None:
         self.result_messages += 1
         self.result_bytes += size

@@ -129,7 +129,7 @@ class TestRingStructure:
         ring = ChordRing.build(32, m=20, seed=1)
         rng = np.random.default_rng(0)
         keys = rng.integers(0, 2**20, size=200, dtype=np.uint64)
-        pos = ring.owners_of_keys(keys)
+        pos = ring.table.owners_of_keys(keys)
         nodes = ring.nodes()
         for key, p in zip(keys, pos):
             assert nodes[p] is ring.successor_of(int(key))

@@ -6,8 +6,9 @@ simulator, the array ring and the live node share, so every reference below
 is spelled out in this file and uses nothing of the module under test but
 the scalar interval predicates: a scan over all nodes, a Python loop, a
 boolean mask.  The last test is the cross-driver differential: the same ids
-and keys get the same owner from ``ChordRing``, ``CompactChordRing`` and the
-``insert`` batches a live ``NodeProcess.route_insert`` sends.
+and keys get the same owner from the simulated ring's table
+(``ChordRing.table``, the ``CompactChordRing`` the scale path routes on too)
+and from the ``insert`` batches a live ``NodeProcess.route_insert`` sends.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from repro.dht.idspace import (
     owner_slots,
     rotate,
     rotate_keys,
-    slots_between,
     unrotate,
 )
 from repro.dht.ring import ChordRing
 from repro.net.transport import TcpTransport
+from repro.sim.network import ConstantLatency
 from tests.test_net_query import BOUNDS, M as LIVE_M, Ring
 
 BIG_M = (16, 32, 63, 64)
@@ -109,19 +110,39 @@ def test_keys_in_interval_open_closed_is_the_scalar_predicate_per_key(m):
                 in_interval_open_closed(key, ids[s - 1], ids[s], m) for key in keys]
 
 
+def slots_between_fingers(row: list[int], s: int, n: int) -> list[list[int]]:
+    """Per level ``i``, the slots clockwise from classic finger ``i`` up to
+    (not including) finger ``i + 1``, and after the last level up to ``s``
+    itself: the candidate runs ``CompactChordRing.pns_fingers`` picks from."""
+    runs = []
+    for start, end in zip(row, [*row[1:], s]):
+        run, t = [], start
+        while t != end:
+            run.append(t)
+            t = (t + 1) % n
+        runs.append(run)
+    return runs
+
+
 @pytest.mark.parametrize("m", [2, 5, 8, *BIG_M])
 def test_slots_between_is_the_closed_open_interval_clockwise(m):
+    """The slots between consecutive classic fingers of ``s`` are the members
+    of ``[ids[s] + 2**i, ids[s] + 2**(i+1))``, clockwise from its start."""
     size = 1 << m
     for ids in rings(m)[-6:]:
-        edges = keys_for(ids, m)[:: max(1, len(keys_for(ids, m)) // 12)]
-        for lo, hi in itertools.product(edges, repeat=2):
-            inside = [s for s in range(len(ids)) if in_interval_closed_open(ids[s], lo, hi, m)]
-            inside.sort(key=lambda s: (ids[s] - lo) % size)
-            assert slots_between(ids, lo, hi).tolist() == inside, (ids, lo, hi)
+        table = finger_slots(np.asarray(ids, dtype=np.uint64), m).tolist()
+        for s, row in enumerate(table):
+            for i, run in enumerate(slots_between_fingers(row, s, len(ids))):
+                lo, hi = (ids[s] + (1 << i)) % size, (ids[s] + (2 << i)) % size
+                inside = [t for t in range(len(ids)) if in_interval_closed_open(ids[t], lo, hi, m)]
+                inside.sort(key=lambda t: (ids[t] - lo) % size)
+                assert run == inside, (ids, s, i)
 
 
 def test_slots_between_on_an_empty_ring():
-    assert slots_between([], 3, 1).tolist() == []
+    assert finger_slots(np.asarray([], dtype=np.uint64), 3).shape == (0, 3)
+    table = CompactChordRing(np.asarray([], dtype=np.uint64), np.asarray([], dtype=np.int64), m=3)
+    assert table.pns_fingers(ConstantLatency(1, 0.01)).tolist() == []
 
 
 @pytest.mark.parametrize("m", [1, 3, 8, *BIG_M])
@@ -214,7 +235,6 @@ def test_three_drivers_place_the_same_keys_on_the_same_owners(monkeypatch):
         ring = ChordRing(m=LIVE_M)
         for node in live.nodes:
             ring.add_node(node.id, rebuild=False)
-        ring.rebuild_tables()
         node_ids = np.asarray([node.id for node in ring.nodes()])
 
         rng = np.random.default_rng(12)
@@ -223,8 +243,8 @@ def test_three_drivers_place_the_same_keys_on_the_same_owners(monkeypatch):
         keys = lp_hash_batch(points, BOUNDS, LIVE_M)
         ring_keys = rotate_keys(keys, live.nodes[0].rotation, LIVE_M)
 
-        slots = ring.owners_of_keys(ring_keys)
-        assert np.array_equal(slots, CompactChordRing.from_ring(ring).owners_of_keys(ring_keys))
+        slots = ring.table.owners_of_keys(ring_keys)
+        assert slots.tolist() == [owner_slot(node_ids.tolist(), key) for key in ring_keys.tolist()]
         assert len(set(slots.tolist())) == 3, "the batch should land on every node"
 
         sent: list[tuple[str, np.ndarray]] = []

@@ -41,8 +41,8 @@ class TestSpanStatConsistency:
 
     def test_charged_send_spans_match_query_messages(self, demo):
         """Send spans flagged ``charged`` (size > 0, bytes recorded) are
-        emitted per transmission attempt — exactly when
-        ``record_query_message`` fires, retransmissions included."""
+        emitted per transmission attempt — exactly when the lifecycle
+        engine bills a query message, retransmissions included."""
         obs, stats = demo["obs"], demo["stats"]
         for qid, qs in stats.queries.items():
             spans = obs.spans_for(qid)

@@ -4,6 +4,7 @@ message size model and stats."""
 import numpy as np
 import pytest
 
+from repro.check import InvariantChecker
 from repro.sim.engine import Simulator
 from repro.sim.king import synthetic_king_matrix, king_latency_model
 from repro.sim.messages import (
@@ -136,6 +137,15 @@ class TestEngine:
         sim.run()
         assert out == [1.0, 2.0, 3.0]
         assert sim.pending() == 0  # a falsy return really stops the chain
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+    def test_every_refuses_an_interval_that_is_not_positive(self, interval):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="interval"):
+            sim.every(interval, lambda: True)
+        with pytest.raises(ValueError, match="interval"):
+            InvariantChecker().attach(sim, interval=interval)
+        assert sim.pending() == 0
 
     def test_every_matches_handrolled_digest(self):
         def handrolled():
@@ -312,16 +322,17 @@ class TestStats:
         assert qs.max_hops == 7
         assert qs.index_nodes == {1, 2, 3}
 
-    def test_bandwidth_split(self):
-        qs = QueryStats(qid=0)
-        qs.record_query_message(100)
-        qs.record_query_message(50)
-        qs.record_result_message(26, at=1.0)
-        assert qs.query_bytes == 150
-        assert qs.result_bytes == 26
-        assert qs.total_bytes == 176
-        assert qs.query_messages == 2
-        assert qs.result_messages == 1
+    def test_bandwidth_split(self, platform, clustered_data):
+        """A query's row bills each query and result message once: its bytes
+        are the transport's for the run."""
+        sent = platform.transport.stats
+        query0, result0 = sent.query_bytes, sent.result_bytes
+        fut = platform.query_async("t", clustered_data[0], 20.0)
+        fut.engine.run_until_complete([fut])
+        assert fut.query_messages > 1 and fut.result_messages > 1
+        assert fut.total_bytes == fut.query_bytes + fut.result_bytes
+        assert fut.query_bytes == sent.query_bytes - query0
+        assert fut.result_bytes == sent.result_bytes - result0
 
     def test_collector_aggregates(self):
         c = StatsCollector()
